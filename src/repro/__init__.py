@@ -18,7 +18,6 @@ paper-vs-measured record of every reproduced table and figure.
 
 from repro.api import Database, ENGINE_KINDS
 from repro.core import HiqueEngine, OPT_O0, OPT_O2
-from repro.engines.vectorized import VectorizedEngine
 from repro.engines.volcano import VolcanoEngine
 from repro.errors import ReproError
 from repro.parallel import ExecutionStats, ParallelConfig
@@ -40,6 +39,16 @@ from repro.storage import (
 )
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    # The column engine is the only consumer of numpy (16 MB resident):
+    # a process that never asks for it should not pay for the import.
+    if name == "VectorizedEngine":
+        from repro.engines.vectorized import VectorizedEngine
+
+        return VectorizedEngine
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BOOL",

@@ -22,7 +22,6 @@ from typing import Any, Iterable, Sequence
 
 from repro.core.emitter import OPT_O2
 from repro.core.engine import HiqueEngine
-from repro.engines.vectorized import VectorizedEngine
 from repro.engines.volcano import VolcanoEngine
 from repro.errors import ReproError
 from repro.obs import (
@@ -48,6 +47,7 @@ from repro.parallel.stats import (
 )
 from repro.plan.optimizer import PlannerConfig
 from repro.service import PreparedStatement, QueryService
+from repro.storage.btree import BPlusTree
 from repro.storage.buffer import BufferManager
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Column, Schema
@@ -192,6 +192,15 @@ class Database:
     def analyze(self, name: str | None = None) -> None:
         self.catalog.analyze(name)
 
+    def create_index(self, table: str, column: str) -> BPlusTree:
+        """Build a B+-tree over ``table.column`` (idempotent).
+
+        Cached plans are re-optimized, so scans with a sargable filter
+        on the column start probing the index, and UPDATE/DELETE
+        located through it maintain it entry by entry.
+        """
+        return self.catalog.create_index(table, column)
+
     def table(self, name: str) -> Table:
         return self.catalog.table(name)
 
@@ -248,6 +257,9 @@ class Database:
                 self.catalog, buffered=True, planner_config=config,
                 obs=self.obs,
             )
+        # Imported on first use: it pulls in numpy (see repro/__init__.py).
+        from repro.engines.vectorized import VectorizedEngine
+
         return VectorizedEngine(
             self.catalog, planner_config=config, obs=self.obs
         )
@@ -377,6 +389,14 @@ class Database:
         registry.sample("repro_buffer_hits_total", stats.hits)
         registry.sample("repro_buffer_misses_total", stats.misses)
         registry.sample("repro_buffer_evictions_total", stats.evictions)
+        tables = list(self.catalog.tables())
+        registry.sample(
+            "repro_index_probes_total", sum(t.index_probes for t in tables)
+        )
+        registry.sample(
+            "repro_index_declined_total",
+            sum(t.index_declined for t in tables),
+        )
         parallel_runs, serial_runs = self.parallel_counters()
         registry.sample("repro_parallel_runs_total", parallel_runs)
         registry.sample("repro_serial_runs_total", serial_runs)

@@ -19,8 +19,11 @@ executed through ``.prepare`` / ``.exec``.  Meta-commands:
 * ``.exec [v1, v2, ...]`` — run the last prepared statement with the
   given parameter values (int, float or 'string')
 * ``.cache [clear]`` — show (or reset) plan-cache and service stats;
-  each entry lists the ``table@version`` dependencies that keep it
-  alive (DML on a table drops only the entries depending on it)
+  each entry lists the ``table~rows`` counts it was optimized against
+  (plans survive DML and are re-optimized once a count drifts 2×)
+* ``.index <table> <column>`` — build a B+-tree index; scans with a
+  sargable filter on the column probe it (``.explain`` shows
+  ``via index(...)``) and indexed UPDATE/DELETE patch it in place
 * ``.versions`` — per-table mutation epochs (bumped by every INSERT /
   UPDATE / DELETE / load; version-keyed caches use them for coherence)
 * ``.workers <n>`` — set the parallel worker count
@@ -174,6 +177,21 @@ class Shell:
             self._exec(argument)
         elif command == ".cache":
             self._cache(argument)
+        elif command == ".index":
+            try:
+                table, column = argument.split()
+            except ValueError:
+                self.write("usage: .index <table> <column>")
+                return True
+            try:
+                index = self.db.create_index(table, column)
+            except ReproError as exc:
+                self.write(f"error: {exc}")
+            else:
+                self.write(
+                    f"index on {table}({column}): {len(index):,} entries, "
+                    f"height {index.height}"
+                )
         elif command == ".versions":
             versions = self.db.catalog.versions()
             if not versions:
@@ -370,7 +388,7 @@ class Shell:
         for entry in reversed(service.cache.entries()):
             kind, key, _signature = entry.key
             deps = ", ".join(
-                f"{table}@{version}" for table, version in entry.deps
+                f"{table}~{rows:,} rows" for table, rows in entry.deps
             )
             self.write(
                 f"  [{entry.hits:>4} hits, {entry.seconds_saved * 1000:8.2f}"

@@ -20,7 +20,11 @@ from repro.core.emitter import Emitter, GenContext, OPT_O2
 from repro.core.templates.aggregate import emit_aggregate
 from repro.core.templates.final import emit_limit, emit_project, emit_sort
 from repro.core.templates.join import emit_join, emit_multiway_join
-from repro.core.templates.staging import emit_restage, emit_scan_stage
+from repro.core.templates.staging import (
+    emit_restage,
+    emit_scan_stage,
+    has_index_path,
+)
 from repro.errors import CodegenError
 from repro.plan.descriptors import (
     AGG_MAP,
@@ -96,7 +100,7 @@ class CodeGenerator:
                     f"no template for operator {type(operator).__name__}"
                 )
 
-        self._emit_composer(body, plan, function_names)
+        self._emit_composer(body, gen, plan, function_names)
         header = self._header(plan, name, gen, uses_map_aggregate)
         # Module metadata trailer: process-pool workers re-import this
         # file from the compiler's work directory and check these before
@@ -121,7 +125,10 @@ class CodeGenerator:
     # -- composition --------------------------------------------------------------
     @staticmethod
     def _emit_composer(
-        em: Emitter, plan: PhysicalPlan, function_names: dict[int, str]
+        em: Emitter,
+        gen: GenContext,
+        plan: PhysicalPlan,
+        function_names: dict[int, str],
     ) -> None:
         with em.block("def run_query(ctx):"):
             for operator in plan.operators:
@@ -129,7 +136,18 @@ class CodeGenerator:
                 args = ", ".join(
                     f"r{input_id}" for input_id in operator.inputs
                 )
-                if args:
+                if isinstance(operator, ScanStage) and has_index_path(
+                    gen, operator
+                ):
+                    # Probe first; the scan runs only when the index
+                    # declines (too many matches for fetching to win).
+                    em.emit(f"_hit = {func}_probe(ctx)")
+                    em.emit(
+                        f"r{operator.op_id} = {func}(ctx) "
+                        f"if _hit.rids is None "
+                        f"else {func}_fetch(ctx, _hit.rids)"
+                    )
+                elif args:
                     em.emit(f"r{operator.op_id} = {func}(ctx, {args})")
                 else:
                     em.emit(f"r{operator.op_id} = {func}(ctx)")

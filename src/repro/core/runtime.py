@@ -116,6 +116,23 @@ def scan_filter_project(
     return out
 
 
+def fetch_filter_project(
+    table,
+    rids: Iterable[tuple[int, int]],
+    predicate: Callable[[Row], bool] | None,
+    projector: Callable[[Row], Row] | None,
+) -> Rows:
+    """Generic index fetch: the rows at ``rids``, filtered and projected."""
+    out: Rows = []
+    append = out.append
+    for page_no, slot in rids:
+        row = table.row_at(page_no, slot)
+        if predicate is not None and not predicate(row):
+            continue
+        append(projector(row) if projector is not None else row)
+    return out
+
+
 # -- join bodies (generic O0 path) ----------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ quality the paper's Table II contrasts against.
 from __future__ import annotations
 
 from repro.core.emitter import Emitter, GenContext
+from repro.errors import CodegenError
 from repro.memsim import costs
 from repro.plan.descriptors import (
     PREP_NONE,
@@ -25,6 +26,8 @@ from repro.plan.expressions import (
     PARAMS_LOCAL,
     comparisons_contain_parameter,
     conjunction_source_resolved,
+    contains_parameter,
+    expr_source_resolved,
 )
 from repro.sql.bound import BoundColumn, columns_in
 from repro.storage.page import HEADER_SIZE
@@ -82,14 +85,59 @@ def _emit_scan_optimized(
     row_bytes = len(slots) * 8
     per_tuple_instr = _scan_instr_estimate(op, len(projected))
 
-    with em.block(f"def {func_name}(ctx, _lo=0, _hi=None):"):
+    def emit_prologue() -> None:
         em.emit(f'table = ctx.tables["{op.binding}"]')
         em.emit("read_page = table.read_page")
-        em.emit("if _hi is None:")
-        em.emit("    _hi = table.num_pages")
+
+    def emit_collector() -> None:
         if comparisons_contain_parameter(op.filters):
             em.emit(f"{PARAMS_LOCAL} = ctx.params")
         _emit_collector_init(em, gen, op, row_bytes, "table.num_rows")
+
+    def emit_tuple() -> None:
+        """One tuple at ``data[off:]``: filter, decode, collect.  Runs
+        inside the innermost loop, which a failed filter ``continue``s."""
+        if gen.traced:
+            em.emit(f"_probe.instr({per_tuple_instr})")
+        # Decode filter fields first; short-circuit on failure.
+        for column_name, index in sorted(
+            filter_indexes.items(), key=lambda kv: kv[1]
+        ):
+            dtype = schema[index].dtype
+            offset = schema.offset_of(index)
+            if gen.traced:
+                em.emit(
+                    f"_probe.load(_pb + off + {offset}, {dtype.size})"
+                )
+            em.emit(
+                f"{var(index)} = "
+                + gen.field_decode(dtype, "data", f"off + {offset}")
+            )
+        if predicate != "True":
+            with em.block(f"if not ({predicate}):"):
+                em.emit("continue")
+        for slot, index in projected_only:
+            dtype = schema[index].dtype
+            offset = schema.offset_of(index)
+            if gen.traced:
+                em.emit(
+                    f"_probe.load(_pb + off + {offset}, {dtype.size})"
+                )
+            em.emit(
+                f"{var(index)} = "
+                + gen.field_decode(dtype, "data", f"off + {offset}")
+            )
+        _emit_collector_append(em, gen, op, row_tuple, row_bytes, var)
+
+    def emit_epilogue() -> None:
+        _emit_post_prep(em, gen, op.prep, row_bytes)
+        em.emit(f"return {_result_var(op.prep)}")
+
+    with em.block(f"def {func_name}(ctx, _lo=0, _hi=None):"):
+        emit_prologue()
+        em.emit("if _hi is None:")
+        em.emit("    _hi = table.num_pages")
+        emit_collector()
         if gen.traced:
             em.emit("_probe = ctx.probe")
             em.emit("_fid = table.file.file_id")
@@ -101,39 +149,58 @@ def _emit_scan_optimized(
                 em.emit("_probe.call(1)  # read_page: the unavoidable call")
             with em.block("for t in range(page.num_tuples):"):
                 em.emit(f"off = {HEADER_SIZE} + t * {tuple_size}")
-                if gen.traced:
-                    em.emit(f"_probe.instr({per_tuple_instr})")
-                # Decode filter fields first; short-circuit on failure.
-                for column_name, index in sorted(
-                    filter_indexes.items(), key=lambda kv: kv[1]
-                ):
-                    dtype = schema[index].dtype
-                    offset = schema.offset_of(index)
-                    if gen.traced:
-                        em.emit(
-                            f"_probe.load(_pb + off + {offset}, {dtype.size})"
-                        )
-                    em.emit(
-                        f"{var(index)} = "
-                        + gen.field_decode(dtype, "data", f"off + {offset}")
-                    )
-                if predicate != "True":
-                    with em.block(f"if not ({predicate}):"):
-                        em.emit("continue")
-                for slot, index in projected_only:
-                    dtype = schema[index].dtype
-                    offset = schema.offset_of(index)
-                    if gen.traced:
-                        em.emit(
-                            f"_probe.load(_pb + off + {offset}, {dtype.size})"
-                        )
-                    em.emit(
-                        f"{var(index)} = "
-                        + gen.field_decode(dtype, "data", f"off + {offset}")
-                    )
-                _emit_collector_append(em, gen, op, row_tuple, row_bytes, var)
-        _emit_post_prep(em, gen, op.prep, row_bytes)
-        em.emit(f"return {_result_var(op.prep)}")
+                emit_tuple()
+        emit_epilogue()
+    em.emit()
+
+    if not has_index_path(gen, op):
+        return
+    _emit_index_probe(em, op, func_name)
+    # The fetch half: the scan's tuple body over the probe's rids.  They
+    # arrive in heap order, so a page is read once and rows come out in
+    # the order the scan would produce them.
+    with em.block(f"def {func_name}_fetch(ctx, _rids):"):
+        emit_prologue()
+        emit_collector()
+        em.emit("_pno = -1")
+        with em.block("for p, t in _rids:"):
+            with em.block("if p != _pno:"):
+                em.emit("data = read_page(p).data")
+                em.emit("_pno = p")
+            em.emit(f"off = {HEADER_SIZE} + t * {tuple_size}")
+            emit_tuple()
+        emit_epilogue()
+    em.emit()
+
+
+def has_index_path(gen: GenContext, op: ScanStage) -> bool:
+    """Whether ``op`` gets a probe+fetch pair beside its scan loop.
+
+    Traced modules model the paper's scan-driven memory behaviour and
+    keep to the scan."""
+    return op.index is not None and not gen.traced
+
+
+def _emit_index_probe(em: Emitter, op: ScanStage, func_name: str) -> None:
+    """The probe half: evaluate the run-time bounds, ask the B+-tree."""
+    access = op.index
+
+    def no_columns(column: BoundColumn) -> str:
+        raise CodegenError(f"index bound references column {column.display()}")
+
+    def bound(expr) -> str:
+        if expr is None:
+            return "None"
+        return expr_source_resolved(expr, no_columns)
+
+    with em.block(f"def {func_name}_probe(ctx):"):
+        if contains_parameter(access.low) or contains_parameter(access.high):
+            em.emit(f"{PARAMS_LOCAL} = ctx.params")
+        em.emit(
+            f'return ctx.tables["{op.binding}"].probe_index('
+            f"{access.column!r}, {bound(access.low)}, {bound(access.high)}, "
+            f"{access.low_inclusive}, {access.high_inclusive})"
+        )
     em.emit()
 
 
@@ -275,6 +342,20 @@ def _emit_scan_generic(
             f"out = _rt.scan_filter_project(table, "
             f"ctx.predicates.get({op.op_id}), "
             f"ctx.projectors.get({op.op_id}), _lo, _hi)"
+        )
+        _emit_generic_prep(em, prep, "out")
+        em.emit(f"return {_result_var(prep)}")
+    em.emit()
+
+    if not has_index_path(gen, op):
+        return
+    _emit_index_probe(em, op, func_name)
+    with em.block(f"def {func_name}_fetch(ctx, _rids):"):
+        em.emit(f'table = ctx.tables["{op.binding}"]')
+        em.emit(
+            f"out = _rt.fetch_filter_project(table, _rids, "
+            f"ctx.predicates.get({op.op_id}), "
+            f"ctx.projectors.get({op.op_id}))"
         )
         _emit_generic_prep(em, prep, "out")
         em.emit(f"return {_result_var(prep)}")

@@ -9,7 +9,15 @@
 The paper's own contribution lives in :mod:`repro.core`.
 """
 
-from repro.engines.vectorized import VectorizedEngine
 from repro.engines.volcano import VolcanoEngine
 
 __all__ = ["VectorizedEngine", "VolcanoEngine"]
+
+
+def __getattr__(name: str):
+    # Imported on first use: it pulls in numpy (see repro/__init__.py).
+    if name == "VectorizedEngine":
+        from repro.engines.vectorized import VectorizedEngine
+
+        return VectorizedEngine
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,44 +12,11 @@ process backend.
 from __future__ import annotations
 
 from repro.obs.trace import Span, Trace
-from repro.plan.descriptors import (
-    Aggregate,
-    Join,
-    Limit,
-    MultiwayJoin,
-    PhysicalPlan,
-    Restage,
-    ScanStage,
-    Sort,
-)
+from repro.plan.descriptors import PhysicalPlan, operator_detail
 
 
 def _ms(seconds: float) -> str:
     return f"{seconds * 1000.0:.3f}ms"
-
-
-def _operator_detail(operator) -> str:
-    if isinstance(operator, ScanStage):
-        return (
-            f" {operator.binding} prep={operator.prep.kind}"
-            f" filters={len(operator.filters)}"
-        )
-    if isinstance(operator, Join):
-        return (
-            f" {operator.algorithm} ({operator.left_op} ⋈ "
-            f"{operator.right_op})"
-        )
-    if isinstance(operator, MultiwayJoin):
-        return f" {operator.algorithm} team{operator.input_ops}"
-    if isinstance(operator, Aggregate):
-        return f" {operator.algorithm} groups={operator.group_positions}"
-    if isinstance(operator, Sort):
-        return f" keys={operator.keys}"
-    if isinstance(operator, Restage):
-        return f" prep={operator.prep.kind} of {operator.input_op}"
-    if isinstance(operator, Limit):
-        return f" {operator.count}"
-    return ""
 
 
 def _node_spans(root: Span) -> dict[int, tuple[Span, bool]]:
@@ -122,6 +89,9 @@ def _annotate(span: Span) -> str:
             f"pages={span.pages_hit}hit/{span.pages_missed}miss"
             f" ({_hit_rate(span.pages_hit, span.pages_missed)} hit)"
         )
+    index = span.attrs.get("index")
+    if index:
+        parts.append(index)
     if span.attrs.get("staging_cached"):
         parts.append("staging: reused cached intermediate")
     if span.attrs.get("serial"):
@@ -164,7 +134,7 @@ def render_explain_analyze(plan: PhysicalPlan, trace: Trace) -> str:
 
     for operator in plan.operators:
         kind = type(operator).__name__
-        line = f"o{operator.op_id}: {kind}{_operator_detail(operator)}"
+        line = f"o{operator.op_id}: {kind}{operator_detail(operator)}"
         found = by_op.get(operator.op_id)
         if found is not None:
             span, primary = found

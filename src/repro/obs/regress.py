@@ -63,6 +63,10 @@ GATED_METRICS: dict[str, tuple[tuple[str, bool, bool], ...]] = {
         ("p99_ms", False, True),
     ),
     "BENCH_write_cache.json": (("staging_speedup", True, True),),
+    "BENCH_index.json": (
+        ("point_speedup", True, True),
+        ("update_speedup", True, True),
+    ),
 }
 
 

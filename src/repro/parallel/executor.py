@@ -6,7 +6,11 @@ list itself — a *phase scheduler* — and drives each operator's
 generated entry points with a worker pool wherever an order-preserving
 parallel strategy exists:
 
-* **stage** — every table scan (staged or not) is split into page-range
+* **stage** — a scan annotated with an index access first runs its
+  generated probe inline; when the index accepts, the generated fetch
+  reads just the hit pages (no morsels, nothing banked in the
+  intermediate cache) and the scan below never starts.  Otherwise
+  every table scan (staged or not) is split into page-range
   :class:`~repro.parallel.morsel.Morsel`\\ s; each worker runs the same
   generated scan–filter–project(–prep) loop over its slices, and the
   per-morsel results are reassembled to exactly the serial staging
@@ -1179,6 +1183,8 @@ class _ScheduledRun:
         """
         table = op.table
         config = self.config
+        if op.index is not None and self._via_index(op):
+            return False
         # Version-keyed intermediate reuse: an unfused, non-hand-off
         # staged scan whose table has not mutated since a previous
         # execution can skip the whole scan + staging + merge pass.
@@ -1319,6 +1325,37 @@ class _ScheduledRun:
         if signature is not None:
             cache.put(table.name.lower(), table.version, signature, staged)
         return False
+
+    def _via_index(self, op: ScanStage) -> bool:
+        """Probe the scan's index; fetch inline when it accepts.
+
+        A point or narrow-range read is a handful of page fetches:
+        nothing to split into morsels and nothing worth banking in the
+        intermediate cache.  A declined probe (too many matches)
+        returns False and the caller stages the scan as usual.
+        """
+        started = time.perf_counter()
+        name = self.names[op.op_id]
+        hit = self.namespace[name + "_probe"](self.ctx)
+        if hit.rids is None:
+            outcome = (
+                f"index declined: {hit.matched} > {hit.cutoff}, scanned"
+            )
+        else:
+            outcome = f"index: {hit.matched} rids"
+        self.report.skip(
+            f"table {op.binding!r}: {outcome}", mark_span=False
+        )
+        span = current_span()
+        if span is not None and span.category == "node":
+            span.set(index=outcome)
+        if hit.rids is None:
+            return False
+        self.results[op.op_id] = self.namespace[name + "_fetch"](
+            self.ctx, hit.rids
+        )
+        self.report.note("stage", started, time.perf_counter(), 1, 1)
+        return True
 
     def _fusable_consumer(self, op: ScanStage, following):
         """The next operator, when its work can ride inside scan tasks.

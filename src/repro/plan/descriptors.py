@@ -21,7 +21,13 @@ from typing import Iterator
 
 from repro.errors import PlanError
 from repro.plan.layout import ColumnLayout
-from repro.sql.bound import BoundComparison, BoundOutput
+from repro.sql.bound import (
+    BoundComparison,
+    BoundExpr,
+    BoundLiteral,
+    BoundOutput,
+    BoundParameter,
+)
 from repro.storage.table import Table
 
 # -- staging preparation -----------------------------------------------------------
@@ -49,6 +55,53 @@ class Prep:
             raise PlanError(f"unknown prep kind {self.kind!r}")
         if self.kind != PREP_NONE and not self.keys:
             raise PlanError(f"prep {self.kind!r} requires keys")
+
+
+# -- index access --------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class IndexAccess:
+    """A B+-tree probe that can stand in for a scan's page walk.
+
+    ``low``/``high`` are expressions over literals and parameters only
+    (``None`` = open end), evaluated when the query runs.  The
+    conjuncts they came from stay in the scan's ``filters``: the probe
+    narrows which rows are read, the filters still decide which
+    qualify, so an engine that ignores the annotation is still right.
+    """
+
+    column: str
+    low: BoundExpr | None = None
+    high: BoundExpr | None = None
+    low_inclusive: bool = True
+    high_inclusive: bool = True
+
+    @property
+    def is_equality(self) -> bool:
+        return self.low is not None and self.low is self.high
+
+    def describe(self) -> str:
+        """``index(id) [= ?]`` / ``index(id) [>= 10 AND < ?]``."""
+        if self.is_equality:
+            bounds = [f"= {_bound_text(self.low)}"]
+        else:
+            bounds = []
+            if self.low is not None:
+                op = ">=" if self.low_inclusive else ">"
+                bounds.append(f"{op} {_bound_text(self.low)}")
+            if self.high is not None:
+                op = "<=" if self.high_inclusive else "<"
+                bounds.append(f"{op} {_bound_text(self.high)}")
+        return f"index({self.column}) [{' AND '.join(bounds)}]"
+
+
+def _bound_text(expr: BoundExpr) -> str:
+    if isinstance(expr, BoundParameter):
+        return "?"
+    if isinstance(expr, BoundLiteral):
+        return repr(expr.value)
+    return "expr"
 
 
 # -- aggregate specification ----------------------------------------------------------
@@ -93,6 +146,9 @@ class ScanStage(Operator):
     table: Table | None = None
     filters: tuple[BoundComparison, ...] = ()
     prep: Prep = field(default_factory=Prep)
+    #: Set when a sargable filter hits an indexed column; whether the
+    #: probe or the scan runs is decided from the data at run time.
+    index: IndexAccess | None = None
 
     def __post_init__(self) -> None:
         if self.table is None:
@@ -247,27 +303,31 @@ class PhysicalPlan:
         for operator in self.operators:
             kind = type(operator).__name__
             detail = ""
-            if isinstance(operator, ScanStage):
-                detail = (
-                    f" {operator.binding} prep={operator.prep.kind}"
-                    f" filters={len(operator.filters)}"
-                )
-            elif isinstance(operator, Join):
-                detail = (
-                    f" {operator.algorithm} ({operator.left_op} ⋈ "
-                    f"{operator.right_op})"
-                )
-            elif isinstance(operator, MultiwayJoin):
-                detail = f" {operator.algorithm} team{operator.input_ops}"
-            elif isinstance(operator, Aggregate):
-                detail = (
-                    f" {operator.algorithm} groups={operator.group_positions}"
-                )
-            elif isinstance(operator, Sort):
-                detail = f" keys={operator.keys}"
-            elif isinstance(operator, Restage):
-                detail = f" prep={operator.prep.kind} of {operator.input_op}"
-            elif isinstance(operator, Limit):
-                detail = f" {operator.count}"
-            lines.append(f"o{operator.op_id}: {kind}{detail}")
+            lines.append(f"o{operator.op_id}: {kind}{operator_detail(operator)}")
         return "\n".join(lines)
+
+
+def operator_detail(operator: Operator) -> str:
+    """The per-kind suffix of one ``explain`` line."""
+    if isinstance(operator, ScanStage):
+        via = f" via {operator.index.describe()}" if operator.index else ""
+        return (
+            f" {operator.binding}{via} prep={operator.prep.kind}"
+            f" filters={len(operator.filters)}"
+        )
+    if isinstance(operator, Join):
+        return (
+            f" {operator.algorithm} ({operator.left_op} ⋈ "
+            f"{operator.right_op})"
+        )
+    if isinstance(operator, MultiwayJoin):
+        return f" {operator.algorithm} team{operator.input_ops}"
+    if isinstance(operator, Aggregate):
+        return f" {operator.algorithm} groups={operator.group_positions}"
+    if isinstance(operator, Sort):
+        return f" keys={operator.keys}"
+    if isinstance(operator, Restage):
+        return f" prep={operator.prep.kind} of {operator.input_op}"
+    if isinstance(operator, Limit):
+        return f" {operator.count}"
+    return ""

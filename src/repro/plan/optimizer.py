@@ -28,6 +28,7 @@ paper describes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.errors import PlanError, UnsupportedSqlError
 from repro.plan.descriptors import (
@@ -43,6 +44,7 @@ from repro.plan.descriptors import (
     PREP_PARTITION_SORT,
     PREP_SORT,
     Aggregate,
+    IndexAccess,
     Join,
     Limit,
     MultiwayJoin,
@@ -63,6 +65,7 @@ from repro.sql.bound import (
     columns_in,
 )
 from repro.storage.catalog import Catalog
+from repro.storage.table import Table
 
 
 @dataclass
@@ -210,13 +213,15 @@ class Optimizer:
         order: tuple[int, ...] = ()
         if prep.kind == PREP_SORT:
             order = prep.keys
+        filters = tuple(self._query.filters.get(binding, ()))
         scan = ScanStage(
             op_id=self._new_id(),
             output_layout=layout,
             binding=binding,
             table=table,
-            filters=tuple(self._query.filters.get(binding, ())),
+            filters=filters,
             prep=prep,
+            index=index_access_for(table, filters),
             output_order=order,
         )
         plan.operators.append(scan)
@@ -795,6 +800,60 @@ class Optimizer:
 
 
 # -- helpers ------------------------------------------------------------------------------
+
+#: ``bound OP column`` read as ``column OP' bound``.
+_MIRRORED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def index_access_for(
+    table: Table, comparisons: Sequence[BoundComparison]
+) -> IndexAccess | None:
+    """The index probe a conjunction over one table allows, if any.
+
+    A conjunct is sargable when it compares an indexed column with an
+    expression free of columns (literals, parameters, arithmetic over
+    them) using ``=``, ``<``, ``<=``, ``>`` or ``>=``.  An equality
+    beats a range closed on both ends beats a half-open one; among
+    equals the first indexed column wins.  With several lower (or
+    upper) bounds on one column the first is probed — which is tighter
+    is only known from the parameters — and the rest filter.
+    """
+    best: IndexAccess | None = None
+    best_rank = 3
+    for column in table.indexed_columns:
+        low = high = None
+        low_inclusive = high_inclusive = True
+        for comparison in comparisons:
+            if comparison.op not in _MIRRORED:
+                continue
+            op, bound = comparison.op, comparison.right
+            if not _is_column(comparison.left, column):
+                op, bound = _MIRRORED[op], comparison.left
+                if not _is_column(comparison.right, column):
+                    continue
+            if columns_in(bound):
+                continue
+            if op == "=":
+                low = high = bound
+                low_inclusive = high_inclusive = True
+                break
+            if op in (">", ">="):
+                if low is None:
+                    low, low_inclusive = bound, op == ">="
+            elif high is None:
+                high, high_inclusive = bound, op == "<="
+        if low is None and high is None:
+            continue
+        closed = low is not None and high is not None
+        rank = 0 if low is high else 1 if closed else 2
+        if rank < best_rank:
+            best_rank = rank
+            best = IndexAccess(column, low, high, low_inclusive, high_inclusive)
+    return best
+
+
+def _is_column(expr, column: str) -> bool:
+    return isinstance(expr, BoundColumn) and expr.column == column
 
 
 def _selectivity(comparison: BoundComparison, stats) -> float:

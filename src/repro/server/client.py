@@ -5,6 +5,10 @@ instances share one event loop, each holding a connection with its own
 prepared-statement handles.  :class:`QueryClient` wraps a plain socket
 for shells, scripts and tests that want synchronous calls.
 
+Query results are :class:`repro.server.protocol.Rows`: a read-only
+sequence of row tuples, value-identical to what
+:meth:`Database.execute` returns in process.
+
 Both raise typed exceptions reconstructed from the server's error
 codes (:func:`repro.server.protocol.exception_for`): a saturated pool
 raises :class:`~repro.errors.AdmissionError`, a deadline expiry
@@ -82,7 +86,7 @@ class AsyncQueryClient:
         sql: str,
         params: Sequence[Any] | None = None,
         engine: str | None = None,
-    ) -> list[tuple]:
+    ) -> protocol.Rows:
         frame: dict[str, Any] = {"op": "query", "sql": sql}
         if params is not None:
             frame["params"] = list(params)
@@ -108,7 +112,7 @@ class AsyncQueryClient:
         self,
         statement: RemoteStatement | int,
         params: Sequence[Any] | None = None,
-    ) -> list[tuple]:
+    ) -> protocol.Rows:
         handle = (
             statement.stmt
             if isinstance(statement, RemoteStatement)
@@ -168,7 +172,7 @@ class QueryClient:
         sql: str,
         params: Sequence[Any] | None = None,
         engine: str | None = None,
-    ) -> list[tuple]:
+    ) -> protocol.Rows:
         frame: dict[str, Any] = {"op": "query", "sql": sql}
         if params is not None:
             frame["params"] = list(params)
@@ -194,7 +198,7 @@ class QueryClient:
         self,
         statement: RemoteStatement | int,
         params: Sequence[Any] | None = None,
-    ) -> list[tuple]:
+    ) -> protocol.Rows:
         handle = (
             statement.stmt
             if isinstance(statement, RemoteStatement)

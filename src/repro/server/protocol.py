@@ -28,7 +28,8 @@ holds them.
 from __future__ import annotations
 
 import json
-from typing import Any
+from itertools import chain
+from typing import Any, Iterator, Sequence
 
 from repro.errors import (
     AdmissionError,
@@ -139,11 +140,63 @@ def rows_to_wire(rows: list[tuple]) -> list[list[Any]]:
     return [list(row) for row in rows]
 
 
-def rows_from_wire(rows: list[list[Any]]) -> list[tuple]:
-    """Decoded JSON rows → the tuples :meth:`Database.execute` returns.
+class Rows(Sequence):
+    """Result rows off the wire: one flat tuple of values plus the width.
+
+    Reads like the list of row tuples :meth:`Database.execute` returns
+    — ``len``, indexing, slicing, iteration, ``==`` against any
+    sequence of rows — but keeps only the values.  A list of ``n``
+    row tuples spends 72 bytes per row on the tuple objects
+    themselves; a caller that holds on to many results (a load
+    harness keeping every outcome for later checking, a result cache)
+    holds half as much this way.
+    """
+
+    __slots__ = ("_width", "_values")
+
+    def __init__(self, rows: Sequence[Sequence[Any]] = ()):
+        self._width = len(rows[0]) if rows else 0
+        self._values = tuple(chain.from_iterable(rows))
+
+    def __len__(self) -> int:
+        return len(self._values) // self._width if self._width else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("row index out of range")
+        width = self._width
+        return self._values[index * width:(index + 1) * width]
+
+    def __iter__(self) -> Iterator[tuple]:
+        values, width = self._values, self._width
+        return (
+            values[start:start + width]
+            for start in range(0, len(values), width or 1)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Rows, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == tuple(theirs) for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def rows_from_wire(rows: list[list[Any]]) -> Rows:
+    """Decoded JSON rows → the row tuples :meth:`Database.execute`
+    returns, as a :class:`Rows`.
 
     JSON round-trips ints, floats and strings exactly (floats via
     ``repr``-precision shortest form), so rows reconstructed here are
-    byte-identical to a direct in-process execution.
+    value-identical to a direct in-process execution.
     """
-    return [tuple(row) for row in rows]
+    return Rows(rows)

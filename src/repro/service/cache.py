@@ -67,15 +67,10 @@ class CacheEntry:
     hits: int = 0
     #: Preparation seconds this entry's hits have avoided so far.
     seconds_saved: float = 0.0
-    #: ``(table, version)`` pairs the cached value was built against
-    #: (lowercased names).  A DML mutation invalidates exactly the
-    #: entries whose dependency set names the mutated table; an empty
-    #: set means the entry is version-independent (DML plans themselves)
-    #: and only wholesale DDL invalidation removes it.
+    #: ``(table, row count)`` pairs the cached value was optimized
+    #: against (lowercased names), for display: the owner of the cache
+    #: decides when a drifted count makes the entry stale.
     deps: tuple[tuple[str, int], ...] = ()
-
-    def depends_on(self, table: str) -> bool:
-        return any(name == table for name, _ in self.deps)
 
     @property
     def score(self) -> float:
@@ -192,24 +187,6 @@ class PlanCache:
                 self._entries.clear()
             self._invalidations += dropped
             return dropped
-
-    def invalidate_table(self, table: str) -> int:
-        """Drop entries depending on ``table`` (lowercased name).
-
-        The fine-grained DML path: a mutation of table A removes plans
-        built against A's old version and leaves every other entry —
-        including version-independent DML plans — untouched.
-        """
-        with self._lock:
-            doomed = [
-                key
-                for key, entry in self._entries.items()
-                if entry.depends_on(table)
-            ]
-            for key in doomed:
-                del self._entries[key]
-            self._invalidations += len(doomed)
-            return len(doomed)
 
     # -- introspection -------------------------------------------------------------
     def __len__(self) -> int:

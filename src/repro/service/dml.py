@@ -5,8 +5,11 @@ statements, TCP server) routes mutations here.  The caller holds the
 catalog's write gate, so execution never races a reader: a query either
 sees the table wholly before or wholly after the mutation, and the
 table's version epoch moves *before* the gate is released, which is
-what makes version-keyed caches (plans, staged intermediates, DSM
-columns) coherent without further locking.
+what makes version-keyed caches (staged intermediates, DSM columns)
+coherent without further locking.  UPDATE and DELETE hand the storage
+layer the same sargable index bounds the optimizer would probe for a
+scan, so a point or narrow-range write touches only the rows the index
+names.
 
 Expression evaluation reuses the plan layer's closures
 (:func:`~repro.plan.expressions.make_evaluator` /
@@ -21,6 +24,7 @@ from typing import Any, Sequence
 from repro.errors import ConstraintError, StorageError
 from repro.plan.expressions import make_conjunction, make_evaluator
 from repro.plan.layout import ColumnLayout, ColumnSlot
+from repro.plan.optimizer import index_access_for
 from repro.sql.bound import (
     BoundArithmetic,
     BoundDelete,
@@ -29,6 +33,7 @@ from repro.sql.bound import (
     BoundStatement,
     BoundUpdate,
 )
+from repro.storage.btree import KeyRange
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 
@@ -77,6 +82,30 @@ def _table_layout(binding: str, table: Table) -> ColumnLayout:
     return ColumnLayout(
         ColumnSlot(binding, column.name, column.dtype)
         for column in table.schema
+    )
+
+
+def _key_range(
+    table: Table, where, layout: ColumnLayout, params: Sequence[Any]
+) -> KeyRange | None:
+    """The index bounds every row matching ``where`` satisfies, if a
+    conjunct is sargable on an indexed column — the same choice the
+    optimizer makes for a scan, with the bounds evaluated now."""
+    access = index_access_for(table, where)
+    if access is None:
+        return None
+
+    def value(expr):
+        if expr is None:
+            return None
+        return make_evaluator(expr, layout, params)(())
+
+    return KeyRange(
+        access.column,
+        value(access.low),
+        value(access.high),
+        access.low_inclusive,
+        access.high_inclusive,
     )
 
 
@@ -147,7 +176,9 @@ def _execute_update(bound: BoundUpdate, params: Sequence[Any]) -> int:
         return values
 
     try:
-        return table.update_rows(predicate, updater)
+        return table.update_rows(
+            predicate, updater, _key_range(table, bound.where, layout, params)
+        )
     except (StorageError, TypeError, ValueError) as exc:
         raise ConstraintError(str(exc)) from exc
 
@@ -156,4 +187,6 @@ def _execute_delete(bound: BoundDelete, params: Sequence[Any]) -> int:
     table = bound.table
     layout = _table_layout(bound.binding, table)
     predicate = make_conjunction(bound.where, layout, params)
-    return table.delete_rows(predicate)
+    return table.delete_rows(
+        predicate, _key_range(table, bound.where, layout, params)
+    )

@@ -103,8 +103,10 @@ class _CachedPlan:
     bound: Any = field(default=None, repr=False)
     #: Parameter index → bound type, for execute-time value checking.
     param_dtypes: dict = field(default_factory=dict, repr=False)
-    #: ``(table, version)`` pairs this plan was built against; empty for
-    #: version-independent plans (DML re-reads the table at execution).
+    #: ``(table, row count)`` pairs this plan was optimized against;
+    #: empty for DML plans, which hold no optimizer decisions.  A read
+    #: plan survives DML — its code reads page and row counts when it
+    #: runs — until a table's row count leaves [½×, 2×] of this.
     deps: tuple[tuple[str, int], ...] = ()
 
 
@@ -313,11 +315,11 @@ class QueryService:
             else self.cache.peek(cache_key)
         )
         if entry is not None and not self._deps_current(entry.value):
-            # Backstop for mutations that bypassed the catalogue's
-            # listeners (direct Table writes in embedding code): the
-            # recorded (table, version) deps are re-validated before an
-            # entry is trusted.  The stale hit was already counted —
-            # acceptable skew for a path listeners normally keep cold.
+            # The plan's algorithm and partition choices were sized for
+            # a table that has since halved or doubled (or was dropped
+            # behind the listeners' back): optimize again.  The stale
+            # hit was already counted — acceptable skew for a check
+            # that fires O(log n) times over a table's growth.
             self.cache.invalidate(cache_key)
             entry = None
         if count:
@@ -357,21 +359,22 @@ class QueryService:
         return plan
 
     def _deps_current(self, plan: _CachedPlan) -> bool:
-        """Whether every recorded (table, version) dep is still live."""
-        for name, version in plan.deps:
+        """Whether every table is still within [½×, 2×] of the row
+        count the plan was optimized against."""
+        for name, planned in plan.deps:
             try:
-                table = self.database.catalog.table(name)
+                rows = self.database.catalog.table(name).num_rows
             except CatalogError:
                 return False
-            if table.version != version:
+            if not planned <= 2 * rows <= 4 * planned:
                 return False
         return True
 
     @staticmethod
     def _bound_deps(tables) -> tuple[tuple[str, int], ...]:
-        """(table, version) deps from a bound query's FROM entries."""
+        """(table, row count) deps from a bound query's FROM entries."""
         return tuple(
-            (bt.table.name.lower(), bt.table.version) for bt in tables
+            (bt.table.name.lower(), bt.table.num_rows) for bt in tables
         )
 
     def _build_plan(
@@ -388,9 +391,8 @@ class QueryService:
         }
         if statement.is_dml:
             # Binding resolves the target table and type-checks values;
-            # the bound statement is version-independent (execution
-            # reads live pages), so only wholesale DDL invalidation
-            # removes it — a DML plan survives its own mutations.
+            # nothing in it depends on the table's contents, so only
+            # wholesale DDL invalidation removes it.
             started = time.perf_counter()
             bound = Binder(self.database.catalog).bind_statement(
                 parameterized.query, param_dtypes=param_dtypes
@@ -801,17 +803,16 @@ class QueryService:
         """A catalogue mutation happened: invalidate what it staled.
 
         DML moves one table's version epoch but changes no schema or
-        statistics, so only the entries whose recorded deps name that
-        table are dropped — plans over other tables, and the DML plans
-        themselves (version-independent), survive, as does the raw-text
-        index (text → shape normalization never goes stale).  DDL and
-        ``analyze`` can change plan shape and plan choice, so they keep
-        the wholesale policy (the paper's systems do the same — a
-        prepared statement is re-optimized when its dependencies
-        change).
+        statistics, and compiled code reads page and row counts when
+        it runs, so every cached plan survives it (the lookup path
+        re-optimizes once a row count has drifted 2×; staged
+        intermediates, keyed on the version, are the owning database's
+        to drop).  DDL, index creation and ``analyze`` can change plan
+        shape and plan choice, so they keep the wholesale policy (the
+        paper's systems do the same — a prepared statement is
+        re-optimized when its dependencies change).
         """
         if kind == "dml" and table is not None:
-            self.cache.invalidate_table(table)
             if self.insights is not None:
                 self.insights.on_catalog_change(table, kind="dml")
             return

@@ -4,9 +4,8 @@ Public surface re-exported here; see DESIGN.md §3 for the inventory.
 """
 
 from repro.storage.buffer import BufferManager, BufferStats
-from repro.storage.btree import BPlusTree, build_index
+from repro.storage.btree import BPlusTree, KeyRange, build_index
 from repro.storage.catalog import Catalog, ColumnStats, TableStats
-from repro.storage.dsm import ColumnTable, from_rows, from_table
 from repro.storage.heapfile import DiskFile, HeapFile, MemoryFile
 from repro.storage.page import HEADER_SIZE, PAGE_SIZE, Page
 from repro.storage.pax import PaxPage, PaxRelation, pax_from_table
@@ -25,6 +24,18 @@ from repro.storage.types import (
     varchar,
 )
 
+
+
+def __getattr__(name: str):
+    # The column store is numpy-backed; imported on first use so that
+    # row-store-only processes do not load numpy (see repro/__init__.py).
+    if name in ("ColumnTable", "from_rows", "from_table"):
+        from repro.storage import dsm
+
+        return getattr(dsm, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "BOOL",
     "BPlusTree",
@@ -41,6 +52,7 @@ __all__ = [
     "HEADER_SIZE",
     "HeapFile",
     "INT",
+    "KeyRange",
     "MemoryFile",
     "PAGE_SIZE",
     "Page",

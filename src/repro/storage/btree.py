@@ -16,18 +16,25 @@ This implementation keeps that node-size discipline:
 * keys are Python-comparable scalars; values are record ids
   ``(page_no, slot)``.
 
-The benchmark queries in the paper are scan driven, so the index is not
-on the critical path of the reproduced figures, but it completes the
-storage substrate (point lookups, range scans, ordered iteration) and is
-fully unit/property tested.
+The benchmark queries in the paper are scan driven, but the OLTP path is
+not: the optimizer annotates sargable scans with an index access, the
+staging template probes the tree from generated code, and indexed
+UPDATE/DELETE locate their rows here and patch single entries through
+:meth:`BPlusTree.insert` / :meth:`BPlusTree.delete` instead of
+rebuilding.  Deletion is *lazy*: entries are removed from their leaf
+and the leaf is left in place, possibly empty — no merging or
+redistribution — which keeps every rid-patch O(log n) and every
+structural invariant except minimum occupancy (never promised here).
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterator
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from repro.errors import StorageError
+from repro.storage.page import HEADER_SIZE
 
 #: Byte budget of a tree node (quarter of a physical 4096-byte page).
 NODE_SIZE = 1024
@@ -48,6 +55,17 @@ INTERNAL_FANOUT = (NODE_SIZE - _HEADER_BYTES + _KEY_BYTES) // (
 
 #: Max entries of a leaf node: header + n*(key + rid) <= NODE_SIZE.
 LEAF_CAPACITY = (NODE_SIZE - _HEADER_BYTES) // (_KEY_BYTES + _PTR_BYTES)
+
+
+class KeyRange(NamedTuple):
+    """Run-time bounds of one index access: ``low``/``high`` are key
+    values (``None`` = open), the flags say whether each is included."""
+
+    column: str
+    low: Any = None
+    high: Any = None
+    low_inclusive: bool = True
+    high_inclusive: bool = True
 
 
 class NodeAllocator:
@@ -138,26 +156,43 @@ class BPlusTree:
         return []
 
     def range_scan(
-        self, low: Any = None, high: Any = None
+        self,
+        low: Any = None,
+        high: Any = None,
+        low_inclusive: bool = True,
+        high_inclusive: bool = True,
+        limit: int | None = None,
     ) -> Iterator[tuple[Any, tuple[int, int]]]:
-        """Yield ``(key, rid)`` pairs with ``low <= key <= high`` in order.
+        """Yield ``(key, rid)`` pairs between the bounds, in key order.
 
-        ``None`` bounds are open.
+        ``None`` bounds are open; the ``*_inclusive`` flags turn a bound
+        strict.  ``limit`` stops after that many pairs, so a caller that
+        only needs to know whether a range is "too wide" never walks
+        the whole of it.
         """
+        if limit is not None and limit <= 0:
+            return
         leaf: _Leaf | None
         if low is None:
             leaf = self._first_leaf
             idx = 0
         else:
             leaf = self._descend(low)
-            idx = bisect.bisect_left(leaf.keys, low)
+            find = bisect.bisect_left if low_inclusive else bisect.bisect_right
+            idx = find(leaf.keys, low)
+        emitted = 0
         while leaf is not None:
             while idx < len(leaf.keys):
                 key = leaf.keys[idx]
-                if high is not None and key > high:
+                if high is not None and (
+                    key > high or (key == high and not high_inclusive)
+                ):
                     return
                 for rid in leaf.values[idx]:
                     yield key, rid
+                    emitted += 1
+                    if emitted == limit:
+                        return
                 idx += 1
             leaf = leaf.next_leaf
             idx = 0
@@ -193,10 +228,80 @@ class BPlusTree:
             self.height += 1
         self._num_entries += 1
 
-    def bulk_load(self, items: Iterator[tuple[Any, tuple[int, int]]]) -> None:
-        """Insert many (key, rid) pairs (need not be sorted)."""
-        for key, rid in items:
-            self.insert(key, rid)
+    def delete(self, key: Any, rid: tuple[int, int]) -> None:
+        """Remove one ``(key, rid)`` entry, lazily.
+
+        The entry leaves its leaf; a key whose last rid goes leaves too,
+        and a leaf may end up empty — it stays linked and reusable, and
+        no separator is touched (separators only route, they need not
+        be present keys).  Raises when the entry is absent: an index
+        that disagrees with its heap must not fail silently.
+        """
+        leaf = self._descend(key)
+        idx = bisect.bisect_left(leaf.keys, key)
+        if idx < len(leaf.keys) and leaf.keys[idx] == key:
+            rids = leaf.values[idx]
+            if rid in rids:
+                rids.remove(rid)
+                if not rids:
+                    del leaf.keys[idx]
+                    del leaf.values[idx]
+                    self._num_keys -= 1
+                self._num_entries -= 1
+                return
+        raise StorageError(f"index has no entry {key!r} -> {rid}")
+
+    def bulk_load(self, items: Iterable[tuple[Any, tuple[int, int]]]) -> None:
+        """Build an *empty* tree bottom-up from ``(key, rid)`` pairs.
+
+        The pairs need not be sorted; equal keys keep their input order.
+        Leaves are packed level by level from the sorted run — entries
+        spread evenly so no node is left nearly empty — instead of one
+        root-to-leaf insert per pair.
+        """
+        if self._num_entries or not self._root.is_leaf:
+            raise StorageError("bulk_load requires an empty tree")
+        pairs = sorted(items, key=itemgetter(0))
+        if not pairs:
+            return
+        keys: list[Any] = []
+        values: list[list[tuple[int, int]]] = []
+        for key, rid in pairs:
+            if keys and keys[-1] == key:
+                values[-1].append(rid)
+            else:
+                keys.append(key)
+                values.append([rid])
+        self._num_keys = len(keys)
+        self._num_entries = len(pairs)
+
+        # Reuse the pre-allocated root as the first leaf so node ids
+        # stay dense under the four-to-a-page layout.
+        level: list[_Node] = []
+        lows: list[Any] = []  # smallest key under each node of ``level``
+        leaf: _Leaf = self._root  # type: ignore[assignment]
+        for start, stop in _even_chunks(len(keys), self.leaf_capacity):
+            if level:
+                fresh = _Leaf(self.allocator.allocate())
+                leaf.next_leaf = fresh
+                leaf = fresh
+            leaf.keys = keys[start:stop]
+            leaf.values = values[start:stop]
+            level.append(leaf)
+            lows.append(keys[start])
+        self.height = 1
+        while len(level) > 1:
+            parents: list[_Node] = []
+            parent_lows: list[Any] = []
+            for start, stop in _even_chunks(len(level), self.internal_fanout):
+                node = _Internal(self.allocator.allocate())
+                node.children = level[start:stop]
+                node.keys = lows[start + 1:stop]
+                parents.append(node)
+                parent_lows.append(lows[start])
+            level, lows = parents, parent_lows
+            self.height += 1
+        self._root = level[0]
 
     # -- internals ---------------------------------------------------------------
     def _descend(self, key: Any) -> _Leaf:
@@ -304,12 +409,34 @@ class BPlusTree:
         return depth
 
 
+def _even_chunks(count: int, capacity: int) -> Iterator[tuple[int, int]]:
+    """Split ``range(count)`` into the fewest runs of at most
+    ``capacity``, sized within one of each other."""
+    chunks = -(-count // capacity)
+    base, extra = divmod(count, chunks)
+    start = 0
+    for i in range(chunks):
+        stop = start + base + (1 if i < extra else 0)
+        yield start, stop
+        start = stop
+
+
 def build_index(table, column: str) -> BPlusTree:
     """Index ``table`` on ``column``: key → rid for every stored row."""
     tree = BPlusTree()
-    idx = table.schema.index_of(column)
+    schema = table.schema
+    idx = schema.index_of(column)
+    unpack = schema.field_codec(idx).unpack_from
+    from_storage = schema[idx].dtype.from_storage
+    first = HEADER_SIZE + schema.offset_of(idx)
+    size = schema.tuple_size
+    pairs = []
     for page_no in range(table.num_pages):
         page = table.read_page(page_no)
-        for slot in range(page.num_tuples):
-            tree.insert(page.read_field(slot, idx), (page_no, slot))
+        data = page.data
+        pairs.extend(
+            (from_storage(unpack(data, first + slot * size)[0]), (page_no, slot))
+            for slot in range(page.num_tuples)
+        )
+    tree.bulk_load(pairs)
     return tree

@@ -162,8 +162,14 @@ class BufferManager:
         """Append a fresh page to ``file`` and return it pinned."""
         page = Page(schema)
         page_no = file.append_page(bytes(page.data))
+        zero_copy = isinstance(file, MemoryFile)
+        if zero_copy:
+            # The file now holds the page: serve its buffer, as a miss
+            # would, instead of keeping a second copy in the frame.
+            page = Page(schema, file.raw_page(page_no))
         with self._latch:
             frame = self._install(file, page_no, page)
+            frame.zero_copy = zero_copy
             frame.pin_count += 1
             frame.dirty = True
             return page_no, frame.page

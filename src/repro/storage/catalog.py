@@ -14,6 +14,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import CatalogError
 from repro.parallel.latch import ReadWriteLatch
+from repro.storage.btree import BPlusTree
 from repro.storage.buffer import BufferManager
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
@@ -73,9 +74,10 @@ class Catalog:
         The callback receives ``(name, kind)``: the affected table name
         (lowercased, or ``None`` when every table is affected) and the
         change kind — ``"ddl"`` for structural changes (create/drop/
-        register, ``analyze``) or ``"dml"`` for data mutations under an
-        unchanged schema.  The query service invalidates wholesale on
-        DDL but only version-dependent entries on DML.
+        register, index creation, ``analyze``) or ``"dml"`` for data
+        mutations under an unchanged schema.  The query service
+        invalidates wholesale on DDL; on DML only version-keyed state
+        (staged intermediates, column copies) is dropped.
         """
         with self._lock:
             self._listeners.append(listener)
@@ -149,6 +151,18 @@ class Catalog:
                 del self._tables[key]
                 del self._stats[key]
             self._notify(key)
+
+    def create_index(self, name: str, column: str) -> BPlusTree:
+        """Index one table's column and announce it as DDL.
+
+        Built under the write gate, so no reader meets a half-built
+        tree, and announced like any structural change, so plans
+        cached before the index existed are re-optimized and pick it up.
+        """
+        with self.gate.write():
+            index = self.table(name).create_index(column)
+            self._notify(name.lower())
+        return index
 
     # -- lookup -----------------------------------------------------------------
     def table(self, name: str) -> Table:

@@ -93,6 +93,25 @@ class Page:
         self.num_tuples = slot + 1
         return slot
 
+    def overwrite(self, slot: int, encoded: bytes) -> None:
+        """Replace the tuple in ``slot`` in place (fixed width: it fits)."""
+        if not 0 <= slot < self.num_tuples:
+            raise StorageError(f"slot {slot} out of range")
+        if len(encoded) != self._tuple_size:
+            raise StorageError(
+                f"encoded tuple is {len(encoded)} bytes, expected "
+                f"{self._tuple_size}"
+            )
+        off = self.slot_offset(slot)
+        self.data[off:off + self._tuple_size] = encoded
+
+    def raw(self, slot: int) -> bytes:
+        """The encoded bytes of the tuple in ``slot``."""
+        if not 0 <= slot < self.num_tuples:
+            raise StorageError(f"slot {slot} out of range")
+        off = self.slot_offset(slot)
+        return bytes(self.data[off:off + self._tuple_size])
+
     def insert_row(self, row: Sequence[Any]) -> int:
         """Encode and append a Python row; returns its slot number."""
         return self.insert(self.schema.encode(row))

@@ -14,13 +14,33 @@ access paths the engines use:
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.errors import StorageError
+from repro.storage.btree import BPlusTree, KeyRange, build_index
 from repro.storage.buffer import BufferManager
 from repro.storage.heapfile import HeapFile, MemoryFile
 from repro.storage.page import Page
 from repro.storage.schema import Schema
+
+
+#: An index probe that matches more than this fraction of the table
+#: (1/16) is declined: past it the per-rid page fetches cost more than
+#: the sequential scan they would replace.  The floor keeps point
+#: lookups on tables of a few pages from tripping the rule.
+INDEX_DECLINE_DIVISOR = 16
+INDEX_DECLINE_FLOOR = 16
+
+
+class IndexProbe(NamedTuple):
+    """What :meth:`Table.probe_index` found."""
+
+    #: Matching rids in heap order, or ``None`` when the probe declined.
+    rids: list[tuple[int, int]] | None
+    #: Entries seen (a declined range stops counting at ``cutoff + 1``).
+    matched: int
+    #: The most rids the probe would have accepted.
+    cutoff: int
 
 
 class Table:
@@ -43,9 +63,15 @@ class Table:
         #: update, delete, truncate) advances it, so any cache keyed on
         #: ``(table, version)`` is coherent without tracking what changed.
         self.version = 0
-        #: column name → B+-tree over that column (rid values).  Rebuilt
-        #: wholesale after mutations — page rewrites shift rids.
-        self._indexes: dict[str, Any] = {}
+        #: column name → B+-tree over that column (rid values).  Appends
+        #: and index-located updates/deletes patch single entries; the
+        #: page-rewriting paths (full-scan DML, bulk load, truncate)
+        #: shift rids wholesale and rebuild.
+        self._indexes: dict[str, BPlusTree] = {}
+        #: Probes answered from an index / handed back to the scan.
+        self.index_probes = 0
+        self.index_declined = 0
+        self._probe_stats_lock = threading.Lock()
         #: Serializes appends/truncation; reads are lock-free (they go
         #: through the latched buffer manager and snapshot page counts).
         self._write_lock = threading.Lock()
@@ -82,9 +108,11 @@ class Table:
                 self._row_count += 1
                 if self._indexes:
                     rid = (self._tail_page_no, slot)
-                    for column, index in self._indexes.items():
-                        position = self.schema.index_of(column)
-                        index.insert(row[position], rid)
+                    for position, index in self._indexed_positions():
+                        # The stored form is the key (CHAR padding is
+                        # stripped on decode), exactly as build_index
+                        # reads it.
+                        index.insert(page.read_field(slot, position), rid)
                 count += 1
             if count:
                 self.version += 1
@@ -130,6 +158,12 @@ class Table:
     def _grow(self) -> Page:
         assert self._tail_page_no is not None
         self.buffer.unpin(self.file, self._tail_page_no)
+        following = self._tail_page_no + 1
+        if following < self.file.num_pages:
+            # Deletes emptied the pages past the tail without
+            # deallocating them: refill those before growing the file.
+            self._tail_page_no = following
+            return self.buffer.get_page(self.file, following, self.schema)
         page_no, page = self.buffer.new_page(self.file, self.schema)
         self._tail_page_no = page_no
         return page
@@ -197,6 +231,8 @@ class Table:
                 page.clear()
                 self.buffer.unpin(self.file, page_no, dirty=True)
             self._row_count = 0
+            if self.file.num_pages:
+                self._tail_page_no = 0
             self.version += 1
             self._rebuild_indexes()
 
@@ -205,57 +241,107 @@ class Table:
         self,
         predicate: Callable[[tuple], bool],
         updater: Callable[[tuple], Sequence[Any]],
+        key_range: KeyRange | None = None,
     ) -> int:
         """Rewrite matching rows in place; returns the match count.
 
-        Each page is rewritten independently: its rows are decoded, the
-        updater applied where the predicate matches, and the page
-        repacked.  Row counts per page never change, so every rewrite
-        fits.  New rows are fully encoded *before* the page is cleared,
-        so an encode failure (value does not fit the column) leaves the
-        page untouched.
+        ``key_range`` names bounds on an indexed column that every
+        matching row satisfies (the predicate is still checked in
+        full).  When the index accepts the probe, only the rows it
+        returns are read, each match overwrites its fixed-width slot,
+        and index entries are patched for just the keys that changed;
+        every new row is encoded before the first one is written, so a
+        value that does not fit leaves the table untouched.
+
+        Otherwise each page is rewritten independently: its rows are
+        decoded, the updater applied where the predicate matches, and
+        the page repacked.  Row counts per page never change, so every
+        rewrite fits.  New rows are fully encoded *before* the page is
+        cleared, so an encode failure leaves that page untouched.
         """
+        with self._write_lock:
+            rids = self._probe_for_write(key_range)
+            if rids is not None:
+                return self._update_at(rids, predicate, updater)
+            return self._update_scan(predicate, updater)
+
+    def _update_at(self, rids, predicate, updater) -> int:
+        """In-place update of the given rids; caller holds the lock."""
+        encode = self.schema.encode
+        pending: list[tuple[tuple[int, int], tuple, bytes]] = []
+        for rid in rids:
+            row = self.row_at(*rid)
+            if predicate(row):
+                pending.append((rid, row, encode(tuple(updater(row)))))
+        if not pending:
+            return 0
+        indexed = self._indexed_positions()
+        for rid, old_row, encoded in pending:
+            page_no, slot = rid
+            page = self.buffer.get_page(self.file, page_no, self.schema)
+            try:
+                page.overwrite(slot, encoded)
+                for position, index in indexed:
+                    key = page.read_field(slot, position)
+                    if key != old_row[position]:
+                        index.delete(old_row[position], rid)
+                        index.insert(key, rid)
+            finally:
+                self.buffer.unpin(self.file, page_no, dirty=True)
+        self.version += 1
+        return len(pending)
+
+    def _update_scan(self, predicate, updater) -> int:
+        """Page-by-page update; caller holds the lock."""
         changed = 0
         rewrote = False
-        with self._write_lock:
-            try:
-                for page_no in range(self.file.num_pages):
-                    page = self.buffer.get_page(
-                        self.file, page_no, self.schema
-                    )
-                    dirty = False
-                    try:
-                        replacement: list[bytes] = []
-                        for row in page.rows():
-                            if predicate(row):
-                                row = tuple(updater(row))
-                                changed += 1
-                                dirty = True
-                            replacement.append(self.schema.encode(row))
-                        if dirty:
-                            page.clear()
-                            for encoded in replacement:
-                                page.insert(encoded)
-                            rewrote = True
-                    finally:
-                        self.buffer.unpin(self.file, page_no, dirty=dirty)
-            finally:
-                # Bump even when a later page failed to encode: earlier
-                # pages were already rewritten, so caches keyed on the
-                # old version must not survive.
-                if rewrote:
-                    self.version += 1
-                    self._rebuild_indexes()
+        try:
+            for page_no in range(self.file.num_pages):
+                page = self.buffer.get_page(self.file, page_no, self.schema)
+                dirty = False
+                try:
+                    replacement: list[bytes] = []
+                    for row in page.rows():
+                        if predicate(row):
+                            row = tuple(updater(row))
+                            changed += 1
+                            dirty = True
+                        replacement.append(self.schema.encode(row))
+                    if dirty:
+                        page.clear()
+                        for encoded in replacement:
+                            page.insert(encoded)
+                        rewrote = True
+                finally:
+                    self.buffer.unpin(self.file, page_no, dirty=dirty)
+        finally:
+            # Bump even when a later page failed to encode: earlier
+            # pages were already rewritten, so caches keyed on the
+            # old version must not survive.
+            if rewrote:
+                self.version += 1
+                self._rebuild_indexes()
         return changed
 
-    def delete_rows(self, predicate: Callable[[tuple], bool]) -> int:
+    def delete_rows(
+        self,
+        predicate: Callable[[tuple], bool],
+        key_range: KeyRange | None = None,
+    ) -> int:
         """Remove matching rows; returns the number removed.
 
-        Survivors are repacked front to front across the existing pages
-        (trailing pages are cleared, not deallocated), so page numbers
-        stay dense for the morsel-driven scans.
+        With a ``key_range`` the index accepts (see
+        :meth:`update_rows`), each victim's slot is refilled with the
+        heap's last row and only the two rows' index entries are
+        patched.  Otherwise survivors are repacked front to front
+        across the existing pages.  Either way trailing pages are
+        emptied, not deallocated, so page numbers stay dense for the
+        morsel-driven scans.
         """
         with self._write_lock:
+            rids = self._probe_for_write(key_range)
+            if rids is not None:
+                return self._delete_at(rids, predicate)
             survivors: list[tuple] = []
             removed = 0
             for page in self.pages():
@@ -269,6 +355,58 @@ class Table:
                 self.version += 1
                 self._rebuild_indexes()
         return removed
+
+    def _delete_at(self, rids, predicate) -> int:
+        """Delete the matching rows among ``rids``; caller holds the lock.
+
+        Victims go highest rid first: the row moved into a hole is
+        always the heap's current last row, which then sits at or past
+        the victim and so is never a victim still waiting its turn.
+        """
+        victims = []
+        for rid in rids:
+            row = self.row_at(*rid)
+            if predicate(row):
+                victims.append((rid, row))
+        if not victims:
+            return 0
+        indexed = self._indexed_positions()
+        for rid, row in reversed(victims):
+            for position, index in indexed:
+                index.delete(row[position], rid)
+            tail_no, tail = self._last_row_page()
+            try:
+                tail_rid = (tail_no, tail.num_tuples - 1)
+                if tail_rid != rid:
+                    moved = tail.read(tail_rid[1])
+                    hole = self.buffer.get_page(
+                        self.file, rid[0], self.schema
+                    )
+                    try:
+                        hole.overwrite(rid[1], tail.raw(tail_rid[1]))
+                    finally:
+                        self.buffer.unpin(self.file, rid[0], dirty=True)
+                    for position, index in indexed:
+                        index.delete(moved[position], tail_rid)
+                        index.insert(moved[position], rid)
+                tail.num_tuples -= 1
+            finally:
+                self.buffer.unpin(self.file, tail_no, dirty=True)
+            self._row_count -= 1
+        self.version += 1
+        return len(victims)
+
+    def _last_row_page(self) -> tuple[int, Page]:
+        """The last non-empty page, pinned, and now the append tail."""
+        page_no = self._tail_page_no
+        assert page_no is not None
+        while True:
+            page = self.buffer.get_page(self.file, page_no, self.schema)
+            if page.num_tuples or page_no == 0:
+                self._tail_page_no = page_no
+                return page_no, page
+            self.buffer.unpin(self.file, page_no)
+            page_no -= 1
 
     def _repack(self, rows: list[tuple]) -> None:
         """Rewrite the whole heap with ``rows``; caller holds the lock."""
@@ -285,14 +423,16 @@ class Table:
                 last_used = page_no
             self.buffer.unpin(self.file, page_no, dirty=True)
         self._row_count = len(rows)
-        if last_used is not None:
-            self._tail_page_no = last_used
+        self._tail_page_no = last_used if last_used is not None else 0
 
     # -- secondary indexes ----------------------------------------------------
-    def create_index(self, column: str) -> Any:
-        """Build (or return) a B+-tree index over ``column``."""
-        from repro.storage.btree import build_index
+    def create_index(self, column: str) -> BPlusTree:
+        """Build (or return) a B+-tree index over ``column``.
 
+        The low-level call: plans cached before the index existed do
+        not learn of it.  ``Database.create_index`` builds under the
+        catalogue's write gate and announces the change.
+        """
         key = column.lower()
         self.schema.index_of(key)  # raises CatalogError on unknown column
         with self._write_lock:
@@ -300,7 +440,7 @@ class Table:
                 self._indexes[key] = build_index(self, key)
             return self._indexes[key]
 
-    def index_on(self, column: str) -> Any | None:
+    def index_on(self, column: str) -> BPlusTree | None:
         """The registered index over ``column``, or None."""
         return self._indexes.get(column.lower())
 
@@ -308,18 +448,93 @@ class Table:
     def indexed_columns(self) -> tuple[str, ...]:
         return tuple(self._indexes)
 
+    def probe_index(
+        self,
+        column: str,
+        low: Any = None,
+        high: Any = None,
+        low_inclusive: bool = True,
+        high_inclusive: bool = True,
+    ) -> IndexProbe:
+        """Rids of the rows whose ``column`` lies between the bounds.
+
+        Declines — ``rids`` is None — once the matches exceed
+        1/``INDEX_DECLINE_DIVISOR`` of the table: the caller then scans,
+        which costs what it always did plus a probe that stopped one
+        entry past the cutoff.  Accepted rids come back in heap order,
+        so fetching them reads each page once and yields rows in the
+        order a filtering scan would.
+        """
+        index = self._indexes[column]
+        cutoff = max(
+            self._row_count // INDEX_DECLINE_DIVISOR, INDEX_DECLINE_FLOOR
+        )
+        if low_inclusive and high_inclusive and low is not None and low == high:
+            rids = index.search(low)
+        else:
+            rids = [
+                rid
+                for _, rid in index.range_scan(
+                    low, high, low_inclusive, high_inclusive,
+                    limit=cutoff + 1,
+                )
+            ]
+        declined = len(rids) > cutoff
+        with self._probe_stats_lock:
+            if declined:
+                self.index_declined += 1
+            else:
+                self.index_probes += 1
+        if declined:
+            return IndexProbe(None, len(rids), cutoff)
+        rids.sort()
+        return IndexProbe(rids, len(rids), cutoff)
+
+    def _indexed_positions(self) -> list[tuple[int, BPlusTree]]:
+        """(schema position of the key column, tree) per index."""
+        return [
+            (self.schema.index_of(column), index)
+            for column, index in self._indexes.items()
+        ]
+
+    def _probe_for_write(
+        self, key_range: KeyRange | None
+    ) -> list[tuple[int, int]] | None:
+        """Rids a DML statement should visit, or None to scan."""
+        if key_range is None or key_range.column not in self._indexes:
+            return None
+        return self.probe_index(*key_range).rids
+
     def _rebuild_indexes(self) -> None:
         """Rebuild every registered index; caller holds the write lock.
 
-        Updates and deletes rewrite pages, which shifts rids, so the
-        whole tree is rebuilt rather than patched.
+        The page-rewriting mutations shift rids wholesale, so the trees
+        are bulk-built again rather than patched.
         """
-        if not self._indexes:
-            return
-        from repro.storage.btree import build_index
-
         for column in list(self._indexes):
             self._indexes[column] = build_index(self, column)
+
+    def check_indexes(self) -> None:
+        """Raise StorageError unless every index agrees with the heap:
+        structurally sound, every rid resolving to a row that carries
+        its key, and exactly one entry per stored row."""
+        for column, index in self._indexes.items():
+            index.check_invariants()
+            position = self.schema.index_of(column)
+            seen: set[tuple[int, int]] = set()
+            for key, rid in index.items():
+                seen.add(rid)
+                if self.row_at(*rid)[position] != key:
+                    raise StorageError(
+                        f"index on {self.name}.{column}: entry {key!r} -> "
+                        f"{rid} points at a row without it"
+                    )
+            entries = len(index)
+            if len(seen) != entries or entries != self._row_count:
+                raise StorageError(
+                    f"index on {self.name}.{column} holds {entries} entries "
+                    f"for {self._row_count} rows"
+                )
 
 
 def _unqualified(schema: Schema) -> bool:

@@ -117,6 +117,131 @@ class TestBPlusTree:
         assert len(iterated) == len(keys)
         assert sorted(set(iterated)) == sorted(set(keys))
 
+    def test_range_scan_exclusive_bounds_and_limit(self):
+        tree = BPlusTree(leaf_capacity=4, internal_fanout=4)
+        for key in range(30):
+            tree.insert(key, (0, key))
+            tree.insert(key, (1, key))  # every key twice
+        keys = lambda **kw: [k for k, _ in tree.range_scan(**kw)]
+        assert keys(low=10, high=12) == [10, 10, 11, 11, 12, 12]
+        assert keys(low=10, high=12, low_inclusive=False) == [11, 11, 12, 12]
+        assert keys(low=10, high=12, high_inclusive=False) == [10, 10, 11, 11]
+        assert keys(
+            low=10, high=11, low_inclusive=False, high_inclusive=False
+        ) == []
+        # Bounds that are not stored keys behave the same either way.
+        assert keys(low=9.5, high=11.5, low_inclusive=False) == [
+            10, 10, 11, 11,
+        ]
+        assert keys(low=25, high_inclusive=False) == [
+            k for k in range(25, 30) for _ in range(2)
+        ]
+        assert keys(low=12, high=10) == []
+        # The limit stops mid-key: it counts rids, not keys.
+        assert keys(low=5, limit=3) == [5, 5, 6]
+        assert keys(limit=0) == []
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(), st.integers(min_value=-40, max_value=40)
+            ),
+            min_size=1,
+            max_size=400,
+        ),
+        st.sampled_from([(3, 3), (4, 5), (63, 63)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_delete_matches_model_property(self, steps, geometry):
+        """Random insert/delete mixes against a dict-of-lists model."""
+        tree = BPlusTree(*geometry)
+        model: dict[int, list[tuple[int, int]]] = {}
+        for serial, (is_delete, key) in enumerate(steps):
+            if is_delete and model.get(key):
+                # Not always the newest rid: lists shrink from any end.
+                rid = model[key].pop(serial % len(model[key]))
+                if not model[key]:
+                    del model[key]
+                tree.delete(key, rid)
+            else:
+                rid = (serial // 7, serial % 7)
+                model.setdefault(key, []).append(rid)
+                tree.insert(key, rid)
+        tree.check_invariants()
+        assert len(tree) == sum(len(v) for v in model.values())
+        assert tree.num_keys == len(model)
+        for key in range(-41, 42):
+            assert sorted(tree.search(key)) == sorted(model.get(key, []))
+        assert [k for k, _ in tree.items()] == [
+            k for k in sorted(model) for _ in model[k]
+        ]
+        low, high = sorted((steps[0][1], steps[-1][1]))
+        assert sorted(tree.range_scan(low, high, low_inclusive=False)) == sorted(
+            (k, rid)
+            for k, rids in model.items()
+            if low < k <= high
+            for rid in rids
+        )
+
+    def test_delete_leaves_empty_leaves_usable(self):
+        tree = BPlusTree(leaf_capacity=4, internal_fanout=4)
+        for key in range(64):
+            tree.insert(key, (0, key))
+        height = tree.height
+        for key in range(8, 56):  # empties whole leaves in the middle
+            tree.delete(key, (0, key))
+        tree.check_invariants()
+        assert tree.height == height  # lazy: nothing merged
+        assert [k for k, _ in tree.items()] == [*range(8), *range(56, 64)]
+        assert [k for k, _ in tree.range_scan(5, 58)] == [5, 6, 7, 56, 57, 58]
+        tree.insert(30, (1, 30))  # lands in a leaf that was emptied
+        assert tree.search(30) == [(1, 30)]
+        tree.check_invariants()
+
+    def test_delete_of_missing_entry_raises(self):
+        import repro.errors as errors
+
+        tree = BPlusTree()
+        tree.insert(1, (0, 0))
+        with pytest.raises(errors.StorageError):
+            tree.delete(1, (0, 1))
+        with pytest.raises(errors.StorageError):
+            tree.delete(2, (0, 0))
+        assert len(tree) == 1
+
+    @given(
+        st.lists(
+            st.integers(min_value=-300, max_value=300), max_size=500
+        ),
+        st.sampled_from([(3, 3), (4, 5), (63, 63)]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bulk_load_equals_inserts_property(self, keys, geometry):
+        pairs = [(key, (slot // 5, slot % 5)) for slot, key in enumerate(keys)]
+        bulk = BPlusTree(*geometry)
+        bulk.bulk_load(pairs)
+        bulk.check_invariants()
+        single = BPlusTree(*geometry)
+        for key, rid in pairs:
+            single.insert(key, rid)
+        assert list(bulk.items()) == list(single.items())
+        assert (len(bulk), bulk.num_keys) == (len(single), single.num_keys)
+        assert bulk.height <= single.height
+        # A bulk-built tree keeps working as an ordinary one.
+        bulk.insert(1000, (9, 9))
+        if pairs:
+            bulk.delete(*pairs[0])
+        bulk.check_invariants()
+        assert bulk.search(1000) == [(9, 9)]
+
+    def test_bulk_load_requires_an_empty_tree(self):
+        import repro.errors as errors
+
+        tree = BPlusTree()
+        tree.insert(1, (0, 0))
+        with pytest.raises(errors.StorageError):
+            tree.bulk_load([(2, (0, 1))])
+
     def test_build_index_over_table(self):
         schema = Schema([Column("k", INT), Column("v", INT)])
         table = table_from_rows(

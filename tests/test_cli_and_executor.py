@@ -85,6 +85,24 @@ class TestShell:
         assert shell.handle(".cache clear")
         assert "plan cache cleared" in self._output(shell)
 
+    def test_index_command_and_cache_row_count_deps(self):
+        shell = self._shell()
+        shell.handle(".tpch 0.0005")
+        shell.handle(".index orders o_orderkey")
+        assert "index on orders(o_orderkey)" in self._output(shell)
+        shell.handle(".index orders")
+        assert "usage: .index" in self._output(shell)
+        shell.handle(".index orders nope")
+        assert "error:" in self._output(shell)
+        shell.handle(
+            ".explain SELECT o_totalprice FROM orders WHERE o_orderkey = 3"
+        )
+        assert "via index(o_orderkey) [= 3]" in self._output(shell)
+        shell.handle("SELECT o_totalprice FROM orders WHERE o_orderkey = 3")
+        shell.handle(".cache")
+        rows = shell.db.table("orders").num_rows
+        assert f"deps: orders~{rows:,} rows" in self._output(shell)
+
     def test_exec_errors_are_reported_not_raised(self):
         shell = self._shell()
         shell.handle(".tpch 0.0005")

@@ -11,6 +11,7 @@ the pool, so a clean run is itself the invariant check).
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import pytest
@@ -327,6 +328,96 @@ def test_readers_see_consistent_snapshots_during_writes():
     assert db.execute("SELECT count(*) AS n FROM accounts") == [(base,)]
     assert db.buffer.num_pinned == 0
     db.close()
+
+
+def test_readers_during_indexed_writes():
+    """Point and range readers against a table whose rows are being
+    updated and deleted *through the index, in place*.
+
+    Pairs of rows ``(2j, 2j+1)`` always carry balances summing to
+    zero: a writer either moves value between the two rows of one
+    pair (one UPDATE of both, located by an index range) or deletes a
+    whole pair (one DELETE).  A reader's statement sees the table
+    wholly before or after each write, so every probed pair is either
+    complete and balanced or gone — a torn in-place overwrite, a
+    half-moved tail row or a stale rid would break that.  More
+    threads than cores, with a shortened switch interval so a missing
+    latch actually gets interleaved.
+    """
+    pairs = 1_500
+    db = Database(workers=2, max_workers=8)
+    db.create_table(
+        "acct", [Column("id", INT), Column("pair", INT), Column("bal", INT)]
+    )
+    db.load_rows(
+        "acct",
+        [(i, i // 2, 100 if i % 2 else -100) for i in range(2 * pairs)],
+    )
+    db.create_index("acct", "id")
+    db.analyze()
+    errors: list[str] = []
+    done = threading.Event()
+
+    def writer() -> None:
+        rng = random.Random(5)
+        try:
+            shift = db.prepare(
+                "UPDATE acct SET bal = bal * -1 WHERE id >= ? AND id < ?"
+            )
+            drop = db.prepare("DELETE FROM acct WHERE id >= ? AND id < ?")
+            for step in range(600):
+                j = rng.randrange(pairs)
+                statement = drop if step % 4 == 3 else shift
+                statement.execute((2 * j, 2 * j + 2))
+            # Whatever survived is intact and indexed.
+            db.table("acct").check_indexes()
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(f"writer: {exc!r}")
+        finally:
+            done.set()
+
+    def reader(seed: int) -> None:
+        rng = random.Random(seed)
+        point = db.prepare("SELECT pair, bal FROM acct WHERE id = ?")
+        span = db.prepare(
+            "SELECT count(*) AS n, sum(bal) AS s FROM acct "
+            "WHERE id >= ? AND id < ?"
+        )
+        try:
+            while not done.is_set():
+                j = rng.randrange(pairs)
+                rows = point.execute((2 * j,))
+                if rows and (rows[0][0] != j or abs(rows[0][1]) != 100):
+                    errors.append(f"point {j}: {rows}")
+                width = rng.randrange(1, 20)
+                ((n, total),) = span.execute((2 * j, 2 * (j + width)))
+                if n % 2 or (n and total != 0):
+                    errors.append(f"span {j}+{width}: n={n} sum={total}")
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(f"reader {seed}: {exc!r}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader, args=(seed,)) for seed in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        done.set()
+    try:
+        assert not errors, errors[:5]
+        table = db.table("acct")
+        # Reads went through the index; writes never rebuilt it wholesale.
+        assert table.index_probes > 600
+        assert db.execute("SELECT sum(bal) AS s FROM acct") == [(0,)]
+    finally:
+        db.close()
 
 
 def test_parallel_config_is_visible_in_stats(stress_db):

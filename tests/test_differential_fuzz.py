@@ -16,6 +16,14 @@ run over empty inputs — the NULL-producing min/max/avg path — and
 joins/sorts see empty sides; and self-joins (``FROM t t1, t t2``) bind
 one physical table under two bindings.
 
+A second sweep (``test_differential_fuzz_indexed``) loads one seeded
+table into two catalogues, builds B+-tree indexes on seeded columns of
+one of them (INT, DOUBLE, DATE and CHAR keys, with duplicates), and
+asserts that every engine configuration returns the same rows with and
+without the index — for equalities, open and closed ranges, keys absent
+from the table, parameters and literals, and ranges wide enough that the
+probe declines at run time and the scan runs after all.
+
 This is litmus-style differential testing: the query surface is narrow
 enough that any disagreement is a real bug in exactly one layer, and
 the failing seed plus SQL are printed so a mismatch reproduces with a
@@ -40,7 +48,16 @@ from repro.parallel.stats import ParallelConfig
 from repro.plan.reference import evaluate as reference_evaluate
 from repro.sql.binder import Binder
 from repro.sql.parser import parse
-from repro.storage import Catalog, Column, DOUBLE, INT, Schema, char
+from repro.storage import (
+    Catalog,
+    Column,
+    DATE,
+    DOUBLE,
+    INT,
+    Schema,
+    char,
+    ordinal_to_date,
+)
 
 SEEDS = [101, 202, 303, 404]
 QUERIES_PER_SEED = 50
@@ -507,21 +524,30 @@ def _table_rows(db, name):
     return rows
 
 
+@pytest.mark.parametrize("indexed", [False, True])
 @pytest.mark.parametrize("seed", SEEDS[:2])
-def test_differential_fuzz_dml(seed: int):
+def test_differential_fuzz_dml(seed: int, indexed: bool):
     """Seeded DML interleavings against a plain-Python mirror oracle.
 
     Runs through the Database facade so the full write path fires:
-    catalogue write gate, version bumps, fine-grained plan-cache and
-    intermediate invalidation, DSM snapshot invalidation.  After every
-    statement the stored rows must equal the mirror, and a sampled
-    read query must agree across engines and the reference evaluator.
+    catalogue write gate, version bumps, intermediate invalidation,
+    DSM snapshot invalidation, read plans that survive it all.  After
+    every statement the stored rows must equal the mirror, and a
+    sampled read query must agree across engines and the reference
+    evaluator.  With ``indexed``, every column a statement filters on
+    carries a B+-tree, so the same interleavings run through the
+    in-place indexed paths (and, for predicates matching too much of
+    the table, decline back to the scan), and every index must agree
+    with its heap after every statement.
     """
     from repro.api import Database
 
     rng = random.Random(seed * 7 + 1)
     catalog = _build_catalog(rng)
     db = Database(catalog=catalog)
+    if indexed:
+        for table, column in (("t", "a"), ("t", "k"), ("u", "k"), ("u", "d")):
+            db.create_index(table, column)
     try:
         mirror = {
             "t": [tuple(map(_strip, r)) for r in _table_rows(db, "t")],
@@ -547,6 +573,7 @@ def test_differential_fuzz_dml(seed: int):
                 tuple(map(_strip, r)) for r in _table_rows(db, table)
             ]
             assert canonical(stored) == canonical(mirror[table]), where
+            db.table(table).check_indexes()
             if index % 5 == 4:
                 _, literal, _ = query_gen.generate()
                 expected = canonical(
@@ -563,8 +590,181 @@ def test_differential_fuzz_dml(seed: int):
                         f"{kind} @ seed={seed} after dml#{index}: "
                         f"{literal}"
                     )
+        if indexed:
+            # Both indexed write paths ran: in place, and declined.
+            tables = [db.table("t"), db.table("u")]
+            assert sum(t.index_probes for t in tables) >= 5
+            assert sum(t.index_declined for t in tables) >= 1
     finally:
         db.close()
+
+
+# -- with vs without an index ---------------------------------------------------------
+
+#: ``w``'s indexable columns and how a filter value for each is drawn.
+_W_KINDS = {"i": "int", "x": "double", "d": "date", "s": "string"}
+_W_DAY0 = 730_000  # storage ordinal of the first DATE value
+
+
+def _build_w(rng: random.Random, index_columns: tuple[str, ...]):
+    """Two catalogues over identical data; the second one indexed."""
+    n = rng.randrange(500, 900)
+    spread = rng.choice([n // 4, n // 2, n * 2])  # duplicates per key
+    rows = [
+        (
+            rng.randrange(spread),
+            float(rng.randrange(spread * 2)) / 4,
+            ordinal_to_date(_W_DAY0 + rng.randrange(spread)),
+            f"k{rng.randrange(min(spread, 400)):03d}",
+            rng.randrange(8),
+        )
+        for _ in range(n)
+    ]
+    u_rows = [(k, rng.randrange(-9, 9)) for k in range(8) for _ in range(2)]
+    catalogs = []
+    for columns in ((), index_columns):
+        catalog = Catalog()
+        w = catalog.create_table(
+            "w",
+            Schema([
+                Column("i", INT), Column("x", DOUBLE), Column("d", DATE),
+                Column("s", char(6)), Column("k", INT),
+            ]),
+        )
+        w.load_rows(rows)
+        u = catalog.create_table(
+            "u", Schema([Column("k", INT), Column("d", INT)])
+        )
+        u.load_rows(u_rows)
+        for column in columns:
+            catalog.create_index("w", column)
+        catalog.analyze()
+        catalogs.append(catalog)
+    return catalogs[0], catalogs[1], spread
+
+
+class _IndexQueryGen:
+    """Filters aimed at ``w``'s columns: points, open and closed
+    ranges, narrow and wide, present and absent keys."""
+
+    def __init__(self, rng: random.Random, spread: int):
+        self.rng = rng
+        self.spread = spread
+
+    def _value(self, kind: str, at: int):
+        """Literal text and parameter value for key number ``at``
+        (which may lie outside the stored range on either side)."""
+        if kind == "int":
+            return str(at), at
+        if kind == "double":
+            # Half the time between two stored keys (all are k/4).
+            value = at / 2 + self.rng.choice([0.0, 0.125])
+            return repr(value), value
+        if kind == "date":
+            day = ordinal_to_date(_W_DAY0 + at)
+            return f"DATE '{day.isoformat()}'", _W_DAY0 + at
+        return f"'k{at:03d}'", f"k{at:03d}"
+
+    def generate(self) -> tuple[str, str, tuple]:
+        rng = self.rng
+        column = rng.choice(list(_W_KINDS))
+        kind = _W_KINDS[column]
+        at = rng.randrange(-5, self.spread + 5)
+        width = rng.choice([0, 1, 3, 10, self.spread // 3, self.spread])
+        shape = rng.choice(["point", "point", "open", "closed", "closed"])
+        if shape == "point":
+            bounds = [("=", at)]
+        elif shape == "open":
+            bounds = [(rng.choice(["<", "<=", ">", ">="]), at)]
+        else:
+            bounds = [
+                (rng.choice([">", ">="]), at),
+                (rng.choice(["<", "<="]), at + width),
+            ]
+        conjuncts, literal_conjuncts, params = [], [], []
+        for op, key in bounds:
+            text, value = self._value(kind, key)
+            flipped = rng.random() < 0.2  # ``5 < w.i`` for ``w.i > 5``
+            mirror = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+            render = (
+                (lambda rhs: f"{rhs} {mirror[op]} w.{column}")
+                if flipped
+                else (lambda rhs: f"w.{column} {op} {rhs}")
+            )
+            literal_conjuncts.append(render(text))
+            if rng.random() < 0.5:
+                conjuncts.append(render("?"))
+                params.append(value)
+            else:
+                conjuncts.append(render(text))
+        if rng.random() < 0.3:  # a residual on another column
+            extra = f"w.k {rng.choice(['<', '=', '>='])} {rng.randrange(8)}"
+            conjuncts.append(extra)
+            literal_conjuncts.append(extra)
+        roll = rng.random()
+        if roll < 0.4:
+            head, tables, tail = "w.i AS c0, w.x AS c1, w.s AS c2", "w", ""
+        elif roll < 0.7:
+            head = "w.k AS g0, count(*) AS a0, sum(w.x) AS a1, min(w.d) AS a2"
+            tables, tail = "w", " GROUP BY w.k"
+        else:
+            head, tables, tail = "w.i AS c0, w.s AS c1, u.d AS c2", "w, u", ""
+            conjuncts.insert(0, "w.k = u.k")
+            literal_conjuncts.insert(0, "w.k = u.k")
+        if not tail and rng.random() < 0.3:
+            tail = " ORDER BY c0 DESC, c1, c2 LIMIT 7"
+        return (
+            f"SELECT {head} FROM {tables} WHERE "
+            + " AND ".join(conjuncts) + tail,
+            f"SELECT {head} FROM {tables} WHERE "
+            + " AND ".join(literal_conjuncts) + tail,
+            tuple(params),
+        )
+
+
+@pytest.mark.parametrize(
+    "seed, index_columns",
+    [(505, ("i", "s")), (606, ("x", "d")), (707, ("i", "x", "d", "s"))],
+)
+def test_differential_fuzz_indexed(seed: int, index_columns):
+    rng = random.Random(seed)
+    plain_catalog, indexed_catalog, spread = _build_w(rng, index_columns)
+    plain, indexed = _engines(plain_catalog), _engines(indexed_catalog)
+    generator = _IndexQueryGen(rng, spread)
+    w = indexed_catalog.table("w")
+    try:
+        for index in range(40):
+            sql, literal, params = generator.generate()
+            where = f"seed={seed} query#{index}: {sql} params={params}"
+            expected = canonical(
+                reference_evaluate(
+                    Binder(plain_catalog).bind(parse(literal))
+                )
+            )
+            for name in plain:
+                rows = []
+                for engine in (plain[name], indexed[name]):
+                    if name.startswith("hique"):
+                        rows.append(
+                            engine.execute(
+                                sql, name=f"q{index}", params=params
+                            )
+                        )
+                    else:
+                        rows.append(engine.execute(literal))
+                assert canonical(rows[1]) == expected, f"{name} @ {where}"
+                assert canonical(rows[0]) == expected, f"{name} @ {where}"
+                if name.startswith("hique") and "ORDER BY" not in sql:
+                    # Fetched rids arrive in heap order: not merely the
+                    # same rows, the same sequence the scan yields.
+                    assert rows[1] == rows[0], f"{name} order @ {where}"
+        # The corpus met both sides of the run-time decision.
+        assert w.index_probes >= 20 and w.index_declined >= 20
+    finally:
+        for engine in (*plain.values(), *indexed.values()):
+            close = getattr(engine, "close", None)
+            if callable(close):
+                close()
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -27,7 +27,13 @@ from repro.errors import (
     WatchdogTimeout,
 )
 from repro.server import QueryClient, serve_in_thread
-from repro.server.protocol import decode, encode, error_code
+from repro.server.protocol import (
+    Rows,
+    decode,
+    encode,
+    error_code,
+    rows_from_wire,
+)
 
 
 @pytest.fixture()
@@ -43,6 +49,27 @@ def connect(handle) -> QueryClient:
 
 # -- round trips --------------------------------------------------------------------
 
+
+
+def test_rows_read_like_a_list_of_tuples():
+    wire = [[1, 2.5, "a"], [2, 3.5, "b"], [3, 4.5, "c"]]
+    rows = rows_from_wire(wire)
+    as_list = [tuple(row) for row in wire]
+    assert isinstance(rows, Rows) and len(rows) == 3 and rows
+    assert list(rows) == as_list and rows == as_list and as_list == rows
+    assert rows == rows_from_wire(wire) and rows != as_list[:2]
+    assert rows != [(1, 2.5, "a"), (2, 3.5, "b"), (3, 4.5, "x")]
+    assert rows[0] == (1, 2.5, "a") and rows[-1] == (3, 4.5, "c")
+    assert rows[1:] == as_list[1:] and rows[::-1] == as_list[::-1]
+    assert sorted(rows, reverse=True)[0] == (3, 4.5, "c")
+    assert repr(rows) == repr(as_list)
+    with pytest.raises(IndexError):
+        rows[3]
+    with pytest.raises(IndexError):
+        rows[-4]
+    empty = rows_from_wire([])
+    assert not empty and len(empty) == 0 and list(empty) == []
+    assert empty == [] and empty != [()]
 
 def test_rows_byte_identical_to_direct_execute(served_db):
     db, handle = served_db
@@ -288,7 +315,7 @@ def test_graceful_shutdown_completes_admitted_queries(simple_catalog):
     assert completed, "no query completed before the drain"
     for kind, value in outcomes:
         if kind == "ok":
-            assert isinstance(value, list) and value  # real rows came back
+            assert isinstance(value, Rows) and value  # real rows came back
         else:
             # Typed shutdown or a closed socket — never "service is
             # closed" leaking from a drained-but-admitted query.
