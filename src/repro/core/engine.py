@@ -256,6 +256,8 @@ class HiqueEngine:
                             rows=len(rows),
                             parallel=stats.parallel,
                             backend=stats.backend,
+                            scheduled=stats.scheduled,
+                            why=stats.reason or "; ".join(stats.notes),
                         )
                     return rows
                 rows = run_compiled(

@@ -147,8 +147,15 @@ def render_explain_analyze(plan: PhysicalPlan, trace: Trace) -> str:
 
     total = execute.duration
     summary = [f"execution: {_ms(total)}"]
-    if execute.attrs.get("parallel") is False:
+    why = execute.attrs.get("why")
+    if execute.attrs.get("scheduled") is False:
+        summary.append(f"serial, not scheduled ({why})" if why else "serial")
+    elif execute.attrs.get("parallel") is False:
         summary.append("serial")
+    elif why:
+        # A scheduled run's first note names the table with waiting
+        # pages (or the placement that was asked for).
+        summary.append(str(why).split(";")[0])
     rows = execute.attrs.get("rows")
     if rows is not None:
         summary.append(f"rows={rows}")

@@ -1,15 +1,16 @@
 """Morsel-driven parallel execution of generated query code.
 
 The serial executor calls a generated module's composed ``run_query``
-entry point.  This executor instead walks the physical plan's operator
-list itself — a *phase scheduler* — and drives each operator's
-generated entry points with a worker pool wherever an order-preserving
-parallel strategy exists:
+entry point.  This executor's first answer is "don't schedule": when
+no scanned page can wait (:meth:`ParallelExecutor.waiting_table`) or
+one worker is configured, :func:`~repro.parallel.stage.serial_walk`
+runs the serial generated functions on the calling thread.  Otherwise
+it walks the operator list itself — a *phase scheduler* — and drives
+each operator's generated entry points with a worker pool wherever an
+order-preserving parallel strategy exists:
 
-* **stage** — a scan annotated with an index access first runs its
-  generated probe inline; when the index accepts, the generated fetch
-  reads just the hit pages (no morsels, nothing banked in the
-  intermediate cache) and the scan below never starts.  Otherwise
+* **stage** — unless the index probe or the intermediate cache
+  answers it first (:class:`~repro.parallel.stage.StageAccess`),
   every table scan (staged or not) is split into page-range
   :class:`~repro.parallel.morsel.Morsel`\\ s; each worker runs the same
   generated scan–filter–project(–prep) loop over its slices, and the
@@ -116,9 +117,15 @@ from repro.parallel.merge import (
     merge_partition_sorted_runs,
     merge_sorted_runs,
 )
-from repro.parallel.intermediates import staging_signature
 from repro.parallel.morsel import coarse_morsel_pages, morsels_for
 from repro.parallel.proc import CallTask, ScanTask
+from repro.parallel.stage import (
+    PHASE_OF,
+    PHASE_ORDER,
+    StageAccess,
+    result_rows,
+    serial_walk,
+)
 from repro.parallel.stats import (
     EXECUTOR_MIXED,
     EXECUTOR_PROCESS,
@@ -136,7 +143,6 @@ from repro.plan.descriptors import (
     JOIN_MERGE,
     JOIN_NESTED,
     Join,
-    Limit,
     MultiwayJoin,
     PREP_NONE,
     PREP_PARTITION,
@@ -155,9 +161,6 @@ from repro.sql.bound import (
 )
 from repro.storage.types import DOUBLE
 
-#: Canonical phase order for reporting.
-PHASE_ORDER = ("stage", "join", "aggregate", "final")
-
 
 def _picklable(value) -> bool:
     try:
@@ -165,17 +168,6 @@ def _picklable(value) -> bool:
     except Exception:  # noqa: BLE001 - any failure means "keep local"
         return False
     return True
-
-_PHASE_OF = {
-    ScanStage: "stage",
-    Restage: "stage",
-    Join: "join",
-    MultiwayJoin: "join",
-    Aggregate: "aggregate",
-    Project: "final",
-    Sort: "final",
-    Limit: "final",
-}
 
 
 @dataclass
@@ -408,7 +400,7 @@ class ParallelExecutor:
         #: Optional :class:`~repro.parallel.intermediates.IntermediateCache`
         #: wired by the embedding database; when set, staged scan
         #: outputs are reused across executions keyed on the table's
-        #: version epoch (see :meth:`_ScheduledRun._scan`).
+        #: version epoch (see :class:`~repro.parallel.stage.StageAccess`).
         self.intermediates = None
         self.parallel_runs = 0
         self.serial_runs = 0
@@ -508,8 +500,43 @@ class ParallelExecutor:
                 len(rows), time.perf_counter() - started, reason
             )
 
-        report = _Report()
+        # The first decision, from the data: schedule only when some
+        # scanned page can wait.  A requested process backend is
+        # honoured regardless (processes scale CPU-bound work past the
+        # GIL), and adaptive placement still routes each batch, running
+        # the thread-routed ones inline when nothing can wait.
+        params = tuple(params)
         placement = config.effective_placement()
+        waiting = ""
+        if config.workers <= 1:
+            reason = "single worker"
+        else:
+            waiting = self.waiting_table(prepared.plan)
+            if not waiting and placement == EXECUTOR_THREAD:
+                reason = (
+                    "all scanned pages resident: nothing for threads "
+                    "to overlap"
+                )
+        if reason:
+            rows, phases, notes = serial_walk(
+                prepared, params, self.intermediates, config.min_pages
+            )
+            with self._lock:
+                self.serial_runs += 1
+            return rows, ExecutionStats(
+                parallel=False,
+                rows=len(rows),
+                elapsed_seconds=time.perf_counter() - started,
+                reason=reason,
+                phases=phases,
+                notes=notes,
+            )
+
+        report = _Report()
+        report.skip(
+            f"scheduled: {waiting or placement + ' placement requested'}",
+            mark_span=False,
+        )
         process: ProcessBackend | None = None
         chooser: CostModel | None = None
         if placement in (EXECUTOR_PROCESS, PLACEMENT_AUTO):
@@ -523,7 +550,7 @@ class ParallelExecutor:
                     f"{prefix}O0 closure plan: process backend fell "
                     "back to the thread backend"
                 )
-            elif not _picklable(tuple(params)):
+            elif not _picklable(params):
                 # Every shipped task carries the parameter vector; a
                 # value that refuses to pickle dooms all of them, so
                 # decide once up front instead of per batch.
@@ -538,8 +565,8 @@ class ParallelExecutor:
                     report.adaptive = True
                     self._seed_cost_model()
         scheduled = _ScheduledRun(
-            self, prepared, tuple(params), config, report, process,
-            chooser,
+            self, prepared, params, config, report, process, chooser,
+            inline=chooser is not None and not waiting,
         )
         rows = scheduled.execute()
         elapsed = time.perf_counter() - started
@@ -548,6 +575,7 @@ class ParallelExecutor:
                 self.serial_runs += 1
             return rows, ExecutionStats(
                 parallel=False,
+                scheduled=True,
                 rows=len(rows),
                 elapsed_seconds=elapsed,
                 reason="; ".join(report.skips) or "no parallelizable phase",
@@ -578,6 +606,7 @@ class ParallelExecutor:
             )
         return rows, ExecutionStats(
             parallel=True,
+            scheduled=True,
             backend=report.backend_used(),
             placement=placement,
             pipelined=scheduled.pipelined,
@@ -609,14 +638,31 @@ class ParallelExecutor:
         )
 
     @staticmethod
+    def waiting_table(plan) -> str:
+        """Which scanned table has pages that can wait, or "" for none.
+
+        The scheduler's first question.  Threads under the GIL overlap
+        waits, not computation: when every page a plan scans is already
+        in memory there is nothing for them to overlap, and the serial
+        generated program is the fast path.
+        """
+        for op in plan.operators:
+            if isinstance(op, ScanStage):
+                waiting = op.table.waiting_pages
+                if waiting:
+                    return (
+                        f"table {op.binding!r}: {waiting} of "
+                        f"{op.table.num_pages} pages not resident"
+                    )
+        return ""
+
+    @staticmethod
     def _ineligible(
         prepared, probe: NullProbe, config: ParallelConfig
     ) -> str:
-        """A reason to skip scheduling entirely, or "" to schedule."""
+        """A reason to run the bare composed entry point, or ""."""
         if not config.enabled:
             return "parallel execution disabled"
-        if config.workers <= 1:
-            return "single worker configured"
         if probe.enabled:
             return "traced execution (probe is not thread-safe)"
         if prepared.compiled.traced:
@@ -654,6 +700,7 @@ class _ScheduledRun:
         report: _Report,
         process: ProcessBackend | None = None,
         chooser: CostModel | None = None,
+        inline: bool = False,
     ):
         self.executor = executor
         self.prepared = prepared
@@ -668,6 +715,10 @@ class _ScheduledRun:
         #: Non-None when ``placement="auto"`` routes each batch through
         #: the cost model (requires a live process backend to route to).
         self.chooser = chooser
+        #: Adaptive run with every scanned page resident: batches the
+        #: chooser routes to threads run on the calling thread instead
+        #: (threads would only interleave the same computation).
+        self.inline = inline
         self.module_spec = prepared.compiled.module_spec()
         #: Span the scheduler's node spans parent under.  Captured on
         #: the constructing thread (where the engine's execute span is
@@ -676,6 +727,11 @@ class _ScheduledRun:
         self.parent_span = current_span()
         self.ctx = build_context(
             self.plan, opt_level=prepared.compiled.opt_level, params=params
+        )
+        self.access = StageAccess(
+            prepared, self.ctx, params, executor.intermediates,
+            config.min_pages,
+            lambda remark: report.skip(remark, mark_span=False),
         )
         #: op_id → materialized result (None for a scan fused away).
         self.results: dict[int, object] = {}
@@ -835,7 +891,7 @@ class _ScheduledRun:
                     run()
             finally:
                 span.finish()
-                rows = _result_rows(self.results.get(op_ids[-1]))
+                rows = result_rows(self.results.get(op_ids[-1]))
                 if rows is not None:
                     span.set(rows=rows)
 
@@ -1057,14 +1113,17 @@ class _ScheduledRun:
                     f"({str(exc)[:80]}): batch re-ran on the thread "
                     "backend"
                 )
+        thunks = [self._thunk(task) for task in tasks]
         if node_span is not None:
-            thunks = self._traced_thunks(tasks, node_span)
-        else:
-            thunks = [self._thunk(task) for task in tasks]
+            thunks = self._wrap_traced(thunks, node_span)
         started = time.perf_counter()
-        results, workers = self.executor.thread_backend().run_thunks(
-            thunks, self.config.workers, label=label, affinity=affinity
-        )
+        if self.inline:
+            results, workers = [thunk() for thunk in thunks], 1
+        else:
+            results, workers = self.executor.thread_backend().run_thunks(
+                thunks, self.config.workers, label=label,
+                affinity=affinity,
+            )
         cost.observe(
             kind, EXECUTOR_THREAD, payload, len(tasks),
             time.perf_counter() - started,
@@ -1085,12 +1144,6 @@ class _ScheduledRun:
                 tasks=len(tasks), workers=workers, backend=EXECUTOR_THREAD
             )
         return results, workers, EXECUTOR_THREAD
-
-    def _traced_thunks(self, tasks: list, node_span) -> list:
-        """Wrap each task's thunk in a task span under the node span."""
-        return self._wrap_traced(
-            [self._thunk(task) for task in tasks], node_span
-        )
 
     def _wrap_traced(self, inners: list, node_span) -> list:
         """Wrap raw thunks in task spans under the node span.
@@ -1149,7 +1202,7 @@ class _ScheduledRun:
         args = [self._input(input_id) for input_id in op.inputs]
         self.results[op.op_id] = fn(self.ctx, *args)
         self.report.note(
-            _PHASE_OF[type(op)], started, time.perf_counter(), 1, 1
+            PHASE_OF[type(op)], started, time.perf_counter(), 1, 1
         )
 
     def _chunk_size(self, num_rows: int) -> int:
@@ -1181,36 +1234,25 @@ class _ScheduledRun:
         means the scan stayed serial and the caller must still run the
         consumer itself.
         """
+        started = time.perf_counter()
+        # A fused or incrementally handed-off scan never materializes
+        # a complete staging, so it has nothing to bank or reuse.
+        answer = self.access.lookup(
+            op,
+            bankable=fused is None and op.op_id not in self._handoff_ops,
+        )
+        if answer.found:
+            self.results[op.op_id] = answer.value
+            self.report.note("stage", started, time.perf_counter(), 1, 1)
+            return False
+        produced = self._scan_pages(op, fused)
+        answer.bank(self.results[op.op_id])
+        return produced
+
+    def _scan_pages(self, op: ScanStage, fused) -> bool:
+        """The page walk behind :meth:`_scan` (same return contract)."""
         table = op.table
         config = self.config
-        if op.index is not None and self._via_index(op):
-            return False
-        # Version-keyed intermediate reuse: an unfused, non-hand-off
-        # staged scan whose table has not mutated since a previous
-        # execution can skip the whole scan + staging + merge pass.
-        cache = self.executor.intermediates
-        signature = None
-        if (
-            cache is not None
-            and fused is None
-            and op.op_id not in self._handoff_ops
-        ):
-            signature = staging_signature(op, self.params)
-            staged = cache.get(table.name.lower(), table.version, signature)
-            if staged is not None:
-                self.results[op.op_id] = staged
-                self.report.skip(
-                    f"table {op.binding!r}: staging reused a cached "
-                    f"intermediate (version {table.version})",
-                    mark_span=False,
-                )
-                span = current_span()
-                if span is not None and span.category == "node":
-                    span.set(staging_cached=True)
-                self.report.note(
-                    "stage", time.perf_counter(), time.perf_counter(), 1, 1
-                )
-                return False
         if table.num_pages < config.min_pages:
             self.report.skip(
                 f"table {op.binding!r}: {table.num_pages} pages "
@@ -1320,42 +1362,8 @@ class _ScheduledRun:
             return False
 
         with maybe_span("merge", "merge", kind=op.prep.kind):
-            staged = _merge_prep_partials(op.prep, ordered)
-        self.results[op.op_id] = staged
-        if signature is not None:
-            cache.put(table.name.lower(), table.version, signature, staged)
+            self.results[op.op_id] = _merge_prep_partials(op.prep, ordered)
         return False
-
-    def _via_index(self, op: ScanStage) -> bool:
-        """Probe the scan's index; fetch inline when it accepts.
-
-        A point or narrow-range read is a handful of page fetches:
-        nothing to split into morsels and nothing worth banking in the
-        intermediate cache.  A declined probe (too many matches)
-        returns False and the caller stages the scan as usual.
-        """
-        started = time.perf_counter()
-        name = self.names[op.op_id]
-        hit = self.namespace[name + "_probe"](self.ctx)
-        if hit.rids is None:
-            outcome = (
-                f"index declined: {hit.matched} > {hit.cutoff}, scanned"
-            )
-        else:
-            outcome = f"index: {hit.matched} rids"
-        self.report.skip(
-            f"table {op.binding!r}: {outcome}", mark_span=False
-        )
-        span = current_span()
-        if span is not None and span.category == "node":
-            span.set(index=outcome)
-        if hit.rids is None:
-            return False
-        self.results[op.op_id] = self.namespace[name + "_fetch"](
-            self.ctx, hit.rids
-        )
-        self.report.note("stage", started, time.perf_counter(), 1, 1)
-        return True
 
     def _fusable_consumer(self, op: ScanStage, following):
         """The next operator, when its work can ride inside scan tasks.
@@ -1918,19 +1926,6 @@ def _partition_rows(value) -> int:
     if isinstance(value, dict):
         return sum(len(rows) for rows in value.values())
     return sum(len(rows) for rows in value)
-
-
-def _result_rows(result) -> int | None:
-    """Row count of a node result when it is a plain row list.
-
-    Staged results may instead be partition dicts or coarse partition
-    lists; those report no row count rather than a misleading one.
-    """
-    if isinstance(result, list) and (
-        not result or isinstance(result[0], tuple)
-    ):
-        return len(result)
-    return None
 
 
 def _merge_prep_partials(prep, partials: list):

@@ -6,8 +6,10 @@ the paper's Table III breakdowns.  For a warm repeated query the pages
 have not changed, so the staged structure has not either: entries are
 keyed ``(table, version, signature)``, where ``version`` is the table's
 monotonic mutation epoch and ``signature`` captures everything else
-that shapes the staged output (prep kind and keys, projected columns,
-rendered filters, the parameter vector).  A DML mutation moves the
+that shapes the staged output (the scan's memoised
+:attr:`~repro.plan.descriptors.ScanStage.staging_shape` — prep kind and
+keys, projected columns, rendered filters — plus the parameter vector
+that pins the filters' parameter slots).  A DML mutation moves the
 version, so stale entries simply stop being reachable; the owning
 database additionally drops them eagerly through the catalogue's
 change listeners.
@@ -32,6 +34,9 @@ from typing import Any
 #: Default budget: staged rows for a handful of warm statements.
 DEFAULT_CAPACITY_BYTES = 32 * 1024 * 1024
 
+#: How many ``(table, signature)`` hashes the admission filter keeps.
+SIGHTINGS_CAPACITY = 4096
+
 
 @dataclass
 class IntermediateCacheStats:
@@ -51,27 +56,6 @@ class IntermediateCacheStats:
         return self.hits / total if total else 0.0
 
 
-def staging_signature(op, params: tuple) -> tuple:
-    """The non-version part of a scan's cache key.
-
-    ``op`` is a :class:`~repro.plan.descriptors.ScanStage`.  The
-    rendered filters carry literal values and parameter slot indexes;
-    the parameter vector pins the slots' values, so two executions of
-    one cached plan with different parameters never share an entry.
-    """
-    prep = op.prep
-    return (
-        op.binding,
-        prep.kind,
-        tuple(prep.keys),
-        prep.num_partitions,
-        prep.fine,
-        tuple((s.binding, s.column) for s in op.output_layout.slots),
-        repr(op.filters),
-        tuple(params),
-    )
-
-
 def _copy_staged(value: Any) -> Any:
     """Copy the mutable container levels of a staged structure.
 
@@ -89,7 +73,11 @@ def _copy_staged(value: Any) -> Any:
 
 
 def _approx_bytes(value: Any) -> int:
-    """Rough payload size: per-row overhead plus per-field slots."""
+    """Rough payload size: per-row overhead plus per-field slots.
+
+    Rows of one staging share a layout, so each bucket is sized from
+    its first row: O(buckets), not O(rows).
+    """
     if isinstance(value, dict):
         buckets = value.values()
     elif value and isinstance(value[0], list):
@@ -99,8 +87,8 @@ def _approx_bytes(value: Any) -> int:
     total = 64
     for bucket in buckets:
         total += 64
-        for row in bucket:
-            total += 56 + 16 * len(row)
+        if bucket:
+            total += len(bucket) * (56 + 16 * len(bucket[0]))
     return total
 
 
@@ -114,6 +102,8 @@ class IntermediateCache:
         #: (table, version, signature) → (staged value, size bytes)
         self._entries: "OrderedDict[tuple, tuple[Any, int]]" = OrderedDict()
         self._bytes = 0
+        #: hash((table, signature)) of recent misses, oldest first.
+        self._sightings: dict[int, None] = {}
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -133,6 +123,23 @@ class IntermediateCache:
             value = entry[0]
         # Copy outside the lock: hit copies can be large.
         return _copy_staged(value)
+
+    def sighted(self, table: str, signature: tuple) -> bool:
+        """Record a miss on ``(table, signature)``; True from the second.
+
+        The admission rule callers apply before :meth:`put`: a staging
+        nobody asked for twice is not worth sizing and copying.  The
+        key leaves the version out, so a re-stage after DML counts as a
+        repeat; the filter is a bounded FIFO of hashes.
+        """
+        key = hash((table, signature))
+        with self._lock:
+            if key in self._sightings:
+                return True
+            self._sightings[key] = None
+            if len(self._sightings) > SIGHTINGS_CAPACITY:
+                del self._sightings[next(iter(self._sightings))]
+            return False
 
     def put(
         self, table: str, version: int, signature: tuple, value: Any

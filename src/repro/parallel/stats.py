@@ -96,12 +96,14 @@ def default_pipeline() -> bool:
 class ParallelConfig:
     """Knobs for morsel-driven intra-query parallelism.
 
-    ``workers`` sizes the worker pool shared by every parallel phase;
-    ``enabled`` turns the whole subsystem off (every query runs the
-    serial composed entry point); ``min_pages`` keeps tiny table scans
-    serial and ``min_rows`` keeps small intermediates (join inputs,
-    aggregation inputs, final sorts) serial, where thread fan-out costs
-    more than it saves.
+    ``workers`` sizes the worker pool shared by every parallel phase
+    of a *scheduled* run — whether a run is scheduled at all is decided
+    from the data (see :meth:`ParallelExecutor.waiting_table`), not
+    here; ``enabled`` turns the whole subsystem off (every query runs
+    the serial composed entry point); ``min_pages`` keeps tiny table
+    scans serial (and out of the intermediate cache) and ``min_rows``
+    keeps small intermediates (join inputs, aggregation inputs, final
+    sorts) serial, where thread fan-out costs more than it saves.
 
     ``executor`` picks the task backend: ``"thread"`` runs tasks on an
     in-process pool (best for latency-bound scans, whose page waits
@@ -144,7 +146,8 @@ class ParallelConfig:
     #: wedged task keeps running detached, the rest of its batch is
     #: poisoned) and later runs get a fresh one.
     task_timeout: float | None = None
-    #: Tables below this many pages are scanned serially.
+    #: Tables below this many pages are scanned serially, and their
+    #: stagings are neither looked up nor banked.
     min_pages: int = 16
     #: Materialized operator inputs below this many rows (summed over
     #: both join sides) run the operator's serial generated function.
@@ -242,6 +245,12 @@ class ExecutionStats:
     """
 
     parallel: bool = False
+    #: Whether the phase scheduler ran at all.  False means the plan's
+    #: serial generated functions ran in plan order on the calling
+    #: thread (``reason`` says why: nothing could wait, one worker, …);
+    #: a scheduled run can still end up ``parallel=False`` when every
+    #: operator stayed below its fan-out thresholds.
+    scheduled: bool = False
     #: Task backend that ran the parallel phases: ``"thread"``,
     #: ``"process"`` (only when at least one phase actually shipped
     #: tasks to worker processes), or ``"mixed"`` when the adaptive

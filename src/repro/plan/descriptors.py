@@ -17,6 +17,7 @@ comparison apples-to-apples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from repro.errors import PlanError
@@ -153,6 +154,23 @@ class ScanStage(Operator):
     def __post_init__(self) -> None:
         if self.table is None:
             raise PlanError("ScanStage requires a table")
+
+    @cached_property
+    def staging_shape(self) -> tuple:
+        """Everything but the parameter values that shapes the staged
+        output (prep, projected columns, rendered filters): the
+        intermediate cache's key part, rendered once per plan operator.
+        """
+        prep = self.prep
+        return (
+            self.binding,
+            prep.kind,
+            tuple(prep.keys),
+            prep.num_partitions,
+            prep.fine,
+            tuple((s.binding, s.column) for s in self.output_layout.slots),
+            repr(self.filters),
+        )
 
 
 @dataclass

@@ -93,6 +93,9 @@ class BufferManager:
         # dict preserves insertion order; we re-insert on access so the
         # first key is always the least recently used frame.
         self._frames: dict[tuple[int, int], _Frame] = {}
+        #: file id → resident frame count, kept in step with ``_frames``
+        #: so "is this file fully resident?" never walks the pool.
+        self._resident: dict[int, int] = {}
 
     # -- public API -----------------------------------------------------------
     def get_page(self, file: HeapFile, page_no: int, schema: Schema) -> Page:
@@ -203,6 +206,14 @@ class BufferManager:
         with self._latch:
             return iter(list(self._frames.keys()))
 
+    def resident_pages(self, file: HeapFile) -> int:
+        """How many of ``file``'s pages hold a frame right now.
+
+        One dict read (atomic without the latch): the scheduler asks
+        this per scanned table on every execution.
+        """
+        return self._resident.get(file.file_id, 0)
+
     # -- internals --------------------------------------------------------------
     def _lookup(self, file: HeapFile, page_no: int) -> _Frame | None:
         """Hit path; caller holds the latch."""
@@ -258,6 +269,9 @@ class BufferManager:
             self._evict(victim)
         frame = _Frame(page=page, file=file, page_no=page_no)
         self._frames[(file.file_id, page_no)] = frame
+        self._resident[file.file_id] = (
+            self._resident.get(file.file_id, 0) + 1
+        )
         return frame
 
     def _pick_victim(self) -> tuple[int, int]:
@@ -274,6 +288,11 @@ class BufferManager:
                 f"(pin count {frame.pin_count})"
             )
         del self._frames[key]
+        remaining = self._resident[key[0]] - 1
+        if remaining:
+            self._resident[key[0]] = remaining
+        else:
+            del self._resident[key[0]]
         self._writeback(frame)
         self.stats.evictions += 1
 

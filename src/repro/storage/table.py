@@ -178,6 +178,20 @@ class Table:
         return self.file.num_pages
 
     @property
+    def waiting_pages(self) -> int:
+        """Pages a scan started now would have to wait for.
+
+        A memory file's "miss" is a zero-copy view of a page already
+        in memory, so only a disk-backed file's non-resident pages
+        count.  O(1): the buffer manager keeps the per-file count.
+        """
+        if isinstance(self.file, MemoryFile):
+            return 0
+        return max(
+            0, self.file.num_pages - self.buffer.resident_pages(self.file)
+        )
+
+    @property
     def tuple_size(self) -> int:
         return self.schema.tuple_size
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro import Database
 from repro.bench.tpch import generate_tpch
+from repro.parallel.executor import ParallelExecutor
 from repro.storage import (
     Catalog,
     Column,
@@ -16,6 +17,24 @@ from repro.storage import (
     Schema,
     char,
 )
+
+
+@pytest.fixture()
+def scheduled(monkeypatch):
+    """Pin the scheduler's first decision to "schedule".
+
+    Production decides from the data: in-memory pages never wait, so
+    over these small ``MemoryFile`` tables every run would take the
+    serial walk.  Modules that assert the scheduler's mechanics
+    (morsels, batches, merges, hand-offs) opt in with
+    ``pytestmark = pytest.mark.usefixtures("scheduled")``; there is no
+    product knob for this.
+    """
+    monkeypatch.setattr(
+        ParallelExecutor,
+        "waiting_table",
+        staticmethod(lambda plan: "pinned by the test suite"),
+    )
 
 
 @pytest.fixture()

@@ -432,7 +432,7 @@ def test_parallel_config_is_visible_in_stats(stress_db):
         assert stats.morsels >= 2
 
 
-def test_join_workload_actually_parallelizes(stress_db, expected):
+def test_join_workload_actually_parallelizes(stress_db, expected, scheduled):
     """The join + ORDER BY statements exercise the join phase for both
     code-generating engines, with rows byte-identical to serial."""
     join_indexes = [

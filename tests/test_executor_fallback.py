@@ -29,6 +29,10 @@ from repro.parallel.stats import EXECUTOR_PROCESS, EXECUTOR_THREAD, ParallelConf
 from repro.storage import Catalog, Column, DOUBLE, INT, Schema, char
 from repro.storage.table import table_from_rows
 
+#: These tests assert the scheduler's mechanics over small in-memory
+#: tables, where production would decline to schedule at all.
+pytestmark = pytest.mark.usefixtures("scheduled")
+
 
 @pytest.fixture()
 def fuzz_catalog() -> Catalog:

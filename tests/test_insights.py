@@ -478,7 +478,7 @@ def test_trace_listener_errors_are_swallowed():
 # -- EXPLAIN ANALYZE polish --------------------------------------------------------
 
 
-def test_explain_analyze_hit_rate_and_serial_fallback_flags():
+def test_explain_analyze_hit_rate_and_serial_fallback_flags(scheduled):
     db = _make_db(rows=100)  # tiny table: every operator stays serial
     try:
         text = db.explain_analyze(AGG_SQL)

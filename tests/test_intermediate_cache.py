@@ -11,6 +11,8 @@ would otherwise alias stale keys).
 
 from __future__ import annotations
 
+import pytest
+
 from repro import Column, Database, INT
 from repro.parallel.intermediates import IntermediateCache
 
@@ -84,7 +86,12 @@ class TestIntermediateCacheUnit:
         assert cache.clear() == 1
 
 
+@pytest.mark.usefixtures("scheduled")
 class TestIntermediateCacheEndToEnd:
+    """The cache under the scheduled scan (``test_serial_first`` covers
+    the serial walk).  A staging is banked from its second miss, so
+    "cold" below is two executions."""
+
     def _db(self) -> Database:
         db = Database()
         db.create_table("t", [Column("a", INT), Column("b", INT)])
@@ -103,6 +110,8 @@ class TestIntermediateCacheEndToEnd:
         db = self._db()
         try:
             cold = db.execute(self._JOIN)
+            assert db.intermediates.stats().entries == 0  # first sighting
+            assert db.execute(self._JOIN) == cold
             assert db.intermediates.stats().entries > 0
             warm = db.execute(self._JOIN)
             assert warm == cold
@@ -114,6 +123,7 @@ class TestIntermediateCacheEndToEnd:
     def test_dml_invalidates_only_the_mutated_table(self):
         db = self._db()
         try:
+            db.execute(self._JOIN)
             db.execute(self._JOIN)
             entries_before = db.intermediates.stats().entries
             assert entries_before >= 2
@@ -132,6 +142,7 @@ class TestIntermediateCacheEndToEnd:
     def test_ddl_clears_everything(self):
         db = self._db()
         try:
+            db.execute(self._JOIN)
             db.execute(self._JOIN)
             assert db.intermediates.stats().entries > 0
             db.create_table("w", [Column("x", INT)])
@@ -170,6 +181,7 @@ class TestIntermediateCacheEndToEnd:
         db = self._db()
         try:
             db.execute(self._JOIN)
+            db.execute(self._JOIN)
             text = db.explain_analyze(self._JOIN)
             assert "staging: reused cached intermediate" in text
             assert "serial-fallback" not in text
@@ -179,8 +191,8 @@ class TestIntermediateCacheEndToEnd:
     def test_stats_surface_in_metrics_and_insights(self):
         db = self._db()
         try:
-            db.execute(self._JOIN)
-            db.execute(self._JOIN)
+            for _ in range(3):
+                db.execute(self._JOIN)
             metrics = db.metrics_text()
             assert "repro_intermediate_cache_hits_total" in metrics
             snapshot = db.insights().snapshot()

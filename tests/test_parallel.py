@@ -39,6 +39,10 @@ from repro.service.cache import PlanCache
 from repro.storage import Catalog, Column, DOUBLE, INT, Schema, char
 from repro.storage.table import table_from_rows
 
+#: These tests assert the scheduler's mechanics over small in-memory
+#: tables, where production would decline to schedule at all.
+pytestmark = pytest.mark.usefixtures("scheduled")
+
 PARALLEL = ParallelConfig(
     workers=4, morsel_pages=4, min_pages=2, min_rows=256
 )

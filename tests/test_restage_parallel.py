@@ -28,6 +28,10 @@ from repro.sql.binder import Binder
 from repro.sql.parser import parse
 from repro.storage import Catalog, Column, DOUBLE, INT, Schema, char
 
+#: These tests assert the scheduler's mechanics over small in-memory
+#: tables, where production would decline to schedule at all.
+pytestmark = pytest.mark.usefixtures("scheduled")
+
 _PARALLEL = dict(workers=3, morsel_pages=1, min_pages=1, min_rows=8)
 
 #: Three tables joined on two different keys: the optimizer must join

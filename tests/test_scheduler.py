@@ -54,6 +54,10 @@ from repro.parallel.stats import (
 from repro.plan.optimizer import PlannerConfig
 from repro.storage import Catalog, Column, DOUBLE, INT, Schema, char
 
+#: These tests assert the scheduler's mechanics over small in-memory
+#: tables, where production would decline to schedule at all.
+pytestmark = pytest.mark.usefixtures("scheduled")
+
 #: Thresholds low enough that small test tables genuinely fan out.
 _PARALLEL = dict(workers=3, morsel_pages=1, min_pages=1, min_rows=8)
 
