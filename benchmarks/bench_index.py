@@ -16,8 +16,8 @@ Both sides run the identical prepared statements through the identical
 service path; rows are asserted equal before any timing counts, and the
 indexed table's index↔heap check runs after the writes.
 
-The run writes ``BENCH_index.json`` (a CI artifact, gated through
-``repro.obs.regress``).  Acceptance gates: ``point_speedup`` ≥ 10× and
+The run writes ``BENCH_index.json`` (a CI artifact).  Acceptance
+gates: ``point_speedup`` ≥ 10× and
 ``update_speedup`` ≥ 50× — the measured headroom is several times that
 (both grow with the table: one side is O(log n), the other O(n)).
 """

@@ -11,8 +11,10 @@ with cores despite the GIL.
 
 Both tables live in memory files — no modeled latency anywhere, so
 every second measured is compute plus (for the process backend) task
-serialization.  Rows are asserted byte-identical across serial, thread
-and process executions before any timing counts.
+serialization; with nothing to wait on, the thread side runs the serial
+walk.  The intermediate cache is detached, so neither side times a
+cache hit.  Rows are asserted byte-identical across the one-worker
+serial walk, thread and process executions before any timing counts.
 
 The run writes ``BENCH_multiproc.json`` (a CI artifact) with the raw
 seconds and the speedup.  The ≥2× acceptance gate needs real cores:
@@ -99,6 +101,7 @@ def multiproc_db():
         workers=WORKERS,
     )
     db.set_parallel(morsel_pages=8, min_pages=4, min_rows=512)
+    db.engine("hique").parallel.intermediates = None
     yield db
     db.close()
 
@@ -113,14 +116,14 @@ def _measure(db: Database) -> tuple[float, float, list[tuple]]:
     """One round: (thread seconds, process seconds) plus baseline rows."""
     statement = db.prepare(SQL)
 
-    db.set_parallel(enabled=False)
+    db.set_parallel(workers=1)
     baseline = statement.execute()  # serial: the correctness reference
 
-    db.set_parallel(enabled=True, executor="thread")
+    db.set_parallel(workers=WORKERS, executor="thread")
     thread_rows = statement.execute()  # warm the plan + pool
     thread_seconds = _timed(statement)
 
-    db.set_parallel(enabled=True, executor="process")
+    db.set_parallel(executor="process")
     process_rows = statement.execute()  # warm pool + worker imports
     process_seconds = _timed(statement)
 

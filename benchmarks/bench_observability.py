@@ -12,12 +12,10 @@ dominate — in three configurations:
 * **enabled** — full span recording, reported for context.
 
 The gate asserts disabled-vs-suppressed overhead below 3% (min of
-interleaved rounds on both sides, so scheduler noise cancels).  A
-second pair of interleaved rounds gates the workload-insights record
-path (digest fold per execution, on by default) below 3% against the
-same workload with insights off.  The run also exports a sample Chrome
-``trace_event`` file from an enabled execution and the rendered
-insights view, which CI uploads as artifacts.
+interleaved rounds on both sides, so scheduler noise cancels).  The
+run also exports a sample Chrome ``trace_event`` file from an enabled
+execution and the rendered insights view, which CI uploads as
+artifacts.
 """
 
 from __future__ import annotations
@@ -107,17 +105,6 @@ def overhead_report(obs_database):
         enabled.append(_round_seconds(statement, param_sets))
         db.set_trace(False)
 
-    # Insights rounds: tracing stays off (the shipping default); only
-    # the digest/slow-log record path toggles between the sides.
-    insights_on: list[float] = []
-    insights_off: list[float] = []
-    for _ in range(ROUNDS):
-        db.set_insights(True)
-        insights_on.append(_round_seconds(statement, param_sets))
-        db.set_insights(False)
-        insights_off.append(_round_seconds(statement, param_sets))
-    db.set_insights(True)
-
     base = min(suppressed)
     # Per-round ratios: each round interleaves the configurations, so
     # ambient load inflates numerator and denominator together; taking
@@ -129,9 +116,6 @@ def overhead_report(obs_database):
     overhead_enabled = min(
         e / s for e, s in zip(enabled, suppressed)
     ) - 1.0
-    overhead_insights = min(
-        on / off for on, off in zip(insights_on, insights_off)
-    ) - 1.0
     payload = {
         "executions_per_round": EXECUTIONS_PER_ROUND,
         "rounds": ROUNDS,
@@ -140,9 +124,6 @@ def overhead_report(obs_database):
         "enabled_seconds": min(enabled),
         "disabled_overhead": overhead_disabled,
         "enabled_overhead": overhead_enabled,
-        "insights_on_seconds": min(insights_on),
-        "insights_off_seconds": min(insights_off),
-        "insights_overhead": overhead_insights,
         "gate": OVERHEAD_GATE,
     }
 
@@ -154,8 +135,6 @@ def overhead_report(obs_database):
         ("no hooks (control)", base),
         ("tracing disabled", min(disabled)),
         ("tracing enabled", min(enabled)),
-        ("insights off", min(insights_off)),
-        ("insights on (default)", min(insights_on)),
     ):
         result.add(
             label,
@@ -168,11 +147,6 @@ def overhead_report(obs_database):
         f"{ROUNDS} interleaved rounds per configuration; the disabled "
         f"path must stay within {OVERHEAD_GATE * 100:.0f}% of the "
         f"no-hook control."
-    )
-    result.note(
-        f"insights on vs off measured the same way (tracing off on "
-        f"both sides); the digest record path must also stay within "
-        f"{OVERHEAD_GATE * 100:.0f}%."
     )
     save_result(result)
     save_bench_json("BENCH_observability.json", payload)
@@ -216,21 +190,12 @@ def test_report_written(overhead_report):
         payload = json.load(handle)
     assert payload["rounds"] == ROUNDS
     assert payload["suppressed_seconds"] > 0
-    assert "history" in payload
 
 
 def test_disabled_overhead_under_gate(overhead_report):
     """Acceptance: tracing-disabled overhead <3% on the prepared-
     throughput workload."""
     assert overhead_report["disabled_overhead"] < OVERHEAD_GATE, (
-        overhead_report
-    )
-
-
-def test_insights_overhead_under_gate(overhead_report):
-    """Acceptance: insights-on (the default) adds <3% on warm
-    prepared-statement throughput."""
-    assert overhead_report["insights_overhead"] < OVERHEAD_GATE, (
         overhead_report
     )
 

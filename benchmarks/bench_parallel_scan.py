@@ -38,7 +38,6 @@ import pytest
 from benchmarks.conftest import RESULTS_DIR, save_bench_json, save_result
 from repro.api import Database
 from repro.bench.reporting import ExperimentResult
-from repro.parallel import ParallelConfig
 from repro.storage import Catalog, Column, INT, Schema, char
 from repro.storage.buffer import BufferManager
 from repro.storage.heapfile import DiskFile
@@ -103,6 +102,9 @@ def sharded_db(tmp_path_factory):
         catalog=catalog, max_workers=SESSION_WORKERS, workers=SESSION_WORKERS
     )
     db.set_parallel(morsel_pages=16, min_pages=8)
+    # Every timed round reads the pages: neither side may be served
+    # from the staged-intermediate cache.
+    db.engine("hique").parallel.intermediates = None
     yield db
     db.close()
 
@@ -115,12 +117,12 @@ def _expected(shard: int) -> list[tuple]:
 def _measure_inter_query(db: Database) -> tuple[float, float]:
     """(serialized seconds, concurrent seconds) for one cold round each.
 
-    Intra-query morsels are disabled for both rounds so the measurement
-    isolates what the *service* layer adds: the serialized round mimics
+    Both rounds run one worker per query so the measurement isolates
+    what the *service* layer adds: the serialized round mimics
     PR 1's global execution lock (queries strictly one after another),
     the concurrent round admits all sessions at once.
     """
-    db.set_parallel(enabled=False)
+    db.set_parallel(workers=1)
     statements = [
         db.prepare(
             f"SELECT sum(flag) AS s, count(*) AS n FROM shard_{shard}"
@@ -162,13 +164,13 @@ def _measure_intra_query(db: Database) -> tuple[float, float]:
     statement = db.prepare(sql)
     statement.execute()
 
-    db.set_parallel(enabled=False)
+    db.set_parallel(workers=1)
     _drop_caches(db)
     started = time.perf_counter()
     assert statement.execute() == want
     serial = time.perf_counter() - started
 
-    db.set_parallel(enabled=True)
+    db.set_parallel(workers=SESSION_WORKERS)
     statement.execute()  # re-warm the plan under the new config
     _drop_caches(db)
     started = time.perf_counter()

@@ -18,8 +18,7 @@ number is reported.  The run then saturates admission on purpose and
 checks backpressure arrives as typed ``over_capacity`` responses.
 
 The run writes ``BENCH_server.json`` (a CI artifact) with ``qps``,
-``p50_ms`` and ``p99_ms``; ``qps`` and ``p99_ms`` are gated by
-``repro.obs.regress`` against the median of their run history.
+``p50_ms`` and ``p99_ms``.
 
 Scale via ``REPRO_BENCH_SCALE``: ``tiny`` = 100 clients (quick local
 sanity), ``small`` = 600 (default; covers the >=500-connection

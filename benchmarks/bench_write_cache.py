@@ -16,8 +16,8 @@ configuration; the "uncached" mode simply detaches the intermediate
 cache from the executor.  Rows are asserted identical across cached,
 uncached and post-DML executions before any timing counts.
 
-The run writes ``BENCH_write_cache.json`` (a CI artifact, gated through
-``repro.obs.regress``) with raw seconds and ``staging_speedup``.  The
+The run writes ``BENCH_write_cache.json`` (a CI artifact) with raw
+seconds and ``staging_speedup``.  The
 acceptance gate is ≥2×: the warm cached run must cost at most half the
 warm uncached run.
 """

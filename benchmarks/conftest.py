@@ -12,7 +12,6 @@ Set ``REPRO_BENCH_SCALE`` to ``tiny`` / ``small`` / ``medium`` (default
 
 from __future__ import annotations
 
-import datetime
 import json
 import os
 
@@ -40,75 +39,13 @@ def save_result(result: ExperimentResult) -> None:
         handle.write(text + "\n\n")
 
 
-#: Bench history entries kept per artifact (oldest dropped first).
-HISTORY_LIMIT = 50
-
-
-def host_fingerprint() -> dict:
-    """The hardware/runtime facts that make bench numbers comparable.
-
-    Stamped into every ``BENCH_*.json`` run so the regression gate
-    (``repro.obs.regress``) can skip history entries recorded on
-    incomparably sized hosts — a 2-core CI runner's parallel speedups
-    say nothing about an 8-core one's.
-    """
-    import multiprocessing
-
-    return {
-        "cpu_count": os.cpu_count(),
-        "start_methods": multiprocessing.get_all_start_methods(),
-    }
-
-
 def save_bench_json(filename: str, payload: dict) -> dict:
-    """Persist a ``BENCH_*.json`` artifact with run-over-run history.
-
-    The current run's numbers stay at the top level (CI gates and the
-    ``test_report_written`` checks read them there); the previous run's
-    snapshot is appended to a bounded ``history`` list, and any metric
-    present in both runs is printed as a comparison so a regression is
-    visible straight in the bench log.  Each run also records a
-    ``host`` fingerprint (CPU count, available process start methods)
-    so downstream gates can filter history by host comparability.
-    """
+    """Persist a ``BENCH_*.json`` artifact holding the current run."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, filename)
-    history: list[dict] = []
-    previous: dict | None = None
-    if os.path.exists(path):
-        try:
-            with open(path, encoding="utf-8") as handle:
-                old = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            old = None
-        if isinstance(old, dict):
-            raw = old.get("history", [])
-            history = [h for h in raw if isinstance(h, dict)]
-            previous = {k: v for k, v in old.items() if k != "history"}
-    out = dict(payload)
-    out["host"] = host_fingerprint()
-    out["recorded_at"] = (
-        datetime.datetime.now(datetime.timezone.utc)
-        .strftime("%Y-%m-%dT%H:%M:%SZ")
-    )
-    if previous is not None:
-        history.append(previous)
-        print(f"\n{filename}: vs previous run "
-              f"({previous.get('recorded_at', 'unstamped')})")
-        for key in sorted(set(payload) & set(previous)):
-            cur, prev = payload[key], previous[key]
-            if (
-                isinstance(cur, (int, float))
-                and isinstance(prev, (int, float))
-                and not isinstance(cur, bool)
-                and prev
-            ):
-                delta = (cur / prev - 1.0) * 100.0
-                print(f"  {key}: {prev:.6g} -> {cur:.6g} ({delta:+.1f}%)")
-    out["history"] = history[-HISTORY_LIMIT:]
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(out, handle, indent=2, sort_keys=True)
-    return out
+        json.dump(payload, handle, indent=2, sort_keys=True)
+    return payload
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -16,6 +16,7 @@ engines are available through :meth:`Database.engine`.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import threading
 from typing import Any, Iterable, Sequence
@@ -33,18 +34,11 @@ from repro.obs import (
     storage_registry,
 )
 from repro.obs.explain import render_explain_analyze
-from repro.parallel.executor import ParallelExecutor
 from repro.parallel.intermediates import (
     IntermediateCache,
     IntermediateCacheStats,
 )
-from repro.parallel.stats import (
-    EXECUTOR_KINDS,
-    PLACEMENT_KINDS,
-    ExecutionStats,
-    ParallelConfig,
-    default_executor,
-)
+from repro.parallel.stats import ExecutionStats, ParallelConfig
 from repro.plan.optimizer import PlannerConfig
 from repro.service import PreparedStatement, QueryService
 from repro.storage.btree import BPlusTree
@@ -83,29 +77,22 @@ class Database:
         max_workers: int = 4,
         catalog: Catalog | None = None,
         workers: int = 4,
-        parallel: bool = True,
         executor: str | None = None,
-        placement: str | None = None,
         pipeline: bool | None = None,
         trace: bool | None = None,
         insights: bool = True,
     ):
         """``max_workers`` sizes the *session* pool (concurrent queries);
-        ``workers`` sizes the *morsel* pool inside one query's scan, and
-        ``parallel=False`` pins every execution to the serial entry
-        point.  ``executor`` picks the intra-query task backend —
-        ``"thread"`` (in-process pool, best for latency-bound scans) or
-        ``"process"`` (process pool re-importing generated modules, best
-        for CPU-bound in-memory phases); ``None`` defers to the
-        ``REPRO_EXECUTOR`` environment variable, then ``"thread"``.
-        ``placement`` picks the per-batch placement policy —
-        ``"thread"``/``"process"`` force one backend for every batch,
-        ``"auto"`` routes each node's batches through the adaptive
-        cost model (mixed thread/process placement inside one query;
+        ``workers`` sizes the *morsel* pool inside one query's scan
+        (``workers=1`` pins every execution to the serial walk).
+        ``executor`` picks the intra-query task backend of scheduled
+        runs — ``"thread"`` (in-process pool, best for latency-bound
+        scans), ``"process"`` (process pool re-importing generated
+        modules, best for CPU-bound in-memory phases) or ``"auto"``
+        (each node's batches routed through the adaptive cost model;
         rows stay byte-identical); ``None`` defers to the
-        ``REPRO_PLACEMENT`` environment variable, then follows
-        ``executor``.  ``pipeline=True`` turns on dependency-driven
-        cross-phase
+        ``REPRO_EXECUTOR`` environment variable, then ``"thread"``.
+        ``pipeline=True`` turns on dependency-driven cross-phase
         scheduling (operators launch as their inputs complete instead
         of at phase barriers; rows stay byte-identical); ``None`` defers
         to the ``REPRO_PIPELINE`` environment flag, then off.
@@ -115,8 +102,7 @@ class Database:
         disabled path costs one integer check per instrumentation
         point.  ``insights=True`` (the default) keeps per-statement
         workload digests and a slow-query log (``REPRO_SLOW_MS``
-        threshold); see :meth:`insights` / :meth:`insights_text` — the
-        record path is gated below 3% on warm point queries."""
+        threshold); see :meth:`insights` / :meth:`insights_text`."""
         if catalog is not None:
             self.buffer = catalog.buffer
             self.catalog = catalog
@@ -129,17 +115,12 @@ class Database:
         self.cache_capacity = cache_capacity
         self.max_workers = max_workers
         try:
-            if executor is None:
-                executor = default_executor()
             knobs: dict[str, Any] = {}
-            if placement is not None:
-                knobs["placement"] = placement
+            if executor is not None:
+                knobs["executor"] = executor
             if pipeline is not None:
                 knobs["pipeline"] = pipeline
-            self.parallel_config = ParallelConfig(
-                workers=workers, enabled=parallel, executor=executor,
-                **knobs,
-            )
+            self.parallel_config = ParallelConfig(workers=workers, **knobs)
         except ValueError as exc:
             raise ReproError(str(exc)) from None
         self._engines: dict[str, Any] = {}
@@ -272,24 +253,21 @@ class Database:
         priors alone, and staged scan outputs land in the shared
         version-keyed intermediate cache.
         """
-        if engine.parallel is not None:
-            engine.parallel.profile_source = (
-                self.insights_store.profile.kind_totals
-            )
-            engine.parallel.intermediates = self.intermediates
+        engine.parallel.profile_source = (
+            self.insights_store.profile.kind_totals
+        )
+        engine.parallel.intermediates = self.intermediates
         return engine
 
     # -- parallelism knobs ---------------------------------------------------------------
     def set_parallel(
         self,
         workers: int | None = None,
-        enabled: bool | None = None,
         morsel_pages: int | None = None,
         min_pages: int | None = None,
         min_rows: int | None = None,
         allow_float_reorder: bool | None = None,
         executor: str | None = None,
-        placement: str | None = None,
         task_timeout: float | None = None,
         pipeline: bool | None = None,
     ) -> ParallelConfig:
@@ -299,71 +277,33 @@ class Database:
         built code-generating engines: their morsel pools are retired
         and rebuilt lazily, while in-flight executions drain on the old
         pool with the configuration they started with.  Switching
-        ``executor`` retires the old backend's pools too, so a database
-        can hop between the thread and process backends mid-session;
-        ``placement`` picks the per-batch policy (``"thread"``,
-        ``"process"``, ``"auto"`` for the adaptive chooser, or ``""``
-        to follow ``executor``); ``pipeline`` toggles dependency-driven
-        cross-phase scheduling.
+        ``executor`` (``"thread"``, ``"process"`` or ``"auto"`` for the
+        adaptive chooser) retires the old backend's pools too, so a
+        database can hop between backends mid-session; ``pipeline``
+        toggles dependency-driven cross-phase scheduling.
         """
-        if executor is not None and executor not in EXECUTOR_KINDS:
-            raise ReproError(
-                f"unknown executor {executor!r}; "
-                f"choose from {EXECUTOR_KINDS}"
+        changes = {
+            "workers": workers,
+            "morsel_pages": morsel_pages,
+            "min_pages": min_pages,
+            "min_rows": min_rows,
+            "allow_float_reorder": allow_float_reorder,
+            "executor": executor,
+            "task_timeout": task_timeout,
+            "pipeline": pipeline,
+        }
+        try:
+            self.parallel_config = dataclasses.replace(
+                self.parallel_config,
+                **{name: value for name, value in changes.items()
+                   if value is not None},
             )
-        if placement is not None and placement != "" and (
-            placement not in PLACEMENT_KINDS
-        ):
-            raise ReproError(
-                f"unknown placement {placement!r}; "
-                f"choose from {PLACEMENT_KINDS} (or '' to follow the "
-                f"executor knob)"
-            )
-        current = self.parallel_config
-        self.parallel_config = ParallelConfig(
-            workers=workers if workers is not None else current.workers,
-            morsel_pages=(
-                morsel_pages
-                if morsel_pages is not None
-                else current.morsel_pages
-            ),
-            enabled=enabled if enabled is not None else current.enabled,
-            executor=(
-                executor if executor is not None else current.executor
-            ),
-            placement=(
-                placement if placement is not None else current.placement
-            ),
-            task_timeout=(
-                task_timeout
-                if task_timeout is not None
-                else current.task_timeout
-            ),
-            pipeline=(
-                pipeline if pipeline is not None else current.pipeline
-            ),
-            min_pages=(
-                min_pages if min_pages is not None else current.min_pages
-            ),
-            min_rows=(
-                min_rows if min_rows is not None else current.min_rows
-            ),
-            allow_float_reorder=(
-                allow_float_reorder
-                if allow_float_reorder is not None
-                else current.allow_float_reorder
-            ),
-        )
+        except ValueError as exc:
+            raise ReproError(str(exc)) from None
         for kind in ("hique", "hique-o0"):
             engine = self._engines.get(kind)
             if engine is not None:
-                if engine.parallel is not None:
-                    engine.parallel.reconfigure(self.parallel_config)
-                else:
-                    engine.parallel = ParallelExecutor(
-                        self.parallel_config, obs=self.obs
-                    )
-                    self._wire_profile_source(engine)
+                engine.parallel.reconfigure(self.parallel_config)
         return self.parallel_config
 
     def last_exec_stats(self, engine: str = "hique") -> ExecutionStats | None:

@@ -50,11 +50,11 @@ def _serial_hique(catalog) -> HiqueEngine:
     """A HIQUE engine pinned to serial execution.
 
     The figure/table drivers reproduce the paper's single-threaded
-    measurements; pinning ``enabled=False`` keeps them deterministic
-    even when REPRO_DEFAULT_PARALLEL / REPRO_EXECUTOR flip the rest of
-    the suite onto a parallel backend.
+    measurements; one worker keeps every run on the serial walk even
+    over disk-backed tables or when REPRO_EXECUTOR picks another
+    backend.
     """
-    return HiqueEngine(catalog, parallel=ParallelConfig(enabled=False))
+    return HiqueEngine(catalog, parallel=ParallelConfig(workers=1))
 
 
 # -- scales ------------------------------------------------------------------------

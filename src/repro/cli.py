@@ -26,26 +26,16 @@ executed through ``.prepare`` / ``.exec``.  Meta-commands:
   ``via index(...)``) and indexed UPDATE/DELETE patch it in place
 * ``.versions`` — per-table mutation epochs (bumped by every INSERT /
   UPDATE / DELETE / load; version-keyed caches use them for coherence)
-* ``.workers <n>`` — set the parallel worker count
-* ``.executor [thread|process]`` — pick the intra-query task backend:
-  ``thread`` overlaps latency-bound page waits in-process, ``process``
-  ships CPU-bound O2 tasks to a pool of worker processes that
-  re-import the generated module (O0 plans fall back to threads); with
-  no argument, show the current backend
-* ``.placement [thread|process|auto]`` — pick the per-batch placement
-  policy: ``thread``/``process`` force every batch onto one backend,
-  ``auto`` routes each node's batches through the adaptive cost model
-  (CPU-bound joins/aggregates ship to processes while latency-bound
-  scans stay on threads, mixed inside one query; rows stay
-  byte-identical); with no argument, show the current policy
-* ``.parallel [on|off]`` — toggle morsel-driven parallel execution; with
-  no argument, show the configuration and the last execution's
+* ``.workers <n>`` — set the worker count of scheduled runs (``1``
+  pins every run to the serial walk)
+* ``.executor [thread|process|auto]`` — pick the task backend of
+  scheduled runs: ``thread`` overlaps page waits in-process,
+  ``process`` ships O2 tasks to worker processes, ``auto`` routes each
+  batch through the adaptive cost model; with no argument, show it
+* ``.parallel`` — show the configuration and the last execution's
   per-phase (stage/join/aggregate/final) breakdown
 * ``.pipeline [on|off]`` — toggle dependency-driven (pipelined)
-  scheduling: operators launch as soon as their inputs complete
-  instead of at phase barriers, so independent scans and a CPU-bound
-  join overlap (rows stay byte-identical; the timing line then shows
-  per-phase overlap); with no argument, show the current mode
+  scheduling of scheduled runs; with no argument, show the mode
 * ``.tpch [sf]`` — load a TPC-H instance (default scale factor 0.002)
 * ``.timing on|off`` — toggle per-query timing
 * ``.trace [on|off|save <path>]`` — toggle span tracing for every
@@ -78,6 +68,7 @@ import time
 
 from repro.api import Database, ENGINE_KINDS
 from repro.errors import ReproError
+from repro.parallel.stats import EXECUTOR_KINDS
 from repro.service import PreparedStatement
 
 _PROMPT = "hique> "
@@ -206,70 +197,37 @@ class Shell:
             except (ValueError, ReproError):
                 self.write("usage: .workers <positive integer>")
             else:
-                self.write(
-                    f"morsel workers set to {config.workers} "
-                    f"(parallel {'on' if config.enabled else 'off'})"
-                )
+                self.write(f"morsel workers set to {config.workers}")
         elif command == ".executor":
-            if argument in ("thread", "process"):
+            if argument in EXECUTOR_KINDS:
                 config = self.db.set_parallel(executor=argument)
                 self.write(f"task backend set to {config.executor}")
             elif argument == "":
                 self.write(
                     f"task backend: {self.db.parallel_config.executor} "
-                    f"(.executor thread|process to switch)"
+                    f"(.executor {'|'.join(EXECUTOR_KINDS)} to switch)"
                 )
             else:
-                self.write("usage: .executor [thread|process]")
-        elif command == ".placement":
-            if argument in ("thread", "process", "auto"):
-                config = self.db.set_parallel(placement=argument)
                 self.write(
-                    f"batch placement set to {config.placement}"
-                    + (
-                        " (adaptive cost-model routing)"
-                        if config.placement == "auto"
-                        else ""
-                    )
+                    f"usage: .executor [{'|'.join(EXECUTOR_KINDS)}]"
                 )
-            elif argument == "":
-                config = self.db.parallel_config
-                policy = config.placement or (
-                    f"follows executor ({config.executor})"
-                )
-                self.write(
-                    f"batch placement: {policy} "
-                    f"(.placement thread|process|auto to switch)"
-                )
-            else:
-                self.write("usage: .placement [thread|process|auto]")
         elif command == ".parallel":
-            if argument in ("on", "off"):
-                config = self.db.set_parallel(enabled=argument == "on")
-                self.write(
-                    f"parallel execution {'on' if config.enabled else 'off'} "
-                    f"({config.workers} workers, "
-                    f"{config.morsel_pages} pages/morsel, "
-                    f"{config.executor} backend)"
-                )
-            elif argument == "":
-                config = self.db.parallel_config
-                self.write(
-                    f"parallel execution "
-                    f"{'on' if config.enabled else 'off'} "
-                    f"({config.workers} workers, {config.morsel_pages} "
-                    f"pages/morsel, {config.executor} backend, "
-                    f"{'pipelined' if config.pipeline else 'barrier'} "
-                    f"scheduling, min_pages {config.min_pages}, "
-                    f"min_rows {config.min_rows})"
-                )
-                stats = self.db.last_exec_stats(self.engine_kind)
-                if stats is not None:
-                    self.write(f"last execution: {stats.describe()}")
-                    for note in stats.notes:
-                        self.write(f"  serial: {note}")
-            else:
-                self.write("usage: .parallel [on|off]")
+            if argument:
+                self.write("usage: .parallel")
+                return True
+            config = self.db.parallel_config
+            self.write(
+                f"{config.workers} workers, {config.morsel_pages} "
+                f"pages/morsel, {config.executor} backend, "
+                f"{'pipelined' if config.pipeline else 'barrier'} "
+                f"scheduling, min_pages {config.min_pages}, "
+                f"min_rows {config.min_rows}"
+            )
+            stats = self.db.last_exec_stats(self.engine_kind)
+            if stats is not None:
+                self.write(f"last execution: {stats.describe()}")
+                for note in stats.notes:
+                    self.write(f"  serial: {note}")
         elif command == ".pipeline":
             if argument in ("on", "off"):
                 config = self.db.set_parallel(pipeline=argument == "on")
@@ -375,7 +333,7 @@ class Shell:
         parallel_runs, serial_runs = self.db.parallel_counters()
         self.write(
             f"engine executions: {parallel_runs} parallel, "
-            f"{serial_runs} serial ({stats.executor} placement)"
+            f"{serial_runs} serial ({stats.executor} backend)"
         )
         inter = self.db.intermediates.stats()
         self.write(

@@ -12,24 +12,18 @@ issued queries".
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.core.compiler import CompiledQuery, QueryCompiler
 from repro.core.emitter import OPT_O2
-from repro.core.executor import run_compiled
 from repro.core.generator import CodeGenerator, GeneratedQuery
 from repro.errors import ExecutionError, MapDirectoryOverflow, ReproError
 from repro.memsim.probe import NULL_PROBE, NullProbe
 from repro.obs import Observability, default_observability
 from repro.parallel.executor import ParallelExecutor
-from repro.parallel.stats import (
-    ExecutionStats,
-    ParallelConfig,
-    default_executor,
-)
+from repro.parallel.stats import ExecutionStats, ParallelConfig
 from repro.plan.descriptors import AGG_HYBRID, PhysicalPlan
 from repro.plan.optimizer import Optimizer, PlannerConfig
 from repro.sql import ast
@@ -102,37 +96,17 @@ class HiqueEngine:
         self.generator = CodeGenerator()
         self.compiler = QueryCompiler(workdir)
         self._cache: dict[tuple[str, str, bool], PreparedQuery] = {}
-        #: Morsel-driven intra-query parallelism; None keeps every
-        #: execution on the serial composed entry point.  Setting
-        #: REPRO_DEFAULT_PARALLEL makes engines constructed without an
-        #: explicit config default to the parallel path (CI uses this
-        #: to exercise it across the whole test suite), with
-        #: REPRO_DEFAULT_WORKERS sizing the pool, REPRO_EXECUTOR
-        #: picking the task backend ("thread" or "process") and
-        #: REPRO_PIPELINE flipping on dependency-driven cross-phase
-        #: scheduling (ParallelConfig reads it as its default) — the CI
-        #: matrix runs one leg with REPRO_EXECUTOR=process and one with
-        #: REPRO_PIPELINE=1 REPRO_EXECUTOR=process so the whole suite
-        #: exercises the process backend and the pipelined scheduler.
-        if parallel is None and os.environ.get(
-            "REPRO_DEFAULT_PARALLEL", ""
-        ) not in ("", "0"):
+        #: Serial-first executor: runs the plan's serial generated
+        #: functions in plan order unless some scanned page can wait, and
+        #: schedules morsel-driven intra-query parallelism when one can.
+        #: ``parallel=None`` means the default ``ParallelConfig()``.
+        if parallel is None:
             try:
-                parallel = ParallelConfig(
-                    workers=int(
-                        os.environ.get("REPRO_DEFAULT_WORKERS", "4")
-                    ),
-                    executor=default_executor(),
-                )
+                parallel = ParallelConfig()
             except ValueError as exc:
-                # A bad env knob should surface as the library's error
-                # type, not a bare ValueError from config validation.
+                # A bad REPRO_* default surfaces as the library's error.
                 raise ReproError(str(exc)) from None
-        self.parallel = (
-            ParallelExecutor(parallel, obs=self.obs)
-            if parallel is not None
-            else None
-        )
+        self.parallel = ParallelExecutor(parallel, obs=self.obs)
         #: How the most recent execution ran (set per execute call).
         self.last_exec_stats: ExecutionStats | None = None
 
@@ -246,28 +220,18 @@ class HiqueEngine:
                     else "hique-o0"
                 ),
             ) as span:
-                if self.parallel is not None:
-                    rows, stats = self.parallel.run(
-                        prepared, params=params, probe=probe
-                    )
-                    self.last_exec_stats = stats
-                    if span is not None:
-                        span.set(
-                            rows=len(rows),
-                            parallel=stats.parallel,
-                            backend=stats.backend,
-                            scheduled=stats.scheduled,
-                            why=stats.reason or "; ".join(stats.notes),
-                        )
-                    return rows
-                rows = run_compiled(
-                    prepared.compiled,
-                    prepared.plan,
-                    probe=probe,
-                    params=params,
+                rows, stats = self.parallel.run(
+                    prepared, params=params, probe=probe
                 )
+                self.last_exec_stats = stats
                 if span is not None:
-                    span.set(rows=len(rows), parallel=False)
+                    span.set(
+                        rows=len(rows),
+                        parallel=stats.parallel,
+                        backend=stats.backend,
+                        scheduled=stats.scheduled,
+                        why=stats.reason or "; ".join(stats.notes),
+                    )
                 return rows
         except MapDirectoryOverflow:
             # Statistics were stale: fall back to hybrid hash-sort
@@ -284,17 +248,16 @@ class HiqueEngine:
                 planner_config=fallback_config,
                 param_dtypes=param_dtypes_of(prepared.bound),
             )
-            started = time.perf_counter()
-            rows = run_compiled(
-                fallback.compiled, fallback.plan, probe=probe, params=params
+            rows, stats = self.parallel.run(
+                fallback, params=params, probe=probe
             )
-            if self.parallel is not None:
-                self.last_exec_stats = self.parallel.note_serial(
-                    len(rows),
-                    time.perf_counter() - started,
-                    "map-directory overflow: re-planned with hybrid "
-                    "aggregation",
-                )
+            overflow = (
+                "map-directory overflow: re-planned with hybrid aggregation"
+            )
+            stats.notes.insert(0, overflow)
+            if not stats.parallel:
+                stats.reason = "; ".join(filter(None, (overflow, stats.reason)))
+            self.last_exec_stats = stats
             return rows
 
     # -- introspection ------------------------------------------------------------------
@@ -319,8 +282,7 @@ class HiqueEngine:
     def close(self) -> None:
         """Drop cached plans and delete the compiler's work directory."""
         self.clear_cache()
-        if self.parallel is not None:
-            self.parallel.close()
+        self.parallel.close()
         self.compiler.close()
 
     def __enter__(self) -> "HiqueEngine":

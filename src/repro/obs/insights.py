@@ -25,8 +25,7 @@ executions actually did:
 
 The record path is deliberately allocation-light (one lock, one dict
 hit, integer adds, one histogram observe) because it runs on *every*
-query: the observability bench gates it below 3% on warm prepared
-point queries.
+query.
 """
 
 from __future__ import annotations

@@ -40,12 +40,11 @@ from repro.parallel.morsel import (
     morsels_for,
 )
 from repro.parallel.stats import (
+    EXECUTOR_AUTO,
     EXECUTOR_KINDS,
     EXECUTOR_MIXED,
     EXECUTOR_PROCESS,
     EXECUTOR_THREAD,
-    PLACEMENT_AUTO,
-    PLACEMENT_KINDS,
     ExecutionStats,
     ParallelConfig,
     PhaseStats,
@@ -57,6 +56,7 @@ __all__ = [
     "CostModel",
     "DEFAULT_MORSEL_PAGES",
     "Desc",
+    "EXECUTOR_AUTO",
     "EXECUTOR_KINDS",
     "EXECUTOR_MIXED",
     "EXECUTOR_PROCESS",
@@ -64,8 +64,6 @@ __all__ = [
     "ExecutionStats",
     "Morsel",
     "MorselDispatcher",
-    "PLACEMENT_AUTO",
-    "PLACEMENT_KINDS",
     "ParallelConfig",
     "ParallelExecutor",
     "PartitionHandoff",

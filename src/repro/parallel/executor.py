@@ -127,10 +127,10 @@ from repro.parallel.stage import (
     serial_walk,
 )
 from repro.parallel.stats import (
+    EXECUTOR_AUTO,
     EXECUTOR_MIXED,
     EXECUTOR_PROCESS,
     EXECUTOR_THREAD,
-    PLACEMENT_AUTO,
     ExecutionStats,
     ParallelConfig,
     PhaseStats,
@@ -387,7 +387,7 @@ class ParallelExecutor:
         #: Process pool, created lazily on the first run that actually
         #: ships tasks (most queries never pay for worker processes).
         self._process: ProcessBackend | None = None
-        #: Compute-per-byte model behind ``placement="auto"``.  Owned
+        #: Compute-per-byte model behind ``executor="auto"``.  Owned
         #: by the executor (not a run) so rates learned from measured
         #: batch latencies persist across queries and reconfigures.
         self.cost = CostModel()
@@ -491,13 +491,18 @@ class ParallelExecutor:
         # One consistent view of the knobs for the whole run, even if a
         # concurrent reconfigure() swaps self.config mid-execution.
         config = self.config
-        reason = self._ineligible(prepared, probe, config)
+        reason = self._ineligible(prepared, probe)
         if reason:
             rows = run_compiled(
                 prepared.compiled, prepared.plan, probe=probe, params=params
             )
-            return rows, self.note_serial(
-                len(rows), time.perf_counter() - started, reason
+            with self._lock:
+                self.serial_runs += 1
+            return rows, ExecutionStats(
+                parallel=False,
+                rows=len(rows),
+                elapsed_seconds=time.perf_counter() - started,
+                reason=reason,
             )
 
         # The first decision, from the data: schedule only when some
@@ -506,7 +511,7 @@ class ParallelExecutor:
         # GIL), and adaptive placement still routes each batch, running
         # the thread-routed ones inline when nothing can wait.
         params = tuple(params)
-        placement = config.effective_placement()
+        placement = config.executor
         waiting = ""
         if config.workers <= 1:
             reason = "single worker"
@@ -539,8 +544,8 @@ class ParallelExecutor:
         )
         process: ProcessBackend | None = None
         chooser: CostModel | None = None
-        if placement in (EXECUTOR_PROCESS, PLACEMENT_AUTO):
-            adaptive = placement == PLACEMENT_AUTO
+        if placement in (EXECUTOR_PROCESS, EXECUTOR_AUTO):
+            adaptive = placement == EXECUTOR_AUTO
             prefix = "adaptive placement: " if adaptive else ""
             if prepared.compiled.opt_level != OPT_O2:
                 # O0 generated code calls closures living in this
@@ -619,24 +624,6 @@ class ParallelExecutor:
             notes=notes,
         )
 
-    def note_serial(
-        self, num_rows: int, elapsed_seconds: float, reason: str
-    ) -> ExecutionStats:
-        """Account for a serial execution and describe it.
-
-        Also used by the engine when a parallel attempt aborts (map
-        directory overflow) and the re-planned query runs serially
-        outside :meth:`run`.
-        """
-        with self._lock:
-            self.serial_runs += 1
-        return ExecutionStats(
-            parallel=False,
-            rows=num_rows,
-            elapsed_seconds=elapsed_seconds,
-            reason=reason,
-        )
-
     @staticmethod
     def waiting_table(plan) -> str:
         """Which scanned table has pages that can wait, or "" for none.
@@ -657,12 +644,8 @@ class ParallelExecutor:
         return ""
 
     @staticmethod
-    def _ineligible(
-        prepared, probe: NullProbe, config: ParallelConfig
-    ) -> str:
+    def _ineligible(prepared, probe: NullProbe) -> str:
         """A reason to run the bare composed entry point, or ""."""
-        if not config.enabled:
-            return "parallel execution disabled"
         if probe.enabled:
             return "traced execution (probe is not thread-safe)"
         if prepared.compiled.traced:
@@ -712,7 +695,7 @@ class _ScheduledRun:
         self.report = report
         #: Non-None when this run ships eligible batches out of process.
         self.process = process
-        #: Non-None when ``placement="auto"`` routes each batch through
+        #: Non-None when ``executor="auto"`` routes each batch through
         #: the cost model (requires a live process backend to route to).
         self.chooser = chooser
         #: Adaptive run with every scanned page resident: batches the
@@ -1030,7 +1013,7 @@ class _ScheduledRun:
         """Run one phase's task batch on the active backend.
 
         Returns ``(results, workers, backend_name)`` with results in
-        task order.  Under ``placement="auto"`` the cost model routes
+        task order.  Under ``executor="auto"`` the cost model routes
         the batch to whichever backend it estimates cheaper; under any
         placement the measured batch latency feeds back into the model,
         so forced thread/process runs calibrate later adaptive ones.

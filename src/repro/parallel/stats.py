@@ -7,29 +7,21 @@ from dataclasses import dataclass, field
 
 from repro.parallel.morsel import DEFAULT_MORSEL_PAGES
 
-#: Task backends selectable through ``ParallelConfig.executor``.
+#: Task backends selectable through ``ParallelConfig.executor``:
+#: ``"thread"``/``"process"`` force every batch onto one backend;
+#: ``"auto"`` routes each node's task batches independently through
+#: the cost model, enabling mixed placement inside one query.
 EXECUTOR_THREAD = "thread"
 EXECUTOR_PROCESS = "process"
-EXECUTOR_KINDS = (EXECUTOR_THREAD, EXECUTOR_PROCESS)
+EXECUTOR_AUTO = "auto"
+EXECUTOR_KINDS = (EXECUTOR_THREAD, EXECUTOR_PROCESS, EXECUTOR_AUTO)
 
 #: Reported (never configured) backend of a run whose batches were
 #: split across both backends by the adaptive placement chooser.
 EXECUTOR_MIXED = "mixed"
 
-#: Placement policies selectable through ``ParallelConfig.placement``.
-#: ``"thread"``/``"process"`` force every batch onto one backend
-#: (equivalent to the legacy ``executor`` knob); ``"auto"`` routes each
-#: node's task batches independently through the cost model, enabling
-#: mixed placement inside one query.
-PLACEMENT_AUTO = "auto"
-PLACEMENT_KINDS = (EXECUTOR_THREAD, EXECUTOR_PROCESS, PLACEMENT_AUTO)
-
-#: Environment default for the task backend (``thread``/``process``).
+#: Environment default for the task backend.
 EXECUTOR_ENV = "REPRO_EXECUTOR"
-
-#: Environment default for the placement policy
-#: (``thread``/``process``/``auto``).
-PLACEMENT_ENV = "REPRO_PLACEMENT"
 
 #: Environment default for cross-phase pipelined scheduling.
 PIPELINE_ENV = "REPRO_PIPELINE"
@@ -38,9 +30,10 @@ PIPELINE_ENV = "REPRO_PIPELINE"
 def default_executor() -> str:
     """The task backend to use when none is chosen explicitly.
 
-    Reads ``REPRO_EXECUTOR`` so deployments (and the CI matrix leg)
-    can flip every engine onto the process backend without touching
-    call sites; unset or empty means the thread backend.
+    Reads ``REPRO_EXECUTOR`` so deployments (and the CI matrix legs)
+    can flip every engine onto the process backend or adaptive
+    placement without touching call sites; unset or empty means the
+    thread backend.
     """
     configured = os.environ.get(EXECUTOR_ENV, "").strip().lower()
     if not configured:
@@ -48,25 +41,6 @@ def default_executor() -> str:
     if configured not in EXECUTOR_KINDS:
         raise ValueError(
             f"{EXECUTOR_ENV} must be one of {EXECUTOR_KINDS}, "
-            f"got {configured!r}"
-        )
-    return configured
-
-
-def default_placement() -> str:
-    """The placement policy to use when none is chosen explicitly.
-
-    Reads ``REPRO_PLACEMENT`` so deployments (and CI legs) can flip
-    every engine onto adaptive placement without touching call sites;
-    unset or empty means "follow the ``executor`` knob", preserving
-    the pre-placement behavior exactly.
-    """
-    configured = os.environ.get(PLACEMENT_ENV, "").strip().lower()
-    if not configured:
-        return ""
-    if configured not in PLACEMENT_KINDS:
-        raise ValueError(
-            f"{PLACEMENT_ENV} must be one of {PLACEMENT_KINDS}, "
             f"got {configured!r}"
         )
     return configured
@@ -99,11 +73,11 @@ class ParallelConfig:
     ``workers`` sizes the worker pool shared by every parallel phase
     of a *scheduled* run — whether a run is scheduled at all is decided
     from the data (see :meth:`ParallelExecutor.waiting_table`), not
-    here; ``enabled`` turns the whole subsystem off (every query runs
-    the serial composed entry point); ``min_pages`` keeps tiny table
-    scans serial (and out of the intermediate cache) and ``min_rows``
-    keeps small intermediates (join inputs, aggregation inputs, final
-    sorts) serial, where thread fan-out costs more than it saves.
+    here, and ``workers=1`` pins every run to the serial walk;
+    ``min_pages`` keeps tiny table scans serial (and out of the
+    intermediate cache) and ``min_rows`` keeps small intermediates
+    (join inputs, aggregation inputs, final sorts) serial, where
+    thread fan-out costs more than it saves.
 
     ``executor`` picks the task backend: ``"thread"`` runs tasks on an
     in-process pool (best for latency-bound scans, whose page waits
@@ -111,24 +85,19 @@ class ParallelConfig:
     :class:`~concurrent.futures.ProcessPoolExecutor` whose workers
     re-import the generated module from the compiler's work directory
     (best for CPU-bound in-memory phases, which the GIL serializes on
-    threads).  The process backend pays a serialization toll — page
-    bytes and row chunks are pickled per task — and falls back to the
-    thread backend, with a stats note, for O0 closure plans and for
-    tasks whose payloads refuse to pickle.
+    threads), and ``"auto"`` routes each node's batches through the
+    compute-per-byte cost model.  The process backend pays a
+    serialization toll — page bytes and row chunks are pickled per
+    task — and falls back to the thread backend, with a stats note,
+    for O0 closure plans and for tasks whose payloads refuse to pickle.
     """
 
     workers: int = 4
     morsel_pages: int = DEFAULT_MORSEL_PAGES
-    enabled: bool = True
-    #: Task backend: ``"thread"`` (in-process pool) or ``"process"``.
-    executor: str = EXECUTOR_THREAD
-    #: Placement policy: ``"thread"``/``"process"`` force one backend
-    #: for every batch, ``"auto"`` routes each node's batches through
-    #: the compute-per-byte cost model (mixed placement inside one
-    #: query), and ``""`` (the default) follows the ``executor`` knob
-    #: unchanged.  Defaults to the ``REPRO_PLACEMENT`` environment
-    #: variable, else ``""``.
-    placement: str = field(default_factory=default_placement)
+    #: Task backend: ``"thread"``, ``"process"`` or ``"auto"``.
+    #: Defaults to the ``REPRO_EXECUTOR`` environment variable, else
+    #: ``"thread"``.
+    executor: str = field(default_factory=default_executor)
     #: Dependency-driven cross-phase scheduling: operators launch the
     #: moment their inputs are complete instead of at phase barriers,
     #: so independent scans run concurrently and a CPU-bound join can
@@ -173,21 +142,8 @@ class ParallelConfig:
                 f"executor must be one of {EXECUTOR_KINDS}, "
                 f"got {self.executor!r}"
             )
-        if self.placement and self.placement not in PLACEMENT_KINDS:
-            raise ValueError(
-                f"placement must be one of {PLACEMENT_KINDS} (or empty "
-                f"to follow the executor knob), got {self.placement!r}"
-            )
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError("task_timeout must be positive (or None)")
-
-    def effective_placement(self) -> str:
-        """The placement policy actually in force for a run.
-
-        An empty ``placement`` defers to the legacy ``executor`` knob
-        (whose values are exactly the two forced policies).
-        """
-        return self.placement or self.executor
 
 
 @dataclass
@@ -256,7 +212,7 @@ class ExecutionStats:
     #: tasks to worker processes), or ``"mixed"`` when the adaptive
     #: placement chooser split one query's batches across both.
     backend: str = EXECUTOR_THREAD
-    #: Placement policy in force for this run (``"thread"``,
+    #: ``ParallelConfig.executor`` in force for this run (``"thread"``,
     #: ``"process"`` or ``"auto"``; ``""`` for serial executions).
     placement: str = ""
     #: True when the dependency-driven (pipelined) scheduler ran this
@@ -285,7 +241,7 @@ class ExecutionStats:
                 if self.pipelined
                 else self.backend
             )
-            if self.placement == PLACEMENT_AUTO:
+            if self.placement == EXECUTOR_AUTO:
                 mode += ", adaptive"
             base = f"parallel: {self.workers} workers ({mode})"
             if self.morsels:

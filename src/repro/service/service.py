@@ -71,12 +71,10 @@ class ServiceStats:
     rejected: int
     pending: int
     cache: CacheStats
-    #: Effective intra-query placement the database's engines dispatch
-    #: under — ``"thread"``/``"process"`` when one backend is forced,
-    #: ``"auto"`` when the adaptive cost model routes each batch (mixed
-    #: thread/process inside one query).  Operators reading service
-    #: stats see the substrate their sessions' parallel phases actually
-    #: run on, not just the legacy ``executor`` knob.
+    #: Task backend the database's engines dispatch scheduled runs to —
+    #: ``"thread"``/``"process"`` when one backend is forced, ``"auto"``
+    #: when the adaptive cost model routes each batch (mixed
+    #: thread/process inside one query).
     executor: str = "thread"
     #: Queries the stall watchdog aborted (a wedged parallel task).
     #: Surfaced here *and* per digest, so a wedged statement is visible
@@ -874,22 +872,7 @@ class QueryService:
             )
 
     def stats(self) -> ServiceStats:
-        parallel_config = getattr(self.database, "parallel_config", None)
-        # Report the *effective* placement: ``placement="auto"`` (or a
-        # forced per-batch policy) overrides the legacy executor knob,
-        # and stats that echo only the configured executor would lie
-        # about the substrate mixed-placement queries actually run on.
-        if parallel_config is not None:
-            effective = getattr(
-                parallel_config, "effective_placement", None
-            )
-            executor = (
-                effective()
-                if callable(effective)
-                else getattr(parallel_config, "executor", "thread")
-            )
-        else:
-            executor = "thread"
+        executor = self.database.parallel_config.executor
         with self._state_lock:
             return ServiceStats(
                 queries=self._queries,

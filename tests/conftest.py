@@ -9,6 +9,7 @@ import pytest
 from repro import Database
 from repro.bench.tpch import generate_tpch
 from repro.parallel.executor import ParallelExecutor
+from repro.parallel.stats import ParallelConfig
 from repro.storage import (
     Catalog,
     Column,
@@ -17,6 +18,11 @@ from repro.storage import (
     Schema,
     char,
 )
+
+#: The config of a serial reference engine.  One worker takes the
+#: serial walk before the scheduler's first question is asked, so
+#: neither the ``scheduled`` fixture nor ``REPRO_EXECUTOR`` reaches it.
+SERIAL = ParallelConfig(workers=1, executor="thread")
 
 
 @pytest.fixture()

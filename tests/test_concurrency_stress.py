@@ -132,7 +132,7 @@ def stress_db() -> Database:
 @pytest.fixture(scope="module")
 def expected(stress_db):
     """Serial reference results per (engine, statement) pair."""
-    serial = _build_db(parallel=False, max_workers=1)
+    serial = _build_db(workers=1, max_workers=1)
     results = {}
     for kind in ENGINE_KINDS:
         for index, (sql, make_params) in enumerate(WORKLOAD):

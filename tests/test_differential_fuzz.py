@@ -3,9 +3,9 @@
 A seeded generator builds random schemas/data sets and random queries —
 filters, joins, self-joins, group-by, order-by, ``?`` parameters — and
 asserts that every engine agrees with the naive reference evaluator,
-and that the HIQUE engine's serial, serial-walk (with a warm
-intermediate cache), thread-parallel, process-parallel and
-adaptive-placement executions (pipelined too, under
+and that the HIQUE engine's composed entry point (``run_compiled``),
+serial walk (with a warm intermediate cache), thread-parallel,
+process-parallel and ``executor="auto"`` executions (pipelined too, under
 ``REPRO_PIPELINE=1``) return *identical* row sequences (the parallel
 subsystem's byte-identity guarantee) at both optimization levels.
 
@@ -42,6 +42,7 @@ import pytest
 
 from repro.core.emitter import OPT_O0, OPT_O2
 from repro.core.engine import HiqueEngine
+from repro.core.executor import run_compiled
 from repro.engines.vectorized import VectorizedEngine
 from repro.engines.volcano import VolcanoEngine
 from repro.parallel.intermediates import IntermediateCache
@@ -352,6 +353,24 @@ class _QueryGen:
         return " ORDER BY " + ", ".join(rendered), len(keys) == len(aliases)
 
 
+class _Composed:
+    """The generated composing function (the paper's Fig. 3) called
+    directly: the serial reference every other HIQUE configuration must
+    reproduce byte for byte."""
+
+    def __init__(self, catalog: Catalog, opt_level: str):
+        self.engine = HiqueEngine(catalog, opt_level=opt_level)
+
+    def execute(self, sql, name="query", params=()):
+        prepared = self.engine.prepare(sql, name=name)
+        return run_compiled(
+            prepared.compiled, prepared.plan, params=tuple(params)
+        )
+
+    def close(self) -> None:
+        self.engine.close()
+
+
 class _Thrice:
     """The serial walk with an intermediate cache, met in all its
     states: every query runs three times — first sighting, banking
@@ -383,8 +402,8 @@ def _engines(catalog: Catalog) -> dict:
     """Every engine configuration under test, keyed by display name."""
     thread = ParallelConfig(executor="thread", **_PARALLEL)
     return {
-        "hique-o2": HiqueEngine(catalog, opt_level=OPT_O2),
-        "hique-o0": HiqueEngine(catalog, opt_level=OPT_O0),
+        "hique-o2": _Composed(catalog, OPT_O2),
+        "hique-o0": _Composed(catalog, OPT_O0),
         # What production does over resident data: decline to schedule
         # (the cache step is opt-level independent: once is enough).
         "hique-o2-walk": _Thrice(
@@ -414,12 +433,12 @@ def _engines(catalog: Catalog) -> dict:
         "hique-o2-auto": HiqueEngine(
             catalog,
             opt_level=OPT_O2,
-            parallel=ParallelConfig(placement="auto", **_PARALLEL),
+            parallel=ParallelConfig(executor="auto", **_PARALLEL),
         ),
         "hique-o0-auto": HiqueEngine(
             catalog,
             opt_level=OPT_O0,
-            parallel=ParallelConfig(placement="auto", **_PARALLEL),
+            parallel=ParallelConfig(executor="auto", **_PARALLEL),
         ),
         "volcano-generic": VolcanoEngine(catalog, generic=True),
         "volcano-optimized": VolcanoEngine(catalog),
@@ -828,7 +847,7 @@ def test_differential_fuzz(seed: int):
                     got = engine.execute(literal)
                 rows_by_name[name] = got
                 assert canonical(got) == expected, f"{name} @ {where}"
-            # Byte-identity across serial/thread/process/auto, per
+            # Byte-identity across composed/walk/thread/process/auto, per
             # opt level: same engine, same plan, different execution
             # substrate (auto may mix substrates within one query).
             for level in ("o2", "o0"):

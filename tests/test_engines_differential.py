@@ -46,7 +46,7 @@ ENGINE_FACTORIES = {
         c,
         opt_level=OPT_O2,
         parallel=ParallelConfig(
-            placement="auto",
+            executor="auto",
             workers=3,
             morsel_pages=1,
             min_pages=1,

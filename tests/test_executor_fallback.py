@@ -28,6 +28,7 @@ from repro.parallel.proc import CallTask
 from repro.parallel.stats import EXECUTOR_PROCESS, EXECUTOR_THREAD, ParallelConfig
 from repro.storage import Catalog, Column, DOUBLE, INT, Schema, char
 from repro.storage.table import table_from_rows
+from tests.conftest import SERIAL
 
 #: These tests assert the scheduler's mechanics over small in-memory
 #: tables, where production would decline to schedule at all.
@@ -55,9 +56,6 @@ def fuzz_catalog() -> Catalog:
 PROCESS = ParallelConfig(
     workers=2, morsel_pages=4, min_pages=2, min_rows=64,
     executor=EXECUTOR_PROCESS,
-    # Pinned so a REPRO_PLACEMENT=auto environment leg cannot reroute
-    # these backend-specific tests onto the thread backend.
-    placement=EXECUTOR_PROCESS,
 )
 
 
@@ -65,7 +63,7 @@ PROCESS = ParallelConfig(
 
 
 def test_o0_plan_falls_back_to_thread_backend(fuzz_catalog):
-    serial = HiqueEngine(fuzz_catalog, opt_level="O0")
+    serial = HiqueEngine(fuzz_catalog, opt_level="O0", parallel=SERIAL)
     engine = HiqueEngine(fuzz_catalog, opt_level="O0", parallel=PROCESS)
     sql = "SELECT c, count(*) AS n, sum(a) AS s FROM t GROUP BY c"
     try:
@@ -83,7 +81,7 @@ def test_o0_plan_falls_back_to_thread_backend(fuzz_catalog):
 
 
 def test_process_backend_runs_o2_out_of_process(fuzz_catalog):
-    serial = HiqueEngine(fuzz_catalog)
+    serial = HiqueEngine(fuzz_catalog, parallel=SERIAL)
     engine = HiqueEngine(fuzz_catalog, parallel=PROCESS)
     sql = "SELECT a, b, c FROM t WHERE a < 5000 ORDER BY c DESC, a"
     try:

@@ -15,6 +15,7 @@ import pytest
 
 from repro import Column, Database, DATE, DOUBLE, INT, char
 from repro.api import ENGINE_KINDS
+from repro.core.executor import run_compiled
 from repro.errors import CatalogError, ConstraintError, StorageError
 from repro.plan.optimizer import Optimizer, index_access_for
 from repro.sql.binder import Binder
@@ -424,7 +425,7 @@ class TestExecution:
             db.close()
 
     def test_serial_composer_takes_the_same_decision(self):
-        db = Database(parallel=False)
+        db = Database(workers=1)
         try:
             db.create_table("t", [Column("id", INT), Column("v", INT)])
             db.load_rows("t", [(i, i * 2) for i in range(ROWS)])
@@ -438,6 +439,14 @@ class TestExecution:
             rows = db.execute("SELECT v FROM t WHERE id >= ?", params=(9,))
             assert len(rows) == ROWS - 9
             assert (table.index_probes, table.index_declined) == (1, 1)
+            # The generated composing function (probe / traced runs).
+            prepared = db.engine("hique").prepare(
+                "SELECT v FROM t WHERE id = ?"
+            )
+            assert run_compiled(
+                prepared.compiled, prepared.plan, params=(9,)
+            ) == [(18,)]
+            assert (table.index_probes, table.index_declined) == (2, 1)
         finally:
             db.close()
 

@@ -1,4 +1,4 @@
-"""Workload insights: digests, slow-query log, profiles, regression.
+"""Workload insights: digests, slow-query log and profiles.
 
 Covers digest normalization (different literals → one digest) and
 exact count consistency under a multi-threaded session-pool hammer,
@@ -6,12 +6,10 @@ DDL resets, bounded retention with memory measured, reconciliation of
 digest totals against per-query results, watchdog surfacing in both
 ``ServiceStats`` and the digest store, profile folding, the EXPLAIN
 ANALYZE polish (buffer hit-rate %, serial-fallback flags), the shell
-``.insights`` / ``.slow`` commands and the perf-regression reporter.
+``.insights`` / ``.slow`` commands.
 """
 
 import io
-import json
-import os
 import random
 import threading
 import time
@@ -30,11 +28,6 @@ from repro.obs.insights import (
     default_slow_threshold_seconds,
 )
 from repro.obs.profile import ProfileAggregator
-from repro.obs.regress import (
-    check_results_dir,
-    main as regress_main,
-    render_report,
-)
 from repro.obs.trace import Trace
 from repro.parallel.backend import ThreadBackend
 
@@ -549,127 +542,11 @@ class TestShellCommands:
             shell.db.close()
 
 
-# -- perf-regression reporter ------------------------------------------------------
-
-
-def _write_bench(directory, filename: str, payload: dict) -> None:
-    with open(os.path.join(directory, filename), "w") as handle:
-        json.dump(payload, handle)
-
-
-class TestRegressionReporter:
-    def test_baseline_without_history_passes(self, tmp_path):
-        _write_bench(
-            tmp_path, "BENCH_pipeline.json", {"speedup": 2.0, "history": []}
-        )
-        checks = check_results_dir(str(tmp_path))
-        pipeline = next(
-            c for c in checks if c.artifact == "BENCH_pipeline.json"
-        )
-        assert pipeline.status == "baseline"
-        assert not pipeline.regressed
-        assert regress_main(
-            ["--results-dir", str(tmp_path), "--fail-on-regression"]
-        ) == 0
-
-    def test_median_regression_detected_and_gates(self, tmp_path):
-        _write_bench(
-            tmp_path,
-            "BENCH_pipeline.json",
-            {
-                "speedup": 2.0,
-                "history": [
-                    {"speedup": 4.0},
-                    {"speedup": 4.2},
-                    {"speedup": 3.8},
-                ],
-            },
-        )
-        checks = check_results_dir(str(tmp_path))
-        pipeline = next(
-            c for c in checks if c.artifact == "BENCH_pipeline.json"
-        )
-        assert pipeline.median == pytest.approx(4.0)
-        assert pipeline.change == pytest.approx(-0.5)
-        assert pipeline.regressed
-        report_path = tmp_path / "report.txt"
-        code = regress_main(
-            [
-                "--results-dir", str(tmp_path),
-                "--fail-on-regression",
-                "--report", str(report_path),
-            ]
-        )
-        assert code == 1
-        report = report_path.read_text()
-        assert "REGRESSED" in report
-        assert "verdict: REGRESSED" in report
-
-    def test_improvement_and_small_noise_pass(self, tmp_path):
-        _write_bench(
-            tmp_path,
-            "BENCH_multiproc.json",
-            {
-                "speedup": 4.5,
-                "history": [{"speedup": 4.0}, {"speedup": 4.1}],
-            },
-        )
-        _write_bench(
-            tmp_path,
-            "BENCH_parallel_join.json",
-            {
-                "speedup": 3.4,
-                "history": [{"speedup": 3.9}, {"speedup": 4.0}],
-            },
-        )  # -14%: inside the 25% threshold
-        checks = check_results_dir(str(tmp_path))
-        assert not any(c.regressed for c in checks)
-        assert regress_main(
-            ["--results-dir", str(tmp_path), "--fail-on-regression"]
-        ) == 0
-
-    def test_overhead_metrics_are_informational_only(self, tmp_path):
-        # A massively regressed overhead must not gate (info mode):
-        # near-zero ratios make relative thresholds meaningless.
-        _write_bench(
-            tmp_path,
-            "BENCH_observability.json",
-            {
-                "disabled_overhead": 0.02,
-                "history": [
-                    {"disabled_overhead": 0.001},
-                    {"disabled_overhead": 0.002},
-                ],
-            },
-        )
-        checks = check_results_dir(str(tmp_path))
-        obs = next(
-            c
-            for c in checks
-            if c.artifact == "BENCH_observability.json"
-            and c.metric == "disabled_overhead"
-        )
-        assert obs.change is not None and obs.change < -1.0
-        assert not obs.regressed  # info row: never gates
-        assert regress_main(
-            ["--results-dir", str(tmp_path), "--fail-on-regression"]
-        ) == 0
-
-    def test_report_renders_all_known_artifacts(self, tmp_path):
-        report = render_report(check_results_dir(str(tmp_path)))
-        for name in (
-            "parallel", "parallel_join", "multiproc", "pipeline",
-        ):
-            assert name in report
-        assert "verdict: ok" in report
-
-
-# -- insight record overhead guard (fast sanity, the bench holds the gate) ---------
+# -- insight record overhead guard -------------------------------------------------
 
 
 def test_insights_record_path_is_cheap():
-    """Sanity bound: one digest record stays in the microsecond range
-    (the real <3% gate lives in benchmarks/bench_observability.py)."""
+    """Sanity bound: one digest record stays in the microsecond range."""
     store = DigestStore()
     started = time.perf_counter()
     count = 20_000

@@ -155,7 +155,7 @@ class TestSpanNesting:
             db.close()
 
     def test_serial_database_still_traces_engine_spans(self):
-        db = _make_db(parallel=False, trace=True)
+        db = _make_db(workers=1, trace=True)
         try:
             db.execute(JOIN_AGG_SQL)
             trace = db.last_trace()

@@ -38,6 +38,7 @@ from repro.plan.optimizer import PlannerConfig
 from repro.service.cache import PlanCache
 from repro.storage import Catalog, Column, DOUBLE, INT, Schema, char
 from repro.storage.table import table_from_rows
+from tests.conftest import SERIAL
 
 #: These tests assert the scheduler's mechanics over small in-memory
 #: tables, where production would decline to schedule at all.
@@ -175,7 +176,7 @@ QUERIES = [
 
 @pytest.mark.parametrize("opt_level", ["O2", "O0"])
 def test_parallel_rows_identical_to_serial(wide_catalog, opt_level):
-    serial = HiqueEngine(wide_catalog, opt_level=opt_level)
+    serial = HiqueEngine(wide_catalog, opt_level=opt_level, parallel=SERIAL)
     parallel = HiqueEngine(
         wide_catalog, opt_level=opt_level, parallel=PARALLEL
     )
@@ -201,7 +202,7 @@ def test_float_sums_exact_by_default_relaxed_when_allowed(wide_catalog):
             allow_float_reorder=True,
         ),
     )
-    serial = HiqueEngine(wide_catalog)
+    serial = HiqueEngine(wide_catalog, parallel=SERIAL)
     try:
         # Bit-identical mode: rows match serial exactly; the gated
         # aggregation is recorded as a serial decision.
@@ -243,7 +244,10 @@ def test_parallel_joins_identical_to_serial(
     join + parallel ORDER BY reproduce the serial rows exactly."""
     config = PlannerConfig(force_join=force_join)
     serial = HiqueEngine(
-        wide_catalog, planner_config=config, opt_level=opt_level
+        wide_catalog,
+        planner_config=config,
+        opt_level=opt_level,
+        parallel=SERIAL,
     )
     parallel = HiqueEngine(
         wide_catalog,
@@ -271,7 +275,7 @@ def test_parallel_join_with_aggregation(wide_catalog):
         "SELECT t.c AS c, count(*) AS n, sum(v.w) AS s FROM t, v "
         "WHERE t.c = v.k GROUP BY t.c ORDER BY c"
     )
-    serial = HiqueEngine(wide_catalog)
+    serial = HiqueEngine(wide_catalog, parallel=SERIAL)
     parallel = HiqueEngine(wide_catalog, parallel=PARALLEL)
     try:
         assert parallel.execute(sql) == serial.execute(sql)
@@ -310,7 +314,11 @@ def test_forced_sort_aggregation_stages_in_parallel(wide_catalog):
         parallel=PARALLEL,
     )
     try:
-        serial = HiqueEngine(wide_catalog, planner_config=PlannerConfig(force_agg="sort"))
+        serial = HiqueEngine(
+            wide_catalog,
+            planner_config=PlannerConfig(force_agg="sort"),
+            parallel=SERIAL,
+        )
         sql = "SELECT c, count(*) AS n FROM t GROUP BY c"
         assert engine.execute(sql) == serial.execute(sql)
         stats = engine.last_exec_stats
@@ -338,7 +346,7 @@ def test_map_overflow_falls_back_identically():
     parallel = HiqueEngine(
         catalog, planner_config=config, parallel=PARALLEL
     )
-    serial = HiqueEngine(catalog, planner_config=config)
+    serial = HiqueEngine(catalog, planner_config=config, parallel=SERIAL)
     try:
         sql = "SELECT v, count(*) AS n FROM u GROUP BY v"
         assert parallel.execute(sql) == serial.execute(sql)
@@ -357,25 +365,6 @@ def test_phase_stats_reported_for_simple_scan(wide_catalog):
         assert stats.phases[0].workers > 1
         assert stats.phases[0].tasks == stats.morsels
         assert "stage" in stats.describe()
-    finally:
-        engine.close()
-
-
-def test_default_parallel_env_var(wide_catalog, monkeypatch):
-    """REPRO_DEFAULT_PARALLEL turns on the parallel path for engines
-    constructed without an explicit config (the CI sweep relies on it)."""
-    monkeypatch.setenv("REPRO_DEFAULT_PARALLEL", "1")
-    monkeypatch.setenv("REPRO_DEFAULT_WORKERS", "3")
-    engine = HiqueEngine(wide_catalog)
-    try:
-        assert engine.parallel is not None
-        assert engine.parallel.config.workers == 3
-    finally:
-        engine.close()
-    monkeypatch.setenv("REPRO_DEFAULT_PARALLEL", "0")
-    engine = HiqueEngine(wide_catalog)
-    try:
-        assert engine.parallel is None
     finally:
         engine.close()
 
@@ -511,7 +500,7 @@ def test_task_dispatcher_hands_out_each_index_once():
 
 
 def test_database_knobs_and_counters(wide_catalog):
-    db = Database(catalog=wide_catalog, workers=3, parallel=True)
+    db = Database(catalog=wide_catalog, workers=3)
     try:
         db.set_parallel(min_pages=2, morsel_pages=4)
         db.execute("SELECT count(*) AS n FROM t")
@@ -520,10 +509,11 @@ def test_database_knobs_and_counters(wide_catalog):
         assert stats.morsels > 1
         parallel_runs, _serial = db.parallel_counters()
         assert parallel_runs >= 1
-        # Turning the subsystem off pins execution to the serial path.
-        db.set_parallel(enabled=False)
+        # One worker pins execution to the serial walk.
+        db.set_parallel(workers=1)
         db.execute("SELECT count(*) AS n FROM t WHERE c = 1")
-        assert not db.last_exec_stats("hique").parallel
+        stats = db.last_exec_stats("hique")
+        assert not stats.parallel and stats.reason == "single worker"
     finally:
         db.close()
 

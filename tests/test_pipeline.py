@@ -26,6 +26,7 @@ from repro.parallel.stats import (
     default_pipeline,
 )
 from repro.storage import Catalog, Column, DOUBLE, INT, Schema, char
+from tests.conftest import SERIAL
 
 #: These tests assert the scheduler's mechanics over small in-memory
 #: tables, where production would decline to schedule at all.
@@ -93,7 +94,7 @@ QUERIES = [
 
 @pytest.mark.parametrize("executor", ["thread", "process"])
 def test_pipelined_rows_identical_to_barrier_and_serial(catalog, executor):
-    serial = HiqueEngine(catalog)
+    serial = HiqueEngine(catalog, parallel=SERIAL)
     barrier = HiqueEngine(
         catalog,
         parallel=ParallelConfig(
@@ -127,7 +128,7 @@ def test_pipelined_rows_identical_to_barrier_and_serial(catalog, executor):
 
 
 def test_pipelined_o0_plans_match_serial(catalog):
-    serial = HiqueEngine(catalog, opt_level="O0")
+    serial = HiqueEngine(catalog, opt_level="O0", parallel=SERIAL)
     pipelined = HiqueEngine(
         catalog,
         opt_level="O0",
@@ -178,8 +179,12 @@ def test_pipelined_independent_scans_overlap(catalog):
 
 
 def test_pipelined_task_errors_propagate_cleanly(catalog):
+    # Threads: the patched pair function lives in this process only.
     engine = HiqueEngine(
-        catalog, parallel=ParallelConfig(pipeline=True, **_PARALLEL)
+        catalog,
+        parallel=ParallelConfig(
+            pipeline=True, executor="thread", **_PARALLEL
+        ),
     )
     try:
         prepared = engine.prepare(QUERIES[1], name="boom")

@@ -27,6 +27,7 @@ from repro.plan.reference import evaluate as reference_evaluate
 from repro.sql.binder import Binder
 from repro.sql.parser import parse
 from repro.storage import Catalog, Column, DOUBLE, INT, Schema, char
+from tests.conftest import SERIAL
 
 #: These tests assert the scheduler's mechanics over small in-memory
 #: tables, where production would decline to schedule at all.
@@ -151,7 +152,7 @@ def test_restage_parallel_and_byte_identical(catalog, force_join):
     """Sort, fine-partition and coarse-partition restages all fan out
     and reproduce the serial rows exactly."""
     planner = PlannerConfig(force_join=force_join)
-    serial = HiqueEngine(catalog, planner_config=planner)
+    serial = HiqueEngine(catalog, planner_config=planner, parallel=SERIAL)
     parallel = HiqueEngine(
         catalog,
         planner_config=planner,
@@ -183,7 +184,7 @@ def test_restage_parallel_and_byte_identical(catalog, force_join):
 
 def test_hybrid_aggregation_restage_parallel(catalog):
     planner = PlannerConfig(force_agg="hybrid")
-    serial = HiqueEngine(catalog, planner_config=planner)
+    serial = HiqueEngine(catalog, planner_config=planner, parallel=SERIAL)
     parallel = HiqueEngine(
         catalog,
         planner_config=planner,
@@ -206,7 +207,7 @@ def test_double_restage_keys_stay_parallel_without_float_reorder(catalog):
     """Sorting/partitioning never reassociates floats, so a DOUBLE
     restage key must not force the restage serial even under the strict
     float policy."""
-    serial = HiqueEngine(catalog)
+    serial = HiqueEngine(catalog, parallel=SERIAL)
     parallel = HiqueEngine(
         catalog,
         parallel=ParallelConfig(allow_float_reorder=False, **_PARALLEL),
@@ -257,9 +258,12 @@ def _restage_chunk_name(prepared) -> str:
 def test_restage_chunk_crash_surfaces_error(catalog, pipeline):
     """A restage chunk task dying mid-pipeline surfaces its error
     cleanly (no hang, no partial rows) and the engine keeps serving."""
+    # Threads: the patched chunk function lives in this process only.
     engine = HiqueEngine(
         catalog,
-        parallel=ParallelConfig(pipeline=pipeline, **_PARALLEL),
+        parallel=ParallelConfig(
+            pipeline=pipeline, executor="thread", **_PARALLEL
+        ),
     )
     try:
         prepared = engine.prepare(SQL, name="crashy")
@@ -281,7 +285,7 @@ def test_missing_chunk_entry_falls_back_serial(catalog):
     """An (older) module without the chunk entry point degrades to the
     serial restage with a stats note instead of failing."""
     engine = HiqueEngine(catalog, parallel=ParallelConfig(**_PARALLEL))
-    serial = HiqueEngine(catalog)
+    serial = HiqueEngine(catalog, parallel=SERIAL)
     try:
         prepared = engine.prepare(SQL, name="legacy")
         chunk_name = _restage_chunk_name(prepared)

@@ -6,16 +6,17 @@ latencies and from cross-query profiles), the sticky/work-stealing
 :class:`AffinityDispatcher`, the incremental
 :class:`PartitionHandoff` (byte-identity against the barrier merges,
 incremental publication order, error propagation), row identity across
-every placement policy × scheduling mode, the mid-query
-process-pool-retired fallback, and the knob plumbing
-(``Database(placement=)`` / ``set_parallel`` / shell ``.placement`` /
-``REPRO_PLACEMENT``) plus the observability surfaces (stats describe,
-explain annotations, per-backend digest splits).
+every executor × scheduling mode, the mid-query process-pool-retired
+fallback, and the ``executor="auto"`` plumbing (``Database`` /
+``set_parallel`` / shell ``.executor`` / ``REPRO_EXECUTOR``) plus the
+observability surfaces (stats describe, explain annotations,
+per-backend digest splits).
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import io
 import random
 import threading
@@ -42,17 +43,17 @@ from repro.parallel.merge import (
 from repro.parallel.morsel import AffinityDispatcher
 from repro.parallel.proc import ScanTask, shipped_bytes
 from repro.parallel.stats import (
+    EXECUTOR_AUTO,
     EXECUTOR_MIXED,
     EXECUTOR_PROCESS,
     EXECUTOR_THREAD,
-    PLACEMENT_AUTO,
     ExecutionStats,
     ParallelConfig,
     PhaseStats,
-    default_placement,
 )
 from repro.plan.optimizer import PlannerConfig
 from repro.storage import Catalog, Column, DOUBLE, INT, Schema, char
+from tests.conftest import SERIAL
 
 #: These tests assert the scheduler's mechanics over small in-memory
 #: tables, where production would decline to schedule at all.
@@ -381,26 +382,26 @@ QUERIES = [
 
 
 @pytest.mark.parametrize("pipeline", [False, True])
-def test_rows_identical_under_every_placement(catalog, pipeline):
-    serial = HiqueEngine(catalog)
+def test_rows_identical_under_every_executor(catalog, pipeline):
+    serial = HiqueEngine(catalog, parallel=SERIAL)
     engines = {
-        placement: HiqueEngine(
+        executor: HiqueEngine(
             catalog,
             parallel=ParallelConfig(
-                placement=placement, pipeline=pipeline, **_PARALLEL
+                executor=executor, pipeline=pipeline, **_PARALLEL
             ),
         )
-        for placement in ("thread", "process", "auto")
+        for executor in ("thread", "process", "auto")
     }
     try:
         for sql in QUERIES:
             want = serial.execute(sql)
-            for placement, engine in engines.items():
-                assert engine.execute(sql) == want, (placement, sql)
+            for executor, engine in engines.items():
+                assert engine.execute(sql) == want, (executor, sql)
                 stats = engine.last_exec_stats
-                assert stats is not None, (placement, sql)
+                assert stats is not None, (executor, sql)
                 if stats.parallel:
-                    assert stats.placement == placement, (placement, sql)
+                    assert stats.placement == executor, (executor, sql)
         stats = engines["auto"].last_exec_stats
         assert stats is not None and stats.parallel
         assert "adaptive" in stats.describe()
@@ -424,14 +425,12 @@ def test_rows_identical_under_every_placement(catalog, pipeline):
     ids=["fine-hash", "coarse-hybrid"],
 )
 def test_pipelined_partition_joins_hand_off(catalog, config):
-    serial = HiqueEngine(catalog)
+    serial = HiqueEngine(catalog, parallel=SERIAL)
     engine = HiqueEngine(
         catalog,
-        # Hand-off is a thread-placement pipelined feature: pin the
-        # placement so a REPRO_PLACEMENT=auto environment leg (which
-        # opens a process backend) cannot disable it underneath us.
+        # Hand-off needs the thread backend, whatever REPRO_EXECUTOR says.
         parallel=ParallelConfig(
-            pipeline=True, placement="thread", **_PARALLEL
+            pipeline=True, executor="thread", **_PARALLEL
         ),
     )
     sql = QUERIES[1]
@@ -452,14 +451,12 @@ def test_pipelined_partition_joins_hand_off(catalog, config):
 def test_self_join_hands_off_both_bindings(catalog):
     """``FROM t t1, t t2`` stages each binding separately, so *both*
     stagings may hand off — and rows must still match the serial run."""
-    serial = HiqueEngine(catalog)
+    serial = HiqueEngine(catalog, parallel=SERIAL)
     engine = HiqueEngine(
         catalog,
-        # Hand-off is a thread-placement pipelined feature: pin the
-        # placement so a REPRO_PLACEMENT=auto environment leg (which
-        # opens a process backend) cannot disable it underneath us.
+        # Hand-off needs the thread backend, whatever REPRO_EXECUTOR says.
         parallel=ParallelConfig(
-            pipeline=True, placement="thread", **_PARALLEL
+            pipeline=True, executor="thread", **_PARALLEL
         ),
     )
     config = PlannerConfig(force_join="hash")
@@ -484,14 +481,12 @@ def test_self_join_hands_off_both_bindings(catalog):
 def test_non_join_consumers_never_hand_off(catalog):
     """The gate admits only partition stagings feeding one pairwise
     join: an aggregation consumer needs the whole directory at once."""
-    serial = HiqueEngine(catalog)
+    serial = HiqueEngine(catalog, parallel=SERIAL)
     engine = HiqueEngine(
         catalog,
-        # Hand-off is a thread-placement pipelined feature: pin the
-        # placement so a REPRO_PLACEMENT=auto environment leg (which
-        # opens a process backend) cannot disable it underneath us.
+        # Hand-off needs the thread backend, whatever REPRO_EXECUTOR says.
         parallel=ParallelConfig(
-            pipeline=True, placement="thread", **_PARALLEL
+            pipeline=True, executor="thread", **_PARALLEL
         ),
     )
     config = PlannerConfig(force_agg="hybrid", force_partitions=8)
@@ -516,7 +511,7 @@ def test_barrier_runs_never_hand_off(catalog):
     engine = HiqueEngine(
         catalog,
         parallel=ParallelConfig(
-            pipeline=False, placement="thread", **_PARALLEL
+            pipeline=False, executor="thread", **_PARALLEL
         ),
     )
     try:
@@ -536,12 +531,10 @@ def test_barrier_runs_never_hand_off(catalog):
 def test_retired_process_pool_falls_back_to_threads(
     catalog, monkeypatch
 ):
-    serial = HiqueEngine(catalog)
+    serial = HiqueEngine(catalog, parallel=SERIAL)
     engine = HiqueEngine(
         catalog,
-        parallel=ParallelConfig(
-            executor="process", placement="process", **_PARALLEL
-        ),
+        parallel=ParallelConfig(executor="process", **_PARALLEL),
     )
 
     def retired(self, *args, **kwargs):
@@ -566,59 +559,114 @@ def test_retired_process_pool_falls_back_to_threads(
 # -- knob plumbing ----------------------------------------------------------------------
 
 
-def test_default_placement_env(monkeypatch):
-    monkeypatch.delenv("REPRO_PLACEMENT", raising=False)
-    assert default_placement() == ""
-    assert ParallelConfig().placement == ""
-    monkeypatch.setenv("REPRO_PLACEMENT", "auto")
-    assert default_placement() == PLACEMENT_AUTO
-    assert ParallelConfig().placement == PLACEMENT_AUTO
-    monkeypatch.setenv("REPRO_PLACEMENT", "sideways")
-    with pytest.raises(ValueError):
-        default_placement()
-
-
-def test_database_placement_knob(catalog, monkeypatch):
-    monkeypatch.delenv("REPRO_PLACEMENT", raising=False)
-    with Database(catalog=catalog, placement="auto") as db:
-        assert db.parallel_config.placement == PLACEMENT_AUTO
-        config = db.set_parallel(placement="thread")
-        assert config.placement == "thread"
-        # Other knobs survive a placement change and vice versa.
+def test_auto_executor_knob(catalog, monkeypatch):
+    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+    with Database(catalog=catalog, executor="auto") as db:
+        assert db.parallel_config.executor == EXECUTOR_AUTO
+        config = db.set_parallel(executor="thread")
+        assert config.executor == EXECUTOR_THREAD
+        # Other knobs survive an executor change and vice versa.
         config = db.set_parallel(workers=2)
-        assert config.placement == "thread" and config.workers == 2
-        config = db.set_parallel(placement="")
-        assert config.placement == ""
-        with pytest.raises(ReproError):
-            db.set_parallel(placement="sideways")
-    with Database(catalog=catalog, placement="auto") as db:
+        assert config.executor == EXECUTOR_THREAD and config.workers == 2
+        config = db.set_parallel(executor="auto")
+        assert config.executor == EXECUTOR_AUTO and config.workers == 2
         rows = db.execute(
             "SELECT x AS x, count(*) AS n FROM t GROUP BY x ORDER BY x"
         )
         assert rows
+        with pytest.raises(ReproError):
+            db.set_parallel(executor="sideways")
     with pytest.raises(ReproError):
-        Database(catalog=catalog, placement="bogus")
-    monkeypatch.setenv("REPRO_PLACEMENT", "auto")
+        Database(catalog=catalog, executor="bogus")
+    monkeypatch.setenv("REPRO_EXECUTOR", "auto")
+    assert ParallelConfig().executor == EXECUTOR_AUTO
     with Database(catalog=catalog) as db:
-        assert db.parallel_config.placement == PLACEMENT_AUTO
+        assert db.parallel_config.executor == EXECUTOR_AUTO
+    engine = HiqueEngine(catalog)
+    try:
+        assert engine.parallel.config.executor == EXECUTOR_AUTO
+    finally:
+        engine.close()
+    monkeypatch.setenv("REPRO_EXECUTOR", "sideways")
+    with pytest.raises(ReproError):
+        Database(catalog=catalog)
 
 
-def test_shell_placement_command(monkeypatch):
-    monkeypatch.delenv("REPRO_PLACEMENT", raising=False)
+def test_shell_executor_command(monkeypatch):
+    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
     out = io.StringIO()
     shell = Shell(stdout=out)
     try:
-        shell.handle(".placement")
-        shell.handle(".placement auto")
-        assert shell.db.parallel_config.placement == PLACEMENT_AUTO
-        shell.handle(".placement thread")
-        assert shell.db.parallel_config.placement == "thread"
-        shell.handle(".placement sideways")
+        shell.handle(".executor")
+        shell.handle(".executor auto")
+        assert shell.db.parallel_config.executor == EXECUTOR_AUTO
+        shell.handle(".executor thread")
+        assert shell.db.parallel_config.executor == EXECUTOR_THREAD
+        shell.handle(".executor sideways")
+        assert shell.db.parallel_config.executor == EXECUTOR_THREAD
         text = out.getvalue()
-        assert "follows executor" in text
-        assert "adaptive cost-model routing" in text
-        assert "batch placement set to thread" in text
-        assert "usage: .placement" in text
+        assert "task backend: thread" in text
+        assert "task backend set to auto" in text
+        assert "usage: .executor [thread|process|auto]" in text
+    finally:
+        shell.db.close()
+
+
+def test_parallel_config_has_eight_fields():
+    assert [f.name for f in dataclasses.fields(ParallelConfig)] == [
+        "workers",
+        "morsel_pages",
+        "executor",
+        "pipeline",
+        "task_timeout",
+        "min_pages",
+        "min_rows",
+        "allow_float_reorder",
+    ]
+
+
+def test_removed_knobs_are_rejected(catalog):
+    """``workers=1`` pins the serial walk; ``executor`` names the backend."""
+    with pytest.raises(TypeError):
+        Database(catalog=catalog, parallel=False)
+    with pytest.raises(TypeError):
+        Database(catalog=catalog, placement="auto")
+    with Database(catalog=catalog) as db:
+        with pytest.raises(TypeError):
+            db.set_parallel(enabled=False)
+        with pytest.raises(TypeError):
+            db.set_parallel(placement="auto")
+
+
+def test_set_parallel_rejects_bad_values_and_keeps_the_config(catalog):
+    with Database(catalog=catalog, workers=3) as db:
+        before = db.parallel_config
+        for bad in (
+            dict(workers=0),
+            dict(morsel_pages=0),
+            dict(min_rows=0),
+            dict(executor="sideways"),
+        ):
+            with pytest.raises(ReproError):
+                db.set_parallel(**bad)
+            assert db.parallel_config == before, bad
+
+
+def test_shell_parallel_only_shows_the_config(monkeypatch):
+    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+    monkeypatch.delenv("REPRO_PIPELINE", raising=False)
+    out = io.StringIO()
+    shell = Shell(stdout=out)
+    try:
+        shell.handle(".parallel")
+        shell.handle(".parallel off")
+        shell.handle(".placement auto")
+        assert shell.db.parallel_config == ParallelConfig()
+        text = out.getvalue()
+        assert "4 workers" in text and "thread backend" in text
+        assert "barrier scheduling" in text
+        assert "usage: .parallel" in text
+        assert "unknown command .placement" in text
     finally:
         shell.db.close()
 
@@ -630,7 +678,7 @@ def test_stats_describe_mixed_and_adaptive():
     stats = ExecutionStats(
         parallel=True,
         backend=EXECUTOR_MIXED,
-        placement=PLACEMENT_AUTO,
+        placement=EXECUTOR_AUTO,
         workers=4,
     )
     assert "(mixed, adaptive)" in stats.describe()
@@ -643,7 +691,7 @@ def test_stats_describe_mixed_and_adaptive():
 
 
 def test_explain_analyze_shows_placement_decisions(catalog):
-    with Database(catalog=catalog, placement="auto") as db:
+    with Database(catalog=catalog, executor="auto") as db:
         db.set_parallel(**_PARALLEL)
         text = db.explain_analyze(QUERIES[2])
     assert "placement=" in text
@@ -670,14 +718,14 @@ def test_digest_records_per_backend_split():
 
 
 def test_insights_render_per_backend_split(catalog):
-    """One statement run under both placements shows its split in the
+    """One statement run under both backends shows its split in the
     ``.insights`` digest table."""
     with Database(catalog=catalog) as db:
         db.set_parallel(**_PARALLEL)
         sql = QUERIES[2]
-        db.set_parallel(placement="thread")
+        db.set_parallel(executor="thread")
         db.execute(sql)
-        db.set_parallel(placement="process")
+        db.set_parallel(executor="process")
         db.execute(sql)
         text = db.insights_text()
     assert "t1/p1" in text

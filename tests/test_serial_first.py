@@ -15,11 +15,15 @@ import threading
 import pytest
 
 from repro import Column, Database, INT
+from repro.core.engine import HiqueEngine
+from repro.errors import ReproError
 from repro.parallel.intermediates import (
     SIGHTINGS_CAPACITY,
     IntermediateCache,
     _approx_bytes,
 )
+from repro.parallel.stats import ParallelConfig
+from repro.plan.optimizer import PlannerConfig
 from repro.storage import Catalog, Schema
 from repro.storage.buffer import BufferManager
 from repro.storage.heapfile import DiskFile
@@ -166,6 +170,72 @@ def test_pool_smaller_than_the_table_always_schedules(tmp_path):
         db.close()
 
 
+def test_bare_engine_owns_the_serial_first_executor(tmp_path, monkeypatch):
+    """An engine built without a config takes the same decision."""
+    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+    sql = QUERIES["aggregate"]
+    memory = _memory_db(workers=4)
+    disk = _disk_db(tmp_path, capacity=4096)
+    walked, scheduled = HiqueEngine(memory.catalog), HiqueEngine(disk.catalog)
+    try:
+        assert sorted(walked.execute(sql)) == sorted(
+            memory.execute(sql, engine="volcano")
+        )
+        assert walked.last_exec_stats.scheduled is False
+        disk.buffer.evict_all()
+        rows = scheduled.execute(sql)
+        assert scheduled.last_exec_stats.scheduled is True
+        assert sorted(rows) == sorted(disk.execute(sql, engine="volcano"))
+    finally:
+        walked.close()
+        scheduled.close()
+        memory.close()
+        disk.close()
+
+
+def test_bare_engine_takes_the_default_config(monkeypatch):
+    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+    monkeypatch.delenv("REPRO_PIPELINE", raising=False)
+    engine = HiqueEngine(Catalog())
+    try:
+        assert engine.parallel.config == ParallelConfig()
+    finally:
+        engine.close()
+    monkeypatch.setenv("REPRO_EXECUTOR", "sideways")
+    with pytest.raises(ReproError, match="REPRO_EXECUTOR"):
+        HiqueEngine(Catalog())
+
+
+def test_bare_engine_reports_the_overflow_fallback(monkeypatch):
+    """Stale statistics re-plan with hybrid aggregation; the re-planned
+    query takes the same serial-first executor, and its stats say why."""
+    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+    db = Database()
+    db.create_table("u", [Column("k", INT), Column("v", INT)])
+    db.load_rows("u", [(i, i % 3) for i in range(4000)])
+    db.analyze()
+    # Now the data outgrows the analysed distinct count.
+    db.load_rows("u", [(i + 4000, i % 883) for i in range(4000)])
+    engine = HiqueEngine(
+        db.catalog, planner_config=PlannerConfig(force_agg="map")
+    )
+    try:
+        sql = "SELECT v, count(*) AS n FROM u GROUP BY v"
+        rows = engine.execute(sql)
+        stats = engine.last_exec_stats
+        assert stats.parallel is False
+        assert stats.reason == (
+            "map-directory overflow: re-planned with hybrid aggregation; "
+            + RESIDENT
+        )
+        assert stats.notes[0].startswith("map-directory overflow")
+        assert engine.parallel.serial_runs == 1
+        assert sorted(rows) == sorted(db.execute(sql, engine="volcano"))
+    finally:
+        engine.close()
+        db.close()
+
+
 def test_resident_count_tracks_install_and_evict(tmp_path):
     db = _disk_db(tmp_path, capacity=4096)
     try:
@@ -221,6 +291,19 @@ def test_walk_probes_the_index_and_banks_nothing():
         assert "table 't': index: 1 rids" in stats.notes
         assert db.intermediates.stats().entries == 0
         assert "index: 1 rids" in db.explain_analyze(sql, params=(4321,))
+    finally:
+        db.close()
+
+
+def test_single_worker_probes_the_index():
+    db = _memory_db(workers=1)
+    try:
+        db.create_index("t", "a")
+        sql = "SELECT a, b FROM t WHERE a = ?"
+        assert db.execute(sql, params=(4321,)) == [(4321, 4321 % 7)]
+        stats = db.last_exec_stats()
+        assert stats.reason == "single worker"
+        assert "table 't': index: 1 rids" in stats.notes
     finally:
         db.close()
 

@@ -408,10 +408,9 @@ def test_futures_cancelled_while_queued_release_their_slots(
     db.close()
 
 
-def test_stats_report_effective_placement(simple_catalog):
-    """placement="auto" must be visible in ServiceStats.executor, not
-    masked by the legacy executor knob."""
-    with Database(catalog=simple_catalog, placement="auto") as db:
+def test_stats_report_auto_executor(simple_catalog):
+    """executor="auto" is visible in ServiceStats.executor."""
+    with Database(catalog=simple_catalog, executor="auto") as db:
         db.execute("SELECT a FROM t WHERE a = 1")
         assert db.service.stats().executor == "auto"
     with Database(catalog=simple_catalog, executor="thread") as db:
