@@ -357,6 +357,16 @@ class Database:
             "repro_intermediate_cache_invalidations_total",
             inter.invalidations,
         )
+        registry.sample(
+            "repro_intermediate_cache_sightings_total", inter.sightings
+        )
+        registry.sample(
+            "repro_intermediate_cache_admitted_total", inter.admitted
+        )
+        registry.sample(
+            "repro_intermediate_cache_sighting_evictions_total",
+            inter.sighting_evictions,
+        )
 
     def set_trace(self, enabled: bool) -> None:
         """Turn per-query span recording on or off at run time."""

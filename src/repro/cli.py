@@ -341,7 +341,9 @@ class Shell:
             f"{inter.bytes:,} / {inter.capacity_bytes:,} B, "
             f"{inter.hits} hits, {inter.misses} misses, "
             f"{inter.evictions} evictions "
-            f"({inter.hit_rate * 100:.0f}% hit rate)"
+            f"({inter.hit_rate * 100:.0f}% hit rate); admission: "
+            f"{inter.sightings} first sightings, {inter.admitted} "
+            f"admitted, {inter.sighting_evictions} sightings aged out"
         )
         for entry in reversed(service.cache.entries()):
             kind, key, _signature = entry.key

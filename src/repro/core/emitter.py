@@ -60,6 +60,8 @@ class GenContext:
     traced: bool = False
     #: struct format → module-level unpacker constant name.
     unpackers: dict[str, str] = field(default_factory=dict)
+    #: module-level row ``Struct`` constant name → its format.
+    row_structs: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.opt_level not in (OPT_O0, OPT_O2):
@@ -74,7 +76,8 @@ class GenContext:
         """Name of the module-level unpack_from bound to this format."""
         name = self.unpackers.get(struct_char)
         if name is None:
-            name = f"_u_{struct_char.replace(' ', '')}"
+            # "?" (BOOL) is no identifier character.
+            name = f"_u_{struct_char.replace('?', 'bool')}"
             self.unpackers[struct_char] = name
         return name
 
@@ -93,11 +96,18 @@ class GenContext:
             return f"{raw}.rstrip(_SP).decode()"
         return raw
 
+    def row_struct(self, name: str, fmt: str) -> str:
+        """Register a module-level ``Struct`` decoding whole tuples."""
+        self.row_structs[name] = fmt
+        return name
+
     def preamble_lines(self) -> list[str]:
-        """Module-level constant definitions for registered unpackers."""
+        """Module-level constant definitions for registered decoders."""
         lines = []
         for struct_char, name in sorted(self.unpackers.items()):
             lines.append(
                 f'{name} = _struct.Struct("<{struct_char}").unpack_from'
             )
+        for name, fmt in self.row_structs.items():
+            lines.append(f'{name} = _struct.Struct("{fmt}")')
         return lines

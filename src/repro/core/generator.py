@@ -72,6 +72,7 @@ class CodeGenerator:
         function_names: dict[int, str] = {}
         uses_map_aggregate = False
 
+        fused = _fusions(plan, gen)
         for operator in plan.operators:
             func_name = _function_name(operator)
             function_names[operator.op_id] = func_name
@@ -84,8 +85,11 @@ class CodeGenerator:
             elif isinstance(operator, MultiwayJoin):
                 emit_multiway_join(body, gen, operator, func_name)
             elif isinstance(operator, Aggregate):
-                input_layout = plan.op(operator.input_op).output_layout
-                emit_aggregate(body, gen, operator, func_name, input_layout)
+                source = plan.op(operator.input_op)
+                emit_aggregate(
+                    body, gen, operator, func_name, source.output_layout,
+                    scan=source if source.op_id in fused else None,
+                )
                 if operator.algorithm == AGG_MAP:
                     uses_map_aggregate = True
             elif isinstance(operator, Project):
@@ -100,7 +104,7 @@ class CodeGenerator:
                     f"no template for operator {type(operator).__name__}"
                 )
 
-        self._emit_composer(body, gen, plan, function_names)
+        self._emit_composer(body, gen, plan, function_names, fused)
         header = self._header(plan, name, gen, uses_map_aggregate)
         # Module metadata trailer: process-pool workers re-import this
         # file from the compiler's work directory and check these before
@@ -129,12 +133,25 @@ class CodeGenerator:
         gen: GenContext,
         plan: PhysicalPlan,
         function_names: dict[int, str],
+        fused: dict[int, Aggregate],
     ) -> None:
+        """``run_query``: every operator in plan order.  It has no
+        intermediate cache, so a fusable scan→aggregate pair always
+        runs fused, unless the index fetch answers the scan."""
+        folded = {aggregate.op_id for aggregate in fused.values()}
         with em.block("def run_query(ctx):"):
             for operator in plan.operators:
+                if operator.op_id in folded:
+                    continue
                 func = function_names[operator.op_id]
                 args = ", ".join(
                     f"r{input_id}" for input_id in operator.inputs
+                )
+                consumer = fused.get(operator.op_id)
+                fold = (
+                    None
+                    if consumer is None
+                    else function_names[consumer.op_id]
                 )
                 if isinstance(operator, ScanStage) and has_index_path(
                     gen, operator
@@ -142,11 +159,19 @@ class CodeGenerator:
                     # Probe first; the scan runs only when the index
                     # declines (too many matches for fetching to win).
                     em.emit(f"_hit = {func}_probe(ctx)")
-                    em.emit(
-                        f"r{operator.op_id} = {func}(ctx) "
-                        f"if _hit.rids is None "
-                        f"else {func}_fetch(ctx, _hit.rids)"
-                    )
+                    fetch = f"{func}_fetch(ctx, _hit.rids)"
+                    if fold is None:
+                        em.emit(
+                            f"r{operator.op_id} = {func}(ctx) "
+                            f"if _hit.rids is None else {fetch}"
+                        )
+                    else:
+                        em.emit(
+                            f"r{consumer.op_id} = {fold}_scan(ctx) "
+                            f"if _hit.rids is None else {fold}(ctx, {fetch})"
+                        )
+                elif fold is not None:
+                    em.emit(f"r{consumer.op_id} = {fold}_scan(ctx)")
                 elif args:
                     em.emit(f"r{operator.op_id} = {func}(ctx, {args})")
                 else:
@@ -195,6 +220,19 @@ class CodeGenerator:
         lines.append("")
         lines.append("")
         return "\n".join(lines)
+
+
+def _fusions(plan: PhysicalPlan, gen: GenContext) -> dict[int, Aggregate]:
+    """Scan op id → the aggregate it fuses into (untraced O2 only:
+    traced and O0 modules keep the paper's staged pair)."""
+    if not gen.optimized or gen.traced:
+        return {}
+    fused = {}
+    for operator in plan.operators:
+        consumer = plan.fusable_aggregate(operator)
+        if consumer is not None:
+            fused[operator.op_id] = consumer
+    return fused
 
 
 def _function_name(operator) -> str:

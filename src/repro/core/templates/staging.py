@@ -3,7 +3,7 @@
 These instantiate the paper's Listing 1 (optimized table scan-select)
 plus the staging variants of Section V-B: sorting, coarse/fine
 partitioning, and hybrid hash-sort staging.  At ``O2`` everything is
-inlined: constant field offsets, precompiled unpackers, inline predicate
+inlined: one precompiled row ``Struct`` per scan, inline predicate
 source.  At ``O0`` the function delegates to the generic runtime helpers
 through per-tuple function calls, which is the generic-hard-coded code
 quality the paper's Table II contrasts against.
@@ -52,123 +52,211 @@ def emit_scan_stage(
 # -- O2: fully inlined scan -------------------------------------------------------
 
 
-def _emit_scan_optimized(
-    em: Emitter, gen: GenContext, op: ScanStage, func_name: str
-) -> None:
-    table = op.table
-    schema = table.schema
-    tuple_size = schema.tuple_size
-    slots = op.output_layout.slots
+class ScanLoop:
+    """The O2 scan loop of one :class:`ScanStage`, around a per-row body.
 
-    # Map every referenced base column to a schema index.
-    projected = [(slot, schema.index_of(slot.column)) for slot in slots]
-    filter_indexes: dict[str, int] = {}
-    for comparison in op.filters:
-        for column in columns_in(comparison.left) + columns_in(
-            comparison.right
-        ):
-            filter_indexes[column.column] = schema.index_of(column.column)
+    The staging function's body appends the projected row; a fused
+    consumer (``aggregate_oM_scan``) folds the row into its accumulators
+    instead.  The body runs after the filter passed and every projected
+    field is decoded into ``v<schema index>`` (see :meth:`resolve`).
 
+    Untraced, each scan gets one module-level ``Struct`` covering the
+    columns it reads, with ``x`` pad bytes over the rest: a page decodes
+    in one ``iter_unpack`` call over its tuple area, and the index fetch
+    calls ``unpack_from`` of the same ``Struct`` once per rid.  Traced
+    modules keep the per-field decode, whose loads the probe charges
+    field by field.
+    """
+
+    def __init__(self, gen: GenContext, op: ScanStage):
+        self.gen = gen
+        self.op = op
+        schema = op.table.schema
+        self.schema = schema
+        self.projected = [
+            (slot, schema.index_of(slot.column))
+            for slot in op.output_layout.slots
+        ]
+        filter_indexes: dict[str, int] = {}
+        for comparison in op.filters:
+            for column in columns_in(comparison.left) + columns_in(
+                comparison.right
+            ):
+                filter_indexes[column.column] = schema.index_of(column.column)
+        self.filter_indexes = sorted(filter_indexes.values())
+        self.projected_only = [
+            (slot, idx)
+            for slot, idx in self.projected
+            if idx not in filter_indexes.values()
+        ]
+        self.predicate = conjunction_source_resolved(op.filters, self.resolve)
+        self.uses_params = comparisons_contain_parameter(op.filters)
+        if not gen.traced:
+            used = set(self.filter_indexes)
+            used.update(index for _, index in self.projected)
+            #: Schema indexes the row ``Struct`` decodes, in tuple order.
+            self.fields = sorted(used)
+            self.decoder = gen.row_struct(
+                f"_row_o{op.op_id}", self._row_format(used)
+            )
+
+    @staticmethod
     def var(index: int) -> str:
         return f"v{index}"
 
-    def resolve(column: BoundColumn) -> str:
-        return var(schema.index_of(column.column))
+    def resolve(self, column: BoundColumn) -> str:
+        """The local holding ``column``'s decoded value."""
+        return self.var(self.schema.index_of(column.column))
 
-    predicate = conjunction_source_resolved(op.filters, resolve)
-    projected_only = [
-        (slot, idx)
-        for slot, idx in projected
-        if idx not in filter_indexes.values()
-    ]
-    row_tuple = _row_tuple_source(projected, var)
-    row_bytes = len(slots) * 8
-    per_tuple_instr = _scan_instr_estimate(op, len(projected))
+    def slot_var(self, position: int) -> str:
+        """The local holding output slot ``position``."""
+        return self.var(self.projected[position][1])
 
-    def emit_prologue() -> None:
-        em.emit(f'table = ctx.tables["{op.binding}"]')
+    def _row_format(self, used: set[int]) -> str:
+        parts = ["<"]
+        pad = 0
+        for index, column in enumerate(self.schema):
+            if index in used:
+                if pad:
+                    parts.append(f"{pad}x")
+                    pad = 0
+                parts.append(column.dtype.struct_char)
+            else:
+                pad += column.dtype.size
+        if pad:
+            parts.append(f"{pad}x")
+        return "".join(parts)
+
+    def _targets(self) -> str:
+        if not self.fields:
+            return "_"
+        names = ", ".join(self.var(index) for index in self.fields)
+        return names + "," if len(self.fields) == 1 else names
+
+    def emit_prologue(self, em: Emitter) -> None:
+        em.emit(f'table = ctx.tables["{self.op.binding}"]')
         em.emit("read_page = table.read_page")
 
+    def emit_pages(self, em: Emitter, body, pages: str) -> None:
+        """The page walk over ``pages`` (a ``range(...)`` source)."""
+        size = self.schema.tuple_size
+        if not self.gen.traced:
+            area = (
+                f"memoryview(page.data)[{HEADER_SIZE}:{HEADER_SIZE} + "
+                f"page.num_tuples * {size}]"
+            )
+            with em.block(f"for p in {pages}:"):
+                em.emit("page = read_page(p)")
+                with em.block(
+                    f"for {self._targets()} in "
+                    f"{self.decoder}.iter_unpack({area}):"
+                ):
+                    self._emit_unpacked(em, body)
+            return
+        em.emit("_probe = ctx.probe")
+        em.emit("_fid = table.file.file_id")
+        with em.block(f"for p in {pages}:"):
+            em.emit("page = read_page(p)")
+            em.emit("data = page.data")
+            em.emit("_pb = _page_addr(_fid, p)")
+            em.emit("_probe.call(1)  # read_page: the unavoidable call")
+            with em.block("for t in range(page.num_tuples):"):
+                em.emit(f"off = {HEADER_SIZE} + t * {size}")
+                self._emit_traced_tuple(em, body)
+
+    def emit_rids(self, em: Emitter, body) -> None:
+        """The fetch walk over the probe's ``_rids`` (untraced only).
+
+        Rids arrive in heap order, so a page is read once and rows come
+        out in the order the scan would produce them."""
+        em.emit("_pno = -1")
+        with em.block("for p, t in _rids:"):
+            with em.block("if p != _pno:"):
+                em.emit("data = read_page(p).data")
+                em.emit("_pno = p")
+            em.emit(
+                f"{self._targets()} = {self.decoder}.unpack_from(data, "
+                f"{HEADER_SIZE} + t * {self.schema.tuple_size})"
+            )
+            self._emit_unpacked(em, body)
+
+    def _emit_unpacked(self, em: Emitter, body) -> None:
+        """Filter, then decode the strings, of one unpacked tuple."""
+        for index in self.filter_indexes:
+            self._emit_string_decode(em, index)
+        if self.predicate != "True":
+            with em.block(f"if not ({self.predicate}):"):
+                em.emit("continue")
+        for index in sorted({idx for _, idx in self.projected_only}):
+            self._emit_string_decode(em, index)
+        body(em)
+
+    def _emit_string_decode(self, em: Emitter, index: int) -> None:
+        if self.schema[index].dtype.is_string:
+            name = self.var(index)
+            em.emit(f"{name} = {name}.rstrip(_SP).decode()")
+
+    def _emit_traced_tuple(self, em: Emitter, body) -> None:
+        """One tuple at ``data[off:]``: filter, decode, run ``body``,
+        charging every field load and the per-tuple instructions."""
+        instr = _scan_instr_estimate(self.op, len(self.projected))
+        em.emit(f"_probe.instr({instr})")
+        # Decode filter fields first; short-circuit on failure.
+        for index in self.filter_indexes:
+            self._emit_traced_field(em, index)
+        if self.predicate != "True":
+            with em.block(f"if not ({self.predicate}):"):
+                em.emit("continue")
+        for _, index in self.projected_only:
+            self._emit_traced_field(em, index)
+        body(em)
+
+    def _emit_traced_field(self, em: Emitter, index: int) -> None:
+        dtype = self.schema[index].dtype
+        offset = self.schema.offset_of(index)
+        em.emit(f"_probe.load(_pb + off + {offset}, {dtype.size})")
+        em.emit(
+            f"{self.var(index)} = "
+            + self.gen.field_decode(dtype, "data", f"off + {offset}")
+        )
+
+
+def _emit_scan_optimized(
+    em: Emitter, gen: GenContext, op: ScanStage, func_name: str
+) -> None:
+    loop = ScanLoop(gen, op)
+    row_bytes = len(op.output_layout.slots) * 8
+    row_tuple = _row_tuple_source(loop.projected, loop.var)
+
     def emit_collector() -> None:
-        if comparisons_contain_parameter(op.filters):
+        if loop.uses_params:
             em.emit(f"{PARAMS_LOCAL} = ctx.params")
         _emit_collector_init(em, gen, op, row_bytes, "table.num_rows")
 
-    def emit_tuple() -> None:
-        """One tuple at ``data[off:]``: filter, decode, collect.  Runs
-        inside the innermost loop, which a failed filter ``continue``s."""
-        if gen.traced:
-            em.emit(f"_probe.instr({per_tuple_instr})")
-        # Decode filter fields first; short-circuit on failure.
-        for column_name, index in sorted(
-            filter_indexes.items(), key=lambda kv: kv[1]
-        ):
-            dtype = schema[index].dtype
-            offset = schema.offset_of(index)
-            if gen.traced:
-                em.emit(
-                    f"_probe.load(_pb + off + {offset}, {dtype.size})"
-                )
-            em.emit(
-                f"{var(index)} = "
-                + gen.field_decode(dtype, "data", f"off + {offset}")
-            )
-        if predicate != "True":
-            with em.block(f"if not ({predicate}):"):
-                em.emit("continue")
-        for slot, index in projected_only:
-            dtype = schema[index].dtype
-            offset = schema.offset_of(index)
-            if gen.traced:
-                em.emit(
-                    f"_probe.load(_pb + off + {offset}, {dtype.size})"
-                )
-            em.emit(
-                f"{var(index)} = "
-                + gen.field_decode(dtype, "data", f"off + {offset}")
-            )
-        _emit_collector_append(em, gen, op, row_tuple, row_bytes, var)
+    def collect(em: Emitter) -> None:
+        _emit_collector_append(em, gen, op, row_tuple, row_bytes, loop.var)
 
     def emit_epilogue() -> None:
         _emit_post_prep(em, gen, op.prep, row_bytes)
         em.emit(f"return {_result_var(op.prep)}")
 
     with em.block(f"def {func_name}(ctx, _lo=0, _hi=None):"):
-        emit_prologue()
+        loop.emit_prologue(em)
         em.emit("if _hi is None:")
         em.emit("    _hi = table.num_pages")
         emit_collector()
-        if gen.traced:
-            em.emit("_probe = ctx.probe")
-            em.emit("_fid = table.file.file_id")
-        with em.block("for p in range(_lo, _hi):"):
-            em.emit("page = read_page(p)")
-            em.emit("data = page.data")
-            if gen.traced:
-                em.emit("_pb = _page_addr(_fid, p)")
-                em.emit("_probe.call(1)  # read_page: the unavoidable call")
-            with em.block("for t in range(page.num_tuples):"):
-                em.emit(f"off = {HEADER_SIZE} + t * {tuple_size}")
-                emit_tuple()
+        loop.emit_pages(em, collect, "range(_lo, _hi)")
         emit_epilogue()
     em.emit()
 
     if not has_index_path(gen, op):
         return
     _emit_index_probe(em, op, func_name)
-    # The fetch half: the scan's tuple body over the probe's rids.  They
-    # arrive in heap order, so a page is read once and rows come out in
-    # the order the scan would produce them.
+    # The fetch half: the scan's tuple body over the probe's rids.
     with em.block(f"def {func_name}_fetch(ctx, _rids):"):
-        emit_prologue()
+        loop.emit_prologue(em)
         emit_collector()
-        em.emit("_pno = -1")
-        with em.block("for p, t in _rids:"):
-            with em.block("if p != _pno:"):
-                em.emit("data = read_page(p).data")
-                em.emit("_pno = p")
-            em.emit(f"off = {HEADER_SIZE} + t * {tuple_size}")
-            emit_tuple()
+        loop.emit_rids(em, collect)
         emit_epilogue()
     em.emit()
 

@@ -94,6 +94,11 @@ def _annotate(span: Span) -> str:
         parts.append(index)
     if span.attrs.get("staging_cached"):
         parts.append("staging: reused cached intermediate")
+    fused = span.attrs.get("fused")
+    if fused is not None:
+        # Which path a fusable scan→aggregate pair took, and why.
+        path = "fused scan→aggregate" if fused else "staged"
+        parts.append(f"{path}[{span.attrs.get('why', '')}]")
     if span.attrs.get("serial"):
         reason = span.attrs.get("serial_reason", "")
         flag = "serial-fallback"

@@ -1353,27 +1353,24 @@ class _ScheduledRun:
 
         Only unstaged scans fuse (staged consumers need the complete
         sorted/partitioned input), and only with the one operator that
-        consumes them: a projection (a pure per-row map) or a map/global
-        aggregation whose generated ``*_partial`` exists and whose
-        merge is exact under the float-reorder policy.
+        consumes them: a projection (a pure per-row map) or the plan's
+        fusable aggregate
+        (:meth:`~repro.plan.descriptors.PhysicalPlan.fusable_aggregate`)
+        whose generated ``*_partial`` exists and whose merge is exact
+        under the float-reorder policy.
         """
         if following is None or op.prep.kind != PREP_NONE:
             return None
         if isinstance(following, Project) and following.input_op == op.op_id:
             return following
-        if (
-            isinstance(following, Aggregate)
-            and following.input_op == op.op_id
-        ):
-            if following.group_positions and following.algorithm != AGG_MAP:
-                return None
-            name = self.names[following.op_id] + "_partial"
-            if name not in self.namespace:
-                return None
-            if self._float_gated(following):
-                return None
-            return following
-        return None
+        aggregate = self.plan.fusable_aggregate(op)
+        if aggregate is None:
+            return None
+        if self.names[aggregate.op_id] + "_partial" not in self.namespace:
+            return None
+        if self._float_gated(aggregate):
+            return None
+        return aggregate
 
     # -- join phase --------------------------------------------------------------------
     def _join(self, op: Join) -> None:

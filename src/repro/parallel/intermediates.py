@@ -49,6 +49,11 @@ class IntermediateCacheStats:
     misses: int
     evictions: int
     invalidations: int
+    #: Admission filter: misses recorded as a first sighting, misses
+    #: admitted as a repeat, and sightings aged out of the FIFO.
+    sightings: int
+    admitted: int
+    sighting_evictions: int
 
     @property
     def hit_rate(self) -> float:
@@ -109,6 +114,9 @@ class IntermediateCache:
         self._misses = 0
         self._evictions = 0
         self._invalidations = 0
+        self._first_sightings = 0
+        self._admitted = 0
+        self._sighting_evictions = 0
 
     def get(self, table: str, version: int, signature: tuple) -> Any:
         """The cached staged structure (a private copy), or None."""
@@ -135,10 +143,13 @@ class IntermediateCache:
         key = hash((table, signature))
         with self._lock:
             if key in self._sightings:
+                self._admitted += 1
                 return True
+            self._first_sightings += 1
             self._sightings[key] = None
             if len(self._sightings) > SIGHTINGS_CAPACITY:
                 del self._sightings[next(iter(self._sightings))]
+                self._sighting_evictions += 1
             return False
 
     def put(
@@ -206,4 +217,7 @@ class IntermediateCache:
                 misses=self._misses,
                 evictions=self._evictions,
                 invalidations=self._invalidations,
+                sightings=self._first_sightings,
+                admitted=self._admitted,
+                sighting_evictions=self._sighting_evictions,
             )

@@ -47,18 +47,30 @@ _MISS = object()
 
 
 class Staged:
-    """One scan's answer: the staged rows, or a miss that may bank."""
+    """One scan's answer: the staged rows, or a miss that may bank.
 
-    __slots__ = ("value", "_cache", "_key")
+    ``why`` names the path: "index fetch" or "cache hit" for an
+    answer; "second sighting" for a miss that banks; for one that does
+    not, "first sighting", "below min_pages", "no cache" or "not
+    bankable".
+    """
 
-    def __init__(self, value=_MISS, cache=None, key=None):
+    __slots__ = ("value", "why", "_cache", "_key")
+
+    def __init__(self, why, value=_MISS, cache=None, key=None):
         self.value = value
+        self.why = why
         self._cache = cache
         self._key = key
 
     @property
     def found(self) -> bool:
         return self.value is not _MISS
+
+    @property
+    def banks(self) -> bool:
+        """Whether :meth:`bank` will keep what the scan stages."""
+        return self._key is not None
 
     def bank(self, staged) -> None:
         """Keep what the scan staged, if the lookup earned it a place."""
@@ -107,11 +119,16 @@ class StageAccess:
             _mark_node(index=outcome)
             if hit.rids is not None:
                 return Staged(
-                    self.namespace[name + "_fetch"](self.ctx, hit.rids)
+                    "index fetch",
+                    self.namespace[name + "_fetch"](self.ctx, hit.rids),
                 )
         cache = self.cache
-        if cache is None or not bankable or table.num_pages < self.min_pages:
-            return Staged()
+        if cache is None:
+            return Staged("no cache")
+        if not bankable:
+            return Staged("not bankable")
+        if table.num_pages < self.min_pages:
+            return Staged("below min_pages")
         name = table.name.lower()
         signature = op.staging_shape + (self.params,)
         staged = cache.get(name, table.version, signature)
@@ -121,10 +138,14 @@ class StageAccess:
                 f"intermediate (version {table.version})"
             )
             _mark_node(staging_cached=True)
-            return Staged(staged)
+            return Staged("cache hit", staged)
         if cache.sighted(name, signature):
-            return Staged(cache=cache, key=(name, table.version, signature))
-        return Staged()
+            return Staged(
+                "second sighting",
+                cache=cache,
+                key=(name, table.version, signature),
+            )
+        return Staged("first sighting")
 
 
 def _mark_node(**attrs) -> None:
@@ -154,8 +175,13 @@ def serial_walk(
     The calling thread does all of it — no morsels, no task batches,
     no driver threads — but scans still go through
     :class:`StageAccess`, so warm stagings and index probes are served
-    exactly as on a scheduled run.  Returns ``(rows, phases, notes)``
-    with one single-worker :class:`PhaseStats` per phase that ran.
+    exactly as on a scheduled run.  A scan whose consumer fuses
+    (:meth:`~repro.plan.descriptors.PhysicalPlan.fusable_aggregate`)
+    runs the generated ``<aggregate>_scan`` instead whenever the lookup
+    misses without banking: the staging would be dropped right after
+    the aggregate walks it, so it is never built.  Returns ``(rows,
+    phases, notes)`` with one single-worker :class:`PhaseStats` per
+    phase that ran (a fused step counts as staging).
     """
     plan = prepared.plan
     namespace = prepared.compiled.namespace
@@ -169,35 +195,57 @@ def serial_walk(
     )
     results: dict[int, object] = {}
     seconds: dict[str, float] = {}
+    #: scan op id → the aggregate its generated ``_scan`` entry folds.
+    fusable = {}
+    for op in plan.operators:
+        consumer = plan.fusable_aggregate(op)
+        if consumer is not None and (
+            names[consumer.op_id] + "_scan" in namespace
+        ):
+            fusable[op.op_id] = consumer
 
-    def run(op):
+    def run(op) -> tuple[int, object]:
+        """``(op id answered, result)``: a fused scan answers its
+        consumer."""
         fn = namespace[names[op.op_id]]
         if not isinstance(op, ScanStage):
-            return fn(ctx, *[results[input_id] for input_id in op.inputs])
+            return op.op_id, fn(
+                ctx, *[results[input_id] for input_id in op.inputs]
+            )
         answer = access.lookup(op)
+        consumer = fusable.get(op.op_id)
+        if consumer is not None:
+            fused = not (answer.found or answer.banks)
+            _note_fusion(op, consumer, fused, answer.why, notes)
+            if fused:
+                fold = namespace[names[consumer.op_id] + "_scan"]
+                return consumer.op_id, fold(ctx)
         if answer.found:
-            return answer.value
+            return op.op_id, answer.value
         staged = fn(ctx)
         answer.bank(staged)
-        return staged
+        return op.op_id, staged
 
     traced = current_span() is not None
     for op in plan.operators:
+        if op.op_id in results:
+            continue  # an aggregate its scan already folded
         started = time.perf_counter()
         if traced:
-            # One node span per operator, so EXPLAIN ANALYZE annotates
-            # a declined run operator by operator like a scheduled one.
+            # One node span per operator (per fused pair), so EXPLAIN
+            # ANALYZE annotates a declined run operator by operator like
+            # a scheduled one.
             with maybe_span(
                 f"{type(op).__name__} o{op.op_id}", "node",
                 op_ids=str(op.op_id),
             ) as span:
-                value = run(op)
+                answered, value = run(op)
                 rows = result_rows(value)
                 if rows is not None:
                     span.set(rows=rows)
         else:
-            value = run(op)
-        results[op.op_id] = value
+            answered, value = run(op)
+        results[answered] = value
         phase = PHASE_OF[type(op)]
         seconds[phase] = (
             seconds.get(phase, 0.0) + time.perf_counter() - started
@@ -208,3 +256,28 @@ def serial_walk(
         if name in seconds
     ]
     return results[plan.root.op_id], phases, notes
+
+
+def _note_fusion(
+    scan: ScanStage, consumer, fused: bool, why: str, notes: list[str]
+) -> None:
+    """Say which path a fusable scan→aggregate pair took, and why."""
+    if fused:
+        notes.append(
+            f"table {scan.binding!r}: scan fused into aggregate "
+            f"o{consumer.op_id} ({why})"
+        )
+    else:
+        notes.append(
+            f"table {scan.binding!r}: staged for aggregate "
+            f"o{consumer.op_id} ({why})"
+        )
+    span = current_span()
+    if span is None or span.category != "node":
+        return
+    if fused:
+        # The node now covers both operators, named as a scheduler's
+        # fused node is.
+        span.name += f"+Aggregate o{consumer.op_id}"
+        span.set(op_ids=f"{scan.op_id},{consumer.op_id}")
+    span.set(fused=fused, why=why)

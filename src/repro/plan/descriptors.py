@@ -301,6 +301,31 @@ class PhysicalPlan:
     def __iter__(self) -> Iterator[Operator]:
         return iter(self.operators)
 
+    def fusable_aggregate(self, scan: Operator) -> Aggregate | None:
+        """The aggregate ``scan`` can fold its rows into unstaged, or None.
+
+        The one fusability rule: an unprepared scan (prep none) whose
+        next operator is its sole consumer and a map or global
+        aggregate.  Such an aggregate needs no order in its input, so
+        it can consume each row as the scan decodes it.
+        """
+        if not isinstance(scan, ScanStage) or scan.prep.kind != PREP_NONE:
+            return None
+        operators = self.operators
+        index = next(i for i, op in enumerate(operators) if op is scan)
+        if index + 1 == len(operators):
+            return None
+        following = operators[index + 1]
+        if (
+            not isinstance(following, Aggregate)
+            or following.input_op != scan.op_id
+        ):
+            return None
+        if following.group_positions and following.algorithm != AGG_MAP:
+            return None
+        consumers = sum(op.inputs.count(scan.op_id) for op in operators)
+        return following if consumers == 1 else None
+
     def validate(self) -> None:
         """Check topological order: inputs precede consumers."""
         seen: set[int] = set()

@@ -36,6 +36,7 @@ parallel scan/join/aggregate/sort paths on both task backends.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -374,17 +375,38 @@ class _Composed:
 class _Thrice:
     """The serial walk with an intermediate cache, met in all its
     states: every query runs three times — first sighting, banking
-    miss, cache hit — and must return the same sequence each time."""
+    miss, cache hit — and must return the same sequence each time.
+
+    ``paths`` counts which way each run of a scan→aggregate pair went:
+    the fused ``aggregate_oM_scan`` (a miss that will not bank), staged
+    and banked, or staged from a cache hit."""
+
+    _PATHS = {
+        "scan fused into aggregate": "fused",
+        "(second sighting)": "banked",
+        "(cache hit)": "hit",
+    }
 
     def __init__(self, engine: HiqueEngine):
         self.engine = engine
         engine.parallel.intermediates = IntermediateCache()
+        self.paths = Counter()
 
     def execute(self, sql, **kwargs):
-        first = self.engine.execute(sql, **kwargs)
+        first = self._run(sql, kwargs)
         for _ in range(2):
-            assert self.engine.execute(sql, **kwargs) == first
+            assert self._run(sql, kwargs) == first
         return first
+
+    def _run(self, sql, kwargs):
+        rows = self.engine.execute(sql, **kwargs)
+        for note in self.engine.last_exec_stats.notes:
+            if "aggregate o" not in note:
+                continue
+            for marker, path in self._PATHS.items():
+                if marker in note:
+                    self.paths[path] += 1
+        return rows
 
     def close(self) -> None:
         self.engine.close()
@@ -858,6 +880,10 @@ def test_differential_fuzz(seed: int):
             assert any(
                 name in rows_by_name for name in hique_names
             )  # corpus sanity
+        # The byte-identity oracle above met the fused scan→aggregate
+        # function and both staged paths.
+        paths = engines["hique-o2-walk"].paths
+        assert paths["fused"] and paths["banked"] and paths["hit"], paths
     finally:
         for engine in engines.values():
             close = getattr(engine, "close", None)
