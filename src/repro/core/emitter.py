@@ -8,9 +8,7 @@ whether probe instrumentation is woven in, and the registry of
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.errors import CodegenError
 from repro.storage.types import DataType
@@ -35,21 +33,35 @@ class Emitter:
             self._lines.append("")
             return
         prefix = INDENT * self._level
+        if "\n" not in text:
+            self._lines.append(prefix + text)
+            return
         for line in text.split("\n"):
             self._lines.append(prefix + line if line else "")
 
-    @contextmanager
-    def block(self, header: str) -> Iterator[None]:
+    def block(self, header: str) -> "_Block":
         """Emit ``header`` and indent the body one level."""
         self.emit(header)
-        self._level += 1
-        try:
-            yield
-        finally:
-            self._level -= 1
+        return _Block(self)
 
     def source(self) -> str:
         return "\n".join(self._lines) + "\n"
+
+
+class _Block:
+    """The indented body of :meth:`Emitter.block`: a plain context
+    manager, cheaper to enter than a generator-based one."""
+
+    __slots__ = ("_em",)
+
+    def __init__(self, em: Emitter):
+        self._em = em
+
+    def __enter__(self) -> None:
+        self._em._level += 1
+
+    def __exit__(self, *exc_info) -> None:
+        self._em._level -= 1
 
 
 @dataclass

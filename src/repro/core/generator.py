@@ -81,14 +81,17 @@ class CodeGenerator:
             elif isinstance(operator, Restage):
                 emit_restage(body, gen, operator, func_name)
             elif isinstance(operator, Join):
-                emit_join(body, gen, operator, func_name)
+                emit_join(
+                    body, gen, operator, func_name,
+                    scan=_fused_scan(plan, operator, fused),
+                )
             elif isinstance(operator, MultiwayJoin):
                 emit_multiway_join(body, gen, operator, func_name)
             elif isinstance(operator, Aggregate):
-                source = plan.op(operator.input_op)
                 emit_aggregate(
-                    body, gen, operator, func_name, source.output_layout,
-                    scan=source if source.op_id in fused else None,
+                    body, gen, operator, func_name,
+                    plan.op(operator.input_op).output_layout,
+                    scan=_fused_scan(plan, operator, fused),
                 )
                 if operator.algorithm == AGG_MAP:
                     uses_map_aggregate = True
@@ -133,12 +136,12 @@ class CodeGenerator:
         gen: GenContext,
         plan: PhysicalPlan,
         function_names: dict[int, str],
-        fused: dict[int, Aggregate],
+        fused: dict[int, Aggregate | Join],
     ) -> None:
         """``run_query``: every operator in plan order.  It has no
-        intermediate cache, so a fusable scan→aggregate pair always
+        intermediate cache, so a fusable scan→consumer pair always
         runs fused, unless the index fetch answers the scan."""
-        folded = {aggregate.op_id for aggregate in fused.values()}
+        folded = {consumer.op_id for consumer in fused.values()}
         with em.block("def run_query(ctx):"):
             for operator in plan.operators:
                 if operator.op_id in folded:
@@ -148,11 +151,14 @@ class CodeGenerator:
                     f"r{input_id}" for input_id in operator.inputs
                 )
                 consumer = fused.get(operator.op_id)
-                fold = (
-                    None
-                    if consumer is None
-                    else function_names[consumer.op_id]
-                )
+                if consumer is not None:
+                    fold = function_names[consumer.op_id]
+                    # The consumer's other input (a join's build side).
+                    other = "".join(
+                        f", r{input_id}"
+                        for input_id in consumer.inputs
+                        if input_id != operator.op_id
+                    )
                 if isinstance(operator, ScanStage) and has_index_path(
                     gen, operator
                 ):
@@ -160,18 +166,19 @@ class CodeGenerator:
                     # declines (too many matches for fetching to win).
                     em.emit(f"_hit = {func}_probe(ctx)")
                     fetch = f"{func}_fetch(ctx, _hit.rids)"
-                    if fold is None:
+                    if consumer is None:
                         em.emit(
                             f"r{operator.op_id} = {func}(ctx) "
                             f"if _hit.rids is None else {fetch}"
                         )
                     else:
                         em.emit(
-                            f"r{consumer.op_id} = {fold}_scan(ctx) "
-                            f"if _hit.rids is None else {fold}(ctx, {fetch})"
+                            f"r{consumer.op_id} = {fold}_scan(ctx{other}) "
+                            f"if _hit.rids is None else "
+                            f"{fold}(ctx{other}, {fetch})"
                         )
-                elif fold is not None:
-                    em.emit(f"r{consumer.op_id} = {fold}_scan(ctx)")
+                elif consumer is not None:
+                    em.emit(f"r{consumer.op_id} = {fold}_scan(ctx{other})")
                 elif args:
                     em.emit(f"r{operator.op_id} = {func}(ctx, {args})")
                 else:
@@ -222,17 +229,29 @@ class CodeGenerator:
         return "\n".join(lines)
 
 
-def _fusions(plan: PhysicalPlan, gen: GenContext) -> dict[int, Aggregate]:
-    """Scan op id → the aggregate it fuses into (untraced O2 only:
+def _fusions(
+    plan: PhysicalPlan, gen: GenContext
+) -> dict[int, Aggregate | Join]:
+    """Scan op id → the consumer it fuses into (untraced O2 only:
     traced and O0 modules keep the paper's staged pair)."""
     if not gen.optimized or gen.traced:
         return {}
     fused = {}
     for operator in plan.operators:
-        consumer = plan.fusable_aggregate(operator)
+        consumer = plan.fusable_consumer(operator)
         if consumer is not None:
             fused[operator.op_id] = consumer
     return fused
+
+
+def _fused_scan(
+    plan: PhysicalPlan, consumer, fused: dict[int, Aggregate | Join]
+) -> ScanStage | None:
+    """The scan whose rows ``consumer`` takes unstaged, if any."""
+    for scan_id, fused_consumer in fused.items():
+        if fused_consumer is consumer:
+            return plan.op(scan_id)
+    return None
 
 
 def _function_name(operator) -> str:

@@ -216,6 +216,25 @@ def fine_hash_join(
     return out
 
 
+def probe_hash_join(
+    build: dict[Any, Rows],
+    rows: Rows,
+    probe_key: int,
+    build_left: bool,
+) -> Rows:
+    """Build/probe hash join: each probe row in order, looked up in the
+    build side's fine partitions; output rows are ``left + right``."""
+    out: Rows = []
+    append = out.append
+    for row in rows:
+        matches = build.get(row[probe_key])
+        if matches is None:
+            continue
+        for match in matches:
+            append(match + row if build_left else row + match)
+    return out
+
+
 def multiway_merge_join(
     inputs: list[Rows], key_positions: Sequence[int]
 ) -> Rows:
@@ -340,3 +359,19 @@ def generic_partial(rows: Rows, helpers) -> dict[tuple, list[list]]:
 
 def limit_rows(rows: Rows, count: int) -> Rows:
     return rows[:count]
+
+
+# -- raw string comparison (O2 scans) -------------------------------------------------------
+
+
+def char_bytes(value: Any, width: int) -> bytes | None:
+    """The space-padded bytes a ``width``-byte CHAR/VARCHAR slot holds
+    when it decodes to ``value``; None when no slot decodes to it (not a
+    string, a trailing space, or wider than the slot), which compares
+    unequal to every slot."""
+    if not isinstance(value, str) or value.endswith(" "):
+        return None
+    raw = value.encode("utf-8")
+    if len(raw) > width:
+        return None
+    return raw.ljust(width, b" ")

@@ -44,6 +44,7 @@ from repro.sql.bound import (
     BoundArithmetic,
     BoundColumn,
     BoundExpr,
+    columns_in,
 )
 from repro.storage.types import DOUBLE
 
@@ -315,7 +316,7 @@ def emit_aggregate(
     """Emit the aggregation function(s) for one Aggregate descriptor.
 
     ``scan`` is the input scan this aggregate fuses with (see
-    :meth:`~repro.plan.descriptors.PhysicalPlan.fusable_aggregate`).
+    :meth:`~repro.plan.descriptors.PhysicalPlan.fusable_consumer`).
     The function then takes ``rows=None``: called without rows it runs
     the scan's page loop with the aggregate's update inlined, for runs
     whose staging would not be kept.  ``<name>_scan`` names that entry.
@@ -343,29 +344,37 @@ def _emit_input_loop(
     compiler: _AggCompiler,
     scan: ScanStage | None,
     fold_row: Callable,
+    raw_slots: frozenset[int] = frozenset(),
 ) -> None:
     """The loop feeding the aggregate: ``for row in rows``, and with a
     fused ``scan`` the scan's page loop when ``rows`` is None.
 
-    ``fold_row(em, column, slot)`` emits one row's update, spelling a
-    column reference through ``column`` and input slot ``i`` through
-    ``slot(i)``.  Both loops fold rows in scan order, so every
-    accumulator sees the same operations in the same order.
+    ``fold_row(em, column, slot, value)`` emits one row's update,
+    spelling a column reference through ``column``, input slot ``i``
+    through ``slot(i)`` and its decoded value through ``value(i)`` —
+    in the page loop the slots in ``raw_slots`` may hold padded bytes
+    (see :class:`ScanLoop`).  Both loops fold rows in scan order, so
+    every accumulator sees the same operations in the same order.
     """
 
     def staged(em: Emitter) -> None:
-        fold_row(em, compiler.row_column("row"), lambda i: f"row[{i}]")
+        def slot(i: int) -> str:
+            return f"row[{i}]"
+
+        fold_row(em, compiler.row_column("row"), slot, slot)
 
     if scan is None:
         with em.block("for row in rows:"):
             staged(em)
         return
-    loop = ScanLoop(gen, scan)
+    loop = ScanLoop(gen, scan, raw_slots)
     with em.block("if rows is None:"):
         loop.emit_prologue(em)
         loop.emit_pages(
             em,
-            lambda em: fold_row(em, loop.resolve, loop.slot_var),
+            lambda em: fold_row(
+                em, loop.resolve, loop.slot_var, loop.slot_value
+            ),
             "range(table.num_pages)",
         )
     with em.block("else:"):
@@ -413,7 +422,7 @@ def _emit_global_aggregate(
 ) -> None:
     row_bytes = len(compiler.input_layout) * 8
 
-    def fold_row(em: Emitter, column, slot) -> None:
+    def fold_row(em: Emitter, column, slot, value) -> None:
         if gen.traced:
             em.emit(f"_probe.load(_ib + _ri * {row_bytes}, {row_bytes})")
             em.emit("_ri += 1")
@@ -618,19 +627,22 @@ def _emit_map_row(
     shape: _MapShape,
     keys: list[str],
     column: Callable[[BoundColumn], str],
+    labels: list[str],
 ) -> None:
     """Find the row's group offset ``_g`` and fold the row into it.
 
-    ``keys`` spells each grouping value; one that is not already a
-    local is bound to ``v<g>`` first."""
+    ``keys`` spells each grouping value the directories are keyed on;
+    one that is not already a local is bound to ``v<g>`` first.
+    ``labels`` spells the value a new group records for its output
+    (the decoded string where a key is padded bytes)."""
     sizes = shape.sizes
     names = []
     dir_base = 0
-    for g, key in enumerate(keys):
+    for g, (key, label) in enumerate(zip(keys, labels)):
         if not key.isidentifier():
             em.emit(f"v{g} = {key}")
-            key = f"v{g}"
-        names.append(key)
+            key = label = f"v{g}"
+        names.append(label)
         em.emit(f"i{g} = dir{g}.get({key}, -1)")
         with em.block(f"if i{g} < 0:"):
             em.emit(f"i{g} = len(dir{g})")
@@ -695,7 +707,7 @@ def _emit_map_aggregate(
     row_bytes = len(compiler.input_layout) * 8
     num_aggs = max(len(compiler.aggregates), 1)
 
-    def fold_row(em: Emitter, column, slot) -> None:
+    def fold_row(em: Emitter, column, slot, value) -> None:
         if gen.traced:
             em.emit(f"_probe.load(_ib + _ri * {row_bytes}, {row_bytes})")
             em.emit("_ri += 1")
@@ -705,8 +717,19 @@ def _emit_map_aggregate(
             )
             em.emit(f"_probe.instr({instr})")
         _emit_map_row(
-            em, gen, compiler, shape, [slot(p) for p in positions], column
+            em, gen, compiler, shape, [slot(p) for p in positions], column,
+            [value(p) for p in positions],
         )
+
+    # A fused scan keys the directories on a string key's padded bytes
+    # and decodes it once per group, unless an aggregate reads it too.
+    read = {
+        compiler.input_layout.position(c)
+        for acc in compiler.accumulators.values()
+        if acc.argument is not None
+        for c in columns_in(acc.argument)
+    }
+    raw_slots = frozenset(p for p in positions if p not in read)
 
     with _aggregate_def(em, op, func_name, scan):
         _emit_map_init(em, compiler, shape)
@@ -721,7 +744,7 @@ def _emit_map_aggregate(
                 f"{shape.groups * 8 * num_aggs} + 64)"
             )
             em.emit("_ri = 0")
-        _emit_input_loop(em, gen, compiler, scan, fold_row)
+        _emit_input_loop(em, gen, compiler, scan, fold_row, raw_slots)
         _emit_map_output(em, compiler, shape)
 
 

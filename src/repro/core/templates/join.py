@@ -9,13 +9,23 @@ lines of code when compared to the existing evaluation algorithms").
 The multi-way variant implements join teams: one deeply-nested loop
 block per team, no intermediate materialisation, following the
 loop-blocking layout the paper describes for multi-way joins.
+
+The build/probe hash join is the one-thread shape of the fine partition
+join: only the build side is partitioned, and the probe side's rows are
+looked up one by one — inside the probe side's scan loop when the two
+fuse, so that input is never staged at all.
 """
 
 from __future__ import annotations
 
 from repro.core.emitter import Emitter, GenContext
+from repro.core.templates.staging import ScanLoop, row_tuple_source
 from repro.memsim import costs
-from repro.plan.expressions import conjunction_source
+from repro.plan.expressions import (
+    PARAMS_LOCAL,
+    comparisons_contain_parameter,
+    conjunction_source,
+)
 from repro.plan.descriptors import (
     JOIN_HASH,
     JOIN_HYBRID,
@@ -23,10 +33,17 @@ from repro.plan.descriptors import (
     JOIN_NESTED,
     Join,
     MultiwayJoin,
+    ScanStage,
 )
 
 
-def emit_join(em: Emitter, gen: GenContext, op: Join, func_name: str) -> None:
+def emit_join(
+    em: Emitter,
+    gen: GenContext,
+    op: Join,
+    func_name: str,
+    scan: ScanStage | None = None,
+) -> None:
     """Emit the evaluation function for a binary join.
 
     Untraced modules additionally get a ``<name>_pair`` entry point the
@@ -34,7 +51,13 @@ def emit_join(em: Emitter, gen: GenContext, op: Join, func_name: str) -> None:
     the staged (hash/hybrid) joins, one outer row chunk for merge and
     nested-loops joins.  Traced modules skip it — traced runs are
     serial, and the pair body would need its own probe bookkeeping.
+    A build/probe hash join has none: it walks its probe rows in order.
+    ``scan`` is its probe-side scan when the two fuse (see
+    :meth:`~repro.plan.descriptors.PhysicalPlan.fusable_consumer`).
     """
+    if op.build_op is not None:
+        _emit_probe_join(em, gen, op, func_name, scan)
+        return
     if not gen.optimized:
         _emit_join_generic(em, op, func_name)
         if not gen.traced:
@@ -259,6 +282,112 @@ def _emit_fine_hash_join(
         _emit_residual_filter(em, op)
         em.emit("return out")
     em.emit()
+
+
+# -- build/probe hash join ------------------------------------------------------------------
+
+
+def _emit_probe_join(
+    em: Emitter,
+    gen: GenContext,
+    op: Join,
+    func_name: str,
+    scan: ScanStage | None,
+) -> None:
+    """``<name>(ctx, build, rows)``: each probe row, in order, looked up
+    in the build side's fine partitions; matches come out in layout
+    order (``left + right``).
+
+    With a fused ``scan`` the function takes ``rows=None``: called
+    without rows it runs the probe side's page loop and looks each
+    qualifying row up as it is decoded, so the probe side is never
+    staged.  ``<name>_scan`` names that entry.
+    """
+    build_left = op.build_op == op.left_op
+    probe_key = op.right_key if build_left else op.left_key
+    rows = "rows" if scan is None else "rows=None"
+    with em.block(f"def {func_name}(ctx, build, {rows}):"):
+        if gen.optimized:
+            _emit_probe_body(em, gen, op, scan, build_left, probe_key)
+        else:
+            em.emit(
+                f"out = _rt.probe_hash_join(build, rows, {probe_key}, "
+                f"{build_left})"
+            )
+            _emit_residual_filter(em, op)
+            em.emit("return out")
+    em.emit()
+    if scan is not None:
+        em.emit(f"{func_name}_scan = {func_name}")
+        em.emit()
+
+
+def _emit_probe_body(
+    em: Emitter,
+    gen: GenContext,
+    op: Join,
+    scan: ScanStage | None,
+    build_left: bool,
+    probe_key: int,
+) -> None:
+    if scan is not None and comparisons_contain_parameter(scan.filters):
+        em.emit(f"{PARAMS_LOCAL} = ctx.params")
+    em.emit("out = []")
+    with em.block("if not build:"):
+        em.emit("return out")
+    em.emit("append = out.append")
+    em.emit("get = build.get")
+    if gen.traced:
+        _emit_join_trace_init(em, op)
+    orb = _row_bytes_left(op) + _row_bytes_right(op)
+    row = "brow + prow" if build_left else "prow + brow"
+
+    def probe(em: Emitter, key: str, prow: str | None) -> None:
+        """Look ``key`` up; emit one output row per build match."""
+        em.emit(f"matches = get({key})")
+        with em.block("if matches is None:"):
+            em.emit("continue")
+        if prow is not None:
+            em.emit(f"prow = {prow}")
+        with em.block("for brow in matches:"):
+            if op.residuals:
+                condition = conjunction_source(
+                    op.residuals, op.output_layout, "row"
+                )
+                em.emit(f"row = {row}")
+                with em.block(f"if {condition}:"):
+                    em.emit("append(row)")
+            else:
+                em.emit(f"append({row})")
+            if gen.traced:
+                _emit_output_trace(em, orb)
+
+    def staged(em: Emitter) -> None:
+        with em.block("for prow in rows:"):
+            if gen.traced:
+                em.emit(
+                    f"_probe.instr({costs.LOOP_ITER_INSTRUCTIONS + costs.HASH_INSTRUCTIONS})"
+                )
+            probe(em, f"prow[{probe_key}]", None)
+
+    if scan is None:
+        staged(em)
+    else:
+        loop = ScanLoop(gen, scan)
+        with em.block("if rows is None:"):
+            loop.emit_prologue(em)
+            loop.emit_pages(
+                em,
+                lambda em: probe(
+                    em,
+                    loop.slot_var(probe_key),
+                    row_tuple_source(loop.projected, loop.var),
+                ),
+                "range(table.num_pages)",
+            )
+        with em.block("else:"):
+            staged(em)
+    em.emit("return out")
 
 
 def _emit_nested_join(

@@ -12,6 +12,7 @@ quality the paper's Table II contrasts against.
 from __future__ import annotations
 
 from repro.core.emitter import Emitter, GenContext
+from repro.core.runtime import char_bytes
 from repro.errors import CodegenError
 from repro.memsim import costs
 from repro.plan.descriptors import (
@@ -23,13 +24,19 @@ from repro.plan.descriptors import (
     ScanStage,
 )
 from repro.plan.expressions import (
+    COMPARE_SOURCE,
     PARAMS_LOCAL,
     comparisons_contain_parameter,
     conjunction_source_resolved,
     contains_parameter,
     expr_source_resolved,
 )
-from repro.sql.bound import BoundColumn, columns_in
+from repro.sql.bound import (
+    BoundColumn,
+    BoundLiteral,
+    BoundParameter,
+    columns_in,
+)
 from repro.storage.page import HEADER_SIZE
 
 
@@ -63,12 +70,22 @@ class ScanLoop:
     Untraced, each scan gets one module-level ``Struct`` covering the
     columns it reads, with ``x`` pad bytes over the rest: a page decodes
     in one ``iter_unpack`` call over its tuple area, and the index fetch
-    calls ``unpack_from`` of the same ``Struct`` once per rid.  Traced
-    modules keep the per-field decode, whose loads the probe charges
-    field by field.
+    calls ``unpack_from`` of the same ``Struct`` once per rid.  Strings
+    decode late: a CHAR/VARCHAR column the filters compare only with
+    ``=`` / ``<>`` against a literal or parameter is compared as its
+    space-padded bytes, and is decoded only when the body reads it
+    decoded.  ``raw_slots`` names the output slots the body reads as
+    bytes (a fused map aggregate's directory keys); :meth:`slot_value`
+    spells such a slot decoded.  Traced modules keep the per-field
+    decode, whose loads the probe charges field by field.
     """
 
-    def __init__(self, gen: GenContext, op: ScanStage):
+    def __init__(
+        self,
+        gen: GenContext,
+        op: ScanStage,
+        raw_slots: frozenset[int] = frozenset(),
+    ):
         self.gen = gen
         self.op = op
         schema = op.table.schema
@@ -89,16 +106,92 @@ class ScanLoop:
             for slot, idx in self.projected
             if idx not in filter_indexes.values()
         ]
-        self.predicate = conjunction_source_resolved(op.filters, self.resolve)
         self.uses_params = comparisons_contain_parameter(op.filters)
-        if not gen.traced:
-            used = set(self.filter_indexes)
-            used.update(index for _, index in self.projected)
-            #: Schema indexes the row ``Struct`` decodes, in tuple order.
-            self.fields = sorted(used)
-            self.decoder = gen.row_struct(
-                f"_row_o{op.op_id}", self._row_format(used)
+        #: Schema indexes left as padded bytes (untraced only).
+        self.raw: frozenset[int] = frozenset()
+        #: (param index, width) → per-call local with its padded bytes.
+        self.param_bytes: dict[tuple[int, int], str] = {}
+        if gen.traced:
+            self.predicate = conjunction_source_resolved(
+                op.filters, self.resolve
             )
+            return
+        used = set(self.filter_indexes)
+        used.update(index for _, index in self.projected)
+        #: Schema indexes the row ``Struct`` decodes, in tuple order.
+        self.fields = sorted(used)
+        self.decoder = gen.row_struct(
+            f"_row_o{op.op_id}", self._row_format(used)
+        )
+        self._plan_decode(used, raw_slots)
+
+    def _plan_decode(self, used: set[int], raw_slots: frozenset[int]) -> None:
+        """Which strings decode before the filter, which after it, and
+        which stay bytes; the filter over raw comparisons."""
+        strings = {i for i in used if self.schema[i].dtype.is_string}
+        compared = (
+            _raw_comparable(self.op.filters, strings, self.schema)
+            if strings
+            else set()
+        )
+        #: Strings decoded before the filter (range or column compares).
+        decoded_first = strings - compared
+        self.pre_decode = [
+            i for i in self.filter_indexes if i in decoded_first
+        ]
+        body_decoded = {
+            index
+            for position, (_, index) in enumerate(self.projected)
+            if index in strings and position not in raw_slots
+        }
+        #: Strings the body reads decoded, decoded once the filter passed.
+        self.post_decode = sorted(body_decoded - set(self.pre_decode))
+        self.raw = frozenset(strings - set(self.pre_decode) - body_decoded)
+        if not compared:
+            self.predicate = conjunction_source_resolved(
+                self.op.filters, self.resolve
+            )
+            return
+        parts = [self._compare_source(c, compared) for c in self.op.filters]
+        if "False" in parts:
+            self.predicate = "False"
+        else:
+            self.predicate = (
+                " and ".join(part for part in parts if part != "True")
+                or "True"
+            )
+
+    def _compare_source(self, comparison, compared: set[int]) -> str:
+        column, other = comparison.left, comparison.right
+        if not isinstance(column, BoundColumn):
+            column, other = other, column
+        index = (
+            self.schema.index_of(column.column)
+            if isinstance(column, BoundColumn)
+            else None
+        )
+        if index not in compared:
+            return conjunction_source_resolved([comparison], self.resolve)
+        width = self.schema[index].dtype.size
+        if isinstance(other, BoundParameter):
+            key = (other.index, width)
+            operand = self.param_bytes.setdefault(
+                key, f"_c{len(self.param_bytes)}"
+            )
+        else:
+            raw = char_bytes(other.value, width)
+            if raw is None:  # no stored value decodes to the literal
+                return "False" if comparison.op == "=" else "True"
+            operand = repr(raw)
+        return f"{self.var(index)} {COMPARE_SOURCE[comparison.op]} {operand}"
+
+    def slot_value(self, position: int) -> str:
+        """Output slot ``position`` decoded, whether or not the loop
+        left it as bytes."""
+        index = self.projected[position][1]
+        if index in self.raw:
+            return f"{self.var(index)}.rstrip(_SP).decode()"
+        return self.var(index)
 
     @staticmethod
     def var(index: int) -> str:
@@ -136,6 +229,11 @@ class ScanLoop:
     def emit_prologue(self, em: Emitter) -> None:
         em.emit(f'table = ctx.tables["{self.op.binding}"]')
         em.emit("read_page = table.read_page")
+        if not self.gen.traced:
+            for (index, width), name in self.param_bytes.items():
+                em.emit(
+                    f"{name} = _rt.char_bytes(ctx.params[{index}], {width})"
+                )
 
     def emit_pages(self, em: Emitter, body, pages: str) -> None:
         """The page walk over ``pages`` (a ``range(...)`` source)."""
@@ -182,19 +280,18 @@ class ScanLoop:
 
     def _emit_unpacked(self, em: Emitter, body) -> None:
         """Filter, then decode the strings, of one unpacked tuple."""
-        for index in self.filter_indexes:
+        for index in self.pre_decode:
             self._emit_string_decode(em, index)
         if self.predicate != "True":
             with em.block(f"if not ({self.predicate}):"):
                 em.emit("continue")
-        for index in sorted({idx for _, idx in self.projected_only}):
+        for index in self.post_decode:
             self._emit_string_decode(em, index)
         body(em)
 
     def _emit_string_decode(self, em: Emitter, index: int) -> None:
-        if self.schema[index].dtype.is_string:
-            name = self.var(index)
-            em.emit(f"{name} = {name}.rstrip(_SP).decode()")
+        name = self.var(index)
+        em.emit(f"{name} = {name}.rstrip(_SP).decode()")
 
     def _emit_traced_tuple(self, em: Emitter, body) -> None:
         """One tuple at ``data[off:]``: filter, decode, run ``body``,
@@ -221,12 +318,35 @@ class ScanLoop:
         )
 
 
+def _raw_comparable(filters, strings: set[int], schema) -> set[int]:
+    """The string columns (schema indexes) every filter conjunct of
+    which is ``=`` / ``<>`` against a literal or parameter.
+
+    Such a comparison holds on the padded bytes exactly when it holds on
+    the decoded value.  Range comparisons do not: space-padded byte
+    order differs from string order below 0x20."""
+    verdict: dict[int, bool] = {}
+    for comparison in filters:
+        sides = (comparison.left, comparison.right)
+        for column in columns_in(comparison.left) + columns_in(
+            comparison.right
+        ):
+            index = schema.index_of(column.column)
+            other = sides[1] if sides[0] is column else sides[0]
+            verdict[index] = verdict.get(index, True) and (
+                comparison.op in ("=", "<>")
+                and column in sides
+                and isinstance(other, (BoundLiteral, BoundParameter))
+            )
+    return {index for index, ok in verdict.items() if ok and index in strings}
+
+
 def _emit_scan_optimized(
     em: Emitter, gen: GenContext, op: ScanStage, func_name: str
 ) -> None:
     loop = ScanLoop(gen, op)
     row_bytes = len(op.output_layout.slots) * 8
-    row_tuple = _row_tuple_source(loop.projected, loop.var)
+    row_tuple = row_tuple_source(loop.projected, loop.var)
 
     def emit_collector() -> None:
         if loop.uses_params:
@@ -292,7 +412,7 @@ def _emit_index_probe(em: Emitter, op: ScanStage, func_name: str) -> None:
     em.emit()
 
 
-def _row_tuple_source(projected, var) -> str:
+def row_tuple_source(projected, var) -> str:
     parts = ", ".join(var(index) for _, index in projected)
     if len(projected) == 1:
         return f"({parts},)"

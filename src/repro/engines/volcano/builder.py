@@ -24,6 +24,7 @@ from repro.engines.volcano.joins import (
     HybridJoin,
     MergeJoin,
     NestedLoopsJoin,
+    ProbeHashJoin,
 )
 from repro.engines.volcano.operators import (
     Buffer,
@@ -114,8 +115,18 @@ def _build_operator(
     if isinstance(operator, Join):
         left = _maybe_buffer(built[operator.left_op], options, probe)
         right = _maybe_buffer(built[operator.right_op], options, probe)
-        if operator.algorithm == JOIN_MERGE:
-            node: Iterator = MergeJoin(
+        if operator.build_op is not None:
+            build_left = operator.build_op == operator.left_op
+            node: Iterator = ProbeHashJoin(
+                left if build_left else right,
+                right if build_left else left,
+                operator.left_key if build_left else operator.right_key,
+                operator.right_key if build_left else operator.left_key,
+                build_left,
+                probe,
+            )
+        elif operator.algorithm == JOIN_MERGE:
+            node = MergeJoin(
                 left, right, operator.left_key, operator.right_key, probe
             )
         elif operator.algorithm == JOIN_HYBRID:

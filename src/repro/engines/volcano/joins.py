@@ -284,6 +284,78 @@ class FineHashJoin(Iterator):
         return row
 
 
+class ProbeHashJoin(Iterator):
+    """Build/probe hash join: the build child is loaded into a value
+    directory on open(); the probe child streams through it, and each
+    probe tuple yields its matches in build order, as ``left + right``.
+    """
+
+    def __init__(
+        self,
+        build: Iterator,
+        probe_side: Iterator,
+        build_key: int,
+        probe_key: int,
+        build_left: bool,
+        probe: NullProbe = NULL_PROBE,
+    ):
+        super().__init__(probe)
+        self.build = Materialize(build, probe)
+        self.source = probe_side
+        self.build_key = build_key
+        self.probe_key = probe_key
+        self.build_left = build_left
+        self._directory: dict = {}
+        self._dir_addr = 0
+        self._row: tuple | None = None
+        self._matches: list[tuple] = []
+        self._cursor = 0
+
+    def open(self) -> None:
+        super().open()
+        self.build.open()
+        self.source.open()
+        directory: dict = {}
+        for row in self.build.rows:
+            directory.setdefault(row[self.build_key], []).append(row)
+        self._directory = directory
+        if self.probe.enabled:
+            self._dir_addr = self.probe.space.alloc(
+                max(len(directory), 1) * 32
+            )
+        self._matches = []
+        self._cursor = 0
+
+    def close(self) -> None:
+        self.build.close()
+        self.source.close()
+        super().close()
+
+    def next(self) -> tuple | None:
+        probe = self.probe
+        while self._cursor >= len(self._matches):
+            row = self.child_next(self.source)
+            if row is None:
+                return None
+            key = row[self.probe_key]
+            if probe.enabled:
+                probe.instr(costs.HASH_INSTRUCTIONS)
+                probe.load(
+                    self._dir_addr
+                    + (hash(key) % max(len(self._directory), 1)) * 32,
+                    32,
+                )
+            self._row = row
+            self._matches = self._directory.get(key, ())
+            self._cursor = 0
+        match = self._matches[self._cursor]
+        self._cursor += 1
+        self.touch_state()
+        if self.build_left:
+            return match + self._row
+        return self._row + match
+
+
 class NestedLoopsJoin(Iterator):
     """Blocked nested loops (cartesian products)."""
 

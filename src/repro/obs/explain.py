@@ -96,8 +96,9 @@ def _annotate(span: Span) -> str:
         parts.append("staging: reused cached intermediate")
     fused = span.attrs.get("fused")
     if fused is not None:
-        # Which path a fusable scan→aggregate pair took, and why.
-        path = "fused scan→aggregate" if fused else "staged"
+        # Which path a fusable scan→consumer pair took, and why.
+        consumer = span.attrs.get("consumer", "aggregate")
+        path = f"fused scan→{consumer}" if fused else "staged"
         parts.append(f"{path}[{span.attrs.get('why', '')}]")
     if span.attrs.get("serial"):
         reason = span.attrs.get("serial_reason", "")

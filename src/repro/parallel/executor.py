@@ -750,16 +750,24 @@ class _ScheduledRun:
 
         Eligible: a partition-prep scan consumed by exactly one
         :class:`Join` that walks its partitions pairwise — fine
-        partitions feeding a hash join, coarse partitions feeding a
-        hybrid join.  A self-join consuming one staging on both sides
-        appears twice in the consumers map and is naturally excluded
-        (its pair enumeration needs the whole directory at once), as
-        is anything feeding a join team, restage or aggregate.
+        partitions feeding a hash join whose other input is partitioned
+        too, coarse partitions feeding a hybrid join.  A build/probe
+        hash join runs serially over its whole build side, so a
+        hand-off there would only start a merge thread to wait on.  A
+        self-join consuming one staging on both sides appears twice in
+        the consumers map and is naturally excluded (its pair
+        enumeration needs the whole directory at once), as is anything
+        feeding a join team, restage or aggregate.
         """
         consumers: dict[int, list] = {}
         for op in self.plan.operators:
             for input_id in op.inputs:
                 consumers.setdefault(input_id, []).append(op)
+
+        def partitioned(op_id: int) -> bool:
+            prep = getattr(self.plan.op(op_id), "prep", None)
+            return prep is not None and prep.kind == PREP_PARTITION
+
         eligible = set()
         for op in self.plan.operators:
             if not isinstance(op, ScanStage):
@@ -770,7 +778,11 @@ class _ScheduledRun:
             if len(users) != 1 or not isinstance(users[0], Join):
                 continue
             join = users[0]
-            if op.prep.fine and join.algorithm == JOIN_HASH:
+            if (
+                op.prep.fine
+                and join.algorithm == JOIN_HASH
+                and all(partitioned(i) for i in join.inputs)
+            ):
                 eligible.add(op.op_id)
             elif not op.prep.fine and join.algorithm == JOIN_HYBRID:
                 eligible.add(op.op_id)
@@ -1354,17 +1366,18 @@ class _ScheduledRun:
         Only unstaged scans fuse (staged consumers need the complete
         sorted/partitioned input), and only with the one operator that
         consumes them: a projection (a pure per-row map) or the plan's
-        fusable aggregate
-        (:meth:`~repro.plan.descriptors.PhysicalPlan.fusable_aggregate`)
-        whose generated ``*_partial`` exists and whose merge is exact
-        under the float-reorder policy.
+        fusable consumer
+        (:meth:`~repro.plan.descriptors.PhysicalPlan.fusable_consumer`)
+        when it is an aggregate whose generated ``*_partial`` exists and
+        whose merge is exact under the float-reorder policy.  (A probe
+        join takes the scan's merged rows on its serial path.)
         """
         if following is None or op.prep.kind != PREP_NONE:
             return None
         if isinstance(following, Project) and following.input_op == op.op_id:
             return following
-        aggregate = self.plan.fusable_aggregate(op)
-        if aggregate is None:
+        aggregate = self.plan.fusable_consumer(op)
+        if not isinstance(aggregate, Aggregate):
             return None
         if self.names[aggregate.op_id] + "_partial" not in self.namespace:
             return None
@@ -1374,6 +1387,11 @@ class _ScheduledRun:
 
     # -- join phase --------------------------------------------------------------------
     def _join(self, op: Join) -> None:
+        if op.build_op is not None:
+            # A build/probe join walks its probe rows in order: it has
+            # no pair entry point and no split to fan out.
+            self._serial(op)
+            return
         pair_name = self.names[op.op_id] + "_pair"
         if pair_name not in self.namespace:
             self.report.skip("join module lacks a pair entry point")

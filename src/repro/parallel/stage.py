@@ -176,10 +176,10 @@ def serial_walk(
     no driver threads — but scans still go through
     :class:`StageAccess`, so warm stagings and index probes are served
     exactly as on a scheduled run.  A scan whose consumer fuses
-    (:meth:`~repro.plan.descriptors.PhysicalPlan.fusable_aggregate`)
-    runs the generated ``<aggregate>_scan`` instead whenever the lookup
+    (:meth:`~repro.plan.descriptors.PhysicalPlan.fusable_consumer`)
+    runs the generated ``<consumer>_scan`` instead whenever the lookup
     misses without banking: the staging would be dropped right after
-    the aggregate walks it, so it is never built.  Returns ``(rows,
+    the consumer walks it, so it is never built.  Returns ``(rows,
     phases, notes)`` with one single-worker :class:`PhaseStats` per
     phase that ran (a fused step counts as staging).
     """
@@ -195,10 +195,10 @@ def serial_walk(
     )
     results: dict[int, object] = {}
     seconds: dict[str, float] = {}
-    #: scan op id → the aggregate its generated ``_scan`` entry folds.
+    #: scan op id → the consumer its generated ``_scan`` entry feeds.
     fusable = {}
     for op in plan.operators:
-        consumer = plan.fusable_aggregate(op)
+        consumer = plan.fusable_consumer(op)
         if consumer is not None and (
             names[consumer.op_id] + "_scan" in namespace
         ):
@@ -219,7 +219,15 @@ def serial_walk(
             _note_fusion(op, consumer, fused, answer.why, notes)
             if fused:
                 fold = namespace[names[consumer.op_id] + "_scan"]
-                return consumer.op_id, fold(ctx)
+                # The consumer's other input: a join's build side.
+                return consumer.op_id, fold(
+                    ctx,
+                    *[
+                        results[input_id]
+                        for input_id in consumer.inputs
+                        if input_id != op.op_id
+                    ],
+                )
         if answer.found:
             return op.op_id, answer.value
         staged = fn(ctx)
@@ -261,23 +269,21 @@ def serial_walk(
 def _note_fusion(
     scan: ScanStage, consumer, fused: bool, why: str, notes: list[str]
 ) -> None:
-    """Say which path a fusable scan→aggregate pair took, and why."""
+    """Say which path a fusable scan→consumer pair took, and why."""
+    kind = type(consumer).__name__
+    target = f"{kind.lower()} o{consumer.op_id}"
     if fused:
         notes.append(
-            f"table {scan.binding!r}: scan fused into aggregate "
-            f"o{consumer.op_id} ({why})"
+            f"table {scan.binding!r}: scan fused into {target} ({why})"
         )
     else:
-        notes.append(
-            f"table {scan.binding!r}: staged for aggregate "
-            f"o{consumer.op_id} ({why})"
-        )
+        notes.append(f"table {scan.binding!r}: staged for {target} ({why})")
     span = current_span()
     if span is None or span.category != "node":
         return
     if fused:
         # The node now covers both operators, named as a scheduler's
         # fused node is.
-        span.name += f"+Aggregate o{consumer.op_id}"
+        span.name += f"+{kind} o{consumer.op_id}"
         span.set(op_ids=f"{scan.op_id},{consumer.op_id}")
-    span.set(fused=fused, why=why)
+    span.set(fused=fused, why=why, consumer=kind.lower())

@@ -114,7 +114,7 @@ AGG_MAP = "map"  # value-directory map aggregation
 
 #: Join algorithms (Section V-B).  All share the nested-loops template.
 JOIN_MERGE = "merge"
-JOIN_HASH = "hash"  # partition join (Grace-style), fine or coarse
+JOIN_HASH = "hash"  # fine partition join (build/probe: Join.build_op)
 JOIN_HYBRID = "hybrid"  # hybrid hash-sort-merge join
 JOIN_NESTED = "nested"  # plain blocked nested loops (no staging order)
 
@@ -197,10 +197,26 @@ class Join(Operator):
     #: Further equi-join conjuncts between the same inputs, evaluated
     #: over the join's output layout.
     residuals: tuple[BoundComparison, ...] = ()
+    #: Set for a build/probe hash join: the input staged as fine
+    #: partitions ``{key: [rows]}``.  The other input, the probe side,
+    #: arrives unprepared and is looked up row by row, so the output
+    #: follows the probe rows' order.  None when both inputs are staged
+    #: alike (merge, hybrid, the symmetric fine hash join, nested loops).
+    build_op: int | None = None
+
+    @property
+    def probe_op(self) -> int | None:
+        if self.build_op is None:
+            return None
+        return self.right_op if self.build_op == self.left_op else self.left_op
 
     @property
     def inputs(self) -> tuple[int, ...]:
-        return (self.left_op, self.right_op)
+        """``(left, right)``; ``(build, probe)`` for a build/probe join,
+        the order its generated function takes them in."""
+        if self.build_op is None:
+            return (self.left_op, self.right_op)
+        return (self.build_op, self.probe_op)
 
 
 @dataclass
@@ -301,13 +317,14 @@ class PhysicalPlan:
     def __iter__(self) -> Iterator[Operator]:
         return iter(self.operators)
 
-    def fusable_aggregate(self, scan: Operator) -> Aggregate | None:
-        """The aggregate ``scan`` can fold its rows into unstaged, or None.
+    def fusable_consumer(self, scan: Operator) -> Aggregate | Join | None:
+        """The operator ``scan`` can feed its rows into unstaged, or None.
 
         The one fusability rule: an unprepared scan (prep none) whose
-        next operator is its sole consumer and a map or global
-        aggregate.  Such an aggregate needs no order in its input, so
-        it can consume each row as the scan decodes it.
+        next operator is its sole consumer and either a map or global
+        aggregate or the build/probe hash join it is the probe side of.
+        Neither needs order in that input, so each can consume a row as
+        the scan decodes it.
         """
         if not isinstance(scan, ScanStage) or scan.prep.kind != PREP_NONE:
             return None
@@ -316,12 +333,14 @@ class PhysicalPlan:
         if index + 1 == len(operators):
             return None
         following = operators[index + 1]
-        if (
-            not isinstance(following, Aggregate)
-            or following.input_op != scan.op_id
+        if isinstance(following, Aggregate):
+            if following.input_op != scan.op_id or (
+                following.group_positions and following.algorithm != AGG_MAP
+            ):
+                return None
+        elif not (
+            isinstance(following, Join) and following.probe_op == scan.op_id
         ):
-            return None
-        if following.group_positions and following.algorithm != AGG_MAP:
             return None
         consumers = sum(op.inputs.count(scan.op_id) for op in operators)
         return following if consumers == 1 else None
@@ -359,6 +378,11 @@ def operator_detail(operator: Operator) -> str:
             f" filters={len(operator.filters)}"
         )
     if isinstance(operator, Join):
+        if operator.build_op is not None:
+            return (
+                f" {operator.algorithm} build=o{operator.build_op} "
+                f"probe=o{operator.probe_op}"
+            )
         return (
             f" {operator.algorithm} ({operator.left_op} ⋈ "
             f"{operator.right_op})"

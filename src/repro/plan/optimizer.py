@@ -8,17 +8,23 @@ code generator's templates.  It keeps track of *interesting orders*
 aggregation and ORDER BY can reuse) and *join teams* (sets of tables
 joined on a common key, evaluated in one deeply-nested loop block).
 
-Algorithm selection is driven by the same cache-consciousness rules the
-paper describes:
+Join algorithms are chosen, as the paper does (Section V-B), for the
+hardware the generated program runs on — here one interpreter thread:
 
-* **merge join** when both staged inputs fit in (half) the L2 cache —
-  full sorts at that size are cache resident;
-* **hybrid hash-sort-merge join** otherwise: coarse hash partitioning
-  into ``M`` partitions sized to fit half the L2 cache, partitions
-  sorted lazily right before merging;
-* **fine partitioning** when the key's distinct count is small enough
-  for a value-partition map — corresponding partitions then match
-  entirely and need no sort;
+* a **build/probe hash join** for every binary equi-join: the input
+  with the smaller estimate is staged as fine partitions on its key,
+  the other is neither sorted nor partitioned and is looked up row by
+  row — inside its own scan loop when nothing else consumes the scan.
+  Sorting or partitioning the larger input buys nothing without
+  threads or a cache hierarchy the interpreter can exploit;
+* the paper's staged algorithms — **merge**, **hybrid hash-sort-merge**
+  (coarse partitions sorted lazily before merging), and the symmetric
+  **fine partition** join — under ``force_join``, where the Figure 5–7
+  experiments pin them; join teams stay merge when all inputs fit half
+  of L2, hybrid otherwise.
+
+Aggregation follows the paper's cache-consciousness rules:
+
 * **map aggregation** when the value directories plus aggregate arrays
   fit comfortably in L2; **sort aggregation** when the input already
   arrives sorted on the grouping key; **hybrid hash-sort aggregation**
@@ -411,6 +417,8 @@ class Optimizer:
     ) -> _Rel:
         remaining.remove(predicate)
         left_b, right_b = predicate.bindings()
+        if current is not None and {left_b, right_b} <= current.bindings:
+            raise PlanError("join predicate within a single relation")
 
         def rel_for(binding: str, key: BoundColumn, prep_factory) -> _Rel:
             if current is not None and binding in current.bindings:
@@ -424,63 +432,92 @@ class Optimizer:
                 plan, binding, columns, prep_factory(key_pos)
             )
 
-        # Decide algorithm from estimated staged sizes of both sides.
-        left_rows = (
-            current.est_rows
-            if current is not None and left_b in current.bindings
-            else self._scan_estimate(left_b)
-        )
-        right_rows = (
-            current.est_rows
-            if current is not None and right_b in current.bindings
-            else self._scan_estimate(right_b)
-        )
-        left_fields = (
-            len(current.layout)
-            if current is not None and left_b in current.bindings
-            else len(pending[left_b])
-        )
-        right_fields = (
-            len(current.layout)
-            if current is not None and right_b in current.bindings
-            else len(pending[right_b])
-        )
-        total_bytes = self.config.staged_bytes(
-            left_rows, left_fields
-        ) + self.config.staged_bytes(right_rows, right_fields)
-        algorithm = self.config.force_join or (
-            JOIN_MERGE if self.config.fits_l2(total_bytes) else JOIN_HYBRID
-        )
-        partitions = self._choose_partitions(total_bytes)
-        fine = self._is_fine(predicate.left) and self._is_fine(predicate.right)
-        if algorithm == JOIN_HASH and not fine:
-            algorithm = JOIN_HYBRID  # coarse partitions need the sort-merge
+        def rows_of(binding: str) -> float:
+            if current is not None and binding in current.bindings:
+                return current.est_rows
+            return self._scan_estimate(binding)
 
-        def prep_factory(key_pos: int) -> Prep:
-            if algorithm == JOIN_MERGE:
-                return Prep(PREP_SORT, (key_pos,))
-            if algorithm == JOIN_HASH:
-                return Prep(PREP_PARTITION, (key_pos,), partitions, fine=True)
-            if algorithm == JOIN_NESTED:
-                return Prep()
-            # Hybrid: coarse-partition while staging; the join template
-            # sorts each pair of corresponding partitions just before
-            # merging them so they are L2 resident (Section V-B).
-            return Prep(PREP_PARTITION, (key_pos,), partitions, fine=False)
+        build: _Rel | None = None
+        if self.config.force_join is None:
+            # A build/probe hash join: the smaller input is staged as
+            # fine partitions on its key (an intermediate gets a
+            # Restage), the larger is neither sorted nor partitioned.
+            # Its scan is emitted last, right before the join, which
+            # makes the join the scan's next and sole consumer: the
+            # probe can run inside the scan's page loop.
+            algorithm = JOIN_HASH
+            build_key, probe_key = predicate.left, predicate.right
+            if rows_of(right_b) < rows_of(left_b):
+                build_key, probe_key = probe_key, build_key
+            build = self._restage_if_needed(
+                plan,
+                rel_for(
+                    build_key.binding,
+                    build_key,
+                    lambda key_pos: Prep(
+                        PREP_PARTITION, (key_pos,), fine=True
+                    ),
+                ),
+                build_key,
+                algorithm,
+                1,
+            )
+            probe = rel_for(probe_key.binding, probe_key, lambda _: Prep())
+            left_rel, right_rel = (
+                (build, probe) if build_key is predicate.left
+                else (probe, build)
+            )
+        else:
+            # Decide algorithm from estimated staged sizes of both sides.
+            left_fields = (
+                len(current.layout)
+                if current is not None and left_b in current.bindings
+                else len(pending[left_b])
+            )
+            right_fields = (
+                len(current.layout)
+                if current is not None and right_b in current.bindings
+                else len(pending[right_b])
+            )
+            total_bytes = self.config.staged_bytes(
+                rows_of(left_b), left_fields
+            ) + self.config.staged_bytes(rows_of(right_b), right_fields)
+            algorithm = self.config.force_join
+            partitions = self._choose_partitions(total_bytes)
+            fine = self._is_fine(predicate.left) and self._is_fine(
+                predicate.right
+            )
+            if algorithm == JOIN_HASH and not fine:
+                algorithm = JOIN_HYBRID  # coarse partitions need the sort-merge
 
-        left_rel = rel_for(left_b, predicate.left, prep_factory)
-        right_rel = rel_for(right_b, predicate.right, prep_factory)
-        if left_rel is right_rel:
-            raise PlanError("join predicate within a single relation")
+            def prep_factory(key_pos: int) -> Prep:
+                if algorithm == JOIN_MERGE:
+                    return Prep(PREP_SORT, (key_pos,))
+                if algorithm == JOIN_HASH:
+                    return Prep(
+                        PREP_PARTITION, (key_pos,), partitions, fine=True
+                    )
+                if algorithm == JOIN_NESTED:
+                    return Prep()
+                # Hybrid: coarse-partition while staging; the join
+                # template sorts each pair of corresponding partitions
+                # just before merging them so they are L2 resident
+                # (Section V-B).
+                return Prep(
+                    PREP_PARTITION, (key_pos,), partitions, fine=False
+                )
 
-        # An intermediate feeding a merge/hybrid join must be re-staged
-        # unless its order already matches the join key.
-        left_rel = self._restage_if_needed(
-            plan, left_rel, predicate.left, algorithm, partitions
-        )
-        right_rel = self._restage_if_needed(
-            plan, right_rel, predicate.right, algorithm, partitions
-        )
+            left_rel = rel_for(left_b, predicate.left, prep_factory)
+            right_rel = rel_for(right_b, predicate.right, prep_factory)
+
+            # An intermediate feeding a merge/hybrid join must be
+            # re-staged unless its order already matches the join key.
+            left_rel = self._restage_if_needed(
+                plan, left_rel, predicate.left, algorithm, partitions
+            )
+            right_rel = self._restage_if_needed(
+                plan, right_rel, predicate.right, algorithm, partitions
+            )
 
         left_key = left_rel.layout.position(predicate.left)
         right_key = right_rel.layout.position(predicate.right)
@@ -515,6 +552,7 @@ class Optimizer:
             left_key=left_key,
             right_key=right_key,
             residuals=tuple(residuals),
+            build_op=None if build is None else build.op_id,
             output_order=order,
         )
         plan.operators.append(join)

@@ -19,6 +19,7 @@ import pytest
 from repro import Database
 from repro.api import ENGINE_KINDS
 from repro.parallel import ParallelConfig
+from repro.plan.optimizer import PlannerConfig
 from repro.storage import Catalog, Column, DOUBLE, INT, Schema, char
 from repro.storage.buffer import BufferManager
 from repro.storage.heapfile import DiskFile
@@ -432,24 +433,34 @@ def test_parallel_config_is_visible_in_stats(stress_db):
         assert stats.morsels >= 2
 
 
-def test_join_workload_actually_parallelizes(stress_db, expected, scheduled):
-    """The join + ORDER BY statements exercise the join phase for both
-    code-generating engines, with rows byte-identical to serial."""
+def test_join_workload_actually_parallelizes(expected, scheduled):
+    """Planned as merge joins, the join + ORDER BY statements exercise
+    the join phase for both code-generating engines, with rows
+    byte-identical to serial.  (The default build/probe hash join has
+    no pair split: it probes on the calling thread.)"""
     join_indexes = [
         index for index, (sql, _) in enumerate(WORKLOAD) if "branches" in sql or "tiers" in sql
     ]
     assert join_indexes
-    for kind in ("hique", "hique-o0"):
-        saw_parallel_join = False
-        for index in join_indexes:
-            sql, make_params = WORKLOAD[index]
-            params = make_params(random.Random(index))
-            rows = stress_db.execute(sql, engine=kind, params=params)
-            assert rows == expected[(kind, index)], (kind, sql)
-            stats = stress_db.last_exec_stats(kind)
-            if stats is not None and stats.parallel and any(
-                phase.name == "join" and phase.workers > 1
-                for phase in stats.phases
-            ):
-                saw_parallel_join = True
-        assert saw_parallel_join, kind
+    db = _build_db(
+        max_workers=N_THREADS, workers=4,
+        planner_config=PlannerConfig(force_join="merge"),
+    )
+    db.set_parallel(min_pages=2, morsel_pages=2, min_rows=64)
+    try:
+        for kind in ("hique", "hique-o0"):
+            saw_parallel_join = False
+            for index in join_indexes:
+                sql, make_params = WORKLOAD[index]
+                params = make_params(random.Random(index))
+                rows = db.execute(sql, engine=kind, params=params)
+                assert rows == expected[(kind, index)], (kind, sql)
+                stats = db.last_exec_stats(kind)
+                if stats is not None and stats.parallel and any(
+                    phase.name == "join" and phase.workers > 1
+                    for phase in stats.phases
+                ):
+                    saw_parallel_join = True
+            assert saw_parallel_join, kind
+    finally:
+        db.close()

@@ -377,12 +377,13 @@ class _Thrice:
     states: every query runs three times — first sighting, banking
     miss, cache hit — and must return the same sequence each time.
 
-    ``paths`` counts which way each run of a scan→aggregate pair went:
-    the fused ``aggregate_oM_scan`` (a miss that will not bank), staged
-    and banked, or staged from a cache hit."""
+    ``paths`` counts which way each run of a scan→consumer pair went:
+    the fused ``aggregate_oM_scan`` or ``join_oM_scan`` (a miss that
+    will not bank), staged and banked, or staged from a cache hit."""
 
     _PATHS = {
         "scan fused into aggregate": "fused",
+        "scan fused into join": "fused-probe",
         "(second sighting)": "banked",
         "(cache hit)": "hit",
     }
@@ -401,7 +402,7 @@ class _Thrice:
     def _run(self, sql, kwargs):
         rows = self.engine.execute(sql, **kwargs)
         for note in self.engine.last_exec_stats.notes:
-            if "aggregate o" not in note:
+            if "aggregate o" not in note and "join o" not in note:
                 continue
             for marker, path in self._PATHS.items():
                 if marker in note:
@@ -881,9 +882,10 @@ def test_differential_fuzz(seed: int):
                 name in rows_by_name for name in hique_names
             )  # corpus sanity
         # The byte-identity oracle above met the fused scan→aggregate
-        # function and both staged paths.
+        # and scan→probe functions and both staged paths.
         paths = engines["hique-o2-walk"].paths
         assert paths["fused"] and paths["banked"] and paths["hit"], paths
+        assert paths["fused-probe"], paths
     finally:
         for engine in engines.values():
             close = getattr(engine, "close", None)

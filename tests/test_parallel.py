@@ -285,17 +285,21 @@ def test_parallel_join_with_aggregation(wide_catalog):
         parallel.close()
 
 
-def test_small_join_stays_serial(simple_db):
-    """Inputs under min_rows run the serial join function, with the
-    decision surfaced in the stats."""
-    simple_db.set_parallel(min_pages=1)
-    rows = simple_db.execute(
-        "SELECT t.a, u.d FROM t, u WHERE t.k = u.k AND t.a < 30"
-    )
-    assert rows  # correct result either way
-    stats = simple_db.last_exec_stats("hique")
-    assert not stats.parallel
-    assert "min_rows" in stats.reason
+def test_small_join_stays_serial(simple_catalog):
+    """Inputs under min_rows run a merge join's serial function, with
+    the decision surfaced in the stats."""
+    with Database(
+        catalog=simple_catalog,
+        planner_config=PlannerConfig(force_join="merge"),
+    ) as db:
+        db.set_parallel(min_pages=1)
+        rows = db.execute(
+            "SELECT t.a, u.d FROM t, u WHERE t.k = u.k AND t.a < 30"
+        )
+        assert rows  # correct result either way
+        stats = db.last_exec_stats("hique")
+        assert not stats.parallel
+        assert "min_rows" in stats.reason
 
 
 def test_small_tables_stay_serial(simple_db):

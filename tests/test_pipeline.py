@@ -25,6 +25,7 @@ from repro.parallel.stats import (
     ParallelConfig,
     default_pipeline,
 )
+from repro.plan.optimizer import PlannerConfig
 from repro.storage import Catalog, Column, DOUBLE, INT, Schema, char
 from tests.conftest import SERIAL
 
@@ -187,7 +188,12 @@ def test_pipelined_task_errors_propagate_cleanly(catalog):
         ),
     )
     try:
-        prepared = engine.prepare(QUERIES[1], name="boom")
+        # A merge join fans out pair tasks; the default build/probe hash
+        # join would probe serially.
+        prepared = engine.prepare(
+            QUERIES[1], name="boom",
+            planner_config=PlannerConfig(force_join="merge"),
+        )
         join_name = next(
             name
             for name in prepared.generated.function_names.values()

@@ -9,11 +9,11 @@ from repro.plan.descriptors import (
     AGG_MAP,
     AGG_SORT,
     Aggregate,
-    JOIN_HYBRID,
-    JOIN_MERGE,
+    JOIN_HASH,
     Join,
     Limit,
     MultiwayJoin,
+    PREP_NONE,
     PREP_PARTITION,
     PREP_PARTITION_SORT,
     PREP_SORT,
@@ -159,24 +159,39 @@ class TestScanPlanning:
 
 
 class TestJoinPlanning:
-    def test_small_join_uses_merge(self, simple_catalog):
+    def test_equi_join_builds_the_smaller_input(self, simple_catalog):
+        """u (40 rows) is staged as fine partitions; t (200 rows) is
+        scanned unprepared, right before the join it probes."""
         plan = plan_for(simple_catalog, "SELECT t.a, u.d FROM t, u "
                         "WHERE t.k = u.k")
-        joins = [op for op in plan.operators if isinstance(op, Join)]
-        assert joins[0].algorithm == JOIN_MERGE
-        scans = [op for op in plan.operators if isinstance(op, ScanStage)]
-        assert all(s.prep.kind == PREP_SORT for s in scans)
+        build, probe, join = plan.operators[:3]
+        assert isinstance(join, Join) and join.algorithm == JOIN_HASH
+        assert (build.binding, probe.binding) == ("u", "t")
+        assert build.prep.kind == PREP_PARTITION and build.prep.fine
+        assert probe.prep.kind == PREP_NONE
+        assert (join.build_op, join.probe_op) == (build.op_id, probe.op_id)
+        assert join.inputs == (build.op_id, probe.op_id)
+        # The layout stays left ++ right whichever side builds.
+        assert (join.left_op, join.right_op) == (probe.op_id, build.op_id)
+        assert join.output_order == ()
+        assert plan.fusable_consumer(probe) is join
 
-    def test_large_join_uses_hybrid(self, simple_catalog):
+    @pytest.mark.parametrize(
+        "force_join, prep", [("merge", PREP_SORT), ("hybrid", PREP_PARTITION)]
+    )
+    def test_forced_join_stages_both_inputs(
+        self, simple_catalog, force_join, prep
+    ):
         plan = plan_for(
             simple_catalog,
             "SELECT t.a, u.d FROM t, u WHERE t.k = u.k",
-            l2_bytes=1024,  # pretend the cache is tiny
+            force_join=force_join,
         )
         joins = [op for op in plan.operators if isinstance(op, Join)]
-        assert joins[0].algorithm == JOIN_HYBRID
+        assert joins[0].algorithm == force_join
+        assert joins[0].build_op is None
         scans = [op for op in plan.operators if isinstance(op, ScanStage)]
-        assert all(s.prep.kind == PREP_PARTITION for s in scans)
+        assert all(s.prep.kind == prep for s in scans)
 
     def test_merge_join_output_order_propagates(self, simple_catalog):
         plan = plan_for(

@@ -35,8 +35,14 @@ pytestmark = pytest.mark.usefixtures("scheduled")
 
 _PARALLEL = dict(workers=3, morsel_pages=1, min_pages=1, min_rows=8)
 
-#: Three tables joined on two different keys: the optimizer must join
-#: two of them first and re-stage the intermediate for the second join.
+#: The staged joins these tests were written for: the default
+#: build/probe hash join probes its larger input unprepared, so SQL's
+#: intermediate (the larger side) would need no restage.
+MERGE = PlannerConfig(force_join="merge")
+
+#: Three tables joined on two different keys: under MERGE the optimizer
+#: must join two of them first and re-stage the intermediate for the
+#: second join.
 SQL = (
     "SELECT a.x AS x, b.w AS w, c.z AS z FROM a, b, c "
     "WHERE a.x = b.x AND a.y = c.y ORDER BY x, w, z LIMIT 300"
@@ -124,7 +130,7 @@ def _fallback_notes(stats) -> list[str]:
 
 
 def test_plan_contains_restage(catalog):
-    engine = HiqueEngine(catalog)
+    engine = HiqueEngine(catalog, planner_config=MERGE)
     try:
         assert "Restage" in engine.explain(SQL)
     finally:
@@ -147,7 +153,7 @@ def test_all_six_engines_agree_with_parallel_restage(catalog):
         assert stats is not None
 
 
-@pytest.mark.parametrize("force_join", [None, "hash", "hybrid"])
+@pytest.mark.parametrize("force_join", ["merge", "hash", "hybrid"])
 def test_restage_parallel_and_byte_identical(catalog, force_join):
     """Sort, fine-partition and coarse-partition restages all fan out
     and reproduce the serial rows exactly."""
@@ -207,9 +213,10 @@ def test_double_restage_keys_stay_parallel_without_float_reorder(catalog):
     """Sorting/partitioning never reassociates floats, so a DOUBLE
     restage key must not force the restage serial even under the strict
     float policy."""
-    serial = HiqueEngine(catalog, parallel=SERIAL)
+    serial = HiqueEngine(catalog, planner_config=MERGE, parallel=SERIAL)
     parallel = HiqueEngine(
         catalog,
+        planner_config=MERGE,
         parallel=ParallelConfig(allow_float_reorder=False, **_PARALLEL),
     )
     try:
@@ -230,6 +237,7 @@ def test_small_restage_stays_serial_with_note(catalog):
     so in the stats notes."""
     engine = HiqueEngine(
         catalog,
+        planner_config=MERGE,
         parallel=ParallelConfig(
             workers=3, morsel_pages=1, min_pages=1, min_rows=1_000_000
         ),
@@ -261,6 +269,7 @@ def test_restage_chunk_crash_surfaces_error(catalog, pipeline):
     # Threads: the patched chunk function lives in this process only.
     engine = HiqueEngine(
         catalog,
+        planner_config=MERGE,
         parallel=ParallelConfig(
             pipeline=pipeline, executor="thread", **_PARALLEL
         ),
@@ -284,8 +293,10 @@ def test_restage_chunk_crash_surfaces_error(catalog, pipeline):
 def test_missing_chunk_entry_falls_back_serial(catalog):
     """An (older) module without the chunk entry point degrades to the
     serial restage with a stats note instead of failing."""
-    engine = HiqueEngine(catalog, parallel=ParallelConfig(**_PARALLEL))
-    serial = HiqueEngine(catalog, parallel=SERIAL)
+    engine = HiqueEngine(
+        catalog, planner_config=MERGE, parallel=ParallelConfig(**_PARALLEL)
+    )
+    serial = HiqueEngine(catalog, planner_config=MERGE, parallel=SERIAL)
     try:
         prepared = engine.prepare(SQL, name="legacy")
         chunk_name = _restage_chunk_name(prepared)
@@ -303,7 +314,7 @@ def test_missing_chunk_entry_falls_back_serial(catalog):
 
 
 def test_generated_source_has_chunk_entry(catalog):
-    engine = HiqueEngine(catalog)
+    engine = HiqueEngine(catalog, planner_config=MERGE)
     try:
         source = engine.generate_source(SQL)
         # The chunk entry aliases the serial restage function (the
