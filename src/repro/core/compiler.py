@@ -1,12 +1,17 @@
 """Compilation and dynamic loading of generated query code.
 
 The paper writes the generated C file, invokes gcc to produce a shared
-library, and ``dlopen``s it.  The Python analogue: the generated source
-is written to a real ``.py`` file (so tracebacks, inspection and the
-Table III file-size measurements work), compiled with :func:`compile`,
-and executed into a fresh module namespace whose entry function the
-executor calls.  ``marshal`` of the code object stands in for the shared
-library when reporting compiled sizes.
+library, and ``dlopen``s it.  The Python analogue compiles the generated
+source in memory with :func:`compile`, under the path its file would
+have, and executes it into a fresh module namespace whose entry function
+the executor calls.  Preparing a query writes no file: the namespace's
+``__loader__`` serves the source, so ``linecache`` (and with it
+tracebacks and ``inspect``) shows generated lines without one.  The file
+is written for process workers only — once, the first time a process
+backend asks for the module spec.  The scheduler's entry points are
+compiled into the same namespace the first time a run is scheduled.
+``marshal`` of the code object stands in for the shared library when
+reporting compiled sizes, computed only when asked for.
 """
 
 from __future__ import annotations
@@ -18,11 +23,30 @@ import shutil
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from types import CodeType
 from typing import Any, Callable
 
 from repro.core.generator import GeneratedQuery
 from repro.errors import CodegenError
+
+
+class _SourceLoader:
+    """The ``__loader__`` of a generated namespace: ``linecache`` asks it
+    for the module text when a traceback or ``inspect`` needs a line
+    and no file exists.  Holds only the text — the module
+    :meth:`CompiledQuery.module_spec` would write — so a ``linecache``
+    entry made on an error path does not keep the namespace alive."""
+
+    __slots__ = ("_source", "_scheduled")
+
+    def __init__(self, generated: GeneratedQuery):
+        self._source = generated.source
+        self._scheduled = generated.scheduled_source
+
+    def get_source(self, name: str) -> str:
+        return self._source + self._scheduled
 
 
 @dataclass
@@ -31,6 +55,8 @@ class CompiledQuery:
 
     name: str
     source: str
+    #: Where the module's file lives once :meth:`module_spec` writes it;
+    #: also the filename its code objects carry.
     source_path: str
     entry: Callable[[Any], list[tuple]]
     namespace: dict[str, Any]
@@ -38,22 +64,67 @@ class CompiledQuery:
     traced: bool
     compile_seconds: float
     source_bytes: int
-    compiled_bytes: int
+    #: The serial module's code object (kept for :attr:`compiled_bytes`).
+    code: CodeType
     #: Distinct module name the source was executed under.  Together
     #: with ``source_path`` this is the *module spec* process-pool
     #: workers use to re-import the generated code in their own
     #: interpreter (the analogue of a second ``dlopen`` of the shared
     #: library the paper's compiler produced).
     module_name: str = ""
+    #: The scheduler-only entry points, compiled by
+    #: :meth:`link_scheduled`.
+    scheduled_source: str = ""
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+    _linked: bool = field(default=False, init=False, repr=False)
+    _written: bool = field(default=False, init=False, repr=False)
+
+    @cached_property
+    def compiled_bytes(self) -> int:
+        """Size of the marshalled serial code object."""
+        return len(marshal.dumps(self.code))
+
+    def link_scheduled(self) -> None:
+        """Compile ``scheduled_source`` into :attr:`namespace`, once.
+
+        The scheduler calls this before its first run of the query;
+        serial runs never need it.  The code is padded to start on the
+        line after the serial module's last, so its line numbers match
+        the file :meth:`module_spec` writes.
+        """
+        if self._linked:
+            return
+        with self._lock:
+            if self._linked:
+                return
+            if self.scheduled_source:
+                padded = "\n" * self.source.count("\n") + self.scheduled_source
+                exec(  # noqa: S102 - the second half of the dynamic link
+                    compile(padded, self.source_path, "exec"), self.namespace
+                )
+            self._linked = True
 
     def module_spec(self) -> tuple[str, str]:
         """``(module_name, source_path)`` for out-of-process reloads.
 
-        The path stays valid for the lifetime of the owning engine: the
-        compiler's work directory is only removed by ``close()``/atexit,
-        so a worker process can re-read and execute the exact source
-        this process compiled.
+        Writes the complete module — serial and scheduled entry points —
+        the first time it is asked for, and never rewrites it.  The path
+        stays valid for the lifetime of the owning engine: the
+        compiler's work directory is only removed by ``close()``/atexit.
         """
+        if not self._written:
+            with self._lock:
+                if not self._written:
+                    os.makedirs(
+                        os.path.dirname(self.source_path), exist_ok=True
+                    )
+                    with open(
+                        self.source_path, "w", encoding="utf-8"
+                    ) as handle:
+                        handle.write(self.source + self.scheduled_source)
+                    self._written = True
         return self.module_name, self.source_path
 
 
@@ -96,15 +167,12 @@ class QueryCompiler:
         self.close()
 
     def compile(self, generated: GeneratedQuery) -> CompiledQuery:
-        """Write, compile and load one generated module."""
+        """Compile and load one generated module, in memory."""
         with self._counter_lock:
             self._counter += 1
             serial = self._counter
-        os.makedirs(self.workdir, exist_ok=True)
         file_name = f"{_sanitize(generated.name)}_{serial}.py"
         source_path = os.path.join(self.workdir, file_name)
-        with open(source_path, "w", encoding="utf-8") as handle:
-            handle.write(generated.source)
 
         started = time.perf_counter()
         try:
@@ -118,6 +186,7 @@ class QueryCompiler:
         namespace: dict[str, Any] = {
             "__name__": module_name,
             "__file__": source_path,
+            "__loader__": _SourceLoader(generated),
         }
         exec(code, namespace)  # noqa: S102 - this *is* the dynamic linker
         elapsed = time.perf_counter() - started
@@ -138,8 +207,9 @@ class QueryCompiler:
             traced=generated.traced,
             compile_seconds=elapsed,
             source_bytes=generated.source_size,
-            compiled_bytes=len(marshal.dumps(code)),
+            code=code,
             module_name=module_name,
+            scheduled_source=generated.scheduled_source,
         )
 
 

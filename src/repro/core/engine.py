@@ -264,10 +264,13 @@ class HiqueEngine:
     def generate_source(
         self, sql: str, opt_level: str | None = None, traced: bool = False
     ) -> str:
-        """The generated Python source for a query (for inspection)."""
-        return self.prepare(
+        """The generated Python source for a query (for inspection): the
+        serial module followed by the scheduler's entry points, as a
+        process worker imports it."""
+        generated = self.prepare(
             sql, traced=traced, opt_level=opt_level, use_cache=False
-        ).generated.source
+        ).generated
+        return generated.source + generated.scheduled_source
 
     def explain(self, sql: str) -> str:
         """The physical plan description for a query."""

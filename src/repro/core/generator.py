@@ -9,7 +9,11 @@ generation is to traverse O and generate a main (composing) function
 that calls all evaluation functions in the correct order".
 
 The output is a single self-contained source module, mirroring the
-paper's "insert all generated functions into a new C source file".
+paper's "insert all generated functions into a new C source file" — in
+two parts emitted in the same pass: ``source``, everything the serial
+walk and ``run_query`` call, and ``scheduled_source``, the scheduler's
+per-morsel entry points, which are compiled into the same namespace
+only when a run is scheduled.
 """
 
 from __future__ import annotations
@@ -45,11 +49,15 @@ class GeneratedQuery:
     """A generated source module, ready for compilation."""
 
     name: str
+    #: The serial module: what ``serial_walk`` and ``run_query`` call.
     source: str
     entry_name: str
     opt_level: str
     traced: bool
     function_names: dict[int, str] = field(default_factory=dict)
+    #: The scheduler-only entry points (``*_partial``, ``*_pair``,
+    #: ``*_chunk``), to be executed into the serial module's namespace.
+    scheduled_source: str = ""
 
     @property
     def source_size(self) -> int:
@@ -109,10 +117,10 @@ class CodeGenerator:
 
         self._emit_composer(body, gen, plan, function_names, fused)
         header = self._header(plan, name, gen, uses_map_aggregate)
-        # Module metadata trailer: process-pool workers re-import this
-        # file from the compiler's work directory and check these before
-        # running a task, so a mismatched or stale module fails loudly
-        # instead of computing wrong rows.
+        # Module metadata trailer: process-pool workers import the
+        # materialised module from the compiler's work directory and
+        # check these before running a task, so a mismatched or stale
+        # module fails loudly instead of computing wrong rows.
         trailer = (
             "\n"
             f"HIQUE_QUERY = {name!r}\n"
@@ -127,6 +135,7 @@ class CodeGenerator:
             opt_level=opt_level,
             traced=traced,
             function_names=function_names,
+            scheduled_source=gen.scheduled.source(),
         )
 
     # -- composition --------------------------------------------------------------

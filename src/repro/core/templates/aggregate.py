@@ -326,10 +326,10 @@ def emit_aggregate(
     )
     if not op.group_positions:
         _emit_global_aggregate(em, gen, op, func_name, compiler, scan)
-        _emit_partial_aggregate(em, gen, op, func_name, compiler)
+        _emit_partial_aggregate(gen, op, func_name, compiler)
     elif op.algorithm == AGG_MAP:
         _emit_map_aggregate(em, gen, op, func_name, compiler, scan)
-        _emit_partial_aggregate(em, gen, op, func_name, compiler)
+        _emit_partial_aggregate(gen, op, func_name, compiler)
     elif op.algorithm == AGG_SORT:
         _emit_sorted_aggregate(em, gen, op, func_name, compiler, hybrid=False)
     elif op.algorithm == AGG_HYBRID:
@@ -448,7 +448,6 @@ def _emit_global_aggregate(
 
 
 def _emit_partial_aggregate(
-    em: Emitter,
     gen: GenContext,
     op: Aggregate,
     func_name: str,
@@ -460,8 +459,10 @@ def _emit_partial_aggregate(
     (ungrouped aggregation and value-directory map aggregation): each
     parallel worker folds its morsels' staged rows into per-group 4-slot
     states, which the executor merges and finalizes (see
-    :func:`repro.parallel.executor.merge_aggregate_partials`).
+    :func:`repro.parallel.executor.merge_aggregate_partials`).  Only the
+    scheduler calls it, so it goes to the scheduled module.
     """
+    em = gen.scheduled
     with em.block(f"def {func_name}_partial(ctx, rows):"):
         if gen.optimized:
             _emit_partial_body(em, op, compiler)

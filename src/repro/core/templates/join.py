@@ -49,7 +49,8 @@ def emit_join(
     Untraced modules additionally get a ``<name>_pair`` entry point the
     parallel executor drives per unit of work: one partition pair for
     the staged (hash/hybrid) joins, one outer row chunk for merge and
-    nested-loops joins.  Traced modules skip it — traced runs are
+    nested-loops joins.  It goes to the scheduled module
+    (``gen.scheduled``).  Traced modules skip it — traced runs are
     serial, and the pair body would need its own probe bookkeeping.
     A build/probe hash join has none: it walks its probe rows in order.
     ``scan`` is its probe-side scan when the two fuse (see
@@ -61,7 +62,7 @@ def emit_join(
     if not gen.optimized:
         _emit_join_generic(em, op, func_name)
         if not gen.traced:
-            _emit_join_pair_generic(em, op, func_name)
+            _emit_join_pair_generic(gen.scheduled, op, func_name)
         return
     if op.algorithm == JOIN_MERGE:
         _emit_merge_join(em, gen, op, func_name)
@@ -74,7 +75,7 @@ def emit_join(
     else:  # pragma: no cover - guarded by the optimizer
         raise AssertionError(op.algorithm)
     if not gen.traced:
-        _emit_join_pair(em, gen, op, func_name)
+        _emit_join_pair(gen.scheduled, gen, op, func_name)
 
 
 def _emit_join_pair(

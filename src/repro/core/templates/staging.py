@@ -583,8 +583,9 @@ def emit_restage(
     like parallel scan staging.  The serial body is already correct
     over any private row chunk (chunks are slice copies, so even the
     in-place sort is safe), so the entry point is an alias — the same
-    idiom the merge/nested join templates use for ``*_pair``.  Traced
-    modules skip it because traced runs are serial.
+    idiom the merge/nested join templates use for ``*_pair``.  It goes
+    to the scheduled module (``gen.scheduled``).  Traced modules skip it
+    because traced runs are serial.
     """
     prep = op.prep
     with em.block(f"def {func_name}(ctx, rows):"):
@@ -633,8 +634,8 @@ def emit_restage(
             em.emit(f"return {_result_var(prep)}")
     em.emit()
     if not gen.traced:
-        em.emit(f"{func_name}_chunk = {func_name}")
-        em.emit()
+        gen.scheduled.emit(f"{func_name}_chunk = {func_name}")
+        gen.scheduled.emit()
 
 
 def _emit_generic_prep(em: Emitter, prep, rows_var: str) -> None:

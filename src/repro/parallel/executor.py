@@ -688,6 +688,9 @@ class _ScheduledRun:
         self.executor = executor
         self.prepared = prepared
         self.plan = prepared.plan
+        # The per-morsel entry points (``*_partial``/``_pair``/``_chunk``)
+        # are compiled on the query's first scheduled run.
+        prepared.compiled.link_scheduled()
         self.namespace = prepared.compiled.namespace
         self.names = prepared.generated.function_names
         self.params = params
@@ -702,7 +705,10 @@ class _ScheduledRun:
         #: chooser routes to threads run on the calling thread instead
         #: (threads would only interleave the same computation).
         self.inline = inline
-        self.module_spec = prepared.compiled.module_spec()
+        #: Only a process backend imports the module from a file.
+        self.module_spec = (
+            prepared.compiled.module_spec() if process is not None else None
+        )
         #: Span the scheduler's node spans parent under.  Captured on
         #: the constructing thread (where the engine's execute span is
         #: active): node runners later execute on pipeline driver

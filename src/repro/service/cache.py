@@ -62,7 +62,8 @@ class CacheEntry:
     #: What it cost to build this entry (seconds of preparation); each
     #: hit adds this to the cache-wide ``seconds_saved`` figure.
     cost_seconds: float = 0.0
-    #: Footprint estimate (generated + compiled bytes for code plans).
+    #: Footprint estimate (generated serial source bytes for code plans,
+    #: statement key bytes otherwise).
     size_bytes: int = 1
     hits: int = 0
     #: Preparation seconds this entry's hits have avoided so far.
@@ -164,7 +165,10 @@ class PlanCache:
 
         Caller holds the lock.  Iterating LRU→MRU with a strict ``<``
         keeps the least recently used of any scoring tie, which
-        degenerates to classic LRU while no entry has ever hit.
+        degenerates to classic LRU while no entry has ever hit.  Scores
+        are never negative, so the first zero in that order is the
+        victim and the scan stops there: a cache of never-hit entries
+        evicts in O(1).
         """
         victim_key = None
         victim_score = None
@@ -172,6 +176,8 @@ class PlanCache:
             if key == exclude:
                 continue
             score = entry.score
+            if score == 0:
+                return key
             if victim_score is None or score < victim_score:
                 victim_key, victim_score = key, score
         assert victim_key is not None  # capacity >= 1 and exclude is MRU

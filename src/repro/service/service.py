@@ -338,10 +338,7 @@ class QueryService:
                     return entry.value
                 plan, cost = self._build_plan(statement)
                 if plan.prepared is not None:
-                    size = (
-                        plan.prepared.compiled.source_bytes
-                        + plan.prepared.compiled.compiled_bytes
-                    )
+                    size = plan.prepared.compiled.source_bytes
                 else:
                     size = len(statement.key.encode("utf-8"))
                 self.cache.put(

@@ -1,5 +1,7 @@
 """Tests for the code generator, compiler, and generated-code behaviour."""
 
+import os
+
 import pytest
 
 from repro.core.compiler import QueryCompiler
@@ -144,10 +146,18 @@ class TestCompiler:
         assert compiled.compiled_bytes > 0
 
     def test_source_written_to_file(self, simple_catalog, tmp_path):
-        generated, _ = generate(simple_catalog, "SELECT a FROM t")
+        generated, _ = generate(
+            simple_catalog, "SELECT c, count(*) AS n FROM t GROUP BY c",
+            force_agg="map",
+        )
+        assert "_partial(ctx, rows):" in generated.scheduled_source
         compiled = QueryCompiler(str(tmp_path)).compile(generated)
+        assert not os.path.exists(compiled.source_path)
+        assert compiled.module_spec()[1] == compiled.source_path
         with open(compiled.source_path) as handle:
-            assert handle.read() == generated.source
+            assert handle.read() == (
+                generated.source + generated.scheduled_source
+            )
 
     def test_bad_source_raises_codegen_error(self, tmp_path):
         from repro.core.generator import GeneratedQuery

@@ -178,7 +178,8 @@ class TestGeneratedModuleHygiene:
         prepared = engine.prepare(
             "SELECT c, count(*) AS n FROM t GROUP BY c", use_cache=False
         )
-        with open(prepared.compiled.source_path, encoding="utf-8") as fh:
+        _, path = prepared.compiled.module_spec()
+        with open(path, encoding="utf-8") as fh:
             source = fh.read()
         namespace = {"__name__": "reloaded"}
         exec(compile(source, "reloaded.py", "exec"), namespace)  # noqa: S102

@@ -555,6 +555,41 @@ def test_cache_ties_break_in_lru_order():
     assert "second" in cache and "third" in cache
 
 
+def _full_scan_victim(cache: PlanCache, exclude) -> object:
+    """Reference eviction rule: the lowest score, LRU order breaking
+    ties, over every entry."""
+    victim, best = None, None
+    for entry in cache.entries():  # LRU → MRU
+        if entry.key == exclude:
+            continue
+        if best is None or entry.score < best:
+            victim, best = entry.key, entry.score
+    return victim
+
+
+def test_cache_early_exit_victim_matches_the_full_scan():
+    """Stopping at the first zero score picks the full scan's victim."""
+    rng = random.Random(20100419)
+    for _ in range(300):
+        cache = PlanCache(capacity=64)
+        keys = list(range(rng.randrange(2, 40)))
+        for key in keys:
+            # Few distinct costs and sizes, so scores tie often
+            # (0.1 / 100 == 0.2 / 200); cost 0 scores zero however hit.
+            cache.put(
+                key,
+                key,
+                cost_seconds=rng.choice((0.0, 0.1, 0.2)),
+                size_bytes=rng.choice((100, 200)),
+            )
+        for key in rng.sample(keys, rng.randrange(len(keys) + 1)):
+            cache.get(key)  # a hit gives a positive score, and recency
+        exclude = rng.choice(keys)
+        assert cache._pick_victim(exclude) == _full_scan_victim(
+            cache, exclude
+        )
+
+
 def test_cache_entry_counters_update_under_lock():
     cache = PlanCache(capacity=4)
     cache.put("k", "v", cost_seconds=0.25)

@@ -203,6 +203,9 @@ def test_pipelined_task_errors_propagate_cleanly(catalog):
         def boom(ctx, left, right):
             raise RuntimeError("pair task died")
 
+        # Link the scheduler's entry points first, so the first
+        # scheduled run does not overwrite the patch.
+        prepared.compiled.link_scheduled()
         prepared.compiled.namespace[join_name + "_pair"] = boom
         with pytest.raises(RuntimeError, match="pair task died"):
             engine.execute_prepared(prepared)

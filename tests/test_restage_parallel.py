@@ -277,6 +277,9 @@ def test_restage_chunk_crash_surfaces_error(catalog, pipeline):
     try:
         prepared = engine.prepare(SQL, name="crashy")
         chunk_name = _restage_chunk_name(prepared)
+        # The scheduler's entry points are linked on the first scheduled
+        # run; link them now so the patch is not overwritten.
+        prepared.compiled.link_scheduled()
 
         def boom(ctx, rows):
             raise RuntimeError("restage chunk died")
@@ -300,6 +303,7 @@ def test_missing_chunk_entry_falls_back_serial(catalog):
     try:
         prepared = engine.prepare(SQL, name="legacy")
         chunk_name = _restage_chunk_name(prepared)
+        prepared.compiled.link_scheduled()
         del prepared.compiled.namespace[chunk_name]
         assert engine.execute_prepared(prepared) == serial.execute(SQL)
         stats = engine.last_exec_stats

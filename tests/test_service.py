@@ -458,8 +458,16 @@ def test_engine_close_removes_generated_sources(simple_catalog):
     import os
 
     from repro.core.engine import HiqueEngine
+    from repro.parallel.stats import ParallelConfig
 
-    engine = HiqueEngine(simple_catalog)
+    # Only a process-backed run materialises the module's file.
+    engine = HiqueEngine(
+        simple_catalog,
+        parallel=ParallelConfig(
+            workers=2, executor="process", min_pages=1, min_rows=1,
+            morsel_pages=1,
+        ),
+    )
     engine.execute("SELECT a FROM t WHERE a = 1")
     workdir = engine.compiler.workdir
     assert os.path.isdir(workdir)
