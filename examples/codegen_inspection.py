@@ -69,9 +69,6 @@ def main() -> None:
     print(f"compile   {timings.compile_seconds * 1000:8.3f} ms")
     print(f"source    {prepared.compiled.source_bytes:8d} bytes")
     print(f"compiled  {prepared.compiled.compiled_bytes:8d} bytes")
-    # Preparation writes no file; module_spec() writes the module the
-    # way a process worker would import it.
-    print(f"module    {prepared.compiled.module_spec()[1]}")
 
     rows = engine.execute_prepared(prepared)
     print()

@@ -77,7 +77,6 @@ class Database:
         max_workers: int = 4,
         catalog: Catalog | None = None,
         workers: int = 4,
-        executor: str | None = None,
         pipeline: bool | None = None,
         trace: bool | None = None,
         insights: bool = True,
@@ -85,13 +84,6 @@ class Database:
         """``max_workers`` sizes the *session* pool (concurrent queries);
         ``workers`` sizes the *morsel* pool inside one query's scan
         (``workers=1`` pins every execution to the serial walk).
-        ``executor`` picks the intra-query task backend of scheduled
-        runs — ``"thread"`` (in-process pool, best for latency-bound
-        scans), ``"process"`` (process pool re-importing generated
-        modules, best for CPU-bound in-memory phases) or ``"auto"``
-        (each node's batches routed through the adaptive cost model;
-        rows stay byte-identical); ``None`` defers to the
-        ``REPRO_EXECUTOR`` environment variable, then ``"thread"``.
         ``pipeline=True`` turns on dependency-driven cross-phase
         scheduling (operators launch as their inputs complete instead
         of at phase barriers; rows stay byte-identical); ``None`` defers
@@ -116,8 +108,6 @@ class Database:
         self.max_workers = max_workers
         try:
             knobs: dict[str, Any] = {}
-            if executor is not None:
-                knobs["executor"] = executor
             if pipeline is not None:
                 knobs["pipeline"] = pipeline
             self.parallel_config = ParallelConfig(workers=workers, **knobs)
@@ -206,7 +196,7 @@ class Database:
     def _build_engine(self, kind: str):
         config = self.planner_config
         if kind == "hique":
-            return self._wire_profile_source(
+            return self._wire_intermediates(
                 HiqueEngine(
                     self.catalog,
                     planner_config=config,
@@ -215,7 +205,7 @@ class Database:
                 )
             )
         if kind == "hique-o0":
-            return self._wire_profile_source(
+            return self._wire_intermediates(
                 HiqueEngine(
                     self.catalog,
                     planner_config=config,
@@ -245,17 +235,10 @@ class Database:
             self.catalog, planner_config=config, obs=self.obs
         )
 
-    def _wire_profile_source(self, engine):
-        """Wire an engine's scheduler to the database's shared state.
-
-        Adaptive placement seeds its cost model from observed
-        per-operator rates (``.insights`` profile) instead of static
-        priors alone, and staged scan outputs land in the shared
-        version-keyed intermediate cache.
-        """
-        engine.parallel.profile_source = (
-            self.insights_store.profile.kind_totals
-        )
+    def _wire_intermediates(self, engine):
+        """Point an engine's executor at the database's shared,
+        version-keyed intermediate cache, where staged scan outputs
+        land."""
         engine.parallel.intermediates = self.intermediates
         return engine
 
@@ -267,7 +250,6 @@ class Database:
         min_pages: int | None = None,
         min_rows: int | None = None,
         allow_float_reorder: bool | None = None,
-        executor: str | None = None,
         task_timeout: float | None = None,
         pipeline: bool | None = None,
     ) -> ParallelConfig:
@@ -276,10 +258,7 @@ class Database:
         Applies to engines built afterwards *and* retunes the already
         built code-generating engines: their morsel pools are retired
         and rebuilt lazily, while in-flight executions drain on the old
-        pool with the configuration they started with.  Switching
-        ``executor`` (``"thread"``, ``"process"`` or ``"auto"`` for the
-        adaptive chooser) retires the old backend's pools too, so a
-        database can hop between backends mid-session; ``pipeline``
+        pool with the configuration they started with.  ``pipeline``
         toggles dependency-driven cross-phase scheduling.
         """
         changes = {
@@ -288,7 +267,6 @@ class Database:
             "min_pages": min_pages,
             "min_rows": min_rows,
             "allow_float_reorder": allow_float_reorder,
-            "executor": executor,
             "task_timeout": task_timeout,
             "pipeline": pipeline,
         }

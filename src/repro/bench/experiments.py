@@ -22,6 +22,7 @@ Drivers:
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -51,8 +52,8 @@ def _serial_hique(catalog) -> HiqueEngine:
 
     The figure/table drivers reproduce the paper's single-threaded
     measurements; one worker keeps every run on the serial walk even
-    over disk-backed tables or when REPRO_EXECUTOR picks another
-    backend.
+    over disk-backed tables, whose non-resident pages would otherwise
+    get the run scheduled on threads.
     """
     return HiqueEngine(catalog, parallel=ParallelConfig(workers=1))
 
@@ -127,6 +128,29 @@ def _timed(fn: Callable[[], object]) -> float:
     started = time.perf_counter()
     fn()
     return time.perf_counter() - started
+
+
+#: Runs per side behind each Table II cell.
+TABLE2_RUNS = 5
+
+
+def _paired_medians(
+    slow: Callable[[], object],
+    fast: Callable[[], object],
+    runs: int = TABLE2_RUNS,
+) -> list[float]:
+    """``[median slow, median fast]`` over ``runs`` alternating runs.
+
+    Alternating the two sides exposes both to the same drift (cache
+    warm-up, a neighbour's load), and the median drops one-off stalls,
+    so a comparison of the pair is not decided by a single shot.
+    """
+    slow_times: list[float] = []
+    fast_times: list[float] = []
+    for _ in range(runs):
+        slow_times.append(_timed(slow))
+        fast_times.append(_timed(fast))
+    return [statistics.median(slow_times), statistics.median(fast_times)]
 
 
 #: The five code versions of Section VI-A, in the paper's order.
@@ -462,7 +486,8 @@ def table2(scale: str | Scale = "small") -> ExperimentResult:
 
     For the iterator and hard-coded versions, "compiling at -O0" is
     emulated by the deopt knob (an un-inlined call layer per tuple);
-    HIQUE uses its real generation levels.
+    HIQUE uses its real generation levels.  Each cell is the median of
+    :data:`TABLE2_RUNS` runs that alternate with its O2/O0 partner.
     """
     sizes = get_scale(scale)
     result = ExperimentResult(
@@ -502,35 +527,47 @@ def table2(scale: str | Scale = "small") -> ExperimentResult:
     def volcano_times(generic: bool) -> list[float]:
         times = []
         for catalog, sql, config, _kind, _tables in workloads:
+            runners = []
             for deopt in (True, False):
                 engine = VolcanoEngine(catalog, generic=generic, deopt=deopt)
                 plan = engine.plan(sql, planner_config=config)
-                times.append(_timed(lambda: engine.execute_plan(plan)))
+                runners.append(
+                    lambda engine=engine, plan=plan: engine.execute_plan(plan)
+                )
+            times.extend(_paired_medians(*runners))
         return times
 
     def hardcoded_times(style: str) -> list[float]:
         times = []
         for _catalog, _sql, _config, kind, tables in workloads:
-            for deopt in (True, False):
-                times.append(
-                    _timed(
-                        lambda: _run_hardcoded(kind, tables, style, deopt)
+            times.extend(
+                _paired_medians(
+                    *(
+                        lambda deopt=deopt: _run_hardcoded(
+                            kind, tables, style, deopt
+                        )
+                        for deopt in (True, False)
                     )
                 )
+            )
         return times
 
     def hique_times() -> list[float]:
         times = []
         for catalog, sql, config, _kind, _tables in workloads:
             engine = _serial_hique(catalog)
+            runners = []
             for level in (OPT_O0, OPT_O2):
                 prepared = engine.prepare(
                     sql, opt_level=level, planner_config=config,
                     use_cache=False,
                 )
-                times.append(
-                    _timed(lambda: engine.execute_prepared(prepared))
+                runners.append(
+                    lambda prepared=prepared: engine.execute_prepared(
+                        prepared
+                    )
                 )
+            times.extend(_paired_medians(*runners))
         return times
 
     result.add("Generic iterators", *volcano_times(generic=True))

@@ -28,10 +28,6 @@ executed through ``.prepare`` / ``.exec``.  Meta-commands:
   UPDATE / DELETE / load; version-keyed caches use them for coherence)
 * ``.workers <n>`` — set the worker count of scheduled runs (``1``
   pins every run to the serial walk)
-* ``.executor [thread|process|auto]`` — pick the task backend of
-  scheduled runs: ``thread`` overlaps page waits in-process,
-  ``process`` ships O2 tasks to worker processes, ``auto`` routes each
-  batch through the adaptive cost model; with no argument, show it
 * ``.parallel`` — show the configuration and the last execution's
   per-phase (stage/join/aggregate/final) breakdown
 * ``.pipeline [on|off]`` — toggle dependency-driven (pipelined)
@@ -68,7 +64,6 @@ import time
 
 from repro.api import Database, ENGINE_KINDS
 from repro.errors import ReproError
-from repro.parallel.stats import EXECUTOR_KINDS
 from repro.service import PreparedStatement
 
 _PROMPT = "hique> "
@@ -198,19 +193,6 @@ class Shell:
                 self.write("usage: .workers <positive integer>")
             else:
                 self.write(f"morsel workers set to {config.workers}")
-        elif command == ".executor":
-            if argument in EXECUTOR_KINDS:
-                config = self.db.set_parallel(executor=argument)
-                self.write(f"task backend set to {config.executor}")
-            elif argument == "":
-                self.write(
-                    f"task backend: {self.db.parallel_config.executor} "
-                    f"(.executor {'|'.join(EXECUTOR_KINDS)} to switch)"
-                )
-            else:
-                self.write(
-                    f"usage: .executor [{'|'.join(EXECUTOR_KINDS)}]"
-                )
         elif command == ".parallel":
             if argument:
                 self.write("usage: .parallel")
@@ -218,7 +200,7 @@ class Shell:
             config = self.db.parallel_config
             self.write(
                 f"{config.workers} workers, {config.morsel_pages} "
-                f"pages/morsel, {config.executor} backend, "
+                f"pages/morsel, "
                 f"{'pipelined' if config.pipeline else 'barrier'} "
                 f"scheduling, min_pages {config.min_pages}, "
                 f"min_rows {config.min_rows}"
@@ -234,7 +216,7 @@ class Shell:
                 self.write(
                     f"pipelined scheduling "
                     f"{'on' if config.pipeline else 'off'} "
-                    f"({config.workers} workers, {config.executor} backend)"
+                    f"({config.workers} workers)"
                 )
             elif argument == "":
                 config = self.db.parallel_config
@@ -333,7 +315,7 @@ class Shell:
         parallel_runs, serial_runs = self.db.parallel_counters()
         self.write(
             f"engine executions: {parallel_runs} parallel, "
-            f"{serial_runs} serial ({stats.executor} backend)"
+            f"{serial_runs} serial"
         )
         inter = self.db.intermediates.stats()
         self.write(

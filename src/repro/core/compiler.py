@@ -2,25 +2,20 @@
 
 The paper writes the generated C file, invokes gcc to produce a shared
 library, and ``dlopen``s it.  The Python analogue compiles the generated
-source in memory with :func:`compile`, under the path its file would
-have, and executes it into a fresh module namespace whose entry function
-the executor calls.  Preparing a query writes no file: the namespace's
-``__loader__`` serves the source, so ``linecache`` (and with it
-tracebacks and ``inspect``) shows generated lines without one.  The file
-is written for process workers only — once, the first time a process
-backend asks for the module spec.  The scheduler's entry points are
-compiled into the same namespace the first time a run is scheduled.
-``marshal`` of the code object stands in for the shared library when
-reporting compiled sizes, computed only when asked for.
+source in memory with :func:`compile`, under a per-compilation path
+that names no real file, and executes it into a fresh module namespace
+whose entry function the executor calls.  Nothing is written to disk:
+the namespace's ``__loader__`` serves the source, so ``linecache`` (and
+with it tracebacks and ``inspect``) shows generated lines.  The
+scheduler's entry points are compiled into the same namespace the first
+time a run is scheduled.  ``marshal`` of the code object stands in for
+the shared library when reporting compiled sizes, computed only when
+asked for.
 """
 
 from __future__ import annotations
 
-import atexit
 import marshal
-import os
-import shutil
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -35,9 +30,9 @@ from repro.errors import CodegenError
 class _SourceLoader:
     """The ``__loader__`` of a generated namespace: ``linecache`` asks it
     for the module text when a traceback or ``inspect`` needs a line
-    and no file exists.  Holds only the text — the module
-    :meth:`CompiledQuery.module_spec` would write — so a ``linecache``
-    entry made on an error path does not keep the namespace alive."""
+    and no file exists.  Holds only the text — serial and scheduled
+    entry points — so a ``linecache`` entry made on an error path does
+    not keep the namespace alive."""
 
     __slots__ = ("_source", "_scheduled")
 
@@ -55,8 +50,7 @@ class CompiledQuery:
 
     name: str
     source: str
-    #: Where the module's file lives once :meth:`module_spec` writes it;
-    #: also the filename its code objects carry.
+    #: The filename the module's code objects carry (no file exists).
     source_path: str
     entry: Callable[[Any], list[tuple]]
     namespace: dict[str, Any]
@@ -66,12 +60,6 @@ class CompiledQuery:
     source_bytes: int
     #: The serial module's code object (kept for :attr:`compiled_bytes`).
     code: CodeType
-    #: Distinct module name the source was executed under.  Together
-    #: with ``source_path`` this is the *module spec* process-pool
-    #: workers use to re-import the generated code in their own
-    #: interpreter (the analogue of a second ``dlopen`` of the shared
-    #: library the paper's compiler produced).
-    module_name: str = ""
     #: The scheduler-only entry points, compiled by
     #: :meth:`link_scheduled`.
     scheduled_source: str = ""
@@ -79,7 +67,6 @@ class CompiledQuery:
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )
     _linked: bool = field(default=False, init=False, repr=False)
-    _written: bool = field(default=False, init=False, repr=False)
 
     @cached_property
     def compiled_bytes(self) -> int:
@@ -92,7 +79,7 @@ class CompiledQuery:
         The scheduler calls this before its first run of the query;
         serial runs never need it.  The code is padded to start on the
         line after the serial module's last, so its line numbers match
-        the file :meth:`module_spec` writes.
+        the text the namespace's ``__loader__`` serves.
         """
         if self._linked:
             return
@@ -106,73 +93,31 @@ class CompiledQuery:
                 )
             self._linked = True
 
-    def module_spec(self) -> tuple[str, str]:
-        """``(module_name, source_path)`` for out-of-process reloads.
-
-        Writes the complete module — serial and scheduled entry points —
-        the first time it is asked for, and never rewrites it.  The path
-        stays valid for the lifetime of the owning engine: the
-        compiler's work directory is only removed by ``close()``/atexit.
-        """
-        if not self._written:
-            with self._lock:
-                if not self._written:
-                    os.makedirs(
-                        os.path.dirname(self.source_path), exist_ok=True
-                    )
-                    with open(
-                        self.source_path, "w", encoding="utf-8"
-                    ) as handle:
-                        handle.write(self.source + self.scheduled_source)
-                    self._written = True
-        return self.module_name, self.source_path
-
 
 class QueryCompiler:
     """Compiles generated sources, caching nothing itself (the engine
     keeps the prepared-query cache, as the paper suggests systems do for
     "frequently or recently issued queries")."""
 
-    def __init__(self, workdir: str | None = None):
-        #: Only directories this compiler created itself are deleted on
-        #: close — a caller-supplied workdir is the caller's to manage.
-        self._owns_workdir = workdir is None
-        if workdir is None:
-            workdir = tempfile.mkdtemp(prefix="hique_gen_")
-            # The atexit hook holds only the path (not ``self``), so the
-            # registration neither keeps the compiler alive nor breaks
-            # when close() already removed the directory.
-            atexit.register(shutil.rmtree, workdir, ignore_errors=True)
-        self.workdir = workdir
-        os.makedirs(workdir, exist_ok=True)
+    #: Directory part of every generated module's ``source_path``.
+    #: No such directory exists: the ``__loader__`` serves the text.
+    SOURCE_DIR = "<hique-generated>"
+
+    def __init__(self):
         self._counter = 0
         # Concurrent sessions may compile at once (e.g. the engine's
         # stale-statistics fallback path); the counter hands each
-        # compilation a distinct module name and file.
+        # compilation a distinct module name and path.
         self._counter_lock = threading.Lock()
-
-    def close(self) -> None:
-        """Delete the generated-source directory, if this compiler owns it.
-
-        Idempotent; the engine calls it from :meth:`HiqueEngine.close`
-        and an ``atexit`` hook covers engines that are never closed.
-        """
-        if self._owns_workdir:
-            shutil.rmtree(self.workdir, ignore_errors=True)
-
-    def __enter__(self) -> "QueryCompiler":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def compile(self, generated: GeneratedQuery) -> CompiledQuery:
         """Compile and load one generated module, in memory."""
         with self._counter_lock:
             self._counter += 1
             serial = self._counter
-        file_name = f"{_sanitize(generated.name)}_{serial}.py"
-        source_path = os.path.join(self.workdir, file_name)
+        source_path = (
+            f"{self.SOURCE_DIR}/{_sanitize(generated.name)}_{serial}.py"
+        )
 
         started = time.perf_counter()
         try:
@@ -182,9 +127,8 @@ class QueryCompiler:
                 f"generated code does not compile: {exc}\n"
                 f"--- generated source ---\n{generated.source}"
             ) from exc
-        module_name = f"hique_generated_{serial}"
         namespace: dict[str, Any] = {
-            "__name__": module_name,
+            "__name__": f"hique_generated_{serial}",
             "__file__": source_path,
             "__loader__": _SourceLoader(generated),
         }
@@ -208,7 +152,6 @@ class QueryCompiler:
             compile_seconds=elapsed,
             source_bytes=generated.source_size,
             code=code,
-            module_name=module_name,
             scheduled_source=generated.scheduled_source,
         )
 

@@ -82,7 +82,6 @@ class HiqueEngine:
         catalog: Catalog,
         planner_config: PlannerConfig | None = None,
         opt_level: str = OPT_O2,
-        workdir: str | None = None,
         parallel: ParallelConfig | None = None,
         obs: Observability | None = None,
     ):
@@ -94,7 +93,7 @@ class HiqueEngine:
         self.opt_level = opt_level
         self.binder = Binder(catalog)
         self.generator = CodeGenerator()
-        self.compiler = QueryCompiler(workdir)
+        self.compiler = QueryCompiler()
         self._cache: dict[tuple[str, str, bool], PreparedQuery] = {}
         #: Serial-first executor: runs the plan's serial generated
         #: functions in plan order unless some scanned page can wait, and
@@ -228,7 +227,6 @@ class HiqueEngine:
                     span.set(
                         rows=len(rows),
                         parallel=stats.parallel,
-                        backend=stats.backend,
                         scheduled=stats.scheduled,
                         why=stats.reason or "; ".join(stats.notes),
                     )
@@ -265,8 +263,8 @@ class HiqueEngine:
         self, sql: str, opt_level: str | None = None, traced: bool = False
     ) -> str:
         """The generated Python source for a query (for inspection): the
-        serial module followed by the scheduler's entry points, as a
-        process worker imports it."""
+        serial module followed by the scheduler's entry points, as the
+        namespace's ``__loader__`` serves it."""
         generated = self.prepare(
             sql, traced=traced, opt_level=opt_level, use_cache=False
         ).generated
@@ -283,10 +281,9 @@ class HiqueEngine:
 
     # -- lifecycle ---------------------------------------------------------------------
     def close(self) -> None:
-        """Drop cached plans and delete the compiler's work directory."""
+        """Drop cached plans and retire the worker pool."""
         self.clear_cache()
         self.parallel.close()
-        self.compiler.close()
 
     def __enter__(self) -> "HiqueEngine":
         return self

@@ -117,10 +117,9 @@ class CodeGenerator:
 
         self._emit_composer(body, gen, plan, function_names, fused)
         header = self._header(plan, name, gen, uses_map_aggregate)
-        # Module metadata trailer: process-pool workers import the
-        # materialised module from the compiler's work directory and
-        # check these before running a task, so a mismatched or stale
-        # module fails loudly instead of computing wrong rows.
+        # Module metadata trailer: the module names its own query,
+        # generation level and tracing mode, so ``.source`` output and
+        # a namespace can be told apart without the engine.
         trailer = (
             "\n"
             f"HIQUE_QUERY = {name!r}\n"

@@ -2,11 +2,10 @@
 
 Mirrors :meth:`PhysicalPlan.explain`'s ``o{op_id}: Kind detail`` shape
 and appends what the span tree recorded per operator — wall time, rows,
-morsel task count, queue wait, worker pids — plus query-wide totals
-(preparation stages, buffer-pool traffic, backend).  Works from a
-finished :class:`~repro.obs.trace.Trace`, so it renders identically
-whether the query ran serially, on the thread backend or on the
-process backend.
+morsel task count, queue wait, workers — plus query-wide totals
+(preparation stages, buffer-pool traffic).  Works from a finished
+:class:`~repro.obs.trace.Trace`, so it renders identically whether the
+query took the serial walk or was scheduled on threads.
 """
 
 from __future__ import annotations
@@ -40,18 +39,16 @@ def _node_spans(root: Span) -> dict[int, tuple[Span, bool]]:
     return by_op
 
 
-def _task_stats(node: Span) -> tuple[int, float, list[int]]:
-    """(task count, total queue wait, distinct worker pids) of a node."""
+def _task_stats(node: Span) -> tuple[int, float]:
+    """(task count, total queue wait) of a node."""
     tasks = 0
     queue_seconds = 0.0
-    pids: set[int] = set()
     for child in node.children:
         if child.category != "task":
             continue
         tasks += 1
         queue_seconds += float(child.attrs.get("queue_seconds", 0.0))
-        pids.add(child.pid)
-    return tasks, queue_seconds, sorted(pids)
+    return tasks, queue_seconds
 
 
 def _annotate(span: Span) -> str:
@@ -59,31 +56,16 @@ def _annotate(span: Span) -> str:
     rows = span.attrs.get("rows")
     if rows is not None:
         parts.append(f"rows={rows}")
-    tasks, queue_seconds, pids = _task_stats(span)
+    tasks, queue_seconds = _task_stats(span)
     if tasks:
         parts.append(f"tasks={tasks}")
         parts.append(f"queue={_ms(queue_seconds)}")
         workers = span.attrs.get("workers")
         if workers:
             parts.append(f"workers={workers}")
-        backend = span.attrs.get("backend")
-        if backend:
-            parts.append(f"backend={backend}")
-        if len(pids) > 1 or (pids and pids[0] != span.pid):
-            parts.append("pids=" + ",".join(str(p) for p in pids))
-    placement = span.attrs.get("placement")
-    if placement:
-        flag = f"placement={placement}"
-        reason = span.attrs.get("placement_reason", "")
-        if reason:
-            flag += f"[{reason}]"
-        parts.append(flag)
     steals = span.attrs.get("affinity_steals")
     if steals is not None:
         parts.append(f"steals={steals}")
-    shipped = span.attrs.get("shipped_bytes")
-    if shipped:
-        parts.append(f"shipped={shipped}B")
     if span.pages_hit or span.pages_missed:
         parts.append(
             f"pages={span.pages_hit}hit/{span.pages_missed}miss"
@@ -160,7 +142,7 @@ def render_explain_analyze(plan: PhysicalPlan, trace: Trace) -> str:
         summary.append("serial")
     elif why:
         # A scheduled run's first note names the table with waiting
-        # pages (or the placement that was asked for).
+        # pages.
         summary.append(str(why).split(";")[0])
     rows = execute.attrs.get("rows")
     if rows is not None:

@@ -97,7 +97,6 @@ class Digest:
         "pages_hit",
         "pages_missed",
         "backend",
-        "backends",
         "tables",
         "first_seen",
         "last_seen",
@@ -125,12 +124,8 @@ class Digest:
         self.cache_lookups = 0
         self.pages_hit = 0
         self.pages_missed = 0
+        #: How the latest call ran: ``"serial"`` or ``"thread"``.
         self.backend = ""
-        #: Per-backend latency split: backend → ``[calls, seconds]``.
-        #: Under adaptive placement one digest mixes ``thread``,
-        #: ``process`` and ``mixed`` executions; this records how many
-        #: calls (and how much time) each backend actually took.
-        self.backends: dict[str, list] = {}
         self.first_seen = time.time()
         self.last_seen = self.first_seen
         self._hist = Histogram("digest_seconds", ())
@@ -148,30 +143,6 @@ class Digest:
         if not self.cache_lookups:
             return 0.0
         return self.cache_hits / self.cache_lookups
-
-    def backend_split(self) -> str:
-        """Compact per-backend call split, e.g. ``"t8/p2/m3"``.
-
-        One abbreviated ``<initial><calls>`` term per backend seen, in
-        thread → process → mixed order; a digest whose calls all ran on
-        one backend renders that backend's plain name.
-        """
-        if not self.backends:
-            return self.backend or "-"
-        if len(self.backends) == 1:
-            return next(iter(self.backends))
-        order = ("thread", "process", "mixed")
-        parts = [
-            f"{name[0]}{self.backends[name][0]}"
-            for name in order
-            if name in self.backends
-        ]
-        parts.extend(
-            f"{name[0]}{counts[0]}"
-            for name, counts in sorted(self.backends.items())
-            if name not in order
-        )
-        return "/".join(parts)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -194,10 +165,6 @@ class Digest:
             "pages_hit": self.pages_hit,
             "pages_missed": self.pages_missed,
             "backend": self.backend,
-            "backends": {
-                name: {"calls": counts[0], "seconds": counts[1]}
-                for name, counts in self.backends.items()
-            },
             "tables": list(self.tables),
         }
 
@@ -268,12 +235,6 @@ class DigestStore:
             digest.pages_missed += pages_missed
             if backend:
                 digest.backend = backend
-                split = digest.backends.get(backend)
-                if split is None:
-                    digest.backends[backend] = [1, seconds]
-                else:
-                    split[0] += 1
-                    split[1] += seconds
             digest.last_seen = time.time()
         digest._hist.observe(seconds)
         return digest
@@ -623,7 +584,7 @@ class WorkloadInsights:
                     f"{digest.mean_seconds * 1000:>9.3f} "
                     f"{digest.p95_seconds * 1000:>9.3f} "
                     f"{digest.rows:>9} {hit_rate:>5} "
-                    f"{digest.backend_split():<8} {digest.key[:70]}"
+                    f"{digest.backend or '-':<8} {digest.key[:70]}"
                 )
         inter = self._intermediate_stats()
         if inter is not None:

@@ -1,4 +1,4 @@
-"""Thread/process-safe metrics: counters, gauges, latency histograms.
+"""Thread-safe metrics: counters, gauges, latency histograms.
 
 The registry is the single sink every layer reports through — service
 admission counters, plan-cache hit rates, buffer-pool stats, backend
@@ -241,10 +241,7 @@ class MetricsRegistry:
     """A named collection of metrics plus render-time collectors.
 
     Thread-safe: metric creation takes the registry lock; updates take
-    only the per-metric lock.  Process note: worker processes have their
-    own interpreter state — cross-process numbers (task timings, shipped
-    bytes) are carried back with task results and recorded here by the
-    coordinating process, so the registry itself never crosses a fork.
+    only the per-metric lock.
     """
 
     MAX_EVENTS = 64

@@ -3,8 +3,8 @@
 A :class:`Tracer` records a :class:`Trace` — a tree of :class:`Span`
 objects — per query: parse → bind → plan → codegen → each scheduler
 node (stage / join pair / aggregate / sort / merge) down to individual
-morsel tasks, stamped with monotonic timestamps, worker thread/process
-ids, queue-wait vs run time, rows and bytes.
+morsel tasks, stamped with monotonic timestamps, worker thread ids,
+queue-wait vs run time, rows and bytes.
 
 Overhead discipline (tracing is *off* by default):
 
@@ -18,9 +18,8 @@ Overhead discipline (tracing is *off* by default):
 * Child spans are appended with ``list.append`` — atomic under the
   GIL — so sibling tasks on different threads never take a lock.
 
-Timestamps are ``time.perf_counter()`` (CLOCK_MONOTONIC on Linux),
-which is comparable *across processes* on the platforms we target, so
-process-backend task spans land on the same timeline as the
+Timestamps are ``time.perf_counter()`` (CLOCK_MONOTONIC on Linux), so
+worker-thread task spans land on the same timeline as the
 coordinator's.  Exports: plain JSON (span tree) and Chrome
 ``trace_event`` JSON loadable in Perfetto / ``chrome://tracing``.
 """
@@ -326,7 +325,7 @@ class Trace:
 
         Complete events (``ph: "X"``) with microsecond timestamps
         relative to the trace root; ``pid``/``tid`` come from the span,
-        so process-backend tasks appear on their worker process tracks.
+        so worker-thread tasks appear on their own tracks.
         """
         origin = self.root.start
         events: list[dict[str, Any]] = []

@@ -36,15 +36,9 @@ from repro.parallel.morsel import (
     Morsel,
     MorselDispatcher,
     TaskDispatcher,
-    coarse_morsel_pages,
     morsels_for,
 )
 from repro.parallel.stats import (
-    EXECUTOR_AUTO,
-    EXECUTOR_KINDS,
-    EXECUTOR_MIXED,
-    EXECUTOR_PROCESS,
-    EXECUTOR_THREAD,
     ExecutionStats,
     ParallelConfig,
     PhaseStats,
@@ -52,15 +46,8 @@ from repro.parallel.stats import (
 
 __all__ = [
     "AffinityDispatcher",
-    "BackendRetired",
-    "CostModel",
     "DEFAULT_MORSEL_PAGES",
     "Desc",
-    "EXECUTOR_AUTO",
-    "EXECUTOR_KINDS",
-    "EXECUTOR_MIXED",
-    "EXECUTOR_PROCESS",
-    "EXECUTOR_THREAD",
     "ExecutionStats",
     "Morsel",
     "MorselDispatcher",
@@ -68,14 +55,10 @@ __all__ = [
     "ParallelExecutor",
     "PartitionHandoff",
     "PhaseStats",
-    "PlacementDecision",
-    "ProcessBackend",
     "ReadWriteLatch",
     "TaskDispatcher",
-    "TaskNotPicklable",
     "ThreadBackend",
     "chunk_bounds",
-    "coarse_morsel_pages",
     "kway_merge",
     "merge_aggregate_partials",
     "merge_ordered_runs",
@@ -85,7 +68,7 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # ``executor``/``backend``/``cost`` pull in the core/errors stack;
+    # ``executor``/``backend`` pull in the core/errors stack;
     # importing them here eagerly would cycle through storage →
     # parallel → core → storage.
     if name in (
@@ -96,17 +79,8 @@ def __getattr__(name: str):
         from repro.parallel import executor
 
         return getattr(executor, name)
-    if name in (
-        "BackendRetired",
-        "ProcessBackend",
-        "TaskNotPicklable",
-        "ThreadBackend",
-    ):
+    if name == "ThreadBackend":
         from repro.parallel import backend
 
-        return getattr(backend, name)
-    if name in ("CostModel", "PlacementDecision"):
-        from repro.parallel import cost
-
-        return getattr(cost, name)
+        return backend.ThreadBackend
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

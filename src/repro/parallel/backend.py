@@ -1,80 +1,38 @@
-"""Task backends: where a scheduled query's parallel tasks run.
+"""The task backend: where a scheduled query's parallel tasks run.
 
-The phase scheduler (:mod:`repro.parallel.executor`) describes each
-phase's units of work as pure-data task payloads —
-:class:`~repro.parallel.proc.CallTask` for join pairs, aggregate row
-chunks and sort runs, :class:`~repro.parallel.proc.ScanTask` for
-page-range morsels — and hands the batch to a backend:
+The phase scheduler (:mod:`repro.parallel.executor`) turns each phase's
+units of work — page-range morsels, join pairs, aggregate row chunks,
+restage chunks and sort runs — into zero-argument thunks over the
+generated entry points and hands the batch to a :class:`ThreadBackend`:
+an in-process ``ThreadPoolExecutor`` whose workers claim task indices
+from a :class:`~repro.parallel.morsel.TaskDispatcher` and run the
+generated functions directly against the live context (real tables,
+zero copying).  Under CPython's GIL this wins when tasks block on page
+reads, which is why a run is scheduled only when some scanned page can
+wait.
 
-* :class:`ThreadBackend` — today's behavior: an in-process
-  ``ThreadPoolExecutor`` whose workers claim task indices from a
-  :class:`~repro.parallel.morsel.TaskDispatcher` and run the generated
-  functions directly against the live context (real tables, zero
-  copying).  Under CPython's GIL this wins whenever tasks block on
-  I/O (latency-bound scans) and loses nothing on tiny inputs.
-* :class:`ProcessBackend` — a lazily created
-  ``ProcessPoolExecutor``: each task is pickled together with the
-  generated module's spec, re-imported and executed by a worker
-  process (:func:`repro.parallel.proc.run_task`), and its result is
-  pickled back.  CPU-bound in-memory phases scale with cores this way;
-  the price is serialization, which is why the scheduler coarsens
-  process morsels and why tiny batches should stay on threads.
-
-Both backends return results **in task order**, which is what keeps
-every downstream merge order-preserving and parallel rows byte-
-identical to serial rows.  The first task exception is re-raised after
-the batch drains; a dead worker process or an expired ``task_timeout``
-— enforced on *both* backends as a **stall** deadline (time queued
-behind a concurrent batch's healthy work doesn't count; only a wait
-with zero backend progress does): the process backend kills its pool,
-the thread backend abandons its (unkillable) pool and poisons the
-batch's task queue — surfaces as a clean
-:class:`~repro.errors.ExecutionError` instead of a hang, and payloads
-that refuse to pickle raise :class:`TaskNotPicklable` so the scheduler
-can retry the batch on the thread backend.
+Results come back **in task order**, which is what keeps every
+downstream merge order-preserving and parallel rows byte-identical to
+serial rows.  The first task exception is re-raised after the batch
+drains.  An expired ``task_timeout`` — a **stall** deadline: time
+queued behind a concurrent batch's healthy work doesn't count, only a
+wait with zero backend progress does — abandons the (unkillable) pool,
+poisons the batch's task queue and surfaces as a clean
+:class:`~repro.errors.WatchdogTimeout` instead of a hang.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 import threading
 import time
 from concurrent.futures import (
     CancelledError as FutureCancelled,
     ThreadPoolExecutor,
-    TimeoutError as FutureTimeout,
 )
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
 from repro.errors import ExecutionError, WatchdogTimeout
 from repro.obs import current_span
-from repro.parallel import proc
 from repro.parallel.morsel import AffinityDispatcher, TaskDispatcher
-
-#: Environment override for the multiprocessing start method.  The
-#: default prefers ``fork`` (cheap workers that inherit the imported
-#: interpreter) and falls back to ``spawn`` where fork is unavailable.
-START_METHOD_ENV = "REPRO_PROC_START"
-
-
-class TaskNotPicklable(Exception):
-    """A task payload (or its result) cannot cross a process boundary.
-
-    The scheduler catches this and re-runs the batch on the thread
-    backend, recording a stats note — correctness never depends on a
-    payload being picklable.
-    """
-
-
-class BackendRetired(TaskNotPicklable):
-    """This process backend was closed by a reconfigure mid-run.
-
-    Raised instead of resurrecting a worker pool nothing owns anymore;
-    as a :class:`TaskNotPicklable` subclass it makes the in-flight run
-    finish its remaining batches on the thread backend, so the query
-    still completes with the configuration it started with.
-    """
 
 
 class PoolAbandoned(ExecutionError):
@@ -163,8 +121,7 @@ class ThreadBackend:
         stall watchdog: whenever no task completes *anywhere on this
         backend* for ``task_timeout`` seconds while this batch still
         has pending futures, the wait aborts with a clean
-        :class:`~repro.errors.ExecutionError` — the thread-side
-        analogue of the process backend's stall-aware deadline.  Time
+        :class:`~repro.errors.ExecutionError`.  Time
         spent queued behind other batches' healthy work does not count
         (their completions keep resetting the deadline), but a batch
         queued behind *wedged* work times out like a wedged batch —
@@ -374,317 +331,7 @@ class ThreadBackend:
             pool.shutdown(wait=True)
 
 
-class ProcessBackend:
-    """Ships task payloads to a pool of worker processes.
-
-    Workers import the generated module from the compiler's work
-    directory by its module spec, so the exact code the parent compiled
-    runs against pure-data payloads; results return in task order.
-    The pool is created lazily on the first shipped batch (most queries
-    never pay for worker processes) and replaced transparently after a
-    worker death.
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        workers: int,
-        task_timeout: float | None = None,
-        registry=None,
-    ):
-        self.workers = workers
-        self.task_timeout = task_timeout
-        self.registry = registry
-        self._pool: ProcessPoolExecutor | None = None
-        self._lock = threading.Lock()
-        self._closed = False
-        #: Results collected across every batch on this backend, for
-        #: the stall-aware deadline: a future whose wait expires while
-        #: *other* results keep arriving is queued behind a healthy
-        #: pool (concurrent pipelined batches share it), not wedged.
-        self._completed = 0
-
-    # -- pool lifecycle -----------------------------------------------------------
-    @property
-    def warm(self) -> bool:
-        """Whether the worker pool already exists.
-
-        The placement cost model charges a cold backend a one-off
-        spin-up penalty, so the first process-routed batch must
-        genuinely beat the thread backend by more than pool creation
-        costs.
-        """
-        with self._lock:
-            return self._pool is not None
-
-    @staticmethod
-    def _start_method() -> str:
-        import multiprocessing
-
-        configured = os.environ.get(START_METHOD_ENV, "")
-        methods = multiprocessing.get_all_start_methods()
-        if configured:
-            if configured not in methods:
-                raise ExecutionError(
-                    f"unknown {START_METHOD_ENV}={configured!r}; "
-                    f"available: {methods}"
-                )
-            return configured
-        # forkserver by default: pools are created lazily, i.e. while
-        # service threads are already running queries, and forking a
-        # multi-threaded parent can deadlock a child on an inherited
-        # held lock (the reason CPython 3.14 switched its Linux default
-        # too).  Workers instead fork from the single-threaded server;
-        # preloading the worker module there keeps their startup cheap.
-        if "forkserver" in methods:
-            return "forkserver"
-        return "fork" if "fork" in methods else "spawn"
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._closed:
-                raise BackendRetired(
-                    "process backend retired by a reconfigure"
-                )
-            if self._pool is None:
-                import multiprocessing
-
-                method = self._start_method()
-                context = multiprocessing.get_context(method)
-                if method == "forkserver":
-                    # One warm import of the worker module in the (per-
-                    # interpreter) forkserver; every worker forks from
-                    # it already loaded.  A no-op once the server runs.
-                    context.set_forkserver_preload(
-                        ["repro.parallel.proc"]
-                    )
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=context
-                )
-            return self._pool
-
-    def _retire_pool(self, kill: bool = False) -> None:
-        """Drop the current pool (it broke, or a task timed out).
-
-        ``kill`` additionally terminates worker processes outright —
-        the only way to stop a wedged task, since a timed-out future
-        cannot be cancelled once running.
-        """
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        if kill:
-            for process in list(getattr(pool, "_processes", {}).values()):
-                process.terminate()
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    def close(self) -> None:
-        """Retire this backend: drain queued tasks, then shut down.
-
-        No ``cancel_futures`` here — an in-flight run still collecting a
-        batch must see it complete (the documented reconfigure
-        contract); only :meth:`_retire_pool`'s broken/timed-out paths
-        cancel.  Later batches of such a run hit :class:`BackendRetired`
-        and finish on the thread backend.
-        """
-        with self._lock:
-            self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    # -- execution ----------------------------------------------------------------
-    def run_batch(
-        self,
-        module_spec: tuple[str, str],
-        params: tuple,
-        tasks: list,
-        page_reader=None,
-        label: str | None = None,
-        task_meta: list | None = None,
-    ) -> tuple[list, int, int]:
-        """Run one phase's tasks out of process; results in task order.
-
-        Returns ``(results, workers, shipped_bytes)`` — the last is the
-        approximate payload volume serialized for this batch, which the
-        scheduler surfaces as a stats note.
-
-        ``page_reader(binding, page_lo, page_hi)`` materializes a scan
-        task's page bytes at submission time (reading through the live
-        buffer pool in the parent, so workers never touch storage).
-
-        Passing ``task_meta`` (a caller-owned list) opts the batch into
-        worker-side timing: tasks run via
-        :func:`repro.parallel.proc.run_task_traced` and one dict per
-        task — worker pid/thread, monotonic start/end, submit time —
-        is appended in task order, so the caller can synthesize task
-        spans attributed to worker processes.
-        """
-        module_name, source_path = module_spec
-        pool = self._ensure_pool()
-        futures: list = [None] * len(tasks)
-        shipped = 0
-        submitted = 0
-        traced = task_meta is not None
-        entry = proc.run_task_traced if traced else proc.run_task
-        submit_times: list = [None] * len(tasks) if traced else []
-        # Submit-as-you-collect: only a bounded window of payloads is
-        # materialized (page bytes read, pickled) at any moment, so a
-        # scan of a large table never holds the whole table's bytes in
-        # the parent on top of the buffer pool.
-        window = max(self.workers * 2, 2)
-
-        def submit_through(limit: int) -> None:
-            nonlocal shipped, submitted
-            while submitted < min(limit, len(tasks)):
-                task = tasks[submitted]
-                if isinstance(task, proc.ScanTask) and not task.pages:
-                    task = proc.ScanTask(
-                        func=task.func,
-                        binding=task.binding,
-                        page_lo=task.page_lo,
-                        page_hi=task.page_hi,
-                        post_func=task.post_func,
-                        pages=page_reader(
-                            task.binding, task.page_lo, task.page_hi
-                        ),
-                    )
-                shipped += proc.shipped_bytes(task)
-                if traced:
-                    submit_times[submitted] = time.perf_counter()
-                futures[submitted] = pool.submit(
-                    entry, module_name, source_path, params, task
-                )
-                submitted += 1
-
-        submit_through(window)
-        results: list = [None] * len(tasks)
-        error: BaseException | None = None
-        for index in range(len(tasks)):
-            future = futures[index]
-            try:
-                payload = self._await_result(future)
-                if traced:
-                    result, pid, thread_id, started, ended = payload
-                    results[index] = result
-                    task_meta.append(
-                        {
-                            "index": index,
-                            "pid": pid,
-                            "thread_id": thread_id,
-                            "submitted": submit_times[index],
-                            "started": started,
-                            "ended": ended,
-                        }
-                    )
-                else:
-                    results[index] = payload
-                with self._lock:
-                    self._completed += 1
-            except FutureTimeout:
-                self._retire_pool(kill=True)
-                if self.registry is not None:
-                    self.registry.counter(
-                        "repro_watchdog_abandonments_total",
-                        backend=self.name,
-                    ).inc()
-                    self.registry.record_event(
-                        "watchdog_abandonment",
-                        backend=self.name,
-                        node=label or "",
-                        elapsed_seconds=self.task_timeout,
-                        task_timeout=self.task_timeout,
-                        wedged_tasks=[index],
-                    )
-                raise WatchdogTimeout(
-                    f"parallel task exceeded task_timeout="
-                    f"{self.task_timeout}s on the process backend; "
-                    f"worker pool terminated"
-                ) from None
-            except BrokenProcessPool:
-                self._retire_pool()
-                raise ExecutionError(
-                    "a parallel worker process died mid-task (process "
-                    "pool broken); the pool will be recreated on the "
-                    "next parallel execution"
-                ) from None
-            except BaseException as exc:  # noqa: BLE001 - sorted below
-                if _is_pickling_failure(exc):
-                    # The queue feeder could not serialize this payload;
-                    # the batch must re-run in-process.
-                    for pending in futures[index + 1:submitted]:
-                        pending.cancel()
-                    raise TaskNotPicklable(str(exc)) from exc
-                if error is None:
-                    error = exc
-            # Keep the window full even while draining past a task
-            # error, so every task still runs before the error re-
-            # raises (matching the thread backend's drain semantics).
-            submit_through(index + 1 + window)
-        if error is not None:
-            raise error
-        return results, min(self.workers, len(tasks)), shipped
-
-    def _await_result(self, future):
-        """One result, bounded by a *stall-aware* ``task_timeout``.
-
-        The deadline restarts whenever any other result arrived on
-        this backend while we waited: under pipelined scheduling
-        several batches share the worker pool, so a future can sit in
-        the pool queue for longer than ``task_timeout`` behind a
-        perfectly healthy neighbour batch.  Only a wait during which
-        the whole backend made no progress counts as a wedged task.
-        """
-        if self.task_timeout is None:
-            return future.result()
-        with self._lock:
-            seen = self._completed
-        while True:
-            try:
-                return future.result(timeout=self.task_timeout)
-            except FutureTimeout:
-                with self._lock:
-                    completed = self._completed
-                if completed == seen:
-                    raise
-                seen = completed
-
-
-def _is_pickling_failure(exc: BaseException) -> bool:
-    """Serialization error vs a genuine task error.
-
-    A worker's own ``TypeError`` must propagate, while a
-    ``PicklingError``/``TypeError`` raised *while serializing* the call
-    item means "retry on threads".  Serialization failures happen in
-    the queue feeder thread (``multiprocessing.queues._feed``) or, for
-    an unpicklable *result*, in the worker's send path — both leave
-    their frames in the attached remote traceback, whereas a task's own
-    exception never ran through those functions.
-    """
-    if not isinstance(
-        exc, (pickle.PicklingError, TypeError, AttributeError)
-    ):
-        return False
-    cause = exc.__cause__
-    if cause is None or type(cause).__name__ != "_RemoteTraceback":
-        # No remote frames at all: the exception was raised locally at
-        # submission time, which only serialization does.
-        return True
-    trace = str(cause)
-    return (
-        "in _feed" in trace
-        or "in _sendback_result" in trace
-        or "PicklingError" in trace
-    )
-
-
 __all__ = [
-    "BackendRetired",
     "PoolAbandoned",
-    "ProcessBackend",
-    "START_METHOD_ENV",
-    "TaskNotPicklable",
     "ThreadBackend",
 ]

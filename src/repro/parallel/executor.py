@@ -42,17 +42,12 @@ order-preserving parallel strategy exists:
   by binary search, exactly like a chunked binary merge join); a
   hybrid team runs it per corresponding coarse partition.
 
-Each phase's units of work are *pure-data task descriptions*
-(:class:`~repro.parallel.proc.CallTask`,
-:class:`~repro.parallel.proc.ScanTask`) executed by a pluggable
-:mod:`~repro.parallel.backend`: the thread backend claims tasks
-dynamically from a shared dispatcher and runs generated code against
-the live context, while the process backend pickles the same tasks to
-``ProcessPoolExecutor`` workers that re-import the generated module
-from the compiler's work directory — CPU-bound in-memory phases scale
-past the GIL that way.  Every merge is order-preserving, which keeps
-parallel output row-for-row identical to a serial run for every plan
-shape and either backend.  Operators below the configured size
+Each phase's units of work are zero-argument thunks over the generated
+entry points, run by the :class:`~repro.parallel.backend.ThreadBackend`:
+its workers claim tasks dynamically from a shared dispatcher and run
+generated code against the live context.  Every merge is
+order-preserving, which keeps parallel output row-for-row identical to
+a serial run for every plan shape.  Operators below the configured size
 thresholds simply run their serial generated function in plan order,
 so a scheduled run degrades gracefully instead of falling back
 wholesale.
@@ -74,13 +69,12 @@ changes.  (Per-partition completion collapses to per-input completion
 because every page-range staging task contributes rows to every
 partition; a pair task's inputs are therefore "staged" exactly when
 both sides' staging task sets drain.)  :class:`ExecutionStats` reports
-the per-phase timings, worker counts, the backend that ran each phase,
-cross-phase overlap seconds and any serial decisions.
+the per-phase timings, worker counts, cross-phase overlap seconds and
+any serial decisions.
 """
 
 from __future__ import annotations
 
-import pickle
 import threading
 import time
 from dataclasses import dataclass, field
@@ -96,18 +90,7 @@ from repro.obs import (
     default_observability,
     maybe_span,
 )
-from repro.parallel.backend import (
-    BackendRetired,
-    PoolAbandoned,
-    ProcessBackend,
-    TaskNotPicklable,
-    ThreadBackend,
-)
-from repro.parallel.cost import (
-    CostModel,
-    batch_payload_bytes,
-    cost_kind,
-)
+from repro.parallel.backend import PoolAbandoned, ThreadBackend
 from repro.parallel.merge import (
     chunk_bounds,
     lower_bound,
@@ -117,8 +100,7 @@ from repro.parallel.merge import (
     merge_partition_sorted_runs,
     merge_sorted_runs,
 )
-from repro.parallel.morsel import coarse_morsel_pages, morsels_for
-from repro.parallel.proc import CallTask, ScanTask
+from repro.parallel.morsel import morsels_for
 from repro.parallel.stage import (
     PHASE_OF,
     PHASE_ORDER,
@@ -126,15 +108,7 @@ from repro.parallel.stage import (
     result_rows,
     serial_walk,
 )
-from repro.parallel.stats import (
-    EXECUTOR_AUTO,
-    EXECUTOR_MIXED,
-    EXECUTOR_PROCESS,
-    EXECUTOR_THREAD,
-    ExecutionStats,
-    ParallelConfig,
-    PhaseStats,
-)
+from repro.parallel.stats import ExecutionStats, ParallelConfig, PhaseStats
 from repro.plan.descriptors import (
     AGG_MAP,
     Aggregate,
@@ -162,14 +136,6 @@ from repro.sql.bound import (
 from repro.storage.types import DOUBLE
 
 
-def _picklable(value) -> bool:
-    try:
-        pickle.dumps(value)
-    except Exception:  # noqa: BLE001 - any failure means "keep local"
-        return False
-    return True
-
-
 @dataclass
 class _Report:
     """What a scheduled run did: per-phase stats plus serial notes.
@@ -182,16 +148,8 @@ class _Report:
     phases: dict[str, PhaseStats] = field(default_factory=dict)
     morsels: int = 0
     pages: int = 0
-    #: Whether the adaptive placement chooser routed this run's batches
-    #: (set once at run entry; drives mixed-backend reporting).
-    adaptive: bool = False
-    #: ``(batch kind, backend)`` → batches the chooser routed there.
-    placements: dict[tuple[str, str], int] = field(default_factory=dict)
     #: Partition-staged scans that published buckets incrementally.
     handoffs: int = 0
-    #: Process-backend serialization accounting for this run.
-    shipped_tasks: int = 0
-    shipped_bytes: int = 0
     #: ``(phase, started, ended)`` wall-clock spans of every phase
     #: contribution, for cross-phase overlap accounting.
     spans: list[tuple[str, float, float]] = field(default_factory=list)
@@ -202,8 +160,8 @@ class _Report:
     def skip(self, reason: str, mark_span: bool = True) -> None:
         # When tracing, mark the scheduling node so EXPLAIN ANALYZE can
         # flag the serial fallback per operator, not just in run notes.
-        # Run-level skips (backend fallback) happen under the engine's
-        # execute span, which the category guard excludes.  A cache
+        # Run-level skips happen under the engine's execute span, which
+        # the category guard excludes.  A cache
         # reuse passes ``mark_span=False``: it is a win, not a
         # fallback, and carries its own span attribute.
         if mark_span:
@@ -221,7 +179,6 @@ class _Report:
         ended: float,
         workers: int,
         tasks: int,
-        backend: str = EXECUTOR_THREAD,
     ) -> None:
         seconds = ended - started
         with self._lock:
@@ -233,69 +190,24 @@ class _Report:
                     seconds=seconds,
                     workers=workers,
                     tasks=tasks,
-                    backend=backend,
                 )
             else:
                 entry.seconds += seconds
                 entry.workers = max(entry.workers, workers)
                 entry.tasks += tasks
-                if backend != entry.backend:
-                    if self.adaptive:
-                        # The chooser split this phase across backends.
-                        entry.backend = EXECUTOR_MIXED
-                    elif backend == EXECUTOR_PROCESS:
-                        entry.backend = backend
 
     def add_scan(self, morsels: int, pages: int) -> None:
         with self._lock:
             self.morsels += morsels
             self.pages += pages
 
-    def add_placement(self, kind: str, backend: str) -> None:
-        with self._lock:
-            key = (kind, backend)
-            self.placements[key] = self.placements.get(key, 0) + 1
-
     def add_handoff(self) -> None:
         with self._lock:
             self.handoffs += 1
 
-    def add_shipped(self, tasks: int, nbytes: int) -> None:
-        with self._lock:
-            self.shipped_tasks += tasks
-            self.shipped_bytes += nbytes
-
     @property
     def went_parallel(self) -> bool:
         return any(phase.workers > 1 for phase in self.phases.values())
-
-    def backend_used(self) -> str:
-        """The backend label this run reports.
-
-        ``"process"`` when any phase shipped tasks out of process;
-        under adaptive placement, ``"mixed"`` when the chooser split
-        the run's batches across both backends (serial phases, whose
-        backend field is just the thread default, do not count).
-        """
-        if self.adaptive:
-            backends = {
-                phase.backend
-                for phase in self.phases.values()
-                if phase.workers > 1
-            }
-            if EXECUTOR_MIXED in backends or (
-                EXECUTOR_THREAD in backends and EXECUTOR_PROCESS in backends
-            ):
-                return EXECUTOR_MIXED
-            if EXECUTOR_PROCESS in backends:
-                return EXECUTOR_PROCESS
-            return EXECUTOR_THREAD
-        if any(
-            phase.backend == EXECUTOR_PROCESS
-            for phase in self.phases.values()
-        ):
-            return EXECUTOR_PROCESS
-        return EXECUTOR_THREAD
 
     def max_workers(self) -> int:
         return max(
@@ -384,19 +296,6 @@ class ParallelExecutor:
         self.obs = obs if obs is not None else default_observability()
         self._lock = threading.Lock()
         self._thread = self._new_thread_backend(self.config)
-        #: Process pool, created lazily on the first run that actually
-        #: ships tasks (most queries never pay for worker processes).
-        self._process: ProcessBackend | None = None
-        #: Compute-per-byte model behind ``executor="auto"``.  Owned
-        #: by the executor (not a run) so rates learned from measured
-        #: batch latencies persist across queries and reconfigures.
-        self.cost = CostModel()
-        #: Zero-arg callable yielding cross-query operator profile
-        #: totals (:meth:`~repro.obs.profile.ProfileAggregator.kind_totals`),
-        #: wired by the embedding database so the cost model starts
-        #: from observed per-operator rates instead of static seeds.
-        self.profile_source = None
-        self._profile_seeded = False
         #: Optional :class:`~repro.parallel.intermediates.IntermediateCache`
         #: wired by the embedding database; when set, staged scan
         #: outputs are reused across executions keyed on the table's
@@ -404,23 +303,6 @@ class ParallelExecutor:
         self.intermediates = None
         self.parallel_runs = 0
         self.serial_runs = 0
-
-    def _seed_cost_model(self) -> None:
-        """Pre-seed cost rates from cross-query profiles, once.
-
-        Called lazily on the first adaptive run; profile totals are
-        advisory, so any failure reading them is swallowed and the
-        static seeds stand.
-        """
-        source = self.profile_source
-        if source is None or self._profile_seeded:
-            return
-        self._profile_seeded = True
-        try:
-            totals = source()
-        except Exception:  # noqa: BLE001 - profiles are advisory
-            return
-        self.cost.refine_from_profile(totals)
 
     def _new_thread_backend(self, config: ParallelConfig) -> ThreadBackend:
         return ThreadBackend(
@@ -437,43 +319,27 @@ class ParallelExecutor:
         with self._lock:
             return self._thread
 
-    def process_backend(self) -> ProcessBackend:
-        with self._lock:
-            if self._process is None:
-                self._process = ProcessBackend(
-                    self.config.workers,
-                    task_timeout=self.config.task_timeout,
-                    registry=self.obs.registry,
-                )
-            return self._process
-
     def reconfigure(self, config: ParallelConfig) -> None:
-        """Swap the configuration and retire the current worker pools.
+        """Swap the configuration and retire the current worker pool.
 
         Safe against in-flight runs: they captured the old config and
-        backends on entry and already hold futures on the old pools,
-        which drain them before shutting down; later runs lazily build
-        fresh pools sized to the new configuration.
+        backend on entry and already hold futures on the old pool,
+        which drains them before shutting down; later runs lazily build
+        a fresh pool sized to the new configuration.
         """
         with self._lock:
             thread, self._thread = self._thread, self._new_thread_backend(
                 config
             )
-            process, self._process = self._process, None
             self.config = config
         thread.close()
-        if process is not None:
-            process.close()
 
     def close(self) -> None:
         with self._lock:
             thread, self._thread = self._thread, self._new_thread_backend(
                 self.config
             )
-            process, self._process = self._process, None
         thread.close()
-        if process is not None:
-            process.close()
 
     # -- execution ----------------------------------------------------------------
     def run(
@@ -506,18 +372,14 @@ class ParallelExecutor:
             )
 
         # The first decision, from the data: schedule only when some
-        # scanned page can wait.  A requested process backend is
-        # honoured regardless (processes scale CPU-bound work past the
-        # GIL), and adaptive placement still routes each batch, running
-        # the thread-routed ones inline when nothing can wait.
+        # scanned page can wait.
         params = tuple(params)
-        placement = config.executor
         waiting = ""
         if config.workers <= 1:
             reason = "single worker"
         else:
             waiting = self.waiting_table(prepared.plan)
-            if not waiting and placement == EXECUTOR_THREAD:
+            if not waiting:
                 reason = (
                     "all scanned pages resident: nothing for threads "
                     "to overlap"
@@ -538,41 +400,8 @@ class ParallelExecutor:
             )
 
         report = _Report()
-        report.skip(
-            f"scheduled: {waiting or placement + ' placement requested'}",
-            mark_span=False,
-        )
-        process: ProcessBackend | None = None
-        chooser: CostModel | None = None
-        if placement in (EXECUTOR_PROCESS, EXECUTOR_AUTO):
-            adaptive = placement == EXECUTOR_AUTO
-            prefix = "adaptive placement: " if adaptive else ""
-            if prepared.compiled.opt_level != OPT_O2:
-                # O0 generated code calls closures living in this
-                # process's context; those cannot cross a process
-                # boundary, so the whole run rides the thread backend.
-                report.skip(
-                    f"{prefix}O0 closure plan: process backend fell "
-                    "back to the thread backend"
-                )
-            elif not _picklable(params):
-                # Every shipped task carries the parameter vector; a
-                # value that refuses to pickle dooms all of them, so
-                # decide once up front instead of per batch.
-                report.skip(
-                    f"{prefix}unpicklable parameter vector: process "
-                    "backend fell back to the thread backend"
-                )
-            else:
-                process = self.process_backend()
-                if adaptive:
-                    chooser = self.cost
-                    report.adaptive = True
-                    self._seed_cost_model()
-        scheduled = _ScheduledRun(
-            self, prepared, params, config, report, process, chooser,
-            inline=chooser is not None and not waiting,
-        )
+        report.skip(f"scheduled: {waiting}", mark_span=False)
+        scheduled = _ScheduledRun(self, prepared, params, config, report)
         rows = scheduled.execute()
         elapsed = time.perf_counter() - started
         if not report.went_parallel:
@@ -590,20 +419,6 @@ class ParallelExecutor:
         with self._lock:
             self.parallel_runs += 1
         notes = list(report.skips)
-        if report.shipped_tasks:
-            notes.append(
-                f"process backend shipped {report.shipped_tasks} task(s), "
-                f"~{report.shipped_bytes / 1024:.0f} KiB of payloads "
-                f"serialized"
-            )
-        if report.adaptive and report.placements:
-            routed = ", ".join(
-                f"{kind}→{backend}×{count}"
-                for (kind, backend), count in sorted(
-                    report.placements.items()
-                )
-            )
-            notes.append(f"adaptive placement routed {routed}")
         if report.handoffs:
             notes.append(
                 f"incremental partition hand-off on {report.handoffs} "
@@ -612,8 +427,6 @@ class ParallelExecutor:
         return rows, ExecutionStats(
             parallel=True,
             scheduled=True,
-            backend=report.backend_used(),
-            placement=placement,
             pipelined=scheduled.pipelined,
             workers=report.max_workers(),
             morsels=report.morsels,
@@ -676,16 +489,13 @@ class _ScheduledRun:
 
     def __init__(
         self,
-        executor: ParallelExecutor,
+        owner: ParallelExecutor,
         prepared,
         params: tuple,
         config: ParallelConfig,
         report: _Report,
-        process: ProcessBackend | None = None,
-        chooser: CostModel | None = None,
-        inline: bool = False,
     ):
-        self.executor = executor
+        self.owner = owner
         self.prepared = prepared
         self.plan = prepared.plan
         # The per-morsel entry points (``*_partial``/``_pair``/``_chunk``)
@@ -696,19 +506,6 @@ class _ScheduledRun:
         self.params = params
         self.config = config
         self.report = report
-        #: Non-None when this run ships eligible batches out of process.
-        self.process = process
-        #: Non-None when ``executor="auto"`` routes each batch through
-        #: the cost model (requires a live process backend to route to).
-        self.chooser = chooser
-        #: Adaptive run with every scanned page resident: batches the
-        #: chooser routes to threads run on the calling thread instead
-        #: (threads would only interleave the same computation).
-        self.inline = inline
-        #: Only a process backend imports the module from a file.
-        self.module_spec = (
-            prepared.compiled.module_spec() if process is not None else None
-        )
         #: Span the scheduler's node spans parent under.  Captured on
         #: the constructing thread (where the engine's execute span is
         #: active): node runners later execute on pipeline driver
@@ -718,7 +515,7 @@ class _ScheduledRun:
             self.plan, opt_level=prepared.compiled.opt_level, params=params
         )
         self.access = StageAccess(
-            prepared, self.ctx, params, executor.intermediates,
+            prepared, self.ctx, params, owner.intermediates,
             config.min_pages,
             lambda remark: report.skip(remark, mark_span=False),
         )
@@ -726,12 +523,9 @@ class _ScheduledRun:
         self.results: dict[int, object] = {}
         #: ScanStage op ids whose partition staging may publish buckets
         #: incrementally (see :class:`PartitionHandoff`).  Only
-        #: thread-placement pipelined runs qualify: hand-off pair tasks
-        #: are blocking thunks, which cannot ship out of process.
+        #: pipelined runs qualify.
         self._handoff_ops: frozenset[int] = (
-            self._handoff_eligible()
-            if config.pipeline and process is None
-            else frozenset()
+            self._handoff_eligible() if config.pipeline else frozenset()
         )
         #: Whether the dependency-driven driver actually ran (set by
         #: :meth:`execute`; False for single-node plans even when the
@@ -994,157 +788,42 @@ class _ScheduledRun:
             )
 
     # -- shared helpers ---------------------------------------------------------------
-    def _read_pages(self, binding: str, page_lo: int, page_hi: int) -> tuple:
-        """Materialize a scan task's raw page bytes for shipping.
-
-        Reads go through the live buffer pool in the parent, so worker
-        processes never touch storage; ``bytes()`` snapshots each page
-        buffer before it crosses the pickle boundary.
-        """
-        table = self.ctx.tables[binding]
-        return tuple(
-            bytes(table.read_page(page_no).data)
-            for page_no in range(page_lo, page_hi)
-        )
-
-    def _thunk(self, task):
-        """Materialize one task description for in-process execution."""
-        fn = self.namespace[task.func]
+    def _call(self, name: str, *args):
+        """One task: the generated function ``name`` over ``args``."""
+        fn = self.namespace[name]
         ctx = self.ctx
-        if isinstance(task, ScanTask):
-            post = (
-                self.namespace[task.post_func]
-                if task.post_func is not None
-                else None
-            )
+        return lambda: fn(ctx, *args)
 
-            def run_scan():
-                rows = fn(ctx, task.page_lo, task.page_hi)
-                return post(ctx, rows) if post is not None else rows
+    def _scan_task(self, scan, post, page_lo: int, page_hi: int):
+        """One morsel task: the generated scan over ``[page_lo, page_hi)``,
+        its output fed to the fused consumer ``post`` when there is one."""
+        ctx = self.ctx
 
-            return run_scan
-        return lambda: fn(ctx, *task.args)
+        def run_scan():
+            rows = scan(ctx, page_lo, page_hi)
+            return post(ctx, rows) if post is not None else rows
+
+        return run_scan
 
     def _run_batch(
-        self, tasks: list, label: str | None = None, affinity=None
-    ) -> tuple[list, int, str]:
-        """Run one phase's task batch on the active backend.
+        self, thunks: list, label: str | None = None, affinity=None
+    ) -> tuple[list, int]:
+        """Run one phase's tasks on the thread backend, with task spans.
 
-        Returns ``(results, workers, backend_name)`` with results in
-        task order.  Under ``executor="auto"`` the cost model routes
-        the batch to whichever backend it estimates cheaper; under any
-        placement the measured batch latency feeds back into the model,
-        so forced thread/process runs calibrate later adaptive ones.
-        A batch whose payloads refuse to pickle — or whose process pool
-        was retired by a concurrent reconfigure — re-runs on the thread
-        backend: the scheduler's structure (and therefore result order)
-        is identical either way, only the substrate changes.  ``label``
-        names the scheduling node in watchdog diagnostics and task
-        spans; ``affinity`` (one partition id per task) makes thread
-        dispatch sticky per worker with stealing fallback.
+        Returns ``(results, workers)`` with results in task order.
+        ``label`` names the scheduling node in watchdog diagnostics;
+        ``affinity`` (one partition id per task) makes dispatch sticky
+        per worker with stealing fallback.
         """
         node_span = current_span()
-        payload = batch_payload_bytes(tasks)
-        kind = cost_kind(label)
-        cost = self.executor.cost
-        use_process = self.process is not None
-        if use_process and self.chooser is not None:
-            decision = self.chooser.choose(
-                kind, payload, len(tasks), warm=self.process.warm
-            )
-            use_process = decision.backend == EXECUTOR_PROCESS
-            if node_span is not None:
-                node_span.set(
-                    placement=decision.backend,
-                    placement_reason=decision.reason,
-                )
-        if use_process:
-            try:
-                task_meta: list | None = (
-                    [] if node_span is not None else None
-                )
-                started = time.perf_counter()
-                results, workers, shipped = self.process.run_batch(
-                    self.module_spec,
-                    self.params,
-                    tasks,
-                    self._read_pages,
-                    label=label,
-                    task_meta=task_meta,
-                )
-                cost.observe(
-                    kind, EXECUTOR_PROCESS, payload, len(tasks),
-                    time.perf_counter() - started,
-                )
-                self.report.add_shipped(len(tasks), shipped)
-                if self.chooser is not None:
-                    self.report.add_placement(kind, EXECUTOR_PROCESS)
-                if node_span is not None:
-                    for meta in task_meta:
-                        node_span.child(
-                            f"task {meta['index']}",
-                            "task",
-                            start=meta["started"],
-                            end=meta["ended"],
-                            thread_id=meta["thread_id"],
-                            pid=meta["pid"],
-                            index=meta["index"],
-                            queue_seconds=max(
-                                0.0, meta["started"] - meta["submitted"]
-                            ),
-                        )
-                    node_span.set(
-                        tasks=len(tasks),
-                        workers=workers,
-                        backend=EXECUTOR_PROCESS,
-                        shipped_bytes=shipped,
-                    )
-                return results, workers, EXECUTOR_PROCESS
-            except BackendRetired as exc:
-                # Subclass of TaskNotPicklable — catch it first so the
-                # note names the real cause.
-                self.report.skip(
-                    "process pool retired mid-query "
-                    f"({str(exc)[:80]}): batch re-ran on the thread "
-                    "backend"
-                )
-            except TaskNotPicklable as exc:
-                self.report.skip(
-                    "unpicklable task payload "
-                    f"({str(exc)[:80]}): batch re-ran on the thread "
-                    "backend"
-                )
-        thunks = [self._thunk(task) for task in tasks]
         if node_span is not None:
             thunks = self._wrap_traced(thunks, node_span)
-        started = time.perf_counter()
-        if self.inline:
-            results, workers = [thunk() for thunk in thunks], 1
-        else:
-            results, workers = self.executor.thread_backend().run_thunks(
-                thunks, self.config.workers, label=label,
-                affinity=affinity,
-            )
-        cost.observe(
-            kind, EXECUTOR_THREAD, payload, len(tasks),
-            time.perf_counter() - started,
+        results, workers = self.owner.thread_backend().run_thunks(
+            thunks, self.config.workers, label=label, affinity=affinity
         )
-        if self.chooser is not None:
-            self.report.add_placement(kind, EXECUTOR_THREAD)
         if node_span is not None:
-            if self.chooser is not None and use_process:
-                # The chooser picked the process backend but the batch
-                # fell back; report where it actually ran.
-                node_span.set(
-                    placement=EXECUTOR_THREAD,
-                    placement_reason=(
-                        "process batch fell back to the thread backend"
-                    ),
-                )
-            node_span.set(
-                tasks=len(tasks), workers=workers, backend=EXECUTOR_THREAD
-            )
-        return results, workers, EXECUTOR_THREAD
+            node_span.set(tasks=len(thunks), workers=workers)
+        return results, workers
 
     def _wrap_traced(self, inners: list, node_span) -> list:
         """Wrap raw thunks in task spans under the node span.
@@ -1174,27 +853,6 @@ class _ScheduledRun:
 
             thunks.append(run)
         return thunks
-
-    def _run_thunks(
-        self, thunks: list, label: str | None = None
-    ) -> tuple[list, int]:
-        """Run raw thunks on the thread backend (with task spans).
-
-        The substrate for batches that exist only as live closures —
-        incremental hand-off pairs, whose thunks block on bucket
-        publication — and therefore can never ship out of process.
-        """
-        node_span = current_span()
-        if node_span is not None:
-            thunks = self._wrap_traced(thunks, node_span)
-        results, workers = self.executor.thread_backend().run_thunks(
-            thunks, self.config.workers, label=label
-        )
-        if node_span is not None:
-            node_span.set(
-                tasks=len(thunks), workers=workers, backend=EXECUTOR_THREAD
-            )
-        return results, workers
 
     def _serial(self, op) -> None:
         """Run one operator's serial generated function in plan order."""
@@ -1272,43 +930,29 @@ class _ScheduledRun:
             )
             self._serial(op)
             return False
-        pages_per = config.morsel_pages
-        if self.process is not None:
-            # Process morsels are coarser: each one's page bytes are
-            # pickled across the boundary, so fewer, larger units keep
-            # the serialization toll amortized.
-            pages_per = coarse_morsel_pages(
-                table.num_pages, config.workers, config.morsel_pages
-            )
-        morsels = morsels_for(table.num_pages, pages_per)
+        morsels = morsels_for(table.num_pages, config.morsel_pages)
         if len(morsels) < 2:
             self.report.skip(f"table {op.binding!r}: single morsel")
             self._serial(op)
             return False
 
-        scan_name = self.names[op.op_id]
-        post_name = None
+        scan = self.namespace[self.names[op.op_id]]
+        post = None
         if isinstance(fused, Aggregate):
-            post_name = self.names[fused.op_id] + "_partial"
+            post = self.namespace[self.names[fused.op_id] + "_partial"]
         elif isinstance(fused, Project):
-            post_name = self.names[fused.op_id]
+            post = self.namespace[self.names[fused.op_id]]
 
         started = time.perf_counter()
         tasks = [
-            ScanTask(
-                func=scan_name,
-                binding=op.binding,
-                page_lo=morsel.page_lo,
-                page_hi=morsel.page_hi,
-                post_func=post_name,
-            )
+            self._scan_task(scan, post, morsel.page_lo, morsel.page_hi)
             for morsel in morsels
         ]
         # Page-range affinity: partition the table's page space evenly
         # across workers and tag each morsel with its stripe, so the
         # same worker walks the same contiguous pages on every run
         # (sequential reads, warm buffer-pool reuse) with stealing as
-        # the skew fallback.  Process dispatch ignores the tags.
+        # the skew fallback.
         affinity = [
             min(
                 morsel.page_lo * config.workers // max(table.num_pages, 1),
@@ -1316,12 +960,11 @@ class _ScheduledRun:
             )
             for morsel in morsels
         ]
-        ordered, workers, backend = self._run_batch(
+        ordered, workers = self._run_batch(
             tasks, label=f"stage:o{op.op_id}", affinity=affinity
         )
         self.report.note(
-            "stage", started, time.perf_counter(), workers,
-            len(morsels), backend,
+            "stage", started, time.perf_counter(), workers, len(morsels)
         )
         self.report.add_scan(len(morsels), table.num_pages)
 
@@ -1446,7 +1089,7 @@ class _ScheduledRun:
                     inner = right[start:]
                 else:
                     inner = right
-                tasks.append(CallTask(func=pair_name, args=(chunk, inner)))
+                tasks.append(self._call(pair_name, chunk, inner))
         elif op.algorithm == JOIN_HASH:
             # Serial emission order: left directory insertion order,
             # skipping keys with no right-side partition.
@@ -1456,8 +1099,7 @@ class _ScheduledRun:
                 self._serial(op)
                 return
             tasks = [
-                CallTask(func=pair_name, args=(left[key], right[key]))
-                for key in keys
+                self._call(pair_name, left[key], right[key]) for key in keys
             ]
         else:  # hybrid: corresponding coarse partitions
             if len(left) < 2:
@@ -1465,21 +1107,18 @@ class _ScheduledRun:
                 self._serial(op)
                 return
             tasks = [
-                CallTask(func=pair_name, args=(left[index], right[index]))
+                self._call(pair_name, left[index], right[index])
                 for index in range(len(left))
             ]
 
         started = time.perf_counter()
-        chunks, workers, backend = self._run_batch(
-            tasks, label=f"join:o{op.op_id}"
-        )
+        chunks, workers = self._run_batch(tasks, label=f"join:o{op.op_id}")
         out: list = []
         for chunk in chunks:
             out.extend(chunk)
         self.results[op.op_id] = out
         self.report.note(
-            "join", started, time.perf_counter(), workers, len(tasks),
-            backend,
+            "join", started, time.perf_counter(), workers, len(tasks)
         )
 
     def _join_incremental(self, op: Join, pair_name: str) -> None:
@@ -1552,16 +1191,13 @@ class _ScheduledRun:
             for key in keys
         ]
         started = time.perf_counter()
-        chunks, workers = self._run_thunks(
-            thunks, label=f"join:o{op.op_id}"
-        )
+        chunks, workers = self._run_batch(thunks, label=f"join:o{op.op_id}")
         out: list = []
         for chunk in chunks:
             out.extend(chunk)
         self.results[op.op_id] = out
         self.report.note(
-            "join", started, time.perf_counter(), workers, len(thunks),
-            EXECUTOR_THREAD,
+            "join", started, time.perf_counter(), workers, len(thunks)
         )
 
     def _multiway(self, op: MultiwayJoin) -> None:
@@ -1614,22 +1250,19 @@ class _ScheduledRun:
                         inputs[k], op.key_positions[k], chunk[0][key0]
                     )
                     args.append(inputs[k][start:])
-                tasks.append(CallTask(func=name, args=tuple(args)))
+                tasks.append(self._call(name, *args))
         else:  # hybrid team: one task per corresponding coarse partition
             if len(inputs[0]) < 2:
                 self.report.skip("join team has a single coarse partition")
                 self._serial(op)
                 return
             tasks = [
-                CallTask(
-                    func=name,
-                    args=tuple([parts[index]] for parts in inputs),
-                )
+                self._call(name, *([parts[index]] for parts in inputs))
                 for index in range(len(inputs[0]))
             ]
 
         started = time.perf_counter()
-        chunks, workers, backend = self._run_batch(
+        chunks, workers = self._run_batch(
             tasks, label=f"join-team:o{op.op_id}"
         )
         out: list = []
@@ -1637,8 +1270,7 @@ class _ScheduledRun:
             out.extend(chunk)
         self.results[op.op_id] = out
         self.report.note(
-            "join", started, time.perf_counter(), workers, len(tasks),
-            backend,
+            "join", started, time.perf_counter(), workers, len(tasks)
         )
 
     # -- aggregate phase ---------------------------------------------------------------
@@ -1672,12 +1304,9 @@ class _ScheduledRun:
         if len(bounds) < 2:
             self._serial(op)
             return
-        tasks = [
-            CallTask(func=partial_name, args=(rows[lo:hi],))
-            for lo, hi in bounds
-        ]
+        tasks = [self._call(partial_name, rows[lo:hi]) for lo, hi in bounds]
         started = time.perf_counter()
-        partials, workers, backend = self._run_batch(
+        partials, workers = self._run_batch(
             tasks, label=f"aggregate:o{op.op_id}"
         )
         input_layout = self.plan.op(op.input_op).output_layout
@@ -1690,8 +1319,7 @@ class _ScheduledRun:
                 directory_order=self.prepared.compiled.opt_level == OPT_O2,
             )
         self.report.note(
-            "aggregate", started, time.perf_counter(), workers,
-            len(tasks), backend,
+            "aggregate", started, time.perf_counter(), workers, len(tasks)
         )
 
     # -- restage -----------------------------------------------------------------------
@@ -1734,19 +1362,15 @@ class _ScheduledRun:
             self.report.skip("restage input yields a single chunk")
             self._serial(op)
             return
-        tasks = [
-            CallTask(func=chunk_name, args=(rows[lo:hi],))
-            for lo, hi in bounds
-        ]
+        tasks = [self._call(chunk_name, rows[lo:hi]) for lo, hi in bounds]
         started = time.perf_counter()
-        partials, workers, backend = self._run_batch(
+        partials, workers = self._run_batch(
             tasks, label=f"restage:o{op.op_id}"
         )
         with maybe_span("merge", "merge", kind=op.prep.kind):
             self.results[op.op_id] = _merge_prep_partials(op.prep, partials)
         self.report.note(
-            "stage", started, time.perf_counter(), workers, len(tasks),
-            backend,
+            "stage", started, time.perf_counter(), workers, len(tasks)
         )
 
     # -- final phase -------------------------------------------------------------------
@@ -1766,19 +1390,14 @@ class _ScheduledRun:
         # Each task sorts a contiguous slice copy with the generated
         # ORDER BY function; the k-way merge's run-order tie-break then
         # reproduces the serial stable sort exactly.
-        tasks = [
-            CallTask(func=self.names[op.op_id], args=(rows[lo:hi],))
-            for lo, hi in bounds
-        ]
+        name = self.names[op.op_id]
+        tasks = [self._call(name, rows[lo:hi]) for lo, hi in bounds]
         started = time.perf_counter()
-        runs, workers, backend = self._run_batch(
-            tasks, label=f"sort:o{op.op_id}"
-        )
+        runs, workers = self._run_batch(tasks, label=f"sort:o{op.op_id}")
         with maybe_span("merge", "merge", kind="ordered-runs"):
             self.results[op.op_id] = merge_ordered_runs(runs, op.keys)
         self.report.note(
-            "final", started, time.perf_counter(), workers, len(tasks),
-            backend,
+            "final", started, time.perf_counter(), workers, len(tasks)
         )
 
 

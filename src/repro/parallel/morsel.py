@@ -81,24 +81,6 @@ def morsels_for(num_pages: int, morsel_pages: int = DEFAULT_MORSEL_PAGES) -> lis
     return list(MorselDispatcher(num_pages, morsel_pages))
 
 
-def coarse_morsel_pages(
-    num_pages: int,
-    workers: int,
-    morsel_pages: int = DEFAULT_MORSEL_PAGES,
-) -> int:
-    """Pages per morsel for *process* dispatch of a scan.
-
-    Shipping a morsel to a worker process pickles its page bytes, so
-    each unit of work must be big enough to amortize that toll — the
-    opposite pressure from thread morsels, where smaller units only
-    cost a lock acquisition.  Aim for two morsels per worker (enough
-    slack for dynamic balancing) and never go below the configured
-    thread-morsel size.
-    """
-    per_worker = -(-num_pages // max(workers * 2, 1))
-    return max(morsel_pages, per_worker, 1)
-
-
 class TaskDispatcher:
     """Atomically dispenses task indices ``0..count-1`` to a worker pool.
 

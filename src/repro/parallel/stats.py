@@ -1,4 +1,10 @@
-"""Parallel-execution configuration and per-query statistics."""
+"""Parallel-execution configuration and per-query statistics.
+
+:class:`ParallelConfig` holds the scheduler's knobs;
+:class:`ExecutionStats` (with one :class:`PhaseStats` per phase) says
+how one execution ran: serial walk or scheduled, on how many threads,
+and why any part stayed serial.
+"""
 
 from __future__ import annotations
 
@@ -7,51 +13,16 @@ from dataclasses import dataclass, field
 
 from repro.parallel.morsel import DEFAULT_MORSEL_PAGES
 
-#: Task backends selectable through ``ParallelConfig.executor``:
-#: ``"thread"``/``"process"`` force every batch onto one backend;
-#: ``"auto"`` routes each node's task batches independently through
-#: the cost model, enabling mixed placement inside one query.
-EXECUTOR_THREAD = "thread"
-EXECUTOR_PROCESS = "process"
-EXECUTOR_AUTO = "auto"
-EXECUTOR_KINDS = (EXECUTOR_THREAD, EXECUTOR_PROCESS, EXECUTOR_AUTO)
-
-#: Reported (never configured) backend of a run whose batches were
-#: split across both backends by the adaptive placement chooser.
-EXECUTOR_MIXED = "mixed"
-
-#: Environment default for the task backend.
-EXECUTOR_ENV = "REPRO_EXECUTOR"
-
 #: Environment default for cross-phase pipelined scheduling.
 PIPELINE_ENV = "REPRO_PIPELINE"
-
-
-def default_executor() -> str:
-    """The task backend to use when none is chosen explicitly.
-
-    Reads ``REPRO_EXECUTOR`` so deployments (and the CI matrix legs)
-    can flip every engine onto the process backend or adaptive
-    placement without touching call sites; unset or empty means the
-    thread backend.
-    """
-    configured = os.environ.get(EXECUTOR_ENV, "").strip().lower()
-    if not configured:
-        return EXECUTOR_THREAD
-    if configured not in EXECUTOR_KINDS:
-        raise ValueError(
-            f"{EXECUTOR_ENV} must be one of {EXECUTOR_KINDS}, "
-            f"got {configured!r}"
-        )
-    return configured
 
 
 def default_pipeline() -> bool:
     """Whether pipelined (dependency-driven) scheduling is on by default.
 
-    Reads ``REPRO_PIPELINE`` so a deployment (and the CI leg) can flip
-    every engine onto the pipelined scheduler without touching call
-    sites; unset or empty means barrier scheduling.
+    Reads ``REPRO_PIPELINE`` so a deployment can flip every engine onto
+    the pipelined scheduler without touching call sites; unset or empty
+    means barrier scheduling.
     """
     configured = os.environ.get(PIPELINE_ENV, "").strip().lower()
     if not configured:
@@ -77,27 +48,13 @@ class ParallelConfig:
     ``min_pages`` keeps tiny table scans serial (and out of the
     intermediate cache) and ``min_rows`` keeps small intermediates
     (join inputs, aggregation inputs, final sorts) serial, where
-    thread fan-out costs more than it saves.
-
-    ``executor`` picks the task backend: ``"thread"`` runs tasks on an
-    in-process pool (best for latency-bound scans, whose page waits
-    overlap under the GIL), ``"process"`` ships O2 tasks to a
-    :class:`~concurrent.futures.ProcessPoolExecutor` whose workers
-    re-import the generated module from the compiler's work directory
-    (best for CPU-bound in-memory phases, which the GIL serializes on
-    threads), and ``"auto"`` routes each node's batches through the
-    compute-per-byte cost model.  The process backend pays a
-    serialization toll — page bytes and row chunks are pickled per
-    task — and falls back to the thread backend, with a stats note,
-    for O0 closure plans and for tasks whose payloads refuse to pickle.
+    thread fan-out costs more than it saves.  Scheduled tasks run on
+    an in-process thread pool, whose workers overlap page waits under
+    the GIL.
     """
 
     workers: int = 4
     morsel_pages: int = DEFAULT_MORSEL_PAGES
-    #: Task backend: ``"thread"``, ``"process"`` or ``"auto"``.
-    #: Defaults to the ``REPRO_EXECUTOR`` environment variable, else
-    #: ``"thread"``.
-    executor: str = field(default_factory=default_executor)
     #: Dependency-driven cross-phase scheduling: operators launch the
     #: moment their inputs are complete instead of at phase barriers,
     #: so independent scans run concurrently and a CPU-bound join can
@@ -109,9 +66,8 @@ class ParallelConfig:
     #: backend makes no progress (time queued behind other healthy
     #: batches on the shared pool does not count).  ``None`` waits
     #: forever; a bound turns a hung or wedged worker into a clean
-    #: ``ExecutionError`` instead of a stalled query.  The process
-    #: backend kills its worker pool on expiry; thread workers cannot
-    #: be killed, so the thread backend abandons the stalled pool (the
+    #: ``ExecutionError`` instead of a stalled query.  Thread workers
+    #: cannot be killed, so the backend abandons the stalled pool (the
     #: wedged task keeps running detached, the rest of its batch is
     #: poisoned) and later runs get a fresh one.
     task_timeout: float | None = None
@@ -137,11 +93,6 @@ class ParallelConfig:
             raise ValueError("morsel_pages must be positive")
         if self.min_rows <= 0:
             raise ValueError("min_rows must be positive")
-        if self.executor not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"executor must be one of {EXECUTOR_KINDS}, "
-                f"got {self.executor!r}"
-            )
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError("task_timeout must be positive (or None)")
 
@@ -153,11 +104,8 @@ class PhaseStats:
     ``workers == 1`` means the phase's operators ran their serial
     generated functions (below thresholds, or serial by design like a
     final LIMIT); ``tasks`` counts the units of work the phase
-    dispatched (morsels, partition pairs, row chunks).  ``backend``
-    records which task backend actually ran the phase — ``"process"``
-    implies every task's inputs and outputs crossed a process boundary
-    (pickled page bytes / row chunks), so its ``seconds`` include that
-    serialization overhead.  ``overlap_seconds`` is how much of this
+    dispatched (morsels, partition pairs, row chunks).
+    ``overlap_seconds`` is how much of this
     phase's wall time ran concurrently with other operator nodes —
     another phase's, or a sibling of the same phase (two table scans
     staging side by side) — nonzero only under the pipelined
@@ -170,21 +118,12 @@ class PhaseStats:
     seconds: float = 0.0
     workers: int = 1
     tasks: int = 0
-    backend: str = EXECUTOR_THREAD
     #: Seconds of this phase's wall time spent overlapped with other
     #: phases (pipelined scheduling only; 0.0 under phase barriers).
     overlap_seconds: float = 0.0
 
     def describe(self) -> str:
-        suffix = ""
-        if self.backend == EXECUTOR_PROCESS:
-            suffix = "p"
-        elif self.backend == EXECUTOR_MIXED:
-            suffix = "m"
-        base = (
-            f"{self.name} {self.seconds * 1000:.1f} ms/"
-            f"{self.workers}w{suffix}"
-        )
+        base = f"{self.name} {self.seconds * 1000:.1f} ms/{self.workers}w"
         if self.overlap_seconds > 0:
             base += f" ({self.overlap_seconds * 1000:.1f} overlapped)"
         return base
@@ -207,14 +146,6 @@ class ExecutionStats:
     #: a scheduled run can still end up ``parallel=False`` when every
     #: operator stayed below its fan-out thresholds.
     scheduled: bool = False
-    #: Task backend that ran the parallel phases: ``"thread"``,
-    #: ``"process"`` (only when at least one phase actually shipped
-    #: tasks to worker processes), or ``"mixed"`` when the adaptive
-    #: placement chooser split one query's batches across both.
-    backend: str = EXECUTOR_THREAD
-    #: ``ParallelConfig.executor`` in force for this run (``"thread"``,
-    #: ``"process"`` or ``"auto"``; ``""`` for serial executions).
-    placement: str = ""
     #: True when the dependency-driven (pipelined) scheduler ran this
     #: query, i.e. operators launched as their inputs completed rather
     #: than at phase barriers.
@@ -236,14 +167,9 @@ class ExecutionStats:
 
     def describe(self) -> str:
         if self.parallel:
-            mode = (
-                f"{self.backend}, pipelined"
-                if self.pipelined
-                else self.backend
-            )
-            if self.placement == EXECUTOR_AUTO:
-                mode += ", adaptive"
-            base = f"parallel: {self.workers} workers ({mode})"
+            base = f"parallel: {self.workers} workers"
+            if self.pipelined:
+                base += " (pipelined)"
             if self.morsels:
                 base += f", {self.morsels} morsels over {self.pages} pages"
             if self.phases:

@@ -447,7 +447,6 @@ class QueryServer:
                 "failed": service.failed,
                 "rejected": service.rejected,
                 "pending": service.pending,
-                "executor": service.executor,
                 "watchdog_abandonments": service.watchdog_abandonments,
                 "cache_hits": service.cache.hits,
                 "cache_misses": service.cache.misses,

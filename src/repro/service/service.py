@@ -71,11 +71,6 @@ class ServiceStats:
     rejected: int
     pending: int
     cache: CacheStats
-    #: Task backend the database's engines dispatch scheduled runs to —
-    #: ``"thread"``/``"process"`` when one backend is forced, ``"auto"``
-    #: when the adaptive cost model routes each batch (mixed
-    #: thread/process inside one query).
-    executor: str = "thread"
     #: Queries the stall watchdog aborted (a wedged parallel task).
     #: Surfaced here *and* per digest, so a wedged statement is visible
     #: in per-statement accounting, not only as a metrics event.
@@ -578,9 +573,7 @@ class QueryService:
                 getter = getattr(self.database, "last_exec_stats", None)
                 stats = getter(kind) if callable(getter) else None
                 if stats is not None:
-                    backend = (
-                        stats.backend if stats.parallel else "serial"
-                    )
+                    backend = "thread" if stats.parallel else "serial"
             insights.record(
                 kind,
                 statement.key,
@@ -869,7 +862,6 @@ class QueryService:
             )
 
     def stats(self) -> ServiceStats:
-        executor = self.database.parallel_config.executor
         with self._state_lock:
             return ServiceStats(
                 queries=self._queries,
@@ -880,7 +872,6 @@ class QueryService:
                 rejected=self._rejected,
                 pending=self._pending,
                 cache=self.cache.stats(),
-                executor=executor,
                 watchdog_abandonments=self._watchdog,
             )
 

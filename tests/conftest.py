@@ -20,9 +20,9 @@ from repro.storage import (
 )
 
 #: The config of a serial reference engine.  One worker takes the
-#: serial walk before the scheduler's first question is asked, so
-#: neither the ``scheduled`` fixture nor ``REPRO_EXECUTOR`` reaches it.
-SERIAL = ParallelConfig(workers=1, executor="thread")
+#: serial walk before the scheduler's first question is asked, so the
+#: ``scheduled`` fixture does not reach it.
+SERIAL = ParallelConfig(workers=1)
 
 
 @pytest.fixture()

@@ -138,28 +138,27 @@ class TestGeneratedSource:
 
 
 class TestCompiler:
-    def test_compile_produces_entry(self, simple_catalog, tmp_path):
+    def test_compile_produces_entry(self, simple_catalog):
         generated, plan = generate(simple_catalog, "SELECT a, b FROM t")
-        compiled = QueryCompiler(str(tmp_path)).compile(generated)
+        compiled = QueryCompiler().compile(generated)
         assert callable(compiled.entry)
         assert compiled.compile_seconds > 0
         assert compiled.compiled_bytes > 0
 
-    def test_source_written_to_file(self, simple_catalog, tmp_path):
+    def test_source_served_from_memory(self, simple_catalog):
         generated, _ = generate(
             simple_catalog, "SELECT c, count(*) AS n FROM t GROUP BY c",
             force_agg="map",
         )
         assert "_partial(ctx, rows):" in generated.scheduled_source
-        compiled = QueryCompiler(str(tmp_path)).compile(generated)
+        compiled = QueryCompiler().compile(generated)
         assert not os.path.exists(compiled.source_path)
-        assert compiled.module_spec()[1] == compiled.source_path
-        with open(compiled.source_path) as handle:
-            assert handle.read() == (
-                generated.source + generated.scheduled_source
-            )
+        loader = compiled.namespace["__loader__"]
+        assert loader.get_source(compiled.namespace["__name__"]) == (
+            generated.source + generated.scheduled_source
+        )
 
-    def test_bad_source_raises_codegen_error(self, tmp_path):
+    def test_bad_source_raises_codegen_error(self):
         from repro.core.generator import GeneratedQuery
 
         broken = GeneratedQuery(
@@ -170,9 +169,9 @@ class TestCompiler:
             traced=False,
         )
         with pytest.raises(CodegenError):
-            QueryCompiler(str(tmp_path)).compile(broken)
+            QueryCompiler().compile(broken)
 
-    def test_missing_entry_raises(self, tmp_path):
+    def test_missing_entry_raises(self):
         from repro.core.generator import GeneratedQuery
 
         missing = GeneratedQuery(
@@ -183,7 +182,7 @@ class TestCompiler:
             traced=False,
         )
         with pytest.raises(CodegenError):
-            QueryCompiler(str(tmp_path)).compile(missing)
+            QueryCompiler().compile(missing)
 
 
 class TestEngineFacade:

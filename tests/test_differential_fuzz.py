@@ -1,13 +1,13 @@
-"""Grammar-driven randomized differential testing across every backend.
+"""Grammar-driven randomized differential testing across every engine.
 
 A seeded generator builds random schemas/data sets and random queries —
 filters, joins, self-joins, group-by, order-by, ``?`` parameters — and
 asserts that every engine agrees with the naive reference evaluator,
 and that the HIQUE engine's composed entry point (``run_compiled``),
-serial walk (with a warm intermediate cache), thread-parallel,
-process-parallel and ``executor="auto"`` executions (pipelined too, under
-``REPRO_PIPELINE=1``) return *identical* row sequences (the parallel
-subsystem's byte-identity guarantee) at both optimization levels.
+serial walk (with a warm intermediate cache) and thread-scheduled
+executions (pipelined too, under ``REPRO_PIPELINE=1``) return
+*identical* row sequences (the parallel subsystem's byte-identity
+guarantee) at both optimization levels.
 
 The grammar deliberately stresses the degenerate regimes: a third
 table ``v`` is empty, one-row or three rows; filters are occasionally
@@ -30,7 +30,7 @@ the failing seed plus SQL are printed so a mismatch reproduces with a
 two-line script.  The corpus is bounded (4 seeds × 50 queries) to keep
 tier-1 fast; the thresholds are tuned way down (single-page morsels,
 ``min_rows=8``) so even these small tables genuinely exercise the
-parallel scan/join/aggregate/sort paths on both task backends.
+parallel scan/join/aggregate/sort paths.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def canonical(rows):
 def _norm(value):
     # Engines legitimately differ on int-vs-float for degenerate cases
     # (e.g. sum over an empty DOUBLE input), so numerics normalize to a
-    # rounded float; the serial/thread/process byte-identity assertion
+    # rounded float; the serial/thread byte-identity assertion
     # below stays exact.
     if isinstance(value, bool):
         return value
@@ -423,7 +423,7 @@ def _pinned(engine: HiqueEngine) -> HiqueEngine:
 
 def _engines(catalog: Catalog) -> dict:
     """Every engine configuration under test, keyed by display name."""
-    thread = ParallelConfig(executor="thread", **_PARALLEL)
+    thread = ParallelConfig(**_PARALLEL)
     return {
         "hique-o2": _Composed(catalog, OPT_O2),
         "hique-o0": _Composed(catalog, OPT_O0),
@@ -440,28 +440,6 @@ def _engines(catalog: Catalog) -> dict:
         ),
         "hique-o0-thread": _pinned(
             HiqueEngine(catalog, opt_level=OPT_O0, parallel=thread)
-        ),
-        "hique-o2-process": HiqueEngine(
-            catalog,
-            opt_level=OPT_O2,
-            parallel=ParallelConfig(executor="process", **_PARALLEL),
-        ),
-        "hique-o0-process": HiqueEngine(
-            catalog,
-            opt_level=OPT_O0,
-            parallel=ParallelConfig(executor="process", **_PARALLEL),
-        ),
-        # Adaptive placement: the cost model routes each batch to the
-        # thread or process backend mid-query (mixed placement).
-        "hique-o2-auto": HiqueEngine(
-            catalog,
-            opt_level=OPT_O2,
-            parallel=ParallelConfig(executor="auto", **_PARALLEL),
-        ),
-        "hique-o0-auto": HiqueEngine(
-            catalog,
-            opt_level=OPT_O0,
-            parallel=ParallelConfig(executor="auto", **_PARALLEL),
         ),
         "volcano-generic": VolcanoEngine(catalog, generic=True),
         "volcano-optimized": VolcanoEngine(catalog),
@@ -870,12 +848,11 @@ def test_differential_fuzz(seed: int):
                     got = engine.execute(literal)
                 rows_by_name[name] = got
                 assert canonical(got) == expected, f"{name} @ {where}"
-            # Byte-identity across composed/walk/thread/process/auto, per
-            # opt level: same engine, same plan, different execution
-            # substrate (auto may mix substrates within one query).
+            # Byte-identity across composed/walk/thread, per opt level:
+            # same engine, same plan, different execution substrate.
             for level in ("o2", "o0"):
                 base = rows_by_name[f"hique-{level}"]
-                for suffix in ("walk", "thread", "process", "auto"):
+                for suffix in ("walk", "thread"):
                     name = f"hique-{level}-{suffix}"
                     assert rows_by_name[name] == base, f"{name} @ {where}"
             assert any(

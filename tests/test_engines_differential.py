@@ -1,9 +1,11 @@
 """Cross-engine differential tests: every engine must agree.
 
 The reference evaluator (deliberately naive) defines correctness; the
-HIQUE engine (O0 and O2), both Volcano configurations, the buffered
-System X analogue and the vectorized DSM engine are all checked against
-it on a shared query corpus and on hypothesis-generated tables.
+HIQUE engine (O0 and O2, on the serial walk and scheduled on the
+thread pool with barrier and pipelined phases), both Volcano
+configurations, the buffered System X analogue and the vectorized DSM
+engine are all checked against it on a shared query corpus and on
+hypothesis-generated tables.
 """
 
 import pytest
@@ -37,21 +39,25 @@ def reference(catalog, sql):
     return reference_evaluate(Binder(catalog).bind(parse(sql)))
 
 
+def _threads(pipeline: bool) -> ParallelConfig:
+    return ParallelConfig(
+        workers=3, morsel_pages=1, min_pages=1, min_rows=8, pipeline=pipeline
+    )
+
+
 ENGINE_FACTORIES = {
     "hique-o2": lambda c: HiqueEngine(c, opt_level=OPT_O2),
     "hique-o0": lambda c: HiqueEngine(c, opt_level=OPT_O0),
-    # Cost-model-routed placement: each batch may run on the thread or
-    # the process backend, and rows must still match everyone else.
-    "hique-o2-auto": lambda c: HiqueEngine(
-        c,
-        opt_level=OPT_O2,
-        parallel=ParallelConfig(
-            executor="auto",
-            workers=3,
-            morsel_pages=1,
-            min_pages=1,
-            min_rows=8,
-        ),
+    # Scheduled on the thread pool, one-page morsels: every batch,
+    # merge and hand-off runs, and rows must still match everyone else.
+    "hique-o2-threads": lambda c: HiqueEngine(
+        c, opt_level=OPT_O2, parallel=_threads(pipeline=False)
+    ),
+    "hique-o2-pipelined": lambda c: HiqueEngine(
+        c, opt_level=OPT_O2, parallel=_threads(pipeline=True)
+    ),
+    "hique-o0-threads": lambda c: HiqueEngine(
+        c, opt_level=OPT_O0, parallel=_threads(pipeline=False)
     ),
     "volcano-generic": lambda c: VolcanoEngine(c, generic=True),
     "volcano-optimized": lambda c: VolcanoEngine(c),
@@ -60,13 +66,26 @@ ENGINE_FACTORIES = {
 }
 
 
+#: Engines whose runs the ``scheduled`` fixture pins to the scheduler
+#: (in-memory pages never wait, so they would otherwise walk serially).
+SCHEDULED_ENGINES = {"hique-o2-threads", "hique-o2-pipelined", "hique-o0-threads"}
+
+
+def _make_engine(request, catalog, engine_name):
+    if engine_name in SCHEDULED_ENGINES:
+        request.getfixturevalue("scheduled")
+    return ENGINE_FACTORIES[engine_name](catalog)
+
+
 @pytest.mark.parametrize("engine_name", list(ENGINE_FACTORIES))
 @pytest.mark.parametrize("sql", DIFFERENTIAL_QUERIES)
-def test_engine_matches_reference(simple_catalog, engine_name, sql):
-    engine = ENGINE_FACTORIES[engine_name](simple_catalog)
+def test_engine_matches_reference(request, simple_catalog, engine_name, sql):
+    engine = _make_engine(request, simple_catalog, engine_name)
     assert canonical(engine.execute(sql)) == canonical(
         reference(simple_catalog, sql)
     )
+    if engine_name in SCHEDULED_ENGINES:
+        assert engine.last_exec_stats.scheduled
 
 
 FORCED_CONFIGS = [
@@ -86,11 +105,20 @@ FORCED_CONFIGS = [
 @pytest.mark.parametrize("config_index", range(len(FORCED_CONFIGS)))
 @pytest.mark.parametrize(
     "engine_name",
-    ["hique-o2", "hique-o0", "hique-o2-auto", "volcano-optimized"],
+    [
+        "hique-o2",
+        "hique-o0",
+        "hique-o2-threads",
+        "hique-o2-pipelined",
+        "hique-o0-threads",
+        "volcano-optimized",
+    ],
 )
-def test_forced_algorithms_agree(simple_catalog, engine_name, config_index):
+def test_forced_algorithms_agree(
+    request, simple_catalog, engine_name, config_index
+):
     config = FORCED_CONFIGS[config_index]
-    engine = ENGINE_FACTORIES[engine_name](simple_catalog)
+    engine = _make_engine(request, simple_catalog, engine_name)
     for sql in (
         "SELECT t.a, u.d FROM t, u WHERE t.k = u.k AND t.a < 50",
         "SELECT c, sum(b) AS s, count(*) AS n FROM t GROUP BY c",
@@ -100,6 +128,8 @@ def test_forced_algorithms_agree(simple_catalog, engine_name, config_index):
         else:
             got = engine.execute(sql, planner_config=config)
         assert canonical(got) == canonical(reference(simple_catalog, sql))
+        if engine_name in SCHEDULED_ENGINES:
+            assert engine.last_exec_stats.scheduled
 
 
 def test_empty_table_queries():

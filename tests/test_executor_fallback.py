@@ -1,34 +1,26 @@
-"""Fallback and failure paths of the process execution backend.
+"""Failure paths of the thread task backend.
 
-The process backend must never change results or hang: ineligible work
-(O0 closure plans, tiny inputs, unpicklable payloads) silently rides
-the thread backend or the serial entry point with a stats note, and a
-dead or wedged worker surfaces a clean :class:`ExecutionError` while
-the pool is replaced for subsequent queries.
+A scheduled run must never change results or hang: tiny inputs ride
+the serial generated functions with a stats note, a task's own
+exception propagates, and a wedged task surfaces a clean
+:class:`ExecutionError` while the pool is replaced for subsequent
+queries.
 """
 
 from __future__ import annotations
 
 import random
-import textwrap
 import threading
 import time
 
 import pytest
 
-from repro.api import Database
 from repro.core.engine import HiqueEngine
-from repro.errors import ExecutionError, ReproError
-from repro.parallel.backend import (
-    ProcessBackend,
-    TaskNotPicklable,
-    ThreadBackend,
-)
-from repro.parallel.proc import CallTask
-from repro.parallel.stats import EXECUTOR_PROCESS, EXECUTOR_THREAD, ParallelConfig
+from repro.errors import ExecutionError
+from repro.parallel.backend import ThreadBackend
+from repro.parallel.stats import ParallelConfig
 from repro.storage import Catalog, Column, DOUBLE, INT, Schema, char
 from repro.storage.table import table_from_rows
-from tests.conftest import SERIAL
 
 #: These tests assert the scheduler's mechanics over small in-memory
 #: tables, where production would decline to schedule at all.
@@ -53,52 +45,15 @@ def fuzz_catalog() -> Catalog:
     return catalog
 
 
-PROCESS = ParallelConfig(
+SCHEDULED = ParallelConfig(
     workers=2, morsel_pages=4, min_pages=2, min_rows=64,
-    executor=EXECUTOR_PROCESS,
 )
 
 
 # -- eligibility fallbacks ---------------------------------------------------------------
 
 
-def test_o0_plan_falls_back_to_thread_backend(fuzz_catalog):
-    serial = HiqueEngine(fuzz_catalog, opt_level="O0", parallel=SERIAL)
-    engine = HiqueEngine(fuzz_catalog, opt_level="O0", parallel=PROCESS)
-    sql = "SELECT c, count(*) AS n, sum(a) AS s FROM t GROUP BY c"
-    try:
-        assert engine.execute(sql) == serial.execute(sql)
-        stats = engine.last_exec_stats
-        assert stats is not None and stats.parallel
-        assert stats.backend == EXECUTOR_THREAD
-        assert any("O0 closure plan" in note for note in stats.notes)
-        assert all(
-            phase.backend == EXECUTOR_THREAD for phase in stats.phases
-        )
-    finally:
-        engine.close()
-        serial.close()
-
-
-def test_process_backend_runs_o2_out_of_process(fuzz_catalog):
-    serial = HiqueEngine(fuzz_catalog, parallel=SERIAL)
-    engine = HiqueEngine(fuzz_catalog, parallel=PROCESS)
-    sql = "SELECT a, b, c FROM t WHERE a < 5000 ORDER BY c DESC, a"
-    try:
-        assert engine.execute(sql) == serial.execute(sql)
-        stats = engine.last_exec_stats
-        assert stats is not None and stats.parallel
-        assert stats.backend == EXECUTOR_PROCESS
-        assert any(
-            phase.backend == EXECUTOR_PROCESS for phase in stats.phases
-        )
-        assert any("shipped" in note for note in stats.notes)
-    finally:
-        engine.close()
-        serial.close()
-
-
-def test_tiny_inputs_stay_serial_under_process_executor():
+def test_tiny_inputs_stay_serial_when_scheduled():
     catalog = Catalog()
     schema = Schema([Column("a", INT), Column("b", INT)])
     catalog.register(
@@ -108,124 +63,21 @@ def test_tiny_inputs_stay_serial_under_process_executor():
         )
     )
     catalog.analyze()
-    engine = HiqueEngine(catalog, parallel=PROCESS)
+    engine = HiqueEngine(catalog, parallel=SCHEDULED)
     try:
         rows = engine.execute("SELECT a, b FROM small WHERE a < 30")
         assert len(rows) == 30
         stats = engine.last_exec_stats
-        assert stats is not None and not stats.parallel
-        # Below min_pages: no task ever reached a worker process.
-        assert stats.backend == EXECUTOR_THREAD
+        assert stats is not None and stats.scheduled and not stats.parallel
+        # Below min_pages: the scan ran its serial generated function.
+        assert any("min_pages" in note for note in stats.notes)
     finally:
         engine.close()
-
-
-def test_unpicklable_params_fall_back_to_thread(fuzz_catalog):
-    class Threshold:
-        """Comparable against ints but deliberately unpicklable."""
-
-        def __init__(self, value):
-            self.value = value
-
-        def __reduce__(self):
-            raise TypeError("Threshold refuses to pickle")
-
-        def __lt__(self, other):
-            return self.value < other
-
-        def __le__(self, other):
-            return self.value <= other
-
-        def __gt__(self, other):
-            return self.value > other
-
-        def __ge__(self, other):
-            return self.value >= other
-
-    engine = HiqueEngine(fuzz_catalog, parallel=PROCESS)
-    try:
-        prepared = engine.prepare(
-            "SELECT a, c FROM t WHERE a < ?", name="fallback"
-        )
-        want = engine.execute_prepared(prepared, params=(4000,))
-        got = engine.execute_prepared(prepared, params=(Threshold(4000),))
-        assert got == want
-        stats = engine.last_exec_stats
-        assert stats is not None and stats.parallel
-        assert stats.backend == EXECUTOR_THREAD
-        assert any("unpicklable" in note for note in stats.notes)
-    finally:
-        engine.close()
-
-
-# -- crash / timeout surfacing ------------------------------------------------------------
-
-
-def _write_module(tmp_path, body: str) -> tuple[str, str]:
-    path = tmp_path / "crash_module.py"
-    path.write_text(
-        textwrap.dedent(
-            """
-            HIQUE_QUERY = "crash"
-            HIQUE_OPT_LEVEL = "O2"
-            HIQUE_TRACED = False
-            """
-        )
-        + textwrap.dedent(body),
-        encoding="utf-8",
-    )
-    return "crash_module", str(path)
-
-
-def test_worker_crash_surfaces_clean_error_and_pool_recovers(tmp_path):
-    spec = _write_module(
-        tmp_path,
-        """
-        import os
-
-        def boom(ctx):
-            os._exit(13)
-
-        def fine(ctx, value):
-            return value * 2
-        """,
-    )
-    backend = ProcessBackend(workers=2)
-    try:
-        with pytest.raises(ExecutionError, match="worker process died"):
-            backend.run_batch(spec, (), [CallTask(func="boom")])
-        # The broken pool was retired; the next batch gets a fresh one.
-        results, workers, _ = backend.run_batch(
-            spec, (), [CallTask(func="fine", args=(21,))]
-        )
-        assert results == [42]
-        assert workers == 1
-    finally:
-        backend.close()
-
-
-def test_worker_timeout_surfaces_clean_error(tmp_path):
-    spec = _write_module(
-        tmp_path,
-        """
-        import time
-
-        def sleepy(ctx):
-            time.sleep(60)
-        """,
-    )
-    backend = ProcessBackend(workers=1, task_timeout=0.5)
-    try:
-        with pytest.raises(ExecutionError, match="task_timeout"):
-            backend.run_batch(spec, (), [CallTask(func="sleepy")])
-    finally:
-        backend.close()
 
 
 def test_thread_backend_enforces_task_timeout():
-    """Regression: ``task_timeout`` used to be silently ignored under
-    ``executor="thread"`` — ``drain_futures`` awaited worker futures
-    with no deadline while the process backend enforced one."""
+    """Regression: ``task_timeout`` used to be silently ignored —
+    ``drain_futures`` awaited worker futures with no deadline."""
     stall = threading.Event()
     backend = ThreadBackend(workers=2, task_timeout=0.3)
     try:
@@ -349,42 +201,15 @@ def test_thread_backend_timeout_fires_for_batch_queued_behind_wedge():
     ), errors
 
 
-def test_process_backend_timeout_spares_progressing_batches(tmp_path):
-    """A pool that keeps completing results is healthy: per-result
-    waits must restart their deadline on progress instead of killing
-    workers that are merely busy with queued neighbours."""
-    spec = _write_module(
-        tmp_path,
-        """
-        import time
-
-        def slow(ctx, value):
-            time.sleep(0.1)
-            return value
-        """,
-    )
-    backend = ProcessBackend(workers=1, task_timeout=0.35)
-    try:
-        # 8 × 0.1s through one worker: total far exceeds the timeout,
-        # but every individual wait observes completions.
-        results, workers, _ = backend.run_batch(
-            spec, (), [CallTask(func="slow", args=(i,)) for i in range(8)]
-        )
-        assert results == list(range(8))
-        assert workers == 1
-    finally:
-        backend.close()
-
-
 def test_thread_executor_timeout_surfaces_through_engine(fuzz_catalog):
-    """End to end: a wedged generated task under ``executor="thread"``
-    raises the same clean ExecutionError the process backend gives."""
+    """End to end: a wedged generated task raises a clean
+    ExecutionError through the engine."""
     stall = threading.Event()
     engine = HiqueEngine(
         fuzz_catalog,
         parallel=ParallelConfig(
             workers=2, morsel_pages=4, min_pages=2, min_rows=64,
-            executor=EXECUTOR_THREAD, task_timeout=0.3,
+            task_timeout=0.3,
         ),
     )
     try:
@@ -407,86 +232,15 @@ def test_thread_executor_timeout_surfaces_through_engine(fuzz_catalog):
         engine.close()
 
 
-def test_worker_exception_propagates_not_swallowed(tmp_path):
-    spec = _write_module(
-        tmp_path,
-        """
-        def divide(ctx, denominator):
-            return 1 / denominator
-        """,
-    )
-    backend = ProcessBackend(workers=1)
+def test_worker_exception_propagates_not_swallowed():
+    backend = ThreadBackend(workers=2)
     try:
         with pytest.raises(ZeroDivisionError):
-            backend.run_batch(spec, (), [CallTask(func="divide", args=(0,))])
+            backend.run_thunks([lambda: 1, lambda: 1 / 0], workers=2)
     finally:
         backend.close()
 
 
-def test_retired_backend_refuses_new_pools(tmp_path):
-    """A reconfigure-retired backend must not resurrect worker pools;
-    it signals the thread-fallback path instead."""
-    spec = _write_module(
-        tmp_path,
-        """
-        def fine(ctx, value):
-            return value
-        """,
-    )
-    backend = ProcessBackend(workers=1)
-    backend.close()
-    with pytest.raises(TaskNotPicklable, match="retired"):
-        backend.run_batch(spec, (), [CallTask(func="fine", args=(1,))])
-
-
-def test_unpicklable_payload_raises_task_not_picklable(tmp_path):
-    spec = _write_module(
-        tmp_path,
-        """
-        def identity(ctx, value):
-            return value
-        """,
-    )
-    backend = ProcessBackend(workers=1)
-    try:
-        with pytest.raises(TaskNotPicklable):
-            backend.run_batch(
-                spec,
-                (),
-                [CallTask(func="identity", args=(lambda: None,))],
-            )
-    finally:
-        backend.close()
-
-
-# -- knob plumbing -------------------------------------------------------------------------
-
-
-def test_database_executor_knob_and_env(monkeypatch, fuzz_catalog):
-    with Database(catalog=fuzz_catalog, executor="process") as db:
-        assert db.parallel_config.executor == EXECUTOR_PROCESS
-        config = db.set_parallel(executor="thread")
-        assert config.executor == EXECUTOR_THREAD
-        with pytest.raises(ReproError):
-            db.set_parallel(executor="gpu")
-    with pytest.raises(ReproError):
-        Database(catalog=fuzz_catalog, executor="gpu")
-    monkeypatch.setenv("REPRO_EXECUTOR", "process")
-    with Database(catalog=fuzz_catalog) as db:
-        assert db.parallel_config.executor == EXECUTOR_PROCESS
-    monkeypatch.setenv("REPRO_EXECUTOR", "")
-    with Database(catalog=fuzz_catalog) as db:
-        assert db.parallel_config.executor == EXECUTOR_THREAD
-
-
-def test_service_stats_report_executor(fuzz_catalog):
-    with Database(catalog=fuzz_catalog, executor="process") as db:
-        db.execute("SELECT count(*) AS n FROM t")
-        assert db.service.stats().executor == EXECUTOR_PROCESS
-
-
-def test_config_rejects_unknown_executor():
-    with pytest.raises(ValueError):
-        ParallelConfig(executor="gpu")
+def test_config_rejects_nonpositive_task_timeout():
     with pytest.raises(ValueError):
         ParallelConfig(task_timeout=0.0)

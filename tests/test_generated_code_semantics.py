@@ -170,17 +170,14 @@ class TestTracedUntracedEquivalence:
 
 
 class TestGeneratedModuleHygiene:
-    def test_module_is_self_contained(self, simple_catalog, tmp_path):
-        """The written file can be exec'd from disk in a fresh namespace."""
-        engine = HiqueEngine(
-            simple_catalog, workdir=str(tmp_path)
-        )
+    def test_module_is_self_contained(self, simple_catalog):
+        """The complete module text — serial and scheduled entry points —
+        runs when exec'd in a fresh namespace."""
+        engine = HiqueEngine(simple_catalog)
         prepared = engine.prepare(
             "SELECT c, count(*) AS n FROM t GROUP BY c", use_cache=False
         )
-        _, path = prepared.compiled.module_spec()
-        with open(path, encoding="utf-8") as fh:
-            source = fh.read()
+        source = prepared.generated.source + prepared.generated.scheduled_source
         namespace = {"__name__": "reloaded"}
         exec(compile(source, "reloaded.py", "exec"), namespace)  # noqa: S102
         plan = prepared.plan
@@ -189,9 +186,8 @@ class TestGeneratedModuleHygiene:
             engine.execute_prepared(prepared)
         )
 
-    def test_distinct_queries_get_distinct_files(self, simple_catalog,
-                                                 tmp_path):
-        engine = HiqueEngine(simple_catalog, workdir=str(tmp_path))
+    def test_distinct_queries_get_distinct_files(self, simple_catalog):
+        engine = HiqueEngine(simple_catalog)
         first = engine.prepare("SELECT a FROM t", use_cache=False)
         second = engine.prepare("SELECT b FROM t", use_cache=False)
         assert first.compiled.source_path != second.compiled.source_path

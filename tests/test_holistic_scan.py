@@ -62,9 +62,7 @@ def _row(n: int) -> tuple:
 
 
 def _db() -> Database:
-    # The thread backend by name: the CI legs that set REPRO_EXECUTOR
-    # must not turn these walks into (honoured) process requests.
-    db = Database(executor="thread")
+    db = Database()
     db.create_table(
         "x",
         [
@@ -164,7 +162,7 @@ def test_a_new_parameter_is_a_first_sighting(db):
 
 
 def test_below_min_pages_and_without_a_cache_the_scan_fuses():
-    db = Database(executor="thread")
+    db = Database()
     try:
         db.create_table("s", [Column("a", INT), Column("b", INT)])
         db.load_rows("s", [(i, i % 7) for i in range(300)])
@@ -231,7 +229,6 @@ def test_sighting_counters_reach_the_shell_and_metrics(db):
 
 def test_the_shell_cache_command_shows_the_admission_counts():
     shell = Shell(stdout=io.StringIO())
-    shell.handle(".executor thread")  # the walk, whatever REPRO_EXECUTOR says
     shell.handle(".tpch 0.0005")
     for _ in range(2):
         shell.handle("SELECT count(*) AS n FROM lineitem")
@@ -243,7 +240,6 @@ def test_the_shell_cache_command_shows_the_admission_counts():
 
 
 def test_a_map_overflow_inside_the_fused_scan_replans(monkeypatch):
-    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
     db = Database()
     db.create_table("u", [Column("k", INT), Column("v", INT)])
     db.load_rows("u", [(i, i % 3) for i in range(4000)])

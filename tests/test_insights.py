@@ -213,7 +213,7 @@ class TestServiceIntegration:
             assert digest is not None
             assert digest.calls == 5
             assert digest.rows == total_rows
-            assert digest.backend in ("serial", "thread", "process")
+            assert digest.backend in ("serial", "thread")
             text = db.insights_text()
             assert digest.digest_id in text
             assert f"{digest.calls:>6}" in text

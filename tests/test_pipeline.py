@@ -3,8 +3,8 @@
 The pipelined scheduler must change *when* operators run, never *what*
 they produce: every plan shape — staged joins, restages, multiway
 teams, aggregation, final sorts — returns byte-identical rows under
-barrier scheduling, pipelined scheduling, and the serial entry point,
-on both task backends.  These tests also pin the knob plumbing
+barrier scheduling, pipelined scheduling, and the serial entry point.
+These tests also pin the knob plumbing
 (``Database(pipeline=)`` / ``set_parallel`` / shell ``.pipeline`` /
 ``REPRO_PIPELINE``), the overlap accounting in ``PhaseStats``, and
 clean error propagation out of driver threads.
@@ -93,20 +93,13 @@ QUERIES = [
 ]
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_pipelined_rows_identical_to_barrier_and_serial(catalog, executor):
+def test_pipelined_rows_identical_to_barrier_and_serial(catalog):
     serial = HiqueEngine(catalog, parallel=SERIAL)
     barrier = HiqueEngine(
-        catalog,
-        parallel=ParallelConfig(
-            executor=executor, pipeline=False, **_PARALLEL
-        ),
+        catalog, parallel=ParallelConfig(pipeline=False, **_PARALLEL)
     )
     pipelined = HiqueEngine(
-        catalog,
-        parallel=ParallelConfig(
-            executor=executor, pipeline=True, **_PARALLEL
-        ),
+        catalog, parallel=ParallelConfig(pipeline=True, **_PARALLEL)
     )
     try:
         for index, sql in enumerate(QUERIES):
@@ -180,12 +173,8 @@ def test_pipelined_independent_scans_overlap(catalog):
 
 
 def test_pipelined_task_errors_propagate_cleanly(catalog):
-    # Threads: the patched pair function lives in this process only.
     engine = HiqueEngine(
-        catalog,
-        parallel=ParallelConfig(
-            pipeline=True, executor="thread", **_PARALLEL
-        ),
+        catalog, parallel=ParallelConfig(pipeline=True, **_PARALLEL)
     )
     try:
         # A merge join fans out pair tasks; the default build/probe hash

@@ -1,20 +1,23 @@
-"""Preparation in memory: a plan-cache miss writes no file, and the
-scheduler's entry points are compiled only when a run is scheduled.
+"""Preparation in memory: no run writes a file, and the scheduler's
+entry points are compiled only when a run is scheduled.
 
-The compiler ``compile()``s and ``exec``s the serial module under the
-path its file would have; the namespace's ``__loader__`` serves the
+The compiler ``compile()``s and ``exec``s the serial module under a
+path that names no file; the namespace's ``__loader__`` serves the
 source to ``linecache``.  ``CompiledQuery.link_scheduled`` compiles the
 ``*_partial`` / ``*_pair`` / ``*_chunk`` entry points into the same
-namespace on the first scheduled run, and ``module_spec`` writes the
-complete module once, for process workers only.
+namespace on the first scheduled run.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import marshal
 import os
+import subprocess
 import sys
+import tempfile
+import textwrap
 import threading
 import traceback
 
@@ -27,10 +30,8 @@ from repro.parallel.stats import ParallelConfig
 from repro.plan.optimizer import PlannerConfig
 from repro.storage import Catalog, Schema
 
-SERIAL = ParallelConfig(workers=1, executor="thread")
-_SCHEDULED = dict(workers=2, morsel_pages=2, min_pages=1, min_rows=8)
-THREADS = ParallelConfig(executor="thread", **_SCHEDULED)
-PROCESSES = ParallelConfig(executor="process", **_SCHEDULED)
+SERIAL = ParallelConfig(workers=1)
+THREADS = ParallelConfig(workers=2, morsel_pages=2, min_pages=1, min_rows=8)
 
 MAP_AGG = (
     "SELECT k, sum(v) AS sv, count(*) AS n, min(v) AS mn, max(v) AS mx "
@@ -79,8 +80,10 @@ def _entry_name(prepared, suffix: str) -> str:
 # -- no file on the prepare path ------------------------------------------------------
 
 
-def test_distinct_statements_leave_the_workdir_empty():
-    db = Database(executor="thread")
+def test_distinct_statements_write_no_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    db = Database()
     db.create_table("t", [Column("a", INT), Column("k", INT)])
     db.load_rows("t", [(i, i % 5) for i in range(50)])
     db.analyze()
@@ -91,9 +94,49 @@ def test_distinct_statements_leave_the_workdir_empty():
             # A distinct output name is a distinct plan-cache key.
             db.execute(f"SELECT k, sum(a) AS s{i} FROM t GROUP BY k")
         assert compiler._counter - before == 500
-        assert os.listdir(compiler.workdir) == []
+        assert os.listdir(tmp_path) == []
     finally:
         db.close()
+
+
+def test_a_query_loads_no_process_machinery(tmp_path):
+    """Threads are the only task backend: importing the package and
+    preparing and running a query pulls in neither ``multiprocessing``
+    nor the process-pool executor, and creates no work directory."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import repro
+        from repro import Column, Database, INT
+
+        db = Database()
+        db.create_table("t", [Column("a", INT), Column("k", INT)])
+        db.load_rows("t", [(i, i % 5) for i in range(50)])
+        db.analyze()
+        statement = db.prepare("SELECT k, sum(a) AS s FROM t WHERE a < ? GROUP BY k")
+        assert db.service.execute_statement(statement, (40,))
+        db.close()
+        loaded = [
+            name for name in ("multiprocessing", "concurrent.futures.process")
+            if name in sys.modules
+        ]
+        print(",".join(loaded))
+        """
+    )
+    env = dict(
+        os.environ,
+        TMPDIR=str(tmp_path),
+        PYTHONPATH=os.pathsep.join(path for path in sys.path if path),
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""
+    assert not [
+        name for name in os.listdir(tmp_path) if name.startswith("hique_gen")
+    ]
 
 
 def test_compiled_bytes_is_the_marshalled_serial_code(catalog):
@@ -128,7 +171,7 @@ def test_a_generated_frame_shows_its_line_without_a_file(catalog):
         assert inspect.getsource(scan).startswith(f"def {frame.name}(")
 
         # The scheduled entry points number their lines after the
-        # serial module's, as in the file a process worker imports.
+        # serial module's, as in the text the ``__loader__`` serves.
         compiled.link_scheduled()
         partial = _entry_name(prepared, "_partial")
         assert inspect.getsource(compiled.namespace[partial]).startswith(
@@ -144,13 +187,17 @@ def test_a_generated_frame_shows_its_line_without_a_file(catalog):
 
 @pytest.mark.usefixtures("scheduled")
 @pytest.mark.parametrize(
-    "parallel", [THREADS, PROCESSES], ids=["thread", "process"]
+    "pipeline", [False, True], ids=["barrier", "pipelined"]
 )
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_scheduled_runs_return_the_serial_walks_rows(catalog, parallel, case):
+def test_scheduled_runs_return_the_serial_walks_rows(catalog, case, pipeline):
     sql, config, suffix = CASES[case]
     serial = HiqueEngine(catalog, planner_config=config, parallel=SERIAL)
-    engine = HiqueEngine(catalog, planner_config=config, parallel=parallel)
+    engine = HiqueEngine(
+        catalog,
+        planner_config=config,
+        parallel=dataclasses.replace(THREADS, pipeline=pipeline),
+    )
     try:
         expected = serial.execute(sql)
         prepared = engine.prepare(sql)
@@ -162,8 +209,7 @@ def test_scheduled_runs_return_the_serial_walks_rows(catalog, parallel, case):
         stats = engine.last_exec_stats
         assert stats.scheduled and stats.parallel, stats
         assert entry in prepared.compiled.namespace
-        written = os.path.exists(prepared.compiled.source_path)
-        assert written == (parallel.executor == "process")
+        assert not os.path.exists(prepared.compiled.source_path)
     finally:
         serial.close()
         engine.close()
@@ -210,37 +256,4 @@ def test_concurrent_first_runs_compile_the_scheduled_module_once(
     finally:
         sys.setswitchinterval(interval)
         serial.close()
-        engine.close()
-
-
-@pytest.mark.usefixtures("scheduled")
-def test_process_runs_write_the_complete_module_once(catalog, monkeypatch):
-    sql, config, _ = CASES["merge-join"]
-    engine = HiqueEngine(catalog, planner_config=config, parallel=PROCESSES)
-    opened = []
-    real_open = open
-
-    def counting_open(path, *args, **kwargs):
-        opened.append(path)
-        return real_open(path, *args, **kwargs)
-
-    monkeypatch.setattr(compiler_module, "open", counting_open, raising=False)
-    try:
-        prepared = engine.prepare(sql)
-        path = prepared.compiled.source_path
-        first = engine.execute_prepared(prepared)
-        written = os.stat(path)
-        assert engine.execute_prepared(prepared) == first
-        assert engine.last_exec_stats.backend == "process"
-        assert opened == [path]
-        again = os.stat(path)
-        assert (again.st_mtime_ns, again.st_ino) == (
-            written.st_mtime_ns, written.st_ino
-        )
-        with real_open(path, encoding="utf-8") as handle:
-            assert handle.read() == (
-                prepared.generated.source
-                + prepared.generated.scheduled_source
-            )
-    finally:
         engine.close()

@@ -115,20 +115,6 @@ def _canonical(rows):
     return sorted(repr(list(row)) for row in rows)
 
 
-def _fallback_notes(stats) -> list[str]:
-    """Serial-decision notes only.
-
-    The adaptive placement summary ("adaptive placement routed
-    restage\u2192thread\u00d71, ...") also names phase kinds; it reports routing,
-    not a fallback, and must not trip the no-serial-restage checks.
-    """
-    return [
-        note
-        for note in stats.notes
-        if not note.startswith("adaptive placement")
-    ]
-
-
 def test_plan_contains_restage(catalog):
     engine = HiqueEngine(catalog, planner_config=MERGE)
     try:
@@ -180,7 +166,7 @@ def test_restage_parallel_and_byte_identical(catalog, force_join):
             # Acceptance: a large intermediate's Restage is no longer a
             # serial decision in the stats notes.
             assert not any(
-                "restage" in note for note in _fallback_notes(stats)
+                "restage" in note for note in stats.notes
             ), stats
     finally:
         serial.close()
@@ -202,7 +188,7 @@ def test_hybrid_aggregation_restage_parallel(catalog):
         stats = parallel.last_exec_stats
         assert stats is not None and stats.parallel
         assert not any(
-            "restage" in note for note in _fallback_notes(stats)
+            "restage" in note for note in stats.notes
         ), stats
     finally:
         serial.close()
@@ -225,7 +211,7 @@ def test_double_restage_keys_stay_parallel_without_float_reorder(catalog):
         stats = parallel.last_exec_stats
         assert stats is not None and stats.parallel
         assert not any(
-            "restage" in note for note in _fallback_notes(stats)
+            "restage" in note for note in stats.notes
         ), stats
     finally:
         serial.close()
@@ -266,13 +252,10 @@ def _restage_chunk_name(prepared) -> str:
 def test_restage_chunk_crash_surfaces_error(catalog, pipeline):
     """A restage chunk task dying mid-pipeline surfaces its error
     cleanly (no hang, no partial rows) and the engine keeps serving."""
-    # Threads: the patched chunk function lives in this process only.
     engine = HiqueEngine(
         catalog,
         planner_config=MERGE,
-        parallel=ParallelConfig(
-            pipeline=pipeline, executor="thread", **_PARALLEL
-        ),
+        parallel=ParallelConfig(pipeline=pipeline, **_PARALLEL),
     )
     try:
         prepared = engine.prepare(SQL, name="crashy")

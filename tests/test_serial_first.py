@@ -54,9 +54,7 @@ def _rows(n: int) -> list[tuple[int, int]]:
 
 
 def _memory_db(workers: int) -> Database:
-    # The thread backend by name: the CI legs that set REPRO_EXECUTOR
-    # must not turn these into (honoured) process requests.
-    db = Database(workers=workers, executor="thread")
+    db = Database(workers=workers)
     db.create_table("t", [Column("a", INT), Column("b", INT)])
     db.load_rows("t", _rows(20_000))
     db.create_table("u", [Column("k", INT), Column("v", INT)])
@@ -79,7 +77,7 @@ def _disk_db(tmp_path, capacity: int) -> Database:
     table.load_rows(_rows(20_000))
     catalog.register(table)
     catalog.analyze()
-    return Database(catalog=catalog, workers=4, executor="thread")
+    return Database(catalog=catalog, workers=4)
 
 
 def _executor(db: Database):
@@ -172,7 +170,6 @@ def test_pool_smaller_than_the_table_always_schedules(tmp_path):
 
 def test_bare_engine_owns_the_serial_first_executor(tmp_path, monkeypatch):
     """An engine built without a config takes the same decision."""
-    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
     sql = QUERIES["aggregate"]
     memory = _memory_db(workers=4)
     disk = _disk_db(tmp_path, capacity=4096)
@@ -194,22 +191,20 @@ def test_bare_engine_owns_the_serial_first_executor(tmp_path, monkeypatch):
 
 
 def test_bare_engine_takes_the_default_config(monkeypatch):
-    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
     monkeypatch.delenv("REPRO_PIPELINE", raising=False)
     engine = HiqueEngine(Catalog())
     try:
         assert engine.parallel.config == ParallelConfig()
     finally:
         engine.close()
-    monkeypatch.setenv("REPRO_EXECUTOR", "sideways")
-    with pytest.raises(ReproError, match="REPRO_EXECUTOR"):
+    monkeypatch.setenv("REPRO_PIPELINE", "sideways")
+    with pytest.raises(ReproError, match="REPRO_PIPELINE"):
         HiqueEngine(Catalog())
 
 
 def test_bare_engine_reports_the_overflow_fallback(monkeypatch):
     """Stale statistics re-plan with hybrid aggregation; the re-planned
     query takes the same serial-first executor, and its stats say why."""
-    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
     db = Database()
     db.create_table("u", [Column("k", INT), Column("v", INT)])
     db.load_rows("u", [(i, i % 3) for i in range(4000)])
@@ -309,7 +304,7 @@ def test_single_worker_probes_the_index():
 
 
 def test_small_scans_skip_the_cache_entirely():
-    db = Database(workers=4, executor="thread")
+    db = Database(workers=4)
     try:
         db.create_table("s", [Column("a", INT), Column("b", INT)])
         db.load_rows("s", _rows(300))  # one page: below the banking floor

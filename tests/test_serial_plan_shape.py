@@ -72,9 +72,7 @@ def _dim(n: int) -> tuple:
 
 
 def _db(**kwargs) -> Database:
-    # The thread backend by name: the CI legs that set REPRO_EXECUTOR
-    # must not turn these walks into (honoured) process requests.
-    db = Database(executor="thread", **kwargs)
+    db = Database(**kwargs)
     db.create_table(
         "fact",
         [
@@ -121,7 +119,7 @@ def db():
 
 @pytest.fixture(scope="module")
 def tpch():
-    db = Database(executor="thread")
+    db = Database()
     generate_tpch(db.catalog, scale_factor=0.001)
     yield db
     db.close()
@@ -228,7 +226,7 @@ def test_duplicate_keys_on_both_sides(db):
 def test_a_build_side_larger_than_its_estimate():
     """``big.x = ?`` is estimated at half of big, below mid's size, so
     big builds — but the parameter keeps all of big but one row."""
-    db = Database(executor="thread")
+    db = Database()
     try:
         db.create_table(
             "big", [Column("k", INT), Column("x", INT), Column("d", DOUBLE)]
@@ -300,7 +298,7 @@ def test_an_index_fetched_probe_side_runs_the_staged_probe(db):
 
 
 def test_the_oltp_join_shape_builds_from_the_index_fetch():
-    db = Database(executor="thread")
+    db = Database()
     try:
         db.create_table(
             "accounts",
@@ -363,8 +361,8 @@ def test_the_pinned_schedule_probes_serially_and_never_hands_off(db):
         db.catalog,
         planner_config=PlannerConfig(force_join="hash"),
         parallel=ParallelConfig(
-            executor="thread", pipeline=True, workers=3, morsel_pages=1,
-            min_pages=1, min_rows=8,
+            pipeline=True, workers=3, morsel_pages=1, min_pages=1,
+            min_rows=8,
         ),
     )
     try:
@@ -386,7 +384,7 @@ CHAR_VALUES = ["", "ab", "abc", " x", "abcd", "ab "]
 
 @pytest.fixture()
 def strings():
-    db = Database(executor="thread")
+    db = Database()
     db.create_table(
         "s",
         [Column("id", INT), Column("c", char(4)), Column("v", varchar(6)),

@@ -408,15 +408,6 @@ def test_futures_cancelled_while_queued_release_their_slots(
     db.close()
 
 
-def test_stats_report_auto_executor(simple_catalog):
-    """executor="auto" is visible in ServiceStats.executor."""
-    with Database(catalog=simple_catalog, executor="auto") as db:
-        db.execute("SELECT a FROM t WHERE a = 1")
-        assert db.service.stats().executor == "auto"
-    with Database(catalog=simple_catalog, executor="thread") as db:
-        assert db.service.stats().executor == "thread"
-
-
 def test_resolve_params_rejects_short_default_vector(simple_db):
     """A statement whose extracted literals do not cover every
     parameter must refuse to execute with the short vector."""
@@ -451,34 +442,3 @@ def test_shell_sql_uses_one_preparation_per_shape():
     assert "n\n" in shell.stdout.getvalue()  # header still rendered
 
 
-# -- compiler workdir cleanup --------------------------------------------------------
-
-
-def test_engine_close_removes_generated_sources(simple_catalog):
-    import os
-
-    from repro.core.engine import HiqueEngine
-    from repro.parallel.stats import ParallelConfig
-
-    # Only a process-backed run materialises the module's file.
-    engine = HiqueEngine(
-        simple_catalog,
-        parallel=ParallelConfig(
-            workers=2, executor="process", min_pages=1, min_rows=1,
-            morsel_pages=1,
-        ),
-    )
-    engine.execute("SELECT a FROM t WHERE a = 1")
-    workdir = engine.compiler.workdir
-    assert os.path.isdir(workdir)
-    assert os.listdir(workdir)
-    engine.close()
-    assert not os.path.exists(workdir)
-
-
-def test_caller_supplied_workdir_is_kept(tmp_path):
-    from repro.core.compiler import QueryCompiler
-
-    compiler = QueryCompiler(str(tmp_path))
-    compiler.close()
-    assert tmp_path.exists()
