@@ -116,10 +116,11 @@ class Database:
         self._engines: dict[str, Any] = {}
         self._engines_lock = threading.Lock()
         self._service: QueryService | None = None
-        #: Version-keyed cache of staged scan intermediates, shared by
-        #: the code-generating engines' parallel executors.  Keys carry
-        #: each table's mutation epoch, so DML coherence is automatic;
-        #: the catalogue listener below drops entries eagerly.
+        #: Version-keyed cache of statement answers and staged scan
+        #: intermediates, shared by the code-generating engines'
+        #: executors.  Keys carry the mutation epoch of every table an
+        #: entry reads, so DML coherence is automatic; the catalogue
+        #: listener below drops entries eagerly.
         self.intermediates = IntermediateCache()
         #: Per-database metrics registry + tracer: independent databases
         #: never share collectors or span trees.
@@ -154,11 +155,16 @@ class Database:
         # Bulk loads are writers: take the catalogue's exclusive gate so
         # no concurrent read query observes a half-loaded table.
         with self.catalog.exclusive():
-            count = self.catalog.table(name).load_rows(rows)
-            # The table's version moved; tell the fine-grained caches
-            # while the write gate is still held.
-            self.catalog.notify_dml(name)
-            return count
+            table = self.catalog.table(name)
+            before = table.version
+            try:
+                return table.load_rows(rows)
+            finally:
+                # The table's version moved (a load that failed part way
+                # moves it too); tell the fine-grained caches while the
+                # write gate is still held.
+                if table.version != before:
+                    self.catalog.notify_dml(name)
 
     def analyze(self, name: str | None = None) -> None:
         self.catalog.analyze(name)
@@ -237,8 +243,8 @@ class Database:
 
     def _wire_intermediates(self, engine):
         """Point an engine's executor at the database's shared,
-        version-keyed intermediate cache, where staged scan outputs
-        land."""
+        version-keyed intermediate cache, where answers and staged scan
+        outputs land."""
         engine.parallel.intermediates = self.intermediates
         return engine
 
@@ -329,6 +335,10 @@ class Database:
             "repro_intermediate_cache_misses_total", inter.misses
         )
         registry.sample(
+            "repro_intermediate_cache_answers_total", inter.answers
+        )
+        registry.sample("repro_intermediate_cache_stale_total", inter.stale)
+        registry.sample(
             "repro_intermediate_cache_evictions_total", inter.evictions
         )
         registry.sample(
@@ -411,9 +421,9 @@ class Database:
     ) -> None:
         if kind == "dml":
             # A mutation moved one table's version: the DSM copy and
-            # that table's staged intermediates are stale; compiled
-            # code is not (generated scans read live pages), so the
-            # engines' text caches survive.
+            # the answers and stagings that read the table are stale;
+            # compiled code is not (generated scans read live pages),
+            # so the engines' text caches survive.
             vectorized = self._engines.get("vectorized")
             if vectorized is not None:
                 vectorized.invalidate(table)

@@ -322,6 +322,7 @@ class Shell:
             f"intermediate cache: {inter.entries} entries, "
             f"{inter.bytes:,} / {inter.capacity_bytes:,} B, "
             f"{inter.hits} hits, {inter.misses} misses, "
+            f"{inter.answers} answers recycled, {inter.stale} stale, "
             f"{inter.evictions} evictions "
             f"({inter.hit_rate * 100:.0f}% hit rate); admission: "
             f"{inter.sightings} first sightings, {inter.admitted} "

@@ -12,8 +12,10 @@ issued queries".
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 from repro.core.compiler import CompiledQuery, QueryCompiler
@@ -24,14 +26,18 @@ from repro.memsim.probe import NULL_PROBE, NullProbe
 from repro.obs import Observability, default_observability
 from repro.parallel.executor import ParallelExecutor
 from repro.parallel.stats import ExecutionStats, ParallelConfig
-from repro.plan.descriptors import AGG_HYBRID, PhysicalPlan
+from repro.plan.descriptors import AGG_HYBRID, PhysicalPlan, ScanStage
 from repro.plan.optimizer import Optimizer, PlannerConfig
 from repro.sql import ast
 from repro.sql.binder import Binder
 from repro.sql.bound import BoundQuery, param_dtypes_of
 from repro.sql.parser import parse
 from repro.storage.catalog import Catalog
+from repro.storage.table import Table
 from repro.storage.types import DataType
+
+#: Identity tokens for prepared queries (see :attr:`PreparedQuery.token`).
+_tokens = itertools.count()
 
 
 @dataclass
@@ -63,6 +69,21 @@ class PreparedQuery:
     generated: GeneratedQuery
     compiled: CompiledQuery
     timings: PreparationTimings
+    #: Identity of this preparation in the answers it banks: a
+    #: monotonic counter, so a re-prepare (another plan, another
+    #: optimization level, literals the code reads from the plan)
+    #: never reads an answer another preparation computed.
+    token: int = field(default_factory=_tokens.__next__)
+
+    @cached_property
+    def scanned(self) -> tuple[tuple[str, Table], ...]:
+        """``(name, table)`` of every table the plan scans, by name."""
+        tables = {
+            op.table.name.lower(): op.table
+            for op in self.plan.operators
+            if isinstance(op, ScanStage)
+        }
+        return tuple(sorted(tables.items()))
 
     @property
     def output_names(self) -> list[str]:
@@ -228,8 +249,15 @@ class HiqueEngine:
                         rows=len(rows),
                         parallel=stats.parallel,
                         scheduled=stats.scheduled,
-                        why=stats.reason or "; ".join(stats.notes),
+                        # A recycled answer's note names the versions.
+                        why=(
+                            stats.notes[0]
+                            if stats.recycled == "hit"
+                            else stats.reason or "; ".join(stats.notes)
+                        ),
                     )
+                    if stats.recycled:
+                        span.set(recycled=stats.recycled)
                 return rows
         except MapDirectoryOverflow:
             # Statistics were stale: fall back to hybrid hash-sort

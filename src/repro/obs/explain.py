@@ -136,7 +136,9 @@ def render_explain_analyze(plan: PhysicalPlan, trace: Trace) -> str:
     total = execute.duration
     summary = [f"execution: {_ms(total)}"]
     why = execute.attrs.get("why")
-    if execute.attrs.get("scheduled") is False:
+    if execute.attrs.get("recycled") == "hit":
+        summary.append(str(why))
+    elif execute.attrs.get("scheduled") is False:
         summary.append(f"serial, not scheduled ({why})" if why else "serial")
     elif execute.attrs.get("parallel") is False:
         summary.append("serial")

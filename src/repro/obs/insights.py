@@ -594,6 +594,8 @@ class WorkloadInsights:
                 f"{inter.capacity_bytes / 1024:.0f} KiB, "
                 f"{inter.hits} hit(s) / {inter.misses} miss(es) "
                 f"({inter.hit_rate * 100:.0f}%), "
+                f"{inter.answers} answer(s) recycled, "
+                f"{inter.stale} stale, "
                 f"{inter.evictions} eviction(s), "
                 f"{inter.invalidations} invalidation(s)"
             )
@@ -638,6 +640,8 @@ class WorkloadInsights:
                 "capacity_bytes": inter.capacity_bytes,
                 "hits": inter.hits,
                 "misses": inter.misses,
+                "answers": inter.answers,
+                "stale": inter.stale,
                 "evictions": inter.evictions,
                 "invalidations": inter.invalidations,
             }

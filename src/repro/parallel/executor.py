@@ -105,6 +105,7 @@ from repro.parallel.stage import (
     PHASE_OF,
     PHASE_ORDER,
     StageAccess,
+    recall,
     result_rows,
     serial_walk,
 )
@@ -297,9 +298,11 @@ class ParallelExecutor:
         self._lock = threading.Lock()
         self._thread = self._new_thread_backend(self.config)
         #: Optional :class:`~repro.parallel.intermediates.IntermediateCache`
-        #: wired by the embedding database; when set, staged scan
-        #: outputs are reused across executions keyed on the table's
-        #: version epoch (see :class:`~repro.parallel.stage.StageAccess`).
+        #: wired by the embedding database; when set, answers and staged
+        #: scan outputs are reused across executions keyed on the
+        #: scanned tables' version epochs (see
+        #: :func:`~repro.parallel.stage.recall` and
+        #: :class:`~repro.parallel.stage.StageAccess`).
         self.intermediates = None
         self.parallel_runs = 0
         self.serial_runs = 0
@@ -351,7 +354,9 @@ class ParallelExecutor:
         """Execute a :class:`~repro.core.engine.PreparedQuery`.
 
         Returns ``(rows, stats)``; rows are identical to what the serial
-        entry point produces for the same inputs.
+        entry point produces for the same inputs — a recycled answer
+        too, since no table it read has been written since it was
+        computed.
         """
         started = time.perf_counter()
         # One consistent view of the knobs for the whole run, even if a
@@ -371,9 +376,22 @@ class ParallelExecutor:
                 reason=reason,
             )
 
+        # A current answer needs no run at all.
+        params = tuple(params)
+        answer = recall(
+            prepared, params, self.intermediates, config.min_pages
+        )
+        if answer.rows is not None:
+            return answer.rows, ExecutionStats(
+                rows=len(answer.rows),
+                elapsed_seconds=time.perf_counter() - started,
+                reason="answer recycled",
+                notes=[answer.note()],
+                recycled="hit",
+            )
+
         # The first decision, from the data: schedule only when some
         # scanned page can wait.
-        params = tuple(params)
         waiting = ""
         if config.workers <= 1:
             reason = "single worker"
@@ -386,8 +404,10 @@ class ParallelExecutor:
                 )
         if reason:
             rows, phases, notes = serial_walk(
-                prepared, params, self.intermediates, config.min_pages
+                prepared, params, self.intermediates, config.min_pages,
+                answer.stale,
             )
+            answer.bank(rows)
             with self._lock:
                 self.serial_runs += 1
             return rows, ExecutionStats(
@@ -397,12 +417,16 @@ class ParallelExecutor:
                 reason=reason,
                 phases=phases,
                 notes=notes,
+                recycled=answer.recycled,
             )
 
         report = _Report()
         report.skip(f"scheduled: {waiting}", mark_span=False)
-        scheduled = _ScheduledRun(self, prepared, params, config, report)
+        scheduled = _ScheduledRun(
+            self, prepared, params, config, report, answer.stale
+        )
         rows = scheduled.execute()
+        answer.bank(rows)
         elapsed = time.perf_counter() - started
         if not report.went_parallel:
             with self._lock:
@@ -415,6 +439,7 @@ class ParallelExecutor:
                 reason="; ".join(report.skips) or "no parallelizable phase",
                 phases=report.ordered_phases(),
                 notes=list(report.skips),
+                recycled=answer.recycled,
             )
         with self._lock:
             self.parallel_runs += 1
@@ -435,6 +460,7 @@ class ParallelExecutor:
             elapsed_seconds=elapsed,
             phases=report.ordered_phases(),
             notes=notes,
+            recycled=answer.recycled,
         )
 
     @staticmethod
@@ -494,6 +520,7 @@ class _ScheduledRun:
         params: tuple,
         config: ParallelConfig,
         report: _Report,
+        admit: bool,
     ):
         self.owner = owner
         self.prepared = prepared
@@ -518,6 +545,7 @@ class _ScheduledRun:
             prepared, self.ctx, params, owner.intermediates,
             config.min_pages,
             lambda remark: report.skip(remark, mark_span=False),
+            admit,
         )
         #: op_id → materialized result (None for a scan fused away).
         self.results: dict[int, object] = {}

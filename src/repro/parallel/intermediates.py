@@ -1,27 +1,46 @@
-"""Version-keyed cache of staged scan intermediates.
+"""Version-keyed cache of statement answers and staged scan intermediates.
 
-Staging — the partition/sort pass that converts a table's pages into
-the layout a join or aggregation consumes — dominates per-query cost in
-the paper's Table III breakdowns.  For a warm repeated query the pages
-have not changed, so the staged structure has not either: entries are
-keyed ``(table, version, signature)``, where ``version`` is the table's
-monotonic mutation epoch and ``signature`` captures everything else
-that shapes the staged output (the scan's memoised
-:attr:`~repro.plan.descriptors.ScanStage.staging_shape` — prep kind and
-keys, projected columns, rendered filters — plus the parameter vector
-that pins the filters' parameter slots).  A DML mutation moves the
-version, so stale entries simply stop being reachable; the owning
-database additionally drops them eagerly through the catalogue's
-change listeners.
+A warm repeated query reads pages that have not changed since it last
+ran, so its answer has not changed either.  The cache keeps that
+answer — MonetDB's recycler (Ivanova et al., "An architecture for
+recycling intermediates in a column-store", SIGMOD 2009) at the root
+of the plan — and, below it, the staged scan outputs a stale answer
+can rebuild from.  Both kinds of entry share one bytes-bounded LRU
+budget:
 
-Generated join/merge templates sort their inputs *in place*, so both
-``put`` and ``get`` copy the two container levels that execution
-mutates (the outer list/dict and each bucket).  Row tuples are
-immutable and shared.
+* an **answer** is a statement's result rows, keyed ``(token, params,
+  versions)``: the :class:`~repro.core.engine.PreparedQuery`'s identity
+  token (a monotonic counter stamped at prepare time, so two plans of
+  the same text never share an entry), the ``repr`` of the parameter
+  vector (exact for every parameter type, where ``1 == 1.0`` and
+  ``0.0 == -0.0`` are not) and the sorted ``(table, version)`` of
+  every table the plan scans;
+* a **staging** is the partition/sort pass that converts a table's
+  pages into the layout a join or aggregation consumes, keyed
+  ``(table, version, signature)``, where ``signature`` is the scan's
+  memoised :attr:`~repro.plan.descriptors.ScanStage.staging_shape`
+  plus the parameter vector that pins its filters' slots.
 
-The cache is bytes-bounded LRU: staged intermediates can dwarf the
-plans that produced them, so the budget is expressed in (approximate)
-payload bytes rather than entry count.
+``version`` is a table's monotonic mutation epoch: a write moves it,
+so an entry over the old pages stops being reachable, and the owning
+database drops it eagerly (:meth:`IntermediateCache.invalidate_table`,
+through a per-table key index, so a write costs the entries it makes
+stale, not a walk of the whole cache).
+
+Admission is counted, not configured.  A miss is recorded in a bounded
+FIFO of sightings whose keys leave the versions out; from a key's
+second sighting the run banks what it computed.  An answer's sighting
+is marked once it banked, which is what makes a later miss *stale*
+rather than new: a write moved a version under it, or the LRU pushed
+it out.  Only a stale run sights and banks stagings — the one case in
+which a staging is read again is a current staging under a stale
+answer, so a statement answered from the cache banks no staging it
+will never read.
+
+Generated join/merge templates sort their inputs *in place*, and
+callers may mutate the rows they are handed, so both ``put`` and
+``get`` copy the container levels that execution mutates (the outer
+list/dict and each bucket).  Row tuples are immutable and shared.
 """
 
 from __future__ import annotations
@@ -31,10 +50,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
-#: Default budget: staged rows for a handful of warm statements.
+#: Default budget: answers plus staged rows for a handful of warm
+#: statements.
 DEFAULT_CAPACITY_BYTES = 32 * 1024 * 1024
 
-#: How many ``(table, signature)`` hashes the admission filter keeps.
+#: How many sighting keys the admission filter keeps.
 SIGHTINGS_CAPACITY = 4096
 
 
@@ -45,6 +65,7 @@ class IntermediateCacheStats:
     capacity_bytes: int
     entries: int
     bytes: int
+    #: Every lookup, answers and stagings alike.
     hits: int
     misses: int
     evictions: int
@@ -54,6 +75,10 @@ class IntermediateCacheStats:
     sightings: int
     admitted: int
     sighting_evictions: int
+    #: Answer lookups: hits (statements answered without running), and
+    #: misses whose answer had been banked before (stale).
+    answers: int
+    stale: int
 
     @property
     def hit_rate(self) -> float:
@@ -62,11 +87,11 @@ class IntermediateCacheStats:
 
 
 def _copy_staged(value: Any) -> Any:
-    """Copy the mutable container levels of a staged structure.
+    """Copy the mutable container levels of a cached value.
 
-    Shapes per prep kind: flat row list (none/sort), list of bucket
-    lists (coarse partition / partition-sort), dict key → row list
-    (fine partition).  Rows are tuples and safe to share.
+    Shapes: flat row list (answers, and stagings with prep none/sort),
+    list of bucket lists (coarse partition / partition-sort), dict key
+    → row list (fine partition).  Rows are tuples and safe to share.
     """
     if isinstance(value, dict):
         return {key: list(rows) for key, rows in value.items()}
@@ -98,17 +123,24 @@ def _approx_bytes(value: Any) -> int:
 
 
 class IntermediateCache:
-    """Thread-safe, bytes-bounded LRU of staged scan outputs."""
+    """Thread-safe, bytes-bounded LRU of answers and staged scan outputs."""
 
     def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES):
         if capacity_bytes <= 0:
             raise ValueError("intermediate cache capacity must be positive")
         self.capacity_bytes = capacity_bytes
-        #: (table, version, signature) → (staged value, size bytes)
-        self._entries: "OrderedDict[tuple, tuple[Any, int]]" = OrderedDict()
+        #: key → (value, size bytes, names of the tables it reads).
+        #: A staging key starts with its table's name, an answer key
+        #: with the query's int token, so the two never compare equal.
+        self._entries: "OrderedDict[tuple, tuple[Any, int, tuple]]" = (
+            OrderedDict()
+        )
+        #: table name → keys of the entries that read it.
+        self._by_table: dict[str, set[tuple]] = {}
         self._bytes = 0
-        #: hash((table, signature)) of recent misses, oldest first.
-        self._sightings: dict[int, None] = {}
+        #: Sighting key hash → whether an answer banked under it, oldest
+        #: first.
+        self._sightings: "OrderedDict[int, bool]" = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -117,7 +149,10 @@ class IntermediateCache:
         self._first_sightings = 0
         self._admitted = 0
         self._sighting_evictions = 0
+        self._answers = 0
+        self._stale = 0
 
+    # -- stagings ------------------------------------------------------------
     def get(self, table: str, version: int, signature: tuple) -> Any:
         """The cached staged structure (a private copy), or None."""
         key = (table, version, signature)
@@ -128,9 +163,8 @@ class IntermediateCache:
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-            value = entry[0]
         # Copy outside the lock: hit copies can be large.
-        return _copy_staged(value)
+        return _copy_staged(entry[0])
 
     def sighted(self, table: str, signature: tuple) -> bool:
         """Record a miss on ``(table, signature)``; True from the second.
@@ -138,19 +172,10 @@ class IntermediateCache:
         The admission rule callers apply before :meth:`put`: a staging
         nobody asked for twice is not worth sizing and copying.  The
         key leaves the version out, so a re-stage after DML counts as a
-        repeat; the filter is a bounded FIFO of hashes.
+        repeat.
         """
-        key = hash((table, signature))
         with self._lock:
-            if key in self._sightings:
-                self._admitted += 1
-                return True
-            self._first_sightings += 1
-            self._sightings[key] = None
-            if len(self._sightings) > SIGHTINGS_CAPACITY:
-                del self._sightings[next(iter(self._sightings))]
-                self._sighting_evictions += 1
-            return False
+            return self._sight(hash((table, signature))) is not None
 
     def put(
         self, table: str, version: int, signature: tuple, value: Any
@@ -159,24 +184,97 @@ class IntermediateCache:
 
         A value too large for the whole budget is simply not admitted.
         """
+        self._store((table, version, signature), (table,), value)
+
+    # -- answers -------------------------------------------------------------
+    def recall(
+        self, token: int, params: str, versions: tuple
+    ) -> tuple[list | None, bool, bool]:
+        """Look a statement's answer up: ``(rows, stale, banks)``.
+
+        ``rows`` is a private copy on a hit, else None.  On a miss,
+        ``stale`` says an answer for ``(token, params)`` was banked
+        before, and ``banks`` that this is at least its second sighting,
+        so the run should :meth:`bank` what it computes.
+        """
+        key = (token, params, versions)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self._misses += 1
+                banked = self._sight(hash((token, params)))
+                if banked:
+                    self._stale += 1
+                return None, bool(banked), banked is not None
+            self._entries.move_to_end(key)
+            self._hits += 1
+            self._answers += 1
+        return list(entry[0]), False, False
+
+    def bank(
+        self, token: int, params: str, versions: tuple, rows: list
+    ) -> None:
+        """Keep a copy of a statement's answer under ``versions``."""
+        if self._store(
+            (token, params, versions),
+            tuple(name for name, _ in versions),
+            rows,
+        ):
+            with self._lock:
+                self._sightings[hash((token, params))] = True
+                self._trim_sightings()
+
+    # -- shared machinery ----------------------------------------------------
+    def _sight(self, key: int) -> bool | None:
+        """Record a sighting (lock held): None for the first, else
+        whether an answer banked under it."""
+        banked = self._sightings.get(key)
+        if banked is not None:
+            self._admitted += 1
+            return banked
+        self._first_sightings += 1
+        self._sightings[key] = False
+        self._trim_sightings()
+        return None
+
+    def _trim_sightings(self) -> None:
+        if len(self._sightings) > SIGHTINGS_CAPACITY:
+            self._sightings.popitem(last=False)
+            self._sighting_evictions += 1
+
+    def _store(self, key: tuple, tables: tuple, value: Any) -> bool:
+        """Store a copy of ``value`` under ``key``; whether it fit."""
         size = _approx_bytes(value)
         if size > self.capacity_bytes:
-            return
+            return False
         copied = _copy_staged(value)
-        key = (table, version, signature)
         with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= old[1]
-            self._entries[key] = (copied, size)
+            self._drop(key)
+            self._entries[key] = (copied, size, tables)
+            for table in tables:
+                self._by_table.setdefault(table, set()).add(key)
             self._bytes += size
             while self._bytes > self.capacity_bytes and len(self._entries) > 1:
-                _, (_, evicted_size) = self._entries.popitem(last=False)
-                self._bytes -= evicted_size
+                self._drop(next(iter(self._entries)))
                 self._evictions += 1
+        return True
+
+    def _drop(self, key: tuple) -> bool:
+        """Remove one entry and its index slots (lock held)."""
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return False
+        _, size, tables = entry
+        self._bytes -= size
+        for table in tables:
+            keys = self._by_table[table]
+            keys.discard(key)
+            if not keys:
+                del self._by_table[table]
+        return True
 
     def invalidate_table(self, table: str | None) -> int:
-        """Drop entries for one table (or all with ``None``).
+        """Drop every entry that reads one table (or all with ``None``).
 
         DML makes old-version entries unreachable on its own; this
         frees their memory eagerly.  DDL *must* call it (or
@@ -187,15 +285,11 @@ class IntermediateCache:
             if table is None:
                 dropped = len(self._entries)
                 self._entries.clear()
+                self._by_table.clear()
                 self._bytes = 0
             else:
-                doomed = [
-                    key for key in self._entries if key[0] == table
-                ]
-                for key in doomed:
-                    _, size = self._entries.pop(key)
-                    self._bytes -= size
-                dropped = len(doomed)
+                doomed = self._by_table.get(table, ())
+                dropped = sum(self._drop(key) for key in list(doomed))
             self._invalidations += dropped
             return dropped
 
@@ -220,4 +314,6 @@ class IntermediateCache:
                 sightings=self._first_sightings,
                 admitted=self._admitted,
                 sighting_evictions=self._sighting_evictions,
+                answers=self._answers,
+                stale=self._stale,
             )

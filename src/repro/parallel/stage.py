@@ -1,14 +1,27 @@
-"""What stands between a scan and its page walk, and the serial walk.
+"""What stands between a plan and its page walk, and the serial walk.
 
-Two things can answer a :class:`~repro.plan.descriptors.ScanStage`
-without scanning the table: the generated index probe (a point or
-narrow range read fetches just the hit pages) and the version-keyed
-:class:`~repro.parallel.intermediates.IntermediateCache` (a staging
-already built from these pages and parameters).  :class:`StageAccess`
-is that step, once, for both ways a plan executes: the scheduler's
-morsel-parallel scan and :func:`serial_walk`, the plan-order walk over
-the serial generated functions that runs whenever threads would have
-nothing to overlap.
+Three things can answer a plan, or part of it, without scanning:
+
+* a recycled **answer** (:func:`recall`): the statement's rows from the
+  version-keyed :class:`~repro.parallel.intermediates.IntermediateCache`,
+  current while no table the plan scans has been written since they
+  were banked;
+* the generated **index probe**: a point or narrow range read fetches
+  just the hit pages;
+* a cached **staging** (:class:`StageAccess`): a scan's staged rows
+  built from these pages and parameters.
+
+An answer banks from its second sighting.  A staging is sighted and
+banked only on a run whose answer had been banked and is now missing —
+a *stale* answer — because that is the only run that reads a staging
+again: one whose own table is current under a root that is not.  Every
+run may still read a staging another statement banked.
+
+:func:`recall` runs once per execution, before the decision to
+schedule; :class:`StageAccess` once per scan, for both ways a plan
+executes: the scheduler's morsel-parallel scan and :func:`serial_walk`,
+the plan-order walk over the serial generated functions that runs
+whenever threads would have nothing to overlap.
 """
 
 from __future__ import annotations
@@ -46,13 +59,85 @@ PHASE_OF = {
 _MISS = object()
 
 
+class Answer:
+    """A statement's recycled rows, or a miss that may bank its rows.
+
+    ``recycled`` is "hit", "stale" (an answer banked before is missing)
+    or "first" (none was banked yet); "" when the cache was not asked.
+    """
+
+    __slots__ = ("rows", "recycled", "_cache", "_key", "_scanned")
+
+    def __init__(
+        self, recycled="", rows=None, cache=None, key=None, scanned=()
+    ):
+        self.rows = rows
+        self.recycled = recycled
+        self._cache = cache
+        self._key = key
+        self._scanned = scanned
+
+    @property
+    def stale(self) -> bool:
+        return self.recycled == "stale"
+
+    def note(self) -> str:
+        versions = ", ".join(f"{name}={v}" for name, v in self._key[2])
+        return f"answer recycled (versions {versions})"
+
+    def bank(self, rows: list) -> None:
+        """Keep ``rows`` if the lookup earned them a place and no
+        scanned table's version moved while they were computed."""
+        if self._cache is None:
+            return
+        token, params, versions = self._key
+        if _versions(self._scanned) == versions:
+            self._cache.bank(token, params, versions, rows)
+
+
+#: The answers that carry no key: the cache was not asked, and a first
+#: sighting that will not bank.
+_UNASKED = Answer()
+_FIRST = Answer("first")
+
+
+def _versions(scanned) -> tuple:
+    return tuple([(name, table.version) for name, table in scanned])
+
+
+def recall(prepared, params: tuple, cache, min_pages: int) -> Answer:
+    """Look ``prepared``'s answer for ``params`` up in ``cache``.
+
+    Plans that scan only tables below ``min_pages`` skip the cache, as
+    their scans skip staging lookups: they cost less to run than to
+    size and copy.
+    """
+    if cache is None:
+        return _UNASKED
+    scanned = prepared.scanned
+    for _, table in scanned:
+        if table.num_pages >= min_pages:
+            break
+    else:
+        return _UNASKED
+    key = (prepared.token, repr(params), _versions(scanned))
+    rows, stale, banks = cache.recall(*key)
+    if rows is not None:
+        return Answer("hit", rows, key=key)
+    if not banks:
+        return _FIRST
+    return Answer(
+        "stale" if stale else "first", cache=cache, key=key, scanned=scanned
+    )
+
+
 class Staged:
     """One scan's answer: the staged rows, or a miss that may bank.
 
     ``why`` names the path: "index fetch" or "cache hit" for an
     answer; "second sighting" for a miss that banks; for one that does
-    not, "first sighting", "below min_pages", "no cache" or "not
-    bankable".
+    not, "first sighting", "answer not stale", "below min_pages", "no
+    cache" or "not bankable".
     """
 
     __slots__ = ("value", "why", "_cache", "_key")
@@ -86,7 +171,9 @@ class StageAccess:
     go on the active node span directly.
     """
 
-    def __init__(self, prepared, ctx, params, cache, min_pages, note):
+    def __init__(
+        self, prepared, ctx, params, cache, min_pages, note, admit
+    ):
         self.namespace = prepared.compiled.namespace
         self.names = prepared.generated.function_names
         self.ctx = ctx
@@ -94,6 +181,8 @@ class StageAccess:
         self.cache = cache
         self.min_pages = min_pages
         self.note = note
+        #: Whether a miss may sight and bank: the run's answer is stale.
+        self.admit = admit
 
     def lookup(self, op: ScanStage, bankable: bool = True) -> Staged:
         """Answer ``op`` from the index or the cache, else a miss.
@@ -103,7 +192,8 @@ class StageAccess:
         cache is consulted only for a staging worth banking — the
         caller's ``bankable`` (a fused or incrementally handed-off scan
         has no complete staging to keep) and at least ``min_pages``
-        read — and a miss earns a place from its second sighting.
+        read — and, on a run whose answer is stale, a miss earns a
+        place from its second sighting.
         """
         table = op.table
         if op.index is not None:
@@ -139,6 +229,8 @@ class StageAccess:
             )
             _mark_node(staging_cached=True)
             return Staged("cache hit", staged)
+        if not self.admit:
+            return Staged("answer not stale")
         if cache.sighted(name, signature):
             return Staged(
                 "second sighting",
@@ -168,7 +260,7 @@ def result_rows(result) -> int | None:
 
 
 def serial_walk(
-    prepared, params: tuple, cache, min_pages: int
+    prepared, params: tuple, cache, min_pages: int, admit: bool
 ) -> tuple[list[tuple], list[PhaseStats], list[str]]:
     """Run the plan's serial generated functions in plan order.
 
@@ -181,7 +273,8 @@ def serial_walk(
     misses without banking: the staging would be dropped right after
     the consumer walks it, so it is never built.  Returns ``(rows,
     phases, notes)`` with one single-worker :class:`PhaseStats` per
-    phase that ran (a fused step counts as staging).
+    phase that ran (a fused step counts as staging).  ``admit`` is
+    :class:`StageAccess`'s: whether the run's answer is stale.
     """
     plan = prepared.plan
     namespace = prepared.compiled.namespace
@@ -191,7 +284,7 @@ def serial_walk(
     )
     notes: list[str] = []
     access = StageAccess(
-        prepared, ctx, params, cache, min_pages, notes.append
+        prepared, ctx, params, cache, min_pages, notes.append, admit
     )
     results: dict[int, object] = {}
     seconds: dict[str, float] = {}

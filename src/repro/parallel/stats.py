@@ -164,6 +164,10 @@ class ExecutionStats:
     #: Phase-level serial decisions, kept even when the query as a
     #: whole went parallel (e.g. a float-gated aggregation).
     notes: list[str] = field(default_factory=list)
+    #: The answer lookup: "hit" (rows recycled, nothing ran), "stale"
+    #: (a banked answer went missing), "first" (none banked yet), or ""
+    #: when the intermediate cache was not asked.
+    recycled: str = ""
 
     def describe(self) -> str:
         if self.parallel:

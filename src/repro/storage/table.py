@@ -96,26 +96,35 @@ class Table:
         statement-granular invalidation the caches key on.
         """
         count = 0
+        touched = False
         with self._write_lock:
-            for row in rows:
-                encoded = self.schema.encode(row)
-                page = self._tail_page()
-                if page.is_full:
-                    page = self._grow()
-                slot = page.insert(encoded)
-                assert self._tail_page_no is not None
-                self.buffer.unpin(self.file, self._tail_page_no, dirty=True)
-                self._row_count += 1
-                if self._indexes:
-                    rid = (self._tail_page_no, slot)
-                    for position, index in self._indexed_positions():
-                        # The stored form is the key (CHAR padding is
-                        # stripped on decode), exactly as build_index
-                        # reads it.
-                        index.insert(page.read_field(slot, position), rid)
-                count += 1
-            if count:
-                self.version += 1
+            try:
+                for row in rows:
+                    encoded = self.schema.encode(row)
+                    page = self._tail_page()
+                    if page.is_full:
+                        page = self._grow()
+                    touched = True
+                    slot = page.insert(encoded)
+                    assert self._tail_page_no is not None
+                    self.buffer.unpin(
+                        self.file, self._tail_page_no, dirty=True
+                    )
+                    self._row_count += 1
+                    if self._indexes:
+                        rid = (self._tail_page_no, slot)
+                        for position, index in self._indexed_positions():
+                            # The stored form is the key (CHAR padding
+                            # is stripped on decode), exactly as
+                            # build_index reads it.
+                            index.insert(page.read_field(slot, position), rid)
+                    count += 1
+            finally:
+                # Bump even when a later row failed: earlier rows are
+                # already on the page, so caches keyed on the old
+                # version must not survive.
+                if touched:
+                    self.version += 1
         return count
 
     def load_rows(self, rows: Iterable[Sequence[Any]]) -> int:
@@ -129,21 +138,25 @@ class Table:
         page: Page | None = None
         page_no: int | None = None
         with self._write_lock:
-            for row in rows:
-                if page is None or page.is_full:
-                    if page is not None:
-                        self.buffer.unpin(self.file, page_no, dirty=True)
-                    page_no, page = self.buffer.new_page(
-                        self.file, self.schema
-                    )
-                    self._tail_page_no = page_no
-                page.insert(encode(row))
-                count += 1
-            if page is not None:
-                self.buffer.unpin(self.file, page_no, dirty=True)
-            self._row_count += count
-            self.version += 1
-            self._rebuild_indexes()
+            try:
+                for row in rows:
+                    if page is None or page.is_full:
+                        if page is not None:
+                            self.buffer.unpin(self.file, page_no, dirty=True)
+                        page_no, page = self.buffer.new_page(
+                            self.file, self.schema
+                        )
+                        self._tail_page_no = page_no
+                    page.insert(encode(row))
+                    count += 1
+            finally:
+                # A row that fails to encode leaves the rows before it
+                # loaded: count them, and move the version over them.
+                if page is not None:
+                    self.buffer.unpin(self.file, page_no, dirty=True)
+                self._row_count += count
+                self.version += 1
+                self._rebuild_indexes()
         return count
 
     def _tail_page(self) -> Page:
@@ -290,19 +303,23 @@ class Table:
         if not pending:
             return 0
         indexed = self._indexed_positions()
-        for rid, old_row, encoded in pending:
-            page_no, slot = rid
-            page = self.buffer.get_page(self.file, page_no, self.schema)
-            try:
-                page.overwrite(slot, encoded)
-                for position, index in indexed:
-                    key = page.read_field(slot, position)
-                    if key != old_row[position]:
-                        index.delete(old_row[position], rid)
-                        index.insert(key, rid)
-            finally:
-                self.buffer.unpin(self.file, page_no, dirty=True)
-        self.version += 1
+        try:
+            for rid, old_row, encoded in pending:
+                page_no, slot = rid
+                page = self.buffer.get_page(self.file, page_no, self.schema)
+                try:
+                    page.overwrite(slot, encoded)
+                    for position, index in indexed:
+                        key = page.read_field(slot, position)
+                        if key != old_row[position]:
+                            index.delete(old_row[position], rid)
+                            index.insert(key, rid)
+                finally:
+                    self.buffer.unpin(self.file, page_no, dirty=True)
+        finally:
+            # A failure between the page overwrite and the index patch
+            # still changed what readers see.
+            self.version += 1
         return len(pending)
 
     def _update_scan(self, predicate, updater) -> int:
@@ -365,9 +382,11 @@ class Table:
                     else:
                         survivors.append(row)
             if removed:
-                self._repack(survivors)
-                self.version += 1
-                self._rebuild_indexes()
+                try:
+                    self._repack(survivors)
+                finally:
+                    self.version += 1
+                    self._rebuild_indexes()
         return removed
 
     def _delete_at(self, rids, predicate) -> int:
@@ -385,29 +404,33 @@ class Table:
         if not victims:
             return 0
         indexed = self._indexed_positions()
-        for rid, row in reversed(victims):
-            for position, index in indexed:
-                index.delete(row[position], rid)
-            tail_no, tail = self._last_row_page()
-            try:
-                tail_rid = (tail_no, tail.num_tuples - 1)
-                if tail_rid != rid:
-                    moved = tail.read(tail_rid[1])
-                    hole = self.buffer.get_page(
-                        self.file, rid[0], self.schema
-                    )
-                    try:
-                        hole.overwrite(rid[1], tail.raw(tail_rid[1]))
-                    finally:
-                        self.buffer.unpin(self.file, rid[0], dirty=True)
-                    for position, index in indexed:
-                        index.delete(moved[position], tail_rid)
-                        index.insert(moved[position], rid)
-                tail.num_tuples -= 1
-            finally:
-                self.buffer.unpin(self.file, tail_no, dirty=True)
-            self._row_count -= 1
-        self.version += 1
+        try:
+            for rid, row in reversed(victims):
+                for position, index in indexed:
+                    index.delete(row[position], rid)
+                tail_no, tail = self._last_row_page()
+                try:
+                    tail_rid = (tail_no, tail.num_tuples - 1)
+                    if tail_rid != rid:
+                        moved = tail.read(tail_rid[1])
+                        hole = self.buffer.get_page(
+                            self.file, rid[0], self.schema
+                        )
+                        try:
+                            hole.overwrite(rid[1], tail.raw(tail_rid[1]))
+                        finally:
+                            self.buffer.unpin(self.file, rid[0], dirty=True)
+                        for position, index in indexed:
+                            index.delete(moved[position], tail_rid)
+                            index.insert(moved[position], rid)
+                    tail.num_tuples -= 1
+                finally:
+                    self.buffer.unpin(self.file, tail_no, dirty=True)
+                self._row_count -= 1
+        finally:
+            # As in _update_at: a partial delete changed what readers
+            # see.
+            self.version += 1
         return len(victims)
 
     def _last_row_page(self) -> tuple[int, Page]:

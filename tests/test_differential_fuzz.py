@@ -372,10 +372,14 @@ class _Composed:
         self.engine.close()
 
 
-class _Thrice:
+class _Recycled:
     """The serial walk with an intermediate cache, met in all its
-    states: every query runs three times — first sighting, banking
-    miss, cache hit — and must return the same sequence each time.
+    states.  Every query runs until its answer is recycled — first
+    sighting, banking miss, answer hit — then twice under a stale
+    answer (after an identity UPDATE of a table it reads: the version
+    moves, no row does), which sights and then banks its stagings, and
+    once more under a new preparation, which reads them.  Every run
+    must return the same sequence.
 
     ``paths`` counts which way each run of a scan→consumer pair went:
     the fused ``aggregate_oM_scan`` or ``join_oM_scan`` (a miss that
@@ -397,6 +401,17 @@ class _Thrice:
         first = self._run(sql, kwargs)
         for _ in range(2):
             assert self._run(sql, kwargs) == first
+        recycled = self.engine.last_exec_stats.recycled
+        if not recycled:
+            return first  # below min_pages, or re-planned on overflow
+        assert recycled == "hit"
+        _, table = self.engine.prepare(sql).scanned[0]
+        for _ in range(2):
+            table.update_rows(lambda row: True, lambda row: row)
+            assert self._run(sql, kwargs) == first
+            assert self.engine.last_exec_stats.recycled == "stale"
+        self.engine.clear_cache()
+        assert self._run(sql, kwargs) == first
         return first
 
     def _run(self, sql, kwargs):
@@ -429,7 +444,7 @@ def _engines(catalog: Catalog) -> dict:
         "hique-o0": _Composed(catalog, OPT_O0),
         # What production does over resident data: decline to schedule
         # (the cache step is opt-level independent: once is enough).
-        "hique-o2-walk": _Thrice(
+        "hique-o2-walk": _Recycled(
             HiqueEngine(catalog, opt_level=OPT_O2, parallel=thread)
         ),
         "hique-o0-walk": HiqueEngine(

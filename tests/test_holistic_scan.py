@@ -7,7 +7,10 @@ the staging would not be kept; and aggregate bodies compute shared
 accumulators and repeated argument subexpressions once.  Every path a
 scan→aggregate pair can take — fused, staged + banked, cache hit,
 index fetch, pinned-scheduled — must return the same rows, float
-summation order included.
+summation order included.  A repeated statement is answered from the
+intermediate cache, so the staged paths are reached through writes
+that make its answer stale (the staging is sighted, then banked) and
+a new preparation that reads what the old one banked.
 """
 
 from __future__ import annotations
@@ -86,6 +89,23 @@ def _pin_scheduled(db: Database) -> None:
     db.set_parallel(morsel_pages=4, min_pages=2, min_rows=256)
 
 
+#: A row every filter below excludes: inserting it stales the answers
+#: without changing them.
+EXCLUDED = (5000, 1.0, 0.5, 9999, True, "x", "zz", 1)
+
+
+def _stale(db: Database) -> None:
+    db.load_rows("x", [EXCLUDED])
+
+
+def _drop_plans(db: Database) -> None:
+    """Forget every prepared plan: the next run prepares anew, so its
+    answer is at a first sighting and it reads the stagings an earlier
+    preparation banked (as after a plan-cache eviction)."""
+    db.service.cache.invalidate()
+    db.engine("hique").clear_cache()
+
+
 def _pair_notes(db: Database) -> list[str]:
     return [
         note
@@ -113,12 +133,23 @@ def test_every_path_returns_the_same_rows(db, sql):
     params = PARAMS[sql]
     fused = db.execute(sql, params=params)
     assert _pair_notes(db) == [
+        "table 'x': scan fused into aggregate o1 (answer not stale)"
+    ]
+    assert repr(db.execute(sql, params=params)) == repr(fused)  # banks
+    recycled = db.execute(sql, params=params)
+    assert db.last_exec_stats().recycled == "hit"
+    assert repr(recycled) == repr(fused)
+    _stale(db)
+    assert repr(db.execute(sql, params=params)) == repr(fused)
+    assert _pair_notes(db) == [
         "table 'x': scan fused into aggregate o1 (first sighting)"
     ]
+    _stale(db)
     banked = db.execute(sql, params=params)
     assert _pair_notes(db) == [
         "table 'x': staged for aggregate o1 (second sighting)"
     ]
+    _drop_plans(db)
     hit = db.execute(sql, params=params)
     assert _pair_notes(db) == [
         "table 'x': staged for aggregate o1 (cache hit)"
@@ -154,7 +185,7 @@ def test_strings_decode_like_the_volcano_engine(db):
 def test_a_new_parameter_is_a_first_sighting(db):
     for cutoff in (9100, 9200, 9300):
         rows = db.execute(Q1_LIKE, params=(cutoff,))
-        assert _pair_notes(db)[0].endswith("(first sighting)")
+        assert _pair_notes(db)[0].endswith("(answer not stale)")
         volcano = db.execute(Q1_LIKE, engine="volcano", params=(cutoff,))
         assert sorted(map(repr, rows)) == sorted(map(repr, volcano))
     stats = db.intermediates.stats()
@@ -182,7 +213,8 @@ def test_below_min_pages_and_without_a_cache_the_scan_fuses():
 def test_an_index_fetch_feeds_the_staged_aggregate(db):
     db.create_index("x", "i")
     sql = "SELECT count(*) AS n, sum(d) AS s, max(v) AS m FROM x WHERE i = ?"
-    for _ in range(3):
+    for _ in range(3):  # first sighting, then two stale answers
+        _stale(db)
         rows = db.execute(sql, params=(1234,))
         assert "table 'x': index: 1 rids" in db.last_exec_stats().notes
         assert _pair_notes(db) == [
@@ -193,7 +225,7 @@ def test_an_index_fetch_feeds_the_staged_aggregate(db):
     wide = "SELECT count(*) AS n, sum(d) AS s FROM x WHERE i >= ?"
     rows = db.execute(wide, params=(10,))
     assert any("index declined" in n for n in db.last_exec_stats().notes)
-    assert _pair_notes(db)[0].endswith("(first sighting)")
+    assert _pair_notes(db)[0].endswith("(answer not stale)")
     assert rows == db.execute(wide, engine="volcano", params=(10,))
 
 
@@ -201,9 +233,15 @@ def test_explain_analyze_names_the_path(db):
     sql = "SELECT g, count(*) AS n FROM x GROUP BY g"
     text = db.explain_analyze(sql)
     assert "o0: ScanStage x prep=none filters=0  (fused into o1)" in text
-    assert "fused scan→aggregate[first sighting]" in text
+    assert "fused scan→aggregate[answer not stale]" in text
+    db.explain_analyze(sql)  # banks the answer
+    _stale(db)
+    assert "fused scan→aggregate[first sighting]" in db.explain_analyze(sql)
+    _stale(db)
     text = db.explain_analyze(sql)
     assert "staged[second sighting]" in text
+    assert "answer recycled (versions x=" in db.explain_analyze(sql)
+    _drop_plans(db)
     assert "staged[cache hit]" in db.explain_analyze(sql)
 
 

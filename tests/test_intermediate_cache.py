@@ -2,11 +2,13 @@
 
 Unit level: LRU accounting, copy-on-put/get safety (generated merge
 templates sort staged structures in place), byte-budget eviction and
-table-scoped invalidation.  End to end: a warm repeated query reuses
-staged scan output (visible in stats, EXPLAIN ANALYZE and Prometheus
-metrics), DML on one table drops only that table's entries, and DDL
-clears everything (a recreated table restarts its version epoch, which
-would otherwise alias stale keys).
+table-scoped invalidation.  End to end: a warm repeated query is
+answered from the cache, and once writes have made its answer stale
+it reuses the staged scan output of the table they did not touch
+(visible in stats, EXPLAIN ANALYZE and Prometheus metrics); DML on one
+table drops only the entries that read it, and DDL clears everything
+(a recreated table restarts its version epoch, which would otherwise
+alias stale keys).
 """
 
 from __future__ import annotations
@@ -89,8 +91,8 @@ class TestIntermediateCacheUnit:
 @pytest.mark.usefixtures("scheduled")
 class TestIntermediateCacheEndToEnd:
     """The cache under the scheduled scan (``test_serial_first`` covers
-    the serial walk).  A staging is banked from its second miss, so
-    "cold" below is two executions."""
+    the serial walk).  An answer is banked from its second miss, a
+    staging from its second miss under a stale answer."""
 
     def _db(self) -> Database:
         db = Database()
@@ -106,25 +108,48 @@ class TestIntermediateCacheEndToEnd:
         "WHERE t.a = u.k GROUP BY t.b"
     )
 
+    @staticmethod
+    def _stale(db: Database) -> None:
+        """Stale the join's answer, not its rows: no ``t.a`` is -1."""
+        db.execute("INSERT INTO u VALUES (-1, 1)")
+
+    def _bank_stagings(self, db: Database) -> list:
+        """Run the join until both inputs' stagings are banked: the
+        answer banks on the second run, and each stale answer after it
+        sights, then banks, the stagings under it."""
+        rows = db.execute(self._JOIN)
+        assert db.execute(self._JOIN) == rows
+        for _ in range(2):
+            self._stale(db)
+            assert db.execute(self._JOIN) == rows
+        return rows
+
     def test_warm_query_reuses_staged_intermediates(self):
         db = self._db()
         try:
             cold = db.execute(self._JOIN)
             assert db.intermediates.stats().entries == 0  # first sighting
             assert db.execute(self._JOIN) == cold
-            assert db.intermediates.stats().entries > 0
+            assert db.intermediates.stats().entries == 1  # the answer
+            assert db.execute(self._JOIN) == cold
+            assert db.intermediates.stats().answers == 1
+            self._bank_stagings(db)
+            # A new preparation is a first sighting of its answer, and
+            # reads the stagings the old one banked.
+            db.service.cache.invalidate()
+            db.engine("hique").clear_cache()
+            hits = db.intermediates.stats().hits
             warm = db.execute(self._JOIN)
             assert warm == cold
             stats = db.intermediates.stats()
-            assert stats.hits >= 2  # both join inputs reused
+            assert stats.hits - hits >= 2  # both join inputs reused
         finally:
             db.close()
 
     def test_dml_invalidates_only_the_mutated_table(self):
         db = self._db()
         try:
-            db.execute(self._JOIN)
-            db.execute(self._JOIN)
+            self._bank_stagings(db)
             entries_before = db.intermediates.stats().entries
             assert entries_before >= 2
             db.execute("INSERT INTO u VALUES (99999, 1)")
@@ -142,8 +167,7 @@ class TestIntermediateCacheEndToEnd:
     def test_ddl_clears_everything(self):
         db = self._db()
         try:
-            db.execute(self._JOIN)
-            db.execute(self._JOIN)
+            self._bank_stagings(db)
             assert db.intermediates.stats().entries > 0
             db.create_table("w", [Column("x", INT)])
             assert db.intermediates.stats().entries == 0
@@ -180,8 +204,8 @@ class TestIntermediateCacheEndToEnd:
     def test_explain_analyze_reports_reuse(self):
         db = self._db()
         try:
-            db.execute(self._JOIN)
-            db.execute(self._JOIN)
+            self._bank_stagings(db)
+            self._stale(db)
             text = db.explain_analyze(self._JOIN)
             assert "staging: reused cached intermediate" in text
             assert "serial-fallback" not in text
@@ -191,12 +215,20 @@ class TestIntermediateCacheEndToEnd:
     def test_stats_surface_in_metrics_and_insights(self):
         db = self._db()
         try:
-            for _ in range(3):
-                db.execute(self._JOIN)
+            self._bank_stagings(db)
+            self._stale(db)
+            db.execute(self._JOIN)  # t's staging reused
+            db.execute(self._JOIN)  # the answer recycled
             metrics = db.metrics_text()
             assert "repro_intermediate_cache_hits_total" in metrics
+            assert "repro_intermediate_cache_answers_total 1" in metrics
+            assert "repro_intermediate_cache_stale_total 3" in metrics
             snapshot = db.insights().snapshot()
             assert snapshot["intermediate_cache"]["hits"] >= 2
-            assert "intermediate cache:" in db.insights_text()
+            assert snapshot["intermediate_cache"]["answers"] == 1
+            assert snapshot["intermediate_cache"]["stale"] == 3
+            text = db.insights_text()
+            assert "intermediate cache:" in text
+            assert "1 answer(s) recycled, 3 stale" in text
         finally:
             db.close()

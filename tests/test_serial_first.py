@@ -4,8 +4,8 @@ A run is scheduled only when some scanned table has pages that can
 wait (a disk-backed file not fully resident in the buffer pool);
 otherwise the plan's serial generated functions run in plan order on
 the calling thread — and still get the intermediate cache and the index
-probe, because both live in :class:`repro.parallel.stage.StageAccess`,
-not in the scheduler.
+probe, because both live in :mod:`repro.parallel.stage`, not in the
+scheduler.
 """
 
 from __future__ import annotations
@@ -47,6 +47,11 @@ QUERIES = {
 JOIN = (
     "SELECT t.b AS g, count(u.v) AS n FROM t, u WHERE t.a = u.k GROUP BY t.b"
 )
+
+
+def _stale(db: Database, table: str = "u") -> None:
+    """Stale JOIN's answer, not its rows: -1 is no key of t or u."""
+    db.execute(f"INSERT INTO {table} VALUES (-1, 1)")
 
 
 def _rows(n: int) -> list[tuple[int, int]]:
@@ -119,8 +124,14 @@ def test_single_worker_walks_and_hits_the_cache():
     try:
         first = db.execute(JOIN)
         assert db.last_exec_stats().reason == "single worker"
-        assert db.execute(JOIN) == first  # second miss: banked
+        assert db.execute(JOIN) == first  # second miss: answer banked
         assert db.execute(JOIN) == first
+        assert db.last_exec_stats().recycled == "hit"
+        # Stale answers over t: its staging is sighted, banked, reused.
+        for _ in range(3):
+            _stale(db)
+            assert db.execute(JOIN) == first
+            assert db.last_exec_stats().reason == "single worker"
         assert db.intermediates.stats().hits >= 2
         assert any(
             "staging reused" in note for note in db.last_exec_stats().notes
@@ -148,8 +159,10 @@ def test_disk_table_is_scheduled_until_resident(tmp_path):
             note.startswith("scheduled: table 't'") and "not resident" in note
             for note in stats.notes
         ), stats.notes
-        # That run read every page in; the next one declines again.
+        # That run read every page in; the next one declines again
+        # (once its recycled answer is gone).
         assert db.table("t").waiting_pages == 0
+        db.intermediates.clear()
         assert db.execute(sql) == want
         assert db.last_exec_stats().reason == RESIDENT
     finally:
@@ -258,9 +271,21 @@ def test_walk_reuses_stagings_and_restages_only_the_written_input():
     try:
         first = db.execute(JOIN)
         assert db.explain_analyze(JOIN).count("staging: reused") == 0
-        text = db.explain_analyze(JOIN)  # third execution: both inputs warm
-        assert text.count("staging: reused cached intermediate") == 2
-        assert f"serial, not scheduled ({RESIDENT})" in text
+        assert "answer recycled" in db.explain_analyze(JOIN)
+        # Two stale answers sight, then bank, both stagings.
+        for table in ("u", "t"):
+            _stale(db, table)
+            text = db.explain_analyze(JOIN)
+            assert text.count("staging: reused") == 0
+            assert f"serial, not scheduled ({RESIDENT})" in text
+
+        # A write to one input: the other's staging is reused.
+        db.execute("INSERT INTO t VALUES (-2, 1)")
+        after = db.explain_analyze(JOIN)
+        assert after.count("staging: reused cached intermediate") == 1
+        notes = db.last_exec_stats().notes
+        assert any("table 'u': staging reused" in note for note in notes)
+        assert not any("table 't': staging reused" in note for note in notes)
 
         db.execute("INSERT INTO u VALUES (5, 1)")
         after = db.explain_analyze(JOIN)
@@ -270,6 +295,14 @@ def test_walk_reuses_stagings_and_restages_only_the_written_input():
         assert not any("table 'u': staging reused" in note for note in notes)
         assert db.execute(JOIN) != first  # the insert is visible
         assert db.execute(JOIN) == db.execute(JOIN, engine="volcano")
+
+        # A new preparation (after a plan-cache eviction) is a first
+        # sighting of its answer and reads both current stagings.
+        db.service.cache.invalidate()
+        db.engine("hique").clear_cache()
+        text = db.explain_analyze(JOIN)
+        assert text.count("staging: reused cached intermediate") == 2
+        assert f"serial, not scheduled ({RESIDENT})" in text
     finally:
         db.close()
 
@@ -279,12 +312,15 @@ def test_walk_probes_the_index_and_banks_nothing():
     try:
         db.create_index("t", "a")
         sql = "SELECT a, b FROM t WHERE a = ?"
-        for _ in range(3):
+        for _ in range(3):  # first sighting, then two stale answers
+            _stale(db, "t")
             assert db.execute(sql, params=(4321,)) == [(4321, 4321 % 7)]
         stats = db.last_exec_stats()
         assert stats.scheduled is False
+        assert stats.recycled == "stale"
         assert "table 't': index: 1 rids" in stats.notes
-        assert db.intermediates.stats().entries == 0
+        assert db.intermediates.stats().entries == 1  # the answer alone
+        _stale(db, "t")
         assert "index: 1 rids" in db.explain_analyze(sql, params=(4321,))
     finally:
         db.close()
@@ -345,12 +381,19 @@ def test_staging_is_banked_from_its_second_miss():
         db.execute(JOIN)
         assert db.intermediates.stats().entries == 0
         db.execute(JOIN)
-        assert db.intermediates.stats().entries == 2
+        assert db.intermediates.stats().entries == 1  # the answer
+        _stale(db)
+        assert db.intermediates.stats().entries == 0
+        db.execute(JOIN)  # stale: both stagings sighted
+        assert db.intermediates.stats().entries == 1
+        _stale(db)
+        db.execute(JOIN)  # stale again: both banked
+        assert db.intermediates.stats().entries == 3
         # A version bump is not a new staging: the re-stage banks at once.
         db.execute("INSERT INTO u VALUES (5, 1)")
         assert db.intermediates.stats().entries == 1
         db.execute(JOIN)
-        assert db.intermediates.stats().entries == 2
+        assert db.intermediates.stats().entries == 3
     finally:
         db.close()
 

@@ -9,7 +9,10 @@ against a literal or parameter are compared as padded bytes, and a
 fused map aggregate keys its directories on them.  Every path a probe
 can take — fused, staged + banked, cache hit, index fetch, pinned
 scheduled — returns the same rows, float summation order included, and
-the same rows as the iterator engine built from the same plan.
+the same rows as the iterator engine built from the same plan.  A
+repeated statement is answered from the intermediate cache, so the
+staged paths are reached through writes to the *build* side that make
+the answer stale while the probe table stays current.
 """
 
 from __future__ import annotations
@@ -104,6 +107,19 @@ def _pin_scheduled(db: Database) -> None:
     db.set_parallel(morsel_pages=4, min_pages=2, min_rows=256)
 
 
+def _stale(db: Database) -> None:
+    """Stale every answer over ``dim`` with a row no fact key joins."""
+    db.load_rows("dim", [(99_999, 0, "zz", 0.0)])
+
+
+def _drop_plans(db: Database) -> None:
+    """Forget every prepared plan: the next run prepares anew, so its
+    answer is at a first sighting and it reads the stagings an earlier
+    preparation banked (as after a plan-cache eviction)."""
+    db.service.cache.invalidate()
+    db.engine("hique").clear_cache()
+
+
 def _join_notes(db: Database) -> list[str]:
     return [
         note for note in db.last_exec_stats().notes if "join o" in note
@@ -158,15 +174,26 @@ def test_every_path_returns_the_same_rows(db, sql):
     params = PARAMS[sql]
     fused = db.execute(sql, params=params)
     assert _join_notes(db) == [
+        "table 'f': scan fused into join o2 (answer not stale)"
+    ]
+    assert repr(db.execute(sql, params=params)) == repr(fused)  # banks
+    recycled = db.execute(sql, params=params)
+    assert db.last_exec_stats().recycled == "hit"
+    _stale(db)
+    assert repr(db.execute(sql, params=params)) == repr(fused)
+    assert _join_notes(db) == [
         "table 'f': scan fused into join o2 (first sighting)"
     ]
+    _stale(db)
     banked = db.execute(sql, params=params)
     assert _join_notes(db) == [
         "table 'f': staged for join o2 (second sighting)"
     ]
+    _stale(db)
     hit = db.execute(sql, params=params)
     assert _join_notes(db) == ["table 'f': staged for join o2 (cache hit)"]
     assert fused
+    assert repr(recycled) == repr(fused)
     assert repr(banked) == repr(fused)
     assert repr(hit) == repr(fused)
 
@@ -178,6 +205,7 @@ def test_every_path_returns_the_same_rows(db, sql):
         assert volcano == fused
 
     _pin_scheduled(db)
+    _stale(db)
     scheduled = db.execute(sql, params=params)
     assert db.last_exec_stats().scheduled is True
     assert repr(scheduled) == repr(fused)
@@ -196,9 +224,15 @@ def test_tpch_paths_agree_with_each_other_and_volcano(tpch, name):
 
 def test_tpch_lineitem_probe_takes_all_three_paths(tpch):
     sql = QUERIES["Q3"].replace("'1995-03-15'", "'1995-03-17'")
+    want = tpch.execute(sql)
+    assert tpch.execute(sql) == want  # banks the answer
+    customer = tpch.table("customer")
     whys = []
-    for _ in range(3):
-        tpch.execute(sql)
+    for custkey in range(10**6, 10**6 + 3):
+        # A customer with no orders stales Q3's answer, not its rows,
+        # and leaves lineitem current.
+        tpch.load_rows("customer", [(custkey, *customer.row_at(0, 0)[1:])])
+        assert tpch.execute(sql) == want
         (note,) = [
             n for n in tpch.last_exec_stats().notes
             if n.startswith("table 'lineitem'") and "join o5" in n
@@ -286,7 +320,8 @@ def test_an_index_fetched_probe_side_runs_the_staged_probe(db):
         "SELECT f.id AS id, m.w AS w FROM fact f, dim m "
         "WHERE f.k = m.k AND f.id >= ? AND f.id < ?"
     )
-    for _ in range(3):
+    for _ in range(3):  # first sighting, then two stale answers
+        _stale(db)
         rows = db.execute(sql, params=(100, 110))
         notes = db.last_exec_stats().notes
         assert "table 'f': index: 10 rids" in notes
@@ -460,15 +495,22 @@ def test_a_char_grouped_map_aggregate_outputs_decoded_keys(strings):
     fused = source.split("if rows is None:")[1].split("else:")[0]
     assert "dir0.get(v1, -1)" in fused  # keyed on the padded bytes
     assert "_keys[_g] = (v1.rstrip(_SP).decode(),)" in fused
-    runs = []
-    for _ in range(3):  # fused, staged + banked, staged from a hit
+    runs = [strings.execute(sql, params=("abc",)) for _ in range(2)]
+    whys = []
+    for n in range(3):  # fused, staged + banked, staged from a hit
+        if n < 2:
+            # A row the filter excludes stales the answer.
+            strings.load_rows("s", [(9000 + n, "ab", "zz", 0.0)])
+        else:
+            _drop_plans(strings)
         runs.append(strings.execute(sql, params=("abc",)))
-    assert [
-        note.rsplit("(", 1)[1]
-        for note in strings.last_exec_stats().notes
-        if "aggregate o" in note
-    ] == ["cache hit)"]
-    assert repr(runs[1]) == repr(runs[0]) and repr(runs[2]) == repr(runs[0])
+        whys += [
+            note.rsplit("(", 1)[1]
+            for note in strings.last_exec_stats().notes
+            if "aggregate o" in note
+        ]
+    assert whys == ["first sighting)", "second sighting)", "cache hit)"]
+    assert all(repr(run) == repr(runs[0]) for run in runs)
     assert {row[0] for row in runs[0]} == {"", "ab", "abc", " x", "abcd"}
     assert sorted(runs[0]) == sorted(
         strings.execute(sql, engine="volcano", params=("abc",))
@@ -481,8 +523,12 @@ def test_a_char_grouped_map_aggregate_outputs_decoded_keys(strings):
 def test_explain_analyze_names_the_fused_probe(db):
     text = db.explain_analyze(JOIN_ROWS.replace("?", "2500"))
     assert "o1: ScanStage f prep=none filters=1  (fused into o2)" in text
-    assert "fused scan→join[first sighting]" in text
+    assert "fused scan→join[answer not stale]" in text
     assert "o2: Join hash build=o0 probe=o1" in text
+    db.explain_analyze(JOIN_ROWS.replace("?", "2500"))  # banks the answer
+    _stale(db)
+    text = db.explain_analyze(JOIN_ROWS.replace("?", "2500"))
+    assert "fused scan→join[first sighting]" in text
 
 
 def test_the_fused_probe_is_one_node_timed_as_staging():
