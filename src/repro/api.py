@@ -156,15 +156,13 @@ class Database:
         # no concurrent read query observes a half-loaded table.
         with self.catalog.exclusive():
             table = self.catalog.table(name)
-            before = table.version
             try:
                 return table.load_rows(rows)
             finally:
-                # The table's version moved (a load that failed part way
-                # moves it too); tell the fine-grained caches while the
-                # write gate is still held.
-                if table.version != before:
-                    self.catalog.notify_dml(name)
+                # A load moves the table's version, even one that fails
+                # part way; tell the fine-grained caches while the write
+                # gate is still held.
+                self.catalog.notify_dml(name)
 
     def analyze(self, name: str | None = None) -> None:
         self.catalog.analyze(name)

@@ -249,12 +249,7 @@ class HiqueEngine:
                         rows=len(rows),
                         parallel=stats.parallel,
                         scheduled=stats.scheduled,
-                        # A recycled answer's note names the versions.
-                        why=(
-                            stats.notes[0]
-                            if stats.recycled == "hit"
-                            else stats.reason or "; ".join(stats.notes)
-                        ),
+                        why=stats.reason or "; ".join(stats.notes),
                     )
                     if stats.recycled:
                         span.set(recycled=stats.recycled)

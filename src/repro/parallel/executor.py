@@ -385,8 +385,7 @@ class ParallelExecutor:
             return answer.rows, ExecutionStats(
                 rows=len(answer.rows),
                 elapsed_seconds=time.perf_counter() - started,
-                reason="answer recycled",
-                notes=[answer.note()],
+                reason=answer.note(),
                 recycled="hit",
             )
 

@@ -30,12 +30,12 @@ stale, not a walk of the whole cache).
 Admission is counted, not configured.  A miss is recorded in a bounded
 FIFO of sightings whose keys leave the versions out; from a key's
 second sighting the run banks what it computed.  An answer's sighting
-is marked once it banked, which is what makes a later miss *stale*
-rather than new: a write moved a version under it, or the LRU pushed
-it out.  Only a stale run sights and banks stagings — the one case in
-which a staging is read again is a current staging under a stale
-answer, so a statement answered from the cache banks no staging it
-will never read.
+is marked once it banked, and moves to the FIFO's young end on every
+hit, which is what makes a later miss *stale* rather than new: a write
+moved a version under it, or the LRU pushed it out.  Only a stale run
+sights and banks stagings — the one case in which a staging is read
+again is a current staging under a stale answer, so a statement
+answered from the cache banks no staging it will never read.
 
 Generated join/merge templates sort their inputs *in place*, and
 callers may mutate the rows they are handed, so both ``put`` and
@@ -209,6 +209,7 @@ class IntermediateCache:
             self._entries.move_to_end(key)
             self._hits += 1
             self._answers += 1
+            self._mark_banked(hash((token, params)))
         return list(entry[0]), False, False
 
     def bank(
@@ -221,8 +222,7 @@ class IntermediateCache:
             rows,
         ):
             with self._lock:
-                self._sightings[hash((token, params))] = True
-                self._trim_sightings()
+                self._mark_banked(hash((token, params)))
 
     # -- shared machinery ----------------------------------------------------
     def _sight(self, key: int) -> bool | None:
@@ -236,6 +236,14 @@ class IntermediateCache:
         self._sightings[key] = False
         self._trim_sightings()
         return None
+
+    def _mark_banked(self, key: int) -> None:
+        """Mark a sighting banked and make it the newest (lock held):
+        a hot answer keeps its marker however many keys are sighted
+        after it."""
+        self._sightings[key] = True
+        self._sightings.move_to_end(key)
+        self._trim_sightings()
 
     def _trim_sightings(self) -> None:
         if len(self._sightings) > SIGHTINGS_CAPACITY:
