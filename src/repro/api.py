@@ -77,17 +77,12 @@ class Database:
         max_workers: int = 4,
         catalog: Catalog | None = None,
         workers: int = 4,
-        pipeline: bool | None = None,
         trace: bool | None = None,
         insights: bool = True,
     ):
         """``max_workers`` sizes the *session* pool (concurrent queries);
         ``workers`` sizes the *morsel* pool inside one query's scan
         (``workers=1`` pins every execution to the serial walk).
-        ``pipeline=True`` turns on dependency-driven cross-phase
-        scheduling (operators launch as their inputs complete instead
-        of at phase barriers; rows stay byte-identical); ``None`` defers
-        to the ``REPRO_PIPELINE`` environment flag, then off.
         ``trace=True`` records a span tree per query (see
         :meth:`last_trace` and ``EXPLAIN ANALYZE``); ``None`` defers to
         the ``REPRO_TRACE`` environment flag, then off — and the
@@ -107,10 +102,7 @@ class Database:
         self.cache_capacity = cache_capacity
         self.max_workers = max_workers
         try:
-            knobs: dict[str, Any] = {}
-            if pipeline is not None:
-                knobs["pipeline"] = pipeline
-            self.parallel_config = ParallelConfig(workers=workers, **knobs)
+            self.parallel_config = ParallelConfig(workers=workers)
         except ValueError as exc:
             raise ReproError(str(exc)) from None
         self._engines: dict[str, Any] = {}
@@ -253,26 +245,21 @@ class Database:
         morsel_pages: int | None = None,
         min_pages: int | None = None,
         min_rows: int | None = None,
-        allow_float_reorder: bool | None = None,
         task_timeout: float | None = None,
-        pipeline: bool | None = None,
     ) -> ParallelConfig:
         """Reconfigure morsel-driven parallelism at run time.
 
         Applies to engines built afterwards *and* retunes the already
         built code-generating engines: their morsel pools are retired
         and rebuilt lazily, while in-flight executions drain on the old
-        pool with the configuration they started with.  ``pipeline``
-        toggles dependency-driven cross-phase scheduling.
+        pool with the configuration they started with.
         """
         changes = {
             "workers": workers,
             "morsel_pages": morsel_pages,
             "min_pages": min_pages,
             "min_rows": min_rows,
-            "allow_float_reorder": allow_float_reorder,
             "task_timeout": task_timeout,
-            "pipeline": pipeline,
         }
         try:
             self.parallel_config = dataclasses.replace(

@@ -30,8 +30,6 @@ executed through ``.prepare`` / ``.exec``.  Meta-commands:
   pins every run to the serial walk)
 * ``.parallel`` — show the configuration and the last execution's
   per-phase (stage/join/aggregate/final) breakdown
-* ``.pipeline [on|off]`` — toggle dependency-driven (pipelined)
-  scheduling of scheduled runs; with no argument, show the mode
 * ``.tpch [sf]`` — load a TPC-H instance (default scale factor 0.002)
 * ``.timing on|off`` — toggle per-query timing
 * ``.trace [on|off|save <path>]`` — toggle span tracing for every
@@ -200,9 +198,7 @@ class Shell:
             config = self.db.parallel_config
             self.write(
                 f"{config.workers} workers, {config.morsel_pages} "
-                f"pages/morsel, "
-                f"{'pipelined' if config.pipeline else 'barrier'} "
-                f"scheduling, min_pages {config.min_pages}, "
+                f"pages/morsel, min_pages {config.min_pages}, "
                 f"min_rows {config.min_rows}"
             )
             stats = self.db.last_exec_stats(self.engine_kind)
@@ -210,23 +206,6 @@ class Shell:
                 self.write(f"last execution: {stats.describe()}")
                 for note in stats.notes:
                     self.write(f"  serial: {note}")
-        elif command == ".pipeline":
-            if argument in ("on", "off"):
-                config = self.db.set_parallel(pipeline=argument == "on")
-                self.write(
-                    f"pipelined scheduling "
-                    f"{'on' if config.pipeline else 'off'} "
-                    f"({config.workers} workers)"
-                )
-            elif argument == "":
-                config = self.db.parallel_config
-                self.write(
-                    f"scheduling: "
-                    f"{'pipelined' if config.pipeline else 'barrier'} "
-                    f"(.pipeline on|off to switch)"
-                )
-            else:
-                self.write("usage: .pipeline [on|off]")
         elif command == ".tpch":
             scale = float(argument) if argument else 0.002
             from repro.bench.tpch import generate_tpch

@@ -53,7 +53,6 @@ __all__ = [
     "MorselDispatcher",
     "ParallelConfig",
     "ParallelExecutor",
-    "PartitionHandoff",
     "PhaseStats",
     "ReadWriteLatch",
     "TaskDispatcher",
@@ -71,11 +70,7 @@ def __getattr__(name: str):
     # ``executor``/``backend`` pull in the core/errors stack;
     # importing them here eagerly would cycle through storage →
     # parallel → core → storage.
-    if name in (
-        "ParallelExecutor",
-        "PartitionHandoff",
-        "merge_aggregate_partials",
-    ):
+    if name in ("ParallelExecutor", "merge_aggregate_partials"):
         from repro.parallel import executor
 
         return getattr(executor, name)

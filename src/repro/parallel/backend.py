@@ -1,6 +1,6 @@
 """The task backend: where a scheduled query's parallel tasks run.
 
-The phase scheduler (:mod:`repro.parallel.executor`) turns each phase's
+The scheduler (:mod:`repro.parallel.executor`) turns each node's
 units of work — page-range morsels, join pairs, aggregate row chunks,
 restage chunks and sort runs — into zero-argument thunks over the
 generated entry points and hands the batch to a :class:`ThreadBackend`:
@@ -39,21 +39,26 @@ class PoolAbandoned(ExecutionError):
     """Collateral failure: another batch's timeout abandoned the pool.
 
     Distinct from the wedged batch's own timeout error so callers
-    collecting errors from concurrent batches (the pipelined driver)
-    can prefer the root cause over this secondary casualty.
+    collecting errors from concurrent batches (the scheduler's node
+    drivers) can prefer the root cause over this secondary casualty.
     """
+
+
+#: Pool headroom multiplier: up to this many operator nodes' batches
+#: can hold their full worker fan-out simultaneously before queuing
+#: (deeper plans still complete — extra batches wait for free slots).
+PIPELINE_BATCHES = 4
 
 
 class ThreadBackend:
     """In-process worker pool running generated code over shared state.
 
-    ``concurrent_batches`` sizes the pool for the pipelined scheduler:
-    each :meth:`run_thunks` batch still fans out to at most ``workers``
-    claim threads, but the pool holds ``workers × concurrent_batches``
-    slots so batches of *different* operators (a latency-bound scan and
-    a CPU-bound join, say) run side by side instead of queuing behind
-    one another.  Under phase-barrier scheduling only one batch is in
-    flight at a time, so the extra slots stay unused.
+    Each :meth:`run_thunks` batch fans out to at most ``workers`` claim
+    threads, but the pool holds ``workers × PIPELINE_BATCHES`` slots so
+    batches of *different* operator nodes (a latency-bound scan and a
+    CPU-bound join, say) run side by side instead of queuing behind one
+    another.  The pool is created on first use, so idle slots cost
+    nothing.
     """
 
     name = "thread"
@@ -62,7 +67,6 @@ class ThreadBackend:
         self,
         workers: int,
         task_timeout: float | None = None,
-        concurrent_batches: int = 1,
         registry=None,
     ):
         self.workers = workers
@@ -70,7 +74,7 @@ class ThreadBackend:
         #: Optional :class:`~repro.obs.metrics.MetricsRegistry` that
         #: receives structured watchdog events.
         self.registry = registry
-        self._slots = workers * max(concurrent_batches, 1)
+        self._slots = workers * PIPELINE_BATCHES
         self._pool: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
         #: Tasks completed across every batch on this backend, for the

@@ -52,25 +52,20 @@ thresholds simply run their serial generated function in plan order,
 so a scheduled run degrades gracefully instead of falling back
 wholesale.
 
-Scheduling comes in two flavours.  The default walks the operator
-list with a barrier after each operator.  With
-``ParallelConfig.pipeline`` on, the run instead builds a *dependency
-graph*: every operator (with a scan and its fusable consumer collapsed
-into one node) is keyed by the op ids it produces, tracks completion
-of its input operators' task sets, and launches the moment the last
-one finishes — so independent scans stage concurrently, a CPU-bound
-join overlaps a latency-bound scan of a later input, and a restage
-starts the instant the join feeding it completes.  Task order inside
-every node is unchanged, each node's finisher still reassembles
-results order-preservingly, and node results only become visible to
-dependents after the completion handshake, so pipelined rows are
-byte-identical to barrier rows — only the wall-clock interleaving
-changes.  (Per-partition completion collapses to per-input completion
-because every page-range staging task contributes rows to every
-partition; a pair task's inputs are therefore "staged" exactly when
-both sides' staging task sets drain.)  :class:`ExecutionStats` reports
-the per-phase timings, worker counts, cross-phase overlap seconds and
-any serial decisions.
+A scheduled run has one schedule: dependency-driven dispatch with
+no phase barriers.  The run builds a *dependency graph* — every
+operator (with a scan and its fusable consumer collapsed into one
+node) is keyed by the op ids it produces — and launches each node the
+moment its last input node finishes, so independent scans stage
+concurrently, a CPU-bound join overlaps a latency-bound scan of a
+later input, and a restage starts the instant the join feeding it
+completes.  Task order inside every node is fixed, each node's
+finisher reassembles results order-preservingly, and node results
+only become visible to dependents after the completion handshake, so
+scheduled rows are byte-identical to the serial walk's — only the
+wall-clock interleaving varies.  :class:`ExecutionStats` reports the
+per-phase timings, worker counts, cross-phase overlap seconds and any
+serial decisions.
 """
 
 from __future__ import annotations
@@ -114,7 +109,6 @@ from repro.plan.descriptors import (
     AGG_MAP,
     Aggregate,
     JOIN_HASH,
-    JOIN_HYBRID,
     JOIN_MERGE,
     JOIN_NESTED,
     Join,
@@ -141,16 +135,15 @@ from repro.storage.types import DOUBLE
 class _Report:
     """What a scheduled run did: per-phase stats plus serial notes.
 
-    Thread-safe: under pipelined scheduling several operator nodes
-    report concurrently, so every mutation goes through one lock.
+    Thread-safe: independent operator nodes run on their own driver
+    threads and report concurrently, so every mutation goes through
+    one lock.
     """
 
     skips: list[str] = field(default_factory=list)
     phases: dict[str, PhaseStats] = field(default_factory=dict)
     morsels: int = 0
     pages: int = 0
-    #: Partition-staged scans that published buckets incrementally.
-    handoffs: int = 0
     #: ``(phase, started, ended)`` wall-clock spans of every phase
     #: contribution, for cross-phase overlap accounting.
     spans: list[tuple[str, float, float]] = field(default_factory=list)
@@ -202,10 +195,6 @@ class _Report:
             self.morsels += morsels
             self.pages += pages
 
-    def add_handoff(self) -> None:
-        with self._lock:
-            self.handoffs += 1
-
     @property
     def went_parallel(self) -> bool:
         return any(phase.workers > 1 for phase in self.phases.values())
@@ -227,9 +216,9 @@ class _Report:
         A phase's overlap is the portion of its spans covered by the
         union of every *other* span — another phase's, or another
         operator node of the same phase (two table scans staging
-        concurrently count: they are exactly the barrier the pipelined
-        scheduler removes).  Under barrier scheduling nodes run one
-        after another, spans never intersect, and every overlap is 0.
+        concurrently count: no barrier holds the second back).  Nodes
+        that run one after another have disjoint spans, so a chain plan
+        reports no overlap.
         """
         totals: dict[str, float] = {}
         for index, (name, lo, hi) in enumerate(self.spans):
@@ -282,12 +271,6 @@ class ParallelExecutor:
     generated functions in plan order.
     """
 
-    #: Pool headroom multiplier for pipelined scheduling: up to this
-    #: many operator nodes' batches can hold their full worker fan-out
-    #: simultaneously before queuing (deeper plans still complete —
-    #: extra batches just wait for free slots).
-    PIPELINE_BATCHES = 4
-
     def __init__(
         self,
         config: ParallelConfig | None = None,
@@ -311,9 +294,6 @@ class ParallelExecutor:
         return ThreadBackend(
             config.workers,
             task_timeout=config.task_timeout,
-            concurrent_batches=(
-                self.PIPELINE_BATCHES if config.pipeline else 1
-            ),
             registry=self.obs.registry,
         )
 
@@ -421,44 +401,31 @@ class ParallelExecutor:
 
         report = _Report()
         report.skip(f"scheduled: {waiting}", mark_span=False)
-        scheduled = _ScheduledRun(
+        rows = _ScheduledRun(
             self, prepared, params, config, report, answer.stale
-        )
-        rows = scheduled.execute()
+        ).execute()
         answer.bank(rows)
-        elapsed = time.perf_counter() - started
-        if not report.went_parallel:
-            with self._lock:
-                self.serial_runs += 1
-            return rows, ExecutionStats(
-                parallel=False,
-                scheduled=True,
-                rows=len(rows),
-                elapsed_seconds=elapsed,
-                reason="; ".join(report.skips) or "no parallelizable phase",
-                phases=report.ordered_phases(),
-                notes=list(report.skips),
-                recycled=answer.recycled,
-            )
+        parallel = report.went_parallel
         with self._lock:
-            self.parallel_runs += 1
-        notes = list(report.skips)
-        if report.handoffs:
-            notes.append(
-                f"incremental partition hand-off on {report.handoffs} "
-                "staging node(s)"
-            )
+            if parallel:
+                self.parallel_runs += 1
+            else:
+                self.serial_runs += 1
         return rows, ExecutionStats(
-            parallel=True,
+            parallel=parallel,
             scheduled=True,
-            pipelined=scheduled.pipelined,
             workers=report.max_workers(),
             morsels=report.morsels,
             pages=report.pages,
             rows=len(rows),
-            elapsed_seconds=elapsed,
+            elapsed_seconds=time.perf_counter() - started,
+            reason=(
+                ""
+                if parallel
+                else "; ".join(report.skips) or "no parallelizable phase"
+            ),
             phases=report.ordered_phases(),
-            notes=notes,
+            notes=list(report.skips),
             recycled=answer.recycled,
         )
 
@@ -534,8 +501,8 @@ class _ScheduledRun:
         self.report = report
         #: Span the scheduler's node spans parent under.  Captured on
         #: the constructing thread (where the engine's execute span is
-        #: active): node runners later execute on pipeline driver
-        #: threads, whose contexts start empty.
+        #: active): node runners later execute on driver threads, whose
+        #: contexts start empty.
         self.parent_span = current_span()
         self.ctx = build_context(
             self.plan, opt_level=prepared.compiled.opt_level, params=params
@@ -548,85 +515,15 @@ class _ScheduledRun:
         )
         #: op_id → materialized result (None for a scan fused away).
         self.results: dict[int, object] = {}
-        #: ScanStage op ids whose partition staging may publish buckets
-        #: incrementally (see :class:`PartitionHandoff`).  Only
-        #: pipelined runs qualify.
-        self._handoff_ops: frozenset[int] = (
-            self._handoff_eligible() if config.pipeline else frozenset()
-        )
-        #: Whether the dependency-driven driver actually ran (set by
-        #: :meth:`execute`; False for single-node plans even when the
-        #: config asks for pipelining).
-        self.pipelined = False
 
     def execute(self) -> list[tuple]:
         nodes = self._build_nodes()
-        # A single-node plan has nothing to pipeline; note which
-        # scheduler actually ran so the stats report execution, not
-        # configuration.
-        self.pipelined = self.config.pipeline and len(nodes) > 1
-        if self.pipelined:
-            self._run_pipelined(nodes)
+        if len(nodes) == 1:
+            # Nothing to overlap: run the only node on this thread.
+            nodes[0].run()
         else:
-            for node in nodes:
-                node.run()
-        return self._input(self.plan.root.op_id)
-
-    def _handoff_eligible(self) -> frozenset[int]:
-        """ScanStage op ids allowed to publish buckets incrementally.
-
-        Eligible: a partition-prep scan consumed by exactly one
-        :class:`Join` that walks its partitions pairwise — fine
-        partitions feeding a hash join whose other input is partitioned
-        too, coarse partitions feeding a hybrid join.  A build/probe
-        hash join runs serially over its whole build side, so a
-        hand-off there would only start a merge thread to wait on.  A
-        self-join consuming one staging on both sides appears twice in
-        the consumers map and is naturally excluded (its pair
-        enumeration needs the whole directory at once), as is anything
-        feeding a join team, restage or aggregate.
-        """
-        consumers: dict[int, list] = {}
-        for op in self.plan.operators:
-            for input_id in op.inputs:
-                consumers.setdefault(input_id, []).append(op)
-
-        def partitioned(op_id: int) -> bool:
-            prep = getattr(self.plan.op(op_id), "prep", None)
-            return prep is not None and prep.kind == PREP_PARTITION
-
-        eligible = set()
-        for op in self.plan.operators:
-            if not isinstance(op, ScanStage):
-                continue
-            if op.prep.kind != PREP_PARTITION:
-                continue
-            users = consumers.get(op.op_id, [])
-            if len(users) != 1 or not isinstance(users[0], Join):
-                continue
-            join = users[0]
-            if (
-                op.prep.fine
-                and join.algorithm == JOIN_HASH
-                and all(partitioned(i) for i in join.inputs)
-            ):
-                eligible.add(op.op_id)
-            elif not op.prep.fine and join.algorithm == JOIN_HYBRID:
-                eligible.add(op.op_id)
-        return frozenset(eligible)
-
-    def _input(self, op_id: int):
-        """One operator input, with incremental hand-offs materialized.
-
-        Most consumers need the complete staging output; a hand-off
-        reaching one of them blocks until the merge thread finishes,
-        then caches the ordinary merged result in its place.
-        """
-        value = self.results[op_id]
-        if isinstance(value, PartitionHandoff):
-            value = value.result()
-            self.results[op_id] = value
-        return value
+            self._run_pipelined(nodes)
+        return self.results[self.plan.root.op_id]
 
     # -- the task graph ----------------------------------------------------------------
     def _build_nodes(self) -> list["_Node"]:
@@ -635,8 +532,7 @@ class _ScheduledRun:
         A scan and its fusable consumer (projection / partial-able
         aggregation) collapse into one node producing both op ids, so
         the fused post-function still rides inside the scan tasks.
-        Node order is plan order, which the barrier driver executes
-        directly; the pipelined driver only honors ``deps``.
+        Node order is plan order; the driver only honors ``deps``.
         """
         operators = list(self.plan.operators)
         nodes: list[_Node] = []
@@ -697,8 +593,8 @@ class _ScheduledRun:
         The span parents under the engine's execute span captured at
         construction and is *activated* for the duration of the run, so
         batch dispatch, merge finishers and buffer-pool attribution all
-        land under the right node — on the barrier driver (the calling
-        thread) and on pipelined driver threads alike.
+        land under the right node — on a driver thread, or on the
+        calling thread for a single-node plan.
         """
         if self.parent_span is None:
             return run
@@ -753,7 +649,7 @@ class _ScheduledRun:
         """Dependency-driven execution: launch nodes as inputs finish.
 
         Each ready node runs on its own driver thread; its batch fans
-        out on the shared worker pools, so independent nodes' tasks
+        out on the shared worker pool, so independent nodes' tasks
         interleave.  A node's results become visible to dependents only
         through the completion handshake under ``cond`` (the lock
         gives the happens-before edge), and every started driver is
@@ -885,7 +781,7 @@ class _ScheduledRun:
         """Run one operator's serial generated function in plan order."""
         started = time.perf_counter()
         fn = self.namespace[self.names[op.op_id]]
-        args = [self._input(input_id) for input_id in op.inputs]
+        args = [self.results[input_id] for input_id in op.inputs]
         self.results[op.op_id] = fn(self.ctx, *args)
         self.report.note(
             PHASE_OF[type(op)], started, time.perf_counter(), 1, 1
@@ -899,9 +795,8 @@ class _ScheduledRun:
 
     def _float_gated(self, op: Aggregate) -> bool:
         """True when merging this aggregate's partials would reassociate
-        DOUBLE addition and the config demands bit-identical results."""
-        if self.config.allow_float_reorder:
-            return False
+        DOUBLE addition, so its rows could differ from a serial run's
+        in the last ulp."""
         for node in collect_aggregates(op):
             if (
                 node.func in ("sum", "avg")
@@ -921,12 +816,9 @@ class _ScheduledRun:
         consumer itself.
         """
         started = time.perf_counter()
-        # A fused or incrementally handed-off scan never materializes
-        # a complete staging, so it has nothing to bank or reuse.
-        answer = self.access.lookup(
-            op,
-            bankable=fused is None and op.op_id not in self._handoff_ops,
-        )
+        # A fused scan never materializes a complete staging, so it has
+        # nothing to bank or reuse.
+        answer = self.access.lookup(op, bankable=fused is None)
         if answer.found:
             self.results[op.op_id] = answer.value
             self.report.note("stage", started, time.perf_counter(), 1, 1)
@@ -1022,16 +914,6 @@ class _ScheduledRun:
             self.results[fused.op_id] = rows
             return True
 
-        if op.op_id in self._handoff_ops:
-            # Incremental hand-off: publish partition buckets as their
-            # merges finish, so the consuming join launches pair tasks
-            # on ready buckets while siblings still merge.
-            handoff = PartitionHandoff(ordered, fine=op.prep.fine)
-            handoff.start()
-            self.results[op.op_id] = handoff
-            self.report.add_handoff()
-            return False
-
         with maybe_span("merge", "merge", kind=op.prep.kind):
             self.results[op.op_id] = _merge_prep_partials(op.prep, ordered)
         return False
@@ -1045,7 +927,7 @@ class _ScheduledRun:
         fusable consumer
         (:meth:`~repro.plan.descriptors.PhysicalPlan.fusable_consumer`)
         when it is an aggregate whose generated ``*_partial`` exists and
-        whose merge is exact under the float-reorder policy.  (A probe
+        whose merge is exact (no DOUBLE sum/avg).  (A probe
         join takes the scan's merged rows on its serial path.)
         """
         if following is None or op.prep.kind != PREP_NONE:
@@ -1075,11 +957,6 @@ class _ScheduledRun:
             return
         left = self.results[op.left_op]
         right = self.results[op.right_op]
-        if isinstance(left, PartitionHandoff) or isinstance(
-            right, PartitionHandoff
-        ):
-            self._join_incremental(op, pair_name)
-            return
         config = self.config
         if op.algorithm in (JOIN_MERGE, JOIN_NESTED):
             total = len(left) + len(right)
@@ -1148,85 +1025,6 @@ class _ScheduledRun:
             "join", started, time.perf_counter(), workers, len(tasks)
         )
 
-    def _join_incremental(self, op: Join, pair_name: str) -> None:
-        """Hash/hybrid join consuming incrementally published buckets.
-
-        Pair tasks are blocking thunks: each waits for its own bucket
-        pair's publication, so the first pairs run while sibling
-        buckets still merge on the hand-off thread.  Task order —
-        hence output concatenation order — matches the barrier join
-        exactly; only launch timing changes.
-        """
-        left = self.results[op.left_op]
-        right = self.results[op.right_op]
-        config = self.config
-        total = _partition_rows(left) + _partition_rows(right)
-        if total < config.min_rows:
-            self.report.skip(
-                f"join input {total} rows (< min_rows {config.min_rows})"
-            )
-            self._serial(op)
-            return
-        if op.algorithm == JOIN_HASH:
-            # Serial emission order: left directory insertion order
-            # (the hand-off enumerates keys first-seen across runs,
-            # exactly like the barrier merge), skipping keys with no
-            # right-side partition.
-            left_keys = (
-                left.keys
-                if isinstance(left, PartitionHandoff)
-                else list(left)
-            )
-            right_keys = (
-                right.key_set
-                if isinstance(right, PartitionHandoff)
-                else right
-            )
-            keys = [key for key in left_keys if key in right_keys]
-            if len(keys) < 2:
-                self.report.skip("fewer than two matching fine partitions")
-                self._serial(op)
-                return
-        else:  # hybrid: corresponding coarse partitions
-            count = (
-                len(left.keys)
-                if isinstance(left, PartitionHandoff)
-                else len(left)
-            )
-            if count < 2:
-                self.report.skip("single coarse partition")
-                self._serial(op)
-                return
-            keys = list(range(count))
-
-        fn = self.namespace[pair_name]
-        ctx = self.ctx
-
-        def bucket(side, key):
-            return (
-                side.bucket(key)
-                if isinstance(side, PartitionHandoff)
-                else side[key]
-            )
-
-        thunks = [
-            (
-                lambda key=key: fn(
-                    ctx, bucket(left, key), bucket(right, key)
-                )
-            )
-            for key in keys
-        ]
-        started = time.perf_counter()
-        chunks, workers = self._run_batch(thunks, label=f"join:o{op.op_id}")
-        out: list = []
-        for chunk in chunks:
-            out.extend(chunk)
-        self.results[op.op_id] = out
-        self.report.note(
-            "join", started, time.perf_counter(), workers, len(thunks)
-        )
-
     def _multiway(self, op: MultiwayJoin) -> None:
         """Parallelize a join team as chained per-chunk/-partition tasks.
 
@@ -1240,7 +1038,7 @@ class _ScheduledRun:
         order, so team results stay byte-identical.
         """
         name = self.names[op.op_id]
-        inputs = [self._input(input_id) for input_id in op.input_ops]
+        inputs = [self.results[input_id] for input_id in op.input_ops]
         config = self.config
         if op.algorithm == JOIN_MERGE:
             total = sum(len(rows) for rows in inputs)
@@ -1315,11 +1113,11 @@ class _ScheduledRun:
         if self._float_gated(op):
             self.report.skip(
                 "DOUBLE sum/avg is order-sensitive "
-                "(allow_float_reorder is off)"
+                "(merging partials would reassociate it)"
             )
             self._serial(op)
             return
-        rows = self._input(op.input_op)
+        rows = self.results[op.input_op]
         if len(rows) < config.min_rows:
             self.report.skip(
                 f"aggregate input {len(rows)} rows "
@@ -1375,7 +1173,7 @@ class _ScheduledRun:
             )
             self._serial(op)
             return
-        rows = self._input(op.input_op)
+        rows = self.results[op.input_op]
         config = self.config
         if len(rows) < config.min_rows:
             self.report.skip(
@@ -1402,7 +1200,7 @@ class _ScheduledRun:
 
     # -- final phase -------------------------------------------------------------------
     def _sort(self, op: Sort) -> None:
-        rows = self._input(op.input_op)
+        rows = self.results[op.input_op]
         config = self.config
         if len(rows) < config.min_rows:
             self.report.skip(
@@ -1426,156 +1224,6 @@ class _ScheduledRun:
         self.report.note(
             "final", started, time.perf_counter(), workers, len(tasks)
         )
-
-
-class PartitionHandoff:
-    """Incrementally merged partition-staging output.
-
-    Wraps the per-task partial partition sets of one partition-prep
-    scan and merges them bucket by bucket on a background thread,
-    publishing each bucket the moment its own merge completes — so a
-    consuming hash/hybrid join launches ``*_pair`` tasks on finished
-    buckets while sibling buckets still merge.  Key enumeration and
-    the per-bucket merges replicate
-    :func:`~repro.parallel.merge.merge_fine_partition_runs` /
-    :func:`~repro.parallel.merge.merge_partition_runs` exactly
-    (first-seen key order, adopt-the-first-run's-bucket-then-extend in
-    run order), so every bucket — and the fully merged
-    :meth:`result` — is byte-identical to the barrier merge.
-    """
-
-    def __init__(self, partials: list, fine: bool, pace=None):
-        self.partials = partials
-        self.fine = fine
-        #: Test hook: called with each key right after its bucket
-        #: publishes (lets tests pace the merge thread deterministically).
-        self._pace = pace
-        if fine:
-            # Key enumeration is cheap (dict key walks, no row moves),
-            # so consumers know the full first-seen key order up front.
-            keys: list = []
-            seen: set = set()
-            for partial in partials:
-                for key in partial:
-                    if key not in seen:
-                        seen.add(key)
-                        keys.append(key)
-            self.keys = keys
-            self.key_set = seen
-        else:
-            count = len(partials[0]) if partials else 0
-            self.keys = list(range(count))
-            self.key_set = set(self.keys)
-        # Snapshotted before any merging: the per-bucket merges extend
-        # the first run's lists *in place*, so counting the partials
-        # later would race the merge thread and double-count rows.
-        if fine:
-            self._total_rows = sum(
-                len(rows)
-                for partial in partials
-                for rows in partial.values()
-            )
-        else:
-            self._total_rows = sum(
-                len(bucket) for partial in partials for bucket in partial
-            )
-        self._merged: dict = {}
-        self._cond = threading.Condition()
-        self._error: BaseException | None = None
-        self._thread: threading.Thread | None = None
-        self._done = False
-        self._result = None
-
-    def start(self) -> None:
-        """Begin merging buckets on a background thread."""
-        self._thread = threading.Thread(
-            target=self._merge_all, name="repro-handoff", daemon=True
-        )
-        self._thread.start()
-
-    def _merge_all(self) -> None:
-        try:
-            for key in self.keys:
-                if self.fine:
-                    bucket = None
-                    for partial in self.partials:
-                        rows = partial.get(key)
-                        if rows is None:
-                            continue
-                        if bucket is None:
-                            # Adopt the first run's bucket outright —
-                            # exactly what merge_fine_partition_runs
-                            # does (each partial is owned by one task).
-                            bucket = rows
-                        else:
-                            bucket.extend(rows)
-                else:
-                    bucket = self.partials[0][key]
-                    for partial in self.partials[1:]:
-                        bucket.extend(partial[key])
-                with self._cond:
-                    self._merged[key] = bucket
-                    self._cond.notify_all()
-                if self._pace is not None:
-                    self._pace(key)
-        except BaseException as exc:  # noqa: BLE001 - rethrown to consumers
-            with self._cond:
-                self._error = exc
-                self._cond.notify_all()
-        else:
-            with self._cond:
-                self._done = True
-                self._cond.notify_all()
-
-    def bucket(self, key):
-        """Block until ``key``'s merged bucket is published, return it."""
-        with self._cond:
-            while key not in self._merged and self._error is None:
-                self._cond.wait()
-            if key in self._merged:
-                return self._merged[key]
-            raise self._error
-
-    def merged_count(self) -> int:
-        """Buckets published so far (observability and tests)."""
-        with self._cond:
-            return len(self._merged)
-
-    def result(self):
-        """The complete merged staging output (blocks until done).
-
-        For consumers that cannot use incremental buckets (a serial
-        fallback, a restage, the plan root): identical to what the
-        barrier merge would have produced.
-        """
-        if self._result is not None:
-            return self._result
-        if self._thread is not None:
-            self._thread.join()
-        elif not self._done:
-            # Never started: merge inline on the consumer's thread.
-            self._merge_all()
-        with self._cond:
-            if self._error is not None:
-                raise self._error
-        if self.fine:
-            self._result = {key: self._merged[key] for key in self.keys}
-        else:
-            self._result = [self._merged[key] for key in self.keys]
-        return self._result
-
-    def total_rows(self) -> int:
-        """Rows across all partial runs (snapshotted pre-merge)."""
-        return self._total_rows
-
-
-def _partition_rows(value) -> int:
-    """Total rows of a (possibly still merging) partition staging."""
-    if isinstance(value, PartitionHandoff):
-        return value.total_rows()
-    if isinstance(value, dict):
-        return sum(len(rows) for rows in value.values())
-    return sum(len(rows) for rows in value)
 
 
 def _merge_prep_partials(prep, partials: list):

@@ -8,33 +8,9 @@ and why any part stayed serial.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.parallel.morsel import DEFAULT_MORSEL_PAGES
-
-#: Environment default for cross-phase pipelined scheduling.
-PIPELINE_ENV = "REPRO_PIPELINE"
-
-
-def default_pipeline() -> bool:
-    """Whether pipelined (dependency-driven) scheduling is on by default.
-
-    Reads ``REPRO_PIPELINE`` so a deployment can flip every engine onto
-    the pipelined scheduler without touching call sites; unset or empty
-    means barrier scheduling.
-    """
-    configured = os.environ.get(PIPELINE_ENV, "").strip().lower()
-    if not configured:
-        return False
-    if configured in ("1", "true", "on", "yes"):
-        return True
-    if configured in ("0", "false", "off", "no"):
-        return False
-    raise ValueError(
-        f"{PIPELINE_ENV} must be a boolean flag (1/0/on/off), "
-        f"got {configured!r}"
-    )
 
 
 @dataclass(frozen=True)
@@ -50,18 +26,13 @@ class ParallelConfig:
     (join inputs, aggregation inputs, final sorts) serial, where
     thread fan-out costs more than it saves.  Scheduled tasks run on
     an in-process thread pool, whose workers overlap page waits under
-    the GIL.
+    the GIL.  DOUBLE sum/avg aggregation stays serial inside a
+    scheduled run: merging partial sums would reassociate floating-point
+    addition, and scheduled rows are byte-identical to serial rows.
     """
 
     workers: int = 4
     morsel_pages: int = DEFAULT_MORSEL_PAGES
-    #: Dependency-driven cross-phase scheduling: operators launch the
-    #: moment their inputs are complete instead of at phase barriers,
-    #: so independent scans run concurrently and a CPU-bound join can
-    #: overlap a latency-bound scan.  Results stay byte-identical —
-    #: only wall-clock scheduling changes.  Defaults to the
-    #: ``REPRO_PIPELINE`` environment flag, else off.
-    pipeline: bool = field(default_factory=default_pipeline)
     #: Upper bound, in seconds, on waiting for a task result while the
     #: backend makes no progress (time queued behind other healthy
     #: batches on the shared pool does not count).  ``None`` waits
@@ -77,14 +48,6 @@ class ParallelConfig:
     #: Materialized operator inputs below this many rows (summed over
     #: both join sides) run the operator's serial generated function.
     min_rows: int = 2048
-    #: Merging per-morsel partial sums reassociates floating-point
-    #: addition, which can change DOUBLE sum/avg results in the last
-    #: ulp relative to a serial scan.  Off by default so parallel
-    #: execution is bit-identical to serial; switch on to parallelize
-    #: float aggregation too (every other aggregate is exact and always
-    #: eligible — staging, joins and sorts never reassociate floats, so
-    #: they stay parallel and exact regardless of this knob).
-    allow_float_reorder: bool = False
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
@@ -105,13 +68,12 @@ class PhaseStats:
     generated functions (below thresholds, or serial by design like a
     final LIMIT); ``tasks`` counts the units of work the phase
     dispatched (morsels, partition pairs, row chunks).
-    ``overlap_seconds`` is how much of this
-    phase's wall time ran concurrently with other operator nodes —
-    another phase's, or a sibling of the same phase (two table scans
-    staging side by side) — nonzero only under the pipelined
-    scheduler, where e.g. independent scans stage together and a join
-    can run while a later input is still staging; ``Σ seconds −
-    overlap`` therefore approximates the critical path.
+    ``overlap_seconds`` is how much of this phase's wall time ran
+    concurrently with other operator nodes — another phase's, or a
+    sibling of the same phase (two table scans staging side by side).
+    Independent nodes launch together, so e.g. a join can run while a
+    later input is still staging; a chain plan reports no overlap.
+    ``Σ seconds − overlap`` approximates the critical path.
     """
 
     name: str
@@ -119,7 +81,7 @@ class PhaseStats:
     workers: int = 1
     tasks: int = 0
     #: Seconds of this phase's wall time spent overlapped with other
-    #: phases (pipelined scheduling only; 0.0 under phase barriers).
+    #: operator nodes.
     overlap_seconds: float = 0.0
 
     def describe(self) -> str:
@@ -146,10 +108,6 @@ class ExecutionStats:
     #: a scheduled run can still end up ``parallel=False`` when every
     #: operator stayed below its fan-out thresholds.
     scheduled: bool = False
-    #: True when the dependency-driven (pipelined) scheduler ran this
-    #: query, i.e. operators launched as their inputs completed rather
-    #: than at phase barriers.
-    pipelined: bool = False
     #: Workers that actually ran (≤ configured when tasks are few).
     workers: int = 1
     morsels: int = 0
@@ -172,8 +130,6 @@ class ExecutionStats:
     def describe(self) -> str:
         if self.parallel:
             base = f"parallel: {self.workers} workers"
-            if self.pipelined:
-                base += " (pipelined)"
             if self.morsels:
                 base += f", {self.morsels} morsels over {self.pages} pages"
             if self.phases:

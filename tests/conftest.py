@@ -24,6 +24,11 @@ from repro.storage import (
 #: ``scheduled`` fixture does not reach it.
 SERIAL = ParallelConfig(workers=1)
 
+#: Thresholds low enough that small test tables genuinely fan out on
+#: a scheduled run: one page per morsel, every table and intermediate
+#: above its minimum.
+FANOUT = dict(workers=3, morsel_pages=1, min_pages=1, min_rows=8)
+
 
 @pytest.fixture()
 def scheduled(monkeypatch):
@@ -32,7 +37,7 @@ def scheduled(monkeypatch):
     Production decides from the data: in-memory pages never wait, so
     over these small ``MemoryFile`` tables every run would take the
     serial walk.  Modules that assert the scheduler's mechanics
-    (morsels, batches, merges, hand-offs) opt in with
+    (morsels, batches, merges, node drivers) opt in with
     ``pytestmark = pytest.mark.usefixtures("scheduled")``; there is no
     product knob for this.
     """

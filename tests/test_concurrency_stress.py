@@ -33,8 +33,8 @@ ROUNDS = 4
 #: so results are exact and comparable with ``==`` across any execution
 #: order; join and ORDER BY keys include DOUBLE columns, which stay
 #: byte-identical under parallelism because staging, joins and sorts
-#: compare floats without reassociating additions (the workload runs
-#: with the default ``allow_float_reorder=False``).
+#: compare floats without reassociating additions (and DOUBLE sums
+#: always aggregate serially).
 WORKLOAD = [
     ("SELECT id, balance FROM accounts WHERE id = ?", lambda rng: (rng.randrange(512),)),
     ("SELECT id, region FROM accounts WHERE id = ?", lambda rng: (rng.randrange(512),)),

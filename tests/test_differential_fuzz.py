@@ -5,8 +5,7 @@ filters, joins, self-joins, group-by, order-by, ``?`` parameters — and
 asserts that every engine agrees with the naive reference evaluator,
 and that the HIQUE engine's composed entry point (``run_compiled``),
 serial walk (with a warm intermediate cache) and thread-scheduled
-executions (pipelined too, under ``REPRO_PIPELINE=1``) return
-*identical* row sequences (the parallel subsystem's byte-identity
+executions return *identical* row sequences (the parallel subsystem's byte-identity
 guarantee) at both optimization levels.
 
 The grammar deliberately stresses the degenerate regimes: a third
@@ -61,12 +60,10 @@ from repro.storage import (
     char,
     ordinal_to_date,
 )
+from tests.conftest import FANOUT
 
 SEEDS = [101, 202, 303, 404]
 QUERIES_PER_SEED = 50
-
-#: Thresholds low enough that the fuzz tables' few pages still fan out.
-_PARALLEL = dict(workers=3, morsel_pages=1, min_pages=1, min_rows=8)
 
 
 def canonical(rows):
@@ -438,7 +435,7 @@ def _pinned(engine: HiqueEngine) -> HiqueEngine:
 
 def _engines(catalog: Catalog) -> dict:
     """Every engine configuration under test, keyed by display name."""
-    thread = ParallelConfig(**_PARALLEL)
+    thread = ParallelConfig(**FANOUT)
     return {
         "hique-o2": _Composed(catalog, OPT_O2),
         "hique-o0": _Composed(catalog, OPT_O0),

@@ -2,7 +2,7 @@
 
 The reference evaluator (deliberately naive) defines correctness; the
 HIQUE engine (O0 and O2, on the serial walk and scheduled on the
-thread pool with barrier and pipelined phases), both Volcano
+thread pool, with operators fanned out or kept serial), both Volcano
 configurations, the buffered System X analogue and the vectorized DSM
 engine are all checked against it on a shared query corpus and on
 hypothesis-generated tables.
@@ -22,7 +22,7 @@ from repro.sql.binder import Binder
 from repro.sql.parser import parse
 from repro.storage import Catalog, Column, INT, DOUBLE, Schema, char
 
-from tests.conftest import DIFFERENTIAL_QUERIES
+from tests.conftest import DIFFERENTIAL_QUERIES, FANOUT
 
 
 def canonical(rows):
@@ -39,25 +39,27 @@ def reference(catalog, sql):
     return reference_evaluate(Binder(catalog).bind(parse(sql)))
 
 
-def _threads(pipeline: bool) -> ParallelConfig:
-    return ParallelConfig(
-        workers=3, morsel_pages=1, min_pages=1, min_rows=8, pipeline=pipeline
-    )
-
+#: One-page morsels on two workers, no operator input large enough to
+#: fan out.
+SCAN_MORSELS = dict(workers=2, morsel_pages=1, min_pages=1, min_rows=1 << 30)
 
 ENGINE_FACTORIES = {
     "hique-o2": lambda c: HiqueEngine(c, opt_level=OPT_O2),
     "hique-o0": lambda c: HiqueEngine(c, opt_level=OPT_O0),
     # Scheduled on the thread pool, one-page morsels: every batch,
-    # merge and hand-off runs, and rows must still match everyone else.
+    # merge and node driver runs, and rows must still match everyone
+    # else.
     "hique-o2-threads": lambda c: HiqueEngine(
-        c, opt_level=OPT_O2, parallel=_threads(pipeline=False)
-    ),
-    "hique-o2-pipelined": lambda c: HiqueEngine(
-        c, opt_level=OPT_O2, parallel=_threads(pipeline=True)
+        c, opt_level=OPT_O2, parallel=ParallelConfig(**FANOUT)
     ),
     "hique-o0-threads": lambda c: HiqueEngine(
-        c, opt_level=OPT_O0, parallel=_threads(pipeline=False)
+        c, opt_level=OPT_O0, parallel=ParallelConfig(**FANOUT)
+    ),
+    # Scans fan out per page, but every join, aggregation and sort
+    # input stays under ``min_rows``: the driver runs those nodes'
+    # serial generated functions between parallel scans.
+    "hique-o2-scan-morsels": lambda c: HiqueEngine(
+        c, opt_level=OPT_O2, parallel=ParallelConfig(**SCAN_MORSELS)
     ),
     "volcano-generic": lambda c: VolcanoEngine(c, generic=True),
     "volcano-optimized": lambda c: VolcanoEngine(c),
@@ -68,7 +70,11 @@ ENGINE_FACTORIES = {
 
 #: Engines whose runs the ``scheduled`` fixture pins to the scheduler
 #: (in-memory pages never wait, so they would otherwise walk serially).
-SCHEDULED_ENGINES = {"hique-o2-threads", "hique-o2-pipelined", "hique-o0-threads"}
+SCHEDULED_ENGINES = {
+    "hique-o2-threads",
+    "hique-o0-threads",
+    "hique-o2-scan-morsels",
+}
 
 
 def _make_engine(request, catalog, engine_name):
@@ -109,8 +115,8 @@ FORCED_CONFIGS = [
         "hique-o2",
         "hique-o0",
         "hique-o2-threads",
-        "hique-o2-pipelined",
         "hique-o0-threads",
+        "hique-o2-scan-morsels",
         "volcano-optimized",
     ],
 )

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.engine import HiqueEngine
 from repro.errors import ExecutionError
-from repro.parallel.backend import ThreadBackend
+from repro.parallel.backend import PIPELINE_BATCHES, ThreadBackend
 from repro.parallel.stats import ParallelConfig
 from repro.storage import Catalog, Column, DOUBLE, INT, Schema, char
 from repro.storage.table import table_from_rows
@@ -179,14 +179,16 @@ def test_thread_backend_timeout_fires_for_batch_queued_behind_wedge():
 
     def run(thunks) -> None:
         try:
-            backend.run_thunks(thunks, workers=1)
+            backend.run_thunks(thunks, workers=len(thunks))
         except BaseException as exc:  # noqa: BLE001 - asserted below
             errors.append(exc)
 
-    a = threading.Thread(target=run, args=([lambda: stall.wait(30)],))
+    # One wedged task per pool slot.
+    wedge = [lambda: stall.wait(30)] * PIPELINE_BATCHES
+    a = threading.Thread(target=run, args=(wedge,))
     b = threading.Thread(target=run, args=([lambda: 7],))
     a.start()
-    time.sleep(0.05)  # the wedged batch owns the only slot
+    time.sleep(0.05)  # the wedged batch owns every slot
     b.start()
     a.join(timeout=10)
     b.join(timeout=10)

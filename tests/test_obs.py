@@ -1,7 +1,7 @@
 """Observability: metrics registry, span tracing, EXPLAIN ANALYZE.
 
 Covers the histogram percentile math against an exact reference, span
-nesting under barrier and pipelined scheduling, result invariance
+nesting under the scheduler's node drivers, result invariance
 with tracing on, Chrome trace export validity, the watchdog's
 structured abandonment event, and the Prometheus text rendering.
 """
@@ -111,13 +111,12 @@ class TestHistogram:
         assert "\\\\" in text
 
 
-# -- span nesting across scheduling modes ----------------------------------------
+# -- span nesting under the scheduler ---------------------------------------------
 
 
 class TestSpanNesting:
-    @pytest.mark.parametrize("pipeline", [False, True])
-    def test_nodes_nest_under_query(self, pipeline):
-        db = _make_db(workers=2, pipeline=pipeline, trace=True)
+    def test_nodes_nest_under_query(self):
+        db = _make_db(workers=2, trace=True)
         try:
             db.execute(JOIN_AGG_SQL)
             trace = db.last_trace()

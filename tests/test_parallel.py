@@ -189,43 +189,22 @@ def test_parallel_rows_identical_to_serial(wide_catalog, opt_level):
         parallel.close()
 
 
-def test_float_sums_exact_by_default_relaxed_when_allowed(wide_catalog):
-    """DOUBLE sum/avg: aggregation stays serial (bit-identical) unless
-    float reordering is allowed — the scan still parallelizes, since
-    concatenating morsel chunks in page order reassociates nothing."""
+def test_float_sums_stay_exact(wide_catalog):
+    """DOUBLE sum/avg: aggregation stays serial (bit-identical) — the
+    scan still parallelizes, since concatenating morsel chunks in page
+    order reassociates nothing."""
     sql = "SELECT c, sum(b) AS s, avg(b) AS av FROM t GROUP BY c"
     strict = HiqueEngine(wide_catalog, parallel=PARALLEL)
-    relaxed = HiqueEngine(
-        wide_catalog,
-        parallel=ParallelConfig(
-            workers=4, morsel_pages=4, min_pages=2, min_rows=256,
-            allow_float_reorder=True,
-        ),
-    )
     serial = HiqueEngine(wide_catalog, parallel=SERIAL)
     try:
-        # Bit-identical mode: rows match serial exactly; the gated
-        # aggregation is recorded as a serial decision.
+        # Rows match serial exactly; the gated aggregation is recorded
+        # as a serial decision.
         rows = strict.execute(sql)
         assert rows == serial.execute(sql)
         stats = strict.last_exec_stats
         assert any("order-sensitive" in note for note in stats.notes)
-        # Relaxed mode parallelizes the aggregation too; values agree
-        # to rounding.
-        relaxed_rows = relaxed.execute(sql)
-        assert relaxed.last_exec_stats.parallel
-        assert not any(
-            "order-sensitive" in note
-            for note in relaxed.last_exec_stats.notes
-        )
-        assert len(relaxed_rows) == len(rows)
-        for got, want in zip(relaxed_rows, rows):
-            assert got[0] == want[0]
-            assert got[1] == pytest.approx(want[1], rel=1e-12)
-            assert got[2] == pytest.approx(want[2], rel=1e-12)
     finally:
         strict.close()
-        relaxed.close()
         serial.close()
 
 

@@ -10,7 +10,6 @@ namespace on the first scheduled run.
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import marshal
 import os
@@ -186,17 +185,18 @@ def test_a_generated_frame_shows_its_line_without_a_file(catalog):
 
 
 @pytest.mark.usefixtures("scheduled")
-@pytest.mark.parametrize(
-    "pipeline", [False, True], ids=["barrier", "pipelined"]
-)
+@pytest.mark.parametrize("opt_level", ["O2", "O0"])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_scheduled_runs_return_the_serial_walks_rows(catalog, case, pipeline):
+def test_scheduled_runs_return_the_serial_walks_rows(catalog, case, opt_level):
     sql, config, suffix = CASES[case]
-    serial = HiqueEngine(catalog, planner_config=config, parallel=SERIAL)
+    serial = HiqueEngine(
+        catalog, opt_level=opt_level, planner_config=config, parallel=SERIAL
+    )
     engine = HiqueEngine(
         catalog,
+        opt_level=opt_level,
         planner_config=config,
-        parallel=dataclasses.replace(THREADS, pipeline=pipeline),
+        parallel=THREADS,
     )
     try:
         expected = serial.execute(sql)

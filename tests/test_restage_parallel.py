@@ -6,10 +6,10 @@ serial generated function no matter how large it was.  It now runs the
 generated ``*_chunk`` entry point per row chunk, reassembled by the
 order-preserving merge finishers — these tests pin byte-identity for
 every restage prep (sort, coarse/fine partition, partition-sort)
-across all six engine configurations, DOUBLE restage keys under
-``allow_float_reorder=False``, the large-intermediate acceptance
+across all six engine configurations, DOUBLE restage keys (sorting
+never reassociates floats), the large-intermediate acceptance
 criterion (no serial-restage stats note), and crash/fallback behaviour
-when a restage chunk task dies mid-pipeline.
+when a restage chunk task dies mid-run.
 """
 
 from __future__ import annotations
@@ -27,13 +27,11 @@ from repro.plan.reference import evaluate as reference_evaluate
 from repro.sql.binder import Binder
 from repro.sql.parser import parse
 from repro.storage import Catalog, Column, DOUBLE, INT, Schema, char
-from tests.conftest import SERIAL
+from tests.conftest import FANOUT, SERIAL
 
 #: These tests assert the scheduler's mechanics over small in-memory
 #: tables, where production would decline to schedule at all.
 pytestmark = pytest.mark.usefixtures("scheduled")
-
-_PARALLEL = dict(workers=3, morsel_pages=1, min_pages=1, min_rows=8)
 
 #: The staged joins these tests were written for: the default
 #: build/probe hash join probes its larger input unprepared, so SQL's
@@ -53,7 +51,7 @@ SQL_AGG = (
     "WHERE a.x = b.x GROUP BY a.x ORDER BY x"
 )
 #: The second join key is DOUBLE, so the restage sorts/partitions on a
-#: DOUBLE column — exact regardless of ``allow_float_reorder``.
+#: DOUBLE column — exact, since sorting reassociates nothing.
 SQL_DOUBLE = (
     "SELECT a.x AS x, c2.z AS z FROM a, b, c2 "
     "WHERE a.x = b.x AND a.d = c2.d ORDER BY x, z LIMIT 300"
@@ -131,7 +129,7 @@ def test_all_six_engines_agree_with_parallel_restage(catalog):
         reference_evaluate(Binder(catalog).bind(parse(SQL)))
     )
     with Database(catalog=catalog) as db:
-        db.set_parallel(**_PARALLEL)
+        db.set_parallel(**FANOUT)
         for kind in ENGINE_KINDS:
             got = db.execute(SQL, engine=kind)
             assert _canonical(got) == expected, kind
@@ -148,30 +146,19 @@ def test_restage_parallel_and_byte_identical(catalog, force_join):
     parallel = HiqueEngine(
         catalog,
         planner_config=planner,
-        parallel=ParallelConfig(**_PARALLEL),
-    )
-    pipelined = HiqueEngine(
-        catalog,
-        planner_config=planner,
-        parallel=ParallelConfig(pipeline=True, **_PARALLEL),
+        parallel=ParallelConfig(**FANOUT),
     )
     try:
         assert "Restage" in serial.explain(SQL)
-        want = serial.execute(SQL)
-        assert parallel.execute(SQL) == want
-        assert pipelined.execute(SQL) == want
-        for engine in (parallel, pipelined):
-            stats = engine.last_exec_stats
-            assert stats is not None and stats.parallel, stats
-            # Acceptance: a large intermediate's Restage is no longer a
-            # serial decision in the stats notes.
-            assert not any(
-                "restage" in note for note in stats.notes
-            ), stats
+        assert parallel.execute(SQL) == serial.execute(SQL)
+        stats = parallel.last_exec_stats
+        assert stats is not None and stats.parallel, stats
+        # Acceptance: a large intermediate's Restage is no longer a
+        # serial decision in the stats notes.
+        assert not any("restage" in note for note in stats.notes), stats
     finally:
         serial.close()
         parallel.close()
-        pipelined.close()
 
 
 def test_hybrid_aggregation_restage_parallel(catalog):
@@ -180,7 +167,7 @@ def test_hybrid_aggregation_restage_parallel(catalog):
     parallel = HiqueEngine(
         catalog,
         planner_config=planner,
-        parallel=ParallelConfig(**_PARALLEL),
+        parallel=ParallelConfig(**FANOUT),
     )
     try:
         assert "Restage" in serial.explain(SQL_AGG)
@@ -195,15 +182,15 @@ def test_hybrid_aggregation_restage_parallel(catalog):
         parallel.close()
 
 
-def test_double_restage_keys_stay_parallel_without_float_reorder(catalog):
+def test_double_restage_keys_stay_parallel(catalog):
     """Sorting/partitioning never reassociates floats, so a DOUBLE
-    restage key must not force the restage serial even under the strict
-    float policy."""
+    restage key must not force the restage serial the way a DOUBLE
+    sum does."""
     serial = HiqueEngine(catalog, planner_config=MERGE, parallel=SERIAL)
     parallel = HiqueEngine(
         catalog,
         planner_config=MERGE,
-        parallel=ParallelConfig(allow_float_reorder=False, **_PARALLEL),
+        parallel=ParallelConfig(**FANOUT),
     )
     try:
         assert "Restage" in serial.explain(SQL_DOUBLE)
@@ -248,14 +235,14 @@ def _restage_chunk_name(prepared) -> str:
     return prepared.generated.function_names[restage_ops[0].op_id] + "_chunk"
 
 
-@pytest.mark.parametrize("pipeline", [False, True])
-def test_restage_chunk_crash_surfaces_error(catalog, pipeline):
-    """A restage chunk task dying mid-pipeline surfaces its error
+@pytest.mark.parametrize("force_join", ["merge", "hybrid"])
+def test_restage_chunk_crash_surfaces_error(catalog, force_join):
+    """A restage chunk task dying mid-run surfaces its error
     cleanly (no hang, no partial rows) and the engine keeps serving."""
     engine = HiqueEngine(
         catalog,
-        planner_config=MERGE,
-        parallel=ParallelConfig(pipeline=pipeline, **_PARALLEL),
+        planner_config=PlannerConfig(force_join=force_join),
+        parallel=ParallelConfig(**FANOUT),
     )
     try:
         prepared = engine.prepare(SQL, name="crashy")
@@ -280,7 +267,7 @@ def test_missing_chunk_entry_falls_back_serial(catalog):
     """An (older) module without the chunk entry point degrades to the
     serial restage with a stats note instead of failing."""
     engine = HiqueEngine(
-        catalog, planner_config=MERGE, parallel=ParallelConfig(**_PARALLEL)
+        catalog, planner_config=MERGE, parallel=ParallelConfig(**FANOUT)
     )
     serial = HiqueEngine(catalog, planner_config=MERGE, parallel=SERIAL)
     try:

@@ -1,19 +1,18 @@
-"""Scheduler mechanics: affinity, hand-off, row identity, knobs.
+"""Scheduler mechanics: affinity, row identity, the driver, knobs.
 
-Covers the sticky/work-stealing :class:`AffinityDispatcher`, the
-incremental :class:`PartitionHandoff` (byte-identity against the
-barrier merges, incremental publication order, error propagation), row
-identity of barrier and pipelined scheduled runs against the serial
-walk, and the ``ParallelConfig`` / ``set_parallel`` / shell plumbing.
+Covers the sticky/work-stealing :class:`AffinityDispatcher`; row
+identity of scheduled runs against the serial walk for every plan
+shape — staged joins, restages, forced partition joins, aggregation,
+final sorts; the dependency-driven driver (overlap accounting, clean
+error propagation out of driver threads); and the ``ParallelConfig``
+/ ``set_parallel`` / shell plumbing.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import io
 import random
-import threading
 
 import pytest
 
@@ -21,23 +20,15 @@ from repro.api import Database
 from repro.cli import Shell
 from repro.core.engine import HiqueEngine
 from repro.errors import ReproError
-from repro.parallel.executor import PartitionHandoff
-from repro.parallel.merge import (
-    merge_fine_partition_runs,
-    merge_partition_runs,
-)
 from repro.parallel.morsel import AffinityDispatcher
 from repro.parallel.stats import ParallelConfig
 from repro.plan.optimizer import PlannerConfig
 from repro.storage import Catalog, Column, DOUBLE, INT, Schema, char
-from tests.conftest import SERIAL
+from tests.conftest import FANOUT, SERIAL
 
 #: These tests assert the scheduler's mechanics over small in-memory
 #: tables, where production would decline to schedule at all.
 pytestmark = pytest.mark.usefixtures("scheduled")
-
-#: Thresholds low enough that small test tables genuinely fan out.
-_PARALLEL = dict(workers=3, morsel_pages=1, min_pages=1, min_rows=8)
 
 # -- page-range affinity ----------------------------------------------------------------
 
@@ -88,104 +79,6 @@ def test_affinity_cancel_and_validation():
         AffinityDispatcher(1, [0], workers=0)
 
 
-# -- incremental partition hand-off -----------------------------------------------------
-
-
-def _fine_partials(rng: random.Random) -> list[dict]:
-    keys = list(range(12))
-    partials = []
-    for run in range(5):
-        rng.shuffle(keys)
-        partials.append(
-            {
-                key: [(key, run, i) for i in range(rng.randrange(1, 4))]
-                for key in keys[: rng.randrange(3, 10)]
-            }
-        )
-    return partials
-
-
-def test_fine_handoff_matches_barrier_merge():
-    rng = random.Random(23)
-    partials = _fine_partials(rng)
-    expected = merge_fine_partition_runs(copy.deepcopy(partials))
-    handoff = PartitionHandoff(copy.deepcopy(partials), fine=True)
-    handoff.start()
-    got = handoff.result()
-    # Identical contents *and* identical key insertion order — the
-    # serial directory's first-seen-across-runs order.
-    assert got == expected
-    assert list(got) == list(expected)
-    assert handoff.keys == list(expected)
-    assert handoff.result() is got  # cached
-
-
-def test_coarse_handoff_matches_barrier_merge():
-    rng = random.Random(29)
-    partials = [
-        [
-            [(bucket, run, i) for i in range(rng.randrange(0, 4))]
-            for bucket in range(6)
-        ]
-        for run in range(4)
-    ]
-    expected = merge_partition_runs(copy.deepcopy(partials))
-    handoff = PartitionHandoff(copy.deepcopy(partials), fine=False)
-    handoff.start()
-    assert handoff.result() == expected
-    assert handoff.keys == list(range(6))
-
-
-def test_handoff_publishes_buckets_incrementally():
-    partials = [
-        {"a": [1], "b": [2], "c": [3]},
-        {"a": [4], "c": [5]},
-    ]
-    release = {key: threading.Event() for key in ("a", "b", "c")}
-    handoff = PartitionHandoff(
-        copy.deepcopy(partials),
-        fine=True,
-        pace=lambda key: release[key].wait(timeout=5),
-    )
-    handoff.start()
-    # "a" publishes before its pace gate; "b" is still unmerged.
-    assert handoff.bucket("a") == [1, 4]
-    assert handoff.merged_count() == 1
-
-    got_b: list = []
-    waiter = threading.Thread(
-        target=lambda: got_b.append(handoff.bucket("b")), daemon=True
-    )
-    waiter.start()
-    waiter.join(timeout=0.2)
-    assert waiter.is_alive()  # bucket("b") genuinely blocks
-    release["a"].set()
-    waiter.join(timeout=5)
-    assert not waiter.is_alive() and got_b == [[2]]
-    for event in release.values():
-        event.set()
-    assert handoff.result() == merge_fine_partition_runs(partials)
-
-
-def test_handoff_without_start_merges_inline():
-    partials = [{"k": [1, 2]}, {"k": [3]}]
-    handoff = PartitionHandoff(copy.deepcopy(partials), fine=True)
-    assert handoff.result() == {"k": [1, 2, 3]}
-    assert handoff.total_rows() == 3
-
-
-def test_handoff_merge_errors_reach_consumers():
-    # A poisoned first run: the adopted bucket is a tuple, so merging
-    # the second run into it raises on the merge thread — and both
-    # consumer entry points must see that error, not hang.
-    handoff = PartitionHandoff([{"k": (1,)}, {"k": [2]}], fine=True)
-    handoff.start()
-    with pytest.raises(AttributeError):
-        handoff.bucket("k")
-    with pytest.raises(AttributeError):
-        handoff.result()
-
-
 # -- scheduled row identity -------------------------------------------------------------
 
 
@@ -219,33 +112,62 @@ def catalog() -> Catalog:
     u.load_rows(
         (rng.randrange(200), rng.randrange(100)) for _ in range(500)
     )
+    v = catalog.create_table(
+        "v", Schema([Column("y", INT), Column("z", INT)])
+    )
+    v.load_rows(
+        (rng.randrange(150), rng.randrange(100)) for _ in range(400)
+    )
     catalog.analyze()
     return catalog
 
 
 QUERIES = [
+    # scan + filter + aggregation fused into one node, then a sort
     "SELECT c AS c, count(*) AS n, sum(x) AS s FROM t "
     "WHERE x < 120 GROUP BY c ORDER BY c",
+    # two-table join + ORDER BY
     "SELECT t.x AS x, u.w AS w FROM t, u WHERE t.x = u.x "
     "ORDER BY x DESC, w LIMIT 200",
+    # three-table plan: join, restage of the intermediate, second join
+    "SELECT t.x AS x, u.w AS w, v.z AS z FROM t, u, v "
+    "WHERE t.x = u.x AND t.y = v.y ORDER BY x, w, z LIMIT 200",
+    # aggregation over a join result
     "SELECT t.c AS c, count(*) AS n, min(u.w) AS lo FROM t, u "
     "WHERE t.x = u.x GROUP BY t.c ORDER BY c",
+    # scan fused with its aggregation: a single-node plan, run on the
+    # calling thread without a driver
+    "SELECT c AS c, count(*) AS n, sum(x) AS s FROM t "
+    "WHERE x < 30 GROUP BY c",
+    # a join with no sort above it: its output order is the answer's
+    "SELECT t.x AS x, t.y AS y, u.w AS w FROM t, u "
+    "WHERE t.x = u.x AND t.y < 40",
 ]
 
 
-@pytest.mark.parametrize("pipeline", [False, True])
-def test_scheduled_rows_identical_to_serial(catalog, pipeline):
+def test_scheduled_rows_identical_to_serial(catalog):
     serial = HiqueEngine(catalog, parallel=SERIAL)
-    engine = HiqueEngine(
-        catalog, parallel=ParallelConfig(pipeline=pipeline, **_PARALLEL)
-    )
+    engine = HiqueEngine(catalog, parallel=ParallelConfig(**FANOUT))
     try:
         for sql in QUERIES:
             assert engine.execute(sql) == serial.execute(sql), sql
             stats = engine.last_exec_stats
             assert stats is not None and stats.scheduled, sql
-        assert stats.parallel
-        assert stats.describe().startswith("parallel: ")
+            assert stats.parallel, (sql, stats)
+            assert stats.describe().startswith("parallel: "), sql
+    finally:
+        serial.close()
+        engine.close()
+
+
+def test_scheduled_o0_plans_match_serial(catalog):
+    serial = HiqueEngine(catalog, opt_level="O0", parallel=SERIAL)
+    engine = HiqueEngine(
+        catalog, opt_level="O0", parallel=ParallelConfig(**FANOUT)
+    )
+    try:
+        for sql in QUERIES:
+            assert engine.execute(sql) == serial.execute(sql), sql
     finally:
         serial.close()
         engine.close()
@@ -259,35 +181,49 @@ def test_scheduled_rows_identical_to_serial(catalog, pipeline):
     ],
     ids=["fine-hash", "coarse-hybrid"],
 )
-def test_pipelined_partition_joins_hand_off(catalog, config):
+def test_partition_joins_match_serial(catalog, config):
     serial = HiqueEngine(catalog, parallel=SERIAL)
-    engine = HiqueEngine(
-        catalog,
-        parallel=ParallelConfig(pipeline=True, **_PARALLEL),
-    )
+    engine = HiqueEngine(catalog, parallel=ParallelConfig(**FANOUT))
     sql = QUERIES[1]
     try:
         want = serial.execute(sql, planner_config=config)
         assert engine.execute(sql, planner_config=config) == want
         stats = engine.last_exec_stats
-        assert stats is not None and stats.parallel and stats.pipelined
-        assert any(
-            "incremental partition hand-off" in note
-            for note in stats.notes
-        ), stats.notes
+        assert stats is not None and stats.parallel, stats
     finally:
         serial.close()
         engine.close()
 
 
-def test_self_join_hands_off_both_bindings(catalog):
-    """``FROM t t1, t t2`` stages each binding separately, so *both*
-    stagings may hand off — and rows must still match the serial run."""
+@pytest.mark.parametrize("force_join", ["hash", "hybrid", "merge", "nested"])
+@pytest.mark.parametrize(
+    "query",
+    [1, 2, 3, 5],
+    ids=["join-sort", "three-way", "join-aggregate", "join-unsorted"],
+)
+def test_forced_joins_match_serial(catalog, query, force_join):
+    """Every join algorithm, under every multi-node plan shape, returns
+    the serial walk's rows when the driver runs its nodes."""
+    config = PlannerConfig(force_join=force_join)
     serial = HiqueEngine(catalog, parallel=SERIAL)
-    engine = HiqueEngine(
-        catalog,
-        parallel=ParallelConfig(pipeline=True, **_PARALLEL),
-    )
+    engine = HiqueEngine(catalog, parallel=ParallelConfig(**FANOUT))
+    sql = QUERIES[query]
+    try:
+        want = serial.execute(sql, planner_config=config)
+        assert engine.execute(sql, planner_config=config) == want
+        stats = engine.last_exec_stats
+        assert stats is not None and stats.scheduled and stats.parallel
+        assert any(phase.name == "join" for phase in stats.phases), stats
+    finally:
+        serial.close()
+        engine.close()
+
+
+def test_self_join_matches_serial(catalog):
+    """``FROM t t1, t t2`` stages each binding separately, on two
+    independent nodes — rows must still match the serial run."""
+    serial = HiqueEngine(catalog, parallel=SERIAL)
+    engine = HiqueEngine(catalog, parallel=ParallelConfig(**FANOUT))
     config = PlannerConfig(force_join="hash")
     sql = (
         "SELECT t1.x AS x, t2.y AS y FROM t t1, t t2 "
@@ -298,23 +234,15 @@ def test_self_join_hands_off_both_bindings(catalog):
         assert engine.execute(sql, planner_config=config) == want
         stats = engine.last_exec_stats
         assert stats is not None and stats.parallel
-        assert any(
-            "hand-off on 2 staging node(s)" in note
-            for note in stats.notes
-        ), stats.notes
     finally:
         serial.close()
         engine.close()
 
 
-def test_non_join_consumers_never_hand_off(catalog):
-    """The gate admits only partition stagings feeding one pairwise
-    join: an aggregation consumer needs the whole directory at once."""
+def test_hybrid_aggregation_matches_serial(catalog):
+    """A partition staging feeding an aggregation, not a join."""
     serial = HiqueEngine(catalog, parallel=SERIAL)
-    engine = HiqueEngine(
-        catalog,
-        parallel=ParallelConfig(pipeline=True, **_PARALLEL),
-    )
+    engine = HiqueEngine(catalog, parallel=ParallelConfig(**FANOUT))
     config = PlannerConfig(force_agg="hybrid", force_partitions=8)
     sql = (
         "SELECT c AS c, count(*) AS n FROM t GROUP BY c ORDER BY c"
@@ -322,32 +250,94 @@ def test_non_join_consumers_never_hand_off(catalog):
     try:
         want = serial.execute(sql, planner_config=config)
         assert engine.execute(sql, planner_config=config) == want
-        stats = engine.last_exec_stats
-        assert stats is not None
-        assert not any(
-            "incremental partition hand-off" in note
-            for note in stats.notes
-        ), stats.notes
+        assert engine.last_exec_stats is not None
     finally:
         serial.close()
         engine.close()
 
 
-def test_barrier_runs_never_hand_off(catalog):
-    engine = HiqueEngine(
-        catalog,
-        parallel=ParallelConfig(pipeline=False, **_PARALLEL),
-    )
+# -- the dependency-driven driver -------------------------------------------------------
+
+
+def test_chain_plan_reports_no_overlap(catalog):
+    """A fused scan+aggregate followed by its sort: each node waits for
+    the one before, so no phase overlaps another."""
+    engine = HiqueEngine(catalog, parallel=ParallelConfig(**FANOUT))
     try:
-        engine.execute(QUERIES[1], planner_config=PlannerConfig(
-            force_join="hash"
-        ))
+        engine.execute(QUERIES[0])
         stats = engine.last_exec_stats
-        assert stats is not None
-        assert not any(
-            "incremental partition hand-off" in note
-            for note in stats.notes
-        ), stats.notes
+        assert stats is not None and stats.parallel
+        assert all(phase.overlap_seconds == 0.0 for phase in stats.phases)
+    finally:
+        engine.close()
+
+
+def test_independent_scans_overlap(catalog):
+    """Two leaf scans share no dependency, so the driver must actually
+    overlap them — the stage phase reports overlapped time with high
+    probability on a plan whose three scans dominate."""
+    engine = HiqueEngine(catalog, parallel=ParallelConfig(**FANOUT))
+    try:
+        # A couple of attempts damp scheduler noise: overlap only needs
+        # to be observed once to prove the phases genuinely interleave.
+        for _ in range(5):
+            engine.execute(QUERIES[2])
+            stats = engine.last_exec_stats
+            assert stats is not None and stats.parallel
+            if any(phase.overlap_seconds > 0 for phase in stats.phases):
+                break
+        else:
+            pytest.fail(f"no overlap ever observed: {stats.phases}")
+    finally:
+        engine.close()
+
+
+#: name → (query, planner config, generated function prefix, the
+#: scheduler-only entry point the patched task calls).
+DYING_TASKS = {
+    # A merge join fans out pair tasks; the default build/probe hash
+    # join would probe serially.
+    "join-pair": (1, PlannerConfig(force_join="merge"), "join", "_pair"),
+    # The scan's morsel tasks fold rows through the fused aggregate's
+    # partial entry point, upstream of the final sort's node.
+    "fused-scan-partial": (
+        0, PlannerConfig(force_agg="map"), "aggregate", "_partial"
+    ),
+    # The aggregation over a join result runs row-chunk partials on
+    # its own node, after the join's node.
+    "aggregate-partial": (
+        3, PlannerConfig(force_agg="map"), "aggregate", "_partial"
+    ),
+}
+
+
+@pytest.mark.parametrize("task", sorted(DYING_TASKS))
+def test_driver_task_errors_propagate_cleanly(catalog, task):
+    query, config, prefix, suffix = DYING_TASKS[task]
+    engine = HiqueEngine(catalog, parallel=ParallelConfig(**FANOUT))
+    try:
+        prepared = engine.prepare(
+            QUERIES[query], name="boom", planner_config=config
+        )
+        entry = next(
+            name + suffix
+            for name in prepared.generated.function_names.values()
+            if name.startswith(prefix)
+        )
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("task died")
+
+        # Link the scheduler's entry points first, so the first
+        # scheduled run does not overwrite the patch.
+        prepared.compiled.link_scheduled()
+        assert entry in prepared.compiled.namespace
+        prepared.compiled.namespace[entry] = boom
+        with pytest.raises(RuntimeError, match="task died"):
+            engine.execute_prepared(prepared)
+        # The engine (and its pool) survive for the next statement.
+        engine.clear_cache()
+        assert engine.execute(QUERIES[0])
     finally:
         engine.close()
 
@@ -355,36 +345,52 @@ def test_barrier_runs_never_hand_off(catalog):
 # -- knob plumbing ----------------------------------------------------------------------
 
 
-def test_parallel_config_has_seven_fields():
+def test_parallel_config_has_five_fields():
     assert [f.name for f in dataclasses.fields(ParallelConfig)] == [
         "workers",
         "morsel_pages",
-        "pipeline",
         "task_timeout",
         "min_pages",
         "min_rows",
-        "allow_float_reorder",
     ]
 
 
 def test_removed_knobs_are_rejected(catalog):
     """``workers=1`` pins the serial walk; threads are the only task
-    backend, and generated modules never touch a work directory."""
-    with pytest.raises(TypeError):
-        Database(catalog=catalog, parallel=False)
-    with pytest.raises(TypeError):
-        Database(catalog=catalog, placement="auto")
-    with pytest.raises(TypeError):
-        Database(catalog=catalog, executor="thread")
+    backend, the dependency-driven driver is the only schedule, DOUBLE
+    sums always stay exact, and generated modules never touch a work
+    directory."""
+    for removed in (
+        dict(parallel=False),
+        dict(placement="auto"),
+        dict(executor="thread"),
+        dict(pipeline=True),
+    ):
+        with pytest.raises(TypeError):
+            Database(catalog=catalog, **removed)
     with Database(catalog=catalog) as db:
+        for removed in (
+            dict(enabled=False),
+            dict(placement="auto"),
+            dict(executor="thread"),
+            dict(pipeline=True),
+            dict(allow_float_reorder=True),
+        ):
+            with pytest.raises(TypeError):
+                db.set_parallel(**removed)
+    for removed in (dict(pipeline=True), dict(allow_float_reorder=True)):
         with pytest.raises(TypeError):
-            db.set_parallel(enabled=False)
-        with pytest.raises(TypeError):
-            db.set_parallel(placement="auto")
-        with pytest.raises(TypeError):
-            db.set_parallel(executor="thread")
+            ParallelConfig(**removed)
     with pytest.raises(TypeError):
         HiqueEngine(catalog, workdir="generated")
+    out = io.StringIO()
+    shell = Shell(stdout=out)
+    try:
+        shell.handle(".pipeline on")
+        assert shell.db.parallel_config == ParallelConfig()
+        assert "unknown command .pipeline" in out.getvalue()
+    finally:
+        shell.db.close()
 
 
 def test_set_parallel_rejects_bad_values_and_keeps_the_config(catalog):
@@ -401,8 +407,7 @@ def test_set_parallel_rejects_bad_values_and_keeps_the_config(catalog):
             assert db.parallel_config == before, bad
 
 
-def test_shell_parallel_only_shows_the_config(monkeypatch):
-    monkeypatch.delenv("REPRO_PIPELINE", raising=False)
+def test_shell_parallel_only_shows_the_config():
     out = io.StringIO()
     shell = Shell(stdout=out)
     try:
@@ -413,7 +418,7 @@ def test_shell_parallel_only_shows_the_config(monkeypatch):
         assert shell.db.parallel_config == ParallelConfig()
         text = out.getvalue()
         assert "4 workers" in text and "backend" not in text
-        assert "barrier scheduling" in text
+        assert "scheduling" not in text
         assert "usage: .parallel" in text
         assert "unknown command .placement" in text
         assert "unknown command .executor" in text

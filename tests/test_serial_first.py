@@ -16,7 +16,6 @@ import pytest
 
 from repro import Column, Database, INT
 from repro.core.engine import HiqueEngine
-from repro.errors import ReproError
 from repro.parallel.intermediates import (
     SIGHTINGS_CAPACITY,
     IntermediateCache,
@@ -181,6 +180,42 @@ def test_pool_smaller_than_the_table_always_schedules(tmp_path):
         db.close()
 
 
+def test_cold_disk_join_reaches_the_scheduler_unpinned(tmp_path):
+    """Nothing pins the decision: a join over two cold disk tables is
+    scheduled, runs its stage and join nodes through the driver, and
+    returns exactly the single-worker walk's rows."""
+    buffer = BufferManager(capacity=4096)
+    catalog = Catalog(buffer)
+    for name, columns, rows in (
+        ("t", [Column("a", INT), Column("b", INT)], _rows(20_000)),
+        ("u", [Column("k", INT), Column("v", INT)], _rows(20_000)),
+    ):
+        table = Table(
+            name,
+            Schema(columns),
+            file=DiskFile(str(tmp_path / f"{name}.pages")),
+            buffer=buffer,
+        )
+        table.load_rows(rows)
+        catalog.register(table)
+    catalog.analyze()
+    sql = QUERIES["staged join"]
+    db = Database(catalog=catalog, workers=4)
+    serial = HiqueEngine(catalog, parallel=ParallelConfig(workers=1))
+    try:
+        want = serial.execute(sql)
+        buffer.evict_all()
+        rows = db.execute(sql)
+        stats = db.last_exec_stats()
+        assert stats.scheduled is True, stats
+        phases = [phase.name for phase in stats.phases]
+        assert "stage" in phases and "join" in phases, phases
+        assert repr(rows) == repr(want)
+    finally:
+        serial.close()
+        db.close()
+
+
 def test_bare_engine_owns_the_serial_first_executor(tmp_path, monkeypatch):
     """An engine built without a config takes the same decision."""
     sql = QUERIES["aggregate"]
@@ -203,16 +238,12 @@ def test_bare_engine_owns_the_serial_first_executor(tmp_path, monkeypatch):
         disk.close()
 
 
-def test_bare_engine_takes_the_default_config(monkeypatch):
-    monkeypatch.delenv("REPRO_PIPELINE", raising=False)
+def test_bare_engine_takes_the_default_config():
     engine = HiqueEngine(Catalog())
     try:
         assert engine.parallel.config == ParallelConfig()
     finally:
         engine.close()
-    monkeypatch.setenv("REPRO_PIPELINE", "sideways")
-    with pytest.raises(ReproError, match="REPRO_PIPELINE"):
-        HiqueEngine(Catalog())
 
 
 def test_bare_engine_reports_the_overflow_fallback(monkeypatch):

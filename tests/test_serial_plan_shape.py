@@ -28,9 +28,7 @@ from repro.bench.synth import make_group_table, make_join_pair, make_team_tables
 from repro.bench.tpch import QUERIES, generate_tpch
 from repro.cli import Shell
 from repro.core.emitter import OPT_O0, OPT_O2
-from repro.core.engine import HiqueEngine
 from repro.core.generator import CodeGenerator
-from repro.parallel.stats import ParallelConfig
 from repro.plan.descriptors import Join
 from repro.plan.optimizer import Optimizer, PlannerConfig
 from repro.plan.reference import evaluate as reference_evaluate
@@ -375,40 +373,6 @@ def test_the_oltp_join_shape_builds_from_the_index_fetch():
             ]
     finally:
         db.close()
-
-
-def test_the_pinned_schedule_probes_serially_and_never_hands_off(db):
-    """A build side feeding a build/probe join is no hand-off: the join
-    waits for the whole directory anyway.  The symmetric fine hash join
-    still hands its partitions off."""
-    db.set_parallel(
-        pipeline=True, morsel_pages=1, min_pages=1, min_rows=8, workers=3
-    )
-    db.engine("hique").parallel.waiting_table = lambda plan: "pinned"
-    serial = db.execute(JOIN_ROWS, params=(2500,))
-    stats = db.last_exec_stats()
-    assert stats.scheduled
-    assert not any("hand-off" in note for note in stats.notes), stats.notes
-    assert "join" in [phase.name for phase in stats.phases]
-    assert serial == db.execute(JOIN_ROWS, engine="volcano", params=(2500,))
-
-    engine = HiqueEngine(
-        db.catalog,
-        planner_config=PlannerConfig(force_join="hash"),
-        parallel=ParallelConfig(
-            pipeline=True, workers=3, morsel_pages=1, min_pages=1,
-            min_rows=8,
-        ),
-    )
-    try:
-        engine.parallel.waiting_table = lambda plan: "pinned"
-        rows = engine.execute(JOIN_ROWS, params=(2500,))
-        assert any(
-            "hand-off" in note for note in engine.last_exec_stats.notes
-        )
-        assert sorted(rows) == sorted(serial)
-    finally:
-        engine.close()
 
 
 # -- strings stay bytes until they are output ------------------------------------------
