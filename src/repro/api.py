@@ -324,6 +324,9 @@ class Database:
         )
         registry.sample("repro_intermediate_cache_stale_total", inter.stale)
         registry.sample(
+            "repro_intermediate_cache_extended_total", inter.extended
+        )
+        registry.sample(
             "repro_intermediate_cache_evictions_total", inter.evictions
         )
         registry.sample(
@@ -406,13 +409,17 @@ class Database:
     ) -> None:
         if kind == "dml":
             # A mutation moved one table's version: the DSM copy and
-            # the answers and stagings that read the table are stale;
-            # compiled code is not (generated scans read live pages),
-            # so the engines' text caches survive.
+            # the answers that read the table are stale, and so are its
+            # stagings unless the table only grew (an append extends
+            # them); compiled code is not (generated scans read live
+            # pages), so the engines' text caches survive.
             vectorized = self._engines.get("vectorized")
             if vectorized is not None:
                 vectorized.invalidate(table)
-            self.intermediates.invalidate_table(table)
+            written = self.catalog.table(table)
+            self.intermediates.invalidate_table(
+                table, stagings=written.rewritten == written.version
+            )
             return
         for engine_kind in ("hique", "hique-o0"):
             cached = self._engines.get(engine_kind)

@@ -302,7 +302,7 @@ class Shell:
             f"{inter.bytes:,} / {inter.capacity_bytes:,} B, "
             f"{inter.hits} hits, {inter.misses} misses, "
             f"{inter.answers} answers recycled, {inter.stale} stale, "
-            f"{inter.evictions} evictions "
+            f"{inter.extended} extended, {inter.evictions} evictions "
             f"({inter.hit_rate * 100:.0f}% hit rate); admission: "
             f"{inter.sightings} first sightings, {inter.admitted} "
             f"admitted, {inter.sighting_evictions} sightings aged out"

@@ -76,6 +76,9 @@ def _annotate(span: Span) -> str:
         parts.append(index)
     if span.attrs.get("staging_cached"):
         parts.append("staging: reused cached intermediate")
+    extended = span.attrs.get("staging_extended")
+    if extended:
+        parts.append(f"staging: extended {extended}")
     fused = span.attrs.get("fused")
     if fused is not None:
         # Which path a fusable scan→consumer pair took, and why.

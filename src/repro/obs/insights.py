@@ -596,6 +596,7 @@ class WorkloadInsights:
                 f"({inter.hit_rate * 100:.0f}%), "
                 f"{inter.answers} answer(s) recycled, "
                 f"{inter.stale} stale, "
+                f"{inter.extended} extended, "
                 f"{inter.evictions} eviction(s), "
                 f"{inter.invalidations} invalidation(s)"
             )
@@ -642,6 +643,7 @@ class WorkloadInsights:
                 "misses": inter.misses,
                 "answers": inter.answers,
                 "stale": inter.stale,
+                "extended": inter.extended,
                 "evictions": inter.evictions,
                 "invalidations": inter.invalidations,
             }

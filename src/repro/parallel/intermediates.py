@@ -19,13 +19,26 @@ budget:
   pages into the layout a join or aggregation consumes, keyed
   ``(table, version, signature)``, where ``signature`` is the scan's
   memoised :attr:`~repro.plan.descriptors.ScanStage.staging_shape`
-  plus the parameter vector that pins its filters' slots.
+  plus the values of the parameter slots its filters read
+  (:attr:`~repro.plan.descriptors.ScanStage.param_slots`), so
+  bindings that differ only elsewhere share one staging.
 
 ``version`` is a table's monotonic mutation epoch: a write moves it,
 so an entry over the old pages stops being reachable, and the owning
 database drops it eagerly (:meth:`IntermediateCache.invalidate_table`,
 through a per-table key index, so a write costs the entries it makes
 stale, not a walk of the whole cache).
+
+An INSERT is the exception for stagings.  A staging banked with its
+heap end (the ``(page, slot)`` just past the rows it covers) stays
+after an append: while the table has seen nothing but appends since
+(:attr:`~repro.storage.table.Table.rewritten`), the caller stages just
+the rows past that end and merges them in
+(:func:`~repro.parallel.stage.extend_staged`).
+:meth:`IntermediateCache.newest` finds the staging to extend through a
+per-``(table, signature)`` pointer, and the extended staging is banked
+in its place.  The owning database therefore drops only the answers on
+an INSERT, and everything on any other write.
 
 Admission is counted, not configured.  A miss is recorded in a bounded
 FIFO of sightings whose keys leave the versions out; from a key's
@@ -79,6 +92,8 @@ class IntermediateCacheStats:
     #: misses whose answer had been banked before (stale).
     answers: int
     stale: int
+    #: Stagings brought up to date by staging only appended rows.
+    extended: int
 
     @property
     def hit_rate(self) -> float:
@@ -137,6 +152,9 @@ class IntermediateCache:
         )
         #: table name → keys of the entries that read it.
         self._by_table: dict[str, set[tuple]] = {}
+        #: (table, signature) → (version, heap end) of the newest
+        #: staging banked with its end: the one an append extends.
+        self._newest: dict[tuple, tuple[int, tuple]] = {}
         self._bytes = 0
         #: Sighting key hash → whether an answer banked under it, oldest
         #: first.
@@ -151,6 +169,7 @@ class IntermediateCache:
         self._sighting_evictions = 0
         self._answers = 0
         self._stale = 0
+        self._extended = 0
 
     # -- stagings ------------------------------------------------------------
     def get(self, table: str, version: int, signature: tuple) -> Any:
@@ -178,13 +197,57 @@ class IntermediateCache:
             return self._sight(hash((table, signature))) is not None
 
     def put(
-        self, table: str, version: int, signature: tuple, value: Any
+        self,
+        table: str,
+        version: int,
+        signature: tuple,
+        value: Any,
+        end: tuple | None = None,
     ) -> None:
         """Store a copy of ``value``; evicts LRU entries over budget.
 
         A value too large for the whole budget is simply not admitted.
+        ``end`` is the table's heap end the staging covers; with it the
+        staging replaces any older one of the same ``(table,
+        signature)`` and may later be extended (:meth:`newest`).
         """
-        self._store((table, version, signature), (table,), value)
+        self._store((table, version, signature), (table,), value, end)
+
+    def newest(self, table: str, signature: tuple) -> tuple | None:
+        """``(version, end, value)`` of the newest staging of ``(table,
+        signature)`` banked with its heap end, or None.
+
+        ``value`` is the cache's own copy, not a private one: read it,
+        never mutate it.  Stored values are never mutated in place, so
+        reading it outside the lock is safe.
+        """
+        with self._lock:
+            newest = self._newest.get((table, signature))
+            if newest is None:
+                return None
+            version, end = newest
+            return version, end, self._entries[(table, version, signature)][0]
+
+    def put_extended(
+        self,
+        table: str,
+        version: int,
+        signature: tuple,
+        value: Any,
+        end: tuple,
+    ) -> Any:
+        """Bank an extended staging in place of the one it extends;
+        returns a private copy of it.
+
+        Takes ``value`` over without copying it: the caller built it
+        and keeps no reference.
+        """
+        with self._lock:
+            self._extended += 1
+        self._store(
+            (table, version, signature), (table,), value, end, copy=False
+        )
+        return _copy_staged(value)
 
     # -- answers -------------------------------------------------------------
     def recall(
@@ -250,15 +313,29 @@ class IntermediateCache:
             self._sightings.popitem(last=False)
             self._sighting_evictions += 1
 
-    def _store(self, key: tuple, tables: tuple, value: Any) -> bool:
-        """Store a copy of ``value`` under ``key``; whether it fit."""
+    def _store(
+        self,
+        key: tuple,
+        tables: tuple,
+        value: Any,
+        end: tuple | None = None,
+        copy: bool = True,
+    ) -> bool:
+        """Store (a copy of) ``value`` under ``key``; whether it fit."""
         size = _approx_bytes(value)
         if size > self.capacity_bytes:
             return False
-        copied = _copy_staged(value)
+        if copy:
+            value = _copy_staged(value)
         with self._lock:
             self._drop(key)
-            self._entries[key] = (copied, size, tables)
+            if end is not None:
+                table, version, signature = key
+                older = self._newest.get((table, signature))
+                if older is not None:
+                    self._drop((table, older[0], signature))
+                self._newest[(table, signature)] = (version, end)
+            self._entries[key] = (value, size, tables)
             for table in tables:
                 self._by_table.setdefault(table, set()).add(key)
             self._bytes += size
@@ -279,13 +356,22 @@ class IntermediateCache:
             keys.discard(key)
             if not keys:
                 del self._by_table[table]
+        if _is_staging(key):
+            table, version, signature = key
+            newest = self._newest.get((table, signature))
+            if newest is not None and newest[0] == version:
+                del self._newest[(table, signature)]
         return True
 
-    def invalidate_table(self, table: str | None) -> int:
+    def invalidate_table(
+        self, table: str | None, stagings: bool = True
+    ) -> int:
         """Drop every entry that reads one table (or all with ``None``).
 
         DML makes old-version entries unreachable on its own; this
-        frees their memory eagerly.  DDL *must* call it (or
+        frees their memory eagerly.  After an append pass
+        ``stagings=False``: the table's stagings stay to be extended,
+        only the answers that read it go.  DDL *must* call it (or
         :meth:`clear`): a dropped-and-recreated table restarts its
         version epoch at zero, which would otherwise alias old entries.
         """
@@ -294,10 +380,15 @@ class IntermediateCache:
                 dropped = len(self._entries)
                 self._entries.clear()
                 self._by_table.clear()
+                self._newest.clear()
                 self._bytes = 0
             else:
-                doomed = self._by_table.get(table, ())
-                dropped = sum(self._drop(key) for key in list(doomed))
+                doomed = [
+                    key
+                    for key in self._by_table.get(table, ())
+                    if stagings or not _is_staging(key)
+                ]
+                dropped = sum(self._drop(key) for key in doomed)
             self._invalidations += dropped
             return dropped
 
@@ -324,4 +415,11 @@ class IntermediateCache:
                 sighting_evictions=self._sighting_evictions,
                 answers=self._answers,
                 stale=self._stale,
+                extended=self._extended,
             )
+
+
+def _is_staging(key: tuple) -> bool:
+    """A staging key starts with its table's name, an answer key with
+    the query's int token."""
+    return isinstance(key[0], str)

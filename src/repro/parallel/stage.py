@@ -9,13 +9,22 @@ Three things can answer a plan, or part of it, without scanning:
 * the generated **index probe**: a point or narrow range read fetches
   just the hit pages;
 * a cached **staging** (:class:`StageAccess`): a scan's staged rows
-  built from these pages and parameters.
+  built from these pages and the parameter slots its filters read.
 
 An answer banks from its second sighting.  A staging is sighted and
 banked only on a run whose answer had been banked and is now missing —
 a *stale* answer — because that is the only run that reads a staging
 again: one whose own table is current under a root that is not.  Every
 run may still read a staging another statement banked.
+
+A staging whose table has only grown since it was banked is
+**extended**, not rebuilt: the scan's own generated staging function
+runs over a :class:`~repro.storage.table.TableTail` view of the rows
+past the banked heap end, and :func:`extend_staged` merges them in heap
+order.  The result is the staging a fresh scan would build, row for
+row and key for key, and is banked at the current version in place of
+the old one.  Any other write (UPDATE, DELETE, a bulk load, DDL) makes
+the next scan stage from scratch.
 
 :func:`recall` runs once per execution, before the decision to
 schedule; :class:`StageAccess` once per scan, for both ways a plan
@@ -27,11 +36,16 @@ whenever threads would have nothing to overlap.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from repro.core.executor import build_context
 from repro.obs import current_span, maybe_span
+from repro.parallel.merge import kway_merge, run_key
 from repro.parallel.stats import PhaseStats
 from repro.plan.descriptors import (
+    PREP_PARTITION,
+    PREP_PARTITION_SORT,
+    PREP_SORT,
     Aggregate,
     Join,
     Limit,
@@ -134,19 +148,20 @@ def recall(prepared, params: tuple, cache, min_pages: int) -> Answer:
 class Staged:
     """One scan's answer: the staged rows, or a miss that may bank.
 
-    ``why`` names the path: "index fetch" or "cache hit" for an
-    answer; "second sighting" for a miss that banks; for one that does
-    not, "first sighting", "answer not stale", "below min_pages", "no
-    cache" or "not bankable".
+    ``why`` names the path: "index fetch", "cache hit" or "extended"
+    for an answer; "second sighting" for a miss that banks; for one
+    that does not, "first sighting", "answer not stale", "below
+    min_pages", "no cache" or "not bankable".
     """
 
-    __slots__ = ("value", "why", "_cache", "_key")
+    __slots__ = ("value", "why", "_cache", "_key", "_table")
 
-    def __init__(self, why, value=_MISS, cache=None, key=None):
+    def __init__(self, why, value=_MISS, cache=None, key=None, table=None):
         self.value = value
         self.why = why
         self._cache = cache
         self._key = key
+        self._table = table
 
     @property
     def found(self) -> bool:
@@ -158,9 +173,10 @@ class Staged:
         return self._key is not None
 
     def bank(self, staged) -> None:
-        """Keep what the scan staged, if the lookup earned it a place."""
-        if self._key is not None:
-            self._cache.put(*self._key, staged)
+        """Keep what the scan staged, with the heap end it covers, if
+        the lookup earned it a place and the table did not move."""
+        if self._key is not None and self._table.version == self._key[1]:
+            self._cache.put(*self._key, staged, self._table.heap_end())
 
 
 class StageAccess:
@@ -220,7 +236,10 @@ class StageAccess:
         if table.num_pages < self.min_pages:
             return Staged("below min_pages")
         name = table.name.lower()
-        signature = op.staging_shape + (self.params,)
+        params = self.params
+        signature = op.staging_shape + (
+            tuple([params[slot] for slot in op.param_slots]),
+        )
         staged = cache.get(name, table.version, signature)
         if staged is not None:
             self.note(
@@ -229,6 +248,9 @@ class StageAccess:
             )
             _mark_node(staging_cached=True)
             return Staged("cache hit", staged)
+        staged = self._extend(op, name, signature)
+        if staged is not None:
+            return Staged("extended", staged)
         if not self.admit:
             return Staged("answer not stale")
         if cache.sighted(name, signature):
@@ -236,8 +258,80 @@ class StageAccess:
                 "second sighting",
                 cache=cache,
                 key=(name, table.version, signature),
+                table=table,
             )
         return Staged("first sighting")
+
+    def _extend(self, op: ScanStage, name: str, signature: tuple):
+        """``op``'s staging at its table's current version, built from
+        the newest banked one by staging only the rows appended since;
+        None when there is none, or the table saw more than appends."""
+        table = op.table
+        newest = self.cache.newest(name, signature)
+        if newest is None:
+            return None
+        version, end, staged = newest
+        if not table.rewritten <= version < table.version:
+            return None
+        ctx = replace(
+            self.ctx, tables={**self.ctx.tables, op.binding: table.tail(end)}
+        )
+        appended = self.namespace[self.names[op.op_id]](ctx, end[0])
+        added = staged_rows(appended)
+        self.note(
+            f"table {op.binding!r}: staging extended from version "
+            f"{version} (+{added} rows)"
+        )
+        _mark_node(staging_extended=f"from version {version} (+{added} rows)")
+        return self.cache.put_extended(
+            name,
+            table.version,
+            signature,
+            extend_staged(op.prep, staged, appended),
+            table.heap_end(),
+        )
+
+
+def extend_staged(prep, staged, tail):
+    """A staging over a heap, extended with the staging of the rows
+    appended after it: equal to staging the whole heap afresh.
+
+    The appended rows follow every staged row in heap order, so they
+    are one more run after ``staged``: concatenated for prep none,
+    appended per key or bucket for a partition, stably merged (ties to
+    ``staged``) for a sort or a partition sort.  A fine directory's new
+    keys go last, in the order the rows met them.  Builds new
+    containers where rows were added and shares the rest, so neither
+    input is mutated.
+    """
+    if prep.kind in (PREP_SORT, PREP_PARTITION_SORT):
+        key = run_key(prep.keys)
+
+        def join(old: list, new: list) -> list:
+            return kway_merge([old, new], key)
+    else:
+
+        def join(old: list, new: list) -> list:
+            return old + new if new else old
+
+    if prep.kind not in (PREP_PARTITION, PREP_PARTITION_SORT):
+        return join(staged, tail)
+    if isinstance(staged, dict):
+        merged = dict(staged)
+        for value, bucket in tail.items():
+            old = merged.get(value)
+            merged[value] = bucket if old is None else join(old, bucket)
+        return merged
+    return [join(old, new) for old, new in zip(staged, tail)]
+
+
+def staged_rows(staged) -> int:
+    """How many rows a staged structure holds, whatever its shape."""
+    if isinstance(staged, dict):
+        return sum(map(len, staged.values()))
+    if staged and isinstance(staged[0], list):
+        return sum(map(len, staged))
+    return len(staged)
 
 
 def _mark_node(**attrs) -> None:

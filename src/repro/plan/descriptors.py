@@ -28,6 +28,7 @@ from repro.sql.bound import (
     BoundLiteral,
     BoundOutput,
     BoundParameter,
+    parameters_in,
 )
 from repro.storage.table import Table
 
@@ -170,6 +171,21 @@ class ScanStage(Operator):
             prep.fine,
             tuple((s.binding, s.column) for s in self.output_layout.slots),
             repr(self.filters),
+        )
+
+    @cached_property
+    def param_slots(self) -> tuple[int, ...]:
+        """The parameter indexes the filters read: the only parameter
+        values that shape the staged rows."""
+        return tuple(
+            sorted(
+                {
+                    parameter.index
+                    for comparison in self.filters
+                    for side in (comparison.left, comparison.right)
+                    for parameter in parameters_in(side)
+                }
+            )
         )
 
 

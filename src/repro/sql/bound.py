@@ -230,6 +230,17 @@ def _collect_columns(expr: BoundExpr, out: list[BoundColumn]) -> None:
         _collect_columns(expr.argument, out)
 
 
+def parameters_in(expr: BoundExpr) -> list[BoundParameter]:
+    """All parameter references inside a bound expression."""
+    if isinstance(expr, BoundParameter):
+        return [expr]
+    if isinstance(expr, BoundArithmetic):
+        return parameters_in(expr.left) + parameters_in(expr.right)
+    if isinstance(expr, BoundAggregate) and expr.argument is not None:
+        return parameters_in(expr.argument)
+    return []
+
+
 def bindings_in(expr: BoundExpr) -> set[str]:
     """The set of table bindings an expression touches."""
     return {c.binding for c in columns_in(expr)}

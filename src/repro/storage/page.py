@@ -139,6 +139,19 @@ class Page:
             yield decode(self.data, offset)
             offset += size
 
+    def tail(self, slot: int) -> "Page":
+        """A detached copy holding only the tuples from ``slot`` on,
+        renumbered from slot 0."""
+        kept = max(0, self.num_tuples - slot)
+        start = self.slot_offset(slot)
+        data = bytearray(PAGE_SIZE)
+        data[HEADER_SIZE:HEADER_SIZE + kept * self._tuple_size] = self.data[
+            start:start + kept * self._tuple_size
+        ]
+        page = Page(self.schema, data)
+        page.num_tuples = kept
+        return page
+
     def clear(self) -> None:
         """Logically empty the page (slots become reusable)."""
         self.num_tuples = 0

@@ -63,6 +63,11 @@ class Table:
         #: update, delete, truncate) advances it, so any cache keyed on
         #: ``(table, version)`` is coherent without tracking what changed.
         self.version = 0
+        #: The version of the last mutation that was not a pure
+        #: :meth:`append_rows`.  Between it and :attr:`version` the heap
+        #: only grew at its end, so whatever was derived from its rows
+        #: at a version in that range can be extended, not rebuilt.
+        self.rewritten = 0
         #: column name → B+-tree over that column (rid values).  Appends
         #: and index-located updates/deletes patch single entries; the
         #: page-rewriting paths (full-scan DML, bulk load, truncate)
@@ -155,9 +160,14 @@ class Table:
                 if page is not None:
                     self.buffer.unpin(self.file, page_no, dirty=True)
                 self._row_count += count
-                self.version += 1
+                self._rewrote()
                 self._rebuild_indexes()
         return count
+
+    def _rewrote(self) -> None:
+        """Move the version over a mutation that did more than append."""
+        self.version += 1
+        self.rewritten = self.version
 
     def _tail_page(self) -> Page:
         if self._tail_page_no is None:
@@ -241,6 +251,21 @@ class Table:
         """Materialise the whole table (tests and small inputs only)."""
         return list(self.scan_rows())
 
+    def heap_end(self) -> tuple[int, int]:
+        """``(page, slot)`` just past the last stored row.
+
+        Rows appended later sit at or after it in heap order: from that
+        slot of that page on, then on the pages that follow.
+        """
+        if self._tail_page_no is None:
+            return (0, 0)
+        tail = self.read_page(self._tail_page_no)
+        return (self._tail_page_no, tail.num_tuples)
+
+    def tail(self, end: tuple[int, int]) -> "TableTail":
+        """A read-only view of the rows stored at or after ``end``."""
+        return TableTail(self, end)
+
     def row_at(self, page_no: int, slot: int) -> tuple:
         """Fetch one row by rid; used by index lookups.
 
@@ -260,7 +285,7 @@ class Table:
             self._row_count = 0
             if self.file.num_pages:
                 self._tail_page_no = 0
-            self.version += 1
+            self._rewrote()
             self._rebuild_indexes()
 
     # -- DML -----------------------------------------------------------------
@@ -319,7 +344,7 @@ class Table:
         finally:
             # A failure between the page overwrite and the index patch
             # still changed what readers see.
-            self.version += 1
+            self._rewrote()
         return len(pending)
 
     def _update_scan(self, predicate, updater) -> int:
@@ -350,7 +375,7 @@ class Table:
             # pages were already rewritten, so caches keyed on the
             # old version must not survive.
             if rewrote:
-                self.version += 1
+                self._rewrote()
                 self._rebuild_indexes()
         return changed
 
@@ -385,7 +410,7 @@ class Table:
                 try:
                     self._repack(survivors)
                 finally:
-                    self.version += 1
+                    self._rewrote()
                     self._rebuild_indexes()
         return removed
 
@@ -430,7 +455,7 @@ class Table:
         finally:
             # As in _update_at: a partial delete changed what readers
             # see.
-            self.version += 1
+            self._rewrote()
         return len(victims)
 
     def _last_row_page(self) -> tuple[int, Page]:
@@ -572,6 +597,40 @@ class Table:
                     f"index on {self.name}.{column} holds {entries} entries "
                     f"for {self._row_count} rows"
                 )
+
+
+class TableTail:
+    """The rows a table gained after a :meth:`Table.heap_end`.
+
+    Stands in for the table wherever a scan reads pages
+    (``read_page``, ``pages``) and forwards everything else: the end
+    page reads from the end slot on, earlier pages read as empty.  A
+    generated staging function run over this view stages exactly the
+    rows appended since the end was taken.
+    """
+
+    def __init__(self, table: Table, end: tuple[int, int]):
+        self._table = table
+        self._page_no, self._slot = end
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._table, name)
+
+    def read_page(self, page_no: int) -> Page:
+        page = self._table.read_page(page_no)
+        if page_no > self._page_no:
+            return page
+        if page_no < self._page_no:
+            return page.tail(page.num_tuples)
+        return page.tail(self._slot)
+
+    def pages(
+        self, page_lo: int = 0, page_hi: int | None = None
+    ) -> Iterator[Page]:
+        if page_hi is None:
+            page_hi = self._table.num_pages
+        for page_no in range(page_lo, page_hi):
+            yield self.read_page(page_no)
 
 
 def _unqualified(schema: Schema) -> bool:

@@ -316,12 +316,26 @@ class TestFineGrainedInvalidation:
             # right answer.
             assert db.execute("SELECT count(a) AS n FROM t") == [(51,)]
             assert db.service.cache.stats().misses == compiled + 1  # INSERT
+            # An INSERT only appends: t's staging stays to be extended.
             assert db.intermediates.get(
                 "t", db.table("t").version - 1, ("sig",)
-            ) is None
+            ) == [(1,)]
             assert db.intermediates.get(
                 "u", db.table("u").version, ("sig",)
             ) == [(1,)]
+            # UPDATE and DELETE rewrite rows in place: the stagings go.
+            db.execute("UPDATE t SET b = 1.0 WHERE a = 700")
+            assert db.intermediates.get(
+                "t", db.table("t").version - 2, ("sig",)
+            ) is None
+            db.execute("DELETE FROM u WHERE v = -1")  # matches nothing
+            assert db.intermediates.get(
+                "u", db.table("u").version, ("sig",)
+            ) == [(1,)]
+            db.execute("DELETE FROM u WHERE v = 0")
+            assert db.intermediates.get(
+                "u", db.table("u").version - 1, ("sig",)
+            ) is None
         finally:
             db.close()
 

@@ -420,8 +420,19 @@ def test_staging_is_banked_from_its_second_miss():
         _stale(db)
         db.execute(JOIN)  # stale again: both banked
         assert db.intermediates.stats().entries == 3
-        # A version bump is not a new staging: the re-stage banks at once.
+        # An INSERT drops the answer and keeps both stagings: u's is
+        # extended by the appended row and banked in place of the old.
         db.execute("INSERT INTO u VALUES (5, 1)")
+        assert db.intermediates.stats().entries == 2
+        db.execute(JOIN)
+        assert db.last_exec_stats().notes.count(
+            "table 'u': staging extended from version 3 (+1 rows)"
+        ) == 1
+        stats = db.intermediates.stats()
+        assert (stats.entries, stats.extended) == (3, 1)
+        # An UPDATE drops u's staging too.  A version bump is not a new
+        # staging: the re-stage banks at once.
+        db.execute("UPDATE u SET v = 2 WHERE k = 5")
         assert db.intermediates.stats().entries == 1
         db.execute(JOIN)
         assert db.intermediates.stats().entries == 3
