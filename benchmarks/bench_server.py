@@ -216,7 +216,6 @@ def server_report(server_db):
         "p99_ms": _percentile(latencies, 0.99) * 1000.0,
         "wall_seconds": wall,
         "server_errors": server_stats.errors,
-        "watchdog_timeouts": server_stats.watchdog_timeouts,
     }
 
     result = ExperimentResult(
@@ -266,7 +265,6 @@ def test_every_admitted_query_completed(server_report):
     )
     assert server_report["queries_ok"] > 0
     assert server_report["server_errors"] == expected_errors
-    assert server_report["watchdog_timeouts"] == 0
 
 
 def test_saturation_answers_typed_over_capacity(server_report):

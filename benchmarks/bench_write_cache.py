@@ -18,7 +18,7 @@ the regime where re-staging is O(n log n) per input and reuse is a flat
 copy.  Stagings are banked only under a stale answer, so each round
 stales the answer twice to bank both sorted runs, then times fresh
 preparations (whose answer is a first sighting) that read them.  All
-modes run the identical plan on the identical parallel configuration;
+modes run the identical plan on the identical executor;
 the "uncached" mode simply detaches the intermediate cache from the
 executor.  Rows are asserted identical across staged, recycled,
 uncached and post-DML executions before any timing counts.
@@ -48,7 +48,6 @@ from repro.bench.reporting import ExperimentResult
 from repro.plan.optimizer import PlannerConfig
 from repro.storage import Column, INT
 
-WORKERS = 4
 ROUNDS = 5
 #: Timed executions per mode per round; the per-mode minimum survives.
 REPEATS = 3
@@ -68,10 +67,7 @@ SQL = (
 
 @pytest.fixture(scope="module")
 def write_cache_db():
-    db = Database(
-        workers=WORKERS,
-        planner_config=PlannerConfig(force_join="merge"),
-    )
+    db = Database(planner_config=PlannerConfig(force_join="merge"))
     db.create_table("t", [Column("a", INT), Column("b", INT)])
     db.load_rows(
         "t", [((i * 7919) % 100_000, i % 16) for i in range(ROWS)]
@@ -178,14 +174,13 @@ def write_cache_report(write_cache_db):
         "answer_speedup": uncached / recycled,
         "partial_reuse_hits_after_dml": partial_hits,
         "rows_per_table": ROWS,
-        "workers": WORKERS,
         "cpu_count": os.cpu_count(),
         "scale": BENCH_SCALE,
     }
 
     result = ExperimentResult(
         name="Write path intermediate cache: warm staged merge join, "
-        f"reuse vs re-stage ({ROWS} rows/input, {WORKERS} workers)",
+        f"reuse vs re-stage ({ROWS} rows/input)",
         headers=["mode", "cached s", "uncached s", "speedup"],
     )
     result.add(

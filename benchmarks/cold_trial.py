@@ -1,22 +1,23 @@
-"""Cold-storage trial of the thread scheduler on TPC-H plans.
+"""Cold-storage trial of TPC-H plans over latency-bound disk files.
 
 Generates a TPC-H instance, copies every table onto a ``DiskFile``
 with a modelled per-page read latency, and times each plan cold — the
 buffer pool emptied and the OS page cache dropped before every run —
-on two sides: the serial walk (``workers=1``) and the thread scheduler
-(``--workers``).  Plans are compiled before timing starts, the
+on the one execution path: the serial walk, whose page waits the
+buffer pool's sequential read-ahead overlaps.  Plans are compiled and
+run once warm (every page resident) before timing starts, the
 intermediate cache is not attached (every run reads its pages), and
-the order of the two sides alternates from round to round.  Every
-scheduled run must return exactly the serial walk's rows.
+every cold run must return exactly the warm run's rows; the script
+exits non-zero if one does not.
 
 Run from the repository root::
 
-    PYTHONPATH=src python benchmarks/cold_schedule_trial.py \\
-        --scale 0.005 --latency 1e-3 --workers 4 --rounds 5
+    PYTHONPATH=src python benchmarks/cold_trial.py \\
+        --scale 0.005 --latency 1e-3 --rounds 5
 
 ``--joins default,hash,hybrid`` adds the join plans with a forced join
 algorithm.  The last line of output is a JSON object with the samples,
-median and quartiles, in milliseconds, of every plan and side.
+median and quartiles, in milliseconds, of every plan.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from pathlib import Path
 
 from repro.bench.tpch import QUERIES, generate_tpch
 from repro.core.engine import HiqueEngine
-from repro.parallel.stats import ParallelConfig
 from repro.plan.optimizer import PlannerConfig
 from repro.storage import Catalog
 from repro.storage.buffer import BufferManager
@@ -92,7 +92,6 @@ def main(argv: list[str] | None = None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=float, default=0.005)
     parser.add_argument("--latency", type=float, default=1e-3)
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--rounds", type=int, default=5)  # at least 2
     parser.add_argument("--joins", default="default")
     args = parser.parse_args(argv)
@@ -103,74 +102,42 @@ def main(argv: list[str] | None = None) -> dict:
         for plan in PLANS
         if join == "default" or plan != "Q1"  # Q1 joins nothing
     ]
-    sides = ("serial", "scheduled")
-    times = {(case, side): [] for case, _, _ in cases for side in sides}
-    scheduled = {case: True for case, _, _ in cases}
+    times = {case: [] for case, _, _ in cases}
     with tempfile.TemporaryDirectory() as directory:
         catalog, files = cold_catalog(
             args.scale, args.latency, Path(directory)
         )
-        engines = {
-            "serial": HiqueEngine(catalog, parallel=ParallelConfig(workers=1)),
-            "scheduled": HiqueEngine(
-                catalog, parallel=ParallelConfig(workers=args.workers)
-            ),
-        }
+        engine = HiqueEngine(catalog)
         try:
-            # Compile every plan; the serial walk's rows are the oracle.
-            expected = {}
-            for case, sql, config in cases:
-                for side in sides:
-                    rows = repr(
-                        engines[side].execute(sql, planner_config=config)
-                    )
-                    if expected.setdefault(case, rows) != rows:
-                        raise SystemExit(f"{case}: {side} rows differ")
-            for round_no in range(args.rounds):
-                order = sides if round_no % 2 == 0 else sides[::-1]
+            # Compile every plan; its warm rows are the oracle.
+            warm = {
+                case: repr(engine.execute(sql, planner_config=config))
+                for case, sql, config in cases
+            }
+            for _ in range(args.rounds):
                 for case, sql, config in cases:
-                    for side in order:
-                        catalog.buffer.evict_all()
-                        for file in files:
-                            file.drop_os_cache()
-                        started = time.perf_counter()
-                        rows = engines[side].execute(
-                            sql, planner_config=config
-                        )
-                        times[case, side].append(
-                            time.perf_counter() - started
-                        )
-                        if repr(rows) != expected[case]:
-                            raise SystemExit(f"{case}: {side} rows differ")
-                        stats = engines[side].last_exec_stats
-                        if side == "scheduled" and not stats.scheduled:
-                            scheduled[case] = False
+                    catalog.buffer.evict_all()
+                    for file in files:
+                        file.drop_os_cache()
+                    started = time.perf_counter()
+                    rows = engine.execute(sql, planner_config=config)
+                    times[case].append(time.perf_counter() - started)
+                    if repr(rows) != warm[case]:
+                        raise SystemExit(f"{case}: cold rows differ")
         finally:
-            for engine in engines.values():
-                engine.close()
+            engine.close()
+            catalog.buffer.close()
             for file in files:
                 file.close()
 
     result = {
         "scale": args.scale,
         "latency": args.latency,
-        "workers": args.workers,
         "rounds": args.rounds,
-        "plans": {
-            case: {side: quartiles(times[case, side]) for side in sides}
-            | {"all_scheduled": scheduled[case]}
-            for case, _, _ in cases
-        },
+        "plans": {case: quartiles(times[case]) for case, _, _ in cases},
     }
     for case, measured in result["plans"].items():
-        print(
-            f"{case:16s} "
-            + "   ".join(
-                f"{side} {measured[side]['median_ms']:8.1f} ms"
-                for side in sides
-            ),
-            file=sys.stderr,
-        )
+        print(f"{case:16s} {measured['median_ms']:8.1f} ms", file=sys.stderr)
     print(json.dumps(result))
     return result
 

@@ -64,9 +64,8 @@ _EXPLAIN_ANALYZE = re.compile(r"^\s*EXPLAIN\s+ANALYZE\s+(.*)$", re.I | re.S)
 class Database:
     """A catalogue of tables plus lazily constructed engines.
 
-    Two parallelism knobs with distinct scopes: ``max_workers`` bounds
-    *inter*-query concurrency (the session pool), ``workers`` bounds
-    *intra*-query concurrency (one scan's morsel pool).
+    ``max_workers`` bounds *inter*-query concurrency (the session
+    pool); each query runs on one thread.
     """
 
     def __init__(
@@ -80,9 +79,11 @@ class Database:
         trace: bool | None = None,
         insights: bool = True,
     ):
-        """``max_workers`` sizes the *session* pool (concurrent queries);
-        ``workers`` sizes the *morsel* pool inside one query's scan
-        (``workers=1`` pins every execution to the serial walk).
+        """``max_workers`` sizes the *session* pool (concurrent queries).
+        ``workers`` is accepted and must be positive, and is otherwise
+        unused (the end-to-end benchmark's harness still passes it):
+        every plan runs on one thread, and cold disk pages overlap
+        their waits through the buffer pool's read-ahead.
         ``trace=True`` records a span tree per query (see
         :meth:`last_trace` and ``EXPLAIN ANALYZE``); ``None`` defers to
         the ``REPRO_TRACE`` environment flag, then off — and the
@@ -101,10 +102,9 @@ class Database:
         )
         self.cache_capacity = cache_capacity
         self.max_workers = max_workers
-        try:
-            self.parallel_config = ParallelConfig(workers=workers)
-        except ValueError as exc:
-            raise ReproError(str(exc)) from None
+        if workers <= 0:
+            raise ReproError("workers must be positive")
+        self.parallel_config = ParallelConfig()
         self._engines: dict[str, Any] = {}
         self._engines_lock = threading.Lock()
         self._service: QueryService | None = None
@@ -238,37 +238,18 @@ class Database:
         engine.parallel.intermediates = self.intermediates
         return engine
 
-    # -- parallelism knobs ---------------------------------------------------------------
-    def set_parallel(
-        self,
-        workers: int | None = None,
-        morsel_pages: int | None = None,
-        min_pages: int | None = None,
-        min_rows: int | None = None,
-        task_timeout: float | None = None,
-    ) -> ParallelConfig:
-        """Reconfigure morsel-driven parallelism at run time.
+    # -- execution knobs -----------------------------------------------------------------
+    def set_parallel(self, min_pages: int | None = None) -> ParallelConfig:
+        """Reconfigure the serial walk at run time.
 
-        Applies to engines built afterwards *and* retunes the already
-        built code-generating engines: their morsel pools are retired
-        and rebuilt lazily, while in-flight executions drain on the old
-        pool with the configuration they started with.
+        Applies to engines built afterwards *and* to the already built
+        code-generating engines; in-flight executions keep the
+        configuration they started with.
         """
-        changes = {
-            "workers": workers,
-            "morsel_pages": morsel_pages,
-            "min_pages": min_pages,
-            "min_rows": min_rows,
-            "task_timeout": task_timeout,
-        }
-        try:
+        if min_pages is not None:
             self.parallel_config = dataclasses.replace(
-                self.parallel_config,
-                **{name: value for name, value in changes.items()
-                   if value is not None},
+                self.parallel_config, min_pages=min_pages
             )
-        except ValueError as exc:
-            raise ReproError(str(exc)) from None
         for kind in ("hique", "hique-o0"):
             engine = self._engines.get(kind)
             if engine is not None:
@@ -280,19 +261,9 @@ class Database:
         built = self._engines.get(engine)
         return getattr(built, "last_exec_stats", None)
 
-    def parallel_counters(self) -> tuple[int, int]:
-        """(parallel, serial) execution counts across built engines."""
-        parallel_runs = serial_runs = 0
-        for built in self._engines.values():
-            executor = getattr(built, "parallel", None)
-            if executor is not None:
-                parallel_runs += executor.parallel_runs
-                serial_runs += executor.serial_runs
-        return parallel_runs, serial_runs
-
     # -- observability -------------------------------------------------------------------
     def _collect_db_metrics(self, registry) -> None:
-        """Render-time sampler for storage-spine and scheduler gauges."""
+        """Render-time sampler for storage-spine and cache gauges."""
         stats = self.buffer.stats
         registry.sample("repro_buffer_capacity_pages", self.buffer.capacity)
         registry.sample("repro_buffer_hits_total", stats.hits)
@@ -306,9 +277,6 @@ class Database:
             "repro_index_declined_total",
             sum(t.index_declined for t in tables),
         )
-        parallel_runs, serial_runs = self.parallel_counters()
-        registry.sample("repro_parallel_runs_total", parallel_runs)
-        registry.sample("repro_serial_runs_total", serial_runs)
         inter = self.intermediates.stats()
         registry.sample(
             "repro_intermediate_cache_capacity_bytes", inter.capacity_bytes
@@ -372,7 +340,7 @@ class Database:
         """All metrics in Prometheus text exposition format.
 
         Concatenates this database's registry (queries, plan cache,
-        sessions, buffer pool, watchdog) with the process-wide storage
+        sessions, buffer pool) with the process-wide storage
         registry (disk pread latency, shared across databases).
         """
         own = self.obs.registry.render_text()
@@ -388,8 +356,8 @@ class Database:
         params: Sequence[Any] | None = None,
     ) -> str:
         """Execute the query with tracing forced on and render the plan
-        annotated with measured per-operator times, rows, morsel tasks,
-        queue waits, worker pids and buffer traffic."""
+        annotated with measured per-operator times, rows, the path each
+        scan took and buffer traffic."""
         if engine not in ENGINE_KINDS:
             raise ReproError(
                 f"unknown engine {engine!r}; choose from {ENGINE_KINDS}"
@@ -459,7 +427,6 @@ class Database:
         host: str = "127.0.0.1",
         port: int = 0,
         query_timeout: float | None = None,
-        task_timeout: float | None = None,
     ):
         """Serve this database over TCP on a background thread.
 
@@ -469,8 +436,7 @@ class Database:
         ``address`` is the bound (host, port) — pass ``port=0`` for an
         OS-assigned one — and whose ``stop()`` drains in-flight
         queries before shutting down.  ``query_timeout`` bounds each
-        query's wall time (typed ``timeout`` response);
-        ``task_timeout`` arms the parallel stall watchdog beneath it.
+        query's wall time (typed ``timeout`` response).
         """
         from repro.server import serve_in_thread
 
@@ -479,7 +445,6 @@ class Database:
             host=host,
             port=port,
             query_timeout=query_timeout,
-            task_timeout=task_timeout,
         )
 
     # -- querying -----------------------------------------------------------------------
@@ -522,7 +487,8 @@ class Database:
 
     # -- lifecycle -----------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the service and release engine resources."""
+        """Shut down the service, release engine resources and stop the
+        buffer pool's read-ahead fetchers."""
         self.insights_store.close()
         self.obs.registry.unregister_collector(self._collect_db_metrics)
         self.catalog.remove_listener(self._on_catalog_change)
@@ -534,6 +500,7 @@ class Database:
             if callable(close):
                 close()
         self._engines.clear()
+        self.buffer.close()
 
     def __enter__(self) -> "Database":
         return self

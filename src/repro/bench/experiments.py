@@ -34,7 +34,6 @@ from repro.bench.systems import FIGURE8_SYSTEMS
 from repro.bench.tpch import QUERIES, generate_tpch
 from repro.core.emitter import OPT_O0, OPT_O2
 from repro.core.engine import HiqueEngine
-from repro.parallel.stats import ParallelConfig
 from repro.engines.hardcoded import (
     hybrid_agg_hardcoded,
     hybrid_join_hardcoded,
@@ -45,17 +44,6 @@ from repro.engines.volcano import VolcanoEngine
 from repro.memsim.probe import Probe, ProfileReport, snapshot
 from repro.plan.optimizer import PlannerConfig
 from repro.storage.catalog import Catalog
-
-
-def _serial_hique(catalog) -> HiqueEngine:
-    """A HIQUE engine pinned to serial execution.
-
-    The figure/table drivers reproduce the paper's single-threaded
-    measurements; one worker keeps every run on the serial walk even
-    over disk-backed tables, whose non-resident pages would otherwise
-    get the run scheduled on threads.
-    """
-    return HiqueEngine(catalog, parallel=ParallelConfig(workers=1))
 
 
 # -- scales ------------------------------------------------------------------------
@@ -289,7 +277,7 @@ def _join_query_versions(
                 ),
             )
         )
-    hique = _serial_hique(catalog)
+    hique = HiqueEngine(catalog)
     prepared = hique.prepare(sql, planner_config=config, use_cache=False)
     prepared_traced = hique.prepare(
         sql, traced=True, planner_config=config, use_cache=False
@@ -410,7 +398,7 @@ def _agg_query_versions(
                 ),
             )
         )
-    hique = _serial_hique(catalog)
+    hique = HiqueEngine(catalog)
     prepared = hique.prepare(_AGG_SQL, planner_config=config, use_cache=False)
     prepared_traced = hique.prepare(
         _AGG_SQL, traced=True, planner_config=config, use_cache=False
@@ -555,7 +543,7 @@ def table2(scale: str | Scale = "small") -> ExperimentResult:
     def hique_times() -> list[float]:
         times = []
         for catalog, sql, config, _kind, _tables in workloads:
-            engine = _serial_hique(catalog)
+            engine = HiqueEngine(catalog)
             runners = []
             for level in (OPT_O0, OPT_O2):
                 prepared = engine.prepare(
@@ -633,7 +621,7 @@ def fig7a(scale: str | Scale = "small") -> ExperimentResult:
                     plan = engine.plan(_JOIN_SQL, planner_config=config)
                     row_time = _timed(lambda: engine.execute_plan(plan))
                 else:
-                    engine = _serial_hique(catalog)
+                    engine = HiqueEngine(catalog)
                     prepared = engine.prepare(
                         _JOIN_SQL, planner_config=config, use_cache=False
                     )
@@ -680,7 +668,7 @@ def fig7b(scale: str | Scale = "small") -> ExperimentResult:
         plan = engine.plan(sql, planner_config=config)
         measurements.append(_timed(lambda: engine.execute_plan(plan)))
         # HIQUE binary merge joins (teams disabled).
-        hique = _serial_hique(catalog)
+        hique = HiqueEngine(catalog)
         prepared = hique.prepare(
             sql, planner_config=config, use_cache=False
         )
@@ -730,7 +718,7 @@ def fig7c(scale: str | Scale = "small") -> ExperimentResult:
                         _timed(lambda: engine.execute_plan(plan))
                     )
                 else:
-                    hique = _serial_hique(catalog)
+                    hique = HiqueEngine(catalog)
                     prepared = hique.prepare(
                         _JOIN_SQL, planner_config=config, use_cache=False
                     )
@@ -771,7 +759,7 @@ def fig7d(scale: str | Scale = "small") -> ExperimentResult:
                         _timed(lambda: engine.execute_plan(plan))
                     )
                 else:
-                    hique = _serial_hique(catalog)
+                    hique = HiqueEngine(catalog)
                     prepared = hique.prepare(
                         _AGG_SQL, planner_config=config, use_cache=False
                     )

@@ -11,8 +11,8 @@ executed through ``.prepare`` / ``.exec``.  Meta-commands:
   volcano-generic, systemx, vectorized)
 * ``.explain <sql>`` — show the physical plan; ``.explain analyze
   <sql>`` (or plain ``EXPLAIN ANALYZE <sql>``) executes with tracing
-  forced on and annotates each operator with measured time, rows,
-  morsel tasks, queue wait and worker pids
+  forced on and annotates each operator with measured time, rows and
+  the path each scan took
 * ``.source <sql>`` — show the generated Python module
 * ``.prepare <sql>`` — prepare a statement (literals are parameterized
   away; ``?`` placeholders allowed) and report preparation timings
@@ -26,8 +26,6 @@ executed through ``.prepare`` / ``.exec``.  Meta-commands:
   ``via index(...)``) and indexed UPDATE/DELETE patch it in place
 * ``.versions`` — per-table mutation epochs (bumped by every INSERT /
   UPDATE / DELETE / load; version-keyed caches use them for coherence)
-* ``.workers <n>`` — set the worker count of scheduled runs (``1``
-  pins every run to the serial walk)
 * ``.parallel`` — show the configuration and the last execution's
   per-phase (stage/join/aggregate/final) breakdown
 * ``.tpch [sf]`` — load a TPC-H instance (default scale factor 0.002)
@@ -40,8 +38,8 @@ executed through ``.prepare`` / ``.exec``.  Meta-commands:
 * ``.metrics`` — dump all counters, gauges and latency histograms in
   Prometheus text format
 * ``.insights [n|reset]`` — workload insights: the top-n statement
-  digests (calls, errors, watchdog timeouts, mean/p95 latency, rows,
-  plan-cache hit rate, backend), the slow-query log summary and the
+  digests (calls, errors, mean/p95 latency, rows, plan-cache hit
+  rate), the slow-query log summary and the
   cross-query operator profile folded from recorded traces; ``reset``
   clears all three
 * ``.slow [n|clear]`` — the n slowest queries over the
@@ -184,28 +182,17 @@ class Shell:
                 self.write(f"{name:20s} version {versions[name]}")
         elif command == ".serve":
             self._serve(argument)
-        elif command == ".workers":
-            try:
-                config = self.db.set_parallel(workers=int(argument))
-            except (ValueError, ReproError):
-                self.write("usage: .workers <positive integer>")
-            else:
-                self.write(f"morsel workers set to {config.workers}")
         elif command == ".parallel":
             if argument:
                 self.write("usage: .parallel")
                 return True
             config = self.db.parallel_config
-            self.write(
-                f"{config.workers} workers, {config.morsel_pages} "
-                f"pages/morsel, min_pages {config.min_pages}, "
-                f"min_rows {config.min_rows}"
-            )
+            self.write(f"serial walk, min_pages {config.min_pages}")
             stats = self.db.last_exec_stats(self.engine_kind)
             if stats is not None:
                 self.write(f"last execution: {stats.describe()}")
                 for note in stats.notes:
-                    self.write(f"  serial: {note}")
+                    self.write(f"  {note}")
         elif command == ".tpch":
             scale = float(argument) if argument else 0.002
             from repro.bench.tpch import generate_tpch
@@ -267,8 +254,7 @@ class Shell:
         self.write_rows(self._statement_names(self.last_statement), rows)
         if self.timing:
             self.write(f"[{self.last_statement.engine_kind}] "
-                       f"{elapsed * 1000:.2f} ms"
-                       f"{self._exec_suffix(self.last_statement.engine_kind)}")
+                       f"{elapsed * 1000:.2f} ms")
 
     def _cache(self, argument: str) -> None:
         service = self.db.service
@@ -290,11 +276,6 @@ class Shell:
             f"service: {stats.queries} queries, {stats.text_hits} "
             f"text hits, {stats.completed} pooled, {stats.rejected} "
             f"rejected"
-        )
-        parallel_runs, serial_runs = self.db.parallel_counters()
-        self.write(
-            f"engine executions: {parallel_runs} parallel, "
-            f"{serial_runs} serial"
         )
         inter = self.db.intermediates.stats()
         self.write(
@@ -463,17 +444,7 @@ class Shell:
             return
         self.write_rows(self._statement_names(statement), rows)
         if self.timing:
-            self.write(
-                f"[{statement.engine_kind}] {elapsed * 1000:.2f} ms"
-                f"{self._exec_suffix(statement.engine_kind)}"
-            )
-
-    def _exec_suffix(self, engine_kind: str) -> str:
-        """Timing-line annotation: how that engine actually executed."""
-        stats = self.db.last_exec_stats(engine_kind)
-        if stats is None or not stats.parallel:
-            return ""
-        return f" ({stats.describe()})"
+            self.write(f"[{statement.engine_kind}] {elapsed * 1000:.2f} ms")
 
     def _statement_names(self, statement: PreparedStatement) -> list[str]:
         try:

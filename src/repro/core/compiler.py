@@ -6,9 +6,7 @@ source in memory with :func:`compile`, under a per-compilation path
 that names no real file, and executes it into a fresh module namespace
 whose entry function the executor calls.  Nothing is written to disk:
 the namespace's ``__loader__`` serves the source, so ``linecache`` (and
-with it tracebacks and ``inspect``) shows generated lines.  The
-scheduler's entry points are compiled into the same namespace the first
-time a run is scheduled.  ``marshal`` of the code object stands in for
+with it tracebacks and ``inspect``) shows generated lines.  ``marshal`` of the code object stands in for
 the shared library when reporting compiled sizes, computed only when
 asked for.
 """
@@ -18,7 +16,7 @@ from __future__ import annotations
 import marshal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import CodeType
 from typing import Any, Callable
@@ -30,18 +28,16 @@ from repro.errors import CodegenError
 class _SourceLoader:
     """The ``__loader__`` of a generated namespace: ``linecache`` asks it
     for the module text when a traceback or ``inspect`` needs a line
-    and no file exists.  Holds only the text — serial and scheduled
-    entry points — so a ``linecache`` entry made on an error path does
-    not keep the namespace alive."""
+    and no file exists.  Holds only the text, so a ``linecache`` entry
+    made on an error path does not keep the namespace alive."""
 
-    __slots__ = ("_source", "_scheduled")
+    __slots__ = ("_source",)
 
-    def __init__(self, generated: GeneratedQuery):
-        self._source = generated.source
-        self._scheduled = generated.scheduled_source
+    def __init__(self, source: str):
+        self._source = source
 
     def get_source(self, name: str) -> str:
-        return self._source + self._scheduled
+        return self._source
 
 
 @dataclass
@@ -58,40 +54,13 @@ class CompiledQuery:
     traced: bool
     compile_seconds: float
     source_bytes: int
-    #: The serial module's code object (kept for :attr:`compiled_bytes`).
+    #: The module's code object (kept for :attr:`compiled_bytes`).
     code: CodeType
-    #: The scheduler-only entry points, compiled by
-    #: :meth:`link_scheduled`.
-    scheduled_source: str = ""
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
-    _linked: bool = field(default=False, init=False, repr=False)
 
     @cached_property
     def compiled_bytes(self) -> int:
-        """Size of the marshalled serial code object."""
+        """Size of the marshalled code object."""
         return len(marshal.dumps(self.code))
-
-    def link_scheduled(self) -> None:
-        """Compile ``scheduled_source`` into :attr:`namespace`, once.
-
-        The scheduler calls this before its first run of the query;
-        serial runs never need it.  The code is padded to start on the
-        line after the serial module's last, so its line numbers match
-        the text the namespace's ``__loader__`` serves.
-        """
-        if self._linked:
-            return
-        with self._lock:
-            if self._linked:
-                return
-            if self.scheduled_source:
-                padded = "\n" * self.source.count("\n") + self.scheduled_source
-                exec(  # noqa: S102 - the second half of the dynamic link
-                    compile(padded, self.source_path, "exec"), self.namespace
-                )
-            self._linked = True
 
 
 class QueryCompiler:
@@ -130,7 +99,7 @@ class QueryCompiler:
         namespace: dict[str, Any] = {
             "__name__": f"hique_generated_{serial}",
             "__file__": source_path,
-            "__loader__": _SourceLoader(generated),
+            "__loader__": _SourceLoader(generated.source),
         }
         exec(code, namespace)  # noqa: S102 - this *is* the dynamic linker
         elapsed = time.perf_counter() - started
@@ -152,7 +121,6 @@ class QueryCompiler:
             compile_seconds=elapsed,
             source_bytes=generated.source_size,
             code=code,
-            scheduled_source=generated.scheduled_source,
         )
 
 

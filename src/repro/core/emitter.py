@@ -3,8 +3,7 @@
 :class:`Emitter` accumulates indented Python lines; :class:`GenContext`
 carries everything template instantiation needs: the optimization level,
 whether probe instrumentation is woven in, and the registry of
-``struct`` unpacker constants shared across templates, and the second
-:class:`Emitter` that collects the scheduler-only entry points.
+``struct`` unpacker constants shared across templates.
 """
 
 from __future__ import annotations
@@ -71,10 +70,6 @@ class GenContext:
 
     opt_level: str = OPT_O2
     traced: bool = False
-    #: Where templates emit the scheduler-only entry points (``*_partial``,
-    #: ``*_pair``, ``*_chunk``): the serial walk and ``run_query`` never
-    #: call them, so they are compiled only when a run is scheduled.
-    scheduled: Emitter = field(default_factory=Emitter)
     #: struct format → module-level unpacker constant name.
     unpackers: dict[str, str] = field(default_factory=dict)
     #: module-level row ``Struct`` constant name → its format.

@@ -21,7 +21,7 @@ from typing import Any, Mapping, Sequence
 from repro.core.compiler import CompiledQuery, QueryCompiler
 from repro.core.emitter import OPT_O2
 from repro.core.generator import CodeGenerator, GeneratedQuery
-from repro.errors import ExecutionError, MapDirectoryOverflow, ReproError
+from repro.errors import ExecutionError, MapDirectoryOverflow
 from repro.memsim.probe import NULL_PROBE, NullProbe
 from repro.obs import Observability, default_observability
 from repro.parallel.executor import ParallelExecutor
@@ -116,17 +116,9 @@ class HiqueEngine:
         self.generator = CodeGenerator()
         self.compiler = QueryCompiler()
         self._cache: dict[tuple[str, str, bool], PreparedQuery] = {}
-        #: Serial-first executor: runs the plan's serial generated
-        #: functions in plan order unless some scanned page can wait, and
-        #: schedules morsel-driven intra-query parallelism when one can.
-        #: ``parallel=None`` means the default ``ParallelConfig()``.
-        if parallel is None:
-            try:
-                parallel = ParallelConfig()
-            except ValueError as exc:
-                # A bad REPRO_* default surfaces as the library's error.
-                raise ReproError(str(exc)) from None
-        self.parallel = ParallelExecutor(parallel, obs=self.obs)
+        #: The executor: a recycled answer, else the serial walk over the
+        #: plan's generated functions.
+        self.parallel = ParallelExecutor(parallel)
         #: How the most recent execution ran (set per execute call).
         self.last_exec_stats: ExecutionStats | None = None
 
@@ -247,8 +239,6 @@ class HiqueEngine:
                 if span is not None:
                     span.set(
                         rows=len(rows),
-                        parallel=stats.parallel,
-                        scheduled=stats.scheduled,
                         why=stats.reason or "; ".join(stats.notes),
                     )
                     if stats.recycled:
@@ -276,8 +266,7 @@ class HiqueEngine:
                 "map-directory overflow: re-planned with hybrid aggregation"
             )
             stats.notes.insert(0, overflow)
-            if not stats.parallel:
-                stats.reason = "; ".join(filter(None, (overflow, stats.reason)))
+            stats.reason = "; ".join(filter(None, (overflow, stats.reason)))
             self.last_exec_stats = stats
             return rows
 
@@ -285,13 +274,10 @@ class HiqueEngine:
     def generate_source(
         self, sql: str, opt_level: str | None = None, traced: bool = False
     ) -> str:
-        """The generated Python source for a query (for inspection): the
-        serial module followed by the scheduler's entry points, as the
-        namespace's ``__loader__`` serves it."""
-        generated = self.prepare(
+        """The generated Python source for a query (for inspection)."""
+        return self.prepare(
             sql, traced=traced, opt_level=opt_level, use_cache=False
-        ).generated
-        return generated.source + generated.scheduled_source
+        ).generated.source
 
     def explain(self, sql: str) -> str:
         """The physical plan description for a query."""
@@ -304,9 +290,8 @@ class HiqueEngine:
 
     # -- lifecycle ---------------------------------------------------------------------
     def close(self) -> None:
-        """Drop cached plans and retire the worker pool."""
+        """Drop cached plans."""
         self.clear_cache()
-        self.parallel.close()
 
     def __enter__(self) -> "HiqueEngine":
         return self

@@ -9,11 +9,8 @@ generation is to traverse O and generate a main (composing) function
 that calls all evaluation functions in the correct order".
 
 The output is a single self-contained source module, mirroring the
-paper's "insert all generated functions into a new C source file" — in
-two parts emitted in the same pass: ``source``, everything the serial
-walk and ``run_query`` call, and ``scheduled_source``, the scheduler's
-per-morsel entry points, which are compiled into the same namespace
-only when a run is scheduled.
+paper's "insert all generated functions into a new C source file":
+everything the serial walk and ``run_query`` call.
 """
 
 from __future__ import annotations
@@ -55,9 +52,6 @@ class GeneratedQuery:
     opt_level: str
     traced: bool
     function_names: dict[int, str] = field(default_factory=dict)
-    #: The scheduler-only entry points (``*_partial``, ``*_pair``,
-    #: ``*_chunk``), to be executed into the serial module's namespace.
-    scheduled_source: str = ""
 
     @property
     def source_size(self) -> int:
@@ -134,7 +128,6 @@ class CodeGenerator:
             opt_level=opt_level,
             traced=traced,
             function_names=function_names,
-            scheduled_source=gen.scheduled.source(),
         )
 
     # -- composition --------------------------------------------------------------

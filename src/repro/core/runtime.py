@@ -103,8 +103,9 @@ def scan_filter_project(
 ) -> Rows:
     """Generic staging scan: decode, filter, project row by row.
 
-    ``page_lo``/``page_hi`` bound the scan to one morsel's page range;
-    the defaults scan the whole table (the serial path).
+    ``page_lo``/``page_hi`` bound the scan to a page range (a staging
+    extension starts at the banked heap end); the defaults scan the
+    whole table.
     """
     out: Rows = []
     append = out.append
@@ -331,30 +332,6 @@ def hash_group_aggregate(
             order.append(key)
         update(state, row)
     return [finalize(key, groups[key]) for key in order]
-
-
-def generic_partial(rows: Rows, helpers) -> dict[tuple, list[list]]:
-    """Thread-local partial aggregation for the O0 morsel path.
-
-    Accumulates one morsel's rows with the operator's generic helpers,
-    then converts each group's states to the mergeable 4-slot
-    ``[sum, count, minimum, maximum]`` representation the parallel
-    executor's merge step consumes (see
-    :func:`repro.parallel.executor.merge_aggregate_partials`).
-    """
-    groups: dict[tuple, list] = {}
-    for row in rows:
-        key = helpers.key_fn(row)
-        state = groups.get(key)
-        if state is None:
-            state = groups[key] = helpers.init()
-        helpers.update(state, row)
-    return {
-        key: [
-            [st.total, st.count, st.minimum, st.maximum] for st in states
-        ]
-        for key, states in groups.items()
-    }
 
 
 def limit_rows(rows: Rows, count: int) -> Rows:

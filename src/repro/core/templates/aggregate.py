@@ -74,8 +74,6 @@ _KINDS = {
     "max": ("max",),
 }
 _PREFIX = {"sum": "s", "count": "c", "min": "m", "max": "x"}
-#: Slot of each accumulator kind in a ``*_partial`` 4-slot state.
-_SLOT = {"sum": 0, "count": 1, "min": 2, "max": 3}
 
 
 @dataclass(frozen=True)
@@ -83,9 +81,6 @@ class _Accumulator:
     kind: str
     argument: BoundExpr | None
     zero: str
-    #: Index of the first aggregate node it serves (whose partial
-    #: state it updates).
-    owner: int
 
 
 def _canonical(expr: BoundExpr) -> str:
@@ -133,7 +128,7 @@ class _AggCompiler:
                 if var is None:
                     var = shared[key] = f"{_PREFIX[kind]}{k}"
                     self.accumulators[var] = _Accumulator(
-                        kind, argument, zero, k
+                        kind, argument, zero
                     )
                 names[kind] = var
             self.acc_vars[node] = names
@@ -215,42 +210,6 @@ class _AggCompiler:
                 updates.append(f"    {slot} = _v")
         return hoisted + updates
 
-    # -- morsel-parallel partial states ----------------------------------------
-    #
-    # The parallel executor merges per-morsel partials represented as one
-    # 4-slot list ``[sum, count, minimum, maximum]`` per aggregate node —
-    # a shape that merges without knowing the aggregate function (sums
-    # and counts add, minima/maxima compare).  A shared accumulator
-    # updates its owner's slot; the other nodes' slots are copied from
-    # it once per group (:meth:`partial_copies`).
-
-    def partial_init_source(self) -> str:
-        """Source of a fresh per-group partial-state list."""
-        parts = []
-        for node in self.aggregates:
-            zero = "0.0" if node.dtype == DOUBLE else "0"
-            parts.append(f"[{zero}, 0, None, None]")
-        return "[" + ", ".join(parts) + "]"
-
-    def partial_owners(self) -> list[int]:
-        """Nodes whose state slots the per-row updates write."""
-        return sorted({acc.owner for acc in self.accumulators.values()})
-
-    @staticmethod
-    def partial_slot(var: str, acc: _Accumulator) -> str:
-        return f"_a{acc.owner}[{_SLOT[acc.kind]}]"
-
-    def partial_copies(self) -> list[str]:
-        """Per-group lines filling shared slots from their owners'."""
-        lines = []
-        for k, node in enumerate(self.aggregates):
-            for kind, var in self.acc_vars[node].items():
-                owner = self.accumulators[var].owner
-                if owner != k:
-                    slot = _SLOT[kind]
-                    lines.append(f"_st[{k}][{slot}] = _st[{owner}][{slot}]")
-        return lines
-
     def result_source(self, node: BoundAggregate) -> str:
         names = self.acc_vars[node]
         if node.func == "sum":
@@ -326,10 +285,8 @@ def emit_aggregate(
     )
     if not op.group_positions:
         _emit_global_aggregate(em, gen, op, func_name, compiler, scan)
-        _emit_partial_aggregate(gen, op, func_name, compiler)
     elif op.algorithm == AGG_MAP:
         _emit_map_aggregate(em, gen, op, func_name, compiler, scan)
-        _emit_partial_aggregate(gen, op, func_name, compiler)
     elif op.algorithm == AGG_SORT:
         _emit_sorted_aggregate(em, gen, op, func_name, compiler, hybrid=False)
     elif op.algorithm == AGG_HYBRID:
@@ -442,81 +399,6 @@ def _emit_global_aggregate(
         em.emit(
             f"return [{compiler.output_tuple_source(lambda i: '_none_')}]"
         )
-
-
-# -- morsel-parallel partial aggregation -------------------------------------------------
-
-
-def _emit_partial_aggregate(
-    gen: GenContext,
-    op: Aggregate,
-    func_name: str,
-    compiler: _AggCompiler,
-) -> None:
-    """Emit the thread-local partial entry point ``<name>_partial``.
-
-    Emitted for the aggregation kinds whose input needs no global order
-    (ungrouped aggregation and value-directory map aggregation): each
-    parallel worker folds its morsels' staged rows into per-group 4-slot
-    states, which the executor merges and finalizes (see
-    :func:`repro.parallel.executor.merge_aggregate_partials`).  Only the
-    scheduler calls it, so it goes to the scheduled module.
-    """
-    em = gen.scheduled
-    with em.block(f"def {func_name}_partial(ctx, rows):"):
-        if gen.optimized:
-            _emit_partial_body(em, op, compiler)
-        else:
-            em.emit(
-                f"return _rt.generic_partial(rows, "
-                f"ctx.agg_helpers[{op.op_id}])"
-            )
-    em.emit()
-
-
-def _emit_partial_body(
-    em: Emitter, op: Aggregate, compiler: _AggCompiler
-) -> None:
-    if _uses_params(op):
-        em.emit(f"{PARAMS_LOCAL} = ctx.params")
-    updates = compiler.row_lines(
-        compiler.row_column("row"), compiler.partial_slot
-    )
-    copies = compiler.partial_copies()
-    if not op.group_positions:
-        with em.block("if not rows:"):
-            em.emit("return {}")
-        em.emit(f"_st = {compiler.partial_init_source()}")
-        for k in compiler.partial_owners():
-            em.emit(f"_a{k} = _st[{k}]")
-        with em.block("for row in rows:"):
-            for line in updates:
-                em.emit(line)
-        for line in copies:
-            em.emit(line)
-        em.emit("return {(): _st}")
-        return
-    em.emit("groups = {}")
-    em.emit("get = groups.get")
-    key_parts = ", ".join(
-        f"row[{position}]" for position in op.group_positions
-    )
-    if len(op.group_positions) == 1:
-        key_parts += ","
-    with em.block("for row in rows:"):
-        em.emit(f"_k = ({key_parts})")
-        em.emit("_st = get(_k)")
-        with em.block("if _st is None:"):
-            em.emit(f"_st = groups[_k] = {compiler.partial_init_source()}")
-        for k in compiler.partial_owners():
-            em.emit(f"_a{k} = _st[{k}]")
-        for line in updates:
-            em.emit(line)
-    if copies:
-        with em.block("for _st in groups.values():"):
-            for line in copies:
-                em.emit(line)
-    em.emit("return groups")
 
 
 # -- sort / hybrid aggregation ----------------------------------------------------------

@@ -46,14 +46,8 @@ def emit_join(
 ) -> None:
     """Emit the evaluation function for a binary join.
 
-    Untraced modules additionally get a ``<name>_pair`` entry point the
-    parallel executor drives per unit of work: one partition pair for
-    the staged (hash/hybrid) joins, one outer row chunk for merge and
-    nested-loops joins.  It goes to the scheduled module
-    (``gen.scheduled``).  Traced modules skip it — traced runs are
-    serial, and the pair body would need its own probe bookkeeping.
-    A build/probe hash join has none: it walks its probe rows in order.
-    ``scan`` is its probe-side scan when the two fuse (see
+    ``scan`` is a build/probe hash join's probe-side scan when the two
+    fuse (see
     :meth:`~repro.plan.descriptors.PhysicalPlan.fusable_consumer`).
     """
     if op.build_op is not None:
@@ -61,8 +55,6 @@ def emit_join(
         return
     if not gen.optimized:
         _emit_join_generic(em, op, func_name)
-        if not gen.traced:
-            _emit_join_pair_generic(gen.scheduled, op, func_name)
         return
     if op.algorithm == JOIN_MERGE:
         _emit_merge_join(em, gen, op, func_name)
@@ -74,61 +66,6 @@ def emit_join(
         _emit_nested_join(em, gen, op, func_name)
     else:  # pragma: no cover - guarded by the optimizer
         raise AssertionError(op.algorithm)
-    if not gen.traced:
-        _emit_join_pair(gen.scheduled, gen, op, func_name)
-
-
-def _emit_join_pair(
-    em: Emitter, gen: GenContext, op: Join, func_name: str
-) -> None:
-    """Emit the O2 per-pair/per-chunk parallel entry point."""
-    if op.algorithm in (JOIN_MERGE, JOIN_NESTED):
-        # The serial function already has (ctx, left, right) shape and
-        # is correct over any contiguous outer chunk.
-        em.emit(f"{func_name}_pair = {func_name}")
-        em.emit()
-        return
-    with em.block(f"def {func_name}_pair(ctx, left, right):"):
-        em.emit("out = []")
-        em.emit("append = out.append")
-        if op.algorithm == JOIN_HYBRID:
-            with em.block("if not left or not right:"):
-                em.emit("return out")
-            em.emit(f"left.sort(key=_itemgetter({op.left_key}))")
-            em.emit(f"right.sort(key=_itemgetter({op.right_key}))")
-            _emit_merge_body(em, gen, op, "left", "right")
-        else:  # fine partition pair: every tuple combination matches
-            with em.block("for lrow in left:"):
-                with em.block("for rrow in right:"):
-                    em.emit("append(lrow + rrow)")
-        _emit_residual_filter(em, op)
-        em.emit("return out")
-    em.emit()
-
-
-def _emit_join_pair_generic(em: Emitter, op: Join, func_name: str) -> None:
-    """Emit the O0 per-pair/per-chunk parallel entry point."""
-    if op.algorithm in (JOIN_MERGE, JOIN_NESTED):
-        em.emit(f"{func_name}_pair = {func_name}")
-        em.emit()
-        return
-    with em.block(f"def {func_name}_pair(ctx, left, right):"):
-        if op.algorithm == JOIN_HYBRID:
-            with em.block("if not left or not right:"):
-                em.emit("return []")
-            em.emit(f"left.sort(key=_itemgetter({op.left_key}))")
-            em.emit(f"right.sort(key=_itemgetter({op.right_key}))")
-            em.emit(
-                f"out = _rt.merge_join(left, right, {op.left_key}, "
-                f"{op.right_key})"
-            )
-        else:
-            em.emit("out = _rt.nested_loops_join(left, right)")
-        _emit_residual_filter(em, op)
-        em.emit("return out")
-    em.emit()
-
-
 
 
 def _emit_residual_filter(em: Emitter, op: Join) -> None:

@@ -45,10 +45,10 @@ def emit_scan_stage(
 ) -> None:
     """Emit one staging function for a base-table input.
 
-    The function is *morsel-aware*: it accepts an optional page range
-    ``(_lo, _hi)`` so the parallel executor can run the same inlined
-    scan loop over one slice of the table per worker.  The serial
-    composer calls it with the defaults, which scan every page.
+    The function accepts an optional page range ``(_lo, _hi)``: the
+    composer calls it with the defaults, which scan every page, and a
+    staging extension starts it at the banked heap end's page (see
+    :func:`~repro.parallel.stage.extend_staged`).
     """
     if gen.optimized:
         _emit_scan_optimized(em, gen, op, func_name)
@@ -573,20 +573,7 @@ def _emit_scan_generic(
 def emit_restage(
     em: Emitter, gen: GenContext, op: Restage, func_name: str
 ) -> None:
-    """Re-stage an intermediate result (sort it or partition it).
-
-    Untraced modules additionally get a ``<name>_chunk`` entry point —
-    the morsel-aware analogue of the staged scan's ``(_lo, _hi)`` page
-    range: the parallel executor calls it once per contiguous row chunk
-    of a large intermediate and reassembles the per-chunk sorted runs /
-    partition sets with the order-preserving merge finishers, exactly
-    like parallel scan staging.  The serial body is already correct
-    over any private row chunk (chunks are slice copies, so even the
-    in-place sort is safe), so the entry point is an alias — the same
-    idiom the merge/nested join templates use for ``*_pair``.  It goes
-    to the scheduled module (``gen.scheduled``).  Traced modules skip it
-    because traced runs are serial.
-    """
+    """Re-stage an intermediate result (sort it or partition it)."""
     prep = op.prep
     with em.block(f"def {func_name}(ctx, rows):"):
         if gen.optimized:
@@ -633,9 +620,6 @@ def emit_restage(
             _emit_generic_prep(em, prep, "out")
             em.emit(f"return {_result_var(prep)}")
     em.emit()
-    if not gen.traced:
-        gen.scheduled.emit(f"{func_name}_chunk = {func_name}")
-        gen.scheduled.emit()
 
 
 def _emit_generic_prep(em: Emitter, prep, rows_var: str) -> None:

@@ -82,16 +82,6 @@ class ExecutionError(ReproError):
     """Raised when a compiled query fails at run time."""
 
 
-class WatchdogTimeout(ExecutionError):
-    """Raised when the stall watchdog abandons a wedged parallel task.
-
-    Distinct from a generic :class:`ExecutionError` so the service
-    layer can attribute the failure to the statement's digest as a
-    watchdog abandonment (a wedged query must be visible in
-    per-statement accounting, not only as a metrics event).
-    """
-
-
 class ServiceError(ReproError):
     """Raised by the query service layer (sessions, prepared statements)."""
 
@@ -104,11 +94,8 @@ class AdmissionError(ServiceError):
 class QueryTimeout(ServiceError):
     """Raised when a query exceeds the server's per-query deadline.
 
-    Distinct from :class:`WatchdogTimeout`: the watchdog fires when a
-    parallel *task* makes no progress, this fires when a whole query
-    overruns the serving deadline even while progressing.  The server
-    reports it as a typed ``timeout`` response instead of dropping the
-    connection.
+    The server reports it as a typed ``timeout`` response instead of
+    dropping the connection.
     """
 
 

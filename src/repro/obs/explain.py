@@ -2,10 +2,9 @@
 
 Mirrors :meth:`PhysicalPlan.explain`'s ``o{op_id}: Kind detail`` shape
 and appends what the span tree recorded per operator — wall time, rows,
-morsel task count, queue wait, workers — plus query-wide totals
-(preparation stages, buffer-pool traffic).  Works from a finished
-:class:`~repro.obs.trace.Trace`, so it renders identically whether the
-query took the serial walk or was scheduled on threads.
+the path each scan took — plus query-wide totals (preparation stages,
+buffer-pool traffic).  Works from a finished
+:class:`~repro.obs.trace.Trace`.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ def _ms(seconds: float) -> str:
 def _node_spans(root: Span) -> dict[int, tuple[Span, bool]]:
     """op_id → (node span, primary?) over the whole span tree.
 
-    A scheduler node may fuse several operators (``stage+join``); its
+    A walk step may fuse a scan into its consumer (``stage+join``); its
     span lists every covered id in ``op_ids``.  The *last* id is the
     node's output operator, where per-node annotations attach; the
     other ids render as fused references.
@@ -39,33 +38,11 @@ def _node_spans(root: Span) -> dict[int, tuple[Span, bool]]:
     return by_op
 
 
-def _task_stats(node: Span) -> tuple[int, float]:
-    """(task count, total queue wait) of a node."""
-    tasks = 0
-    queue_seconds = 0.0
-    for child in node.children:
-        if child.category != "task":
-            continue
-        tasks += 1
-        queue_seconds += float(child.attrs.get("queue_seconds", 0.0))
-    return tasks, queue_seconds
-
-
 def _annotate(span: Span) -> str:
     parts = [f"time={_ms(span.duration)}"]
     rows = span.attrs.get("rows")
     if rows is not None:
         parts.append(f"rows={rows}")
-    tasks, queue_seconds = _task_stats(span)
-    if tasks:
-        parts.append(f"tasks={tasks}")
-        parts.append(f"queue={_ms(queue_seconds)}")
-        workers = span.attrs.get("workers")
-        if workers:
-            parts.append(f"workers={workers}")
-    steals = span.attrs.get("affinity_steals")
-    if steals is not None:
-        parts.append(f"steals={steals}")
     if span.pages_hit or span.pages_missed:
         parts.append(
             f"pages={span.pages_hit}hit/{span.pages_missed}miss"
@@ -85,12 +62,6 @@ def _annotate(span: Span) -> str:
         consumer = span.attrs.get("consumer", "aggregate")
         path = f"fused scan→{consumer}" if fused else "staged"
         parts.append(f"{path}[{span.attrs.get('why', '')}]")
-    if span.attrs.get("serial"):
-        reason = span.attrs.get("serial_reason", "")
-        flag = "serial-fallback"
-        if reason:
-            flag += f"[{reason}]"
-        parts.append(flag)
     return "  (" + " ".join(parts) + ")"
 
 
@@ -141,14 +112,8 @@ def render_explain_analyze(plan: PhysicalPlan, trace: Trace) -> str:
     why = execute.attrs.get("why")
     if execute.attrs.get("recycled") == "hit":
         summary.append(str(why))
-    elif execute.attrs.get("scheduled") is False:
-        summary.append(f"serial, not scheduled ({why})" if why else "serial")
-    elif execute.attrs.get("parallel") is False:
+    else:
         summary.append("serial")
-    elif why:
-        # A scheduled run's first note names the table with waiting
-        # pages.
-        summary.append(str(why).split(";")[0])
     rows = execute.attrs.get("rows")
     if rows is not None:
         summary.append(f"rows={rows}")

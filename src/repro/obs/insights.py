@@ -87,7 +87,6 @@ class Digest:
         "digest_id",
         "calls",
         "errors",
-        "watchdog_timeouts",
         "rows",
         "total_seconds",
         "min_seconds",
@@ -96,7 +95,6 @@ class Digest:
         "cache_lookups",
         "pages_hit",
         "pages_missed",
-        "backend",
         "tables",
         "first_seen",
         "last_seen",
@@ -112,7 +110,6 @@ class Digest:
         self.tables: tuple[str, ...] = ()
         self.calls = 0
         self.errors = 0
-        self.watchdog_timeouts = 0
         self.rows = 0
         self.total_seconds = 0.0
         self.min_seconds = float("inf")
@@ -124,8 +121,6 @@ class Digest:
         self.cache_lookups = 0
         self.pages_hit = 0
         self.pages_missed = 0
-        #: How the latest call ran: ``"serial"`` or ``"thread"``.
-        self.backend = ""
         self.first_seen = time.time()
         self.last_seen = self.first_seen
         self._hist = Histogram("digest_seconds", ())
@@ -151,7 +146,6 @@ class Digest:
             "statement": self.key,
             "calls": self.calls,
             "errors": self.errors,
-            "watchdog_timeouts": self.watchdog_timeouts,
             "rows": self.rows,
             "total_seconds": self.total_seconds,
             "mean_seconds": self.mean_seconds,
@@ -164,7 +158,6 @@ class Digest:
             "cache_lookups": self.cache_lookups,
             "pages_hit": self.pages_hit,
             "pages_missed": self.pages_missed,
-            "backend": self.backend,
             "tables": list(self.tables),
         }
 
@@ -194,11 +187,9 @@ class DigestStore:
         seconds: float,
         rows: int = 0,
         error: bool = False,
-        watchdog: bool = False,
         cache_hit: bool | None = None,
         pages_hit: int = 0,
         pages_missed: int = 0,
-        backend: str = "",
         tables: tuple[str, ...] = (),
     ) -> Digest:
         """Fold one execution into the statement's digest (hot path)."""
@@ -225,16 +216,12 @@ class DigestStore:
                 digest.max_seconds = seconds
             if error:
                 digest.errors += 1
-            if watchdog:
-                digest.watchdog_timeouts += 1
             if cache_hit is not None:
                 digest.cache_lookups += 1
                 if cache_hit:
                     digest.cache_hits += 1
             digest.pages_hit += pages_hit
             digest.pages_missed += pages_missed
-            if backend:
-                digest.backend = backend
             digest.last_seen = time.time()
         digest._hist.observe(seconds)
         return digest
@@ -443,11 +430,9 @@ class WorkloadInsights:
         seconds: float,
         rows: int = 0,
         error: BaseException | None = None,
-        watchdog: bool = False,
         cache_hit: bool | None = None,
         pages_hit: int = 0,
         pages_missed: int = 0,
-        backend: str = "",
         trace: Trace | None = None,
         tables: tuple[str, ...] = (),
     ) -> None:
@@ -460,11 +445,9 @@ class WorkloadInsights:
             seconds,
             rows=rows,
             error=error is not None,
-            watchdog=watchdog,
             cache_hit=cache_hit,
             pages_hit=pages_hit,
             pages_missed=pages_missed,
-            backend=backend,
             tables=tables,
         )
         if seconds >= self.slow.threshold_seconds:
@@ -532,11 +515,6 @@ class WorkloadInsights:
                 "repro_digest_errors_total", digest.errors, **labels
             )
             registry.sample(
-                "repro_digest_watchdog_timeouts_total",
-                digest.watchdog_timeouts,
-                **labels,
-            )
-            registry.sample(
                 "repro_digest_seconds_total",
                 digest.total_seconds,
                 **labels,
@@ -568,8 +546,8 @@ class WorkloadInsights:
             )
             lines.append(
                 f"{'digest':<12} {'engine':<10} {'calls':>6} {'err':>4} "
-                f"{'wdg':>4} {'mean ms':>9} {'p95 ms':>9} {'rows':>9} "
-                f"{'hit%':>5} {'backend':<8} statement"
+                f"{'mean ms':>9} {'p95 ms':>9} {'rows':>9} "
+                f"{'hit%':>5} statement"
             )
             for digest in digests:
                 hit_rate = (
@@ -580,11 +558,10 @@ class WorkloadInsights:
                 lines.append(
                     f"{digest.digest_id:<12} {digest.engine_kind:<10} "
                     f"{digest.calls:>6} {digest.errors:>4} "
-                    f"{digest.watchdog_timeouts:>4} "
                     f"{digest.mean_seconds * 1000:>9.3f} "
                     f"{digest.p95_seconds * 1000:>9.3f} "
                     f"{digest.rows:>9} {hit_rate:>5} "
-                    f"{digest.backend or '-':<8} {digest.key[:70]}"
+                    f"{digest.key[:70]}"
                 )
         inter = self._intermediate_stats()
         if inter is not None:

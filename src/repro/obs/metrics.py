@@ -1,8 +1,8 @@
 """Thread-safe metrics: counters, gauges, latency histograms.
 
 The registry is the single sink every layer reports through — service
-admission counters, plan-cache hit rates, buffer-pool stats, backend
-watchdog events, disk pread latency.  It renders in the Prometheus text
+admission counters, plan-cache hit rates, buffer-pool stats, disk
+pread latency.  It renders in the Prometheus text
 exposition format (``Database.metrics_text()``), so the numbers that
 drive the shell's ``.cache``/``.metrics`` views and the benchmark gates
 come from one source instead of three private structs.
@@ -20,15 +20,11 @@ Design notes:
 * ``register_collector`` lets owners of live stats structs (buffer
   pool, plan cache, service) contribute point-in-time samples at render
   time instead of double-counting on every update.
-* ``record_event`` keeps a small bounded deque of structured events
-  (watchdog abandonments, trace lifecycle) for post-mortem queries.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from collections import deque
 from typing import Any, Callable, Iterable, Mapping
 
 __all__ = [
@@ -244,15 +240,12 @@ class MetricsRegistry:
     only the per-metric lock.
     """
 
-    MAX_EVENTS = 64
-
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[Any, Counter] = {}
         self._gauges: dict[Any, Gauge] = {}
         self._histograms: dict[Any, Histogram] = {}
         self._collectors: list[Callable[["MetricsRegistry"], None]] = []
-        self._events: deque[dict[str, Any]] = deque(maxlen=self.MAX_EVENTS)
         # Collector output lives apart from instrument state so repeated
         # renders replace (not accumulate) point-in-time samples.
         self._samples: dict[Any, float] = {}
@@ -323,21 +316,6 @@ class MetricsRegistry:
             self._samples.clear()
         for collector in collectors:
             collector(self)
-
-    # -- events --------------------------------------------------------------
-    def record_event(self, name: str, **attrs: Any) -> None:
-        """Append a structured event to the bounded post-mortem log."""
-        event = {"event": name, "wall_time": time.time()}
-        event.update(attrs)
-        with self._lock:
-            self._events.append(event)
-
-    def recent_events(self, name: str | None = None) -> list[dict[str, Any]]:
-        with self._lock:
-            events = list(self._events)
-        if name is not None:
-            events = [e for e in events if e.get("event") == name]
-        return events
 
     # -- rendering -----------------------------------------------------------
     def render_text(self) -> str:

@@ -2,21 +2,19 @@
 
 A single trace answers "where did *this* query spend its time"; the
 :class:`ProfileAggregator` answers the workload-level question — where
-do *all* queries spend staging vs join vs merge vs queue-wait — by
+do *all* queries spend staging vs join vs aggregate — by
 folding every finished span tree into two bounded structures:
 
 * a **path tree** keyed by normalized span names (``ScanStage o1`` and
   ``ScanStage o7`` fold into one ``ScanStage`` node), each node
-  carrying call count, inclusive/self seconds, rows, task counts,
-  queue wait and buffer traffic — rendered as a text flamegraph;
-* **per-kind totals** over the same normalized names plus the
-  ``queue-wait`` pseudo-kind (morsel tasks' time spent waiting for a
-  worker), rendered as a ranked table.
+  carrying call count, inclusive/self seconds, rows and buffer
+  traffic — rendered as a text flamegraph;
+* **per-kind totals** over the same normalized names, rendered as a
+  ranked table.
 
 Self time is inclusive time minus the children's inclusive time,
-clamped at zero: morsel tasks run *concurrently* under their node, so
-their summed durations may exceed the node's wall time — the clamp
-keeps the flamegraph monotone instead of printing negative slices.
+clamped at zero, so a child span recorded on another thread can never
+print a negative slice.
 
 Memory is bounded regardless of workload shape: each tree node keeps
 at most :data:`ProfileNode.MAX_CHILDREN` distinct children (overflow
@@ -60,8 +58,6 @@ class KindTotals:
     seconds: float = 0.0
     self_seconds: float = 0.0
     rows: int = 0
-    tasks: int = 0
-    queue_seconds: float = 0.0
     pages_hit: int = 0
     pages_missed: int = 0
 
@@ -79,8 +75,6 @@ class ProfileNode:
         "seconds",
         "self_seconds",
         "rows",
-        "tasks",
-        "queue_seconds",
         "pages_hit",
         "pages_missed",
         "children",
@@ -92,8 +86,6 @@ class ProfileNode:
         self.seconds = 0.0
         self.self_seconds = 0.0
         self.rows = 0
-        self.tasks = 0
-        self.queue_seconds = 0.0
         self.pages_hit = 0
         self.pages_missed = 0
         self.children: dict[str, ProfileNode] = {}
@@ -122,9 +114,6 @@ class ProfileNode:
             "self_seconds": self.self_seconds,
             "rows": self.rows,
         }
-        if self.tasks:
-            data["tasks"] = self.tasks
-            data["queue_seconds"] = self.queue_seconds
         if self.pages_hit or self.pages_missed:
             data["pages_hit"] = self.pages_hit
             data["pages_missed"] = self.pages_missed
@@ -141,8 +130,6 @@ class _Folded:
     seconds: float
     self_seconds: float
     rows: int
-    tasks: int
-    queue_seconds: float
     pages_hit: int
     pages_missed: int
     kind: str = field(default="")
@@ -171,8 +158,6 @@ class ProfileAggregator:
                 node.seconds += item.seconds
                 node.self_seconds += item.self_seconds
                 node.rows += item.rows
-                node.tasks += item.tasks
-                node.queue_seconds += item.queue_seconds
                 node.pages_hit += item.pages_hit
                 node.pages_missed += item.pages_missed
                 totals = self._kinds.get(item.kind)
@@ -182,19 +167,8 @@ class ProfileAggregator:
                 totals.seconds += item.seconds
                 totals.self_seconds += item.self_seconds
                 totals.rows += item.rows
-                totals.tasks += item.tasks
-                totals.queue_seconds += item.queue_seconds
                 totals.pages_hit += item.pages_hit
                 totals.pages_missed += item.pages_missed
-                if item.queue_seconds:
-                    wait = self._kinds.get("queue-wait")
-                    if wait is None:
-                        wait = self._kinds["queue-wait"] = KindTotals(
-                            "queue-wait"
-                        )
-                    wait.spans += item.tasks or 1
-                    wait.seconds += item.queue_seconds
-                    wait.self_seconds += item.queue_seconds
 
     def _fold(
         self, span: Span, prefix: tuple[str, ...]
@@ -202,15 +176,8 @@ class ProfileAggregator:
         name = normalize_span_name(span)
         path = prefix + (name,)
         child_seconds = 0.0
-        tasks = 0
-        queue_seconds = 0.0
         for child in span.children:
             child_seconds += child.duration
-            if child.category == "task":
-                tasks += 1
-                queue_seconds += float(
-                    child.attrs.get("queue_seconds", 0.0)
-                )
             yield from self._fold(child, path)
         rows = span.attrs.get("rows")
         yield _Folded(
@@ -218,8 +185,6 @@ class ProfileAggregator:
             seconds=span.duration,
             self_seconds=max(0.0, span.duration - child_seconds),
             rows=int(rows) if isinstance(rows, (int, float)) else 0,
-            tasks=tasks,
-            queue_seconds=queue_seconds,
             pages_hit=span.pages_hit,
             pages_missed=span.pages_missed,
             kind=self._kind(span, name),
@@ -229,8 +194,6 @@ class ProfileAggregator:
     def _kind(span: Span, name: str) -> str:
         if span.category == "prepare":
             return f"prepare:{name}"
-        if span.category == "merge":
-            return "merge"
         return name
 
     # -- introspection -------------------------------------------------------
@@ -270,14 +233,14 @@ class ProfileAggregator:
             lines.append("")
             lines.append(
                 f"{'kind':<28} {'spans':>7} {'self ms':>10} "
-                f"{'total ms':>10} {'rows':>10} {'tasks':>7}"
+                f"{'total ms':>10} {'rows':>10}"
             )
             for totals in kinds[:16]:
                 lines.append(
                     f"{totals.kind[:28]:<28} {totals.spans:>7} "
                     f"{totals.self_seconds * 1000:>10.2f} "
                     f"{totals.seconds * 1000:>10.2f} "
-                    f"{totals.rows:>10} {totals.tasks:>7}"
+                    f"{totals.rows:>10}"
                 )
         return "\n".join(lines)
 
@@ -303,10 +266,6 @@ class ProfileAggregator:
             f"{node.seconds * 1000:9.2f}ms",
             f"x{node.count}",
         ]
-        if node.tasks:
-            parts.append(
-                f"tasks={node.tasks} queue={node.queue_seconds * 1000:.2f}ms"
-            )
         if node.pages_hit or node.pages_missed:
             parts.append(f"pages={node.pages_hit}h/{node.pages_missed}m")
         lines = [" ".join(parts) + (f"  {bar}" if bar else "")]

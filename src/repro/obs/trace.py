@@ -1,26 +1,24 @@
 """Low-overhead span tracing for one query's execution tree.
 
 A :class:`Tracer` records a :class:`Trace` — a tree of :class:`Span`
-objects — per query: parse → bind → plan → codegen → each scheduler
-node (stage / join pair / aggregate / sort / merge) down to individual
-morsel tasks, stamped with monotonic timestamps, worker thread ids,
-queue-wait vs run time, rows and bytes.
+objects — per query: parse → bind → plan → codegen → each operator of
+the walk (stage / join / aggregate / sort), stamped with monotonic
+timestamps, thread ids, rows and bytes.
 
 Overhead discipline (tracing is *off* by default):
 
 * The hot gate is a module-level integer, ``_ENABLED_TRACERS``.  When
   zero, :func:`current_span` and the buffer-pool hook return after one
   global read and one ``ContextVar.get`` — no allocation, no locking.
-* Span propagation uses a :class:`contextvars.ContextVar`.  Worker
-  threads start from an *empty* context (the executor snapshots no
-  parent state), so backends re-activate the parent span explicitly
-  via :meth:`Tracer.activate` / the span's own context manager.
+* Span propagation uses a :class:`contextvars.ContextVar`.  Pool
+  threads start from an *empty* context, so code that hands work to
+  one re-activates the parent span explicitly via
+  :meth:`Span.activate`.
 * Child spans are appended with ``list.append`` — atomic under the
-  GIL — so sibling tasks on different threads never take a lock.
+  GIL — so siblings on different threads never take a lock.
 
 Timestamps are ``time.perf_counter()`` (CLOCK_MONOTONIC on Linux), so
-worker-thread task spans land on the same timeline as the
-coordinator's.  Exports: plain JSON (span tree) and Chrome
+spans recorded on different threads share one timeline.  Exports: plain JSON (span tree) and Chrome
 ``trace_event`` JSON loadable in Perfetto / ``chrome://tracing``.
 """
 
@@ -178,7 +176,7 @@ class Span:
     ) -> "Span":
         """Create (and attach) a child span.
 
-        ``list.append`` is GIL-atomic, so concurrent worker threads can
+        ``list.append`` is GIL-atomic, so concurrent threads can
         attach siblings to one parent without a lock.  The trace's span
         budget bounds memory on degenerate queries.
         """
@@ -206,8 +204,8 @@ class Span:
     def activate(self) -> Iterator["Span"]:
         """Make this span the active parent for the calling context.
 
-        Used by worker threads (which start from an empty context) to
-        re-establish the scheduling node's span before running a task.
+        Used by pool threads (which start from an empty context) to
+        re-establish the submitting code's span before running work.
         """
         token = _ACTIVE.set(self)
         try:
@@ -287,7 +285,7 @@ def _DROPPED_SPAN_FACTORY(trace: "Trace", name: str) -> "Span":
 class Trace:
     """The span tree recorded for one query."""
 
-    #: Span budget per trace — bounds memory on degenerate morsel counts.
+    #: Span budget per trace — bounds memory on degenerate queries.
     MAX_SPANS = 20000
 
     def __init__(self, name: str, **attrs: Any):
@@ -325,7 +323,7 @@ class Trace:
 
         Complete events (``ph: "X"``) with microsecond timestamps
         relative to the trace root; ``pid``/``tid`` come from the span,
-        so worker-thread tasks appear on their own tracks.
+        so spans from other threads appear on their own tracks.
         """
         origin = self.root.start
         events: list[dict[str, Any]] = []

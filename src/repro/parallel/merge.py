@@ -1,67 +1,22 @@
-"""Order-preserving merge finishers for parallel staging and sorting.
+"""Stable k-way merge, for extending sorted stagings.
 
-Parallel staging produces one partial result per morsel — a sorted run,
-a set of coarse partitions, or a fine (value-directory) partition map —
-and the executor must reassemble them into *exactly* the structure the
-serial staging function would have produced, because downstream
-generated code (merge joins, sort aggregation, ORDER BY elision) relies
-on that structure.
-
-The key property: every run covers a contiguous page range, and runs
-are merged in page (sequence) order.  A k-way merge that breaks key
-ties toward the earlier run therefore reproduces a *stable* sort of the
-full input — which is what the serial ``list.sort`` computes — and
-bucket-wise concatenation in run order reproduces serial partition
-contents row for row.
+:func:`~repro.parallel.stage.extend_staged` merges a banked sorted
+staging with the staging of the rows appended after it.  Runs are
+merged in heap order and key ties go to the earlier run, so the result
+equals one stable sort of the concatenated runs — what the generated
+staging function's ``list.sort`` computes over the whole heap.
 """
 
 from __future__ import annotations
 
 import heapq
 from operator import itemgetter
-from typing import Any, Callable, Sequence
-
-
-class Desc:
-    """Inverts comparisons, so ascending merges handle DESC sort keys.
-
-    Wrapping a key component in :class:`Desc` makes a smaller underlying
-    value compare *greater*, which lets one ascending k-way merge honor
-    per-key directions in ``ORDER BY x DESC, y`` keys.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other: "Desc") -> bool:
-        return other.value < self.value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Desc) and other.value == self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Desc({self.value!r})"
+from typing import Callable, Sequence
 
 
 def run_key(positions: Sequence[int]) -> Callable:
     """Ascending key extractor over slot positions (staging sorts)."""
     return itemgetter(*positions)
-
-
-def order_key(keys: Sequence[tuple[int, bool]]) -> Callable:
-    """Mixed-direction key extractor for ORDER BY ``(position, asc)``."""
-    if all(ascending for _, ascending in keys):
-        return run_key([position for position, _ in keys])
-
-    def key(row):
-        return tuple(
-            row[position] if ascending else Desc(row[position])
-            for position, ascending in keys
-        )
-
-    return key
 
 
 def kway_merge(runs: Sequence[list], key: Callable) -> list:
@@ -97,91 +52,3 @@ def kway_merge(runs: Sequence[list], key: Callable) -> list:
         else:
             heapq.heappop(heap)
     return out
-
-
-def merge_sorted_runs(
-    runs: Sequence[list], positions: Sequence[int]
-) -> list:
-    """Finish PREP_SORT staging: merge per-morsel sorted runs."""
-    return kway_merge(runs, run_key(positions))
-
-
-def merge_ordered_runs(
-    runs: Sequence[list], keys: Sequence[tuple[int, bool]]
-) -> list:
-    """Finish a parallel ORDER BY: merge mixed-direction sorted runs."""
-    return kway_merge(runs, order_key(keys))
-
-
-def merge_partition_runs(runs: Sequence[list]) -> list:
-    """Finish coarse PREP_PARTITION staging: concat buckets in run order.
-
-    The serial scan appends rows to buckets in page order, so
-    bucket-wise concatenation over page-ordered runs is identical.
-    Adopts the first run's lists (each run is owned by one morsel).
-    """
-    if not runs:
-        return []
-    merged = runs[0]
-    for parts in runs[1:]:
-        for bucket_id, bucket in enumerate(parts):
-            merged[bucket_id].extend(bucket)
-    return merged
-
-
-def merge_fine_partition_runs(runs: Sequence[dict]) -> dict:
-    """Finish fine PREP_PARTITION staging: merge value directories.
-
-    Walking runs in page order inserts each key at its first global
-    occurrence, reproducing the serial directory's insertion order and
-    per-bucket row order exactly.
-    """
-    merged: dict[Any, list] = {}
-    for parts in runs:
-        for value, bucket in parts.items():
-            existing = merged.get(value)
-            if existing is None:
-                merged[value] = bucket
-            else:
-                existing.extend(bucket)
-    return merged
-
-
-def merge_partition_sorted_runs(
-    runs: Sequence[list], positions: Sequence[int]
-) -> list:
-    """Finish PREP_PARTITION_SORT staging: per-bucket k-way merges."""
-    if not runs:
-        return []
-    key = run_key(positions)
-    num_buckets = len(runs[0])
-    return [
-        kway_merge([parts[bucket_id] for parts in runs], key)
-        for bucket_id in range(num_buckets)
-    ]
-
-
-def lower_bound(rows: list, position: int, value) -> int:
-    """First index whose key at ``position`` is >= ``value``.
-
-    Used to slice the inner side of a chunked merge join: each outer
-    chunk only needs the inner rows from its first key onwards.
-    """
-    lo, hi = 0, len(rows)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if rows[mid][position] < value:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def chunk_bounds(num_rows: int, chunk_size: int) -> list[tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` row ranges covering ``num_rows``."""
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    return [
-        (lo, min(lo + chunk_size, num_rows))
-        for lo in range(0, num_rows, chunk_size)
-    ]

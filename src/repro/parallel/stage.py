@@ -26,11 +26,9 @@ row and key for key, and is banked at the current version in place of
 the old one.  Any other write (UPDATE, DELETE, a bulk load, DDL) makes
 the next scan stage from scratch.
 
-:func:`recall` runs once per execution, before the decision to
-schedule; :class:`StageAccess` once per scan, for both ways a plan
-executes: the scheduler's morsel-parallel scan and :func:`serial_walk`,
-the plan-order walk over the serial generated functions that runs
-whenever threads would have nothing to overlap.
+:func:`recall` runs once per execution; :class:`StageAccess` once per
+scan of :func:`serial_walk`, the plan-order walk over the generated
+functions that is the only way a plan runs.
 """
 
 from __future__ import annotations
@@ -151,7 +149,7 @@ class Staged:
     ``why`` names the path: "index fetch", "cache hit" or "extended"
     for an answer; "second sighting" for a miss that banks; for one
     that does not, "first sighting", "answer not stale", "below
-    min_pages", "no cache" or "not bankable".
+    min_pages" or "no cache".
     """
 
     __slots__ = ("value", "why", "_cache", "_key", "_table")
@@ -200,16 +198,14 @@ class StageAccess:
         #: Whether a miss may sight and bank: the run's answer is stale.
         self.admit = admit
 
-    def lookup(self, op: ScanStage, bankable: bool = True) -> Staged:
+    def lookup(self, op: ScanStage) -> Staged:
         """Answer ``op`` from the index or the cache, else a miss.
 
         The probe runs first: when the index accepts, the generated
         fetch reads just the hit pages and nothing is banked.  The
-        cache is consulted only for a staging worth banking — the
-        caller's ``bankable`` (a fused or incrementally handed-off scan
-        has no complete staging to keep) and at least ``min_pages``
-        read — and, on a run whose answer is stale, a miss earns a
-        place from its second sighting.
+        cache is consulted only for a staging worth banking — at least
+        ``min_pages`` read — and, on a run whose answer is stale, a
+        miss earns a place from its second sighting.
         """
         table = op.table
         if op.index is not None:
@@ -231,8 +227,6 @@ class StageAccess:
         cache = self.cache
         if cache is None:
             return Staged("no cache")
-        if not bankable:
-            return Staged("not bankable")
         if table.num_pages < self.min_pages:
             return Staged("below min_pages")
         name = table.name.lower()
@@ -358,15 +352,14 @@ def serial_walk(
 ) -> tuple[list[tuple], list[PhaseStats], list[str]]:
     """Run the plan's serial generated functions in plan order.
 
-    The calling thread does all of it — no morsels, no task batches,
-    no driver threads — but scans still go through
-    :class:`StageAccess`, so warm stagings and index probes are served
-    exactly as on a scheduled run.  A scan whose consumer fuses
+    The calling thread does all of it, and every scan goes through
+    :class:`StageAccess`, so warm stagings and index probes answer
+    before a page is read.  A scan whose consumer fuses
     (:meth:`~repro.plan.descriptors.PhysicalPlan.fusable_consumer`)
     runs the generated ``<consumer>_scan`` instead whenever the lookup
     misses without banking: the staging would be dropped right after
     the consumer walks it, so it is never built.  Returns ``(rows,
-    phases, notes)`` with one single-worker :class:`PhaseStats` per
+    phases, notes)`` with one :class:`PhaseStats` per
     phase that ran (a fused step counts as staging).  ``admit`` is
     :class:`StageAccess`'s: whether the run's answer is stale.
     """
@@ -428,8 +421,7 @@ def serial_walk(
         started = time.perf_counter()
         if traced:
             # One node span per operator (per fused pair), so EXPLAIN
-            # ANALYZE annotates a declined run operator by operator like
-            # a scheduled one.
+            # ANALYZE annotates the run operator by operator.
             with maybe_span(
                 f"{type(op).__name__} o{op.op_id}", "node",
                 op_ids=str(op.op_id),
@@ -469,8 +461,7 @@ def _note_fusion(
     if span is None or span.category != "node":
         return
     if fused:
-        # The node now covers both operators, named as a scheduler's
-        # fused node is.
+        # The node now covers both operators.
         span.name += f"+{kind} o{consumer.op_id}"
         span.set(op_ids=f"{scan.op_id},{consumer.op_id}")
     span.set(fused=fused, why=why, consumer=kind.lower())

@@ -4,7 +4,7 @@ The repo's first externally reachable surface.  A
 :class:`QueryServer` multiplexes many client connections over one
 :class:`~repro.service.QueryService` — per-connection prepared
 statements, admission backpressure as typed ``over_capacity``
-responses, per-query deadlines backed by the stall watchdog, and a
+responses, per-query deadlines, and a
 drain-style graceful shutdown.  See :mod:`repro.server.protocol` for
 the newline-delimited JSON wire format and
 :mod:`repro.server.client` for the async/blocking clients.

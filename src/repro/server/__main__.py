@@ -37,12 +37,6 @@ def main(argv: list[str] | None = None) -> int:
         help="per-query deadline in seconds (typed 'timeout' response)",
     )
     parser.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        help="stall-watchdog bound for parallel tasks, in seconds",
-    )
-    parser.add_argument(
         "--max-workers",
         type=int,
         default=8,
@@ -62,7 +56,6 @@ def main(argv: list[str] | None = None) -> int:
         host=args.host,
         port=args.port,
         query_timeout=args.query_timeout,
-        task_timeout=args.task_timeout,
     )
 
     async def run() -> None:

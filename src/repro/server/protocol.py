@@ -15,10 +15,10 @@ connection and match answers by id::
 Responses are ``{"id": ..., "ok": true, ...}`` on success or
 ``{"id": ..., "ok": false, "error": {"code": ..., "message": ...}}``
 on failure.  Error codes are *typed* — ``over_capacity`` maps the
-service's admission backpressure, ``watchdog_timeout`` a stall-watchdog
-abandonment, ``timeout`` the server's per-query deadline,
-``shutting_down`` a drain in progress — so a load generator can tell
-"back off and retry" from "your SQL is wrong" without string matching.
+service's admission backpressure, ``timeout`` the server's per-query
+deadline, ``shutting_down`` a drain in progress — so a load generator
+can tell "back off and retry" from "your SQL is wrong" without string
+matching.
 
 Parameter values travel as JSON numbers and strings; DATE parameters
 are passed as day ordinals (integers), exactly as the storage layer
@@ -44,7 +44,6 @@ from repro.errors import (
     ServerError,
     ServiceError,
     UnsupportedSqlError,
-    WatchdogTimeout,
 )
 
 #: Protocol operations a client may request.
@@ -62,7 +61,6 @@ OPS = (
 _ERROR_CODES: tuple[tuple[type[BaseException], str], ...] = (
     (AdmissionError, "over_capacity"),
     (QueryTimeout, "timeout"),
-    (WatchdogTimeout, "watchdog_timeout"),
     (ParseError, "parse"),
     (LexerError, "parse"),
     (UnsupportedSqlError, "unsupported"),

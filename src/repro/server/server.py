@@ -15,13 +15,9 @@ Division of labor:
   client as a typed ``over_capacity`` response, not a dropped
   connection, so load generators can distinguish backpressure from
   failure and retry with backoff;
-* the **stall watchdog** (PR 5's ``task_timeout``) keeps teeth inside
-  an execution — a wedged parallel task aborts as
-  :class:`~repro.errors.WatchdogTimeout` and reaches the client as a
-  typed ``watchdog_timeout`` response — while the server's own
-  ``query_timeout`` bounds whole-query wall time from the outside
-  (``timeout`` response; a still-queued query is cancelled outright and
-  releases its admission slot).
+* the server's ``query_timeout`` bounds whole-query wall time from the
+  outside (``timeout`` response; a still-queued query is cancelled
+  outright and releases its admission slot).
 
 Shutdown is a *drain*: the listener closes first, in-flight queries run
 to completion and deliver their responses (the service's ``close()``
@@ -67,8 +63,6 @@ class ServerStats:
     over_capacity: int
     #: Per-query deadline expiries (the server's ``query_timeout``).
     timeouts: int
-    #: Stall-watchdog abandonments surfaced to clients.
-    watchdog_timeouts: int
     draining: bool
 
 
@@ -96,9 +90,7 @@ class QueryServer:
     """One database served over newline-delimited JSON on TCP.
 
     ``query_timeout`` bounds a single query's wall time (seconds;
-    ``None`` waits forever).  ``task_timeout``, when given, is pushed
-    into the database's parallel configuration at :meth:`start` so the
-    stall watchdog backs the serving deadline with per-task teeth.
+    ``None`` waits forever).
     """
 
     def __init__(
@@ -108,7 +100,6 @@ class QueryServer:
         port: int = 0,
         default_engine: str | None = None,
         query_timeout: float | None = None,
-        task_timeout: float | None = None,
         drain_timeout: float = 30.0,
     ):
         self.database = database
@@ -117,7 +108,6 @@ class QueryServer:
         self.port = port
         self.default_engine = default_engine
         self.query_timeout = query_timeout
-        self.task_timeout = task_timeout
         self.drain_timeout = drain_timeout
 
         self.obs = getattr(database, "obs", None)
@@ -142,7 +132,6 @@ class QueryServer:
         self._errors = 0
         self._over_capacity = 0
         self._timeouts = 0
-        self._watchdog_timeouts = 0
 
         if self.obs is not None:
             self._latency = self.obs.registry.histogram(
@@ -157,10 +146,6 @@ class QueryServer:
         """Bind and listen; returns the bound (host, port)."""
         if self._server is not None:
             raise ServerError("server already started")
-        if self.task_timeout is not None:
-            set_parallel = getattr(self.database, "set_parallel", None)
-            if callable(set_parallel):
-                set_parallel(task_timeout=self.task_timeout)
         self._loop = asyncio.get_running_loop()
         self._all_idle = asyncio.Event()
         self._all_idle.set()
@@ -300,8 +285,6 @@ class QueryServer:
                 self._over_capacity += 1
             elif code == "timeout":
                 self._timeouts += 1
-            elif code == "watchdog_timeout":
-                self._watchdog_timeouts += 1
             message = (
                 str(exc)
                 if isinstance(exc, ReproError)
@@ -399,9 +382,8 @@ class QueryServer:
 
         On expiry the future is cancelled: a query still *queued* is
         withdrawn outright (releasing its admission slot); one already
-        running completes in the background — where a genuinely wedged
-        task is the stall watchdog's job to kill — while the client
-        gets the typed ``timeout`` now.
+        running completes in the background while the client gets the
+        typed ``timeout`` now.
         """
         started = time.perf_counter()
         wrapped = asyncio.wrap_future(future)
@@ -428,7 +410,6 @@ class QueryServer:
             errors=self._errors,
             over_capacity=self._over_capacity,
             timeouts=self._timeouts,
-            watchdog_timeouts=self._watchdog_timeouts,
             draining=self._draining,
         )
 
@@ -447,7 +428,6 @@ class QueryServer:
                 "failed": service.failed,
                 "rejected": service.rejected,
                 "pending": service.pending,
-                "watchdog_abandonments": service.watchdog_abandonments,
                 "cache_hits": service.cache.hits,
                 "cache_misses": service.cache.misses,
             },
@@ -475,10 +455,6 @@ class QueryServer:
             "repro_server_over_capacity_total", stats.over_capacity
         )
         registry.sample("repro_server_timeouts_total", stats.timeouts)
-        registry.sample(
-            "repro_server_watchdog_timeouts_total",
-            stats.watchdog_timeouts,
-        )
         # Per-connection attribution, bounded by the active set: which
         # session is hammering the service shows up in ``.metrics``.
         for conn in list(self._connections.values()):

@@ -40,7 +40,6 @@ from repro.errors import (
     AdmissionError,
     CatalogError,
     ServiceError,
-    WatchdogTimeout,
 )
 from repro.obs import current_span, default_observability
 from repro.plan.optimizer import Optimizer
@@ -71,10 +70,6 @@ class ServiceStats:
     rejected: int
     pending: int
     cache: CacheStats
-    #: Queries the stall watchdog aborted (a wedged parallel task).
-    #: Surfaced here *and* per digest, so a wedged statement is visible
-    #: in per-statement accounting, not only as a metrics event.
-    watchdog_abandonments: int = 0
 
 
 @dataclass
@@ -197,7 +192,6 @@ class QueryService:
         self._failed = 0
         self._rejected = 0
         self._pending = 0
-        self._watchdog = 0
 
         #: Workload insights (digest store + slow-query log), owned by
         #: the database; None for bare test harnesses without one.
@@ -513,9 +507,6 @@ class QueryService:
         finally:
             elapsed = time.perf_counter() - started
             self._query_histogram(kind).observe(elapsed)
-            if isinstance(error, WatchdogTimeout):
-                with self._state_lock:
-                    self._watchdog += 1
             if record:
                 self._record_insights(
                     insights,
@@ -568,23 +559,15 @@ class QueryService:
                     pages_missed = max(
                         0, pages_after[1] - pages_before[1]
                     )
-            backend = ""
-            if error is None:
-                getter = getattr(self.database, "last_exec_stats", None)
-                stats = getter(kind) if callable(getter) else None
-                if stats is not None:
-                    backend = "thread" if stats.parallel else "serial"
             insights.record(
                 kind,
                 statement.key,
                 elapsed,
                 rows=len(rows) if rows is not None else 0,
                 error=error,
-                watchdog=isinstance(error, WatchdogTimeout),
                 cache_hit=getattr(self._local, "cache_hit", None),
                 pages_hit=pages_hit,
                 pages_missed=pages_missed,
-                backend=backend,
                 trace=span.trace if span is not None else None,
                 tables=_statement_tables(statement),
             )
@@ -829,10 +812,6 @@ class QueryService:
         registry.sample("repro_service_failed_total", stats.failed)
         registry.sample("repro_service_rejected_total", stats.rejected)
         registry.sample("repro_service_pending", stats.pending)
-        registry.sample(
-            "repro_service_watchdog_abandonments_total",
-            stats.watchdog_abandonments,
-        )
         cache = stats.cache
         registry.sample("repro_plan_cache_capacity", cache.capacity)
         registry.sample("repro_plan_cache_size", cache.size)
@@ -872,7 +851,6 @@ class QueryService:
                 rejected=self._rejected,
                 pending=self._pending,
                 cache=self.cache.stats(),
-                watchdog_abandonments=self._watchdog,
             )
 
     # -- lifecycle ---------------------------------------------------------------------

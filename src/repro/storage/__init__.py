@@ -8,7 +8,6 @@ from repro.storage.btree import BPlusTree, KeyRange, build_index
 from repro.storage.catalog import Catalog, ColumnStats, TableStats
 from repro.storage.heapfile import DiskFile, HeapFile, MemoryFile
 from repro.storage.page import HEADER_SIZE, PAGE_SIZE, Page
-from repro.storage.pax import PaxPage, PaxRelation, pax_from_table
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table, table_from_rows
 from repro.storage.types import (
@@ -56,8 +55,6 @@ __all__ = [
     "MemoryFile",
     "PAGE_SIZE",
     "Page",
-    "PaxPage",
-    "PaxRelation",
     "Schema",
     "Table",
     "TableStats",
@@ -67,7 +64,6 @@ __all__ = [
     "from_rows",
     "from_table",
     "ordinal_to_date",
-    "pax_from_table",
     "table_from_rows",
     "type_from_sql",
     "varchar",

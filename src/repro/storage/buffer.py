@@ -21,11 +21,25 @@ Concurrency follows the classic latching discipline:
 For :class:`~repro.storage.heapfile.MemoryFile` files the manager hands
 out zero-copy views of the in-memory page, which keeps the hot query
 paths allocation-free while preserving identical bookkeeping.
+
+Scans of a :class:`~repro.storage.heapfile.DiskFile` read through
+:meth:`BufferManager.scan_ahead`, a sequential **read-ahead**: on the
+second consecutive page read of a file it keeps the next
+``2 * READ_AHEAD`` pages requested from a small pool of fetcher
+threads, so the scan's page waits overlap its decoding (the GIL is
+released while a fetch waits).  A scan that reaches an in-flight page
+waits on that fetch.  Prefetches are best effort: one that fails is
+dropped and the foreground read raises its own error, and one that
+overlapped a write-back of its file is dropped rather than installed,
+so a fetch never installs a page older than one a writer has written.
+The table decides once which path its scans take (see
+:class:`~repro.storage.table.Table`), so memory-file scans pay nothing.
 """
 
 from __future__ import annotations
 
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -35,6 +49,11 @@ from repro.obs import record_page_access
 from repro.storage.heapfile import HeapFile, MemoryFile
 from repro.storage.page import Page
 from repro.storage.schema import Schema
+
+#: Fetcher threads of the read-ahead; a sequential scan keeps twice as
+#: many pages requested.  Measured at 4, 8 and 16 on a 2-vCPU host with
+#: modelled 1 ms page reads (EXPERIMENTS.md, "Cold storage").
+READ_AHEAD = 8
 
 
 @dataclass
@@ -68,6 +87,9 @@ class _Frame:
     pin_count: int = 0
     dirty: bool = False
     zero_copy: bool = field(default=False, repr=False)
+    #: Installed by the read-ahead and not read by a scan yet: the
+    #: scan's first access counts as the miss the fetch saved it.
+    prefetched: bool = field(default=False, repr=False)
 
 
 class BufferManager:
@@ -93,9 +115,19 @@ class BufferManager:
         # dict preserves insertion order; we re-insert on access so the
         # first key is always the least recently used frame.
         self._frames: dict[tuple[int, int], _Frame] = {}
-        #: file id → resident frame count, kept in step with ``_frames``
-        #: so "is this file fully resident?" never walks the pool.
-        self._resident: dict[int, int] = {}
+        #: Pages a sequential scan keeps requested ahead of itself; at
+        #: most a quarter of the pool, so prefetches never crowd out
+        #: the pages a scan is about to read.
+        self._window = min(2 * READ_AHEAD, capacity // 4)
+        #: file id → [last page scanned, last page requested ahead].
+        self._sequential: dict[int, list[int]] = {}
+        #: (file id, page) → the fetch reading it.
+        self._inflight: dict[tuple[int, int], Future] = {}
+        #: file id → write-backs so far; a fetch that saw another count
+        #: when it was requested may hold bytes older than the file's.
+        self._written: dict[int, int] = {}
+        #: The fetcher threads, started on the first read-ahead.
+        self._fetchers: ThreadPoolExecutor | None = None
 
     # -- public API -----------------------------------------------------------
     def get_page(self, file: HeapFile, page_no: int, schema: Schema) -> Page:
@@ -161,6 +193,30 @@ class BufferManager:
                 return frame.page
         return self._load(file, page_no, schema).page
 
+    def scan_ahead(self, file: HeapFile, page_no: int, schema: Schema) -> Page:
+        """:meth:`scan_page` for a disk file, reading ahead of scans.
+
+        A read of the page after the one last scanned in ``file``
+        keeps the following pages requested from the fetcher threads;
+        any other read starts nothing.  A page still in flight is
+        waited for, and read in the foreground if its fetch was
+        dropped.
+        """
+        key = (file.file_id, page_no)
+        with self._latch:
+            self._read_ahead(file, page_no, schema)
+            frame = self._frames.get(key)
+            if frame is not None:
+                return self._scanned(key, frame).page
+            pending = self._inflight.get(key)
+        if pending is not None:
+            pending.result()
+            with self._latch:
+                frame = self._frames.get(key)
+                if frame is not None:
+                    return self._scanned(key, frame).page
+        return self._load(file, page_no, schema).page
+
     def new_page(self, file: HeapFile, schema: Schema) -> tuple[int, Page]:
         """Append a fresh page to ``file`` and return it pinned."""
         page = Page(schema)
@@ -184,7 +240,9 @@ class BufferManager:
                 self._writeback(frame)
 
     def evict_all(self) -> None:
-        """Drop all unpinned frames, writing dirty ones back."""
+        """Drop all unpinned frames, writing dirty ones back (after
+        in-flight prefetches land, so none refills the pool)."""
+        self._drain()
         with self._latch:
             for key in [
                 k for k, f in self._frames.items() if f.pin_count == 0
@@ -207,12 +265,97 @@ class BufferManager:
             return iter(list(self._frames.keys()))
 
     def resident_pages(self, file: HeapFile) -> int:
-        """How many of ``file``'s pages hold a frame right now.
+        """How many of ``file``'s pages hold a frame right now."""
+        file_id = file.file_id
+        with self._latch:
+            return sum(1 for key in self._frames if key[0] == file_id)
 
-        One dict read (atomic without the latch): the scheduler asks
-        this per scanned table on every execution.
-        """
-        return self._resident.get(file.file_id, 0)
+    def close(self) -> None:
+        """Stop the read-ahead: wait for in-flight fetches and join the
+        fetcher threads.  A later scan starts them again."""
+        with self._latch:
+            fetchers, self._fetchers = self._fetchers, None
+            self._sequential.clear()
+        if fetchers is not None:
+            fetchers.shutdown(wait=True)
+
+    # -- read-ahead ---------------------------------------------------------------
+    def _read_ahead(self, file: HeapFile, page_no: int, schema: Schema) -> None:
+        """Note a scan's read of ``page_no``; if it follows the last one,
+        request the pages up to a window ahead.  Caller holds the latch."""
+        file_id = file.file_id
+        state = self._sequential.get(file_id)
+        if state is None or state[0] != page_no - 1:
+            self._sequential[file_id] = [page_no, page_no]
+            return
+        state[0] = page_no
+        last = min(page_no + self._window, file.num_pages - 1)
+        first = max(state[1], page_no) + 1
+        if first > last:
+            return
+        state[1] = last
+        fetchers = self._fetchers
+        if fetchers is None:
+            fetchers = self._fetchers = ThreadPoolExecutor(
+                READ_AHEAD, thread_name_prefix="read-ahead"
+            )
+        written = self._written.get(file_id, 0)
+        for ahead in range(first, last + 1):
+            key = (file_id, ahead)
+            if key not in self._frames and key not in self._inflight:
+                self._inflight[key] = fetchers.submit(
+                    self._prefetch, file, ahead, schema, written
+                )
+
+    def _prefetch(
+        self, file: HeapFile, page_no: int, schema: Schema, written: int
+    ) -> None:
+        """Fetcher body: read one page and install it unpinned, unless
+        it arrived meanwhile or its file was written back since the
+        request."""
+        key = (file.file_id, page_no)
+        try:
+            data = file.read_page(page_no)
+            with self._latch:
+                if (
+                    key not in self._frames
+                    and self._written.get(file.file_id, 0) == written
+                ):
+                    self._install(
+                        file, page_no, Page(schema, data)
+                    ).prefetched = True
+        except (OSError, StorageError):
+            # Dropped: the scan reads the page itself and raises its
+            # own error (a closed file, a pool with every frame pinned).
+            pass
+        finally:
+            with self._latch:
+                self._inflight.pop(key, None)
+
+    def _scanned(self, key: tuple[int, int], frame: _Frame) -> _Frame:
+        """A scan's access to a resident frame; caller holds the latch.
+
+        The first access to a prefetched page counts as a miss: the
+        page came from the file for it."""
+        if frame.prefetched:
+            frame.prefetched = False
+            self.stats.misses += 1
+            record_page_access(hit=False)
+        else:
+            self.stats.hits += 1
+            record_page_access(hit=True)
+        self._frames.pop(key)
+        self._frames[key] = frame
+        return frame
+
+    def _drain(self) -> None:
+        """Wait until no prefetch is in flight."""
+        while True:
+            with self._latch:
+                pending = list(self._inflight.values())
+            if not pending:
+                return
+            wait(pending)
 
     # -- internals --------------------------------------------------------------
     def _lookup(self, file: HeapFile, page_no: int) -> _Frame | None:
@@ -269,9 +412,6 @@ class BufferManager:
             self._evict(victim)
         frame = _Frame(page=page, file=file, page_no=page_no)
         self._frames[(file.file_id, page_no)] = frame
-        self._resident[file.file_id] = (
-            self._resident.get(file.file_id, 0) + 1
-        )
         return frame
 
     def _pick_victim(self) -> tuple[int, int]:
@@ -288,11 +428,6 @@ class BufferManager:
                 f"(pin count {frame.pin_count})"
             )
         del self._frames[key]
-        remaining = self._resident[key[0]] - 1
-        if remaining:
-            self._resident[key[0]] = remaining
-        else:
-            del self._resident[key[0]]
         self._writeback(frame)
         self.stats.evictions += 1
 
@@ -301,6 +436,8 @@ class BufferManager:
             # Zero-copy frames share the file's buffer: nothing to copy,
             # but we still count the logical write-back.
             if not frame.zero_copy:
+                file_id = frame.file.file_id
+                self._written[file_id] = self._written.get(file_id, 0) + 1
                 frame.file.write_page(frame.page_no, bytes(frame.page.data))
             frame.dirty = False
             self.stats.writebacks += 1

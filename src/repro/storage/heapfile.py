@@ -171,17 +171,6 @@ class DiskFile(HeapFile):
             self._num_pages += 1
             return self._num_pages - 1
 
-    def advise_random(self) -> None:
-        """Disable kernel readahead for this file.
-
-        Models latency-bound storage (random-access media, networked
-        or cache-cold multi-tenant disks) where each page fetch is a
-        real wait — the regime in which concurrent readers overlap
-        their I/O.  A no-op where ``posix_fadvise`` is unavailable.
-        """
-        if hasattr(os, "posix_fadvise"):
-            os.posix_fadvise(self._fd, 0, 0, os.POSIX_FADV_RANDOM)
-
     def drop_os_cache(self) -> None:
         """Advise the kernel to drop this file's cached pages.
 

@@ -57,6 +57,13 @@ class Table:
         self.schema = schema.qualify(name) if _unqualified(schema) else schema
         self.file = file if file is not None else MemoryFile()
         self.buffer = buffer if buffer is not None else BufferManager()
+        #: How scans read a page, decided once: a memory file's page
+        #: never waits, a disk file's scans read ahead.
+        self._scan_page = (
+            self.buffer.scan_page
+            if isinstance(self.file, MemoryFile)
+            else self.buffer.scan_ahead
+        )
         self._row_count = 0
         self._tail_page_no: int | None = None
         #: Monotonic mutation epoch.  Every mutation (append, bulk load,
@@ -201,20 +208,6 @@ class Table:
         return self.file.num_pages
 
     @property
-    def waiting_pages(self) -> int:
-        """Pages a scan started now would have to wait for.
-
-        A memory file's "miss" is a zero-copy view of a page already
-        in memory, so only a disk-backed file's non-resident pages
-        count.  O(1): the buffer manager keeps the per-file count.
-        """
-        if isinstance(self.file, MemoryFile):
-            return 0
-        return max(
-            0, self.file.num_pages - self.buffer.resident_pages(self.file)
-        )
-
-    @property
     def tuple_size(self) -> int:
         return self.schema.tuple_size
 
@@ -227,20 +220,20 @@ class Table:
     # -- access paths -----------------------------------------------------------
     def read_page(self, page_no: int) -> Page:
         """Buffer-mediated unpinned page read (generated-code path)."""
-        return self.buffer.scan_page(self.file, page_no, self.schema)
+        return self._scan_page(self.file, page_no, self.schema)
 
     def pages(
         self, page_lo: int = 0, page_hi: int | None = None
     ) -> Iterator[Page]:
         """Iterate pages through the buffer manager.
 
-        ``page_lo``/``page_hi`` bound the range (half-open), which is
-        how morsel-driven workers scan their slice of the table.
+        ``page_lo``/``page_hi`` bound the range (half-open).
         """
         if page_hi is None:
             page_hi = self.file.num_pages
+        scan_page = self._scan_page
         for page_no in range(page_lo, page_hi):
-            yield self.buffer.scan_page(self.file, page_no, self.schema)
+            yield scan_page(self.file, page_no, self.schema)
 
     def scan_rows(self) -> Iterator[tuple]:
         """Iterate over all rows decoded into Python tuples."""
@@ -391,8 +384,7 @@ class Table:
         heap's last row and only the two rows' index entries are
         patched.  Otherwise survivors are repacked front to front
         across the existing pages.  Either way trailing pages are
-        emptied, not deallocated, so page numbers stay dense for the
-        morsel-driven scans.
+        emptied, not deallocated, so page numbers stay dense.
         """
         with self._write_lock:
             rids = self._probe_for_write(key_range)

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
 import random
 
 import pytest
 
 from repro import Database
 from repro.bench.tpch import generate_tpch
-from repro.parallel.executor import ParallelExecutor
-from repro.parallel.stats import ParallelConfig
 from repro.storage import (
     Catalog,
     Column,
@@ -18,34 +18,36 @@ from repro.storage import (
     Schema,
     char,
 )
-
-#: The config of a serial reference engine.  One worker takes the
-#: serial walk before the scheduler's first question is asked, so the
-#: ``scheduled`` fixture does not reach it.
-SERIAL = ParallelConfig(workers=1)
-
-#: Thresholds low enough that small test tables genuinely fan out on
-#: a scheduled run: one page per morsel, every table and intermediate
-#: above its minimum.
-FANOUT = dict(workers=3, morsel_pages=1, min_pages=1, min_rows=8)
+from repro.storage.buffer import BufferManager
+from repro.storage.heapfile import DiskFile
+from repro.storage.table import Table
 
 
-@pytest.fixture()
-def scheduled(monkeypatch):
-    """Pin the scheduler's first decision to "schedule".
+@contextlib.contextmanager
+def disk_copy(catalog: Catalog, directory, capacity: int = 16):
+    """``catalog``'s tables copied row for row into :class:`DiskFile`
+    heaps under ``directory``, in a pool of ``capacity`` frames.
 
-    Production decides from the data: in-memory pages never wait, so
-    over these small ``MemoryFile`` tables every run would take the
-    serial walk.  Modules that assert the scheduler's mechanics
-    (morsels, batches, merges, node drivers) opt in with
-    ``pytestmark = pytest.mark.usefixtures("scheduled")``; there is no
-    product knob for this.
+    The copy is analysed and its pool emptied, so the first run of a
+    query reads every page cold, through the pool's sequential
+    read-ahead.  Leaving the block stops the fetchers and closes the
+    files.
     """
-    monkeypatch.setattr(
-        ParallelExecutor,
-        "waiting_table",
-        staticmethod(lambda plan: "pinned by the test suite"),
-    )
+    buffer = BufferManager(capacity=capacity)
+    copy = Catalog(buffer)
+    try:
+        for table in catalog.tables():
+            file = DiskFile(os.path.join(str(directory), f"{table.name}.pages"))
+            disk = Table(table.name, table.schema, file=file, buffer=buffer)
+            copy.register(disk)
+            disk.load_rows(table.all_rows())
+        copy.analyze()
+        buffer.evict_all()
+        yield copy
+    finally:
+        buffer.close()
+        for table in copy.tables():
+            table.file.close()
 
 
 @pytest.fixture()

@@ -150,12 +150,11 @@ class TestCompiler:
             simple_catalog, "SELECT c, count(*) AS n FROM t GROUP BY c",
             force_agg="map",
         )
-        assert "_partial(ctx, rows):" in generated.scheduled_source
         compiled = QueryCompiler().compile(generated)
         assert not os.path.exists(compiled.source_path)
         loader = compiled.namespace["__loader__"]
         assert loader.get_source(compiled.namespace["__name__"]) == (
-            generated.source + generated.scheduled_source
+            generated.source
         )
 
     def test_bad_source_raises_codegen_error(self):

@@ -18,7 +18,7 @@ import pytest
 
 from repro import Database
 from repro.api import ENGINE_KINDS
-from repro.parallel import ParallelConfig
+from repro.parallel import ReadWriteLatch
 from repro.plan.optimizer import PlannerConfig
 from repro.storage import Catalog, Column, DOUBLE, INT, Schema, char
 from repro.storage.buffer import BufferManager
@@ -30,11 +30,9 @@ ROUNDS = 4
 
 #: Mixed point/aggregate/join workload; every statement is served by
 #: all six engine configurations.  Float aggregates use int arguments
-#: so results are exact and comparable with ``==`` across any execution
-#: order; join and ORDER BY keys include DOUBLE columns, which stay
-#: byte-identical under parallelism because staging, joins and sorts
-#: compare floats without reassociating additions (and DOUBLE sums
-#: always aggregate serially).
+#: so results are exact and comparable with ``==`` across engines;
+#: join and ORDER BY keys include DOUBLE columns, which staging, joins
+#: and sorts compare without reassociating additions.
 WORKLOAD = [
     ("SELECT id, balance FROM accounts WHERE id = ?", lambda rng: (rng.randrange(512),)),
     ("SELECT id, region FROM accounts WHERE id = ?", lambda rng: (rng.randrange(512),)),
@@ -125,7 +123,7 @@ def _build_db(**kwargs) -> Database:
 @pytest.fixture(scope="module")
 def stress_db() -> Database:
     db = _build_db(max_workers=N_THREADS, workers=4)
-    db.set_parallel(min_pages=2, morsel_pages=2, min_rows=64)
+    db.set_parallel(min_pages=2)
     yield db
     db.close()
 
@@ -210,7 +208,7 @@ def test_tiny_buffer_pool_under_concurrency(expected):
     ``BufferPoolError`` and fail the run.
     """
     db = _build_db(buffer_capacity=2, workers=4)
-    db.set_parallel(min_pages=2, morsel_pages=2, min_rows=64)
+    db.set_parallel(min_pages=2)
     try:
 
         def session(thread_id: int):
@@ -294,7 +292,7 @@ def test_readers_see_consistent_snapshots_during_writes():
     would mean a statement's effects leaked mid-flight.
     """
     db = _build_db(workers=4)
-    db.set_parallel(min_pages=2, morsel_pages=2, min_rows=64)
+    db.set_parallel(min_pages=2)
     batch = 16
     base = db.table("accounts").num_rows
     stop = threading.Event()
@@ -421,46 +419,146 @@ def test_readers_during_indexed_writes():
         db.close()
 
 
-def test_parallel_config_is_visible_in_stats(stress_db):
+def test_execution_stats_report_the_walk(stress_db):
     stress_db.execute(
         "SELECT region, count(*) AS n FROM accounts GROUP BY region"
     )
     stats = stress_db.last_exec_stats("hique")
     assert stats is not None
-    if stats.parallel:
-        # ``workers`` reports threads actually used, capped by morsels.
-        assert 1 <= stats.workers <= stress_db.parallel_config.workers
-        assert stats.morsels >= 2
+    assert stress_db.parallel_config.min_pages == 2
+    assert not stats.parallel and stats.morsels == 0
+    assert [phase.tasks for phase in stats.phases] == [0] * len(stats.phases)
+    assert {phase.name for phase in stats.phases} <= {
+        "stage", "join", "aggregate", "final"
+    }
 
 
-def test_join_workload_actually_parallelizes(expected, scheduled):
-    """Planned as merge joins, the join + ORDER BY statements exercise
-    the join phase for both code-generating engines, with rows
-    byte-identical to serial.  (The default build/probe hash join has
-    no pair split: it probes on the calling thread.)"""
+def test_merge_planned_join_workload_matches(expected):
+    """Planned as merge joins, the join statements return the default
+    plans' rows on both code-generating engines, from concurrent
+    sessions."""
     join_indexes = [
-        index for index, (sql, _) in enumerate(WORKLOAD) if "branches" in sql or "tiers" in sql
+        index for index, (sql, _) in enumerate(WORKLOAD)
+        if "branches" in sql or "tiers" in sql
     ]
     assert join_indexes
     db = _build_db(
-        max_workers=N_THREADS, workers=4,
-        planner_config=PlannerConfig(force_join="merge"),
+        max_workers=N_THREADS, planner_config=PlannerConfig(force_join="merge")
     )
-    db.set_parallel(min_pages=2, morsel_pages=2, min_rows=64)
     try:
-        for kind in ("hique", "hique-o0"):
-            saw_parallel_join = False
-            for index in join_indexes:
-                sql, make_params = WORKLOAD[index]
-                params = make_params(random.Random(index))
-                rows = db.execute(sql, engine=kind, params=params)
-                assert rows == expected[(kind, index)], (kind, sql)
-                stats = db.last_exec_stats(kind)
-                if stats is not None and stats.parallel and any(
-                    phase.name == "join" and phase.workers > 1
-                    for phase in stats.phases
-                ):
-                    saw_parallel_join = True
-            assert saw_parallel_join, kind
+
+        def session(thread_id: int):
+            for kind in ("hique", "hique-o0"):
+                for index in join_indexes:
+                    sql, make_params = WORKLOAD[index]
+                    params = make_params(random.Random(index))
+                    rows = db.execute(sql, engine=kind, params=params)
+                    assert rows == expected[(kind, index)], (kind, sql)
+
+        _run_threads(session, count=4)
+        assert db.buffer.num_pinned == 0
     finally:
         db.close()
+
+
+def test_tiny_pool_disk_file_reads_ahead_under_writes(tmp_path):
+    """Read-ahead over a DiskFile eight times larger than its pool.
+
+    Concurrent scans leave prefetches in flight while a writer rewrites
+    every row, one statement at a time, evicting dirty pages through
+    the same eight frames.  Each statement adds one to every ``b``, so
+    a reader must see one value of ``b`` across the table, and a stale
+    prefetch installed after a write-back would show as a page whose
+    rows lag behind the rest.
+    """
+    schema = Schema([Column("a", INT), Column("b", INT)])
+    buffer = BufferManager(capacity=8)
+    catalog = Catalog(buffer)
+    table = Table(
+        "t", schema, file=DiskFile(str(tmp_path / "t.pages")), buffer=buffer
+    )
+    rows = 20_000
+    table.load_rows((i, 0) for i in range(rows))
+    catalog.register(table)
+    catalog.analyze()
+    assert table.num_pages >= 8 * buffer.capacity
+    db = Database(catalog=catalog)
+    db.set_parallel(min_pages=2)
+    writes = 12
+    done = threading.Event()
+
+    def writer() -> None:
+        try:
+            for _ in range(writes):
+                db.execute("UPDATE t SET b = b + 1")
+        finally:
+            done.set()
+
+    def session(thread_id: int):
+        while not done.is_set():
+            ((n, low, high),) = db.execute(
+                "SELECT count(*) AS n, min(b) AS lo, max(b) AS hi FROM t"
+            )
+            assert n == rows and low == high, (n, low, high)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    churner = threading.Thread(target=writer)
+    churner.start()
+    try:
+        _run_threads(session, count=4)
+    finally:
+        sys.setswitchinterval(interval)
+        done.set()
+        churner.join(timeout=120)
+        assert not churner.is_alive(), "writer wedged"
+    try:
+        assert table.all_rows() == [(i, writes) for i in range(rows)]
+        assert buffer.num_pinned == 0
+        assert buffer.stats.evictions > 0
+    finally:
+        db.close()
+    assert not [
+        thread for thread in threading.enumerate()
+        if thread.name.startswith("read-ahead")
+    ]
+
+
+# -- the catalogue gate ---------------------------------------------------------------
+
+
+def test_latch_admits_concurrent_readers():
+    latch = ReadWriteLatch()
+    inside = threading.Barrier(3, timeout=5)
+
+    def reader():
+        with latch.read():
+            inside.wait()  # all three readers are in simultaneously
+
+    threads = [threading.Thread(target=reader) for _ in range(3)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=5)
+    assert latch.active_readers == 0
+
+
+def test_latch_writer_excludes_readers():
+    latch = ReadWriteLatch()
+    order: list[str] = []
+    writer_in = threading.Event()
+
+    def writer():
+        with latch.write():
+            writer_in.set()
+            order.append("write")
+
+    with latch.read():
+        t = threading.Thread(target=writer)
+        t.start()
+        # The writer cannot enter while we hold the read side.
+        assert not writer_in.wait(timeout=0.1)
+        order.append("read-done")
+    t.join(timeout=5)
+    assert order == ["read-done", "write"]
+    assert not latch.writer_active

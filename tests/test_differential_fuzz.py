@@ -3,10 +3,9 @@
 A seeded generator builds random schemas/data sets and random queries —
 filters, joins, self-joins, group-by, order-by, ``?`` parameters — and
 asserts that every engine agrees with the naive reference evaluator,
-and that the HIQUE engine's composed entry point (``run_compiled``),
-serial walk (with a warm intermediate cache) and thread-scheduled
-executions return *identical* row sequences (the parallel subsystem's byte-identity
-guarantee) at both optimization levels.
+and that the HIQUE engine's composed entry point (``run_compiled``)
+and serial walk (with a warm intermediate cache) return *identical*
+row sequences at both optimization levels.
 
 The grammar deliberately stresses the degenerate regimes: a third
 table ``v`` is empty, one-row or three rows; filters are occasionally
@@ -27,9 +26,9 @@ This is litmus-style differential testing: the query surface is narrow
 enough that any disagreement is a real bug in exactly one layer, and
 the failing seed plus SQL are printed so a mismatch reproduces with a
 two-line script.  The corpus is bounded (4 seeds × 50 queries) to keep
-tier-1 fast; the thresholds are tuned way down (single-page morsels,
-``min_rows=8``) so even these small tables genuinely exercise the
-parallel scan/join/aggregate/sort paths.
+tier-1 fast; the walk engines stage every table through the cache
+(``min_pages=1``), so even these small tables exercise the banked and
+recycled paths.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from repro.storage import (
     char,
     ordinal_to_date,
 )
-from tests.conftest import FANOUT
 
 SEEDS = [101, 202, 303, 404]
 QUERIES_PER_SEED = 50
@@ -73,7 +71,7 @@ def canonical(rows):
 def _norm(value):
     # Engines legitimately differ on int-vs-float for degenerate cases
     # (e.g. sum over an empty DOUBLE input), so numerics normalize to a
-    # rounded float; the serial/thread byte-identity assertion
+    # rounded float; the composed/walk byte-identity assertion
     # below stays exact.
     if isinstance(value, bool):
         return value
@@ -425,33 +423,20 @@ class _Recycled:
         self.engine.close()
 
 
-def _pinned(engine: HiqueEngine) -> HiqueEngine:
-    """Pin one engine's first decision to "schedule": these in-memory
-    tables never have a page waiting, and the thread scheduler must
-    stay byte-identical for the data that does."""
-    engine.parallel.waiting_table = lambda plan: "pinned by the fuzz"
-    return engine
-
-
 def _engines(catalog: Catalog) -> dict:
     """Every engine configuration under test, keyed by display name."""
-    thread = ParallelConfig(**FANOUT)
+    # Every table, however small, stages through the cache.
+    walk = ParallelConfig(min_pages=1)
     return {
         "hique-o2": _Composed(catalog, OPT_O2),
         "hique-o0": _Composed(catalog, OPT_O0),
-        # What production does over resident data: decline to schedule
-        # (the cache step is opt-level independent: once is enough).
+        # What production does (the cache step is opt-level
+        # independent: once is enough).
         "hique-o2-walk": _Recycled(
-            HiqueEngine(catalog, opt_level=OPT_O2, parallel=thread)
+            HiqueEngine(catalog, opt_level=OPT_O2, parallel=walk)
         ),
         "hique-o0-walk": HiqueEngine(
-            catalog, opt_level=OPT_O0, parallel=thread
-        ),
-        "hique-o2-thread": _pinned(
-            HiqueEngine(catalog, opt_level=OPT_O2, parallel=thread)
-        ),
-        "hique-o0-thread": _pinned(
-            HiqueEngine(catalog, opt_level=OPT_O0, parallel=thread)
+            catalog, opt_level=OPT_O0, parallel=walk
         ),
         "volcano-generic": VolcanoEngine(catalog, generic=True),
         "volcano-optimized": VolcanoEngine(catalog),
@@ -860,13 +845,13 @@ def test_differential_fuzz(seed: int):
                     got = engine.execute(literal)
                 rows_by_name[name] = got
                 assert canonical(got) == expected, f"{name} @ {where}"
-            # Byte-identity across composed/walk/thread, per opt level:
-            # same engine, same plan, different execution substrate.
+            # Byte-identity across composed/walk, per opt level: same
+            # engine, same plan, different execution substrate.
             for level in ("o2", "o0"):
-                base = rows_by_name[f"hique-{level}"]
-                for suffix in ("walk", "thread"):
-                    name = f"hique-{level}-{suffix}"
-                    assert rows_by_name[name] == base, f"{name} @ {where}"
+                name = f"hique-{level}-walk"
+                assert rows_by_name[name] == rows_by_name[f"hique-{level}"], (
+                    f"{name} @ {where}"
+                )
             assert any(
                 name in rows_by_name for name in hique_names
             )  # corpus sanity

@@ -301,7 +301,7 @@ class TestFineGrainedInvalidation:
             assert db.execute("SELECT count(a) AS n FROM t") == [(50,)]
             before = {e.key for e in db.service.cache.entries()}
             # Bank a staged intermediate for each table by hand: the
-            # fixture's tables are too small for the scheduler to.
+            # fixture's tables are below the banking floor.
             for name in ("t", "u"):
                 db.intermediates.put(
                     name, db.table(name).version, ("sig",), [(1,)]

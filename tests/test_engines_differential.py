@@ -1,12 +1,15 @@
 """Cross-engine differential tests: every engine must agree.
 
 The reference evaluator (deliberately naive) defines correctness; the
-HIQUE engine (O0 and O2, on the serial walk and scheduled on the
-thread pool, with operators fanned out or kept serial), both Volcano
-configurations, the buffered System X analogue and the vectorized DSM
-engine are all checked against it on a shared query corpus and on
-hypothesis-generated tables.
+HIQUE engine (O0 and O2), both Volcano configurations, the buffered
+System X analogue and the vectorized DSM engine are all checked against
+it on a shared query corpus and on hypothesis-generated tables.  The
+corpus also runs over cold disk-backed copies of the tables, every page
+read from its file through the buffer pool (``tests/test_cold_walk.py``
+covers tables large enough for the pool to read ahead).
 """
+
+import contextlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,14 +18,13 @@ from repro.core.emitter import OPT_O0, OPT_O2
 from repro.core.engine import HiqueEngine
 from repro.engines.vectorized import VectorizedEngine
 from repro.engines.volcano import VolcanoEngine
-from repro.parallel.stats import ParallelConfig
 from repro.plan.optimizer import PlannerConfig
 from repro.plan.reference import evaluate as reference_evaluate
 from repro.sql.binder import Binder
 from repro.sql.parser import parse
 from repro.storage import Catalog, Column, INT, DOUBLE, Schema, char
 
-from tests.conftest import DIFFERENTIAL_QUERIES, FANOUT
+from tests.conftest import DIFFERENTIAL_QUERIES, disk_copy
 
 
 def canonical(rows):
@@ -39,59 +41,52 @@ def reference(catalog, sql):
     return reference_evaluate(Binder(catalog).bind(parse(sql)))
 
 
-#: One-page morsels on two workers, no operator input large enough to
-#: fan out.
-SCAN_MORSELS = dict(workers=2, morsel_pages=1, min_pages=1, min_rows=1 << 30)
-
 ENGINE_FACTORIES = {
     "hique-o2": lambda c: HiqueEngine(c, opt_level=OPT_O2),
     "hique-o0": lambda c: HiqueEngine(c, opt_level=OPT_O0),
-    # Scheduled on the thread pool, one-page morsels: every batch,
-    # merge and node driver runs, and rows must still match everyone
-    # else.
-    "hique-o2-threads": lambda c: HiqueEngine(
-        c, opt_level=OPT_O2, parallel=ParallelConfig(**FANOUT)
-    ),
-    "hique-o0-threads": lambda c: HiqueEngine(
-        c, opt_level=OPT_O0, parallel=ParallelConfig(**FANOUT)
-    ),
-    # Scans fan out per page, but every join, aggregation and sort
-    # input stays under ``min_rows``: the driver runs those nodes'
-    # serial generated functions between parallel scans.
-    "hique-o2-scan-morsels": lambda c: HiqueEngine(
-        c, opt_level=OPT_O2, parallel=ParallelConfig(**SCAN_MORSELS)
-    ),
     "volcano-generic": lambda c: VolcanoEngine(c, generic=True),
     "volcano-optimized": lambda c: VolcanoEngine(c),
     "systemx": lambda c: VolcanoEngine(c, buffered=True),
     "vectorized": lambda c: VectorizedEngine(c),
 }
 
-
-#: Engines whose runs the ``scheduled`` fixture pins to the scheduler
-#: (in-memory pages never wait, so they would otherwise walk serially).
-SCHEDULED_ENGINES = {
-    "hique-o2-threads",
-    "hique-o0-threads",
-    "hique-o2-scan-morsels",
+#: Engines over a cold :class:`DiskFile` copy of the tables, as
+#: name → (engine factory, pool frames).
+DISK_ENGINES = {
+    "hique-o2-cold-disk": ("hique-o2", 16),
+    "hique-o0-cold-disk": ("hique-o0", 16),
+    "volcano-optimized-cold-disk": ("volcano-optimized", 16),
+    "systemx-cold-disk": ("systemx", 16),
+    "vectorized-cold-disk": ("vectorized", 16),
 }
 
 
-def _make_engine(request, catalog, engine_name):
-    if engine_name in SCHEDULED_ENGINES:
-        request.getfixturevalue("scheduled")
-    return ENGINE_FACTORIES[engine_name](catalog)
+@pytest.fixture()
+def make_engine(simple_catalog, tmp_path):
+    """Builds a named engine over ``simple_catalog`` or its disk copy."""
+    with contextlib.ExitStack() as copies:
+
+        def make(name: str):
+            if name in ENGINE_FACTORIES:
+                return ENGINE_FACTORIES[name](simple_catalog)
+            factory, capacity = DISK_ENGINES[name]
+            catalog = copies.enter_context(
+                disk_copy(simple_catalog, tmp_path, capacity)
+            )
+            return ENGINE_FACTORIES[factory](catalog)
+
+        yield make
 
 
-@pytest.mark.parametrize("engine_name", list(ENGINE_FACTORIES))
+@pytest.mark.parametrize(
+    "engine_name", list(ENGINE_FACTORIES) + list(DISK_ENGINES)
+)
 @pytest.mark.parametrize("sql", DIFFERENTIAL_QUERIES)
-def test_engine_matches_reference(request, simple_catalog, engine_name, sql):
-    engine = _make_engine(request, simple_catalog, engine_name)
+def test_engine_matches_reference(simple_catalog, make_engine, engine_name, sql):
+    engine = make_engine(engine_name)
     assert canonical(engine.execute(sql)) == canonical(
         reference(simple_catalog, sql)
     )
-    if engine_name in SCHEDULED_ENGINES:
-        assert engine.last_exec_stats.scheduled
 
 
 FORCED_CONFIGS = [
@@ -114,17 +109,18 @@ FORCED_CONFIGS = [
     [
         "hique-o2",
         "hique-o0",
-        "hique-o2-threads",
-        "hique-o0-threads",
-        "hique-o2-scan-morsels",
         "volcano-optimized",
+        "hique-o2-cold-disk",
+        "hique-o0-cold-disk",
+        "volcano-optimized-cold-disk",
+        "systemx-cold-disk",
     ],
 )
 def test_forced_algorithms_agree(
-    request, simple_catalog, engine_name, config_index
+    simple_catalog, make_engine, engine_name, config_index
 ):
     config = FORCED_CONFIGS[config_index]
-    engine = _make_engine(request, simple_catalog, engine_name)
+    engine = make_engine(engine_name)
     for sql in (
         "SELECT t.a, u.d FROM t, u WHERE t.k = u.k AND t.a < 50",
         "SELECT c, sum(b) AS s, count(*) AS n FROM t GROUP BY c",
@@ -134,8 +130,6 @@ def test_forced_algorithms_agree(
         else:
             got = engine.execute(sql, planner_config=config)
         assert canonical(got) == canonical(reference(simple_catalog, sql))
-        if engine_name in SCHEDULED_ENGINES:
-            assert engine.last_exec_stats.scheduled
 
 
 def test_empty_table_queries():

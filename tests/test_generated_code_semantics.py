@@ -171,13 +171,13 @@ class TestTracedUntracedEquivalence:
 
 class TestGeneratedModuleHygiene:
     def test_module_is_self_contained(self, simple_catalog):
-        """The complete module text — serial and scheduled entry points —
-        runs when exec'd in a fresh namespace."""
+        """The complete module text runs when exec'd in a fresh
+        namespace."""
         engine = HiqueEngine(simple_catalog)
         prepared = engine.prepare(
             "SELECT c, count(*) AS n FROM t GROUP BY c", use_cache=False
         )
-        source = prepared.generated.source + prepared.generated.scheduled_source
+        source = prepared.generated.source
         namespace = {"__name__": "reloaded"}
         exec(compile(source, "reloaded.py", "exec"), namespace)  # noqa: S102
         plan = prepared.plan

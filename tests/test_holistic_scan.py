@@ -6,7 +6,7 @@ scan also runs that scan loop itself (``aggregate_oM_scan``) whenever
 the staging would not be kept; and aggregate bodies compute shared
 accumulators and repeated argument subexpressions once.  Every path a
 scan→aggregate pair can take — fused, staged + banked, cache hit,
-index fetch, pinned-scheduled — must return the same rows, float
+index fetch — must return the same rows, float
 summation order included.  A repeated statement is answered from the
 intermediate cache, so the staged paths are reached through writes
 that make its answer stale (the staging is sighted, then banked) and
@@ -84,11 +84,6 @@ def _db() -> Database:
     return db
 
 
-def _pin_scheduled(db: Database) -> None:
-    db.engine("hique").parallel.waiting_table = lambda plan: "pinned"
-    db.set_parallel(morsel_pages=4, min_pages=2, min_rows=256)
-
-
 #: A row every filter below excludes: inserting it stales the answers
 #: without changing them.
 EXCLUDED = (5000, 1.0, 0.5, 9999, True, "x", "zz", 1)
@@ -162,11 +157,6 @@ def test_every_path_returns_the_same_rows(db, sql):
     volcano = db.execute(sql, engine="volcano", params=params)
     assert len(fused) == len(volcano)
     assert all(row in volcano for row in fused)
-
-    _pin_scheduled(db)
-    scheduled = db.execute(sql, params=params)
-    assert db.last_exec_stats().scheduled is True
-    assert repr(scheduled) == repr(fused)
 
 
 def test_the_empty_global_aggregate_yields_null_avg(db):

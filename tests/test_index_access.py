@@ -2,7 +2,7 @@
 
 Storage (probe rule, in-place indexed UPDATE/DELETE, the index↔heap
 check), the optimizer's choice of access, the generated probe+fetch
-pair, the scheduler's inline path, and what EXPLAIN / metrics say about
+pair, the walk's use of it, and what EXPLAIN / metrics say about
 which path ran.  The cross-engine with-vs-without-index sweep lives in
 ``test_differential_fuzz.py``.
 """
@@ -335,7 +335,7 @@ class TestChoice:
             db.close()
 
 
-# -- generated code and the scheduler ----------------------------------------------------
+# -- generated code and the walk ---------------------------------------------------------
 
 
 POINT = "SELECT id, val, tag FROM t WHERE id = ?"
@@ -409,7 +409,7 @@ class TestExecution:
             db.close()
 
     def test_index_path_banks_no_intermediate(self):
-        db = _db(rows=6_000)  # enough pages for the scheduler to stage
+        db = _db(rows=6_000)  # enough pages to bank a staging
         try:
             db.execute(JOIN, params=(4321,))
             assert db.intermediates.stats().entries == 0

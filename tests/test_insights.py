@@ -3,22 +3,20 @@
 Covers digest normalization (different literals → one digest) and
 exact count consistency under a multi-threaded session-pool hammer,
 DDL resets, bounded retention with memory measured, reconciliation of
-digest totals against per-query results, watchdog surfacing in both
-``ServiceStats`` and the digest store, profile folding, the EXPLAIN
-ANALYZE polish (buffer hit-rate %, serial-fallback flags), the shell
-``.insights`` / ``.slow`` commands.
+digest totals against per-query results, a failed execution in the
+digest store, profile folding, the EXPLAIN ANALYZE buffer hit-rate %,
+the shell ``.insights`` / ``.slow`` commands.
 """
 
 import io
 import random
-import threading
 import time
 
 import pytest
 
 from repro import Column, Database, DOUBLE, INT, char
 from repro.cli import Shell
-from repro.errors import ExecutionError, WatchdogTimeout
+from repro.errors import ExecutionError
 from repro.obs import Tracer
 from repro.obs.insights import (
     SLOW_MS_ENV,
@@ -29,7 +27,6 @@ from repro.obs.insights import (
 )
 from repro.obs.profile import ProfileAggregator
 from repro.obs.trace import Trace
-from repro.parallel.backend import ThreadBackend
 
 POINT_SQL = "SELECT a, b FROM t WHERE a = ?"
 AGG_SQL = "SELECT a, sum(b) AS s FROM t GROUP BY a ORDER BY a"
@@ -213,7 +210,6 @@ class TestServiceIntegration:
             assert digest is not None
             assert digest.calls == 5
             assert digest.rows == total_rows
-            assert digest.backend in ("serial", "thread")
             text = db.insights_text()
             assert digest.digest_id in text
             assert f"{digest.calls:>6}" in text
@@ -298,14 +294,13 @@ class TestServiceIntegration:
         finally:
             db.close()
 
-    def test_metrics_expose_digests_and_watchdog_counter(self):
+    def test_metrics_expose_digests(self):
         db = _make_db()
         try:
             db.execute(AGG_SQL)
             text = db.metrics_text()
             assert "repro_digest_store_size 1" in text
             assert "repro_digest_calls_total" in text
-            assert "repro_service_watchdog_abandonments_total 0" in text
         finally:
             db.close()
 
@@ -335,21 +330,10 @@ def test_end_to_end_retention_stays_bounded():
         db.close()
 
 
-# -- watchdog surfacing -----------------------------------------------------------
+# -- failures ---------------------------------------------------------------------
 
 
-def test_thread_backend_timeout_is_watchdog_timeout():
-    stall = threading.Event()
-    backend = ThreadBackend(workers=2, task_timeout=0.3)
-    try:
-        with pytest.raises(WatchdogTimeout, match="task_timeout"):
-            backend.run_thunks([lambda: stall.wait(30)], workers=2)
-    finally:
-        stall.set()
-        backend.close()
-
-
-def test_watchdog_surfaces_in_digest_and_service_stats():
+def test_failed_execution_surfaces_in_digest_and_service_stats():
     db = _make_db()
     try:
         statement = db.prepare(POINT_SQL)
@@ -357,26 +341,18 @@ def test_watchdog_surfaces_in_digest_and_service_stats():
         engine = db.engine("hique")
         original = engine.execute_prepared
 
-        def wedged(*args, **kwargs):
-            raise WatchdogTimeout(
-                "parallel task exceeded task_timeout=0.1s (simulated)"
-            )
+        def failing(*args, **kwargs):
+            raise ExecutionError("simulated failure")
 
-        engine.execute_prepared = wedged
+        engine.execute_prepared = failing
         try:
-            with pytest.raises(ExecutionError, match="task_timeout"):
+            with pytest.raises(ExecutionError, match="simulated"):
                 statement.execute((2,))
         finally:
             engine.execute_prepared = original
-        stats = db.service.stats()
-        assert stats.watchdog_abandonments == 1
         digest = db.insights().digests.get("hique", statement.key)
         assert digest.calls == 2
         assert digest.errors == 1
-        assert digest.watchdog_timeouts == 1
-        assert "repro_service_watchdog_abandonments_total 1" in (
-            db.metrics_text()
-        )
     finally:
         db.close()
 
@@ -385,7 +361,7 @@ def test_watchdog_surfaces_in_digest_and_service_stats():
 
 
 class TestProfileAggregator:
-    def test_folds_op_ids_and_queue_wait(self):
+    def test_folds_op_ids(self):
         tracer = Tracer(enabled=True)
         aggregator = ProfileAggregator()
         tracer.add_trace_listener(aggregator.add_trace)
@@ -394,11 +370,8 @@ class TestProfileAggregator:
                 with tracer.span(
                     "ScanStage o1+Aggregate o2", "node", rows=10
                 ) as node:
-                    for index, wait in ((1, 0.5), (2, 0.25)):
-                        task = node.child(
-                            f"task {index}", "task", queue_seconds=wait
-                        )
-                        task.finish()
+                    for index in (1, 2):
+                        node.child(f"Sort o{index + 2}", "node").finish()
             with tracer.span("query", "service"):
                 with tracer.span("ScanStage o7+Aggregate o9", "node"):
                     pass
@@ -407,9 +380,8 @@ class TestProfileAggregator:
         assert aggregator.traces == 2
         kinds = {t.kind: t for t in aggregator.kind_totals()}
         assert kinds["ScanStage+Aggregate"].spans == 2
-        assert kinds["ScanStage+Aggregate"].tasks == 2
-        assert kinds["queue-wait"].seconds == pytest.approx(0.75)
-        assert kinds["task"].spans == 2
+        assert kinds["ScanStage+Aggregate"].rows == 10
+        assert kinds["Sort"].spans == 2
         text = aggregator.render_text()
         assert "ScanStage+Aggregate" in text
         assert "2 trace(s) folded" in text
@@ -471,12 +443,11 @@ def test_trace_listener_errors_are_swallowed():
 # -- EXPLAIN ANALYZE polish --------------------------------------------------------
 
 
-def test_explain_analyze_hit_rate_and_serial_fallback_flags(scheduled):
-    db = _make_db(rows=100)  # tiny table: every operator stays serial
+def test_explain_analyze_hit_rate():
+    db = _make_db(rows=100)
     try:
         text = db.explain_analyze(AGG_SQL)
         assert "% hit)" in text
-        assert "serial-fallback[" in text
         assert "buffer=" in text
     finally:
         db.close()
@@ -552,7 +523,7 @@ def test_insights_record_path_is_cheap():
     count = 20_000
     for i in range(count):
         store.record(
-            "hique", "S", 0.0001, rows=1, cache_hit=True, backend="serial"
+            "hique", "S", 0.0001, rows=1, cache_hit=True
         )
     per_record = (time.perf_counter() - started) / count
     assert per_record < 50e-6, f"record path too slow: {per_record:.2e}s"

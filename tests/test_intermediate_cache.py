@@ -13,7 +13,6 @@ alias stale keys).
 
 from __future__ import annotations
 
-import pytest
 
 from repro import Column, Database, INT
 from repro.parallel.intermediates import IntermediateCache
@@ -88,11 +87,9 @@ class TestIntermediateCacheUnit:
         assert cache.clear() == 1
 
 
-@pytest.mark.usefixtures("scheduled")
 class TestIntermediateCacheEndToEnd:
-    """The cache under the scheduled scan (``test_serial_first`` covers
-    the serial walk).  An answer is banked from its second miss, a
-    staging from its second miss under a stale answer."""
+    """The cache under the serial walk.  An answer is banked from its
+    second miss, a staging from its second miss under a stale answer."""
 
     def _db(self) -> Database:
         db = Database()

@@ -1,19 +1,18 @@
-"""Property tests for the order-preserving merge finishers.
+"""Property tests for the stable k-way merge and staging extension.
 
-The parallel executor's byte-identity guarantee reduces to one claim:
-every finisher in :mod:`repro.parallel.merge` reassembles per-morsel
-partial results into exactly what the serial staging code would have
-produced.  These tests check that claim against randomized inputs —
-random run counts and sizes, heavy duplication, mixed ASC/DESC key
-directions — with the reference always being the plain serial
-computation (one stable sort / one sequential pass over the
-concatenated runs).
+:func:`~repro.parallel.stage.extend_staged` merges a banked sorted
+staging with the staging of the rows appended after it, and the result
+must equal what the generated staging code's one stable sort over the
+whole heap produces.  These tests check :func:`kway_merge` against that
+reference on randomized inputs — random run counts and sizes, heavy
+duplication — and :func:`extend_staged` for every prep that orders or
+groups rows: a staging extended append by append must equal the
+staging of all the rows, directory key order and bucket order included.
 
 Rows carry a trailing *provenance* field ``(run_index, row_index)``
 that never participates in keys, so the assertions distinguish a merge
 that is merely key-ordered from one that is *stable across run order*
-(ties must drain earlier runs first — the property the executor's
-serial-identity rests on).
+(ties must drain earlier runs first).
 """
 
 from __future__ import annotations
@@ -22,15 +21,14 @@ import random
 
 import pytest
 
-from repro.parallel.merge import (
-    kway_merge,
-    merge_fine_partition_runs,
-    merge_ordered_runs,
-    merge_partition_runs,
-    merge_partition_sorted_runs,
-    merge_sorted_runs,
-    order_key,
-    run_key,
+from repro.core.runtime import fine_partition_rows, partition_rows
+from repro.parallel.merge import kway_merge, run_key
+from repro.parallel.stage import extend_staged, staged_rows
+from repro.plan.descriptors import (
+    PREP_PARTITION,
+    PREP_PARTITION_SORT,
+    PREP_SORT,
+    Prep,
 )
 
 SEEDS = range(24)
@@ -70,126 +68,11 @@ def test_kway_merge_equals_stable_sort_of_concatenation(seed):
     key = run_key(positions)
     runs = _tag(_random_runs(rng))
     for run in runs:
-        run.sort(key=key)  # each run arrives sorted, as from one morsel
-    # The serial result: one stable sort over runs concatenated in run
-    # (page) order — provenance breaks no ties, list.sort is stable.
+        run.sort(key=key)  # each run arrives sorted
+    # The reference: one stable sort over runs concatenated in run
+    # (heap) order — provenance breaks no ties, list.sort is stable.
     reference = sorted([row for run in runs for row in run], key=key)
     assert kway_merge(runs, key) == reference
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_merge_sorted_runs_matches_serial_prep_sort(seed):
-    rng = random.Random(seed)
-    positions = rng.sample([0, 1], rng.randrange(1, 3))
-    runs = _tag(_random_runs(rng))
-    key = run_key(positions)
-    for run in runs:
-        run.sort(key=key)
-    reference = sorted([row for run in runs for row in run], key=key)
-    assert merge_sorted_runs(runs, positions) == reference
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_merge_ordered_runs_mixed_directions(seed):
-    rng = random.Random(seed)
-    keys = [
-        (position, rng.random() < 0.5)
-        for position in rng.sample([0, 1, 2], rng.randrange(1, 4))
-    ]
-    key = order_key(keys)
-    runs = _tag(_random_runs(rng))
-    for run in runs:
-        run.sort(key=key)
-    reference = sorted([row for run in runs for row in run], key=key)
-    assert merge_ordered_runs(runs, keys) == reference
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_merge_partition_runs_matches_serial_bucket_append(seed):
-    rng = random.Random(seed)
-    num_buckets = rng.choice([1, 4, 8])
-    runs = _tag(_random_runs(rng))
-    partitioned = [
-        [
-            [row for row in run if hash(row[0]) % num_buckets == b]
-            for b in range(num_buckets)
-        ]
-        for run in runs
-    ]
-    # Serial: one scan in page order appending to each bucket.
-    reference = [
-        [
-            row
-            for run in runs
-            for row in run
-            if hash(row[0]) % num_buckets == b
-        ]
-        for b in range(num_buckets)
-    ]
-    import copy
-
-    got = merge_partition_runs(copy.deepcopy(partitioned))
-    if not runs:
-        assert got == []
-    else:
-        assert got == reference
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_merge_fine_partition_runs_preserves_discovery_order(seed):
-    rng = random.Random(seed)
-    runs = _tag(_random_runs(rng))
-    fine = []
-    for run in runs:
-        buckets: dict = {}
-        for row in run:
-            buckets.setdefault(row[0], []).append(row)
-        fine.append(buckets)
-    # Serial: value directory built in first-occurrence order over the
-    # concatenated input.
-    reference: dict = {}
-    for run in runs:
-        for row in run:
-            reference.setdefault(row[0], []).append(row)
-    got = merge_fine_partition_runs(fine)
-    assert list(got) == list(reference)  # directory insertion order
-    assert got == reference  # per-bucket row order
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_merge_partition_sorted_runs_per_bucket_stable(seed):
-    rng = random.Random(seed)
-    num_buckets = 4
-    positions = rng.sample([0, 1], rng.randrange(1, 3))
-    key = run_key(positions)
-    runs = _tag(_random_runs(rng))
-    partitioned = []
-    for run in runs:
-        buckets = [
-            sorted(
-                [row for row in run if hash(row[0]) % num_buckets == b],
-                key=key,
-            )
-            for b in range(num_buckets)
-        ]
-        partitioned.append(buckets)
-    reference = [
-        sorted(
-            [
-                row
-                for run in runs
-                for row in run
-                if hash(row[0]) % num_buckets == b
-            ],
-            key=key,
-        )
-        for b in range(num_buckets)
-    ]
-    got = merge_partition_sorted_runs(partitioned, positions)
-    if not runs:
-        assert got == []
-    else:
-        assert got == reference
 
 
 def test_kway_merge_tie_break_drains_earlier_run_first():
@@ -209,3 +92,63 @@ def test_kway_merge_degenerate_shapes():
     assert kway_merge([[], []], key) == []
     only = [(2,), (3,)]
     assert kway_merge([[], only, []], key) == only
+
+
+# -- extending a staging with appended rows -------------------------------------------
+
+#: name → (prep kind, fine directory?).
+PREPS = {
+    "sort": (PREP_SORT, False),
+    "partition": (PREP_PARTITION, False),
+    "fine-partition": (PREP_PARTITION, True),
+    "partition-sort": (PREP_PARTITION_SORT, False),
+    "fine-partition-sort": (PREP_PARTITION_SORT, True),
+}
+
+
+def _stage(prep: Prep, rows: list[tuple]):
+    """The reference staging of ``rows`` in heap order: what the
+    generated staging function builds for ``prep``."""
+    rows = list(rows)
+    if prep.kind == PREP_SORT:
+        return sorted(rows, key=run_key(prep.keys))
+    if prep.fine:
+        parts = fine_partition_rows(rows, prep.keys[0])
+    else:
+        parts = partition_rows(rows, prep.keys[0], prep.num_partitions)
+    if prep.kind == PREP_PARTITION_SORT:
+        key = run_key(prep.keys)
+        for bucket in parts.values() if prep.fine else parts:
+            bucket.sort(key=key)
+    return parts
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(PREPS))
+def test_extensions_equal_one_staging_of_every_row(name, seed):
+    """A staging extended by one to four appends — some empty — equals
+    the staging of the whole heap, and no input is mutated."""
+    rng = random.Random(seed)
+    kind, fine = PREPS[name]
+    prep = Prep(
+        kind,
+        tuple(rng.sample([0, 1, 2], rng.randrange(1, 4))),
+        rng.choice((1, 2, 3, 4, 8)),
+        fine=fine,
+    )
+    # Provenance last: ties in every key stay distinguishable.
+    heap = [
+        row + (i,) for i, row in enumerate(_random_rows(rng, rng.randrange(80)))
+    ]
+    staged = _stage(prep, heap)
+    for _ in range(rng.randrange(1, 5)):
+        appended = _random_rows(rng, rng.randrange(0, 60))
+        appended = [row + (len(heap) + i,) for i, row in enumerate(appended)]
+        tail = _stage(prep, appended)
+        snapshot = (repr(staged), repr(tail))
+        extended = extend_staged(prep, staged, tail)
+        assert (repr(staged), repr(tail)) == snapshot
+        heap += appended
+        assert repr(extended) == repr(_stage(prep, heap)), prep
+        assert staged_rows(extended) == len(heap)
+        staged = extended

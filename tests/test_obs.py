@@ -1,23 +1,18 @@
 """Observability: metrics registry, span tracing, EXPLAIN ANALYZE.
 
 Covers the histogram percentile math against an exact reference, span
-nesting under the scheduler's node drivers, result invariance
-with tracing on, Chrome trace export validity, the watchdog's
-structured abandonment event, and the Prometheus text rendering.
+nesting of the walk's operator nodes, result invariance with tracing
+on, Chrome trace export validity, and the Prometheus text rendering.
 """
 
 import json
 import random
-import threading
 import time
 
 import pytest
 
 from repro import Column, Database, INT, DOUBLE, char
-from repro.errors import ExecutionError
-from repro.obs import Observability, Tracer
 from repro.obs.metrics import MetricsRegistry, default_latency_buckets
-from repro.parallel.backend import ThreadBackend
 
 ALL_ENGINES = (
     "hique", "hique-o0", "volcano", "volcano-generic",
@@ -111,7 +106,7 @@ class TestHistogram:
         assert "\\\\" in text
 
 
-# -- span nesting under the scheduler ---------------------------------------------
+# -- span nesting under the walk ----------------------------------------------------
 
 
 class TestSpanNesting:
@@ -127,16 +122,12 @@ class TestSpanNesting:
             execute = root.find("execute")
             assert execute is not None
             nodes = root.find_all(category="node")
-            assert nodes, "no scheduler node spans recorded"
+            assert nodes, "no operator node spans recorded"
             # Every node span sits beneath the execute span.
             execute_spans = set(id(s) for s in execute.walk())
             for node in nodes:
                 assert id(node) in execute_spans
-            # Parallel nodes carry morsel task children with timing.
-            tasks = root.find_all(category="task")
-            for task in tasks:
-                assert task.end is not None and task.end >= task.start
-                assert task.attrs.get("queue_seconds", 0.0) >= 0.0
+                assert node.end is not None and node.end >= node.start
         finally:
             db.close()
 
@@ -295,55 +286,3 @@ class TestExplainAnalyze:
             assert db.last_trace().root.name == "explain_analyze"
         finally:
             db.close()
-
-
-# -- watchdog structured events --------------------------------------------------
-
-
-class TestWatchdogEvents:
-    def test_abandonment_emits_metric_and_event(self):
-        registry = MetricsRegistry()
-        stall = threading.Event()
-        backend = ThreadBackend(
-            workers=2, task_timeout=0.3, registry=registry
-        )
-        try:
-            with pytest.raises(ExecutionError, match="task_timeout"):
-                backend.run_thunks(
-                    [lambda: stall.wait(30)], workers=2,
-                    label="join:o3",
-                )
-            events = registry.recent_events("watchdog_abandonment")
-            assert len(events) == 1
-            event = events[0]
-            assert event["backend"] == "thread"
-            assert event["node"] == "join:o3"
-            assert event["elapsed_seconds"] >= 0.3
-            assert event["wedged_tasks"] == [0]
-            text = registry.render_text()
-            assert "repro_watchdog_abandonments_total" in text
-        finally:
-            stall.set()
-            backend.close()
-
-    def test_abandonment_attaches_trace_event(self):
-        obs = Observability(tracer=Tracer(enabled=True))
-        stall = threading.Event()
-        backend = ThreadBackend(
-            workers=2, task_timeout=0.3, registry=obs.registry
-        )
-        try:
-            with obs.tracer.span("query", "service") as span:
-                with pytest.raises(ExecutionError):
-                    with span.activate():
-                        backend.run_thunks(
-                            [lambda: stall.wait(30)], workers=2,
-                            label="stage:o0",
-                        )
-            trace = obs.tracer.last_trace()
-            marks = trace.root.find_all(category="watchdog")
-            assert len(marks) == 1
-            assert marks[0].attrs.get("node") == "stage:o0"
-        finally:
-            stall.set()
-            backend.close()

@@ -1,11 +1,10 @@
-"""Preparation in memory: no run writes a file, and the scheduler's
-entry points are compiled only when a run is scheduled.
+"""Preparation in memory: no run writes a file or compiles anything.
 
-The compiler ``compile()``s and ``exec``s the serial module under a
+The compiler ``compile()``s and ``exec``s the generated module under a
 path that names no file; the namespace's ``__loader__`` serves the
-source to ``linecache``.  ``CompiledQuery.link_scheduled`` compiles the
-``*_partial`` / ``*_pair`` / ``*_chunk`` entry points into the same
-namespace on the first scheduled run.
+source to ``linecache``.  Executions only call what preparation
+compiled, and the serial walk over the plan's functions returns the
+composed ``run_query`` entry point's rows.
 """
 
 from __future__ import annotations
@@ -25,12 +24,9 @@ import pytest
 import repro.core.compiler as compiler_module
 from repro import Column, Database, INT
 from repro.core.engine import HiqueEngine
-from repro.parallel.stats import ParallelConfig
+from repro.core.executor import run_compiled
 from repro.plan.optimizer import PlannerConfig
 from repro.storage import Catalog, Schema
-
-SERIAL = ParallelConfig(workers=1)
-THREADS = ParallelConfig(workers=2, morsel_pages=2, min_pages=1, min_rows=8)
 
 MAP_AGG = (
     "SELECT k, sum(v) AS sv, count(*) AS n, min(v) AS mn, max(v) AS mx "
@@ -42,13 +38,13 @@ GLOBAL_AGG = (
 )
 JOIN = "SELECT f.id, f.v, m.w FROM fact f, dim m WHERE f.k = m.k"
 
-#: name → (sql, planner config, the scheduler-only entry point it uses).
+#: name → (sql, planner config).
 CASES = {
-    "map-aggregate": (MAP_AGG, PlannerConfig(force_agg="map"), "_partial"),
-    "global-aggregate": (GLOBAL_AGG, PlannerConfig(), "_partial"),
-    "merge-join": (JOIN, PlannerConfig(force_join="merge"), "_pair"),
+    "map-aggregate": (MAP_AGG, PlannerConfig(force_agg="map")),
+    "global-aggregate": (GLOBAL_AGG, PlannerConfig()),
+    "merge-join": (JOIN, PlannerConfig(force_join="merge")),
     "hybrid-join": (
-        JOIN, PlannerConfig(force_join="hybrid", force_partitions=4), "_pair"
+        JOIN, PlannerConfig(force_join="hybrid", force_partitions=4)
     ),
 }
 
@@ -66,14 +62,6 @@ def catalog() -> Catalog:
     dim.load_rows((k, k * 10) for k in range(30))
     catalog.analyze()
     return catalog
-
-
-def _entry_name(prepared, suffix: str) -> str:
-    return next(
-        name + suffix
-        for name in prepared.generated.function_names.values()
-        if name + suffix in prepared.generated.scheduled_source
-    )
 
 
 # -- no file on the prepare path ------------------------------------------------------
@@ -99,9 +87,9 @@ def test_distinct_statements_write_no_file(tmp_path, monkeypatch):
 
 
 def test_a_query_loads_no_process_machinery(tmp_path):
-    """Threads are the only task backend: importing the package and
-    preparing and running a query pulls in neither ``multiprocessing``
-    nor the process-pool executor, and creates no work directory."""
+    """Importing the package and preparing and running a query pulls
+    in neither ``multiprocessing`` nor the process-pool executor, and
+    creates no work directory."""
     script = textwrap.dedent(
         """
         import sys
@@ -139,7 +127,7 @@ def test_a_query_loads_no_process_machinery(tmp_path):
 
 
 def test_compiled_bytes_is_the_marshalled_serial_code(catalog):
-    engine = HiqueEngine(catalog, parallel=SERIAL)
+    engine = HiqueEngine(catalog)
     try:
         compiled = engine.prepare(MAP_AGG).compiled
         assert compiled.compiled_bytes == len(marshal.dumps(compiled.code))
@@ -149,7 +137,7 @@ def test_compiled_bytes_is_the_marshalled_serial_code(catalog):
 
 
 def test_a_generated_frame_shows_its_line_without_a_file(catalog):
-    engine = HiqueEngine(catalog, parallel=SERIAL)
+    engine = HiqueEngine(catalog)
     try:
         prepared = engine.prepare(MAP_AGG)
         compiled = prepared.compiled
@@ -168,60 +156,41 @@ def test_a_generated_frame_shows_its_line_without_a_file(catalog):
         lines = compiled.source.splitlines()
         assert frame.line == lines[frame.lineno - 1].strip() != ""
         assert inspect.getsource(scan).startswith(f"def {frame.name}(")
-
-        # The scheduled entry points number their lines after the
-        # serial module's, as in the text the ``__loader__`` serves.
-        compiled.link_scheduled()
-        partial = _entry_name(prepared, "_partial")
-        assert inspect.getsource(compiled.namespace[partial]).startswith(
-            f"def {partial}(ctx, rows):"
-        )
-        assert not os.path.exists(compiled.source_path)
     finally:
         engine.close()
 
 
-# -- scheduled entry points: compiled on the first scheduled run ---------------------
+# -- executions compile nothing -------------------------------------------------------
 
 
-@pytest.mark.usefixtures("scheduled")
 @pytest.mark.parametrize("opt_level", ["O2", "O0"])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_scheduled_runs_return_the_serial_walks_rows(catalog, case, opt_level):
-    sql, config, suffix = CASES[case]
-    serial = HiqueEngine(
-        catalog, opt_level=opt_level, planner_config=config, parallel=SERIAL
-    )
-    engine = HiqueEngine(
-        catalog,
-        opt_level=opt_level,
-        planner_config=config,
-        parallel=THREADS,
-    )
+def test_the_walk_returns_the_composed_entry_points_rows(
+    catalog, case, opt_level, monkeypatch
+):
+    sql, config = CASES[case]
+    engine = HiqueEngine(catalog, opt_level=opt_level, planner_config=config)
     try:
-        expected = serial.execute(sql)
         prepared = engine.prepare(sql)
-        entry = _entry_name(prepared, suffix)
-        assert entry not in prepared.compiled.namespace
-        assert f"def {entry}(" not in prepared.generated.source
+        expected = run_compiled(prepared.compiled, prepared.plan)
+        assert expected
+        monkeypatch.setattr(
+            compiler_module,
+            "compile",
+            lambda *args, **kwargs: pytest.fail("an execution compiled"),
+            raising=False,
+        )
         rows = engine.execute_prepared(prepared)
         assert repr(rows) == repr(expected)
         stats = engine.last_exec_stats
-        assert stats.scheduled and stats.parallel, stats
-        assert entry in prepared.compiled.namespace
+        assert stats.phases and stats.reason == "", stats
         assert not os.path.exists(prepared.compiled.source_path)
     finally:
-        serial.close()
         engine.close()
 
 
-@pytest.mark.usefixtures("scheduled")
-def test_concurrent_first_runs_compile_the_scheduled_module_once(
-    catalog, monkeypatch
-):
-    sql, config, _ = CASES["map-aggregate"]
-    serial = HiqueEngine(catalog, planner_config=config, parallel=SERIAL)
-    engine = HiqueEngine(catalog, planner_config=config, parallel=THREADS)
+def test_concurrent_runs_compile_nothing(catalog, monkeypatch):
+    engine = HiqueEngine(catalog, planner_config=PlannerConfig(force_agg="map"))
     compiled_files = []
     real_compile = compile
 
@@ -231,8 +200,8 @@ def test_concurrent_first_runs_compile_the_scheduled_module_once(
 
     interval = sys.getswitchinterval()
     try:
-        expected = repr(serial.execute(sql))
-        prepared = engine.prepare(sql)
+        prepared = engine.prepare(MAP_AGG)
+        expected = repr(engine.execute_prepared(prepared))
         monkeypatch.setattr(
             compiler_module, "compile", counting_compile, raising=False
         )
@@ -251,9 +220,8 @@ def test_concurrent_first_runs_compile_the_scheduled_module_once(
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [expected] * 8
-        assert compiled_files == [prepared.compiled.source_path]
+        assert compiled_files == []
         assert not os.path.exists(prepared.compiled.source_path)
     finally:
         sys.setswitchinterval(interval)
-        serial.close()
         engine.close()

@@ -210,25 +210,6 @@ def test_a_run_that_raced_a_write_banks_nothing(db, monkeypatch):
     assert db.intermediates.stats().entries == 0
 
 
-@pytest.mark.usefixtures("scheduled")
-def test_the_scheduled_path_recycles_and_banks(db):
-    want = db.execute(JOIN)
-    assert db.last_exec_stats().scheduled is True
-    assert db.execute(JOIN) == want
-    assert db.last_exec_stats().scheduled is True
-    assert db.execute(JOIN) == want
-    assert _recycled(db) == "hit"
-    assert db.last_exec_stats().scheduled is False
-    for key in (-1, -2, -3):
-        db.execute(f"INSERT INTO u VALUES ({key}, 1)")
-        assert db.execute(JOIN) == want
-        stats = db.last_exec_stats()
-        assert (stats.scheduled, stats.recycled) == (True, "stale")
-    assert "table 't': staging reused" in " ".join(stats.notes)
-    assert db.execute(JOIN) == want
-    assert _recycled(db) == "hit"
-
-
 # -- a partial mutation moves the epoch --------------------------------------------
 
 

@@ -1,21 +1,22 @@
-"""Serial-first execution: the scheduler's first answer is "don't".
+"""The serial walk: the one way a plan runs.
 
-A run is scheduled only when some scanned table has pages that can
-wait (a disk-backed file not fully resident in the buffer pool);
-otherwise the plan's serial generated functions run in plan order on
-the calling thread — and still get the intermediate cache and the index
-probe, because both live in :mod:`repro.parallel.stage`, not in the
-scheduler.
+The plan's generated functions run in plan order on the calling
+thread, over memory tables and cold disk tables alike (whose page
+waits the buffer pool's read-ahead overlaps), and every run gets the
+intermediate cache and the index probe from :mod:`repro.parallel.stage`.
 """
 
 from __future__ import annotations
 
+import io
 import threading
 
 import pytest
 
 from repro import Column, Database, INT
+from repro.cli import Shell
 from repro.core.engine import HiqueEngine
+from repro.errors import ReproError
 from repro.parallel.intermediates import (
     SIGHTINGS_CAPACITY,
     IntermediateCache,
@@ -27,8 +28,6 @@ from repro.storage import Catalog, Schema
 from repro.storage.buffer import BufferManager
 from repro.storage.heapfile import DiskFile
 from repro.storage.table import Table
-
-RESIDENT = "all scanned pages resident: nothing for threads to overlap"
 
 QUERIES = {
     "scan": "SELECT a, b FROM t WHERE a < 9000",
@@ -57,7 +56,7 @@ def _rows(n: int) -> list[tuple[int, int]]:
     return [(i, i % 7) for i in range(n)]
 
 
-def _memory_db(workers: int) -> Database:
+def _memory_db(workers: int = 4) -> Database:
     db = Database(workers=workers)
     db.create_table("t", [Column("a", INT), Column("b", INT)])
     db.load_rows("t", _rows(20_000))
@@ -84,31 +83,20 @@ def _disk_db(tmp_path, capacity: int) -> Database:
     return Database(catalog=catalog, workers=4)
 
 
-def _executor(db: Database):
-    return db.engine("hique").parallel
-
-
-# -- (a) the decision over memory-resident data ---------------------------------------
+# -- (a) every shape walks -----------------------------------------------------------
 
 
 @pytest.mark.parametrize("shape", sorted(QUERIES))
-def test_memory_tables_are_not_scheduled_and_rows_match(shape):
+def test_every_shape_walks_and_rows_match(shape):
     sql = QUERIES[shape]
-    db = _memory_db(workers=4)
+    db = _memory_db()
     try:
         walked = db.execute(sql)
         stats = db.last_exec_stats()
-        assert stats.parallel is False and stats.scheduled is False
-        assert stats.reason == RESIDENT
-        assert stats.phases and all(p.workers == 1 for p in stats.phases)
-        assert stats.morsels == 0
+        assert stats.parallel is False
+        assert stats.reason == ""
+        assert stats.phases and stats.morsels == 0
         assert sum(p.tasks for p in stats.phases) == 0
-
-        # The same plan through the scheduler, and the iterator oracle.
-        _executor(db).waiting_table = lambda plan: "pinned by the test"
-        db.set_parallel(morsel_pages=4, min_pages=2, min_rows=256)
-        assert db.execute(sql) == walked
-        assert db.last_exec_stats().scheduled is True
         oracle = db.execute(sql, engine="volcano")
         if "ORDER BY" in sql:
             assert walked == oracle
@@ -118,11 +106,10 @@ def test_memory_tables_are_not_scheduled_and_rows_match(shape):
         db.close()
 
 
-def test_single_worker_walks_and_hits_the_cache():
+def test_workers_is_accepted_and_the_walk_hits_the_cache():
     db = _memory_db(workers=1)
     try:
         first = db.execute(JOIN)
-        assert db.last_exec_stats().reason == "single worker"
         assert db.execute(JOIN) == first  # second miss: answer banked
         assert db.execute(JOIN) == first
         assert db.last_exec_stats().recycled == "hit"
@@ -130,7 +117,6 @@ def test_single_worker_walks_and_hits_the_cache():
         for _ in range(3):
             _stale(db)
             assert db.execute(JOIN) == first
-            assert db.last_exec_stats().reason == "single worker"
         assert db.intermediates.stats().hits >= 2
         assert any(
             "staging reused" in note for note in db.last_exec_stats().notes
@@ -139,51 +125,40 @@ def test_single_worker_walks_and_hits_the_cache():
         db.close()
 
 
-# -- (b) pages that can wait ------------------------------------------------------------
+# -- (b) disk tables walk too ----------------------------------------------------------
 
 
-def test_disk_table_is_scheduled_until_resident(tmp_path):
+def test_cold_disk_table_walks_to_the_warm_rows(tmp_path):
     db = _disk_db(tmp_path, capacity=4096)
     try:
         sql = QUERIES["aggregate"]
         want = db.execute(sql)
-        # load_rows left every page in the pool: nothing waits.
-        assert db.last_exec_stats().scheduled is False
         db.buffer.evict_all()
-        assert db.table("t").waiting_pages == db.table("t").num_pages
-        assert db.execute(sql) == want
-        stats = db.last_exec_stats()
-        assert stats.scheduled is True
-        assert any(
-            note.startswith("scheduled: table 't'") and "not resident" in note
-            for note in stats.notes
-        ), stats.notes
-        # That run read every page in; the next one declines again
-        # (once its recycled answer is gone).
-        assert db.table("t").waiting_pages == 0
         db.intermediates.clear()
-        assert db.execute(sql) == want
-        assert db.last_exec_stats().reason == RESIDENT
+        assert repr(db.execute(sql)) == repr(want)
+        stats = db.last_exec_stats()
+        assert stats.parallel is False and stats.reason == ""
+        assert stats.phases
+        assert db.buffer.num_pinned == 0
     finally:
         db.close()
 
 
-def test_pool_smaller_than_the_table_always_schedules(tmp_path):
+def test_pool_smaller_than_the_table_walks(tmp_path):
     db = _disk_db(tmp_path, capacity=8)
     try:
         sql = QUERIES["aggregate"]
         want = db.execute(sql, engine="volcano")
         for _ in range(2):
             assert sorted(db.execute(sql)) == sorted(want)
-            assert db.last_exec_stats().scheduled is True
+        assert db.buffer.num_pinned == 0
     finally:
         db.close()
 
 
-def test_cold_disk_join_reaches_the_scheduler_unpinned(tmp_path):
-    """Nothing pins the decision: a join over two cold disk tables is
-    scheduled, runs its stage and join nodes through the driver, and
-    returns exactly the single-worker walk's rows."""
+def test_cold_disk_join_returns_the_memory_rows(tmp_path):
+    """A join over two cold disk tables returns exactly the rows a
+    memory-resident copy's walk does."""
     buffer = BufferManager(capacity=4096)
     catalog = Catalog(buffer)
     for name, columns, rows in (
@@ -200,42 +175,63 @@ def test_cold_disk_join_reaches_the_scheduler_unpinned(tmp_path):
         catalog.register(table)
     catalog.analyze()
     sql = QUERIES["staged join"]
-    db = Database(catalog=catalog, workers=4)
-    serial = HiqueEngine(catalog, parallel=ParallelConfig(workers=1))
+    db = Database(catalog=catalog)
+    memory = _memory_db()
     try:
-        want = serial.execute(sql)
+        want = memory.execute(sql)
         buffer.evict_all()
-        rows = db.execute(sql)
-        stats = db.last_exec_stats()
-        assert stats.scheduled is True, stats
-        phases = [phase.name for phase in stats.phases]
-        assert "stage" in phases and "join" in phases, phases
-        assert repr(rows) == repr(want)
+        assert repr(db.execute(sql)) == repr(want)
     finally:
-        serial.close()
+        memory.close()
         db.close()
 
 
-def test_bare_engine_owns_the_serial_first_executor(tmp_path, monkeypatch):
-    """An engine built without a config takes the same decision."""
+def test_bare_engine_walks_memory_and_cold_disk_tables(tmp_path):
     sql = QUERIES["aggregate"]
-    memory = _memory_db(workers=4)
+    memory = _memory_db()
     disk = _disk_db(tmp_path, capacity=4096)
-    walked, scheduled = HiqueEngine(memory.catalog), HiqueEngine(disk.catalog)
+    walked, cold = HiqueEngine(memory.catalog), HiqueEngine(disk.catalog)
     try:
         assert sorted(walked.execute(sql)) == sorted(
             memory.execute(sql, engine="volcano")
         )
-        assert walked.last_exec_stats.scheduled is False
+        assert walked.last_exec_stats.phases
         disk.buffer.evict_all()
-        rows = scheduled.execute(sql)
-        assert scheduled.last_exec_stats.scheduled is True
+        rows = cold.execute(sql)
+        assert cold.last_exec_stats.phases
         assert sorted(rows) == sorted(disk.execute(sql, engine="volcano"))
     finally:
         walked.close()
-        scheduled.close()
+        cold.close()
         memory.close()
         disk.close()
+
+
+def test_removed_knobs_are_rejected():
+    """One path, no scheduler knobs: ``workers`` is still accepted by
+    ``Database`` (and must be positive); nothing else of the scheduler
+    is."""
+    with pytest.raises(ReproError):
+        Database(workers=0)
+    with Database(workers=8) as db:
+        assert db.parallel_config == ParallelConfig()
+        for removed in ("workers", "morsel_pages", "min_rows", "task_timeout"):
+            with pytest.raises(TypeError):
+                db.set_parallel(**{removed: 2})
+            with pytest.raises(TypeError):
+                ParallelConfig(**{removed: 2})
+        with pytest.raises(TypeError):
+            db.serve(task_timeout=1.0)
+        assert db.set_parallel(min_pages=4) == ParallelConfig(min_pages=4)
+    out = io.StringIO()
+    shell = Shell(stdout=out)
+    try:
+        shell.handle(".workers 2")
+        shell.handle(".parallel")
+        assert "unknown command .workers" in out.getvalue()
+        assert "serial walk, min_pages 16" in out.getvalue()
+    finally:
+        shell.db.close()
 
 
 def test_bare_engine_takes_the_default_config():
@@ -248,7 +244,7 @@ def test_bare_engine_takes_the_default_config():
 
 def test_bare_engine_reports_the_overflow_fallback(monkeypatch):
     """Stale statistics re-plan with hybrid aggregation; the re-planned
-    query takes the same serial-first executor, and its stats say why."""
+    query takes the same walk, and its stats say why."""
     db = Database()
     db.create_table("u", [Column("k", INT), Column("v", INT)])
     db.load_rows("u", [(i, i % 3) for i in range(4000)])
@@ -264,11 +260,9 @@ def test_bare_engine_reports_the_overflow_fallback(monkeypatch):
         stats = engine.last_exec_stats
         assert stats.parallel is False
         assert stats.reason == (
-            "map-directory overflow: re-planned with hybrid aggregation; "
-            + RESIDENT
+            "map-directory overflow: re-planned with hybrid aggregation"
         )
         assert stats.notes[0].startswith("map-directory overflow")
-        assert engine.parallel.serial_runs == 1
         assert sorted(rows) == sorted(db.execute(sql, engine="volcano"))
     finally:
         engine.close()
@@ -298,7 +292,7 @@ def test_resident_count_tracks_install_and_evict(tmp_path):
 
 
 def test_walk_reuses_stagings_and_restages_only_the_written_input():
-    db = _memory_db(workers=4)
+    db = _memory_db()
     try:
         first = db.execute(JOIN)
         assert db.explain_analyze(JOIN).count("staging: reused") == 0
@@ -308,7 +302,7 @@ def test_walk_reuses_stagings_and_restages_only_the_written_input():
             _stale(db, table)
             text = db.explain_analyze(JOIN)
             assert text.count("staging: reused") == 0
-            assert f"serial, not scheduled ({RESIDENT})" in text
+            assert "; serial; " in text
 
         # A write to one input: the other's staging is reused.
         db.execute("INSERT INTO t VALUES (-2, 1)")
@@ -333,13 +327,13 @@ def test_walk_reuses_stagings_and_restages_only_the_written_input():
         db.engine("hique").clear_cache()
         text = db.explain_analyze(JOIN)
         assert text.count("staging: reused cached intermediate") == 2
-        assert f"serial, not scheduled ({RESIDENT})" in text
+        assert "; serial; " in text
     finally:
         db.close()
 
 
 def test_walk_probes_the_index_and_banks_nothing():
-    db = _memory_db(workers=4)
+    db = _memory_db()
     try:
         db.create_index("t", "a")
         sql = "SELECT a, b FROM t WHERE a = ?"
@@ -347,7 +341,6 @@ def test_walk_probes_the_index_and_banks_nothing():
             _stale(db, "t")
             assert db.execute(sql, params=(4321,)) == [(4321, 4321 % 7)]
         stats = db.last_exec_stats()
-        assert stats.scheduled is False
         assert stats.recycled == "stale"
         assert "table 't': index: 1 rids" in stats.notes
         assert db.intermediates.stats().entries == 1  # the answer alone
@@ -357,14 +350,14 @@ def test_walk_probes_the_index_and_banks_nothing():
         db.close()
 
 
-def test_single_worker_probes_the_index():
+def test_first_run_probes_the_index():
     db = _memory_db(workers=1)
     try:
         db.create_index("t", "a")
         sql = "SELECT a, b FROM t WHERE a = ?"
         assert db.execute(sql, params=(4321,)) == [(4321, 4321 % 7)]
         stats = db.last_exec_stats()
-        assert stats.reason == "single worker"
+        assert stats.recycled == "first"
         assert "table 't': index: 1 rids" in stats.notes
     finally:
         db.close()
@@ -384,21 +377,17 @@ def test_small_scans_skip_the_cache_entirely():
         db.close()
 
 
-# -- (e) a declined run costs no thread and no pin --------------------------------------
+# -- (e) a walk over memory tables costs no thread and no pin ---------------------------
 
 
-def test_declined_run_starts_no_thread_and_leaves_no_pin():
-    db = _memory_db(workers=4)
+def test_walk_starts_no_thread_and_leaves_no_pin():
+    db = _memory_db()
     try:
         before = threading.active_count()
         for sql in QUERIES.values():
             db.execute(sql)
-            assert db.last_exec_stats().scheduled is False
-        assert _executor(db).thread_backend()._pool is None
         assert threading.active_count() == before
         assert db.buffer.num_pinned == 0
-        parallel_runs, serial_runs = db.parallel_counters()
-        assert (parallel_runs, serial_runs) == (0, len(QUERIES))
     finally:
         db.close()
 
@@ -407,7 +396,7 @@ def test_declined_run_starts_no_thread_and_leaves_no_pin():
 
 
 def test_staging_is_banked_from_its_second_miss():
-    db = _memory_db(workers=4)
+    db = _memory_db()
     try:
         db.execute(JOIN)
         assert db.intermediates.stats().entries == 0

@@ -7,8 +7,8 @@ inside that scan's page loop (``join_oM_scan``) whenever the staging
 would not be kept.  CHAR/VARCHAR columns compared with ``=`` / ``<>``
 against a literal or parameter are compared as padded bytes, and a
 fused map aggregate keys its directories on them.  Every path a probe
-can take — fused, staged + banked, cache hit, index fetch, pinned
-scheduled — returns the same rows, float summation order included, and
+can take — fused, staged + banked, cache hit, index fetch — returns
+the same rows, float summation order included, and
 the same rows as the iterator engine built from the same plan.  A
 repeated statement is answered from the intermediate cache, so the
 staged paths are reached through writes to the *build* side that make
@@ -98,11 +98,6 @@ def _db(**kwargs) -> Database:
     db.load_rows("dim", [_dim(n) for n in range(2 * DIM_KEYS)])
     db.analyze()
     return db
-
-
-def _pin_scheduled(db: Database) -> None:
-    db.engine("hique").parallel.waiting_table = lambda plan: "pinned"
-    db.set_parallel(morsel_pages=4, min_pages=2, min_rows=256)
 
 
 def _stale(db: Database) -> None:
@@ -201,12 +196,6 @@ def test_every_path_returns_the_same_rows(db, sql):
     else:
         # No ORDER BY: both engines emit the probe rows' order.
         assert volcano == fused
-
-    _pin_scheduled(db)
-    _stale(db)
-    scheduled = db.execute(sql, params=params)
-    assert db.last_exec_stats().scheduled is True
-    assert repr(scheduled) == repr(fused)
 
 
 @pytest.mark.parametrize("name", ["Q3", "Q10"])
@@ -535,70 +524,70 @@ _LEVELS = {
     "O2": (OPT_O2, False), "O2-traced": (OPT_O2, True),
     "O0": (OPT_O0, False), "O0-traced": (OPT_O0, True),
 }
-#: sha256[:16] of the generated serial source and scheduled source, per
+#: sha256[:16] of the generated source, per
 #: (query, forced config, level): the Table II and Figure 5–7 cells
 #: (synthetic INT tables),
 #: and TPC-H under forced joins where the memory simulation and O0
 #: code quality are measured.  A change that moves one of these moves
 #: a paper-facing cell and must say so.
 _FORCED_SOURCE = {
-    "join-merge-O2": "a20cce2ed14c9247",
-    "join-merge-O2-traced": "8d882ddea4a856ff",
-    "join-merge-O0": "a3626277987bfc88",
-    "join-merge-O0-traced": "e6ff61747a65b7f8",
-    "join-hybrid-O2": "4b7a10a8da29e8ea",
-    "join-hybrid-O2-traced": "934c390ca54048ad",
-    "join-hybrid-O0": "9366a262b57585d1",
-    "join-hybrid-O0-traced": "e39eeffab637621f",
-    "join-hash-O2": "01741aa82361affd",
-    "join-hash-O2-traced": "7f64db4f3c7dd6c8",
-    "join-hash-O0": "95e859ae074c7272",
-    "join-hash-O0-traced": "a5991424a605433e",
-    "join-nested-O2": "584b0b3bdf251106",
-    "join-nested-O2-traced": "14245b47a3ee257e",
-    "join-nested-O0": "1c7add4e6376cc6f",
-    "join-nested-O0-traced": "c140367eec61b66d",
-    "agg-hybrid-O2": "ad3cb024b65641e4",
-    "agg-hybrid-O2-traced": "07ed2e71c96c716a",
-    "agg-hybrid-O0": "84a3413157df02ed",
-    "agg-hybrid-O0-traced": "0bb50880b044ffdd",
-    "agg-map-O2": "d23c885da363a881",
-    "agg-map-O2-traced": "51165c9f97043486",
-    "agg-map-O0": "339f176e2eb8ad45",
-    "agg-map-O0-traced": "26c364b10b932caf",
-    "agg-sort-O2": "cd5cb29b74fcea73",
-    "agg-sort-O2-traced": "3fefa30413361285",
-    "agg-sort-O0": "95571dae0e3317ab",
-    "agg-sort-O0-traced": "6a1f825217235969",
-    "team-merge-O2": "262892bee9c91e36",
-    "team-merge-O2-traced": "cfcc0a7fdcf5bf58",
-    "team-merge-O0": "9a69dd4333a13f2b",
-    "team-merge-O0-traced": "ce288a9da941629e",
-    "team-hybrid-O2": "635507e547b1029d",
-    "team-hybrid-O2-traced": "144f6e0e691ba830",
-    "team-hybrid-O0": "e8efe8eaf4e92751",
-    "team-hybrid-O0-traced": "09436fc5a4833c7d",
-    "Q1-merge-O2-traced": "ca21008e9356eded",
-    "Q1-merge-O0": "92a4a1c510665849",
-    "Q1-merge-O0-traced": "cc6369bc484bfdfc",
-    "Q3-merge-O2-traced": "58f849c2c23b660a",
-    "Q3-merge-O0": "12cfbceddfb8c09f",
-    "Q3-merge-O0-traced": "af91880c85cdf705",
-    "Q3-hybrid-O2-traced": "2f2ad36e3ae1e640",
-    "Q3-hybrid-O0": "240e7d16b72c2956",
-    "Q3-hybrid-O0-traced": "72e39c057dc9c53a",
-    "Q3-hash-O2-traced": "d9ef5474e86e11b6",
-    "Q3-hash-O0": "82c64dd49a432ded",
-    "Q3-hash-O0-traced": "88bfc41ab613bba8",
-    "Q10-merge-O2-traced": "7a6f91b29523b117",
-    "Q10-merge-O0": "2f55ecf606b0ef38",
-    "Q10-merge-O0-traced": "7e29b65662a00209",
-    "Q10-hybrid-O2-traced": "3a960d31f12a2c8f",
-    "Q10-hybrid-O0": "401fa869ae8ae0ae",
-    "Q10-hybrid-O0-traced": "48f0b97f36869a00",
-    "Q10-hash-O2-traced": "51a21f056e0d8f84",
-    "Q10-hash-O0": "e35b3b4e3264c3a6",
-    "Q10-hash-O0-traced": "0c909a4c4b5ccf43",
+    "join-merge-O2": "f563ace28b120092",
+    "join-merge-O2-traced": "57595851bfadf6db",
+    "join-merge-O0": "ae8d44a62be2056e",
+    "join-merge-O0-traced": "6325f632a275f1d4",
+    "join-hybrid-O2": "b11be67bb95e5dee",
+    "join-hybrid-O2-traced": "8fa6b929d3d8ba32",
+    "join-hybrid-O0": "cb55b9fced49704b",
+    "join-hybrid-O0-traced": "f8d55bc8875540a8",
+    "join-hash-O2": "c07a5c6aca863f7e",
+    "join-hash-O2-traced": "43dd6063ce14f973",
+    "join-hash-O0": "51c85955a8660bcf",
+    "join-hash-O0-traced": "4bbf2eeb861aa330",
+    "join-nested-O2": "388a7126c72e5c7c",
+    "join-nested-O2-traced": "d5f6e26476590bde",
+    "join-nested-O0": "d46d11a30532800d",
+    "join-nested-O0-traced": "49f800bb1ccaad08",
+    "agg-hybrid-O2": "96316a9b7dfddd48",
+    "agg-hybrid-O2-traced": "c671bd1b18067bc6",
+    "agg-hybrid-O0": "cc7c5baea26d2076",
+    "agg-hybrid-O0-traced": "a654394025564ef7",
+    "agg-map-O2": "7da8c43c163bec07",
+    "agg-map-O2-traced": "6b043e59f8e23d79",
+    "agg-map-O0": "33054ccb12e26893",
+    "agg-map-O0-traced": "506b0136c00642bf",
+    "agg-sort-O2": "c1f1fd965458e897",
+    "agg-sort-O2-traced": "46b064fb55abacb9",
+    "agg-sort-O0": "f957d59c5d7edb67",
+    "agg-sort-O0-traced": "c991fb2654289136",
+    "team-merge-O2": "60c88d766960d3a7",
+    "team-merge-O2-traced": "7bc475340406c2e5",
+    "team-merge-O0": "5f42750d28452811",
+    "team-merge-O0-traced": "d0645749b52efcb1",
+    "team-hybrid-O2": "1190fc3b3e7e0a1f",
+    "team-hybrid-O2-traced": "277e87ac8309037e",
+    "team-hybrid-O0": "9301e4986ff22101",
+    "team-hybrid-O0-traced": "e9f5013e82ae07ce",
+    "Q1-merge-O2-traced": "063d5747edd0feb2",
+    "Q1-merge-O0": "fa565596e8f433b4",
+    "Q1-merge-O0-traced": "73846638af74a4b1",
+    "Q3-merge-O2-traced": "0ecb8d8fb3d4e40f",
+    "Q3-merge-O0": "ca4178265ed5c073",
+    "Q3-merge-O0-traced": "8d554a3a801dc51d",
+    "Q3-hybrid-O2-traced": "fdd7eec68d7b03b2",
+    "Q3-hybrid-O0": "fb2b364f3335a664",
+    "Q3-hybrid-O0-traced": "2e617a145d7da565",
+    "Q3-hash-O2-traced": "df5eb5224ade6ec5",
+    "Q3-hash-O0": "04ae58821b3c6cd4",
+    "Q3-hash-O0-traced": "2e7994b016d0b9bf",
+    "Q10-merge-O2-traced": "1bb81ad380179ff0",
+    "Q10-merge-O0": "3e38b340f7b955b3",
+    "Q10-merge-O0-traced": "6d6fbd39e3d70f30",
+    "Q10-hybrid-O2-traced": "b6bd2949f0c6f13a",
+    "Q10-hybrid-O0": "df120fc32cb424f7",
+    "Q10-hybrid-O0-traced": "f99d83fb87275117",
+    "Q10-hash-O2-traced": "fc632b1b66638fdb",
+    "Q10-hash-O0": "7cdd581dc96b09c4",
+    "Q10-hash-O0-traced": "9061502694326dcd",
 }
 
 
@@ -608,8 +597,7 @@ def _source_digest(catalog, sql, config, level) -> str:
     generated = CodeGenerator().generate(
         plan, opt_level=opt_level, traced=traced
     )
-    module = f"{generated.source}\0{generated.scheduled_source}"
-    return hashlib.sha256(module.encode()).hexdigest()[:16]
+    return hashlib.sha256(generated.source.encode()).hexdigest()[:16]
 
 
 def test_forced_configurations_generate_unchanged_source():

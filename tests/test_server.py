@@ -2,8 +2,8 @@
 
 Tier-1 smoke coverage for the serving layer: rows over the wire must
 be byte-identical to direct :meth:`Database.execute`, error responses
-must be *typed* (admission backpressure, per-query deadlines, watchdog
-abandonments, SQL errors), and a graceful shutdown under load must
+must be *typed* (admission backpressure, per-query deadlines, SQL
+errors), and a graceful shutdown under load must
 complete every admitted query with zero spurious "service is closed"
 failures.
 """
@@ -24,7 +24,6 @@ from repro.errors import (
     QueryTimeout,
     ServerError,
     ServiceError,
-    WatchdogTimeout,
 )
 from repro.server import QueryClient, serve_in_thread
 from repro.server.protocol import (
@@ -216,49 +215,14 @@ def test_query_deadline_is_a_typed_timeout(simple_db):
         handle.stop()
 
 
-def test_watchdog_abandonment_reaches_client_and_stats(simple_db):
-    """A wedged parallel task (stall watchdog) must surface as a typed
-    ``watchdog_timeout`` response and in both stats surfaces."""
-    handle = simple_db.serve()
-    original = simple_db.service.execute
-
-    def wedged(sql, params=None, engine=None):
-        if "314159" in sql:
-            raise WatchdogTimeout(
-                "parallel task exceeded task_timeout=0.1s"
-            )
-        return original(sql, params, engine)
-
-    simple_db.service.execute = wedged
-    try:
-        with connect(handle) as client:
-            with pytest.raises(WatchdogTimeout):
-                client.query("SELECT a FROM t WHERE a = 314159")
-            payload = client.stats()
-            assert payload["server"]["watchdog_timeouts"] == 1
-            assert payload["service"]["failed"] == 1
-    finally:
-        simple_db.service.execute = original
-        handle.stop()
-
-
 def test_error_code_taxonomy():
     assert error_code(AdmissionError("x")) == "over_capacity"
     assert error_code(QueryTimeout("x")) == "timeout"
-    assert error_code(WatchdogTimeout("x")) == "watchdog_timeout"
     assert error_code(BindError("x")) == "bind"
     assert error_code(ParseError("x")) == "parse"
     assert error_code(ServiceError("x")) == "service"
     assert error_code(ProtocolError("x")) == "bad_request"
     assert error_code(ValueError("x")) == "internal"
-
-
-def test_server_task_timeout_arms_the_stall_watchdog(simple_db):
-    handle = simple_db.serve(task_timeout=5.0)
-    try:
-        assert simple_db.parallel_config.task_timeout == 5.0
-    finally:
-        handle.stop()
 
 
 # -- graceful drain -----------------------------------------------------------------

@@ -1,11 +1,13 @@
 """The query service: prepared statements, plan cache, sessions."""
 
+import random
 import threading
 
 import pytest
 
 from repro.api import Database, ENGINE_KINDS
 from repro.errors import AdmissionError, BindError, ServiceError
+from repro.service.cache import PlanCache
 from repro.storage import Column, INT, Schema
 
 #: (placeholder form, params, inlined form) triples over the t/u tables.
@@ -442,3 +444,86 @@ def test_shell_sql_uses_one_preparation_per_shape():
     assert "n\n" in shell.stdout.getvalue()  # header still rendered
 
 
+# -- cost-aware cache admission -------------------------------------------------------
+
+
+def test_cache_cost_aware_eviction_protects_valuable_entries():
+    cache = PlanCache(capacity=2)
+    cache.put("expensive", 1, cost_seconds=0.5, size_bytes=100)
+    cache.put("cheap", 2, cost_seconds=0.001, size_bytes=100)
+    # Hits earn the expensive entry its bytes even though it is LRU.
+    cache.get("expensive")
+    cache.get("cheap")
+    cache.put("newcomer", 3, cost_seconds=0.1, size_bytes=100)
+    assert "expensive" in cache
+    assert "cheap" not in cache  # lowest seconds-saved/size score
+    assert "newcomer" in cache
+    assert cache.stats().policy.startswith("cost-aware")
+
+
+def test_cache_ties_break_in_lru_order():
+    cache = PlanCache(capacity=2)
+    cache.put("first", 1)
+    cache.put("second", 2)
+    cache.put("third", 3)  # all scores zero: evict the LRU entry
+    assert "first" not in cache
+    assert "second" in cache and "third" in cache
+
+
+def _full_scan_victim(cache: PlanCache, exclude) -> object:
+    """Reference eviction rule: the lowest score, LRU order breaking
+    ties, over every entry."""
+    victim, best = None, None
+    for entry in cache.entries():  # LRU → MRU
+        if entry.key == exclude:
+            continue
+        if best is None or entry.score < best:
+            victim, best = entry.key, entry.score
+    return victim
+
+
+def test_cache_early_exit_victim_matches_the_full_scan():
+    """Stopping at the first zero score picks the full scan's victim."""
+    rng = random.Random(20100419)
+    for _ in range(300):
+        cache = PlanCache(capacity=64)
+        keys = list(range(rng.randrange(2, 40)))
+        for key in keys:
+            # Few distinct costs and sizes, so scores tie often
+            # (0.1 / 100 == 0.2 / 200); cost 0 scores zero however hit.
+            cache.put(
+                key,
+                key,
+                cost_seconds=rng.choice((0.0, 0.1, 0.2)),
+                size_bytes=rng.choice((100, 200)),
+            )
+        for key in rng.sample(keys, rng.randrange(len(keys) + 1)):
+            cache.get(key)  # a hit gives a positive score, and recency
+        exclude = rng.choice(keys)
+        assert cache._pick_victim(exclude) == _full_scan_victim(
+            cache, exclude
+        )
+
+
+def test_cache_entry_counters_update_under_lock():
+    cache = PlanCache(capacity=4)
+    cache.put("k", "v", cost_seconds=0.25)
+    threads_n, per_thread = 8, 200
+
+    def hammer():
+        for _ in range(per_thread):
+            cache.get("k")
+
+    threads = [threading.Thread(target=hammer) for _ in range(threads_n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    entry = cache.entries()[-1]
+    assert entry.hits == threads_n * per_thread  # no dropped increments
+    assert entry.seconds_saved == pytest.approx(
+        entry.hits * entry.cost_seconds
+    )
+    stats = cache.stats()
+    assert stats.hits == threads_n * per_thread
+    assert stats.seconds_saved == pytest.approx(entry.seconds_saved)
