@@ -240,7 +240,7 @@ class Database:
 
     # -- execution knobs -----------------------------------------------------------------
     def set_parallel(self, min_pages: int | None = None) -> ParallelConfig:
-        """Reconfigure the serial walk at run time.
+        """Reconfigure execution at run time.
 
         Applies to engines built afterwards *and* to the already built
         code-generating engines; in-flight executions keep the

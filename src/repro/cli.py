@@ -187,7 +187,7 @@ class Shell:
                 self.write("usage: .parallel")
                 return True
             config = self.db.parallel_config
-            self.write(f"serial walk, min_pages {config.min_pages}")
+            self.write(f"serial, min_pages {config.min_pages}")
             stats = self.db.last_exec_stats(self.engine_kind)
             if stats is not None:
                 self.write(f"last execution: {stats.describe()}")

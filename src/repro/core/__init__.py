@@ -7,7 +7,7 @@ from repro.core.engine import (
     PreparationTimings,
     PreparedQuery,
 )
-from repro.core.executor import QueryContext, build_context, run_compiled
+from repro.core.executor import QueryContext, build_context
 from repro.core.generator import CodeGenerator, GeneratedQuery
 
 __all__ = [
@@ -24,5 +24,4 @@ __all__ = [
     "QueryCompiler",
     "QueryContext",
     "build_context",
-    "run_compiled",
 ]

@@ -4,11 +4,12 @@ The paper writes the generated C file, invokes gcc to produce a shared
 library, and ``dlopen``s it.  The Python analogue compiles the generated
 source in memory with :func:`compile`, under a per-compilation path
 that names no real file, and executes it into a fresh module namespace
-whose entry function the executor calls.  Nothing is written to disk:
-the namespace's ``__loader__`` serves the source, so ``linecache`` (and
-with it tracebacks and ``inspect``) shows generated lines.  ``marshal`` of the code object stands in for
-the shared library when reporting compiled sizes, computed only when
-asked for.
+whose composing function, ``run_query``, the executor calls.  Nothing
+is written to disk: the namespace's ``__loader__`` serves the source,
+so ``linecache`` (and with it tracebacks and ``inspect``) shows
+generated lines.  ``marshal`` of the code object stands in for the
+shared library when reporting compiled sizes, computed only when asked
+for.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from types import CodeType
-from typing import Any, Callable
+from typing import Any
 
 from repro.core.generator import GeneratedQuery
 from repro.errors import CodegenError
@@ -48,7 +49,7 @@ class CompiledQuery:
     source: str
     #: The filename the module's code objects carry (no file exists).
     source_path: str
-    entry: Callable[[Any], list[tuple]]
+    #: The module's globals; ``run_query`` is the composing function.
     namespace: dict[str, Any]
     opt_level: str
     traced: bool
@@ -103,18 +104,10 @@ class QueryCompiler:
         }
         exec(code, namespace)  # noqa: S102 - this *is* the dynamic linker
         elapsed = time.perf_counter() - started
-
-        entry = namespace.get(generated.entry_name)
-        if not callable(entry):
-            raise CodegenError(
-                f"generated module lacks entry point "
-                f"{generated.entry_name!r}"
-            )
         return CompiledQuery(
             name=generated.name,
             source=generated.source,
             source_path=source_path,
-            entry=entry,
             namespace=namespace,
             opt_level=generated.opt_level,
             traced=generated.traced,

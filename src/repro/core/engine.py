@@ -116,8 +116,8 @@ class HiqueEngine:
         self.generator = CodeGenerator()
         self.compiler = QueryCompiler()
         self._cache: dict[tuple[str, str, bool], PreparedQuery] = {}
-        #: The executor: a recycled answer, else the serial walk over the
-        #: plan's generated functions.
+        #: The executor: a recycled answer, else the plan's generated
+        #: composing function.
         self.parallel = ParallelExecutor(parallel)
         #: How the most recent execution ran (set per execute call).
         self.last_exec_stats: ExecutionStats | None = None

@@ -1,6 +1,4 @@
-"""The query executor: builds contexts and runs compiled queries.
-
-The execution context carries what generated code cannot embed:
+"""The execution context: what generated code cannot embed.
 
 * the bindings' tables (resolved through the catalogue at load time);
 * the probe (a real :class:`~repro.memsim.Probe` for traced runs, the
@@ -15,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.core.compiler import CompiledQuery
 from repro.core.emitter import OPT_O2
 from repro.core.templates.aggregate import collect_aggregates
-from repro.errors import ExecutionError
 from repro.memsim.probe import NULL_PROBE, NullProbe
 from repro.plan.descriptors import (
     Aggregate,
@@ -102,21 +98,6 @@ def build_context(
                 operator, input_layout, ctx.params
             )
     return ctx
-
-
-def run_compiled(
-    compiled: CompiledQuery,
-    plan: PhysicalPlan,
-    probe: NullProbe = NULL_PROBE,
-    params: tuple = (),
-) -> list[tuple]:
-    """Execute a compiled query against its plan's tables."""
-    ctx = build_context(
-        plan, probe=probe, opt_level=compiled.opt_level, params=params
-    )
-    if compiled.traced and not probe.enabled:
-        raise ExecutionError("traced query executed without a probe")
-    return compiled.entry(ctx)
 
 
 # -- O0 helper construction ------------------------------------------------------------

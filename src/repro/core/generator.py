@@ -3,14 +3,19 @@
 Traverses the optimizer's topologically sorted operator-descriptor list,
 retrieves the code template for each operator's algorithm, instantiates
 it with the descriptor's parameters, and emits one Python function per
-staging step and per operator.  A composing function (``run_query``)
-calls them in order and returns the result — "the last bit of code
-generation is to traverse O and generate a main (composing) function
-that calls all evaluation functions in the correct order".
+staging step and per operator.  A composing function,
+``run_query(ctx, acc)``, calls them in order and returns the result —
+"the last bit of code generation is to traverse O and generate a main
+(composing) function that calls all evaluation functions in the correct
+order".  It is the only thing that runs a plan.  Every scan goes
+through the run's access object ``acc``
+(:class:`~repro.parallel.stage.StageAccess`), which serves it from an
+index fetch or a cached staging when it can; a scan fused into its
+consumer runs the consumer's page loop only when no staging is kept.
+Every other operator is a direct call.
 
 The output is a single self-contained source module, mirroring the
-paper's "insert all generated functions into a new C source file":
-everything the serial walk and ``run_query`` call.
+paper's "insert all generated functions into a new C source file".
 """
 
 from __future__ import annotations
@@ -21,11 +26,7 @@ from repro.core.emitter import Emitter, GenContext, OPT_O2
 from repro.core.templates.aggregate import emit_aggregate
 from repro.core.templates.final import emit_limit, emit_project, emit_sort
 from repro.core.templates.join import emit_join, emit_multiway_join
-from repro.core.templates.staging import (
-    emit_restage,
-    emit_scan_stage,
-    has_index_path,
-)
+from repro.core.templates.staging import emit_restage, emit_scan_stage
 from repro.errors import CodegenError
 from repro.plan.descriptors import (
     AGG_MAP,
@@ -40,15 +41,25 @@ from repro.plan.descriptors import (
     Sort,
 )
 
+#: The phase each operator's time is reported under.
+PHASE_OF = {
+    ScanStage: "stage",
+    Restage: "stage",
+    Join: "join",
+    MultiwayJoin: "join",
+    Aggregate: "aggregate",
+    Project: "final",
+    Sort: "final",
+    Limit: "final",
+}
+
 
 @dataclass
 class GeneratedQuery:
     """A generated source module, ready for compilation."""
 
     name: str
-    #: The serial module: what ``serial_walk`` and ``run_query`` call.
     source: str
-    entry_name: str
     opt_level: str
     traced: bool
     function_names: dict[int, str] = field(default_factory=dict)
@@ -109,7 +120,7 @@ class CodeGenerator:
                     f"no template for operator {type(operator).__name__}"
                 )
 
-        self._emit_composer(body, gen, plan, function_names, fused)
+        self._emit_composer(body, plan, function_names, fused)
         header = self._header(plan, name, gen, uses_map_aggregate)
         # Module metadata trailer: the module names its own query,
         # generation level and tracing mode, so ``.source`` output and
@@ -124,7 +135,6 @@ class CodeGenerator:
         return GeneratedQuery(
             name=name,
             source=source,
-            entry_name="run_query",
             opt_level=opt_level,
             traced=traced,
             function_names=function_names,
@@ -134,56 +144,43 @@ class CodeGenerator:
     @staticmethod
     def _emit_composer(
         em: Emitter,
-        gen: GenContext,
         plan: PhysicalPlan,
         function_names: dict[int, str],
         fused: dict[int, Aggregate | Join],
     ) -> None:
-        """``run_query``: every operator in plan order.  It has no
-        intermediate cache, so a fusable scan→consumer pair always
-        runs fused, unless the index fetch answers the scan."""
+        """``run_query(ctx, acc)``: every operator in plan order.
+
+        A scan is ``acc.scan``; a fused scan→consumer pair is
+        ``acc.fold``, handed the consumer's staged entry and its page
+        loop (``<consumer>_scan``) to choose between.  Every other
+        operator is a direct call, and ``acc.lap`` books its time to
+        its phase."""
         folded = {consumer.op_id for consumer in fused.values()}
-        with em.block("def run_query(ctx):"):
+        with em.block("def run_query(ctx, acc):"):
             for operator in plan.operators:
-                if operator.op_id in folded:
+                op_id = operator.op_id
+                if op_id in folded:
                     continue
-                func = function_names[operator.op_id]
-                args = ", ".join(
-                    f"r{input_id}" for input_id in operator.inputs
-                )
-                consumer = fused.get(operator.op_id)
+                func = function_names[op_id]
+                consumer = fused.get(op_id)
                 if consumer is not None:
                     fold = function_names[consumer.op_id]
                     # The consumer's other input (a join's build side).
                     other = "".join(
                         f", r{input_id}"
                         for input_id in consumer.inputs
-                        if input_id != operator.op_id
+                        if input_id != op_id
                     )
-                if isinstance(operator, ScanStage) and has_index_path(
-                    gen, operator
-                ):
-                    # Probe first; the scan runs only when the index
-                    # declines (too many matches for fetching to win).
-                    em.emit(f"_hit = {func}_probe(ctx)")
-                    fetch = f"{func}_fetch(ctx, _hit.rids)"
-                    if consumer is None:
-                        em.emit(
-                            f"r{operator.op_id} = {func}(ctx) "
-                            f"if _hit.rids is None else {fetch}"
-                        )
-                    else:
-                        em.emit(
-                            f"r{consumer.op_id} = {fold}_scan(ctx{other}) "
-                            f"if _hit.rids is None else "
-                            f"{fold}(ctx{other}, {fetch})"
-                        )
-                elif consumer is not None:
-                    em.emit(f"r{consumer.op_id} = {fold}_scan(ctx{other})")
-                elif args:
-                    em.emit(f"r{operator.op_id} = {func}(ctx, {args})")
+                    em.emit(
+                        f"r{consumer.op_id} = acc.fold({op_id}, {func}, "
+                        f"{fold}, {fold}_scan{other})"
+                    )
+                elif isinstance(operator, ScanStage):
+                    em.emit(f"r{op_id} = acc.scan({op_id}, {func})")
                 else:
-                    em.emit(f"r{operator.op_id} = {func}(ctx)")
+                    args = "".join(f", r{i}" for i in operator.inputs)
+                    em.emit(f"r{op_id} = {func}(ctx{args})")
+                    em.emit(f'acc.lap("{PHASE_OF[type(operator)]}")')
             em.emit(f"return r{plan.root.op_id}")
 
     # -- module header -----------------------------------------------------------------

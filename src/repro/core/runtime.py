@@ -99,17 +99,15 @@ def scan_filter_project(
     predicate: Callable[[Row], bool] | None,
     projector: Callable[[Row], Row] | None,
     page_lo: int = 0,
-    page_hi: int | None = None,
 ) -> Rows:
     """Generic staging scan: decode, filter, project row by row.
 
-    ``page_lo``/``page_hi`` bound the scan to a page range (a staging
-    extension starts at the banked heap end); the defaults scan the
-    whole table.
+    ``page_lo`` is the first page read (a staging extension starts at
+    the banked heap end); the default scans the whole table.
     """
     out: Rows = []
     append = out.append
-    for page in table.pages(page_lo, page_hi):
+    for page in table.pages(page_lo):
         for row in page.rows():
             if predicate is not None and not predicate(row):
                 continue

@@ -45,10 +45,9 @@ def emit_scan_stage(
 ) -> None:
     """Emit one staging function for a base-table input.
 
-    The function accepts an optional page range ``(_lo, _hi)``: the
-    composer calls it with the defaults, which scan every page, and a
-    staging extension starts it at the banked heap end's page (see
-    :func:`~repro.parallel.stage.extend_staged`).
+    The function accepts an optional first page ``_lo``: a scan reads
+    every page, and a staging extension starts it at the banked heap
+    end's page (see :func:`~repro.parallel.stage.extend_staged`).
     """
     if gen.optimized:
         _emit_scan_optimized(em, gen, op, func_name)
@@ -360,12 +359,10 @@ def _emit_scan_optimized(
         _emit_post_prep(em, gen, op.prep, row_bytes)
         em.emit(f"return {_result_var(op.prep)}")
 
-    with em.block(f"def {func_name}(ctx, _lo=0, _hi=None):"):
+    with em.block(f"def {func_name}(ctx, _lo=0):"):
         loop.emit_prologue(em)
-        em.emit("if _hi is None:")
-        em.emit("    _hi = table.num_pages")
         emit_collector()
-        loop.emit_pages(em, collect, "range(_lo, _hi)")
+        loop.emit_pages(em, collect, "range(_lo, table.num_pages)")
         emit_epilogue()
     em.emit()
 
@@ -544,12 +541,12 @@ def _emit_scan_generic(
     em: Emitter, gen: GenContext, op: ScanStage, func_name: str
 ) -> None:
     prep = op.prep
-    with em.block(f"def {func_name}(ctx, _lo=0, _hi=None):"):
+    with em.block(f"def {func_name}(ctx, _lo=0):"):
         em.emit(f'table = ctx.tables["{op.binding}"]')
         em.emit(
             f"out = _rt.scan_filter_project(table, "
             f"ctx.predicates.get({op.op_id}), "
-            f"ctx.projectors.get({op.op_id}), _lo, _hi)"
+            f"ctx.projectors.get({op.op_id}), _lo)"
         )
         _emit_generic_prep(em, prep, "out")
         em.emit(f"return {_result_var(prep)}")

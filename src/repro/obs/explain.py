@@ -20,7 +20,7 @@ def _ms(seconds: float) -> str:
 def _node_spans(root: Span) -> dict[int, tuple[Span, bool]]:
     """op_id → (node span, primary?) over the whole span tree.
 
-    A walk step may fuse a scan into its consumer (``stage+join``); its
+    A run may fuse a scan into its consumer (``stage+join``); its
     span lists every covered id in ``op_ids``.  The *last* id is the
     node's output operator, where per-node annotations attach; the
     other ids render as fused references.

@@ -2,7 +2,7 @@
 
 A :class:`Tracer` records a :class:`Trace` — a tree of :class:`Span`
 objects — per query: parse → bind → plan → codegen → each operator of
-the walk (stage / join / aggregate / sort), stamped with monotonic
+the run (stage / join / aggregate / sort), stamped with monotonic
 timestamps, thread ids, rows and bytes.
 
 Overhead discipline (tracing is *off* by default):

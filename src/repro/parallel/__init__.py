@@ -1,9 +1,9 @@
 """Query execution over the generated code, and what it shares.
 
 * :mod:`~repro.parallel.executor` — :class:`ParallelExecutor` runs a
-  prepared query: a recycled answer, else the serial walk over the
-  plan's generated functions (:mod:`~repro.parallel.stage`), which is
-  the only way a plan runs;
+  prepared query: a recycled answer, else the plan's generated
+  composing function ``run_query``, whose scans go through
+  :mod:`~repro.parallel.stage`'s access object;
 * :mod:`~repro.parallel.intermediates` — the version-keyed cache of
   statement answers and staged scan outputs;
 * :mod:`~repro.parallel.latch` — the readers–writer gate the catalogue

@@ -1,14 +1,16 @@
-"""Execution of prepared queries: recall, the serial walk, bank.
+"""Execution of prepared queries: recall, ``run_query``, bank.
 
 HIQUE's generated program is single-threaded (paper §IV), and so is
 every execution here.  :meth:`ParallelExecutor.run` looks the
 statement's answer up in the intermediate cache
-(:func:`~repro.parallel.stage.recall`); on a miss
-:func:`~repro.parallel.stage.serial_walk` runs the plan's generated
-functions in plan order on the calling thread, serving scans from the
-index probe or a cached staging where one answers, and the rows are
-banked for the next identical statement.  Traced runs skip all of it
-and call the composed ``run_query`` entry point.
+(:func:`~repro.parallel.stage.recall`); on a miss it calls the plan's
+generated composing function, ``run_query(ctx, acc)``, on the calling
+thread.  Its access object ``acc``
+(:class:`~repro.parallel.stage.StageAccess`) serves scans from the
+index probe or a cached staging where one answers and times each
+phase, and the rows are banked for the next identical statement.  A
+run the memory-hierarchy probe traces calls the same ``run_query``
+with no cache, so that every access it records is the plan's own.
 
 Overlap with page waits on cold disk-backed tables comes from the
 buffer pool's sequential read-ahead
@@ -21,14 +23,24 @@ from __future__ import annotations
 
 import time
 
-from repro.core.executor import run_compiled
+from repro.core.executor import build_context
+from repro.errors import ExecutionError
 from repro.memsim.probe import NULL_PROBE, NullProbe
-from repro.parallel.stage import recall, serial_walk
+from repro.obs import current_span
+from repro.parallel.stage import (
+    SpannedAccess,
+    StageAccess,
+    recall,
+    spanned_query,
+)
 from repro.parallel.stats import ExecutionStats, ParallelConfig
+
+#: Why a traced run asks no cache.
+_TRACED = "traced execution (the probe records every access)"
 
 
 class ParallelExecutor:
-    """Runs prepared queries: a recycled answer, else the serial walk.
+    """Runs prepared queries: a recycled answer, else ``run_query``.
 
     One instance per engine; stateless apart from its configuration and
     the wired intermediate cache, so concurrent sessions share it.
@@ -57,25 +69,20 @@ class ParallelExecutor:
     ) -> tuple[list[tuple], ExecutionStats]:
         """Execute a :class:`~repro.core.engine.PreparedQuery`.
 
-        Returns ``(rows, stats)``; rows are identical to what the
-        composed entry point produces for the same inputs — a recycled
-        answer too, since no table it read has been written since it
-        was computed.
+        Returns ``(rows, stats)``; a recycled answer's rows are the
+        ones ``run_query`` would return, since no table it read has
+        been written since they were computed.
         """
         started = time.perf_counter()
-        reason = self._ineligible(prepared, probe)
-        if reason:
-            rows = run_compiled(
-                prepared.compiled, prepared.plan, probe=probe, params=params
-            )
-            return rows, ExecutionStats(
-                rows=len(rows),
-                elapsed_seconds=time.perf_counter() - started,
-                reason=reason,
-            )
-        min_pages = self.config.min_pages
+        compiled = prepared.compiled
         params = tuple(params)
-        answer = recall(prepared, params, self.intermediates, min_pages)
+        min_pages = self.config.min_pages
+        if compiled.traced and not probe.enabled:
+            # Traced code dereferences the probe's internals.
+            raise ExecutionError("traced query executed without a probe")
+        # A traced run records every access of its own: nothing recycled.
+        cache = None if probe.enabled else self.intermediates
+        answer = recall(prepared, params, cache, min_pages)
         if answer.rows is not None:
             return answer.rows, ExecutionStats(
                 rows=len(answer.rows),
@@ -83,25 +90,25 @@ class ParallelExecutor:
                 reason=answer.note(),
                 recycled="hit",
             )
-        rows, phases, notes = serial_walk(
-            prepared, params, self.intermediates, min_pages, answer.stale
+        ctx = build_context(
+            prepared.plan, probe=probe, opt_level=compiled.opt_level,
+            params=params,
         )
+        if current_span() is None:
+            run_query = compiled.namespace["run_query"]
+            access = StageAccess(prepared, ctx, cache, min_pages, answer.stale)
+        else:
+            run_query = spanned_query(prepared)
+            access = SpannedAccess(
+                prepared, ctx, cache, min_pages, answer.stale
+            )
+        rows = run_query(ctx, access)
         answer.bank(rows)
         return rows, ExecutionStats(
             rows=len(rows),
             elapsed_seconds=time.perf_counter() - started,
-            phases=phases,
-            notes=notes,
+            reason=_TRACED if probe.enabled else "",
+            phases=access.phases(),
+            notes=access.notes,
             recycled=answer.recycled,
         )
-
-    @staticmethod
-    def _ineligible(prepared, probe: NullProbe) -> str:
-        """A reason to run the bare composed entry point, or ""."""
-        if probe.enabled:
-            return "traced execution (the probe records every access)"
-        if prepared.compiled.traced:
-            # A traced module dereferences ctx.probe internals; without
-            # a probe the serial path raises the proper ExecutionError.
-            return "traced module (runs on the composed entry point)"
-        return ""

@@ -1,4 +1,4 @@
-"""What stands between a plan and its page walk, and the serial walk.
+"""What stands between a plan and its page walk.
 
 Three things can answer a plan, or part of it, without scanning:
 
@@ -26,17 +26,22 @@ row and key for key, and is banked at the current version in place of
 the old one.  Any other write (UPDATE, DELETE, a bulk load, DDL) makes
 the next scan stage from scratch.
 
-:func:`recall` runs once per execution; :class:`StageAccess` once per
-scan of :func:`serial_walk`, the plan-order walk over the generated
-functions that is the only way a plan runs.
+:func:`recall` runs once per execution.  On a miss the generated
+composing function ``run_query(ctx, acc)`` runs the plan, and hands
+every scan to its access object ``acc``, a :class:`StageAccess`, which
+also keeps the run's phase clock.  Under a current trace span the run
+takes :class:`SpannedAccess` and :func:`spanned_query`, so EXPLAIN
+ANALYZE sees one node span per operator.
 """
 
 from __future__ import annotations
 
-import time
+import functools
+import types
 from dataclasses import replace
+from time import perf_counter as _clock
 
-from repro.core.executor import build_context
+from repro.core.generator import PHASE_OF
 from repro.obs import current_span, maybe_span
 from repro.parallel.merge import kway_merge, run_key
 from repro.parallel.stats import PhaseStats
@@ -44,29 +49,11 @@ from repro.plan.descriptors import (
     PREP_PARTITION,
     PREP_PARTITION_SORT,
     PREP_SORT,
-    Aggregate,
-    Join,
-    Limit,
-    MultiwayJoin,
-    Project,
-    Restage,
     ScanStage,
-    Sort,
 )
 
 #: Canonical phase order for reporting.
 PHASE_ORDER = ("stage", "join", "aggregate", "final")
-
-PHASE_OF = {
-    ScanStage: "stage",
-    Restage: "stage",
-    Join: "join",
-    MultiwayJoin: "join",
-    Aggregate: "aggregate",
-    Project: "final",
-    Sort: "final",
-    Limit: "final",
-}
 
 _MISS = object()
 
@@ -176,27 +163,118 @@ class Staged:
         if self._key is not None and self._table.version == self._key[1]:
             self._cache.put(*self._key, staged, self._table.heap_end())
 
+    def build(self, stage, ctx):
+        """The answer, else what ``stage`` stages, banked if it may."""
+        if self.value is not _MISS:
+            return self.value
+        staged = stage(ctx)
+        self.bank(staged)
+        return staged
+
 
 class StageAccess:
-    """One run's index-probe and intermediate-cache step.
+    """One run's access object: what ``run_query(ctx, acc)`` hands
+    every scan, and the run's phase clock.
 
-    ``note`` receives the run-level remarks ("index: 3 rids", "staging
-    reused …"); the per-operator span attributes EXPLAIN ANALYZE reads
-    go on the active node span directly.
+    :meth:`scan` answers a scan from the index or the cache, else
+    stages it; :meth:`fold` does the same for a scan the generator
+    fused into its consumer, running the consumer's page loop instead
+    when nothing would keep the staging; :meth:`lap` books a direct
+    call's time to its phase.  ``notes`` collects the run-level remarks
+    ("index: 3 rids", "staging reused …").  Traced modules have no
+    probe+fetch pair beside their scans, so their scans never probe;
+    ``cache`` None skips the intermediate cache.
     """
 
-    def __init__(
-        self, prepared, ctx, params, cache, min_pages, note, admit
-    ):
+    def __init__(self, prepared, ctx, cache=None, min_pages=0, admit=False):
+        self.plan = prepared.plan
         self.namespace = prepared.compiled.namespace
         self.names = prepared.generated.function_names
+        self.indexes = not prepared.compiled.traced
         self.ctx = ctx
-        self.params = params
+        self.params = ctx.params
         self.cache = cache
         self.min_pages = min_pages
-        self.note = note
         #: Whether a miss may sight and bank: the run's answer is stale.
         self.admit = admit
+        self.notes: list[str] = []
+        self.seconds: dict[str, float] = {}
+        self._last = _clock()
+
+    def lap(self, phase: str) -> None:
+        """Book the time since the previous step ended to ``phase``."""
+        now = _clock()
+        self.seconds[phase] = self.seconds.get(phase, 0.0) + now - self._last
+        self._last = now
+
+    def phases(self) -> list[PhaseStats]:
+        """One :class:`PhaseStats` per phase that ran, in phase order."""
+        return [
+            PhaseStats(name, self.seconds[name])
+            for name in PHASE_ORDER
+            if name in self.seconds
+        ]
+
+    def scan(self, op_id: int, stage):
+        """Scan ``op_id``'s staged rows: from the index or the cache,
+        else from its staging function ``stage`` (banked if it may)."""
+        staged = self._scan(self.plan.op(op_id), stage)
+        self.lap("stage")
+        return staged
+
+    def _scan(self, op: ScanStage, stage):
+        return self.lookup(op).build(stage, self.ctx)
+
+    def fold(self, op_id: int, stage, consumer, consumer_scan, *others):
+        """The result of scan ``op_id``'s consumer, which the generator
+        fused with it.
+
+        When the lookup misses without banking, ``consumer_scan`` runs
+        the scan's page loop with the consumer inlined: the staging
+        would be dropped right after the consumer walks it, so it is
+        never built, and the step counts as staging.  Otherwise the
+        scan's staged rows feed ``consumer``, timed in its own phase.
+        ``others`` are the consumer's other inputs (a join's build
+        side)."""
+        op, target = self._pair(op_id)
+        fused, result = self._fold(op, target, stage, consumer_scan, others)
+        self.lap("stage")
+        if fused:
+            return result
+        result = consumer(self.ctx, *others, result)
+        self.lap(PHASE_OF[type(target)])
+        return result
+
+    def _fold(self, op, target, stage, consumer_scan, others):
+        """``(fused, result)``: the consumer's result when fused, else
+        the scan's staged rows."""
+        answer = self.lookup(op)
+        fused = not (answer.found or answer.banks)
+        self._note_fusion(op, target, fused, answer.why)
+        if fused:
+            return True, consumer_scan(self.ctx, *others)
+        return False, answer.build(stage, self.ctx)
+
+    def _pair(self, op_id: int):
+        """Scan ``op_id`` and the operator after it, its consumer."""
+        operators = self.plan.operators
+        index = next(
+            i for i, op in enumerate(operators) if op.op_id == op_id
+        )
+        return operators[index], operators[index + 1]
+
+    def _note_fusion(self, op, target, fused: bool, why: str) -> None:
+        """Say which path a fused scan→consumer pair took, and why."""
+        kind = type(target).__name__.lower()
+        path = "scan fused into" if fused else "staged for"
+        self.notes.append(
+            f"table {op.binding!r}: {path} {kind} o{target.op_id} ({why})"
+        )
+        self._mark(fused=fused, why=why, consumer=kind)
+
+    def _mark(self, **attrs) -> None:
+        """Annotate the scan's node span: only :class:`SpannedAccess`
+        opens one."""
 
     def lookup(self, op: ScanStage) -> Staged:
         """Answer ``op`` from the index or the cache, else a miss.
@@ -208,7 +286,7 @@ class StageAccess:
         miss earns a place from its second sighting.
         """
         table = op.table
-        if op.index is not None:
+        if op.index is not None and self.indexes:
             name = self.names[op.op_id]
             hit = self.namespace[name + "_probe"](self.ctx)
             if hit.rids is None:
@@ -217,8 +295,8 @@ class StageAccess:
                 )
             else:
                 outcome = f"index: {hit.matched} rids"
-            self.note(f"table {op.binding!r}: {outcome}")
-            _mark_node(index=outcome)
+            self.notes.append(f"table {op.binding!r}: {outcome}")
+            self._mark(index=outcome)
             if hit.rids is not None:
                 return Staged(
                     "index fetch",
@@ -236,11 +314,11 @@ class StageAccess:
         )
         staged = cache.get(name, table.version, signature)
         if staged is not None:
-            self.note(
+            self.notes.append(
                 f"table {op.binding!r}: staging reused a cached "
                 f"intermediate (version {table.version})"
             )
-            _mark_node(staging_cached=True)
+            self._mark(staging_cached=True)
             return Staged("cache hit", staged)
         staged = self._extend(op, name, signature)
         if staged is not None:
@@ -272,11 +350,11 @@ class StageAccess:
         )
         appended = self.namespace[self.names[op.op_id]](ctx, end[0])
         added = staged_rows(appended)
-        self.note(
+        self.notes.append(
             f"table {op.binding!r}: staging extended from version "
             f"{version} (+{added} rows)"
         )
-        _mark_node(staging_extended=f"from version {version} (+{added} rows)")
+        self._mark(staging_extended=f"from version {version} (+{added} rows)")
         return self.cache.put_extended(
             name,
             table.version,
@@ -328,140 +406,71 @@ def staged_rows(staged) -> int:
     return len(staged)
 
 
-def _mark_node(**attrs) -> None:
-    span = current_span()
-    if span is not None and span.category == "node":
-        span.set(**attrs)
+class SpannedAccess(StageAccess):
+    """A :class:`StageAccess` that opens each scan's node span (a fused
+    pair's covers both operators) and annotates it with the path the
+    scan took.  Runs with :func:`spanned_query`."""
+
+    def _scan(self, op: ScanStage, stage):
+        with _node_span(op) as span:
+            staged = super()._scan(op, stage)
+            _count_rows(span, staged)
+        return staged
+
+    def _fold(self, op, target, *args):
+        with _node_span(op) as span:
+            fused, result = super()._fold(op, target, *args)
+            if fused and span is not None:
+                # The node now covers both operators.
+                span.name += f"+{type(target).__name__} o{target.op_id}"
+                span.set(op_ids=f"{op.op_id},{target.op_id}")
+            _count_rows(span, result)
+        return fused, result
+
+    def _mark(self, **attrs) -> None:
+        span = current_span()
+        if span is not None and span.category == "node":
+            span.set(**attrs)
 
 
-def result_rows(result) -> int | None:
-    """Row count of a node result when it is a plain row list.
+def spanned_query(prepared):
+    """``run_query`` over a copy of its module namespace in which every
+    operator function but the scans opens its own node span.
+
+    A fused consumer's page loop (``<consumer>_scan``) keeps the plain
+    function: it runs inside its scan's span."""
+    namespace = dict(prepared.compiled.namespace)
+    names = prepared.generated.function_names
+    for op in prepared.plan.operators:
+        if not isinstance(op, ScanStage):
+            name = names[op.op_id]
+            namespace[name] = _spanned(op, namespace[name])
+    return types.FunctionType(namespace["run_query"].__code__, namespace)
+
+
+def _spanned(op, function):
+    @functools.wraps(function)
+    def run(ctx, *inputs):
+        with _node_span(op) as span:
+            result = function(ctx, *inputs)
+            _count_rows(span, result)
+        return result
+
+    return run
+
+
+def _node_span(op):
+    return maybe_span(
+        f"{type(op).__name__} o{op.op_id}", "node", op_ids=str(op.op_id)
+    )
+
+
+def _count_rows(span, result) -> None:
+    """Set the span's row count when the result is a plain row list.
 
     Staged results may instead be partition dicts or coarse partition
-    lists; those report no row count rather than a misleading one.
-    """
-    if isinstance(result, list) and (
+    lists; those report no row count rather than a misleading one."""
+    if span is not None and isinstance(result, list) and (
         not result or isinstance(result[0], tuple)
     ):
-        return len(result)
-    return None
-
-
-def serial_walk(
-    prepared, params: tuple, cache, min_pages: int, admit: bool
-) -> tuple[list[tuple], list[PhaseStats], list[str]]:
-    """Run the plan's serial generated functions in plan order.
-
-    The calling thread does all of it, and every scan goes through
-    :class:`StageAccess`, so warm stagings and index probes answer
-    before a page is read.  A scan whose consumer fuses
-    (:meth:`~repro.plan.descriptors.PhysicalPlan.fusable_consumer`)
-    runs the generated ``<consumer>_scan`` instead whenever the lookup
-    misses without banking: the staging would be dropped right after
-    the consumer walks it, so it is never built.  Returns ``(rows,
-    phases, notes)`` with one :class:`PhaseStats` per
-    phase that ran (a fused step counts as staging).  ``admit`` is
-    :class:`StageAccess`'s: whether the run's answer is stale.
-    """
-    plan = prepared.plan
-    namespace = prepared.compiled.namespace
-    names = prepared.generated.function_names
-    ctx = build_context(
-        plan, opt_level=prepared.compiled.opt_level, params=params
-    )
-    notes: list[str] = []
-    access = StageAccess(
-        prepared, ctx, params, cache, min_pages, notes.append, admit
-    )
-    results: dict[int, object] = {}
-    seconds: dict[str, float] = {}
-    #: scan op id → the consumer its generated ``_scan`` entry feeds.
-    fusable = {}
-    for op in plan.operators:
-        consumer = plan.fusable_consumer(op)
-        if consumer is not None and (
-            names[consumer.op_id] + "_scan" in namespace
-        ):
-            fusable[op.op_id] = consumer
-
-    def run(op) -> tuple[int, object]:
-        """``(op id answered, result)``: a fused scan answers its
-        consumer."""
-        fn = namespace[names[op.op_id]]
-        if not isinstance(op, ScanStage):
-            return op.op_id, fn(
-                ctx, *[results[input_id] for input_id in op.inputs]
-            )
-        answer = access.lookup(op)
-        consumer = fusable.get(op.op_id)
-        if consumer is not None:
-            fused = not (answer.found or answer.banks)
-            _note_fusion(op, consumer, fused, answer.why, notes)
-            if fused:
-                fold = namespace[names[consumer.op_id] + "_scan"]
-                # The consumer's other input: a join's build side.
-                return consumer.op_id, fold(
-                    ctx,
-                    *[
-                        results[input_id]
-                        for input_id in consumer.inputs
-                        if input_id != op.op_id
-                    ],
-                )
-        if answer.found:
-            return op.op_id, answer.value
-        staged = fn(ctx)
-        answer.bank(staged)
-        return op.op_id, staged
-
-    traced = current_span() is not None
-    for op in plan.operators:
-        if op.op_id in results:
-            continue  # an aggregate its scan already folded
-        started = time.perf_counter()
-        if traced:
-            # One node span per operator (per fused pair), so EXPLAIN
-            # ANALYZE annotates the run operator by operator.
-            with maybe_span(
-                f"{type(op).__name__} o{op.op_id}", "node",
-                op_ids=str(op.op_id),
-            ) as span:
-                answered, value = run(op)
-                rows = result_rows(value)
-                if rows is not None:
-                    span.set(rows=rows)
-        else:
-            answered, value = run(op)
-        results[answered] = value
-        phase = PHASE_OF[type(op)]
-        seconds[phase] = (
-            seconds.get(phase, 0.0) + time.perf_counter() - started
-        )
-    phases = [
-        PhaseStats(name=name, seconds=seconds[name])
-        for name in PHASE_ORDER
-        if name in seconds
-    ]
-    return results[plan.root.op_id], phases, notes
-
-
-def _note_fusion(
-    scan: ScanStage, consumer, fused: bool, why: str, notes: list[str]
-) -> None:
-    """Say which path a fusable scan→consumer pair took, and why."""
-    kind = type(consumer).__name__
-    target = f"{kind.lower()} o{consumer.op_id}"
-    if fused:
-        notes.append(
-            f"table {scan.binding!r}: scan fused into {target} ({why})"
-        )
-    else:
-        notes.append(f"table {scan.binding!r}: staged for {target} ({why})")
-    span = current_span()
-    if span is None or span.category != "node":
-        return
-    if fused:
-        # The node now covers both operators.
-        span.name += f"+{kind} o{consumer.op_id}"
-        span.set(op_ids=f"{scan.op_id},{consumer.op_id}")
-    span.set(fused=fused, why=why, consumer=kind.lower())
+        span.set(rows=len(result))

@@ -1,9 +1,9 @@
 """Execution configuration and per-query statistics.
 
-:class:`ParallelConfig` holds what the serial walk reads;
+:class:`ParallelConfig` holds what an execution reads;
 :class:`ExecutionStats` (with one :class:`PhaseStats` per phase) says
-how one execution ran: recycled, walked, or on the composed entry
-point, and which path each scan took.
+how one execution ran: recycled or run, traced or not, and which path
+each scan took.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """What the serial walk reads.
+    """What an execution reads.
 
     ``min_pages``: tables below this many pages skip the intermediate
     cache — their stagings are neither looked up nor banked, and a
@@ -25,7 +25,7 @@ class ParallelConfig:
 
 @dataclass
 class PhaseStats:
-    """Wall time of one phase (stage, join, aggregate, final) of a walk.
+    """Wall time of one phase (stage, join, aggregate, final) of a run.
 
     ``tasks`` is always 0: every phase runs on the calling thread.  It
     stays because the end-to-end benchmark sums it.
@@ -53,11 +53,12 @@ class ExecutionStats:
     morsels: int = 0
     rows: int = 0
     elapsed_seconds: float = 0.0
-    #: Why the walk did not run: an answer was recycled, or a traced
-    #: run took the composed entry point ("" for a walk).
+    #: Why the intermediate cache did not take part as usual: the
+    #: answer was recycled (its versions), or the probe traced the run
+    #: ("" otherwise).
     reason: str = ""
     #: Per-phase timings, in stage → join → aggregate → final order
-    #: (empty when the walk did not run).
+    #: (empty when the answer was recycled).
     phases: list[PhaseStats] = field(default_factory=list)
     #: Per-scan remarks: index probes, cached / extended / fused
     #: stagings, a re-plan after map-directory overflow.

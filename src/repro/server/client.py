@@ -14,7 +14,9 @@ codes (:func:`repro.server.protocol.exception_for`): a saturated pool
 raises :class:`~repro.errors.AdmissionError`, a deadline expiry
 :class:`~repro.errors.QueryTimeout`, a bad statement
 :class:`~repro.errors.BindError`, and so on — the same taxonomy an
-in-process caller sees from :class:`~repro.service.QueryService`.
+in-process caller sees from :class:`~repro.service.QueryService`.  A
+connection the server closes or resets mid-request raises
+:class:`~repro.errors.ServerError`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from typing import Any, Sequence
 
 from repro.errors import ProtocolError, ServerError
 from repro.server import protocol
+
+
+#: What a client raises when the server hangs up or resets it.
+_CLOSED = "server closed the connection"
 
 
 @dataclass
@@ -74,11 +80,14 @@ class AsyncQueryClient:
             frame = dict(frame)
             frame["id"] = self._next_id
             self._next_id += 1
-            self._writer.write(protocol.encode(frame))
-            await self._writer.drain()
-            line = await self._reader.readline()
+            try:
+                self._writer.write(protocol.encode(frame))
+                await self._writer.drain()
+                line = await self._reader.readline()
+            except (ConnectionResetError, BrokenPipeError) as exc:
+                raise ServerError(_CLOSED) from exc
             if not line:
-                raise ServerError("server closed the connection")
+                raise ServerError(_CLOSED)
             return _check(protocol.decode(line))
 
     async def query(
@@ -161,10 +170,13 @@ class QueryClient:
         frame = dict(frame)
         frame["id"] = self._next_id
         self._next_id += 1
-        self._sock.sendall(protocol.encode(frame))
-        line = self._file.readline()
+        try:
+            self._sock.sendall(protocol.encode(frame))
+            line = self._file.readline()
+        except (ConnectionResetError, BrokenPipeError) as exc:
+            raise ServerError(_CLOSED) from exc
         if not line:
-            raise ServerError("server closed the connection")
+            raise ServerError(_CLOSED)
         return _check(protocol.decode(line))
 
     def query(

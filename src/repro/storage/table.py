@@ -222,17 +222,10 @@ class Table:
         """Buffer-mediated unpinned page read (generated-code path)."""
         return self._scan_page(self.file, page_no, self.schema)
 
-    def pages(
-        self, page_lo: int = 0, page_hi: int | None = None
-    ) -> Iterator[Page]:
-        """Iterate pages through the buffer manager.
-
-        ``page_lo``/``page_hi`` bound the range (half-open).
-        """
-        if page_hi is None:
-            page_hi = self.file.num_pages
+    def pages(self, page_lo: int = 0) -> Iterator[Page]:
+        """Iterate pages through the buffer manager, from ``page_lo``."""
         scan_page = self._scan_page
-        for page_no in range(page_lo, page_hi):
+        for page_no in range(page_lo, self.file.num_pages):
             yield scan_page(self.file, page_no, self.schema)
 
     def scan_rows(self) -> Iterator[tuple]:
@@ -616,12 +609,8 @@ class TableTail:
             return page.tail(page.num_tuples)
         return page.tail(self._slot)
 
-    def pages(
-        self, page_lo: int = 0, page_hi: int | None = None
-    ) -> Iterator[Page]:
-        if page_hi is None:
-            page_hi = self._table.num_pages
-        for page_no in range(page_lo, page_hi):
+    def pages(self, page_lo: int = 0) -> Iterator[Page]:
+        for page_no in range(page_lo, self._table.num_pages):
             yield self.read_page(page_no)
 
 

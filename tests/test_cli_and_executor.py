@@ -9,7 +9,6 @@ from repro.cli import Shell
 from repro.core.executor import (
     build_agg_helpers,
     build_context,
-    run_compiled,
 )
 from repro.plan.layout import ColumnLayout, ColumnSlot
 from repro.plan.reference import evaluate as reference_evaluate

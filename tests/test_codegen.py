@@ -66,7 +66,7 @@ class TestGeneratedSource:
         )
         for op_id, name in generated.function_names.items():
             assert f"def {name}(" in generated.source
-        assert "def run_query(ctx):" in generated.source
+        assert "def run_query(ctx, acc):" in generated.source
 
     def test_o2_inlines_predicates(self, simple_catalog):
         generated, _ = generate(
@@ -141,7 +141,7 @@ class TestCompiler:
     def test_compile_produces_entry(self, simple_catalog):
         generated, plan = generate(simple_catalog, "SELECT a, b FROM t")
         compiled = QueryCompiler().compile(generated)
-        assert callable(compiled.entry)
+        assert callable(compiled.namespace["run_query"])
         assert compiled.compile_seconds > 0
         assert compiled.compiled_bytes > 0
 
@@ -163,25 +163,28 @@ class TestCompiler:
         broken = GeneratedQuery(
             name="broken",
             source="def run_query(ctx:\n    pass\n",
-            entry_name="run_query",
             opt_level=OPT_O2,
             traced=False,
         )
         with pytest.raises(CodegenError):
             QueryCompiler().compile(broken)
 
-    def test_missing_entry_raises(self):
-        from repro.core.generator import GeneratedQuery
-
-        missing = GeneratedQuery(
-            name="missing",
-            source="x = 1\n",
-            entry_name="run_query",
-            opt_level=OPT_O2,
-            traced=False,
-        )
-        with pytest.raises(CodegenError):
-            QueryCompiler().compile(missing)
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("opt_level", [OPT_O2, OPT_O0])
+    def test_every_module_composes_as_run_query(
+        self, simple_catalog, opt_level, traced
+    ):
+        """The entry the executor calls is always ``run_query(ctx,
+        acc)``, the module's last function."""
+        for sql in (
+            "SELECT a, b FROM t",
+            "SELECT c, count(*) AS n FROM t GROUP BY c ORDER BY n",
+        ):
+            generated, _ = generate(
+                simple_catalog, sql, opt_level=opt_level, traced=traced
+            )
+            tail = generated.source.rsplit("\ndef ", 1)[1]
+            assert tail.startswith("run_query(ctx, acc):")
 
 
 class TestEngineFacade:

@@ -1,7 +1,7 @@
 """The one execution path over cold disk tables: every plan shape
 returns the rows it returns over memory.
 
-A plan runs as the serial walk over its generated functions.  Over
+A plan runs as its generated composing function, ``run_query``.  Over
 :class:`~repro.storage.heapfile.DiskFile` tables in a pool smaller
 than the data, its scans read through the buffer pool's sequential
 read-ahead, and fetched pages are evicted and fetched again while

@@ -3,9 +3,10 @@
 A seeded generator builds random schemas/data sets and random queries —
 filters, joins, self-joins, group-by, order-by, ``?`` parameters — and
 asserts that every engine agrees with the naive reference evaluator,
-and that the HIQUE engine's composed entry point (``run_compiled``)
-and serial walk (with a warm intermediate cache) return *identical*
-row sequences at both optimization levels.
+and that the HIQUE engine with no intermediate cache (every fusable
+scan fused) and with a warm one (stagings banked, extended and reused,
+answers recycled) returns *identical* row sequences at both
+optimization levels.
 
 The grammar deliberately stresses the degenerate regimes: a third
 table ``v`` is empty, one-row or three rows; filters are occasionally
@@ -26,7 +27,7 @@ This is litmus-style differential testing: the query surface is narrow
 enough that any disagreement is a real bug in exactly one layer, and
 the failing seed plus SQL are printed so a mismatch reproduces with a
 two-line script.  The corpus is bounded (4 seeds × 50 queries) to keep
-tier-1 fast; the walk engines stage every table through the cache
+tier-1 fast; the cached engines stage every table through the cache
 (``min_pages=1``), so even these small tables exercise the banked and
 recycled paths.
 """
@@ -41,7 +42,6 @@ import pytest
 
 from repro.core.emitter import OPT_O0, OPT_O2
 from repro.core.engine import HiqueEngine
-from repro.core.executor import run_compiled
 from repro.engines.vectorized import VectorizedEngine
 from repro.engines.volcano import VolcanoEngine
 from repro.parallel.intermediates import IntermediateCache
@@ -71,7 +71,7 @@ def canonical(rows):
 def _norm(value):
     # Engines legitimately differ on int-vs-float for degenerate cases
     # (e.g. sum over an empty DOUBLE input), so numerics normalize to a
-    # rounded float; the composed/walk byte-identity assertion
+    # rounded float; the uncached/cached byte-identity assertion
     # below stays exact.
     if isinstance(value, bool):
         return value
@@ -349,26 +349,8 @@ class _QueryGen:
         return " ORDER BY " + ", ".join(rendered), len(keys) == len(aliases)
 
 
-class _Composed:
-    """The generated composing function (the paper's Fig. 3) called
-    directly: the serial reference every other HIQUE configuration must
-    reproduce byte for byte."""
-
-    def __init__(self, catalog: Catalog, opt_level: str):
-        self.engine = HiqueEngine(catalog, opt_level=opt_level)
-
-    def execute(self, sql, name="query", params=()):
-        prepared = self.engine.prepare(sql, name=name)
-        return run_compiled(
-            prepared.compiled, prepared.plan, params=tuple(params)
-        )
-
-    def close(self) -> None:
-        self.engine.close()
-
-
 class _Recycled:
-    """The serial walk with an intermediate cache, met in all its
+    """A HIQUE engine with an intermediate cache, met in all its
     states.  Every query runs until its answer is recycled — first
     sighting, banking miss, answer hit — then twice under a stale
     answer (after an identity UPDATE of a table it reads: the version
@@ -426,17 +408,18 @@ class _Recycled:
 def _engines(catalog: Catalog) -> dict:
     """Every engine configuration under test, keyed by display name."""
     # Every table, however small, stages through the cache.
-    walk = ParallelConfig(min_pages=1)
+    cached = ParallelConfig(min_pages=1)
     return {
-        "hique-o2": _Composed(catalog, OPT_O2),
-        "hique-o0": _Composed(catalog, OPT_O0),
+        # No intermediate cache: the byte-identity references.
+        "hique-o2": HiqueEngine(catalog, opt_level=OPT_O2),
+        "hique-o0": HiqueEngine(catalog, opt_level=OPT_O0),
         # What production does (the cache step is opt-level
         # independent: once is enough).
-        "hique-o2-walk": _Recycled(
-            HiqueEngine(catalog, opt_level=OPT_O2, parallel=walk)
+        "hique-o2-cached": _Recycled(
+            HiqueEngine(catalog, opt_level=OPT_O2, parallel=cached)
         ),
-        "hique-o0-walk": HiqueEngine(
-            catalog, opt_level=OPT_O0, parallel=walk
+        "hique-o0-cached": HiqueEngine(
+            catalog, opt_level=OPT_O0, parallel=cached
         ),
         "volcano-generic": VolcanoEngine(catalog, generic=True),
         "volcano-optimized": VolcanoEngine(catalog),
@@ -845,10 +828,10 @@ def test_differential_fuzz(seed: int):
                     got = engine.execute(literal)
                 rows_by_name[name] = got
                 assert canonical(got) == expected, f"{name} @ {where}"
-            # Byte-identity across composed/walk, per opt level: same
-            # engine, same plan, different execution substrate.
+            # Byte-identity with and without the cache, per opt level:
+            # same plan, different paths through the scans.
             for level in ("o2", "o0"):
-                name = f"hique-{level}-walk"
+                name = f"hique-{level}-cached"
                 assert rows_by_name[name] == rows_by_name[f"hique-{level}"], (
                     f"{name} @ {where}"
                 )
@@ -857,7 +840,7 @@ def test_differential_fuzz(seed: int):
             )  # corpus sanity
         # The byte-identity oracle above met the fused scan→aggregate
         # and scan→probe functions and both staged paths.
-        paths = engines["hique-o2-walk"].paths
+        paths = engines["hique-o2-cached"].paths
         assert paths["fused"] and paths["banked"] and paths["hit"], paths
         assert paths["fused-probe"], paths
     finally:

@@ -9,6 +9,7 @@ from repro.core.emitter import OPT_O0, OPT_O2
 from repro.core.engine import HiqueEngine
 from repro.core.executor import build_context
 from repro.core.generator import CodeGenerator
+from repro.parallel.stage import StageAccess
 from repro.plan.descriptors import (
     Aggregate,
     Join,
@@ -91,12 +92,14 @@ class TestOperatorFunctions:
         )
 
     def test_run_query_equals_manual_composition(self, simple_catalog):
-        plan, compiled = compiled_for(
-            simple_catalog,
-            "SELECT c, count(*) AS n FROM t GROUP BY c",
+        prepared = HiqueEngine(simple_catalog).prepare(
+            "SELECT c, count(*) AS n FROM t GROUP BY c"
         )
+        plan, compiled = prepared.plan, prepared.compiled
         ctx = build_context(plan)
-        via_entry = compiled.entry(ctx)
+        via_entry = compiled.namespace["run_query"](
+            ctx, StageAccess(prepared, ctx)
+        )
         scan = plan.operators[0]
         aggregate = next(
             op for op in plan.operators if isinstance(op, Aggregate)
@@ -182,7 +185,8 @@ class TestGeneratedModuleHygiene:
         exec(compile(source, "reloaded.py", "exec"), namespace)  # noqa: S102
         plan = prepared.plan
         ctx = build_context(plan)
-        assert sorted(namespace["run_query"](ctx)) == sorted(
+        rows = namespace["run_query"](ctx, StageAccess(prepared, ctx))
+        assert sorted(rows) == sorted(
             engine.execute_prepared(prepared)
         )
 

@@ -232,7 +232,16 @@ def test_explain_analyze_names_the_path(db):
     assert "staged[second sighting]" in text
     assert "answer recycled (versions x=" in db.explain_analyze(sql)
     _drop_plans(db)
-    assert "staged[cache hit]" in db.explain_analyze(sql)
+    text = db.explain_analyze(sql)
+    assert "staged[cache hit]" in text
+    assert "staging: reused cached intermediate" in text
+    db.table("x").append_rows([EXCLUDED])  # the staging's own table grew
+    text = db.explain_analyze(sql)
+    assert re.search(
+        r"o0: ScanStage x .*staging: extended from version \d+ \(\+1 rows\)"
+        r" staged\[extended\]",
+        text,
+    ), text
 
 
 def test_the_fused_step_is_timed_as_staging(db):

@@ -2,7 +2,7 @@
 
 Storage (probe rule, in-place indexed UPDATE/DELETE, the index↔heap
 check), the optimizer's choice of access, the generated probe+fetch
-pair, the walk's use of it, and what EXPLAIN / metrics say about
+pair, ``run_query``'s use of it, and what EXPLAIN / metrics say about
 which path ran.  The cross-engine with-vs-without-index sweep lives in
 ``test_differential_fuzz.py``.
 """
@@ -15,8 +15,10 @@ import pytest
 
 from repro import Column, Database, DATE, DOUBLE, INT, char
 from repro.api import ENGINE_KINDS
-from repro.core.executor import run_compiled
+from repro.core.executor import build_context
 from repro.errors import CatalogError, ConstraintError, StorageError
+from repro.memsim import Probe
+from repro.parallel.stage import StageAccess
 from repro.plan.optimizer import Optimizer, index_access_for
 from repro.sql.binder import Binder
 from repro.sql.parser import parse, parse_statement
@@ -335,7 +337,7 @@ class TestChoice:
             db.close()
 
 
-# -- generated code and the walk ---------------------------------------------------------
+# -- generated code and run_query --------------------------------------------------------
 
 
 POINT = "SELECT id, val, tag FROM t WHERE id = ?"
@@ -354,7 +356,7 @@ class TestExecution:
         db = _db()
         try:
             source = db.generated_source("SELECT val FROM t WHERE id = 5")
-            assert "def stage_o0(ctx, _lo=0, _hi=None):" in source
+            assert "def stage_o0(ctx, _lo=0):" in source
             assert "def stage_o0_probe(ctx):" in source
             assert "def stage_o0_fetch(ctx, _rids):" in source
             assert "probe_index('id', 5, 5, True, True)" in source
@@ -424,7 +426,7 @@ class TestExecution:
         finally:
             db.close()
 
-    def test_serial_composer_takes_the_same_decision(self):
+    def test_run_query_probes_through_its_access_object(self):
         db = Database(workers=1)
         try:
             db.create_table("t", [Column("id", INT), Column("v", INT)])
@@ -439,12 +441,18 @@ class TestExecution:
             rows = db.execute("SELECT v FROM t WHERE id >= ?", params=(9,))
             assert len(rows) == ROWS - 9
             assert (table.index_probes, table.index_declined) == (1, 1)
-            # The generated composing function (probe / traced runs).
-            prepared = db.engine("hique").prepare(
-                "SELECT v FROM t WHERE id = ?"
-            )
-            assert run_compiled(
-                prepared.compiled, prepared.plan, params=(9,)
+            # The composing function called directly probes through
+            # its access object, as every engine run does.
+            engine = db.engine("hique")
+            prepared = engine.prepare("SELECT v FROM t WHERE id = ?")
+            ctx = build_context(prepared.plan, params=(9,))
+            assert prepared.compiled.namespace["run_query"](
+                ctx, StageAccess(prepared, ctx)
+            ) == [(18,)]
+            assert (table.index_probes, table.index_declined) == (2, 1)
+            # A traced module has no probe+fetch pair: it scans.
+            assert engine.execute(
+                "SELECT v FROM t WHERE id = ?", probe=Probe(), params=(9,)
             ) == [(18,)]
             assert (table.index_probes, table.index_declined) == (2, 1)
         finally:

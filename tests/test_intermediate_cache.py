@@ -88,7 +88,7 @@ class TestIntermediateCacheUnit:
 
 
 class TestIntermediateCacheEndToEnd:
-    """The cache under the serial walk.  An answer is banked from its
+    """The cache under ``run_query``.  An answer is banked from its
     second miss, a staging from its second miss under a stale answer."""
 
     def _db(self) -> Database:

@@ -1,7 +1,7 @@
 """Observability: metrics registry, span tracing, EXPLAIN ANALYZE.
 
 Covers the histogram percentile math against an exact reference, span
-nesting of the walk's operator nodes, result invariance with tracing
+nesting of a run's operator nodes, result invariance with tracing
 on, Chrome trace export validity, and the Prometheus text rendering.
 """
 
@@ -106,7 +106,7 @@ class TestHistogram:
         assert "\\\\" in text
 
 
-# -- span nesting under the walk ----------------------------------------------------
+# -- span nesting under a run -------------------------------------------------------
 
 
 class TestSpanNesting:

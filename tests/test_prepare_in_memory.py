@@ -3,8 +3,8 @@
 The compiler ``compile()``s and ``exec``s the generated module under a
 path that names no file; the namespace's ``__loader__`` serves the
 source to ``linecache``.  Executions only call what preparation
-compiled, and the serial walk over the plan's functions returns the
-composed ``run_query`` entry point's rows.
+compiled: the engine returns the rows its composing function,
+``run_query``, returns when called directly.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import pytest
 import repro.core.compiler as compiler_module
 from repro import Column, Database, INT
 from repro.core.engine import HiqueEngine
-from repro.core.executor import run_compiled
+from repro.core.executor import build_context
+from repro.parallel.stage import StageAccess
 from repro.plan.optimizer import PlannerConfig
 from repro.storage import Catalog, Schema
 
@@ -165,14 +166,17 @@ def test_a_generated_frame_shows_its_line_without_a_file(catalog):
 
 @pytest.mark.parametrize("opt_level", ["O2", "O0"])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_the_walk_returns_the_composed_entry_points_rows(
+def test_an_execution_returns_run_querys_rows(
     catalog, case, opt_level, monkeypatch
 ):
     sql, config = CASES[case]
     engine = HiqueEngine(catalog, opt_level=opt_level, planner_config=config)
     try:
         prepared = engine.prepare(sql)
-        expected = run_compiled(prepared.compiled, prepared.plan)
+        ctx = build_context(prepared.plan, opt_level=opt_level)
+        expected = prepared.compiled.namespace["run_query"](
+            ctx, StageAccess(prepared, ctx)
+        )
         assert expected
         monkeypatch.setattr(
             compiler_module,

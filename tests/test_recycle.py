@@ -19,11 +19,11 @@ import pytest
 
 from repro import Column, Database, INT
 from repro.cli import Shell
-from repro.parallel import executor as executor_module
 from repro.parallel.intermediates import (
     SIGHTINGS_CAPACITY,
     IntermediateCache,
 )
+from repro.parallel.stage import StageAccess
 from repro.plan.optimizer import PlannerConfig
 from repro.storage.btree import BPlusTree
 from repro.storage.page import Page
@@ -196,14 +196,13 @@ def test_a_write_to_one_input_stales_the_answer_and_reuses_the_other(db):
 
 
 def test_a_run_that_raced_a_write_banks_nothing(db, monkeypatch):
-    walk = executor_module.serial_walk
+    lap = StageAccess.lap
 
-    def racing_walk(prepared, *args):
-        result = walk(prepared, *args)
+    def racing_lap(self, phase):
+        lap(self, phase)
         db.table("u").version += 1  # a writer slipped in mid-run
-        return result
 
-    monkeypatch.setattr(executor_module, "serial_walk", racing_walk)
+    monkeypatch.setattr(StageAccess, "lap", racing_lap)
     for _ in range(3):
         db.execute(JOIN)
         assert _recycled(db) != "hit"

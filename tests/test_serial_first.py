@@ -1,9 +1,10 @@
-"""The serial walk: the one way a plan runs.
+"""One serial run: the one way a plan runs.
 
-The plan's generated functions run in plan order on the calling
-thread, over memory tables and cold disk tables alike (whose page
-waits the buffer pool's read-ahead overlaps), and every run gets the
-intermediate cache and the index probe from :mod:`repro.parallel.stage`.
+The plan's generated composing function, ``run_query``, calls its
+generated functions in plan order on the calling thread, over memory
+tables and cold disk tables alike (whose page waits the buffer pool's
+read-ahead overlaps), and every run gets the intermediate cache and
+the index probe from :mod:`repro.parallel.stage`.
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ def test_removed_knobs_are_rejected():
         shell.handle(".workers 2")
         shell.handle(".parallel")
         assert "unknown command .workers" in out.getvalue()
-        assert "serial walk, min_pages 16" in out.getvalue()
+        assert "serial, min_pages 16" in out.getvalue()
     finally:
         shell.db.close()
 

@@ -531,63 +531,63 @@ _LEVELS = {
 #: code quality are measured.  A change that moves one of these moves
 #: a paper-facing cell and must say so.
 _FORCED_SOURCE = {
-    "join-merge-O2": "f563ace28b120092",
-    "join-merge-O2-traced": "57595851bfadf6db",
-    "join-merge-O0": "ae8d44a62be2056e",
-    "join-merge-O0-traced": "6325f632a275f1d4",
-    "join-hybrid-O2": "b11be67bb95e5dee",
-    "join-hybrid-O2-traced": "8fa6b929d3d8ba32",
-    "join-hybrid-O0": "cb55b9fced49704b",
-    "join-hybrid-O0-traced": "f8d55bc8875540a8",
-    "join-hash-O2": "c07a5c6aca863f7e",
-    "join-hash-O2-traced": "43dd6063ce14f973",
-    "join-hash-O0": "51c85955a8660bcf",
-    "join-hash-O0-traced": "4bbf2eeb861aa330",
-    "join-nested-O2": "388a7126c72e5c7c",
-    "join-nested-O2-traced": "d5f6e26476590bde",
-    "join-nested-O0": "d46d11a30532800d",
-    "join-nested-O0-traced": "49f800bb1ccaad08",
-    "agg-hybrid-O2": "96316a9b7dfddd48",
-    "agg-hybrid-O2-traced": "c671bd1b18067bc6",
-    "agg-hybrid-O0": "cc7c5baea26d2076",
-    "agg-hybrid-O0-traced": "a654394025564ef7",
-    "agg-map-O2": "7da8c43c163bec07",
-    "agg-map-O2-traced": "6b043e59f8e23d79",
-    "agg-map-O0": "33054ccb12e26893",
-    "agg-map-O0-traced": "506b0136c00642bf",
-    "agg-sort-O2": "c1f1fd965458e897",
-    "agg-sort-O2-traced": "46b064fb55abacb9",
-    "agg-sort-O0": "f957d59c5d7edb67",
-    "agg-sort-O0-traced": "c991fb2654289136",
-    "team-merge-O2": "60c88d766960d3a7",
-    "team-merge-O2-traced": "7bc475340406c2e5",
-    "team-merge-O0": "5f42750d28452811",
-    "team-merge-O0-traced": "d0645749b52efcb1",
-    "team-hybrid-O2": "1190fc3b3e7e0a1f",
-    "team-hybrid-O2-traced": "277e87ac8309037e",
-    "team-hybrid-O0": "9301e4986ff22101",
-    "team-hybrid-O0-traced": "e9f5013e82ae07ce",
-    "Q1-merge-O2-traced": "063d5747edd0feb2",
-    "Q1-merge-O0": "fa565596e8f433b4",
-    "Q1-merge-O0-traced": "73846638af74a4b1",
-    "Q3-merge-O2-traced": "0ecb8d8fb3d4e40f",
-    "Q3-merge-O0": "ca4178265ed5c073",
-    "Q3-merge-O0-traced": "8d554a3a801dc51d",
-    "Q3-hybrid-O2-traced": "fdd7eec68d7b03b2",
-    "Q3-hybrid-O0": "fb2b364f3335a664",
-    "Q3-hybrid-O0-traced": "2e617a145d7da565",
-    "Q3-hash-O2-traced": "df5eb5224ade6ec5",
-    "Q3-hash-O0": "04ae58821b3c6cd4",
-    "Q3-hash-O0-traced": "2e7994b016d0b9bf",
-    "Q10-merge-O2-traced": "1bb81ad380179ff0",
-    "Q10-merge-O0": "3e38b340f7b955b3",
-    "Q10-merge-O0-traced": "6d6fbd39e3d70f30",
-    "Q10-hybrid-O2-traced": "b6bd2949f0c6f13a",
-    "Q10-hybrid-O0": "df120fc32cb424f7",
-    "Q10-hybrid-O0-traced": "f99d83fb87275117",
-    "Q10-hash-O2-traced": "fc632b1b66638fdb",
-    "Q10-hash-O0": "7cdd581dc96b09c4",
-    "Q10-hash-O0-traced": "9061502694326dcd",
+    "join-merge-O2": "672301237b1f3a41",
+    "join-merge-O2-traced": "39a0797722261c2f",
+    "join-merge-O0": "9b3b479e2914316f",
+    "join-merge-O0-traced": "0188b1f2cffac185",
+    "join-hybrid-O2": "e159a2a45b3c0fae",
+    "join-hybrid-O2-traced": "d941a5077c156f16",
+    "join-hybrid-O0": "ca9f95037c2adeac",
+    "join-hybrid-O0-traced": "453d5fdc868e9fde",
+    "join-hash-O2": "8ba3e89eb39478d4",
+    "join-hash-O2-traced": "d9154069a6673009",
+    "join-hash-O0": "abf834eddcf5dbd1",
+    "join-hash-O0-traced": "6bcc2cb3d86b28cd",
+    "join-nested-O2": "06738f6ad1951a82",
+    "join-nested-O2-traced": "3f52cb448c46ed24",
+    "join-nested-O0": "55206de9c2b3ad2a",
+    "join-nested-O0-traced": "e3039705266d8aa9",
+    "agg-hybrid-O2": "403657752aefa407",
+    "agg-hybrid-O2-traced": "6c7c472778d09c1d",
+    "agg-hybrid-O0": "8a5beba19a766833",
+    "agg-hybrid-O0-traced": "3822a333b6214aa1",
+    "agg-map-O2": "c5f7a6893eac3b4e",
+    "agg-map-O2-traced": "b3ecd9a6ed6df4da",
+    "agg-map-O0": "6c15d0b3d8ffbb46",
+    "agg-map-O0-traced": "5e192a8a59f88896",
+    "agg-sort-O2": "ddbf9a1be941bf08",
+    "agg-sort-O2-traced": "20e81b91353a5d35",
+    "agg-sort-O0": "dc6eb3abb41d5af0",
+    "agg-sort-O0-traced": "81f311b31fca4dae",
+    "team-merge-O2": "8750e92dc9f28388",
+    "team-merge-O2-traced": "53d4e61fae302850",
+    "team-merge-O0": "19308f7ac10bc06d",
+    "team-merge-O0-traced": "d6b7d91b74657200",
+    "team-hybrid-O2": "c5efd20e8ecb3919",
+    "team-hybrid-O2-traced": "afc7672889791906",
+    "team-hybrid-O0": "cf46ddb372d1dd31",
+    "team-hybrid-O0-traced": "be08861768e42a49",
+    "Q1-merge-O2-traced": "e7c677c7ebf6e175",
+    "Q1-merge-O0": "60e002cdb8e44d45",
+    "Q1-merge-O0-traced": "75f66d505f4974d0",
+    "Q3-merge-O2-traced": "53e1d72049f7f2a3",
+    "Q3-merge-O0": "37a23ca67ac83e7e",
+    "Q3-merge-O0-traced": "fd072f4ab582f104",
+    "Q3-hybrid-O2-traced": "fbc37f164178e018",
+    "Q3-hybrid-O0": "2b0cda03a788db44",
+    "Q3-hybrid-O0-traced": "923588e8f0979da0",
+    "Q3-hash-O2-traced": "153cd17420503fd3",
+    "Q3-hash-O0": "89f823d54964418d",
+    "Q3-hash-O0-traced": "67a92a2d9f3597b9",
+    "Q10-merge-O2-traced": "8762fbbf016d6f47",
+    "Q10-merge-O0": "837bfb1fb3f464bf",
+    "Q10-merge-O0-traced": "8a0d41466f4938be",
+    "Q10-hybrid-O2-traced": "09095a93dce2572a",
+    "Q10-hybrid-O0": "64055b6a3c54be3e",
+    "Q10-hybrid-O0-traced": "ec88c52a64bd196a",
+    "Q10-hash-O2-traced": "c06495044b7a95dd",
+    "Q10-hash-O0": "f01c4345722ca05c",
+    "Q10-hash-O0-traced": "a01bfdc8238636d2",
 }
 
 

@@ -10,6 +10,8 @@ failures.
 
 from __future__ import annotations
 
+import socket
+import struct
 import threading
 import time
 
@@ -285,6 +287,52 @@ def test_graceful_shutdown_completes_admitted_queries(simple_catalog):
     assert stats.failed == 0
     assert stats.pending == 0
     db.close()
+
+
+def _resetting_listener(connections: int):
+    """A local listener that reads one request from each of
+    ``connections`` connections, then resets it (RST, not FIN)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve() -> None:
+        with listener:
+            for _ in range(connections):
+                conn, _ = listener.accept()
+                conn.recv(65536)
+                conn.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER,
+                    struct.pack("ii", 1, 0),
+                )
+                conn.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname(), thread
+
+
+def test_a_reset_mid_request_is_a_typed_server_error():
+    import asyncio
+
+    from repro.server import AsyncQueryClient
+
+    address, thread = _resetting_listener(2)
+    client = QueryClient(*address, timeout=30)
+    try:
+        with pytest.raises(ServerError, match="server closed the connection"):
+            client.query("SELECT a FROM t")
+    finally:
+        client.close()
+
+    async def one_async_request() -> None:
+        client = await AsyncQueryClient.connect(*address)
+        try:
+            await client.query("SELECT a FROM t")
+        finally:
+            await client.close()
+
+    with pytest.raises(ServerError, match="server closed the connection"):
+        asyncio.run(one_async_request())
+    thread.join(timeout=30)
 
 
 def test_stop_is_idempotent(simple_db):

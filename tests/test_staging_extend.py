@@ -102,10 +102,11 @@ class _Scans:
 
     def lookup(self, op: ScanStage):
         access = StageAccess(
-            self.prepared, self._context(), self.params, self.cache, 0,
-            self.notes.append, True,
+            self.prepared, self._context(), self.cache, 0, True
         )
-        return access.lookup(op)
+        found = access.lookup(op)
+        self.notes.extend(access.notes)
+        return found
 
     def bank(self) -> None:
         """Sight and bank every scan's staging."""
