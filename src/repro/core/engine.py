@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping, Sequence
@@ -38,6 +40,11 @@ from repro.storage.types import DataType
 
 #: Identity tokens for prepared queries (see :attr:`PreparedQuery.token`).
 _tokens = itertools.count()
+
+#: Prepared queries :meth:`HiqueEngine.prepare` keeps for its direct
+#: callers, least recently used first out: the bound of the query
+#: service's plan cache, whose own preparations skip this one.
+PREPARED_CAPACITY = 64
 
 
 @dataclass
@@ -115,7 +122,12 @@ class HiqueEngine:
         self.binder = Binder(catalog)
         self.generator = CodeGenerator()
         self.compiler = QueryCompiler()
-        self._cache: dict[tuple[str, str, bool], PreparedQuery] = {}
+        #: (SQL, opt level, traced) → prepared query, an LRU of at most
+        #: :data:`PREPARED_CAPACITY` entries.
+        self._cache: "OrderedDict[tuple[str, str, bool], PreparedQuery]" = (
+            OrderedDict()
+        )
+        self._cache_lock = threading.Lock()
         #: The executor: a recycled answer, else the plan's generated
         #: composing function.
         self.parallel = ParallelExecutor(parallel)
@@ -144,8 +156,13 @@ class HiqueEngine:
         """
         level = opt_level if opt_level is not None else self.opt_level
         key = (sql, level, traced)
-        if use_cache and planner_config is None and key in self._cache:
-            return self._cache[key]
+        use_cache = use_cache and planner_config is None
+        if use_cache:
+            with self._cache_lock:
+                cached = self._cache.get(key)
+                if cached is not None:
+                    self._cache.move_to_end(key)
+                    return cached
 
         timings = PreparationTimings()
         tracer = self.obs.tracer
@@ -185,8 +202,11 @@ class HiqueEngine:
             compiled=compiled,
             timings=timings,
         )
-        if use_cache and planner_config is None:
-            self._cache[key] = prepared
+        if use_cache:
+            with self._cache_lock:
+                self._cache[key] = prepared
+                while len(self._cache) > PREPARED_CAPACITY:
+                    self._cache.popitem(last=False)
         return prepared
 
     # -- execution ---------------------------------------------------------------------
@@ -286,7 +306,8 @@ class HiqueEngine:
         return plan.explain()
 
     def clear_cache(self) -> None:
-        self._cache.clear()
+        with self._cache_lock:
+            self._cache.clear()
 
     # -- lifecycle ---------------------------------------------------------------------
     def close(self) -> None:

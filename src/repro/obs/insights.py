@@ -23,9 +23,9 @@ executions actually did:
   listener, surfaces everything through the registry's collector
   pattern, and renders the shell's ``.insights`` / ``.slow`` views.
 
-The record path is deliberately allocation-light (one lock, one dict
-hit, integer adds, one histogram observe) because it runs on *every*
-query.
+The record path is deliberately allocation-light (one lock, integer
+adds, one histogram observe; the caller keeps the digest it folded
+into, so a repeat skips the lookup) because it runs on *every* query.
 """
 
 from __future__ import annotations
@@ -98,12 +98,18 @@ class Digest:
         "tables",
         "first_seen",
         "last_seen",
+        "live",
+        "store_key",
         "_hist",
     )
 
     def __init__(self, engine_kind: str, key: str):
         self.engine_kind = engine_kind
         self.key = key
+        self.store_key = (engine_kind, key)
+        #: False once the store dropped this digest (reset or LRU
+        #: eviction): a caller holding it must fold into a new one.
+        self.live = True
         self.digest_id = _digest_id(engine_kind, key)
         #: Lowercased table names the statement touches; lets DML
         #: invalidation reset only the digests it actually staled.
@@ -192,20 +198,46 @@ class DigestStore:
         pages_missed: int = 0,
         tables: tuple[str, ...] = (),
     ) -> Digest:
-        """Fold one execution into the statement's digest (hot path)."""
-        store_key = (engine_kind, key)
+        """Fold one execution into the statement's digest."""
+        return self.fold(
+            None, engine_kind, key, tables, seconds, rows, error,
+            cache_hit, pages_hit, pages_missed,
+        )
+
+    def fold(
+        self,
+        digest: Digest | None,
+        engine_kind: str,
+        key: str,
+        tables: tuple[str, ...],
+        seconds: float,
+        rows: int,
+        error: bool,
+        cache_hit: bool | None,
+        pages_hit: int,
+        pages_missed: int,
+    ) -> Digest:
+        """Fold one execution into the statement's digest (hot path).
+
+        ``digest`` is the one an earlier fold of the same statement
+        returned, or None; while it is live, the fold skips the lookup.
+        Returns the digest folded into, for the caller to keep.
+        """
         with self._lock:
-            digest = self._digests.get(store_key)
-            if digest is None:
-                digest = Digest(engine_kind, key)
-                if tables:
-                    digest.tables = tables
-                self._digests[store_key] = digest
-                while len(self._digests) > self.capacity:
-                    self._digests.popitem(last=False)
-                    self.evictions += 1
+            if digest is None or not digest.live:
+                digest = self._digests.get((engine_kind, key))
+                if digest is None:
+                    digest = Digest(engine_kind, key)
+                    if tables:
+                        digest.tables = tables
+                    self._digests[digest.store_key] = digest
+                    while len(self._digests) > self.capacity:
+                        self._digests.popitem(last=False)[1].live = False
+                        self.evictions += 1
+                else:
+                    self._digests.move_to_end(digest.store_key)
             else:
-                self._digests.move_to_end(store_key)
+                self._digests.move_to_end(digest.store_key)
             self.recorded += 1
             digest.calls += 1
             digest.rows += rows
@@ -256,6 +288,8 @@ class DigestStore:
             if table is None:
                 if self._digests:
                     self.resets += 1
+                for digest in self._digests.values():
+                    digest.live = False
                 self._digests.clear()
                 return
             doomed = [
@@ -264,7 +298,7 @@ class DigestStore:
                 if table in digest.tables
             ]
             for key in doomed:
-                del self._digests[key]
+                self._digests.pop(key).live = False
             if doomed:
                 self.scoped_resets += 1
 
@@ -435,20 +469,27 @@ class WorkloadInsights:
         pages_missed: int = 0,
         trace: Trace | None = None,
         tables: tuple[str, ...] = (),
-    ) -> None:
-        """Fold one service-layer execution into every store."""
+        digest: Digest | None = None,
+    ) -> Digest | None:
+        """Fold one service-layer execution into every store.
+
+        ``digest`` is what the previous record of the same statement
+        returned (see :meth:`DigestStore.fold`); the return value is
+        the digest to pass next time, or None when recording is off.
+        """
         if not self.enabled:
-            return
-        self.digests.record(
+            return None
+        digest = self.digests.fold(
+            digest,
             engine_kind,
             key,
+            tables,
             seconds,
-            rows=rows,
-            error=error is not None,
-            cache_hit=cache_hit,
-            pages_hit=pages_hit,
-            pages_missed=pages_missed,
-            tables=tables,
+            rows,
+            error is not None,
+            cache_hit,
+            pages_hit,
+            pages_missed,
         )
         if seconds >= self.slow.threshold_seconds:
             self.slow.record(
@@ -459,6 +500,7 @@ class WorkloadInsights:
                 error=str(error) if error is not None else "",
                 trace=trace,
             )
+        return digest
 
     def _on_trace(self, trace: Trace) -> None:
         if self.enabled:

@@ -25,6 +25,7 @@ Design notes:
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Any, Callable, Iterable, Mapping
 
 __all__ = [
@@ -43,6 +44,11 @@ def default_latency_buckets() -> tuple[float, ...]:
         for mantissa in ("1", "2.5", "5"):
             buckets.append(float(f"{mantissa}e{exp}"))
     return tuple(buckets)
+
+
+#: The default ladder, built once and shared by every histogram that
+#: takes it (one per workload digest, so one per statement shape).
+_LATENCY_BUCKETS = default_latency_buckets()
 
 
 def _label_key(labels: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
@@ -123,7 +129,7 @@ class Histogram:
     """Fixed-bucket latency histogram with interpolated percentiles.
 
     ``buckets`` are upper bounds (exclusive of +Inf, which is implicit).
-    ``observe`` is O(log n) (bisection over ~24 bounds); memory is
+    ``observe`` is O(log n) (``bisect`` over ~24 bounds); memory is
     bounded regardless of observation count.
     """
 
@@ -147,7 +153,7 @@ class Histogram:
     ):
         self.name = name
         self.labels = labels
-        bounds = tuple(sorted(buckets)) if buckets else default_latency_buckets()
+        bounds = tuple(sorted(buckets)) if buckets else _LATENCY_BUCKETS
         if not bounds:
             raise ValueError("histogram needs at least one bucket bound")
         self._bounds = bounds
@@ -170,14 +176,11 @@ class Histogram:
                 self._max = value
 
     def _bucket_index(self, value: float) -> int:
-        lo, hi = 0, len(self._bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self._bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        """The first bucket whose bound is >= ``value``; NaN, which
+        compares false with every bound, goes to +Inf."""
+        if value != value:
+            return len(self._bounds)
+        return bisect_left(self._bounds, value)
 
     @property
     def count(self) -> int:

@@ -69,13 +69,35 @@ def current_span() -> "Span | None":
     return _ACTIVE.get()
 
 
-@contextmanager
-def maybe_span(name: str, category: str = "", **attrs: Any) -> Iterator["Span | None"]:
+class _NoSpan:
+    """The scope an untraced span opens: enters as None, records
+    nothing.  One shared instance serves every caller, so a disabled
+    tracer allocates no context manager."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info: Any) -> None:
+        return None
+
+
+_NO_SPAN = _NoSpan()
+
+
+def maybe_span(name: str, category: str = "", **attrs: Any):
     """Open a child of the current span, or do nothing if untraced."""
     parent = current_span()
     if parent is None:
-        yield None
-        return
+        return _NO_SPAN
+    return _child_scope(parent, name, category, attrs)
+
+
+@contextmanager
+def _child_scope(
+    parent: "Span", name: str, category: str, attrs: dict[str, Any]
+) -> Iterator["Span"]:
     span = parent.child(name, category, **attrs)
     token = _ACTIVE.set(span)
     try:
@@ -363,10 +385,11 @@ class Trace:
 class Tracer:
     """Per-database span recorder.
 
-    ``enabled`` gates everything: when off, :meth:`span` yields ``None``
-    without touching the context var, and the module-level fast gate
-    keeps hooks elsewhere near-free.  Finished root traces land in a
-    bounded deque; :meth:`last_trace` returns the most recent.
+    ``enabled`` gates everything: when off, :meth:`span` returns a
+    shared scope that enters as ``None`` without touching the context
+    var, and the module-level fast gate keeps hooks elsewhere
+    near-free.  Finished root traces land in a bounded deque;
+    :meth:`last_trace` returns the most recent.
     """
 
     MAX_TRACES = 16
@@ -430,12 +453,20 @@ class Tracer:
             self.enabled = was
 
     # -- spans ---------------------------------------------------------------
-    @contextmanager
-    def span(self, name: str, category: str = "", **attrs: Any) -> Iterator[Span | None]:
-        """Open a span: child of the active one, else a new root trace."""
+    def span(self, name: str, category: str = "", **attrs: Any):
+        """Open a span: child of the active one, else a new root trace.
+
+        Disabled, this is one attribute test returning a shared no-op
+        scope that enters as ``None``.
+        """
         if not self._enabled or _SUPPRESSED:
-            yield None
-            return
+            return _NO_SPAN
+        return self._open(name, category, attrs)
+
+    @contextmanager
+    def _open(
+        self, name: str, category: str, attrs: dict[str, Any]
+    ) -> Iterator[Span]:
         parent = _ACTIVE.get()
         if parent is not None:
             span = parent.child(name, category, **attrs)

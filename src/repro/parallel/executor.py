@@ -33,7 +33,11 @@ from repro.parallel.stage import (
     recall,
     spanned_query,
 )
-from repro.parallel.stats import ExecutionStats, ParallelConfig
+from repro.parallel.stats import (
+    ExecutionStats,
+    ParallelConfig,
+    RecycledStats,
+)
 
 #: Why a traced run asks no cache.
 _TRACED = "traced execution (the probe records every access)"
@@ -84,11 +88,8 @@ class ParallelExecutor:
         cache = None if probe.enabled else self.intermediates
         answer = recall(prepared, params, cache, min_pages)
         if answer.rows is not None:
-            return answer.rows, ExecutionStats(
-                rows=len(answer.rows),
-                elapsed_seconds=time.perf_counter() - started,
-                reason=answer.note(),
-                recycled="hit",
+            return answer.rows, RecycledStats(
+                len(answer.rows), time.perf_counter() - started, answer.note
             )
         ctx = build_context(
             prepared.plan, probe=probe, opt_level=compiled.opt_level,

@@ -17,44 +17,65 @@ points.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Iterator
+from typing import Any, Callable
+
+
+class _Scope:
+    """A reusable ``with`` scope over one acquire/release pair.
+
+    It holds no per-use state, so one instance serves every thread:
+    entering a latch side allocates nothing.
+    """
+
+    __slots__ = ("_acquire", "_release")
+
+    def __init__(
+        self, acquire: Callable[[], None], release: Callable[[], None]
+    ) -> None:
+        self._acquire = acquire
+        self._release = release
+
+    def __enter__(self) -> None:
+        self._acquire()
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self._release()
 
 
 class ReadWriteLatch:
     """Many concurrent readers or one exclusive writer."""
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._readers = 0
         self._writer_active = False
         self._writers_waiting = 0
+        self._read_scope = _Scope(self.acquire_read, self.release_read)
+        self._write_scope = _Scope(self.acquire_write, self.release_write)
 
     # -- read side -------------------------------------------------------------
     def acquire_read(self) -> None:
-        with self._cond:
+        with self._lock:
             while self._writer_active or self._writers_waiting:
                 self._cond.wait()
             self._readers += 1
 
     def release_read(self) -> None:
-        with self._cond:
+        with self._lock:
             self._readers -= 1
-            if self._readers == 0:
+            # Only a writer waits for the readers to drain; a waiting
+            # reader waits for writers, whose release wakes it.
+            if not self._readers and self._writers_waiting:
                 self._cond.notify_all()
 
-    @contextmanager
-    def read(self) -> Iterator[None]:
+    def read(self) -> _Scope:
         """Shared-read scope: ``with latch.read(): ...``."""
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
+        return self._read_scope
 
     # -- write side ------------------------------------------------------------
     def acquire_write(self) -> None:
-        with self._cond:
+        with self._lock:
             self._writers_waiting += 1
             try:
                 while self._writer_active or self._readers:
@@ -64,26 +85,21 @@ class ReadWriteLatch:
             self._writer_active = True
 
     def release_write(self) -> None:
-        with self._cond:
+        with self._lock:
             self._writer_active = False
             self._cond.notify_all()
 
-    @contextmanager
-    def write(self) -> Iterator[None]:
+    def write(self) -> _Scope:
         """Exclusive scope: ``with latch.write(): ...``."""
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
+        return self._write_scope
 
     # -- introspection -----------------------------------------------------------
     @property
     def active_readers(self) -> int:
-        with self._cond:
+        with self._lock:
             return self._readers
 
     @property
     def writer_active(self) -> bool:
-        with self._cond:
+        with self._lock:
             return self._writer_active

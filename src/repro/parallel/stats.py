@@ -9,6 +9,7 @@ each scan took.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -75,3 +76,29 @@ class ExecutionStats:
                 phase.describe() for phase in self.phases
             )
         return base
+
+
+class RecycledStats(ExecutionStats):
+    """How a recycled answer ran: nothing ran, so the stats are its row
+    count, its time and ``reason``, the versions it was recycled under.
+    ``reason`` is formatted when first read, not on every hit.
+    """
+
+    def __init__(
+        self, rows: int, elapsed_seconds: float, note: Callable[[], str]
+    ):
+        super().__init__(
+            rows=rows, elapsed_seconds=elapsed_seconds, recycled="hit"
+        )
+        self._note = note
+        self._reason = None
+
+    @property
+    def reason(self) -> str:
+        if self._reason is None:
+            self._reason = self._note()
+        return self._reason
+
+    @reason.setter
+    def reason(self, value: str) -> None:
+        self._reason = value

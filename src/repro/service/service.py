@@ -49,10 +49,7 @@ from repro.service.statement import PreparedStatement
 from repro.sql import ast
 from repro.sql.binder import Binder
 from repro.sql.bound import param_dtypes_of
-from repro.sql.parameters import (
-    ParameterizedQuery,
-    parameterize_statement,
-)
+from repro.sql.parameters import parameterize_statement
 from repro.sql.parser import parse_statement
 
 
@@ -91,26 +88,45 @@ class _CachedPlan:
     bound: Any = field(default=None, repr=False)
     #: Parameter index → bound type, for execute-time value checking.
     param_dtypes: dict = field(default_factory=dict, repr=False)
-    #: ``(table, row count)`` pairs this plan was optimized against;
-    #: empty for DML plans, which hold no optimizer decisions.  A read
-    #: plan survives DML — its code reads page and row counts when it
-    #: runs — until a table's row count leaves [½×, 2×] of this.
-    deps: tuple[tuple[str, int], ...] = ()
+    #: The tables this plan was optimized against: the bound query's
+    #: FROM entries; empty for DML plans, which hold no optimizer
+    #: decisions.
+    dep_tables: tuple = field(default=(), repr=False)
+    #: ``(table, row count)`` per dep table at optimization time.  A
+    #: read plan survives DML — its code reads page and row counts when
+    #: it runs — until a table's row count leaves [½×, 2×] of this.
+    deps: tuple[tuple[str, int], ...] = field(init=False)
+    #: The dep tables' versions when the deps were last found current.
+    #: Every row-count change moves a version, so while these have not
+    #: moved the deps need no re-check.
+    versions: tuple[int, ...] = field(init=False, repr=False)
+    #: ``(index, expects a string, dtype)`` per typed parameter, in
+    #: index order: what :func:`_check_param_values` tests values by.
+    param_checks: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # Versions first: a row count read after them is at least as
+        # new, so a later version compare never hides a change.
+        self.versions = tuple([table.version for table in self.dep_tables])
+        self.deps = tuple(
+            (table.name.lower(), table.num_rows) for table in self.dep_tables
+        )
+        self.param_checks = tuple(
+            (index, dtype.is_string, dtype)
+            for index, dtype in sorted(self.param_dtypes.items())
+        )
 
 
 #: Engine kinds served by parameterized generated code.
 _CODEGEN_KINDS = ("hique", "hique-o0")
 
 
-def _statement_tables(statement: PreparedStatement) -> tuple[str, ...]:
-    """Lowercased table names a statement touches (from its AST)."""
-    query = statement.parameterized.query
-    if isinstance(query, ast.Query):
-        return tuple(sorted({t.name.lower() for t in query.tables}))
-    return (query.table.lower(),)
+def _tables_of(bound) -> tuple:
+    """The Table objects of a bound statement's FROM entries."""
+    return tuple(bound_table.table for bound_table in bound.tables)
 
 
-def _check_param_values(param_dtypes: dict, values: tuple) -> None:
+def _check_param_values(checks: tuple, values: tuple) -> None:
     """Reject values whose type family contradicts the bound plan.
 
     A compiled plan was type-checked against the statement's bound
@@ -118,18 +134,18 @@ def _check_param_values(param_dtypes: dict, values: tuple) -> None:
     bound would either raise a raw TypeError from generated code or —
     worse — compare unequal everywhere and silently return no rows.
     The interpreting engines need no such check: they re-bind per call.
+    ``checks`` is the plan's :attr:`_CachedPlan.param_checks`.
     """
-    for index, value in enumerate(values):
-        dtype = param_dtypes.get(index)
-        if dtype is None:
-            continue
-        if dtype.is_string:
-            if not isinstance(value, str):
-                raise ServiceError(
-                    f"parameter ?{index + 1} is bound as {dtype.name}; "
-                    f"got {type(value).__name__} {value!r}"
-                )
-        elif isinstance(value, str) or isinstance(value, bool):
+    for index, is_string, dtype in checks:
+        value = values[index]
+        if is_string:
+            if isinstance(value, str):
+                continue
+            raise ServiceError(
+                f"parameter ?{index + 1} is bound as {dtype.name}; "
+                f"got {type(value).__name__} {value!r}"
+            )
+        if isinstance(value, (str, bool)):
             raise ServiceError(
                 f"parameter ?{index + 1} is bound as {dtype.name}; "
                 f"got {type(value).__name__} {value!r}"
@@ -165,10 +181,11 @@ class QueryService:
             max_pending if max_pending is not None else max_workers * 8
         )
 
-        #: (engine_kind, raw sql) → (cache key, ParameterizedQuery);
-        #: bounded so adversarial literal-varying traffic cannot grow it
-        #: without limit.
-        self._text_index: "OrderedDict[tuple[str, str], tuple[str, ParameterizedQuery]]" = (
+        #: (engine_kind, raw sql) → the statement it resolves to, shared
+        #: by every one-shot execution of that text; bounded so
+        #: adversarial literal-varying traffic cannot grow it without
+        #: limit.
+        self._text_index: "OrderedDict[tuple[str, str], PreparedStatement]" = (
             OrderedDict()
         )
         self._text_capacity = max(cache_capacity * 8, 128)
@@ -200,6 +217,9 @@ class QueryService:
         #: running on this thread, captured even when tracing is off so
         #: the digest store can count cache hits.
         self._local = threading.local()
+        #: The buffer pool's counters, whose delta per execution is the
+        #: digest's page traffic when no span tree records it.
+        self._pages = getattr(getattr(database, "buffer", None), "stats", None)
 
         #: Observability pair shared with the owning database (falls
         #: back to the process-wide default for bare test harnesses).
@@ -225,7 +245,16 @@ class QueryService:
         handle executes it with varying parameters.
         """
         kind = engine or self.default_engine
-        statement = self._resolve(sql, kind)
+        shared = self._resolve(sql, kind)
+        # A handle of its own: it belongs to one caller, while the
+        # text index's statement serves every one-shot execution.
+        statement = PreparedStatement(
+            service=self,
+            engine_kind=kind,
+            sql=sql,
+            key=shared.key,
+            parameterized=shared.parameterized,
+        )
         self._ensure_plan(statement, count=False)
         return statement
 
@@ -233,30 +262,24 @@ class QueryService:
         """Raw SQL text → statement, via the text fast path if possible."""
         text_key = (kind, sql)
         with self._state_lock:
-            alias = self._text_index.get(text_key)
-            if alias is not None:
+            statement = self._text_index.get(text_key)
+            if statement is not None:
                 self._text_index.move_to_end(text_key)
                 self._text_hits += 1
-                key, parameterized = alias
-                return PreparedStatement(
-                    service=self,
-                    engine_kind=kind,
-                    sql=sql,
-                    key=key,
-                    parameterized=parameterized,
-                )
+                return statement
         parameterized = parameterize_statement(parse_statement(sql))
-        with self._state_lock:
-            self._text_index[text_key] = (parameterized.key, parameterized)
-            while len(self._text_index) > self._text_capacity:
-                self._text_index.popitem(last=False)
-        return PreparedStatement(
+        statement = PreparedStatement(
             service=self,
             engine_kind=kind,
             sql=sql,
             key=parameterized.key,
             parameterized=parameterized,
         )
+        with self._state_lock:
+            self._text_index[text_key] = statement
+            while len(self._text_index) > self._text_capacity:
+                self._text_index.popitem(last=False)
+        return statement
 
     def _ensure_plan(
         self, statement: PreparedStatement, count: bool = True
@@ -289,13 +312,7 @@ class QueryService:
         "preparation saved" means seconds an execution actually
         avoided, not how often the entry was looked at.
         """
-        cache_key = (
-            # DML plans are engine-independent: every front-end kind
-            # shares one bound statement per shape.
-            "dml" if statement.is_dml else statement.engine_kind,
-            statement.key,
-            statement.parameterized.type_signature,
-        )
+        cache_key = statement.cache_key
         entry = (
             self.cache.get(cache_key)
             if count
@@ -344,22 +361,28 @@ class QueryService:
 
     def _deps_current(self, plan: _CachedPlan) -> bool:
         """Whether every table is still within [½×, 2×] of the row
-        count the plan was optimized against."""
-        for name, planned in plan.deps:
+        count the plan was optimized against.
+
+        One compare of the tables' versions while no write moved one;
+        otherwise a catalogue lookup per table, and the versions it
+        finds current are the next compare's.
+        """
+        tables = plan.dep_tables
+        versions = tuple([table.version for table in tables])
+        if versions == plan.versions:
+            return True
+        catalog = self.database.catalog
+        for (name, planned), table in zip(plan.deps, tables):
             try:
-                rows = self.database.catalog.table(name).num_rows
+                if catalog.table(name) is not table:
+                    return False
             except CatalogError:
                 return False
+            rows = table.num_rows
             if not planned <= 2 * rows <= 4 * planned:
                 return False
+        plan.versions = versions
         return True
-
-    @staticmethod
-    def _bound_deps(tables) -> tuple[tuple[str, int], ...]:
-        """(table, row count) deps from a bound query's FROM entries."""
-        return tuple(
-            (bt.table.name.lower(), bt.table.num_rows) for bt in tables
-        )
 
     def _build_plan(
         self, statement: PreparedStatement
@@ -386,7 +409,6 @@ class QueryService:
                 key=statement.key,
                 bound=bound,
                 param_dtypes=dml_param_dtypes(bound),
-                deps=(),
             )
             return plan, time.perf_counter() - started
         if kind in _CODEGEN_KINDS:
@@ -403,7 +425,7 @@ class QueryService:
                     key=statement.key,
                     prepared=prepared,
                     param_dtypes=param_dtypes_of(prepared.bound),
-                    deps=self._bound_deps(prepared.bound.tables),
+                    dep_tables=_tables_of(prepared.bound),
                 ),
                 prepared.timings.total_seconds,
             )
@@ -425,7 +447,7 @@ class QueryService:
             query=parameterized.query,
             physical=physical,
             param_dtypes=param_dtypes_of(bound),
-            deps=self._bound_deps(bound.tables),
+            dep_tables=_tables_of(bound),
         )
         return plan, time.perf_counter() - started
 
@@ -453,10 +475,11 @@ class QueryService:
         allow_override: bool = True,
     ) -> list[tuple]:
         """Run a prepared statement with one parameter vector."""
+        local = self._local
         # ``close()`` rejects *new* work but drains the session pool:
         # a query that won admission before the close must complete,
         # so the pool's own workers (marked via the thread-local) pass.
-        if self._closed and not getattr(self._local, "admitted", False):
+        if self._closed and not getattr(local, "admitted", False):
             raise ServiceError("query service is closed")
         values = statement.resolve_params(params, allow_override)
         with self._state_lock:
@@ -466,9 +489,11 @@ class QueryService:
         record = insights is not None and insights.enabled
         pages_before: tuple[int, int] | None = None
         if record:
-            self._local.cache_hit = None
-            pages_before = self._buffer_pages()
-        span_obj = None
+            local.cache_hit = None
+            pages = self._pages
+            if pages is not None:
+                pages_before = (pages.hits, pages.misses)
+        span = None
         rows_out: list[tuple] | None = None
         error: BaseException | None = None
         started = time.perf_counter()
@@ -479,7 +504,6 @@ class QueryService:
                 engine=kind,
                 statement=statement.key[:200],
             ) as span:
-                span_obj = span
                 if statement.is_dml:
                     rows = self._execute_dml_statement(statement, values)
                 elif kind in _CODEGEN_KINDS:
@@ -489,7 +513,7 @@ class QueryService:
                     engine: HiqueEngine = self.database.engine(kind)
                     with self._gate.read():
                         plan = self._plan_under_gate(statement)
-                        _check_param_values(plan.param_dtypes, values)
+                        _check_param_values(plan.param_checks, values)
                         rows = engine.execute_prepared(
                             plan.prepared, params=values
                         )
@@ -511,27 +535,17 @@ class QueryService:
                 self._record_insights(
                     insights,
                     statement,
-                    kind,
                     elapsed,
                     rows_out,
                     error,
-                    span_obj,
+                    span,
                     pages_before,
                 )
-
-    def _buffer_pages(self) -> tuple[int, int] | None:
-        """(hits, misses) of the database's buffer pool, if reachable."""
-        buffer = getattr(self.database, "buffer", None)
-        if buffer is None:
-            return None
-        stats = buffer.stats
-        return stats.hits, stats.misses
 
     def _record_insights(
         self,
         insights,
         statement: PreparedStatement,
-        kind: str,
         elapsed: float,
         rows: list[tuple] | None,
         error: BaseException | None,
@@ -543,8 +557,10 @@ class QueryService:
         Buffer traffic comes from the span tree when tracing recorded
         one (exact per query); otherwise from the buffer pool's global
         counters, whose delta is exact for a single session and only
-        approximate under concurrent queries.  Never raises: a failure
-        here is counted, not allowed to fail the observed query.
+        approximate under concurrent queries.  The statement keeps the
+        digest it folded into, so its next execution skips the lookup.
+        Never raises: a failure here is counted, not allowed to fail
+        the observed query.
         """
         try:
             pages_hit = pages_missed = 0
@@ -553,14 +569,11 @@ class QueryService:
                     pages_hit += node.pages_hit
                     pages_missed += node.pages_missed
             elif pages_before is not None:
-                pages_after = self._buffer_pages()
-                if pages_after is not None:
-                    pages_hit = max(0, pages_after[0] - pages_before[0])
-                    pages_missed = max(
-                        0, pages_after[1] - pages_before[1]
-                    )
-            insights.record(
-                kind,
+                pages = self._pages
+                pages_hit = max(0, pages.hits - pages_before[0])
+                pages_missed = max(0, pages.misses - pages_before[1])
+            statement.digest = insights.record(
+                statement.engine_kind,
                 statement.key,
                 elapsed,
                 rows=len(rows) if rows is not None else 0,
@@ -569,7 +582,8 @@ class QueryService:
                 pages_hit=pages_hit,
                 pages_missed=pages_missed,
                 trace=span.trace if span is not None else None,
-                tables=_statement_tables(statement),
+                tables=statement.tables,
+                digest=statement.digest,
             )
         except Exception:
             self.obs.registry.counter(
@@ -598,7 +612,7 @@ class QueryService:
         engine = self.database.engine(kind)
         with self._gate.read():
             plan = self._plan_under_gate(statement)
-            _check_param_values(plan.param_dtypes, values)
+            _check_param_values(plan.param_checks, values)
             return engine.execute_plan(plan.physical, params=values)
 
     def _execute_dml_statement(
@@ -615,7 +629,7 @@ class QueryService:
         catalog = self.database.catalog
         with catalog.exclusive():
             plan = self._plan_under_gate(statement)
-            _check_param_values(plan.param_dtypes, values)
+            _check_param_values(plan.param_checks, values)
             count = execute_dml(catalog, plan.bound, values)
         return [(count,)]
 

@@ -22,7 +22,9 @@ class PreparedStatement:
     Holds everything needed to re-resolve the statement against the
     service's plan cache: if the cached plan was evicted or invalidated
     (DDL, ``analyze``), the next :meth:`execute` transparently pays
-    preparation again — callers never observe staleness.
+    preparation again — callers never observe staleness.  What the
+    service derives from the statement on every execution (its plan-
+    cache key, its tables) is derived once, here.
     """
 
     service: "QueryService" = field(repr=False)
@@ -32,16 +34,37 @@ class PreparedStatement:
     #: Normalized form (literals parameterized away) — the cache key.
     key: str
     parameterized: ParameterizedQuery = field(repr=False)
+    #: True for INSERT/UPDATE/DELETE shapes (engine-independent).
+    is_dml: bool = field(init=False)
+    #: The plan-cache key: the engine kind ("dml" for DML, whose plans
+    #: every front-end shares), the normalized SQL and the parameter
+    #: type signature.
+    cache_key: tuple = field(init=False, repr=False)
+    #: Lowercased names of the tables the statement touches.
+    tables: tuple[str, ...] = field(init=False, repr=False)
+    #: The workload-insights digest the last execution folded into
+    #: (see :meth:`repro.obs.insights.DigestStore.fold`).
+    digest: Any = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        query = self.parameterized.query
+        self.is_dml = not isinstance(query, ast.Query)
+        self.cache_key = (
+            "dml" if self.is_dml else self.engine_kind,
+            self.key,
+            self.parameterized.type_signature,
+        )
+        if self.is_dml:
+            self.tables = (query.table.lower(),)
+        else:
+            self.tables = tuple(sorted({t.name.lower() for t in query.tables}))
 
     @property
     def num_params(self) -> int:
         """Parameters the statement expects at execute time."""
         return self.parameterized.num_params
-
-    @property
-    def is_dml(self) -> bool:
-        """True for INSERT/UPDATE/DELETE shapes (engine-independent)."""
-        return not isinstance(self.parameterized.query, ast.Query)
 
     @property
     def default_params(self) -> tuple[Any, ...]:

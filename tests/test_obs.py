@@ -6,13 +6,18 @@ on, Chrome trace export validity, and the Prometheus text rendering.
 """
 
 import json
+import math
 import random
 import time
 
 import pytest
 
 from repro import Column, Database, INT, DOUBLE, char
-from repro.obs.metrics import MetricsRegistry, default_latency_buckets
+from repro.obs.metrics import (
+    Histogram,
+    MetricsRegistry,
+    default_latency_buckets,
+)
 
 ALL_ENGINES = (
     "hique", "hique-o0", "volcano", "volcano-generic",
@@ -94,6 +99,34 @@ class TestHistogram:
         assert hist._max == pytest.approx(0.004)
         assert hist.percentile(0.0) >= 0.0
         assert hist.percentile(1.0) == pytest.approx(0.004)
+
+    def test_bucket_index_matches_the_bisection_loop(self):
+        """``bisect_left`` picks the bucket the hand-written bisection
+        picked, NaN (the +Inf bucket) included."""
+
+        def loop_index(bounds, value):
+            lo, hi = 0, len(bounds)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if value <= bounds[mid]:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return lo
+
+        hist = Histogram("repro_test_seconds", ())
+        bounds = default_latency_buckets()
+        values = [0.0, -1.0, -0.0, math.inf, -math.inf, math.nan]
+        for bound in bounds:
+            values += [bound, math.nextafter(bound, -math.inf),
+                       math.nextafter(bound, math.inf)]
+        for value in values:
+            assert hist._bucket_index(value) == loop_index(bounds, value), (
+                value
+            )
+        assert hist._bucket_index(math.nan) == len(bounds)
+        assert hist._bucket_index(bounds[0]) == 0
+        assert hist._bucket_index(math.nextafter(bounds[0], 1.0)) == 1
 
     def test_render_text_escapes_label_values(self):
         registry = MetricsRegistry()

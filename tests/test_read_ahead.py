@@ -134,17 +134,49 @@ def test_cold_scan_counts_every_page_as_one_miss(tmp_path):
         db.close()
 
 
+class _InFlight:
+    """Wraps a file's page reads (the modelled latency included) and
+    records how many were in flight at once and how often each page
+    was read."""
+
+    def __init__(self, file: DiskFile):
+        self.file = file
+        self.reads: dict[int, int] = {}
+        self.peak = 0
+        self._now = 0
+        self._lock = threading.Lock()
+        self._read = file.read_page
+        file.read_page = self.read_page
+
+    def read_page(self, page_no: int):
+        with self._lock:
+            self._now += 1
+            self.peak = max(self.peak, self._now)
+            self.reads[page_no] = self.reads.get(page_no, 0) + 1
+        try:
+            return self._read(page_no)
+        finally:
+            with self._lock:
+                self._now -= 1
+
+    def remove(self) -> None:
+        del self.file.read_page
+
+
 def test_read_ahead_overlaps_page_waits(tmp_path):
-    """With a modelled 2 ms per page, the fetchers overlap the waits a
-    one-page-at-a-time scan would pay in sequence."""
+    """With a modelled 2 ms per page, a cold scan has page reads in
+    flight at the same time, and still reads every page exactly once."""
     db = _disk_db(tmp_path, latency=2e-3)
     try:
         table = db.table("t")
         db.buffer.evict_all()
-        started = time.perf_counter()
-        assert table.all_rows() == ROWS
-        elapsed = time.perf_counter() - started
-        assert elapsed < 0.5 * table.num_pages * 2e-3, elapsed
+        reads = _InFlight(table.file)
+        try:
+            assert table.all_rows() == ROWS
+        finally:
+            reads.remove()
+        assert reads.peak >= 2, reads.peak
+        assert reads.reads == dict.fromkeys(range(table.num_pages), 1)
     finally:
         db.close()
 
