@@ -226,16 +226,14 @@ class DigestStore:
         with self._lock:
             if digest is None or not digest.live:
                 digest = self._digests.get((engine_kind, key))
-                if digest is None:
-                    digest = Digest(engine_kind, key)
-                    if tables:
-                        digest.tables = tables
-                    self._digests[digest.store_key] = digest
-                    while len(self._digests) > self.capacity:
-                        self._digests.popitem(last=False)[1].live = False
-                        self.evictions += 1
-                else:
-                    self._digests.move_to_end(digest.store_key)
+            if digest is None:
+                digest = Digest(engine_kind, key)
+                if tables:
+                    digest.tables = tables
+                self._digests[digest.store_key] = digest
+                while len(self._digests) > self.capacity:
+                    self._digests.popitem(last=False)[1].live = False
+                    self.evictions += 1
             else:
                 self._digests.move_to_end(digest.store_key)
             self.recorded += 1

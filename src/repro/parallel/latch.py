@@ -9,7 +9,9 @@ catalogue-mutating operation takes the write side.
 
 Writer preference keeps bulk operations from starving under a steady
 stream of readers: once a writer is waiting, new readers queue behind
-it.  The latch is *not* reentrant — neither read-inside-read nor
+it.  A writer's release lets the readers queued behind it in before
+the next writer, so a writer that writes in a tight loop cannot starve
+them either.  The latch is *not* reentrant — neither read-inside-read nor
 write-inside-write — so holders must not call back into gated entry
 points.
 """
@@ -51,14 +53,35 @@ class ReadWriteLatch:
         self._readers = 0
         self._writer_active = False
         self._writers_waiting = 0
+        self._readers_waiting = 0
+        #: Readers a writer's release admitted ahead of the next writer.
+        self._admitted = 0
         self._read_scope = _Scope(self.acquire_read, self.release_read)
         self._write_scope = _Scope(self.acquire_write, self.release_write)
 
     # -- read side -------------------------------------------------------------
     def acquire_read(self) -> None:
         with self._lock:
-            while self._writer_active or self._writers_waiting:
-                self._cond.wait()
+            if self._writer_active or (
+                self._writers_waiting and not self._admitted
+            ):
+                self._readers_waiting += 1
+                try:
+                    while self._writer_active or (
+                        self._writers_waiting and not self._admitted
+                    ):
+                        self._cond.wait()
+                except BaseException:
+                    # Admissions this reader will not take go unused.
+                    self._readers_waiting -= 1
+                    self._admitted = min(
+                        self._admitted, self._readers_waiting
+                    )
+                    self._cond.notify_all()
+                    raise
+                self._readers_waiting -= 1
+            if self._admitted:
+                self._admitted -= 1
             self._readers += 1
 
     def release_read(self) -> None:
@@ -78,7 +101,7 @@ class ReadWriteLatch:
         with self._lock:
             self._writers_waiting += 1
             try:
-                while self._writer_active or self._readers:
+                while self._writer_active or self._readers or self._admitted:
                     self._cond.wait()
             finally:
                 self._writers_waiting -= 1
@@ -87,6 +110,7 @@ class ReadWriteLatch:
     def release_write(self) -> None:
         with self._lock:
             self._writer_active = False
+            self._admitted = self._readers_waiting
             self._cond.notify_all()
 
     def write(self) -> _Scope:
