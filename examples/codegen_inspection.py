@@ -61,7 +61,7 @@ def main() -> None:
     print("=" * 70)
     print("Preparation cost (Table III measurements):")
     print("=" * 70)
-    prepared = engine.prepare(sql, use_cache=False)
+    prepared = engine.prepare(sql)
     timings = prepared.timings
     print(f"parse     {timings.parse_seconds * 1000:8.3f} ms")
     print(f"optimize  {timings.optimize_seconds * 1000:8.3f} ms")

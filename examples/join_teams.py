@@ -50,8 +50,7 @@ def main() -> None:
         ("HIQUE binary merge joins", binary_config),
         ("HIQUE join team", team_config),
     ):
-        prepared = hique.prepare(sql, planner_config=config,
-                                 use_cache=False)
+        prepared = hique.prepare(sql, planner_config=config)
         started = time.perf_counter()
         rows = hique.execute_prepared(prepared)
         results[label] = (time.perf_counter() - started, rows)
@@ -63,7 +62,7 @@ def main() -> None:
         print(f"{label:32s} {elapsed:8.3f}s  ({factor:4.1f}x vs iterators)")
 
     team_source = hique.prepare(
-        sql, planner_config=team_config, use_cache=False
+        sql, planner_config=team_config
     ).generated.source
     print("\nThe join team compiles to one nested loop block:")
     in_team = False

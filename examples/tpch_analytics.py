@@ -33,7 +33,7 @@ def main(scale_factor: float = 0.005) -> None:
         cells = []
         for name, sql in QUERIES.items():
             if system.engine_kind == "hique":
-                prepared = engine.prepare(sql, use_cache=False)
+                prepared = engine.prepare(sql)
                 started = time.perf_counter()
                 engine.execute_prepared(prepared)
                 elapsed = time.perf_counter() - started
@@ -48,7 +48,7 @@ def main(scale_factor: float = 0.005) -> None:
     print()
     hique = db.engine("hique")
     for name, sql in QUERIES.items():
-        prepared = hique.prepare(sql, use_cache=False)
+        prepared = hique.prepare(sql)
         started = time.perf_counter()
         hique.execute_prepared(prepared)
         elapsed = time.perf_counter() - started

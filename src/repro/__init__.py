@@ -20,7 +20,7 @@ from repro.api import Database, ENGINE_KINDS
 from repro.core import HiqueEngine, OPT_O0, OPT_O2
 from repro.engines.volcano import VolcanoEngine
 from repro.errors import ReproError
-from repro.parallel import ExecutionStats, ParallelConfig
+from repro.parallel import ExecutionStats
 from repro.plan.optimizer import PlannerConfig
 from repro.service import PlanCache, PreparedStatement, QueryService
 from repro.storage import (
@@ -63,7 +63,6 @@ __all__ = [
     "INT",
     "OPT_O0",
     "OPT_O2",
-    "ParallelConfig",
     "PlanCache",
     "PlannerConfig",
     "PreparedStatement",

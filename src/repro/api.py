@@ -16,7 +16,6 @@ engines are available through :meth:`Database.engine`.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 import threading
 from typing import Any, Iterable, Sequence
@@ -38,7 +37,7 @@ from repro.parallel.intermediates import (
     IntermediateCache,
     IntermediateCacheStats,
 )
-from repro.parallel.stats import ExecutionStats, ParallelConfig
+from repro.parallel.stats import ExecutionStats
 from repro.plan.optimizer import PlannerConfig
 from repro.service import PreparedStatement, QueryService
 from repro.storage.btree import BPlusTree
@@ -104,7 +103,6 @@ class Database:
         self.max_workers = max_workers
         if workers <= 0:
             raise ReproError("workers must be positive")
-        self.parallel_config = ParallelConfig()
         self._engines: dict[str, Any] = {}
         self._engines_lock = threading.Lock()
         self._service: QueryService | None = None
@@ -196,7 +194,6 @@ class Database:
                 HiqueEngine(
                     self.catalog,
                     planner_config=config,
-                    parallel=self.parallel_config,
                     obs=self.obs,
                 )
             )
@@ -206,7 +203,6 @@ class Database:
                     self.catalog,
                     planner_config=config,
                     opt_level="O0",
-                    parallel=self.parallel_config,
                     obs=self.obs,
                 )
             )
@@ -237,24 +233,6 @@ class Database:
         outputs land."""
         engine.parallel.intermediates = self.intermediates
         return engine
-
-    # -- execution knobs -----------------------------------------------------------------
-    def set_parallel(self, min_pages: int | None = None) -> ParallelConfig:
-        """Reconfigure execution at run time.
-
-        Applies to engines built afterwards *and* to the already built
-        code-generating engines; in-flight executions keep the
-        configuration they started with.
-        """
-        if min_pages is not None:
-            self.parallel_config = dataclasses.replace(
-                self.parallel_config, min_pages=min_pages
-            )
-        for kind in ("hique", "hique-o0"):
-            engine = self._engines.get(kind)
-            if engine is not None:
-                engine.parallel.reconfigure(self.parallel_config)
-        return self.parallel_config
 
     def last_exec_stats(self, engine: str = "hique") -> ExecutionStats | None:
         """How the given engine's most recent execution ran (or None)."""
@@ -380,7 +358,7 @@ class Database:
             # the answers that read the table are stale, and so are its
             # stagings unless the table only grew (an append extends
             # them); compiled code is not (generated scans read live
-            # pages), so the engines' text caches survive.
+            # pages), so the plan cache survives.
             vectorized = self._engines.get("vectorized")
             if vectorized is not None:
                 vectorized.invalidate(table)
@@ -389,10 +367,6 @@ class Database:
                 table, stagings=written.rewritten == written.version
             )
             return
-        for engine_kind in ("hique", "hique-o0"):
-            cached = self._engines.get(engine_kind)
-            if cached is not None:
-                cached.clear_cache()
         vectorized = self._engines.get("vectorized")
         if vectorized is not None:
             vectorized.invalidate(table)

@@ -278,10 +278,8 @@ def _join_query_versions(
             )
         )
     hique = HiqueEngine(catalog)
-    prepared = hique.prepare(sql, planner_config=config, use_cache=False)
-    prepared_traced = hique.prepare(
-        sql, traced=True, planner_config=config, use_cache=False
-    )
+    prepared = hique.prepare(sql, planner_config=config)
+    prepared_traced = hique.prepare(sql, traced=True, planner_config=config)
     versions.append(
         _Version(
             "HIQUE",
@@ -399,9 +397,9 @@ def _agg_query_versions(
             )
         )
     hique = HiqueEngine(catalog)
-    prepared = hique.prepare(_AGG_SQL, planner_config=config, use_cache=False)
+    prepared = hique.prepare(_AGG_SQL, planner_config=config)
     prepared_traced = hique.prepare(
-        _AGG_SQL, traced=True, planner_config=config, use_cache=False
+        _AGG_SQL, traced=True, planner_config=config
     )
     versions.append(
         _Version(
@@ -548,7 +546,6 @@ def table2(scale: str | Scale = "small") -> ExperimentResult:
             for level in (OPT_O0, OPT_O2):
                 prepared = engine.prepare(
                     sql, opt_level=level, planner_config=config,
-                    use_cache=False,
                 )
                 runners.append(
                     lambda prepared=prepared: engine.execute_prepared(
@@ -622,9 +619,7 @@ def fig7a(scale: str | Scale = "small") -> ExperimentResult:
                     row_time = _timed(lambda: engine.execute_plan(plan))
                 else:
                     engine = HiqueEngine(catalog)
-                    prepared = engine.prepare(
-                        _JOIN_SQL, planner_config=config, use_cache=False
-                    )
+                    prepared = engine.prepare(_JOIN_SQL, planner_config=config)
                     row_time = _timed(
                         lambda: engine.execute_prepared(prepared)
                     )
@@ -669,9 +664,7 @@ def fig7b(scale: str | Scale = "small") -> ExperimentResult:
         measurements.append(_timed(lambda: engine.execute_plan(plan)))
         # HIQUE binary merge joins (teams disabled).
         hique = HiqueEngine(catalog)
-        prepared = hique.prepare(
-            sql, planner_config=config, use_cache=False
-        )
+        prepared = hique.prepare(sql, planner_config=config)
         measurements.append(_timed(lambda: hique.execute_prepared(prepared)))
         # HIQUE join teams: merge and hybrid flavours.
         for algorithm in ("merge", "hybrid"):
@@ -679,9 +672,7 @@ def fig7b(scale: str | Scale = "small") -> ExperimentResult:
                 enable_join_teams=True, force_join=algorithm,
                 force_partitions=64,
             )
-            prepared = hique.prepare(
-                sql, planner_config=config, use_cache=False
-            )
+            prepared = hique.prepare(sql, planner_config=config)
             measurements.append(
                 _timed(lambda: hique.execute_prepared(prepared))
             )
@@ -719,9 +710,7 @@ def fig7c(scale: str | Scale = "small") -> ExperimentResult:
                     )
                 else:
                     hique = HiqueEngine(catalog)
-                    prepared = hique.prepare(
-                        _JOIN_SQL, planner_config=config, use_cache=False
-                    )
+                    prepared = hique.prepare(_JOIN_SQL, planner_config=config)
                     measurements.append(
                         _timed(lambda: hique.execute_prepared(prepared))
                     )
@@ -760,9 +749,7 @@ def fig7d(scale: str | Scale = "small") -> ExperimentResult:
                     )
                 else:
                     hique = HiqueEngine(catalog)
-                    prepared = hique.prepare(
-                        _AGG_SQL, planner_config=config, use_cache=False
-                    )
+                    prepared = hique.prepare(_AGG_SQL, planner_config=config)
                     measurements.append(
                         _timed(lambda: hique.execute_prepared(prepared))
                     )
@@ -790,7 +777,7 @@ def fig8(
         times = []
         for sql in QUERIES.values():
             if system.engine_kind == "hique":
-                prepared = engine.prepare(sql, use_cache=False)
+                prepared = engine.prepare(sql)
                 times.append(
                     _timed(lambda: engine.execute_prepared(prepared))
                 )
@@ -831,12 +818,8 @@ def table3(
     )
     engine: HiqueEngine = db.engine("hique")
     for name, sql in QUERIES.items():
-        prepared_o0 = engine.prepare(
-            sql, name=name, opt_level=OPT_O0, use_cache=False
-        )
-        prepared_o2 = engine.prepare(
-            sql, name=name, opt_level=OPT_O2, use_cache=False
-        )
+        prepared_o0 = engine.prepare(sql, name=name, opt_level=OPT_O0)
+        prepared_o2 = engine.prepare(sql, name=name, opt_level=OPT_O2)
         timings = prepared_o2.timings
         result.add(
             name,

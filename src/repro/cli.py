@@ -26,8 +26,8 @@ executed through ``.prepare`` / ``.exec``.  Meta-commands:
   ``via index(...)``) and indexed UPDATE/DELETE patch it in place
 * ``.versions`` — per-table mutation epochs (bumped by every INSERT /
   UPDATE / DELETE / load; version-keyed caches use them for coherence)
-* ``.parallel`` — show the configuration and the last execution's
-  per-phase (stage/join/aggregate/final) breakdown
+* ``.parallel`` — show how the last execution ran: its per-phase
+  (stage/join/aggregate/final) breakdown and per-scan notes
 * ``.tpch [sf]`` — load a TPC-H instance (default scale factor 0.002)
 * ``.timing on|off`` — toggle per-query timing
 * ``.trace [on|off|save <path>]`` — toggle span tracing for every
@@ -186,10 +186,10 @@ class Shell:
             if argument:
                 self.write("usage: .parallel")
                 return True
-            config = self.db.parallel_config
-            self.write(f"serial, min_pages {config.min_pages}")
             stats = self.db.last_exec_stats(self.engine_kind)
-            if stats is not None:
+            if stats is None:
+                self.write("(no execution yet)")
+            else:
                 self.write(f"last execution: {stats.describe()}")
                 for note in stats.notes:
                     self.write(f"  {note}")

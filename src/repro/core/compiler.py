@@ -65,9 +65,9 @@ class CompiledQuery:
 
 
 class QueryCompiler:
-    """Compiles generated sources, caching nothing itself (the engine
-    keeps the prepared-query cache, as the paper suggests systems do for
-    "frequently or recently issued queries")."""
+    """Compiles generated sources, caching nothing itself (the query
+    service's plan cache keeps preparations, as the paper suggests
+    systems do for "frequently or recently issued queries")."""
 
     #: Directory part of every generated module's ``source_path``.
     #: No such directory exists: the ``__loader__`` serves the text.

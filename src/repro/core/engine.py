@@ -3,19 +3,21 @@
 The façade tying the pipeline of Figure 2 together: SQL text → parser →
 binder → optimizer → code generator → compiler → executor.  It measures
 each preparation stage separately (Table III reports parse, optimize,
-generate and compile times plus generated file sizes) and keeps a
-prepared-query cache, since "it is common for systems to store
-pre-compiled and pre-optimized versions of frequently or recently
-issued queries".
+generate and compile times plus generated file sizes).
+
+Every :meth:`HiqueEngine.prepare` call runs the whole pipeline.  Reuse
+— "it is common for systems to store pre-compiled and pre-optimized
+versions of frequently or recently issued queries" — belongs to the
+caller: hold the :class:`PreparedQuery`, or go through the query
+service, whose plan cache serves ``Database.execute`` and prepared
+handles.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping, Sequence
@@ -27,7 +29,7 @@ from repro.errors import ExecutionError, MapDirectoryOverflow
 from repro.memsim.probe import NULL_PROBE, NullProbe
 from repro.obs import Observability, default_observability
 from repro.parallel.executor import ParallelExecutor
-from repro.parallel.stats import ExecutionStats, ParallelConfig
+from repro.parallel.stats import ExecutionStats
 from repro.plan.descriptors import AGG_HYBRID, PhysicalPlan, ScanStage
 from repro.plan.optimizer import Optimizer, PlannerConfig
 from repro.sql import ast
@@ -40,11 +42,6 @@ from repro.storage.types import DataType
 
 #: Identity tokens for prepared queries (see :attr:`PreparedQuery.token`).
 _tokens = itertools.count()
-
-#: Prepared queries :meth:`HiqueEngine.prepare` keeps for its direct
-#: callers, least recently used first out: the bound of the query
-#: service's plan cache, whose own preparations skip this one.
-PREPARED_CAPACITY = 64
 
 
 @dataclass
@@ -110,7 +107,6 @@ class HiqueEngine:
         catalog: Catalog,
         planner_config: PlannerConfig | None = None,
         opt_level: str = OPT_O2,
-        parallel: ParallelConfig | None = None,
         obs: Observability | None = None,
     ):
         self.catalog = catalog
@@ -122,15 +118,9 @@ class HiqueEngine:
         self.binder = Binder(catalog)
         self.generator = CodeGenerator()
         self.compiler = QueryCompiler()
-        #: (SQL, opt level, traced) → prepared query, an LRU of at most
-        #: :data:`PREPARED_CAPACITY` entries.
-        self._cache: "OrderedDict[tuple[str, str, bool], PreparedQuery]" = (
-            OrderedDict()
-        )
-        self._cache_lock = threading.Lock()
         #: The executor: a recycled answer, else the plan's generated
         #: composing function.
-        self.parallel = ParallelExecutor(parallel)
+        self.parallel = ParallelExecutor()
         #: How the most recent execution ran (set per execute call).
         self.last_exec_stats: ExecutionStats | None = None
 
@@ -141,12 +131,12 @@ class HiqueEngine:
         name: str = "query",
         traced: bool = False,
         opt_level: str | None = None,
-        use_cache: bool = True,
         planner_config: PlannerConfig | None = None,
         query: ast.Query | None = None,
         param_dtypes: Mapping[int, DataType] | None = None,
     ) -> PreparedQuery:
-        """Run the full pipeline, returning the compiled query.
+        """Run the full pipeline, returning a new compiled query (with
+        a new :attr:`~PreparedQuery.token`) on every call.
 
         ``query`` supplies an already-parsed (typically parameterized)
         AST, skipping the parse step — the query service uses this after
@@ -155,15 +145,6 @@ class HiqueEngine:
         context by the binder.
         """
         level = opt_level if opt_level is not None else self.opt_level
-        key = (sql, level, traced)
-        use_cache = use_cache and planner_config is None
-        if use_cache:
-            with self._cache_lock:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._cache.move_to_end(key)
-                    return cached
-
         timings = PreparationTimings()
         tracer = self.obs.tracer
         with tracer.span("prepare", "engine", opt_level=level):
@@ -194,7 +175,7 @@ class HiqueEngine:
                 compiled = self.compiler.compile(generated)
             timings.compile_seconds = compiled.compile_seconds
 
-        prepared = PreparedQuery(
+        return PreparedQuery(
             sql=sql,
             bound=bound,
             plan=plan,
@@ -202,12 +183,6 @@ class HiqueEngine:
             compiled=compiled,
             timings=timings,
         )
-        if use_cache:
-            with self._cache_lock:
-                self._cache[key] = prepared
-                while len(self._cache) > PREPARED_CAPACITY:
-                    self._cache.popitem(last=False)
-        return prepared
 
     # -- execution ---------------------------------------------------------------------
     def execute(
@@ -219,7 +194,7 @@ class HiqueEngine:
         planner_config: PlannerConfig | None = None,
         params: Sequence[Any] = (),
     ) -> list[tuple]:
-        """Prepare (with caching) and run a query."""
+        """Prepare and run a query (a new preparation on every call)."""
         prepared = self.prepare(
             sql,
             name=name,
@@ -275,7 +250,6 @@ class HiqueEngine:
                 name=prepared.generated.name + "_fallback",
                 traced=prepared.compiled.traced,
                 opt_level=prepared.compiled.opt_level,
-                use_cache=False,
                 planner_config=fallback_config,
                 param_dtypes=param_dtypes_of(prepared.bound),
             )
@@ -296,7 +270,7 @@ class HiqueEngine:
     ) -> str:
         """The generated Python source for a query (for inspection)."""
         return self.prepare(
-            sql, traced=traced, opt_level=opt_level, use_cache=False
+            sql, traced=traced, opt_level=opt_level
         ).generated.source
 
     def explain(self, sql: str) -> str:
@@ -305,14 +279,9 @@ class HiqueEngine:
         plan = Optimizer(self.catalog, self.planner_config).plan(bound)
         return plan.explain()
 
-    def clear_cache(self) -> None:
-        with self._cache_lock:
-            self._cache.clear()
-
     # -- lifecycle ---------------------------------------------------------------------
     def close(self) -> None:
-        """Drop cached plans."""
-        self.clear_cache()
+        """Nothing to release: the engine keeps no preparations."""
 
     def __enter__(self) -> "HiqueEngine":
         return self

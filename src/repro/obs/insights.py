@@ -101,6 +101,9 @@ class Digest:
         "live",
         "store_key",
         "_hist",
+        # Statements keep their last digest through a weak reference,
+        # so one the store dropped is freed with its histogram.
+        "__weakref__",
     )
 
     def __init__(self, engine_kind: str, key: str):

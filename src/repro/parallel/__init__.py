@@ -19,20 +19,13 @@ latch); the executor is imported lazily on first attribute access.
 """
 
 from repro.parallel.latch import ReadWriteLatch
-from repro.parallel.merge import kway_merge
-from repro.parallel.stats import (
-    ExecutionStats,
-    ParallelConfig,
-    PhaseStats,
-)
+from repro.parallel.stats import ExecutionStats, PhaseStats
 
 __all__ = [
     "ExecutionStats",
-    "ParallelConfig",
     "ParallelExecutor",
     "PhaseStats",
     "ReadWriteLatch",
-    "kway_merge",
 ]
 
 

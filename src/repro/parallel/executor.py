@@ -33,11 +33,7 @@ from repro.parallel.stage import (
     recall,
     spanned_query,
 )
-from repro.parallel.stats import (
-    ExecutionStats,
-    ParallelConfig,
-    RecycledStats,
-)
+from repro.parallel.stats import ExecutionStats, RecycledStats
 
 #: Why a traced run asks no cache.
 _TRACED = "traced execution (the probe records every access)"
@@ -46,12 +42,13 @@ _TRACED = "traced execution (the probe records every access)"
 class ParallelExecutor:
     """Runs prepared queries: a recycled answer, else ``run_query``.
 
-    One instance per engine; stateless apart from its configuration and
-    the wired intermediate cache, so concurrent sessions share it.
+    One instance per engine; stateless apart from the wired
+    intermediate cache, so concurrent sessions share it.  It takes no
+    settings: which tables are worth caching is
+    :data:`~repro.parallel.stage.MIN_PAGES`.
     """
 
-    def __init__(self, config: ParallelConfig | None = None):
-        self.config = config if config is not None else ParallelConfig()
+    def __init__(self):
         #: Optional :class:`~repro.parallel.intermediates.IntermediateCache`
         #: wired by the embedding database; when set, answers and staged
         #: scan outputs are reused across executions keyed on the
@@ -59,11 +56,6 @@ class ParallelExecutor:
         #: :func:`~repro.parallel.stage.recall` and
         #: :class:`~repro.parallel.stage.StageAccess`).
         self.intermediates = None
-
-    def reconfigure(self, config: ParallelConfig) -> None:
-        """Swap the configuration; in-flight runs keep the one they
-        started with."""
-        self.config = config
 
     def run(
         self,
@@ -80,13 +72,12 @@ class ParallelExecutor:
         started = time.perf_counter()
         compiled = prepared.compiled
         params = tuple(params)
-        min_pages = self.config.min_pages
         if compiled.traced and not probe.enabled:
             # Traced code dereferences the probe's internals.
             raise ExecutionError("traced query executed without a probe")
         # A traced run records every access of its own: nothing recycled.
         cache = None if probe.enabled else self.intermediates
-        answer = recall(prepared, params, cache, min_pages)
+        answer = recall(prepared, params, cache)
         if answer.rows is not None:
             return answer.rows, RecycledStats(
                 len(answer.rows), time.perf_counter() - started, answer.note
@@ -97,12 +88,10 @@ class ParallelExecutor:
         )
         if current_span() is None:
             run_query = compiled.namespace["run_query"]
-            access = StageAccess(prepared, ctx, cache, min_pages, answer.stale)
+            access = StageAccess(prepared, ctx, cache, answer.stale)
         else:
             run_query = spanned_query(prepared)
-            access = SpannedAccess(
-                prepared, ctx, cache, min_pages, answer.stale
-            )
+            access = SpannedAccess(prepared, ctx, cache, answer.stale)
         rows = run_query(ctx, access)
         answer.bank(rows)
         return rows, ExecutionStats(

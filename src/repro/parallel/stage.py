@@ -39,11 +39,11 @@ from __future__ import annotations
 import functools
 import types
 from dataclasses import replace
+from operator import itemgetter
 from time import perf_counter as _clock
 
 from repro.core.generator import PHASE_OF
 from repro.obs import current_span, maybe_span
-from repro.parallel.merge import kway_merge, run_key
 from repro.parallel.stats import PhaseStats
 from repro.plan.descriptors import (
     PREP_PARTITION,
@@ -54,6 +54,12 @@ from repro.plan.descriptors import (
 
 #: Canonical phase order for reporting.
 PHASE_ORDER = ("stage", "join", "aggregate", "final")
+
+#: Tables below this many pages skip the intermediate cache: their
+#: stagings are neither looked up nor banked, and a plan that scans only
+#: such tables banks no answer — they cost less to run than to size and
+#: copy.  Read when each lookup runs, never bound as a default.
+MIN_PAGES = 16
 
 _MISS = object()
 
@@ -104,18 +110,17 @@ def _versions(scanned) -> tuple:
     return tuple([(name, table.version) for name, table in scanned])
 
 
-def recall(prepared, params: tuple, cache, min_pages: int) -> Answer:
+def recall(prepared, params: tuple, cache) -> Answer:
     """Look ``prepared``'s answer for ``params`` up in ``cache``.
 
-    Plans that scan only tables below ``min_pages`` skip the cache, as
-    their scans skip staging lookups: they cost less to run than to
-    size and copy.
+    Plans that scan only tables below :data:`MIN_PAGES` skip the cache,
+    as their scans skip staging lookups.
     """
     if cache is None:
         return _UNASKED
     scanned = prepared.scanned
     for _, table in scanned:
-        if table.num_pages >= min_pages:
+        if table.num_pages >= MIN_PAGES:
             break
     else:
         return _UNASKED
@@ -186,7 +191,7 @@ class StageAccess:
     ``cache`` None skips the intermediate cache.
     """
 
-    def __init__(self, prepared, ctx, cache=None, min_pages=0, admit=False):
+    def __init__(self, prepared, ctx, cache=None, admit=False):
         self.plan = prepared.plan
         self.namespace = prepared.compiled.namespace
         self.names = prepared.generated.function_names
@@ -194,7 +199,6 @@ class StageAccess:
         self.ctx = ctx
         self.params = ctx.params
         self.cache = cache
-        self.min_pages = min_pages
         #: Whether a miss may sight and bank: the run's answer is stale.
         self.admit = admit
         self.notes: list[str] = []
@@ -282,7 +286,7 @@ class StageAccess:
         The probe runs first: when the index accepts, the generated
         fetch reads just the hit pages and nothing is banked.  The
         cache is consulted only for a staging worth banking — at least
-        ``min_pages`` read — and, on a run whose answer is stale, a
+        :data:`MIN_PAGES` read — and, on a run whose answer is stale, a
         miss earns a place from its second sighting.
         """
         table = op.table
@@ -305,7 +309,7 @@ class StageAccess:
         cache = self.cache
         if cache is None:
             return Staged("no cache")
-        if table.num_pages < self.min_pages:
+        if table.num_pages < MIN_PAGES:
             return Staged("below min_pages")
         name = table.name.lower()
         params = self.params
@@ -370,17 +374,19 @@ def extend_staged(prep, staged, tail):
 
     The appended rows follow every staged row in heap order, so they
     are one more run after ``staged``: concatenated for prep none,
-    appended per key or bucket for a partition, stably merged (ties to
-    ``staged``) for a sort or a partition sort.  A fine directory's new
-    keys go last, in the order the rows met them.  Builds new
-    containers where rows were added and shares the rest, so neither
-    input is mutated.
+    appended per key or bucket for a partition, stably sorted together
+    for a sort or a partition sort — ``sorted`` is stable, so key ties
+    go to ``staged`` as in one sort of the whole heap, and Timsort
+    merges the two presorted runs without sorting them again.  A fine
+    directory's new keys go last, in the order the rows met them.
+    Builds new containers where rows were added and shares the rest,
+    so neither input is mutated.
     """
     if prep.kind in (PREP_SORT, PREP_PARTITION_SORT):
-        key = run_key(prep.keys)
+        key = itemgetter(*prep.keys)
 
         def join(old: list, new: list) -> list:
-            return kway_merge([old, new], key)
+            return sorted(old + new, key=key) if new else old
     else:
 
         def join(old: list, new: list) -> list:

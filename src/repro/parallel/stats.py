@@ -1,27 +1,15 @@
-"""Execution configuration and per-query statistics.
+"""Per-query execution statistics.
 
-:class:`ParallelConfig` holds what an execution reads;
 :class:`ExecutionStats` (with one :class:`PhaseStats` per phase) says
 how one execution ran: recycled or run, traced or not, and which path
-each scan took.
+each scan took.  Execution has no settings: the one size rule it
+applies is :data:`repro.parallel.stage.MIN_PAGES`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable
-
-
-@dataclass(frozen=True)
-class ParallelConfig:
-    """What an execution reads.
-
-    ``min_pages``: tables below this many pages skip the intermediate
-    cache — their stagings are neither looked up nor banked, and a
-    plan that scans only such tables banks no answer.
-    """
-
-    min_pages: int = 16
 
 
 @dataclass

@@ -417,7 +417,6 @@ class QueryService:
                 statement.key,
                 query=parameterized.query,
                 param_dtypes=param_dtypes,
-                use_cache=False,
             )
             return (
                 _CachedPlan(
@@ -572,7 +571,8 @@ class QueryService:
                 pages = self._pages
                 pages_hit = max(0, pages.hits - pages_before[0])
                 pages_missed = max(0, pages.misses - pages_before[1])
-            statement.digest = insights.record(
+            kept = statement.digest
+            digest = insights.record(
                 statement.engine_kind,
                 statement.key,
                 elapsed,
@@ -583,8 +583,10 @@ class QueryService:
                 pages_missed=pages_missed,
                 trace=span.trace if span is not None else None,
                 tables=statement.tables,
-                digest=statement.digest,
+                digest=kept,
             )
+            if digest is not kept:
+                statement.digest = digest
         except Exception:
             self.obs.registry.counter(
                 "repro_insights_record_errors_total"

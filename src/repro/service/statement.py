@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -42,9 +43,9 @@ class PreparedStatement:
     cache_key: tuple = field(init=False, repr=False)
     #: Lowercased names of the tables the statement touches.
     tables: tuple[str, ...] = field(init=False, repr=False)
-    #: The workload-insights digest the last execution folded into
-    #: (see :meth:`repro.obs.insights.DigestStore.fold`).
-    digest: Any = field(
+    #: A weak reference to the workload-insights digest the last
+    #: execution folded into (see :attr:`digest`).
+    _digest: Any = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -60,6 +61,21 @@ class PreparedStatement:
             self.tables = (query.table.lower(),)
         else:
             self.tables = tuple(sorted({t.name.lower() for t in query.tables}))
+
+    @property
+    def digest(self):
+        """The workload-insights digest the last execution folded into
+        (see :meth:`repro.obs.insights.DigestStore.fold`), or None.
+
+        Held weakly: once a reset or an eviction drops it from the
+        store, a statement whose text never runs again does not keep it
+        (and its histogram) alive."""
+        ref = self._digest
+        return ref() if ref is not None else None
+
+    @digest.setter
+    def digest(self, digest) -> None:
+        self._digest = weakref.ref(digest) if digest is not None else None
 
     @property
     def num_params(self) -> int:

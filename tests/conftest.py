@@ -10,6 +10,7 @@ import pytest
 
 from repro import Database
 from repro.bench.tpch import generate_tpch
+from repro.parallel import stage
 from repro.storage import (
     Catalog,
     Column,
@@ -48,6 +49,18 @@ def disk_copy(catalog: Catalog, directory, capacity: int = 16):
         buffer.close()
         for table in copy.tables():
             table.file.close()
+
+
+@pytest.fixture()
+def min_pages(monkeypatch):
+    """Sets :data:`repro.parallel.stage.MIN_PAGES` for one test:
+    ``min_pages(1)`` stages every table, however small, through the
+    intermediate cache.  Restored when the test ends."""
+
+    def set_min_pages(pages: int) -> None:
+        monkeypatch.setattr(stage, "MIN_PAGES", pages)
+
+    return set_min_pages
 
 
 @pytest.fixture()

@@ -199,14 +199,6 @@ class TestEngineFacade:
         assert timings.total_seconds < 1.0  # preparation is milliseconds
         assert prepared.compiled.source_bytes > 0
 
-    def test_prepared_cache_hit(self, simple_catalog):
-        engine = HiqueEngine(simple_catalog)
-        first = engine.prepare("SELECT a FROM t")
-        second = engine.prepare("SELECT a FROM t")
-        assert first is second
-        engine.clear_cache()
-        assert engine.prepare("SELECT a FROM t") is not first
-
     def test_cache_distinguishes_opt_levels(self, simple_catalog):
         engine = HiqueEngine(simple_catalog)
         o2 = engine.prepare("SELECT a FROM t", opt_level=OPT_O2)
@@ -233,8 +225,7 @@ class TestEngineFacade:
         from repro.errors import ExecutionError
 
         engine = HiqueEngine(simple_catalog)
-        prepared = engine.prepare("SELECT a FROM t", traced=True,
-                                  use_cache=False)
+        prepared = engine.prepare("SELECT a FROM t", traced=True)
         with pytest.raises(ExecutionError):
             engine.execute_prepared(prepared)
 

@@ -385,7 +385,6 @@ def test_generated_function_errors_propagate_cleanly(shapes, case):
         with pytest.raises(RuntimeError, match="generated function died"):
             engine.execute_prepared(prepared)
         assert disk.buffer.num_pinned == 0
-        engine.clear_cache()
         _walk_both(memory, disk, SHAPES[shape], config)
     finally:
         engine.close()
@@ -554,7 +553,6 @@ def test_restage_errors_surface_cleanly(restage, force_join):
         with pytest.raises(RuntimeError, match="generated function died"):
             engine.execute_prepared(prepared)
         assert disk.buffer.num_pinned == 0
-        engine.clear_cache()
         _walk_both(memory, disk, RESTAGE_SQL, config)
     finally:
         engine.close()

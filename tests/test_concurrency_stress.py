@@ -123,7 +123,6 @@ def _build_db(**kwargs) -> Database:
 @pytest.fixture(scope="module")
 def stress_db() -> Database:
     db = _build_db(max_workers=N_THREADS, workers=4)
-    db.set_parallel(min_pages=2)
     yield db
     db.close()
 
@@ -165,8 +164,11 @@ def _run_threads(target, count=N_THREADS, timeout=120):
         raise errors[0]
 
 
-def test_mixed_queries_identical_to_serial_all_engines(stress_db, expected):
+def test_mixed_queries_identical_to_serial_all_engines(
+    stress_db, expected, min_pages
+):
     """Six engines × N threads × M statements: rows match serial runs."""
+    min_pages(2)
 
     def session(thread_id: int):
         rng = random.Random(thread_id)
@@ -182,8 +184,9 @@ def test_mixed_queries_identical_to_serial_all_engines(stress_db, expected):
     assert stress_db.buffer.num_pinned == 0
 
 
-def test_service_submit_concurrent_sessions(stress_db, expected):
+def test_service_submit_concurrent_sessions(stress_db, expected, min_pages):
     """The pooled front-end agrees with serial results under load."""
+    min_pages(2)
     futures = []
     for k in range(N_THREADS * 4):
         index = k % len(WORKLOAD)
@@ -200,15 +203,15 @@ def test_service_submit_concurrent_sessions(stress_db, expected):
     assert stress_db.buffer.num_pinned == 0
 
 
-def test_tiny_buffer_pool_under_concurrency(expected):
+def test_tiny_buffer_pool_under_concurrency(expected, min_pages):
     """Evictions under concurrent scans: correctness and invariants.
 
     A pool far smaller than the table forces constant miss/evict
     traffic from every thread; a pinned-page eviction would raise
     ``BufferPoolError`` and fail the run.
     """
+    min_pages(2)
     db = _build_db(buffer_capacity=2, workers=4)
-    db.set_parallel(min_pages=2)
     try:
 
         def session(thread_id: int):
@@ -228,8 +231,9 @@ def test_tiny_buffer_pool_under_concurrency(expected):
         db.close()
 
 
-def test_concurrent_scans_over_disk_file(tmp_path):
+def test_concurrent_scans_over_disk_file(tmp_path, min_pages):
     """Positioned reads: many threads scanning one DiskFile agree."""
+    min_pages(2)
     schema = Schema([Column("a", INT), Column("b", INT)])
     buffer = BufferManager(capacity=16)
     file = DiskFile(str(tmp_path / "t.pages"))
@@ -239,7 +243,6 @@ def test_concurrent_scans_over_disk_file(tmp_path):
     catalog.register(table)
     catalog.analyze()
     db = Database(catalog=catalog, workers=4)
-    db.set_parallel(min_pages=2)
     try:
         want = sum(i * 3 for i in range(50_000))
 
@@ -254,8 +257,11 @@ def test_concurrent_scans_over_disk_file(tmp_path):
         db.close()
 
 
-def test_ddl_excludes_readers_without_breaking_them(stress_db, expected):
+def test_ddl_excludes_readers_without_breaking_them(
+    stress_db, expected, min_pages
+):
     """analyze() (a writer) interleaves safely with running readers."""
+    min_pages(2)
     stop = threading.Event()
 
     def churn_statistics():
@@ -282,7 +288,7 @@ def test_ddl_excludes_readers_without_breaking_them(stress_db, expected):
     assert stress_db.buffer.num_pinned == 0
 
 
-def test_readers_see_consistent_snapshots_during_writes():
+def test_readers_see_consistent_snapshots_during_writes(min_pages):
     """Concurrent readers interleaving with multi-row DML only ever
     observe a pre- or post-statement snapshot, never a partial write.
 
@@ -291,8 +297,8 @@ def test_readers_see_consistent_snapshots_during_writes():
     any reader-visible count other than ``base`` or ``base + batch``
     would mean a statement's effects leaked mid-flight.
     """
+    min_pages(2)
     db = _build_db(workers=4)
-    db.set_parallel(min_pages=2)
     batch = 16
     base = db.table("accounts").num_rows
     stop = threading.Event()
@@ -419,13 +425,13 @@ def test_readers_during_indexed_writes():
         db.close()
 
 
-def test_execution_stats_report_the_walk(stress_db):
+def test_execution_stats_report_the_walk(stress_db, min_pages):
+    min_pages(2)
     stress_db.execute(
         "SELECT region, count(*) AS n FROM accounts GROUP BY region"
     )
     stats = stress_db.last_exec_stats("hique")
     assert stats is not None
-    assert stress_db.parallel_config.min_pages == 2
     assert not stats.parallel and stats.morsels == 0
     assert [phase.tasks for phase in stats.phases] == [0] * len(stats.phases)
     assert {phase.name for phase in stats.phases} <= {
@@ -461,7 +467,7 @@ def test_merge_planned_join_workload_matches(expected):
         db.close()
 
 
-def test_tiny_pool_disk_file_reads_ahead_under_writes(tmp_path):
+def test_tiny_pool_disk_file_reads_ahead_under_writes(tmp_path, min_pages):
     """Read-ahead over a DiskFile eight times larger than its pool.
 
     Concurrent scans leave prefetches in flight while a writer rewrites
@@ -471,6 +477,7 @@ def test_tiny_pool_disk_file_reads_ahead_under_writes(tmp_path):
     prefetch installed after a write-back would show as a page whose
     rows lag behind the rest.
     """
+    min_pages(2)
     schema = Schema([Column("a", INT), Column("b", INT)])
     buffer = BufferManager(capacity=8)
     catalog = Catalog(buffer)
@@ -483,7 +490,6 @@ def test_tiny_pool_disk_file_reads_ahead_under_writes(tmp_path):
     catalog.analyze()
     assert table.num_pages >= 8 * buffer.capacity
     db = Database(catalog=catalog)
-    db.set_parallel(min_pages=2)
     writes = 12
     done = threading.Event()
 

@@ -27,9 +27,9 @@ This is litmus-style differential testing: the query surface is narrow
 enough that any disagreement is a real bug in exactly one layer, and
 the failing seed plus SQL are printed so a mismatch reproduces with a
 two-line script.  The corpus is bounded (4 seeds × 50 queries) to keep
-tier-1 fast; the cached engines stage every table through the cache
-(``min_pages=1``), so even these small tables exercise the banked and
-recycled paths.
+tier-1 fast; every table stages through the cache (the ``min_pages``
+fixture sets :data:`~repro.parallel.stage.MIN_PAGES` to 1), so even
+these small tables exercise the banked and recycled paths.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from repro.core.engine import HiqueEngine
 from repro.engines.vectorized import VectorizedEngine
 from repro.engines.volcano import VolcanoEngine
 from repro.parallel.intermediates import IntermediateCache
-from repro.parallel.stats import ParallelConfig
 from repro.plan.reference import evaluate as reference_evaluate
 from repro.sql.binder import Binder
 from repro.sql.parser import parse
@@ -351,12 +350,12 @@ class _QueryGen:
 
 class _Recycled:
     """A HIQUE engine with an intermediate cache, met in all its
-    states.  Every query runs until its answer is recycled — first
-    sighting, banking miss, answer hit — then twice under a stale
-    answer (after an identity UPDATE of a table it reads: the version
-    moves, no row does), which sights and then banks its stagings, and
-    once more under a new preparation, which reads them.  Every run
-    must return the same sequence.
+    states.  Every query is prepared once and run until its answer is
+    recycled — first sighting, banking miss, answer hit — then twice
+    under a stale answer (after an identity UPDATE of a table it reads:
+    the version moves, no row does), which sights and then banks its
+    stagings, and once more under a new preparation, which reads them.
+    Every run must return the same sequence.
 
     ``paths`` counts which way each run of a scan→consumer pair went:
     the fused ``aggregate_oM_scan`` or ``join_oM_scan`` (a miss that
@@ -374,25 +373,26 @@ class _Recycled:
         engine.parallel.intermediates = IntermediateCache()
         self.paths = Counter()
 
-    def execute(self, sql, **kwargs):
-        first = self._run(sql, kwargs)
+    def execute(self, sql, name="query", params=()):
+        prepared = self.engine.prepare(sql, name=name)
+        first = self._run(prepared, params)
         for _ in range(2):
-            assert self._run(sql, kwargs) == first
+            assert self._run(prepared, params) == first
         recycled = self.engine.last_exec_stats.recycled
         if not recycled:
             return first  # below min_pages, or re-planned on overflow
         assert recycled == "hit"
-        _, table = self.engine.prepare(sql).scanned[0]
+        _, table = prepared.scanned[0]
         for _ in range(2):
             table.update_rows(lambda row: True, lambda row: row)
-            assert self._run(sql, kwargs) == first
+            assert self._run(prepared, params) == first
             assert self.engine.last_exec_stats.recycled == "stale"
-        self.engine.clear_cache()
-        assert self._run(sql, kwargs) == first
+        fresh = self.engine.prepare(sql, name=name)
+        assert self._run(fresh, params) == first
         return first
 
-    def _run(self, sql, kwargs):
-        rows = self.engine.execute(sql, **kwargs)
+    def _run(self, prepared, params):
+        rows = self.engine.execute_prepared(prepared, params=params)
         for note in self.engine.last_exec_stats.notes:
             if "aggregate o" not in note and "join o" not in note:
                 continue
@@ -407,20 +407,14 @@ class _Recycled:
 
 def _engines(catalog: Catalog) -> dict:
     """Every engine configuration under test, keyed by display name."""
-    # Every table, however small, stages through the cache.
-    cached = ParallelConfig(min_pages=1)
     return {
         # No intermediate cache: the byte-identity references.
         "hique-o2": HiqueEngine(catalog, opt_level=OPT_O2),
         "hique-o0": HiqueEngine(catalog, opt_level=OPT_O0),
         # What production does (the cache step is opt-level
         # independent: once is enough).
-        "hique-o2-cached": _Recycled(
-            HiqueEngine(catalog, opt_level=OPT_O2, parallel=cached)
-        ),
-        "hique-o0-cached": HiqueEngine(
-            catalog, opt_level=OPT_O0, parallel=cached
-        ),
+        "hique-o2-cached": _Recycled(HiqueEngine(catalog, opt_level=OPT_O2)),
+        "hique-o0-cached": HiqueEngine(catalog, opt_level=OPT_O0),
         "volcano-generic": VolcanoEngine(catalog, generic=True),
         "volcano-optimized": VolcanoEngine(catalog),
         "systemx": VolcanoEngine(catalog, buffered=True),
@@ -759,7 +753,8 @@ class _IndexQueryGen:
     "seed, index_columns",
     [(505, ("i", "s")), (606, ("x", "d")), (707, ("i", "x", "d", "s"))],
 )
-def test_differential_fuzz_indexed(seed: int, index_columns):
+def test_differential_fuzz_indexed(seed: int, index_columns, min_pages):
+    min_pages(1)  # every table, however small, stages through the cache
     rng = random.Random(seed)
     plain_catalog, indexed_catalog, spread = _build_w(rng, index_columns)
     plain, indexed = _engines(plain_catalog), _engines(indexed_catalog)
@@ -801,7 +796,8 @@ def test_differential_fuzz_indexed(seed: int, index_columns):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_differential_fuzz(seed: int):
+def test_differential_fuzz(seed: int, min_pages):
+    min_pages(1)  # every table, however small, stages through the cache
     rng = random.Random(seed)
     catalog = _build_catalog(rng)
     engines = _engines(catalog)

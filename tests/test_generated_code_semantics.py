@@ -177,9 +177,7 @@ class TestGeneratedModuleHygiene:
         """The complete module text runs when exec'd in a fresh
         namespace."""
         engine = HiqueEngine(simple_catalog)
-        prepared = engine.prepare(
-            "SELECT c, count(*) AS n FROM t GROUP BY c", use_cache=False
-        )
+        prepared = engine.prepare("SELECT c, count(*) AS n FROM t GROUP BY c")
         source = prepared.generated.source
         namespace = {"__name__": "reloaded"}
         exec(compile(source, "reloaded.py", "exec"), namespace)  # noqa: S102
@@ -192,8 +190,8 @@ class TestGeneratedModuleHygiene:
 
     def test_distinct_queries_get_distinct_files(self, simple_catalog):
         engine = HiqueEngine(simple_catalog)
-        first = engine.prepare("SELECT a FROM t", use_cache=False)
-        second = engine.prepare("SELECT b FROM t", use_cache=False)
+        first = engine.prepare("SELECT a FROM t")
+        second = engine.prepare("SELECT b FROM t")
         assert first.compiled.source_path != second.compiled.source_path
 
     def test_no_leading_whitespace_issues(self, simple_catalog):

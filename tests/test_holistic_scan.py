@@ -98,7 +98,6 @@ def _drop_plans(db: Database) -> None:
     answer is at a first sighting and it reads the stagings an earlier
     preparation banked (as after a plan-cache eviction)."""
     db.service.cache.invalidate()
-    db.engine("hique").clear_cache()
 
 
 def _pair_notes(db: Database) -> list[str]:
@@ -317,7 +316,7 @@ def _scan_functions(source: str) -> dict[str, str]:
 @pytest.mark.parametrize("sql", [Q1_LIKE, ALL_TYPES, EMPTY_GLOBAL])
 def test_untraced_o2_decodes_a_page_per_call(db, sql):
     engine = db.engine("hique")
-    prepared = engine.prepare(sql, use_cache=False)
+    prepared = engine.prepare(sql)
     source = prepared.generated.source
     scans = [op for op in prepared.plan if isinstance(op, ScanStage)]
     functions = _scan_functions(source)

@@ -8,9 +8,11 @@ digest store, profile folding, the EXPLAIN ANALYZE buffer hit-rate %,
 the shell ``.insights`` / ``.slow`` commands.
 """
 
+import gc
 import io
 import random
 import time
+import weakref
 
 import pytest
 
@@ -326,6 +328,29 @@ def test_end_to_end_retention_stays_bounded():
         assert len(insights.digests) == 1
         digest = insights.digests.get("hique", statement.key)
         assert digest.calls == 2000
+    finally:
+        db.close()
+
+
+def test_a_statement_does_not_keep_a_dropped_digest_alive():
+    """A DML reset drops the written table's digests from the store; a
+    statement (say, a text-index entry whose text never runs again)
+    holds its last digest weakly, so the digest is freed with it."""
+    db = Database()
+    try:
+        db.create_table("o", [Column("a", INT), Column("b", INT)])
+        statement = db.prepare("INSERT INTO o VALUES (?, ?)")
+        statement.execute((1, 2))
+        digest = statement.digest
+        assert digest is not None and digest.live
+        dropped = weakref.ref(digest)
+        del digest
+        db.execute("DELETE FROM o WHERE a = 1")  # resets o's digests
+        gc.collect()
+        assert dropped() is None
+        assert statement.digest is None
+        statement.execute((3, 4))  # folds into a new digest
+        assert statement.digest.calls == 1
     finally:
         db.close()
 

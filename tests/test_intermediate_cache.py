@@ -134,7 +134,6 @@ class TestIntermediateCacheEndToEnd:
             # A new preparation is a first sighting of its answer, and
             # reads the stagings the old one banked.
             db.service.cache.invalidate()
-            db.engine("hique").clear_cache()
             hits = db.intermediates.stats().hits
             warm = db.execute(self._JOIN)
             assert warm == cold

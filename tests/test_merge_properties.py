@@ -1,28 +1,28 @@
-"""Property tests for the stable k-way merge and staging extension.
+"""Property tests for extending a sorted staging with appended rows.
 
 :func:`~repro.parallel.stage.extend_staged` merges a banked sorted
 staging with the staging of the rows appended after it, and the result
 must equal what the generated staging code's one stable sort over the
-whole heap produces.  These tests check :func:`kway_merge` against that
-reference on randomized inputs — random run counts and sizes, heavy
-duplication — and :func:`extend_staged` for every prep that orders or
-groups rows: a staging extended append by append must equal the
-staging of all the rows, directory key order and bucket order included.
+whole heap produces.  These tests check it against that reference on
+randomized inputs — random run sizes, heavy duplication — for a sort
+and a partition sort, and for every prep that orders or groups rows: a
+staging extended append by append must equal the staging of all the
+rows, directory key order and bucket order included.
 
 Rows carry a trailing *provenance* field ``(run_index, row_index)``
 that never participates in keys, so the assertions distinguish a merge
 that is merely key-ordered from one that is *stable across run order*
-(ties must drain earlier runs first).
+(ties must drain the banked run first).
 """
 
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 
 import pytest
 
 from repro.core.runtime import fine_partition_rows, partition_rows
-from repro.parallel.merge import kway_merge, run_key
 from repro.parallel.stage import extend_staged, staged_rows
 from repro.plan.descriptors import (
     PREP_PARTITION,
@@ -32,6 +32,10 @@ from repro.plan.descriptors import (
 )
 
 SEEDS = range(24)
+
+#: The sorted stagings: a coarse partition sort extends bucket by
+#: bucket, a sort as one run.
+SORTED_KINDS = (PREP_SORT, PREP_PARTITION_SORT)
 
 
 def _random_rows(rng: random.Random, count: int) -> list[tuple]:
@@ -54,44 +58,64 @@ def _tag(runs: list[list[tuple]]) -> list[list[tuple]]:
     ]
 
 
-def _random_runs(rng: random.Random) -> list[list[tuple]]:
-    return [
-        _random_rows(rng, rng.randrange(0, 40))
-        for _ in range(rng.randrange(0, 7))
-    ]
+def _buckets(kind: str, run: list) -> list:
+    """Sorted ``run`` as ``kind`` stages it: one run, or (for a coarse
+    partition sort) a list of two buckets, split by position so both
+    stay sorted."""
+    return run if kind == PREP_SORT else [run[::2], run[1::2]]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_kway_merge_equals_stable_sort_of_concatenation(seed):
+@pytest.mark.parametrize("kind", SORTED_KINDS)
+def test_extension_equals_stable_sort_of_concatenation(kind, seed):
     rng = random.Random(seed)
-    positions = rng.sample([0, 1, 2], rng.randrange(1, 4))
-    key = run_key(positions)
-    runs = _tag(_random_runs(rng))
-    for run in runs:
-        run.sort(key=key)  # each run arrives sorted
-    # The reference: one stable sort over runs concatenated in run
-    # (heap) order — provenance breaks no ties, list.sort is stable.
-    reference = sorted([row for run in runs for row in run], key=key)
-    assert kway_merge(runs, key) == reference
+    positions = tuple(rng.sample([0, 1, 2], rng.randrange(1, 4)))
+    key = itemgetter(*positions)
+    prep = Prep(kind, positions, 2)
+    # Each run arrives sorted, and so does every bucket split from it.
+    old, new = (
+        _buckets(kind, sorted(run, key=key))
+        for run in _tag(
+            [_random_rows(rng, rng.randrange(0, 40)) for _ in range(2)]
+        )
+    )
+    # The reference: one stable sort over the runs concatenated in heap
+    # order — provenance breaks no ties, ``sorted`` is stable.
+    if kind == PREP_SORT:
+        reference = sorted(old + new, key=key)
+    else:
+        reference = [sorted(a + b, key=key) for a, b in zip(old, new)]
+    assert extend_staged(prep, old, new) == reference
 
 
-def test_kway_merge_tie_break_drains_earlier_run_first():
+@pytest.mark.parametrize("kind", SORTED_KINDS)
+def test_extension_ties_drain_the_banked_run_first(kind):
     """Explicit witness: equal keys, distinguishable only by provenance."""
-    runs = [
-        [(1, "a"), (1, "b")],
-        [(1, "c")],
-        [(0, "d"), (1, "e")],
-    ]
-    got = kway_merge([list(run) for run in runs], run_key([0]))
-    assert got == [(0, "d"), (1, "a"), (1, "b"), (1, "c"), (1, "e")]
+    prep = Prep(kind, (0,), 2)
+    old = [(0, "a"), (1, "b"), (1, "c")]
+    new = [(0, "d"), (1, "e"), (2, "f")]
+    want = [(0, "a"), (0, "d"), (1, "b"), (1, "c"), (1, "e"), (2, "f")]
+    if kind == PREP_SORT:
+        assert extend_staged(prep, old, new) == want
+    else:
+        assert extend_staged(prep, [old, []], [new, []]) == [want, []]
 
 
-def test_kway_merge_degenerate_shapes():
-    key = run_key([0])
-    assert kway_merge([], key) == []
-    assert kway_merge([[], []], key) == []
-    only = [(2,), (3,)]
-    assert kway_merge([[], only, []], key) == only
+@pytest.mark.parametrize("kind", SORTED_KINDS)
+def test_extension_of_empty_and_single_runs(kind):
+    prep = Prep(kind, (0,), 2)
+    only = [(2, "x"), (3, "y")]
+
+    def extend(old, new):
+        if kind == PREP_SORT:
+            return extend_staged(prep, old, new)
+        (merged, empty) = extend_staged(prep, [old, []], [new, []])
+        assert empty == []
+        return merged
+
+    assert extend([], []) == []
+    assert extend(only, []) == only
+    assert extend([], only) == only
 
 
 # -- extending a staging with appended rows -------------------------------------------
@@ -111,13 +135,13 @@ def _stage(prep: Prep, rows: list[tuple]):
     generated staging function builds for ``prep``."""
     rows = list(rows)
     if prep.kind == PREP_SORT:
-        return sorted(rows, key=run_key(prep.keys))
+        return sorted(rows, key=itemgetter(*prep.keys))
     if prep.fine:
         parts = fine_partition_rows(rows, prep.keys[0])
     else:
         parts = partition_rows(rows, prep.keys[0], prep.num_partitions)
     if prep.kind == PREP_PARTITION_SORT:
-        key = run_key(prep.keys)
+        key = itemgetter(*prep.keys)
         for bucket in parts.values() if prep.fine else parts:
             bucket.sort(key=key)
     return parts

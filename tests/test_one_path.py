@@ -80,8 +80,8 @@ def _calls(engine, prepared, **kwargs) -> tuple[list, list[str]]:
 
 
 def _assert_one_path(engine: HiqueEngine, sql: str, params=()) -> None:
-    untraced = engine.prepare(sql, use_cache=False)
-    traced = engine.prepare(sql, traced=True, use_cache=False)
+    untraced = engine.prepare(sql)
+    traced = engine.prepare(sql, traced=True)
     rows, called = _calls(engine, untraced, params=params)
     traced_rows, traced_called = _calls(
         engine, traced, probe=Probe(), params=params
@@ -133,18 +133,18 @@ def test_the_untraced_run_fuses_and_probes_where_the_traced_one_stages(
     """The normalisation above is not vacuous: Q1 fuses its scan, and
     the point read probes the index."""
     engine = HiqueEngine(tpch_db.catalog)
-    prepared = engine.prepare(QUERIES["Q1"], use_cache=False)
+    prepared = engine.prepare(QUERIES["Q1"])
     _, called = _calls(engine, prepared)
     assert called == ["run_query", "aggregate_o1", "order_o2"]
     engine = HiqueEngine(oltp_db.catalog)
-    prepared = engine.prepare(OLTP["point"], use_cache=False)
+    prepared = engine.prepare(OLTP["point"])
     _, called = _calls(engine, prepared, params=(5,))
     assert called[:3] == ["run_query", "stage_o0_probe", "stage_o0_fetch"]
 
 
 def test_a_traced_run_reports_its_phases_and_asks_no_cache(tpch_db):
     engine = HiqueEngine(tpch_db.catalog)
-    prepared = engine.prepare(QUERIES["Q3"], traced=True, use_cache=False)
+    prepared = engine.prepare(QUERIES["Q3"], traced=True)
     engine.execute_prepared(prepared, probe=Probe())
     stats = engine.last_exec_stats
     assert stats.reason.startswith("traced execution")

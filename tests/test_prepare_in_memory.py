@@ -23,7 +23,7 @@ import pytest
 
 import repro.core.compiler as compiler_module
 from repro import Column, Database, INT
-from repro.core.engine import PREPARED_CAPACITY, HiqueEngine
+from repro.core.engine import HiqueEngine
 from repro.core.executor import build_context
 from repro.parallel.stage import StageAccess
 from repro.plan.optimizer import PlannerConfig
@@ -231,19 +231,3 @@ def test_concurrent_runs_compile_nothing(catalog, monkeypatch):
         engine.close()
 
 
-def test_the_engines_prepared_cache_is_bounded(catalog):
-    """Direct ``HiqueEngine.prepare`` callers share an LRU of
-    :data:`PREPARED_CAPACITY` preparations: distinct statements do not
-    grow it past that, and a recent repeat gets its preparation back."""
-    assert PREPARED_CAPACITY == 64
-    engine = HiqueEngine(catalog)
-    first = engine.prepare("SELECT id FROM fact WHERE v = 0")
-    for value in range(200):
-        engine.prepare(f"SELECT id FROM fact WHERE v = {value}")
-    assert len(engine._cache) <= PREPARED_CAPACITY
-    again = engine.prepare("SELECT id FROM fact WHERE v = 199")
-    assert again is engine.prepare("SELECT id FROM fact WHERE v = 199")
-    assert engine.prepare("SELECT id FROM fact WHERE v = 0") is not first
-    assert engine.execute("SELECT id FROM fact WHERE v = 199") == (
-        engine.execute_prepared(again)
-    )

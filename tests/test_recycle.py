@@ -23,6 +23,7 @@ from repro.parallel.intermediates import (
     SIGHTINGS_CAPACITY,
     IntermediateCache,
 )
+from repro.parallel import stage
 from repro.parallel.stage import StageAccess
 from repro.plan.optimizer import PlannerConfig
 from repro.storage.btree import BPlusTree
@@ -48,7 +49,7 @@ def _db(**kwargs) -> Database:
 @pytest.fixture()
 def db():
     db = _db()
-    assert db.table("t").num_pages >= db.parallel_config.min_pages
+    assert db.table("t").num_pages >= stage.MIN_PAGES
     yield db
     db.close()
 
@@ -81,6 +82,22 @@ def test_the_second_sighting_banks_and_the_third_is_recycled(db):
     assert db.intermediates.stats().answers == 1
 
 
+def test_each_prepare_is_new_and_the_plan_cache_recycles(db):
+    """The engine keeps no preparations: two ``prepare`` calls give two
+    tokens, so neither reads the other's answers.  Reuse is the plan
+    cache's: a repeated ``Database.execute`` runs one preparation, so
+    its third run is recycled."""
+    engine = db.engine("hique")
+    first, second = engine.prepare(TOTALS), engine.prepare(TOTALS)
+    assert first is not second and first.token != second.token
+    rows = db.execute(TOTALS)
+    assert db.execute(TOTALS) == rows
+    assert _recycled(db) == "first"
+    assert db.execute(TOTALS) == rows
+    assert _recycled(db) == "hit"
+    assert rows == _heap_totals(db)
+
+
 def test_parameters_are_part_of_the_key_with_their_types(db):
     sql = "SELECT a + ? AS x FROM t WHERE a < 3"
     for _ in range(3):
@@ -99,12 +116,15 @@ def test_o0_literals_read_from_the_plan_never_share_an_answer(db):
     the source (or the plan text) recycled the wrong rows."""
     engine = db.engine("hique-o0")
     statement = db.prepare("SELECT a, b FROM t WHERE a = ?", engine="hique-o0")
+    inlined = {
+        value: engine.prepare(f"SELECT a, b FROM t WHERE a = {value}")
+        for value in (10, 55, 160)
+    }
     for _ in range(3):
-        for value in (10, 55, 160):
-            inlined = f"SELECT a, b FROM t WHERE a = {value}"
-            want = db.execute(inlined, engine="volcano")
+        for value, prepared in inlined.items():
+            want = db.execute(prepared.sql, engine="volcano")
             assert want == [(value, value % 7)]
-            assert engine.execute(inlined) == want
+            assert engine.execute_prepared(prepared) == want
             assert statement.execute((value,)) == want
     assert db.intermediates.stats().answers == 6
 

@@ -9,21 +9,24 @@ the index probe from :mod:`repro.parallel.stage`.
 
 from __future__ import annotations
 
+import inspect
 import io
 import threading
 
 import pytest
 
+import repro
+import repro.parallel
 from repro import Column, Database, INT
 from repro.cli import Shell
 from repro.core.engine import HiqueEngine
 from repro.errors import ReproError
+from repro.parallel.executor import ParallelExecutor
 from repro.parallel.intermediates import (
     SIGHTINGS_CAPACITY,
     IntermediateCache,
     _approx_bytes,
 )
-from repro.parallel.stats import ParallelConfig
 from repro.plan.optimizer import PlannerConfig
 from repro.storage import Catalog, Schema
 from repro.storage.buffer import BufferManager
@@ -209,38 +212,47 @@ def test_bare_engine_walks_memory_and_cold_disk_tables(tmp_path):
 
 
 def test_removed_knobs_are_rejected():
-    """One path, no scheduler knobs: ``workers`` is still accepted by
-    ``Database`` (and must be positive); nothing else of the scheduler
-    is."""
+    """One path, no execution knobs: ``workers`` is still accepted by
+    ``Database`` (and must be positive); no execution setting, engine
+    prepared cache or scheduler option is.  The surfaces are listed
+    whole, so a knob that comes back fails here."""
     with pytest.raises(ReproError):
         Database(workers=0)
     with Database(workers=8) as db:
-        assert db.parallel_config == ParallelConfig()
-        for removed in ("workers", "morsel_pages", "min_rows", "task_timeout"):
-            with pytest.raises(TypeError):
-                db.set_parallel(**{removed: 2})
-            with pytest.raises(TypeError):
-                ParallelConfig(**{removed: 2})
+        # Neither an execution configuration nor a setter for one.
+        assert not [name for name in dir(db) if "parallel" in name]
         with pytest.raises(TypeError):
             db.serve(task_timeout=1.0)
-        assert db.set_parallel(min_pages=4) == ParallelConfig(min_pages=4)
+    # No execution configuration class is exported.
+    for module in (repro, repro.parallel):
+        assert not [name for name in module.__all__ if "Config" in name
+                    and name != "PlannerConfig"]
+    # The engine takes no execution configuration, keeps no prepared
+    # cache, and prepares on every call.
+    assert list(inspect.signature(HiqueEngine).parameters) == [
+        "catalog", "planner_config", "opt_level", "obs",
+    ]
+    assert list(inspect.signature(HiqueEngine.prepare).parameters) == [
+        "self", "sql", "name", "traced", "opt_level", "planner_config",
+        "query", "param_dtypes",
+    ]
+    engine = HiqueEngine(Catalog())
+    assert not [name for name in dir(engine) if "cache" in name]
+    # The executor takes no settings and has nothing to swap.
+    assert not list(inspect.signature(ParallelExecutor).parameters)
+    assert [
+        name for name in vars(ParallelExecutor) if not name.startswith("_")
+    ] == ["run"]
     out = io.StringIO()
     shell = Shell(stdout=out)
     try:
         shell.handle(".workers 2")
         shell.handle(".parallel")
         assert "unknown command .workers" in out.getvalue()
-        assert "serial, min_pages 16" in out.getvalue()
+        assert "(no execution yet)" in out.getvalue()
+        assert "min_pages" not in out.getvalue()
     finally:
         shell.db.close()
-
-
-def test_bare_engine_takes_the_default_config():
-    engine = HiqueEngine(Catalog())
-    try:
-        assert engine.parallel.config == ParallelConfig()
-    finally:
-        engine.close()
 
 
 def test_bare_engine_reports_the_overflow_fallback(monkeypatch):
@@ -325,7 +337,6 @@ def test_walk_reuses_stagings_and_restages_only_the_written_input():
         # A new preparation (after a plan-cache eviction) is a first
         # sighting of its answer and reads both current stagings.
         db.service.cache.invalidate()
-        db.engine("hique").clear_cache()
         text = db.explain_analyze(JOIN)
         assert text.count("staging: reused cached intermediate") == 2
         assert "; serial; " in text

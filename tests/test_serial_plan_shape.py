@@ -110,7 +110,6 @@ def _drop_plans(db: Database) -> None:
     answer is at a first sighting and it reads the stagings an earlier
     preparation banked (as after a plan-cache eviction)."""
     db.service.cache.invalidate()
-    db.engine("hique").clear_cache()
 
 
 def _join_notes(db: Database) -> list[str]:

@@ -102,7 +102,7 @@ class _Scans:
 
     def lookup(self, op: ScanStage):
         access = StageAccess(
-            self.prepared, self._context(), self.cache, 0, True
+            self.prepared, self._context(), self.cache, admit=True
         )
         found = access.lookup(op)
         self.notes.extend(access.notes)

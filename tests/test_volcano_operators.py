@@ -241,7 +241,7 @@ class TestProbeAccounting:
         )
         hique_probe = Probe()
         engine = HiqueEngine(simple_catalog)
-        prepared = engine.prepare(sql, traced=True, use_cache=False)
+        prepared = engine.prepare(sql, traced=True)
         engine.execute_prepared(prepared, probe=hique_probe)
         assert hique_probe.function_calls < (
             iterator_probe.function_calls * 0.05
